@@ -26,6 +26,17 @@ class InputError(Exception):
     """Malformed input line (reported with its line number, exit 2)."""
 
 
+def _int_coord(v) -> float:
+    """A coordinate that is not a JSON float: only a JSON integer is accepted
+    (bool is excluded, though Python makes it an int)."""
+    if type(v) is not int:
+        raise InputError("all coordinates must be numbers")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise InputError("all coordinates must be finite") from exc
+
+
 def _parse_point(obj, tol: Tolerances) -> HullPoint:
     if not isinstance(obj, dict):
         raise InputError("record must be a JSON object")
@@ -45,10 +56,10 @@ def _parse_point(obj, tol: Tolerances) -> HullPoint:
         and all(isinstance(row, list) and len(row) == 2 for row in X)
     ):
         raise InputError('"X" must be a 2x2 matrix')
-    try:
-        vals = [float(v) for v in (x[0], x[1], X[0][0], X[0][1], X[1][0], X[1][1], z[0], z[1])]
-    except (TypeError, ValueError) as exc:
-        raise InputError("all coordinates must be numbers") from exc
+    vals = [
+        v if type(v) is float else _int_coord(v)
+        for v in (x[0], x[1], X[0][0], X[0][1], X[1][0], X[1][1], z[0], z[1])
+    ]
     if not all(math.isfinite(v) for v in vals):
         raise InputError("all coordinates must be finite")
     if abs(vals[3] - vals[4]) > tol.eq_tol:

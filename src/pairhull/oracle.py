@@ -156,9 +156,25 @@ def oracle_objective(
 # ---------------------------------------------------------------------------
 
 
+def _sq_over_rows(u, den_s, rows, e: float):
+    """Closure of u^2/den where den_s is den with 1.0 at the non-positive
+    entries, listed in `rows` (indices on the second-to-last axis of u)."""
+    out = u * u
+    out /= den_s
+    if rows.size:
+        out[..., rows, :] = np.where(np.abs(u[..., rows, :]) <= e, 0.0, np.inf)
+    return out
+
+
 def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
     """Evaluate the objective on the product grid with per-lambda ridge
-    columns a_i = lam * x_i / z_i appended (the constraint-wise best split)."""
+    columns a_i = lam * x_i / z_i appended (the constraint-wise best split).
+
+    Same values as :func:`_objective_arrays` on the broadcast grid: the terms
+    of one split are computed at their 2-D shape, the coupling term in place
+    with safe denominators, and its closure cases only on the rows with
+    lambda <= 0 and the (lambda, a2) columns with g2 <= 0.
+    """
     lam_ax = np.asarray(lam_ax, dtype=float)
     L = lam_ax.size
     cols1 = np.broadcast_to(np.asarray(a1_ax, dtype=float), (L, np.size(a1_ax))).copy()
@@ -169,65 +185,42 @@ def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
     if p.z2 > e and p.x2 > 0.0:
         ridge2 = np.clip(lam_ax * p.x2 / p.z2, 0.0, p.x2)
         cols2 = np.concatenate([cols2, ridge2[:, None]], axis=1)
-    lam = lam_ax[:, None, None]
-    a1 = cols1[:, :, None]
-    a2 = cols2[:, None, :]
-    f = _objective_arrays(p, lam, a1, a2, e)
+    lam = lam_ax[:, None]
+    t12 = _cl_sq_over(cols1, lam, e) + _cl_sq_over(p.x1 - cols1, p.z1 - lam, e)
+    g2 = p.X22 - _cl_sq_over(cols2, lam, e) - _cl_sq_over(p.x2 - cols2, p.z2 - lam, e)
+    gpos = g2 > 0.0
+
+    with np.errstate(invalid="ignore"):
+        f = cols1[:, :, None] * cols2[:, None, :]
+        f /= np.where(lam > 0.0, lam, 1.0)[:, :, None]
+        np.subtract(p.X12, f, out=f)  # h = X12 - a1 a2 / lam
+        for i in np.flatnonzero(lam_ax <= 0.0):
+            zero_num = (cols1[i, :, None] <= e) | (cols2[i, None, :] <= e)
+            f[i] = p.X12 - np.where(zero_num, 0.0, np.inf)
+        li, ki = np.nonzero(~gpos)
+        h_bad = f[li, :, ki]
+        f *= f
+        f /= np.where(gpos, g2, 1.0)[:, None, :]
+        f[li, :, ki] = np.where(
+            (np.abs(h_bad) <= e) & (g2[li, ki] >= -e)[:, None], 0.0, np.inf
+        )
+        f += t12[:, :, None]
     k = int(np.argmin(f))
     i, j, l = np.unravel_index(k, f.shape)
     return float(f[i, j, l]), float(lam_ax[i]), float(cols1[i, j]), float(cols2[i, l])
 
 
-def _best_split1(p: HullPoint, lam: np.ndarray, a2: np.ndarray, e: float):
-    """Exact minimization over the first split value at fixed (lam, a2).
-
-    For positive denominators the objective is a convex quadratic in the
-    first split, so the clipped stationary point is the box minimizer; the
-    closure cases are covered by the box ends and the h = 0 root.
-
-    Returns (f, a1) arrays of the same shape as lam/a2.
-    """
-    lam = np.asarray(lam, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    g2 = p.X22 - _cl_sq_over(a2, lam, e) - _cl_sq_over(p.x2 - a2, p.z2 - lam, e)
-    gpos = g2 > 0.0
-    g2_s = np.where(gpos, g2, 1.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hroot = np.where(a2 > e, lam * p.X12 / np.where(a2 > e, a2, 1.0), 0.0)
-        ok = (lam > 0.0) & (p.z1 - lam > 0.0) & gpos
-        lam_s = np.where(lam > 0.0, lam, 1.0)
-        rest = np.where(p.z1 - lam > 0.0, p.z1 - lam, 1.0)
-        quad_a = 1.0 / lam_s + 1.0 / rest + (a2 / lam_s) ** 2 / g2_s
-        quad_b = p.x1 / rest + a2 * p.X12 / (lam_s * g2_s)
-        quad = np.where(ok, quad_b / quad_a, 0.0)
-    a1 = np.stack(
-        [
-            np.zeros(lam.shape),
-            np.full(lam.shape, p.x1),
-            np.clip(hroot, 0.0, p.x1),
-            np.clip(quad, 0.0, p.x1),
-        ]
-    )
-
-    lam_b = lam[None]
-    t1 = _cl_sq_over(a1, lam_b, e)
-    t2 = _cl_sq_over(p.x1 - a1, p.z1 - lam_b, e)
-    h = p.X12 - _cl_prod_over(a1, a2[None], lam_b, e)
-    with np.errstate(invalid="ignore"):
-        t3 = np.where(
-            gpos[None],
-            (h * h) / g2_s[None],
-            np.where((np.abs(h) <= e) & (g2 >= -e)[None], 0.0, np.inf),
-        )
-    f = t1 + t2 + t3
-    k = np.argmin(f, axis=0)
-    gather = np.ogrid[tuple(slice(0, s) for s in lam.shape)]
-    return f[(k, *gather)], a1[(k, *gather)]
-
-
 def _zoom_a2(p: HullPoint, lam: np.ndarray, e: float, rounds: int, width: int):
-    """Per-lambda bracket zoom over the second split (convex slice)."""
+    """Per-lambda bracket zoom over the second split (convex slice).
+
+    Each round samples `width` second splits per lambda and minimizes exactly
+    over the first split.  For positive denominators the objective is a
+    convex quadratic in the first split, so the clipped stationary point is
+    the box minimizer; the closure cases are covered by the box ends and the
+    h = 0 root.  These four candidates lie on axis 0 of (4, n, width)
+    buffers.  Terms that depend on lambda alone are computed once per call,
+    and the closure cases only where a denominator is not positive.
+    """
     lam = np.asarray(lam, dtype=float)
     n = lam.size
     lin = np.linspace(0.0, 1.0, width)
@@ -237,19 +230,87 @@ def _zoom_a2(p: HullPoint, lam: np.ndarray, e: float, rounds: int, width: int):
     f_best = np.full(n, np.inf)
     a1_best = np.zeros(n)
     a2_best = np.zeros(n)
-    lam_mat = np.broadcast_to(lam[:, None], (n, width))
-    for _ in range(rounds):
-        ts = lo[:, None] + (hi - lo)[:, None] * lin[None, :]
-        f, a1 = _best_split1(p, lam_mat, ts, e)
-        k = np.argmin(f, axis=1)
-        improved = f[idx, k] < f_best
-        f_best = np.where(improved, f[idx, k], f_best)
-        a1_best = np.where(improved, a1[idx, k], a1_best)
-        a2_best = np.where(improved, ts[idx, k], a2_best)
-        lo = ts[idx, np.maximum(k - 1, 0)]
-        hi = ts[idx, np.minimum(k + 1, width - 1)]
-        if p.x2 <= e:
-            break
+
+    rest1 = p.z1 - lam
+    rest2 = p.z2 - lam
+    lam_s = np.where(lam > 0.0, lam, 1.0)[:, None]
+    rest1_s = np.where(rest1 > 0.0, rest1, 1.0)[:, None]
+    rest2_s = np.where(rest2 > 0.0, rest2, 1.0)[:, None]
+    lam_rows = np.flatnonzero(lam <= 0.0)
+    rest1_rows = np.flatnonzero(rest1 <= 0.0)
+    rest2_rows = np.flatnonzero(rest2 <= 0.0)
+    no_quad_rows = np.flatnonzero((lam <= 0.0) | (rest1 <= 0.0))
+    inv_sum = 1.0 / lam_s + 1.0 / rest1_s
+    x1_rest = p.x1 / rest1_s
+    lam_X12 = lam[:, None] * p.X12
+
+    a1 = np.empty((4, n, width))
+    a1[0] = 0.0
+    a1[1] = p.x1
+    t12 = np.empty((4, n, width))
+    t12[0] = (_cl_sq_over(0.0, lam, e) + _cl_sq_over(p.x1, rest1, e))[:, None]
+    t12[1] = (_cl_sq_over(p.x1, lam, e) + _cl_sq_over(0.0, rest1, e))[:, None]
+    h = np.empty((4, n, width))
+    f = np.empty((4, n, width))
+    h_flat = h.reshape(4, -1)
+    f_flat = f.reshape(4, -1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(rounds):
+            ts = lo[:, None] + (hi - lo)[:, None] * lin[None, :]
+            g2 = (
+                p.X22
+                - _sq_over_rows(ts, lam_s, lam_rows, e)
+                - _sq_over_rows(p.x2 - ts, rest2_s, rest2_rows, e)
+            )
+            gpos = g2 > 0.0
+            g2_s = np.where(gpos, g2, 1.0)
+            g2_bad = np.flatnonzero(~gpos)
+
+            big = ts > e
+            hroot = np.where(big, lam_X12 / np.where(big, ts, 1.0), 0.0)
+            np.clip(hroot, 0.0, p.x1, out=a1[2])
+            quad_a = inv_sum + (ts / lam_s) ** 2 / g2_s
+            quad_b = x1_rest + ts * p.X12 / (lam_s * g2_s)
+            quad = quad_b / quad_a
+            quad[no_quad_rows] = 0.0
+            quad.reshape(-1)[g2_bad] = 0.0
+            np.clip(quad, 0.0, p.x1, out=a1[3])
+            np.add(
+                _sq_over_rows(a1[2:], lam_s, lam_rows, e),
+                _sq_over_rows(p.x1 - a1[2:], rest1_s, rest1_rows, e),
+                out=t12[2:],
+            )
+
+            np.multiply(a1, ts, out=h)
+            h /= lam_s
+            np.subtract(p.X12, h, out=h)
+            if lam_rows.size:
+                zero_num = (a1[:, lam_rows] <= e) | (ts[lam_rows] <= e)
+                h[:, lam_rows] = p.X12 - np.where(zero_num, 0.0, np.inf)
+            np.multiply(h, h, out=f)
+            f /= g2_s
+            if g2_bad.size:
+                f_flat[:, g2_bad] = np.where(
+                    (np.abs(h_flat[:, g2_bad]) <= e) & (g2.reshape(-1)[g2_bad] >= -e),
+                    0.0,
+                    np.inf,
+                )
+            f += t12
+
+            # first minimum over (column, candidate) in lexicographic order:
+            # the first best column of the per-column first best candidates
+            m = f.transpose(1, 2, 0).reshape(n, -1).argmin(axis=1)
+            k, c = np.divmod(m, 4)
+            f_k = f[c, idx, k]
+            improved = f_k < f_best
+            f_best = np.where(improved, f_k, f_best)
+            a1_best = np.where(improved, a1[c, idx, k], a1_best)
+            a2_best = np.where(improved, ts[idx, k], a2_best)
+            lo = ts[idx, np.maximum(k - 1, 0)]
+            hi = ts[idx, np.minimum(k + 1, width - 1)]
+            if p.x2 <= e:
+                break
     return f_best, a1_best, a2_best
 
 

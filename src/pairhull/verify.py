@@ -386,17 +386,27 @@ def run_oracle_suite(
     tol: Tolerances = DEFAULT_TOL,
     margin: float = 1e-4,
 ) -> SuiteReport:
-    """Agreement of the closed-form decision with the numeric oracle."""
+    """Agreement of the closed-form decision with the numeric oracle.
+
+    The slack of a point is its oracle decision margin, signed so that it is
+    negative when the oracle disagrees with the closed form: X11 +
+    oracle_tol - f where the closed form says member, its negation where it
+    says non-member (an infinite objective f gives -inf or +inf).
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pts = ctilde_margin_points(rng, trials, margin, tol)
     failures = 0
     offender = None
     n_member = 0
+    worst = math.inf
     for p in pts:
         rep = member_hull(p, tol)
         dec, wit = oracle_member(p, tol)
         n_member += int(rep.member)
+        f = math.inf if wit.objective.infinite else wit.objective.value
+        margin_in = p.X11 + tol.oracle_tol - f
+        worst = min(worst, margin_in if rep.member else -margin_in)
         if dec != rep.member:
             failures += 1
             if offender is None:
@@ -411,7 +421,7 @@ def run_oracle_suite(
         "oracle",
         trials,
         failures,
-        0.0,
+        worst,
         time.perf_counter() - t0,
         detail=f"members={n_member} nonmembers={trials - n_member}",
         offender=offender,

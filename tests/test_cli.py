@@ -40,6 +40,19 @@ class TestClassify:
         code, _ = run_cli(["classify"], bad + "\n")
         assert code == 2
 
+    @pytest.mark.parametrize("coord", ["true", '"0.5"'])
+    def test_non_number_coordinate_exits_2(self, coord, capsys):
+        bad = '{"x":[%s,0.5],"X":[[1,0],[0,1]],"z":[0.5,0.5]}' % coord
+        code, out = run_cli(["member"], bad + "\n")
+        assert code == 2 and out == ""
+        assert "all coordinates must be numbers" in capsys.readouterr().err
+
+    def test_integer_too_large_for_float_exits_2(self, capsys):
+        bad = '{"x":[1%s,0.5],"X":[[1,0],[0,1]],"z":[0.5,0.5]}' % ("0" * 400)
+        code, _ = run_cli(["classify"], bad + "\n")
+        assert code == 2
+        assert "all coordinates must be finite" in capsys.readouterr().err
+
 
 class TestMember:
     def test_nonmember_record(self):

@@ -21,8 +21,14 @@ from pairhull.errors import (
     InfeasibleWitness,
     RegionHasNoClosedWitness,
 )
-from pairhull.oracle import _sample_separable_array, witness_slacks
-from pairhull.verify import shrunken_nonmembers
+from pairhull.core import Tolerances
+from pairhull.oracle import (
+    _grid_eval,
+    _objective_arrays,
+    _sample_separable_array,
+    witness_slacks,
+)
+from pairhull.verify import ctilde_margin_points, run_oracle_suite, shrunken_nonmembers
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 
@@ -146,6 +152,112 @@ class TestOracleMember:
             assert float(np.max(np.abs(grad))) <= 1e-5
             checked += 1
         assert checked >= 5
+
+
+# oracle_member outputs (member, xt41, xt42, lambda4, objective), objective
+# "inf" when infinite, as float.hex: any change to the grid or zoom
+# arithmetic that moves a bit of the witness shows here.
+ORACLE_PINS = [
+    ("lam_lo_zero", (0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5), True,
+     "0x1.8c24130d59ed7p-4", "0x1.111110fcccccdp-2", "0x1.08180ca000000p-3",
+     "0x1.ccccccccccccap-3"),
+    # both z - lambda denominators reach 0 at lambda_hi
+    ("z1_eq_z2", (0.3, 0.4, 0.5, 0.2, 0.6, 0.6, 0.6), True,
+     "0x1.75d75d75d75d6p-3", "0x1.999999999999ap-2", "0x1.75d75d75d75d6p-2",
+     "0x1.3333333333332p-3"),
+    ("z1_eq_z2_lam_lo_zero", (0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.4), True,
+     "0x1.99dd5e4ccda93p-4", "0x1.111111199999ap-2", "0x1.113e3ee666668p-3",
+     "0x1.ccccccccccccap-3"),
+    # the zoom stops after one round
+    ("x2_zero", (0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6), True,
+     "0x1.0750750750750p-3", "0x0.0p+0", "0x1.3333333333330p-2",
+     "0x1.4b94b94b94b94p-3"),
+    ("x1_zero", (0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6), True,
+     "0x0.0p+0", "0x1.c09c09c09c099p-3", "0x1.5075075075072p-2",
+     "0x1.eb851eb851ebap-4"),
+    ("X12_zero", (0.3, 0.4, 0.5, 0.0, 0.6, 0.7, 0.6), True,
+     "0x1.0750750750750p-3", "0x0.0p+0", "0x1.3333333333330p-2",
+     "0x1.0750750750750p-3"),
+    # X22 < x2^2 / z2: g2 <= 0 on every grid column, objective +inf
+    ("g2_nonpositive_everywhere", (0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6), False,
+     "0x0.0p+0", "0x0.0p+0", "0x1.3333333333330p-2", "inf"),
+    ("worked_nonmember", (0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5), False,
+     "0x1.999999999999ap-4", "0x1.2bffff8000000p-3", "0x1.9fffff0000000p-5",
+     "0x1.028f5c28f5c26p+1"),
+    # one-point weight interval lambda = 1
+    ("both_indicators_one", (0.5, 0.5, 0.3, 0.25, 0.3, 1.0, 1.0), True,
+     "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+     "0x1.0000000000000p-2"),
+    ("small_indicator", (0.01, 0.5, 0.2, 0.05, 0.6, 0.001, 0.8), True,
+     "0x1.c47ad921551c8p-11", "0x1.47ae142000000p-8", "0x1.69fbe083126eap-14",
+     "0x1.9999999999998p-4"),
+    ("scaled_member", (30.0, 40.0, 5000.0, 1500.0, 6000.0, 0.7, 0.6), True,
+     "0x1.8e92492492493p+4", "0x1.1800000000000p+5", "0x1.299999999999ap-1",
+     "0x1.416db6db6db6dp+10"),
+    ("interior_member", (0.5, 0.6, 0.6, 0.35, 0.8, 0.55, 0.65), True,
+     "0x1.90da17875a97bp-3", "0x1.8a3d7095fffffp-2", "0x1.b8efe69f3333ap-3",
+     "0x1.d1745d1745d14p-2"),
+]
+
+
+class TestPinnedOracle:
+    @pytest.mark.parametrize(
+        "coords, expected", [(pin[1], pin[2:]) for pin in ORACLE_PINS],
+        ids=[pin[0] for pin in ORACLE_PINS],
+    )
+    def test_edge_case_outputs_bit_for_bit(self, coords, expected):
+        member, wit = oracle_member(HullPoint(*coords))
+        obj = "inf" if wit.objective.infinite else float(wit.objective.value).hex()
+        got = (
+            bool(member),
+            float(wit.xt41).hex(),
+            float(wit.xt42).hex(),
+            float(wit.lambda4).hex(),
+            obj,
+        )
+        assert got == expected
+
+    def test_grid_is_exact_argmin_of_the_objective(self):
+        e = 1e-9
+        pts = ctilde_margin_points(np.random.default_rng(91), 6)
+        pts += shrunken_nonmembers(np.random.default_rng(92), 4)
+        pts += [p for p in sample_hull(SampleSeed(93, 6), 3) if min(p.z1, p.z2) > e]
+        for p in pts:
+            lam_hi = min(p.z1, p.z2)
+            lam = np.linspace(min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi), lam_hi, 64)
+            a1_ax = np.linspace(0.0, p.x1, 64)
+            a2_ax = np.linspace(0.0, p.x2, 64)
+            cols1 = np.tile(a1_ax, (64, 1))
+            cols2 = np.tile(a2_ax, (64, 1))
+            if p.x1 > 0.0:  # ridge columns a_i = lam x_i / z_i
+                cols1 = np.column_stack([cols1, np.clip(lam * p.x1 / p.z1, 0.0, p.x1)])
+            if p.x2 > 0.0:
+                cols2 = np.column_stack([cols2, np.clip(lam * p.x2 / p.z2, 0.0, p.x2)])
+            f = _objective_arrays(
+                p, lam[:, None, None], cols1[:, :, None], cols2[:, None, :], e
+            )
+            i, j, k = np.unravel_index(int(np.argmin(f)), f.shape)
+            expected = (float(f[i, j, k]), lam[i], cols1[i, j], cols2[i, k])
+            assert _grid_eval(p, lam, a1_ax, a2_ax, e) == expected
+
+
+class TestOracleSuite:
+    def test_worst_slack_is_smallest_signed_margin(self):
+        report = run_oracle_suite(5, seed=11)
+        margins = []
+        for p in ctilde_margin_points(np.random.default_rng(11), 5):
+            _, wit = oracle_member(p)
+            m = p.X11 + 1e-6 - wit.objective.value
+            margins.append(m if member_hull(p).member else -m)
+        assert report.ok
+        assert report.worst_slack == min(margins) > 0.0
+
+    def test_disagreement_gives_nonpositive_worst_slack(self):
+        # an oracle band wider than every margin turns non-members into
+        # oracle members
+        report = run_oracle_suite(5, seed=11, tol=Tolerances(oracle_tol=100.0))
+        assert not report.ok
+        assert report.worst_slack <= 0.0
 
 
 class TestAnalyticWitness:
