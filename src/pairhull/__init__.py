@@ -27,7 +27,6 @@ from .hull import (
     piece_slacks,
     psd3_by_minors,
     rankone_member,
-    w_shift,
 )
 from .oracle import (
     OracleWitness,
@@ -98,5 +97,4 @@ __all__ = [
     "separate",
     "taylor_cut",
     "validate_point",
-    "w_shift",
 ]

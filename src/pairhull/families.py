@@ -1,0 +1,148 @@
+"""Formula table of the separating families II, III and V.
+
+Family II is the product shifted by z2 (cells R3, R4), family III the product
+shifted by z1 (cell R5) and family V the form weighted by the W shift (cell
+R8).  Each boundary function q is affine in X11, so the X11 at which it
+vanishes has a closed form.  The hull pieces, the touch points of the cuts
+and the verify samplers all take these formulas from here; the functions
+shared by the families are keyed by the family string.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .core import HullPoint
+from .errors import DegenerateGradient
+
+#: Separating family of each cell that carries one, keyed by the cell tag.
+FAMILY_BY_CELL = {"R3": "II", "R4": "II", "R5": "III", "R8": "V"}
+
+
+def _div0(num: float, den: float) -> float:
+    """num/den with the 0/0 -> 0 convention; callers guarantee num == 0
+    whenever den == 0."""
+    return num / den if den != 0.0 else 0.0
+
+
+def shift_z(family: str, p: HullPoint) -> float:
+    """The indicator shifting the product of family II (z2) or III (z1)."""
+    return p.z2 if family == "II" else p.z1
+
+
+def shifted_terms(family: str, p: HullPoint) -> tuple[float, float, float]:
+    """(X11 - x1^2/z, X22 - x2^2/z, X12 - x1 x2/z) with z = shift_z(family, p)."""
+    z = shift_z(family, p)
+    return (
+        p.X11 - _div0(p.x1 * p.x1, z),
+        p.X22 - _div0(p.x2 * p.x2, z),
+        p.X12 - _div0(p.x1 * p.x2, z),
+    )
+
+
+def w_sqrt_arg(p: HullPoint) -> tuple[float, float, float]:
+    """(s, d, d (1 - z1) s) with s = z1 + z2 - 1 and d = X22 z2 - x2^2: the
+    square-root argument of the W shift, not clamped."""
+    s = p.z1 + p.z2 - 1.0
+    d = p.X22 * p.z2 - p.x2 * p.x2
+    return s, d, d * (1.0 - p.z1) * s
+
+
+def w_shift(p: HullPoint) -> float:
+    """The W shift s - sqrt(d (1 - z1) s) / x2 of family V, the square-root
+    argument clamped at zero.  Needs x2 != 0."""
+    s, _, arg = w_sqrt_arg(p)
+    return s - math.sqrt(max(arg, 0.0)) / p.x2
+
+
+def q_value(family: str, p: HullPoint) -> float:
+    """Boundary function of the given family ('II', 'III' or 'V') at p."""
+    if family in ("II", "III"):
+        a, b, c = shifted_terms(family, p)
+        return a * b - c * c
+    if family == "V":
+        s = p.z1 + p.z2 - 1.0
+        a1 = p.X11 - p.x1 * p.x1 / p.z1
+        g = p.X12 * p.z1 * p.z2 / w_shift(p) - p.x1 * p.x2
+        return p.z1 * (1.0 - p.z2) * a1 * p.x2 * p.x2 - s * g * g
+    raise ValueError(f"unknown family {family!r}")
+
+
+def q_gradient(family: str, p: HullPoint) -> np.ndarray:
+    """Analytic gradient of the family boundary function at p, in the
+    canonical coordinate order (x1, x2, X11, X12, X22, z1, z2)."""
+    if family in ("II", "III"):
+        z = shift_z(family, p)
+        a, b, c = shifted_terms(family, p)
+        gx1 = -_div0(2.0 * p.x1, z) * b + _div0(2.0 * p.x2, z) * c
+        gx2 = -_div0(2.0 * p.x2, z) * a + _div0(2.0 * p.x1, z) * c
+        gz = (
+            _div0(p.x1 * p.x1, z * z) * b
+            + _div0(p.x2 * p.x2, z * z) * a
+            - 2.0 * c * _div0(p.x1 * p.x2, z * z)
+        )
+        gz1, gz2 = (0.0, gz) if family == "II" else (gz, 0.0)
+        return np.array([gx1, gx2, b, -2.0 * c, a, gz1, gz2])
+
+    if family != "V":
+        raise ValueError(f"unknown family {family!r}")
+
+    s, d, arg = w_sqrt_arg(p)
+    r = math.sqrt(max(arg, 0.0))
+    if r <= 1e-12:
+        raise DegenerateGradient(
+            "square-root term of the W shift is nondifferentiable here"
+        )
+    w = w_shift(p)
+    k = p.X12 * p.z1 * p.z2
+    g = k / w - p.x1 * p.x2
+    a1 = p.X11 - p.x1 * p.x1 / p.z1
+
+    dw_dX22 = -p.z2 * (1.0 - p.z1) * s / (2.0 * r * p.x2)
+    dw_dz1 = 1.0 - d * ((1.0 - p.z1) - s) / (2.0 * r * p.x2)
+    dw_dz2 = 1.0 - (p.X22 * (1.0 - p.z1) * s + d * (1.0 - p.z1)) / (2.0 * r * p.x2)
+    dw_dx2 = (1.0 - p.z1) * s / r + r / (p.x2 * p.x2)
+
+    kw2 = k / (w * w)
+    dg_dX12 = p.z1 * p.z2 / w
+    dg_dX22 = -kw2 * dw_dX22
+    dg_dz1 = p.X12 * p.z2 / w - kw2 * dw_dz1
+    dg_dz2 = p.X12 * p.z1 / w - kw2 * dw_dz2
+    dg_dx1 = -p.x2
+    dg_dx2 = -p.x1 - kw2 * dw_dx2
+
+    x2sq = p.x2 * p.x2
+    lead = p.z1 * (1.0 - p.z2) * x2sq
+    gx1 = -2.0 * p.x1 * (1.0 - p.z2) * x2sq - 2.0 * s * g * dg_dx1
+    gx2 = 2.0 * p.z1 * (1.0 - p.z2) * a1 * p.x2 - 2.0 * s * g * dg_dx2
+    gX11 = lead
+    gX12 = -2.0 * s * g * dg_dX12
+    gX22 = -2.0 * s * g * dg_dX22
+    gz1 = (
+        (1.0 - p.z2) * a1 * x2sq
+        + lead * (p.x1 * p.x1 / (p.z1 * p.z1))
+        - g * g
+        - 2.0 * s * g * dg_dz1
+    )
+    gz2 = -p.z1 * a1 * x2sq - g * g - 2.0 * s * g * dg_dz2
+    return np.array([gx1, gx2, gX11, gX12, gX22, gz1, gz2])
+
+
+def x11_slope(family: str, p: HullPoint) -> float:
+    """The coefficient of X11 in q, which does not depend on X11."""
+    if family == "V":
+        return p.z1 * (1.0 - p.z2) * p.x2 * p.x2
+    return shifted_terms(family, p)[1]
+
+
+def x11_root(family: str, p: HullPoint) -> float:
+    """The X11 at which q vanishes, the other six coordinates of p held
+    fixed.  Divides by :func:`x11_slope`, which callers keep positive."""
+    if family == "V":
+        s = p.z1 + p.z2 - 1.0
+        g = p.X12 * p.z1 * p.z2 / w_shift(p) - p.x1 * p.x2
+        return p.x1 * p.x1 / p.z1 + s * g * g / x11_slope(family, p)
+    _, b, c = shifted_terms(family, p)
+    return _div0(p.x1 * p.x1, shift_z(family, p)) + c * c / b

@@ -20,6 +20,14 @@ from .core import (
     validate_point,
 )
 from .errors import NumericallyDegenerate
+from .families import (
+    FAMILY_BY_CELL,
+    q_value,
+    shift_z,
+    shifted_terms,
+    w_shift,
+    w_sqrt_arg,
+)
 from .regions import Region, classify, on_indicator_edge, region_closure_contains
 
 _NEG_INF = -math.inf
@@ -75,25 +83,6 @@ def psd3_by_minors(
     return m1 * m2 - (a11 * a23 - a12 * a13) ** 2 >= -e
 
 
-def w_shift(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> float:
-    """The shifted disjunction weight W entering the R8 piece.
-
-    W = (z1+z2-1) - sqrt((X22 z2 - x2^2)(1-z1)(z1+z2-1)) / x2.  Defined for
-    x2 > 0 and z1+z2 > 1; the square-root argument is clamped at zero within
-    the membership band.
-    """
-    s = p.z1 + p.z2 - 1.0
-    d = p.X22 * p.z2 - p.x2 * p.x2
-    if p.x2 <= tol.eq_tol or s <= tol.eq_tol:
-        raise NumericallyDegenerate("W undefined: needs x2 > 0 and z1 + z2 > 1")
-    arg = d * (1.0 - p.z1) * s
-    if arg < 0.0:
-        if arg < -tol.mem_tol:
-            raise NumericallyDegenerate(f"W sqrt argument {arg} < 0")
-        arg = 0.0
-    return s - math.sqrt(arg) / p.x2
-
-
 def _product_slack(a: float, b: float, c: float, mem_tol: float) -> float:
     """Slack of a*b >= c^2 guarding against a spuriously positive product
     when both factors sit below the band."""
@@ -109,25 +98,24 @@ def _part1_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     }
 
 
-def _shifted_product_slacks(
-    p: HullPoint, z: float, prefix: str, tol: Tolerances
-) -> dict[str, float]:
-    """Parts II and III share one shape: X22 >= x2^2/z2 plus the product
-    (X11 - x1^2/z)(X22 - x2^2/z) >= (X12 - x1 x2 / z)^2 with z = z2 or z1."""
-    out = {f"{prefix}.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol))}
-    a = slack_minus(p.X11, persp_sq(p.x1, z, tol))
-    b = slack_minus(p.X22, persp_sq(p.x2, z, tol))
-    if math.isinf(a) or math.isinf(b):
-        out[f"{prefix}.product"] = _NEG_INF
-        return out
-    if z > tol.eq_tol:
-        c = p.X12 - p.x1 * p.x2 / z
-    elif p.x1 * p.x2 <= tol.eq_tol:
-        c = p.X12
+def _shifted_product_slacks(p: HullPoint, family: str, tol: Tolerances) -> dict[str, float]:
+    """Parts II and III share one shape: X22 >= x2^2/z2 plus the family's
+    shifted product q >= 0.  With the shifting indicator z in the zero band
+    the closed perspectives replace the fractions over z."""
+    e = tol.eq_tol
+    z = shift_z(family, p)
+    out = {f"{family}.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol))}
+    if z > e:
+        a, b, c = shifted_terms(family, p)
     else:
-        out[f"{prefix}.product"] = _NEG_INF
-        return out
-    out[f"{prefix}.product"] = _product_slack(a, b, c, tol.mem_tol)
+        a = slack_minus(p.X11, persp_sq(p.x1, z, tol))
+        b = slack_minus(p.X22, persp_sq(p.x2, z, tol))
+        # x1 x2 / z has a finite closure only when x1 x2 vanishes
+        c = p.X12 if p.x1 * p.x2 <= e else _NEG_INF
+    if math.isinf(a) or math.isinf(b) or math.isinf(c):
+        out[f"{family}.product"] = _NEG_INF
+    else:
+        out[f"{family}.product"] = _product_slack(a, b, c, tol.mem_tol)
     return out
 
 
@@ -142,15 +130,22 @@ def _part4_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
 
 
 def _part5_slacks(p: HullPoint, tol: Tolerances) -> tuple[dict[str, float], float]:
+    """Part V: the two perspective bounds and q_V >= 0, with the W shift.
+
+    W is defined for x2 > 0 and z1 + z2 > 1; its square-root argument is
+    clamped at zero within the membership band.
+    """
     out = _part1_slacks(p, tol)
     out = {"V.persp1": out["I.persp1"], "V.persp2": out["I.persp2"]}
-    w = w_shift(p, tol)
+    s, _, arg = w_sqrt_arg(p)
+    if p.x2 <= tol.eq_tol or s <= tol.eq_tol:
+        raise NumericallyDegenerate("W undefined: needs x2 > 0 and z1 + z2 > 1")
+    if arg < -tol.mem_tol:
+        raise NumericallyDegenerate(f"W sqrt argument {arg} < 0")
+    w = w_shift(p)
     if w <= tol.eq_tol:
         raise NumericallyDegenerate(f"W = {w} at the R8 piece boundary")
-    s = p.z1 + p.z2 - 1.0
-    a1 = p.X11 - p.x1 * p.x1 / p.z1
-    g = p.X12 * p.z1 * p.z2 / w - p.x1 * p.x2
-    out["V.W-ineq"] = p.z1 * (1.0 - p.z2) * a1 * p.x2 * p.x2 - s * g * g
+    out["V.W-ineq"] = q_value("V", p)
     return out, w
 
 
@@ -185,14 +180,13 @@ def piece_slacks(
         if p.X12 > tol.eq_tol and on_indicator_edge(p, tol):
             return _edge_slacks(p, tol)
         return _part1_slacks(p, tol)
-    if region in (Region.R3, Region.R4):
-        return _shifted_product_slacks(p, p.z2, "II", tol)
-    if region is Region.R5:
-        return _shifted_product_slacks(p, p.z1, "III", tol)
     if region is Region.R7:
         return _part4_slacks(p, tol)
-    if region is Region.R8:
+    family = FAMILY_BY_CELL.get(region.value)
+    if family == "V":
         return _part5_slacks(p, tol)[0]
+    if family is not None:
+        return _shifted_product_slacks(p, family, tol)
     raise ValueError(f"no hull piece for region {region}")
 
 

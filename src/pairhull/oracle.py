@@ -23,6 +23,7 @@ from .core import (
     validate_point,
 )
 from .errors import EmptyFeasibleSet, InfeasibleWitness, RegionHasNoClosedWitness
+from .families import w_shift
 from .regions import Region, classify, on_indicator_edge
 
 
@@ -435,11 +436,8 @@ def analytic_witness(
         a2 = (x1 * (x2 * x2 - X22 * (1.0 - z1)) - X12 * x2 * z1) / (x1 * x2 - X12)
         triple = (a1, a2, s)
     elif region is Region.R8:
-        d = X22 * z2 - x2 * x2
-        root = math.sqrt(max(d * (1.0 - z1), 0.0))
-        a1 = X12 * z2 / (x2 - root / math.sqrt(s))
-        a2 = s * x2 / z2 - math.sqrt(max(d * (1.0 - z1) * s, 0.0)) / z2
-        triple = (a1, a2, s)
+        w = w_shift(p)
+        triple = (s * X12 * z2 / (x2 * w), x2 * w / z2, s)
     else:
         raise RegionHasNoClosedWitness(f"no closed-form witness for {region.value}")
 

@@ -32,7 +32,9 @@ def on_indicator_edge(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
     return p.z1 <= e or p.z2 <= e
 
 
-def _in_r1(p: HullPoint, tol: Tolerances) -> bool:
+def _in_r1(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
+    # The cell is its own closure: past the two early returns X12 and both
+    # indicators exceed the band, so R1 has no strict inequality to relax.
     e = tol.eq_tol
     if p.X12 <= e:
         return True
@@ -41,24 +43,20 @@ def _in_r1(p: HullPoint, tol: Tolerances) -> bool:
     if on_indicator_edge(p, tol):
         return True
     xx = p.x1 * p.x2
-    return (
-        ge(p.X12 * p.z1 * p.z2, xx * (p.z1 + p.z2 - 1.0), e)
-        and ge(xx, p.X12 * max(p.z1, p.z2), e)
-        and gt(p.X12, 0.0, e)
-        and gt(p.z1, 0.0, e)
-        and gt(p.z2, 0.0, e)
+    return ge(p.X12 * p.z1 * p.z2, xx * (p.z1 + p.z2 - 1.0), e) and ge(
+        xx, p.X12 * max(p.z1, p.z2), e
     )
 
 
-def _in_r2(p: HullPoint, tol: Tolerances) -> bool:
+def _in_r2(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
+    strict = ge if closed else gt
     xx = p.x1 * p.x2
     return (
         ge(p.z2, p.z1, e)
-        and gt(p.X12 * p.z2, xx, e)
+        and strict(p.X12 * p.z2, xx, e)
         and ge(xx, p.X12 * p.z1, e)
-        and gt(p.X12, 0.0, e)
-        and gt(p.z1, 0.0, e)
+        and (closed or (gt(p.X12, 0.0, e) and gt(p.z1, 0.0, e)))
         and ge(
             p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
             p.z1 * (p.X12 * p.z2 - xx) ** 2,
@@ -67,53 +65,55 @@ def _in_r2(p: HullPoint, tol: Tolerances) -> bool:
     )
 
 
-def _in_r3(p: HullPoint, tol: Tolerances) -> bool:
+def _in_r3(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
+    strict = ge if closed else gt
     xx = p.x1 * p.x2
     return (
-        gt(p.z2, p.z1, e)
-        and gt(p.X12 * p.x2, p.X22 * p.x1, e)
-        and gt(
+        strict(p.z2, p.z1, e)
+        and strict(p.X12 * p.x2, p.X22 * p.x1, e)
+        and strict(
             p.z1 * (p.X12 * p.z2 - xx) ** 2,
             p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
             e,
         )
-        and ge(p.x1, 0.0, e)
-        and gt(p.X12, 0.0, e)
-        and gt(p.z1, 0.0, e)
+        and (closed or (ge(p.x1, 0.0, e) and gt(p.X12, 0.0, e) and gt(p.z1, 0.0, e)))
     )
 
 
-def _in_r4(p: HullPoint, tol: Tolerances) -> bool:
+def _in_r4(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
+    strict = ge if closed else gt
     return (
         ge(p.z1, p.z2, e)
-        and gt(p.X12 * p.x2, p.X22 * p.x1, e)
-        and ge(p.x1, 0.0, e)
-        and gt(p.X12, 0.0, e)
-        and gt(p.z2, 0.0, e)
+        and strict(p.X12 * p.x2, p.X22 * p.x1, e)
+        and (closed or (ge(p.x1, 0.0, e) and gt(p.X12, 0.0, e) and gt(p.z2, 0.0, e)))
     )
 
 
-def _in_r5(p: HullPoint, tol: Tolerances) -> bool:
+def _in_r5(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
+    strict = ge if closed else gt
     return (
-        gt(p.X12 * p.z1, p.x1 * p.x2, e)
+        strict(p.X12 * p.z1, p.x1 * p.x2, e)
         and ge(p.X22 * p.x1, p.X12 * p.x2, e)
-        and ge(p.x2, 0.0, e)
-        and gt(p.X12, 0.0, e)
-        and gt(p.z1, 0.0, e)
-        and gt(p.z2, 0.0, e)
+        and (
+            closed
+            or (
+                ge(p.x2, 0.0, e)
+                and gt(p.X12, 0.0, e)
+                and gt(p.z1, 0.0, e)
+                and gt(p.z2, 0.0, e)
+            )
+        )
     )
 
 
-def _in_u2(p: HullPoint, tol: Tolerances) -> bool:
+def _in_u2(p: HullPoint, tol: Tolerances, closed: bool) -> bool:
     e = tol.eq_tol
-    return (
-        gt(p.x1 * p.x2 * (p.z1 + p.z2 - 1.0), p.X12 * p.z1 * p.z2, e)
-        and gt(p.X12, 0.0, e)
-        and gt(p.z1, 0.0, e)
-        and gt(p.z2, 0.0, e)
+    strict = ge if closed else gt
+    return strict(p.x1 * p.x2 * (p.z1 + p.z2 - 1.0), p.X12 * p.z1 * p.z2, e) and (
+        closed or (gt(p.X12, 0.0, e) and gt(p.z1, 0.0, e) and gt(p.z2, 0.0, e))
     )
 
 
@@ -125,7 +125,7 @@ def _r6_extra(p: HullPoint, tol: Tolerances) -> bool:
     return ge(lhs, rhs, e)
 
 
-def _r7_extra(p: HullPoint, tol: Tolerances) -> bool:
+def _r7_extra(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
     d = p.X22 * p.z2 - p.x2 * p.x2
     x2sq = p.x2 * p.x2
@@ -134,19 +134,21 @@ def _r7_extra(p: HullPoint, tol: Tolerances) -> bool:
         p.X22 * (p.z1 + p.z2 - 1.0)
         + x2sq * (1.0 - 2.0 * p.z1 - p.z2 * (1.0 - p.z1))
     )
-    return gt(lhs, rhs, e)
+    return (ge if closed else gt)(lhs, rhs, e)
 
 
-def _in_r6(p: HullPoint, tol: Tolerances) -> bool:
-    return _in_u2(p, tol) and _r6_extra(p, tol)
+def _in_r6(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
+    return _in_u2(p, tol, closed) and _r6_extra(p, tol)
 
 
-def _in_r7(p: HullPoint, tol: Tolerances) -> bool:
-    return _in_u2(p, tol) and _r7_extra(p, tol)
+def _in_r7(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
+    return _in_u2(p, tol, closed) and _r7_extra(p, tol, closed)
 
 
-def _in_r8(p: HullPoint, tol: Tolerances) -> bool:
-    return _in_u2(p, tol) and not _r6_extra(p, tol) and not _r7_extra(p, tol)
+def _in_r8(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
+    # the subtracted cells R6 and R7 are excluded through their open
+    # versions in the closure too
+    return _in_u2(p, tol, closed) and not _r6_extra(p, tol) and not _r7_extra(p, tol)
 
 
 _PREDICATES = (
@@ -159,70 +161,17 @@ _PREDICATES = (
     (Region.R7, _in_r7),
     (Region.R8, _in_r8),
 )
-
-
-def _le(a: float, b: float, e: float) -> bool:
-    return a <= b + e
+_PREDICATE_OF = dict(_PREDICATES)
 
 
 def region_closure_contains(p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Membership in the closure of a cell (strict inequalities relaxed).
-
-    Cells R6..R8 use the closure of the common strict system plus the
-    relaxed extra inequality; the subtracted cells of R8 are excluded
-    through their open versions only.
+    """Membership in the closure of a cell: the cell's system with every
+    banded strict inequality made non-strict and the sign guards on single
+    coordinates dropped.  R1 contains its indicator-edge points, so every
+    cell lies in its own closure.
     """
-    e = tol.eq_tol
-    xx = p.x1 * p.x2
-    s = p.z1 + p.z2 - 1.0
-    if region is Region.R1:
-        if p.X12 <= e:
-            return True
-        return ge(p.X12 * p.z1 * p.z2, xx * s, e) and ge(
-            xx, p.X12 * max(p.z1, p.z2), e
-        )
-    if region is Region.R2:
-        return (
-            _le(p.z1, p.z2, e)
-            and ge(p.X12 * p.z2, xx, e)
-            and _le(p.X12 * p.z1, xx, e)
-            and ge(
-                p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
-                p.z1 * (p.X12 * p.z2 - xx) ** 2,
-                e,
-            )
-        )
-    if region is Region.R3:
-        return (
-            _le(p.z1, p.z2, e)
-            and ge(p.X12 * p.x2, p.X22 * p.x1, e)
-            and ge(
-                p.z1 * (p.X12 * p.z2 - xx) ** 2,
-                p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
-                e,
-            )
-        )
-    if region is Region.R4:
-        return _le(p.z2, p.z1, e) and ge(p.X12 * p.x2, p.X22 * p.x1, e)
-    if region is Region.R5:
-        return ge(p.X12 * p.z1, xx, e) and ge(p.X22 * p.x1, p.X12 * p.x2, e)
-    if region is Region.R6:
-        return _le(p.X12 * p.z1 * p.z2, xx * s, e) and _r6_extra(p, tol)
-    if region is Region.R7:
-        d = p.X22 * p.z2 - p.x2 * p.x2
-        x2sq = p.x2 * p.x2
-        lhs = p.x1 * p.x1 * (x2sq - p.X22 * (1.0 - p.z1)) * d
-        rhs = 2.0 * p.x1 * p.x2 * p.X12 * p.z1 * d - p.X12 * p.X12 * (
-            p.X22 * s + x2sq * (1.0 - 2.0 * p.z1 - p.z2 * (1.0 - p.z1))
-        )
-        return _le(p.X12 * p.z1 * p.z2, xx * s, e) and ge(lhs, rhs, e)
-    if region is Region.R8:
-        return (
-            _le(p.X12 * p.z1 * p.z2, xx * s, e)
-            and not _r6_extra(p, tol)
-            and not _r7_extra(p, tol)
-        )
-    return False
+    pred = _PREDICATE_OF.get(region)
+    return pred is not None and pred(p, tol, True)
 
 
 def classify(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Region:

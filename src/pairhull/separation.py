@@ -10,7 +10,6 @@ first-order Taylor expansion of q there is a violated supporting cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,15 +29,16 @@ from .errors import (
     SeparationInvariantError,
     StrictDomainViolated,
 )
+from .families import (
+    FAMILY_BY_CELL,
+    q_gradient,
+    q_value,
+    w_shift,
+    x11_root,
+    x11_slope,
+)
 from .hull import MembershipReport, member_hull
-from .regions import Region, classify, region_closure_contains
-
-_FAMILY_BY_REGION = {
-    Region.R3: "II",
-    Region.R4: "II",
-    Region.R5: "III",
-    Region.R8: "V",
-}
+from .regions import Region, region_closure_contains
 
 
 @dataclass(frozen=True)
@@ -77,98 +77,10 @@ class SeparationResult:
     region: Region
 
 
-def _div0(num: float, den: float) -> float:
-    """num/den with the 0/0 -> 0 convention; callers guarantee num == 0
-    whenever den == 0."""
-    return num / den if den != 0.0 else 0.0
-
-
-def q_value(family: str, p: HullPoint) -> float:
-    """Boundary function of the given family ('II', 'III' or 'V') at p."""
-    if family in ("II", "III"):
-        z = p.z2 if family == "II" else p.z1
-        a = p.X11 - _div0(p.x1 * p.x1, z)
-        b = p.X22 - _div0(p.x2 * p.x2, z)
-        c = p.X12 - _div0(p.x1 * p.x2, z)
-        return a * b - c * c
-    if family == "V":
-        s = p.z1 + p.z2 - 1.0
-        d = p.X22 * p.z2 - p.x2 * p.x2
-        w = s - math.sqrt(max(d * (1.0 - p.z1) * s, 0.0)) / p.x2
-        a1 = p.X11 - p.x1 * p.x1 / p.z1
-        g = p.X12 * p.z1 * p.z2 / w - p.x1 * p.x2
-        return p.z1 * (1.0 - p.z2) * a1 * p.x2 * p.x2 - s * g * g
-    raise ValueError(f"unknown family {family!r}")
-
-
-def q_gradient(family: str, p: HullPoint) -> np.ndarray:
-    """Analytic gradient of the family boundary function at p, in the
-    canonical coordinate order (x1, x2, X11, X12, X22, z1, z2)."""
-    if family in ("II", "III"):
-        z = p.z2 if family == "II" else p.z1
-        a = p.X11 - _div0(p.x1 * p.x1, z)
-        b = p.X22 - _div0(p.x2 * p.x2, z)
-        c = p.X12 - _div0(p.x1 * p.x2, z)
-        gx1 = -_div0(2.0 * p.x1, z) * b + _div0(2.0 * p.x2, z) * c
-        gx2 = -_div0(2.0 * p.x2, z) * a + _div0(2.0 * p.x1, z) * c
-        gz = (
-            _div0(p.x1 * p.x1, z * z) * b
-            + _div0(p.x2 * p.x2, z * z) * a
-            - 2.0 * c * _div0(p.x1 * p.x2, z * z)
-        )
-        gz1, gz2 = (0.0, gz) if family == "II" else (gz, 0.0)
-        return np.array([gx1, gx2, b, -2.0 * c, a, gz1, gz2])
-
-    if family != "V":
-        raise ValueError(f"unknown family {family!r}")
-
-    s = p.z1 + p.z2 - 1.0
-    d = p.X22 * p.z2 - p.x2 * p.x2
-    arg = d * (1.0 - p.z1) * s
-    r = math.sqrt(max(arg, 0.0))
-    if r <= 1e-12:
-        raise DegenerateGradient(
-            "square-root term of the W shift is nondifferentiable here"
-        )
-    w = s - r / p.x2
-    k = p.X12 * p.z1 * p.z2
-    g = k / w - p.x1 * p.x2
-    a1 = p.X11 - p.x1 * p.x1 / p.z1
-
-    dw_dX22 = -p.z2 * (1.0 - p.z1) * s / (2.0 * r * p.x2)
-    dw_dz1 = 1.0 - d * ((1.0 - p.z1) - s) / (2.0 * r * p.x2)
-    dw_dz2 = 1.0 - (p.X22 * (1.0 - p.z1) * s + d * (1.0 - p.z1)) / (2.0 * r * p.x2)
-    dw_dx2 = (1.0 - p.z1) * s / r + r / (p.x2 * p.x2)
-
-    kw2 = k / (w * w)
-    dg_dX12 = p.z1 * p.z2 / w
-    dg_dX22 = -kw2 * dw_dX22
-    dg_dz1 = p.X12 * p.z2 / w - kw2 * dw_dz1
-    dg_dz2 = p.X12 * p.z1 / w - kw2 * dw_dz2
-    dg_dx1 = -p.x2
-    dg_dx2 = -p.x1 - kw2 * dw_dx2
-
-    x2sq = p.x2 * p.x2
-    lead = p.z1 * (1.0 - p.z2) * x2sq
-    gx1 = -2.0 * p.x1 * (1.0 - p.z2) * x2sq - 2.0 * s * g * dg_dx1
-    gx2 = 2.0 * p.z1 * (1.0 - p.z2) * a1 * p.x2 - 2.0 * s * g * dg_dx2
-    gX11 = lead
-    gX12 = -2.0 * s * g * dg_dX12
-    gX22 = -2.0 * s * g * dg_dX22
-    gz1 = (
-        (1.0 - p.z2) * a1 * x2sq
-        + lead * (p.x1 * p.x1 / (p.z1 * p.z1))
-        - g * g
-        - 2.0 * s * g * dg_dz1
-    )
-    gz2 = -p.z1 * a1 * x2sq - g * g - 2.0 * s * g * dg_dz2
-    return np.array([gx1, gx2, gX11, gX12, gX22, gz1, gz2])
-
-
 def taylor_cut(region: Region, touch: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Cut:
     """First-order Taylor cut of the region's boundary function at a
     touching point (q(touch) must vanish within the band)."""
-    family = _FAMILY_BY_REGION.get(region)
+    family = FAMILY_BY_CELL.get(region.value)
     if family is None:
         raise ValueError(f"region {region.value} carries no separating form")
     return _family_cut(family, touch, tol)
@@ -190,14 +102,12 @@ def _bump_X22(
     p: HullPoint, region: Region, still_valid, tol: Tolerances
 ) -> HullPoint:
     """Raise X22 by the smallest power-of-two fraction of the base step that
-    keeps the cell membership and the caller's side conditions intact."""
+    keeps the point in the closure of the cell and the caller's side
+    conditions intact."""
     eps = max(1e-6, 1e-6 * abs(p.X22))
     for _ in range(41):
         cand = replace(p, X22=p.X22 + eps)
-        in_cell = classify(cand, tol) is region or region_closure_contains(
-            cand, region, tol
-        )
-        if in_cell and still_valid(cand):
+        if region_closure_contains(cand, region, tol) and still_valid(cand):
             return cand
         eps *= 0.5
     raise DegenerateGradient("no X22 perturbation preserves the cell constraints")
@@ -206,21 +116,16 @@ def _bump_X22(
 def _touch_shifted(p: HullPoint, region: Region, family: str, tol: Tolerances) -> HullPoint:
     """Touching point for families II/III: bump X22 off the perspective
     boundary if needed, then solve the affine-in-X11 equation q = 0."""
-    z = p.z2 if family == "II" else p.z1
-    trigger = tol.eq_tol * (1.0 + abs(p.X22))
 
     def violated(c: HullPoint) -> bool:
         return q_value(family, c) < -tol.eq_tol
 
     base = p
-    if p.X22 - _div0(p.x2 * p.x2, z) <= trigger:
+    if x11_slope(family, p) <= tol.eq_tol * (1.0 + abs(p.X22)):
         base = _bump_X22(p, region, violated, tol)
-    b = base.X22 - _div0(base.x2 * base.x2, z)
-    if b <= 0.0:
+    if x11_slope(family, base) <= 0.0:
         raise DegenerateGradient("X11 coefficient of the boundary is not positive")
-    c = base.X12 - _div0(base.x1 * base.x2, z)
-    x11_hat = _div0(base.x1 * base.x1, z) + c * c / b
-    return replace(base, X11=x11_hat)
+    return replace(base, X11=x11_root(family, base))
 
 
 def _touch_weighted(p: HullPoint, tol: Tolerances) -> HullPoint:
@@ -230,28 +135,19 @@ def _touch_weighted(p: HullPoint, tol: Tolerances) -> HullPoint:
         raise NumericallyDegenerate(
             "family V needs z2 < 1 and x2 > 0; no closed-form cut here"
         )
-    s = p.z1 + p.z2 - 1.0
-    trigger = e * (1.0 + abs(p.X22))
 
     def still_ok(c: HullPoint) -> bool:
-        sw = s - math.sqrt(
-            max((c.X22 * c.z2 - c.x2 * c.x2) * (1.0 - c.z1) * s, 0.0)
-        ) / c.x2
-        return sw > e and q_value("V", c) < -e
+        return w_shift(c) > e and q_value("V", c) < -e
 
     base = p
-    if p.X22 * p.z2 - p.x2 * p.x2 <= trigger:
+    if p.X22 * p.z2 - p.x2 * p.x2 <= e * (1.0 + abs(p.X22)):
         base = _bump_X22(p, Region.R8, still_ok, tol)
-    d = base.X22 * base.z2 - base.x2 * base.x2
-    w = s - math.sqrt(max(d * (1.0 - base.z1) * s, 0.0)) / base.x2
+    w = w_shift(base)
     if w <= e:
         raise NumericallyDegenerate(f"W = {w} is not positive")
-    g = base.X12 * base.z1 * base.z2 / w - base.x1 * base.x2
-    denom = base.z1 * (1.0 - base.z2) * base.x2 * base.x2
-    if denom <= e:
+    if x11_slope("V", base) <= e:
         raise NumericallyDegenerate("degenerate X11 coefficient in family V")
-    x11_hat = base.x1 * base.x1 / base.z1 + s * g * g / denom
-    return replace(base, X11=x11_hat)
+    return replace(base, X11=x11_root("V", base))
 
 
 def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
@@ -272,20 +168,7 @@ def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
         z2=0.0 if z2e else p.z2,
     )
     family = "II" if z1e else "III"
-    z = base.z2 if family == "II" else base.z1
-
-    def violated(c: HullPoint) -> bool:
-        return q_value(family, c) < -e
-
-    trigger = e * (1.0 + abs(base.X22))
-    if base.X22 - _div0(base.x2 * base.x2, z) <= trigger:
-        base = _bump_X22(base, Region.R1, violated, tol)
-    b = base.X22 - _div0(base.x2 * base.x2, z)
-    if b <= 0.0:
-        raise DegenerateGradient("X11 coefficient of the edge boundary vanished")
-    c = base.X12 - _div0(base.x1 * base.x2, z)
-    x11_hat = _div0(base.x1 * base.x1, z) + c * c / b
-    return replace(base, X11=x11_hat), family
+    return _touch_shifted(base, Region.R1, family, tol), family
 
 
 def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
@@ -308,15 +191,16 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
         # separating form is violated here.
         region = next(
             (
-                r
-                for r in _FAMILY_BY_REGION
-                if region_closure_contains(p, r, tol)
-                and q_value(_FAMILY_BY_REGION[r], p) < -tol.eq_tol
+                Region(tag)
+                for tag, family in FAMILY_BY_CELL.items()
+                if region_closure_contains(p, Region(tag), tol)
+                and q_value(family, p) < -tol.eq_tol
             ),
             Region.NOT_COVERED,
         )
 
-    if region in _FAMILY_BY_REGION:
+    family = FAMILY_BY_CELL.get(region.value)
+    if family is not None:
         expected = {"II.product", "III.product", "V.W-ineq"}
         if set(report.violated) and not set(report.violated) <= expected | {
             "edge.product"
@@ -324,7 +208,6 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
             raise SeparationInvariantError(
                 f"unexpected violations {report.violated} in cell {region.value}"
             )
-        family = _FAMILY_BY_REGION[region]
         if family == "V":
             touch = _touch_weighted(p, tol)
         else:

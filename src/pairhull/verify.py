@@ -21,6 +21,7 @@ from .core import (
     in_relaxation_ctilde,
 )
 from .errors import PairhullError
+from .families import FAMILY_BY_CELL, q_value, x11_root
 from .hull import member_hull
 from .oracle import (
     _sample_hull_array,
@@ -29,9 +30,7 @@ from .oracle import (
     oracle_member,
 )
 from .regions import Region, classify, region_partition_audit
-from .separation import q_value, separate
-
-_FAMILY_REGIONS = {"II": (Region.R3, Region.R4), "III": (Region.R5,), "V": (Region.R8,)}
+from .separation import separate
 
 
 @dataclass
@@ -88,7 +87,9 @@ def sample_ctilde_points(
         t = rng.uniform(-0.999, 0.999, m)
         X12 = np.maximum(x[:, 0] * x[:, 1] + t * cap, 0.0)
         for i in range(m):
-            p = HullPoint(x[i, 0], x[i, 1], X11[i], X12[i], X22[i], z[i, 0], z[i, 1])
+            p = HullPoint.from_coords(
+                (x[i, 0], x[i, 1], X11[i], X12[i], X22[i], z[i, 0], z[i, 1])
+            )
             if in_relaxation_ctilde(p):
                 out.append(p)
                 if len(out) == n:
@@ -124,21 +125,10 @@ def ctilde_margin_points(
 def _hull_x11_bound(p: HullPoint, region: Region) -> float:
     """Smallest X11 putting p inside the hull piece of its cell (the other
     six coordinates held fixed)."""
-    if region in (Region.R3, Region.R4):
-        z = p.z2
-    elif region is Region.R5:
-        z = p.z1
-    elif region is Region.R8:
-        s = p.z1 + p.z2 - 1.0
-        d = p.X22 * p.z2 - p.x2 * p.x2
-        w = s - math.sqrt(max(d * (1.0 - p.z1) * s, 0.0)) / p.x2
-        g = p.X12 * p.z1 * p.z2 / w - p.x1 * p.x2
-        return p.x1 * p.x1 / p.z1 + s * g * g / (p.z1 * (1.0 - p.z2) * p.x2 * p.x2)
-    else:
+    family = FAMILY_BY_CELL.get(region.value)
+    if family is None:
         raise ValueError(f"cell {region.value} has no finite X11 bound beyond C")
-    b = p.X22 - p.x2 * p.x2 / z
-    c = p.X12 - p.x1 * p.x2 / z
-    return p.x1 * p.x1 / z + c * c / b
+    return x11_root(family, p)
 
 
 def _ctilde_x11_bound(p: HullPoint) -> float:
@@ -232,7 +222,7 @@ def family_touch_points(
 ) -> list[HullPoint]:
     """Boundary points of one separating family (q = 0 with margins), used
     for gradient checks."""
-    regions = _FAMILY_REGIONS[family]
+    regions = tuple(Region(c) for c, f in FAMILY_BY_CELL.items() if f == family)
     out: list[HullPoint] = []
     draws = 0
     while len(out) < n and draws < max_draws:

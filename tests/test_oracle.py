@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,12 @@ from pairhull.oracle import (
     _sample_separable_array,
     witness_slacks,
 )
-from pairhull.verify import ctilde_margin_points, run_oracle_suite, shrunken_nonmembers
+from pairhull.verify import (
+    ctilde_margin_points,
+    run_oracle_suite,
+    sample_ctilde_points,
+    shrunken_nonmembers,
+)
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 
@@ -258,6 +265,15 @@ class TestOracleSuite:
         report = run_oracle_suite(5, seed=11, tol=Tolerances(oracle_tol=100.0))
         assert not report.ok
         assert report.worst_slack <= 0.0
+
+    def test_relaxation_samples_carry_plain_floats(self):
+        pts = sample_ctilde_points(np.random.default_rng(12), 4)
+        pts += ctilde_margin_points(np.random.default_rng(13), 2)
+        for p in pts:
+            assert all(type(v) is float for v in p.coords())
+        member, _ = oracle_member(pts[-1])
+        assert type(member) is bool
+        json.dumps({"member": member})
 
 
 class TestAnalyticWitness:

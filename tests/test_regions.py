@@ -75,3 +75,20 @@ class TestClosures:
             if tag is Region.NOT_COVERED:
                 continue
             assert region_closure_contains(p, tag)
+
+    def test_indicator_edge_points_lie_in_their_closure(self):
+        # separable samples with one or both indicators (and their decision
+        # values) moved onto the zero edge, where classify answers R1
+        rng = np.random.default_rng(18)
+        pts = [HullPoint(0.0, 0.8, 0.5, 0.3, 1.5, 0.0, 0.6)]
+        for i, row in enumerate(_sample_separable_array(rng, 600, 2.0, 4.0)):
+            x1, x2, X11, X12, X22, z1, z2 = map(float, row)
+            if i % 3 != 1:
+                x1, z1 = 0.0, (0.0 if i % 2 else 5e-10)
+            if i % 3 != 0:
+                x2, z2 = 0.0, 0.0
+            pts.append(HullPoint(x1, x2, X11, X12, X22, z1, z2))
+        for p in pts:
+            tag = classify(p)
+            assert tag is Region.R1, p
+            assert region_closure_contains(p, tag), p

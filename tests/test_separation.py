@@ -193,3 +193,161 @@ class TestPsdSupportCut:
         p6, _, _ = self._boundary_instance(rng)
         cut = psd_support_cut(p6)
         assert member_hull(cut.touch).member
+
+
+# member_hull reports (member, region, violated, W, degenerate), their named
+# slacks and the separate outcome ("inside", or the cut coefficients, constant
+# and touch point) as float.hex, on non-members of each separating family,
+# both indicator edges, an X22 on the perspective bound (the touch point bumps
+# X22), an R8 point with small W, scaled copies and an uncovered corner: a
+# change to the family formulas that moves a bit shows here.
+CLOSED_FORM_PINS = [
+    ("R3_nonmember",
+     (0.13244449792131432, 1.9178391154195902, 0.4052292625282925, 0.722464578887599,
+      4.286616169951484, 0.3826840560551668, 0.9718972651216101),
+     (False, "R3", ("II.product",), None, False),
+     "II.persp2=0x1.011a8a1d85d38p-1 II.product=-0x1.2a305b2f96ac8p-6",
+     "cut R3 0x1.0000000000000p+0 "
+     "-0x1.d6270487a2462p-1 0x1.318997cfd869ep-2 -0x1.1890970adfcbcp-1 "
+     "0x1.01a21c25f0fe4p-2 0x0.0p+0 0x1.acfd01034cb8dp-1 "
+     "-0x1.a65ddb81236c7p-52 0x1.0f3f0f98db83dp-3 0x1.eaf78117b77a4p+0 "
+     "0x1.c41180ce402b8p-2 0x1.71e6e095ae69ap-1 0x1.1257eb591c91ep+2 "
+     "0x1.87de5445d48ddp-2 0x1.f19c84b189cefp-1"),
+    ("R4_nonmember",
+     (0.6550960776635387, 0.5470655074161551, 19.494047315370736, 5.869960908938073,
+      1.968594541656306, 0.498737492493023, 0.2854509208243847),
+     (False, "R4", ("II.product",), None, False),
+     "II.persp2=0x1.d71d586c456acp-1 II.product=-0x1.2f51746878838p+2",
+     "cut R4 0x1.98614e1531988p-3 "
+     "-0x1.0000000000000p+0 0x1.be8d41bdd3fbep-7 -0x1.17edb6c50093ap-3 "
+     "0x1.5ef4b9941f020p-2 0x0.0p+0 0x1.7578ab569a119p-1 "
+     "-0x1.66e3f931c27dfp-55 0x1.4f68c0ca9b055p-1 0x1.1818f85e3e7afp-1 "
+     "0x1.8a50aba8847e9p+4 0x1.77ad70852bff5p+2 0x1.f7f5cfd77f794p+0 "
+     "0x1.feb50a8e2fb28p-2 0x1.244d3f06371c0p-2"),
+    ("R5_nonmember",
+     (0.537038667429799, 0.22839324580456774, 0.3571972656091969, 0.18697330266280396,
+      0.1364988548545918, 0.8310832954254374, 0.6030539342611494),
+     (False, "R5", ("III.product",), None, False),
+     "III.persp2=0x1.999999999999ap-5 III.product=-0x1.a45134fd32998p-11",
+     "cut R5 -0x1.dea498fbd299bp-1 "
+     "0x1.ff5f9625be53cp-2 0x1.df3abe6b299f0p-1 -0x1.0000000000000p+0 "
+     "0x1.118176c4f3850p-2 0x1.de0ea297390dep-3 0x0.0p+0 "
+     "0x1.c15e598131dd1p-54 0x1.12f6bb7298c8dp-1 0x1.d3bfd68adcfebp-3 "
+     "0x1.78e7607e4cc22p-2 0x1.7eebdbe14b797p-3 0x1.178cb62c55db8p-3 "
+     "0x1.a983bfec35547p-1 0x1.34c37c3ac0650p-1"),
+    ("R8_nonmember",
+     (1.287721136902277, 1.1955653091008096, 2.344542158763838, 0.6244599846480671,
+      2.6680136439576807, 0.7597095977173154, 0.5546443248526949),
+     (False, "R8", ("V.W-ineq",), "0x1.0d0a3471240c4p-2", False),
+     "V.persp1=0x1.4b6eaa5d3ad70p-3 V.persp2=0x1.745d1a74770e0p-4 "
+     "V.W-ineq=-0x1.a18a0a30da828p-7",
+     "cut R8 -0x1.0000000000000p+0 "
+     "-0x1.e04868e3cdab0p-1 0x1.e4955f9ee2009p-3 0x1.0fce747bfdf24p-2 "
+     "0x1.6ed27efc59f79p-3 0x1.5849fe5e8ee4fp-3 0x1.5be2649fcc967p-2 "
+     "0x1.c6e539671eb61p-1 0x1.49a817a95cfbep+0 0x1.3210916ed1f2ap+0 "
+     "0x1.2f79535fcfdd3p+1 0x1.3fb9381772be9p-1 0x1.558178990a3e5p+1 "
+     "0x1.84f8a8094e6e6p-1 0x1.1bfa57484f03ap-1"),
+    ("R8_member",
+     (1.287721136902277, 1.1955653091008096, 3.344542158763838, 0.6244599846480671,
+      2.6680136439576807, 0.7597095977173154, 0.5546443248526949),
+     (True, "R8", (), "0x1.0d0a3471240c4p-2", False),
+     "V.persp1=0x1.296dd54ba75aep+0 V.persp2=0x1.745d1a74770e0p-4 "
+     "V.W-ineq=0x1.e22ce163748fep-2",
+     "inside R8"),
+    ("edge_z1",
+     (0.0, 0.8, 0.5, 0.6,
+      1.5, 0.0, 0.6),
+     (False, "R1", ("edge.product",), None, False),
+     "I.persp1=0x1.0000000000000p-1 I.persp2=0x1.bbbbbbbbbbbb8p-2 "
+     "edge.product=-0x1.258bf258bf25cp-3",
+     "cut R1 0x1.71c71c71c71c3p-1 "
+     "-0x1.0000000000000p+0 0x1.9097b425ed090p-3 -0x1.1555555555552p-1 "
+     "0x1.7ffffffffffffp-2 0x0.0p+0 0x1.5555555555555p-1 "
+     "-0x1.45b05b05b05abp-55 0x0.0p+0 0x1.999999999999ap-1 "
+     "0x1.a95a95a95a95ep-1 0x1.3333333333333p-1 0x1.8000000000000p+0 "
+     "0x0.0p+0 0x1.3333333333333p-1"),
+    ("edge_z2",
+     (0.8, 0.0, 1.5, 0.6,
+      0.5, 0.6, 0.0),
+     (False, "R1", ("edge.product",), None, False),
+     "I.persp1=0x1.bbbbbbbbbbbb8p-2 I.persp2=0x1.0000000000000p-1 "
+     "edge.product=-0x1.258bf258bf25cp-3",
+     "cut R1 -0x1.aaaaaaaaaaaabp-1 "
+     "0x1.0000000000000p+0 0x1.4000000000000p-2 -0x1.7ffffffffffffp-1 "
+     "0x1.cccccccccccccp-2 0x1.1c71c71c71c72p-1 0x0.0p+0 "
+     "0x1.c71c71c71c71ep-57 0x1.999999999999ap-1 0x0.0p+0 "
+     "0x1.c962fc962fc97p+0 0x1.3333333333333p-1 0x1.0000000000000p-1 "
+     "0x1.3333333333333p-1 0x0.0p+0"),
+    ("R4_X22_on_persp_bound",
+     (0.3, 0.8, 0.5, 0.7,
+      1.28, 0.7, 0.5),
+     (False, "R4", ("II.product",), None, False),
+     "II.persp2=-0x1.0000000000000p-52 II.product=-0x1.8c7e28240b789p-5",
+     "cut R4 0x1.86739a3de8ba3p-18 "
+     "-0x1.0000000000000p+0 0x1.7432fa11a4a9ep-37 -0x1.e810c696f1cc0p-19 "
+     "0x1.40002dc1929e2p-2 0x0.0p+0 0x1.99995f084276dp-1 "
+     "-0x1.154f598ff21cbp-54 0x1.3333333333333p-2 0x1.999999999999ap-1 "
+     "0x1.27695c29d9648p+15 0x1.6666666666666p-1 0x1.47ae29f47029ep+0 "
+     "0x1.6666666666666p-1 0x1.0000000000000p-1"),
+    ("R8_small_W",
+     (1.2, 0.9, 2.0571639826505126, 0.025585714285714288,
+      2.6114999999999995, 0.7, 0.6),
+     (False, "R8", ("V.W-ineq",), "0x1.47ae147ae1460p-7", False),
+     "V.persp1=0x1.626d5d4f40000p-16 V.persp2=0x1.42f1a9fbe76c6p+0 "
+     "V.W-ineq=-0x1.09882ff688efcp-18",
+     "cut R8 -0x1.0000000000000p+0 "
+     "-0x1.35c5bd792270bp-2 0x1.298d0491ccc87p-2 0x1.650f9f155ac75p-3 "
+     "0x1.a407c88189d19p-5 0x1.a827dc1347dc5p-2 0x1.076a826025a88p-14 "
+     "0x1.c8d99a6a8663bp-2 0x1.3333333333333p+0 0x1.ccccccccccccdp-1 "
+     "0x1.0751b896d3908p+1 0x1.a3324386863b6p-6 0x1.4e45a1cac0830p+1 "
+     "0x1.6666666666666p-1 0x1.3333333333333p-1"),
+    ("R3_scaled_1e3",
+     (132.44449792131434, 1917.8391154195901, 405229.2625282925, 722464.5788875989,
+      4286616.169951485, 0.3826840560551668, 0.9718972651216101),
+     (False, "R3", ("II.product",), None, False),
+     "II.persp2=0x1.ea62e6bf1f690p+18 II.product=-0x1.0f3382f271bf0p+34",
+     "cut R3 0x1.38ded0b410ceep-10 "
+     "-0x1.1f4c6152d0affp-10 0x1.7e5fdea58b6a9p-22 -0x1.5f1f251177cc1p-21 "
+     "0x1.426c59019e165p-22 0x0.0p+0 0x1.0000000000000p+0 "
+     "-0x1.bccba0dc0b2b6p-53 0x1.08e3953b465ecp+7 0x1.df75b411292d6p+10 "
+     "0x1.af20413ab22a5p+18 0x1.60c412863f493p+19 0x1.05a260ae07c31p+22 "
+     "0x1.87de5445d48ddp-2 0x1.f19c84b189cefp-1"),
+    ("R5_scaled_1e-2",
+     (0.00537038667429799, 0.0022839324580456776, 3.571972656091969e-05, 1.8697330266280396e-05,
+      1.364988548545918e-05, 0.8310832954254374, 0.6030539342611494),
+     (True, "R5", (), None, False),
+     "III.persp2=0x1.4f8b588e368f0p-18 III.product=-0x1.1a11f299dcf03p-37",
+     "inside R5"),
+    ("R8_scaled_1e-3",
+     (0.001287721136902277, 0.0011955653091008096, 2.3445421587638382e-06, 6.24459984648067e-07,
+      2.6680136439576806e-06, 0.7597095977173154, 0.5546443248526949),
+     (True, "R6", (), None, False),
+     "I.persp1=0x1.5b882d56edc20p-23 I.persp2=0x1.86739d954db20p-24",
+     "inside R6"),
+    ("uncovered",
+     (0.0023614562234584202, 0.0018389504695006781, 3.303684937974451e-05, 3.261422087943452e-05,
+      1.785549495622005e-05, 0.28771104292453, 0.4770477567323037),
+     (True, "NotCovered", (), None, False),
+     "II.persp2=0x1.69446fcd4d63ep-17 II.product=-0x1.63126fd7b47fep-32",
+     "inside NotCovered"),
+]
+
+
+class TestPinnedClosedForm:
+    @pytest.mark.parametrize(
+        "coords, report, slacks, outcome", [pin[1:] for pin in CLOSED_FORM_PINS],
+        ids=[pin[0] for pin in CLOSED_FORM_PINS],
+    )
+    def test_outputs_bit_for_bit(self, coords, report, slacks, outcome):
+        p = HullPoint(*coords)
+        rep = member_hull(p)
+        w = None if rep.W is None else rep.W.hex()
+        assert (rep.member, rep.region.value, rep.violated, w, rep.degenerate) == report
+        assert " ".join(f"{k}={v.hex()}" for k, v in rep.slacks.items()) == slacks
+        res = separate(p)
+        words = ["inside" if res.inside else "cut", res.region.value]
+        if not res.inside:
+            cut = res.cut
+            values = (*cut.coeffs, cut.constant, *cut.touch.coords())
+            words += [float(v).hex() for v in values]
+        assert " ".join(words) == outcome
