@@ -34,6 +34,7 @@ from .oracle import (
     analytic_witness,
     aux_weight_maximizer,
     oracle_member,
+    oracle_members,
     oracle_objective,
     sample_S2,
     sample_hull,
@@ -79,6 +80,7 @@ __all__ = [
     "member_hull",
     "member_hull_n1",
     "oracle_member",
+    "oracle_members",
     "oracle_objective",
     "persp_prod",
     "persp_relaxation_member",

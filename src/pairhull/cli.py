@@ -16,7 +16,7 @@ from typing import Iterator, TextIO
 from .core import COORD_NAMES, HullPoint, Tolerances, validate_point
 from .errors import NotInAmbientBox, PairhullError
 from .hull import member_hull
-from .oracle import oracle_member
+from .oracle import ORACLE_CHUNK, oracle_members
 from .regions import classify
 from .separation import Cut, separate
 from .verify import SUITES
@@ -120,36 +120,54 @@ def _cmd_classify(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
 
 
 def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
-    for _, p in _points(stdin, tol):
-        rep = member_hull(p, tol)
-        rec = {
-            "member": rep.member,
-            "region": rep.region.value,
-            "violated": list(rep.violated),
-        }
-        if args.report:
-            rec["slacks"] = _slack_json(rep.slacks)
-            if rep.W is not None:
-                rec["W"] = rep.W
-            if rep.degenerate:
-                rec["degenerate"] = True
-        if args.oracle:
-            try:
-                dec, wit = oracle_member(p, tol)
-            except PairhullError as exc:
-                rec["oracle_error"] = type(exc).__name__
-            else:
-                rec["member"] = dec
-                rec["witness"] = {
-                    "xt41": wit.xt41,
-                    "xt42": wit.xt42,
-                    "lambda4": wit.lambda4,
-                }
-                rec["objective"] = (
-                    None if wit.objective.infinite else wit.objective.value
-                )
-        _dump(rec, stdout, args.pretty)
+    pending: list[tuple[dict, HullPoint]] = []  # --oracle lines of the open chunk
+    try:
+        for _, p in _points(stdin, tol):
+            rep = member_hull(p, tol)
+            rec = {
+                "member": rep.member,
+                "region": rep.region.value,
+                "violated": list(rep.violated),
+            }
+            if args.report:
+                rec["slacks"] = _slack_json(rep.slacks)
+                if rep.W is not None:
+                    rec["W"] = rep.W
+                if rep.degenerate:
+                    rec["degenerate"] = True
+            if not args.oracle:
+                _dump(rec, stdout, args.pretty)
+                continue
+            pending.append((rec, p))
+            if len(pending) == ORACLE_CHUNK:
+                chunk, pending = pending, []
+                _answer_oracle(chunk, tol, stdout, args.pretty)
+    except (InputError, PairhullError):
+        # answer the lines read before the failing one, then report it
+        _answer_oracle(pending, tol, stdout, args.pretty)
+        raise
+    _answer_oracle(pending, tol, stdout, args.pretty)
     return 0
+
+
+def _answer_oracle(
+    chunk: list[tuple[dict, HullPoint]], tol: Tolerances, stdout: TextIO, pretty: bool
+) -> None:
+    """Decide a chunk of `member --oracle` lines in one oracle pass and
+    write their records in input order."""
+    for (rec, _), res in zip(chunk, oracle_members([p for _, p in chunk], tol)):
+        if isinstance(res, PairhullError):
+            rec["oracle_error"] = type(res).__name__
+        else:
+            dec, wit = res
+            rec["member"] = dec
+            rec["witness"] = {
+                "xt41": wit.xt41,
+                "xt42": wit.xt42,
+                "lambda4": wit.lambda4,
+            }
+            rec["objective"] = None if wit.objective.infinite else wit.objective.value
+        _dump(rec, stdout, pretty)
 
 
 def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -22,7 +23,12 @@ from .core import (
     Tolerances,
     validate_point,
 )
-from .errors import EmptyFeasibleSet, InfeasibleWitness, RegionHasNoClosedWitness
+from .errors import (
+    EmptyFeasibleSet,
+    InfeasibleWitness,
+    PairhullError,
+    RegionHasNoClosedWitness,
+)
 from .families import w_shift
 from .regions import Region, classify, on_indicator_edge
 
@@ -211,8 +217,13 @@ def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
     return float(f[i, j, l]), float(lam_ax[i]), float(cols1[i, j]), float(cols2[i, l])
 
 
-def _zoom_a2(p: HullPoint, lam: np.ndarray, e: float, rounds: int, width: int):
+def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
     """Per-lambda bracket zoom over the second split (convex slice).
+
+    Row i holds the weight lam[i] of the point whose (x1, x2, X12, X22, z1,
+    z2) are entry i of the six arrays in `pt`, so one call zooms the weights
+    of many points.  Row i runs rounds[i] rounds; a row whose rounds are
+    used up keeps its bracket and its best split.
 
     Each round samples `width` second splits per lambda and minimizes exactly
     over the first split.  For positive denominators the objective is a
@@ -222,73 +233,81 @@ def _zoom_a2(p: HullPoint, lam: np.ndarray, e: float, rounds: int, width: int):
     buffers.  Terms that depend on lambda alone are computed once per call,
     and the closure cases only where a denominator is not positive.
     """
-    lam = np.asarray(lam, dtype=float)
+    x1, x2, X12, X22, z1, z2 = pt
     n = lam.size
     lin = np.linspace(0.0, 1.0, width)
     lo = np.zeros(n)
-    hi = np.full(n, p.x2)
+    hi = x2
     idx = np.arange(n)
     f_best = np.full(n, np.inf)
     a1_best = np.zeros(n)
     a2_best = np.zeros(n)
+    all_live = int(rounds.min())
 
-    rest1 = p.z1 - lam
-    rest2 = p.z2 - lam
-    lam_s = np.where(lam > 0.0, lam, 1.0)[:, None]
-    rest1_s = np.where(rest1 > 0.0, rest1, 1.0)[:, None]
-    rest2_s = np.where(rest2 > 0.0, rest2, 1.0)[:, None]
+    rest1 = z1 - lam
+    rest2 = z2 - lam
     lam_rows = np.flatnonzero(lam <= 0.0)
     rest1_rows = np.flatnonzero(rest1 <= 0.0)
     rest2_rows = np.flatnonzero(rest2 <= 0.0)
     no_quad_rows = np.flatnonzero((lam <= 0.0) | (rest1 <= 0.0))
-    inv_sum = 1.0 / lam_s + 1.0 / rest1_s
-    x1_rest = p.x1 / rest1_s
-    lam_X12 = lam[:, None] * p.X12
+    lam_s = np.where(lam > 0.0, lam, 1.0)
+    rest1_s = np.where(rest1 > 0.0, rest1, 1.0)
+    # the per-row terms at the full (n, width) shape, which costs less in
+    # the rounds than (n, 1) columns broadcast along rows of `width`
+    x1, x2, X12, X22, lam_s, rest1_s, rest2_s, inv_sum, x1_rest, lam_X12 = np.repeat(
+        np.stack([
+            x1, x2, X12, X22, lam_s, rest1_s, np.where(rest2 > 0.0, rest2, 1.0),
+            1.0 / lam_s + 1.0 / rest1_s, x1 / rest1_s, lam * X12,
+        ]),
+        width,
+        axis=1,
+    ).reshape(10, n, width)
 
     a1 = np.empty((4, n, width))
     a1[0] = 0.0
-    a1[1] = p.x1
+    a1[1] = x1
+    # t1 + t2 of the candidates a1 = 0 and a1 = x1: one term is 0 exactly
     t12 = np.empty((4, n, width))
-    t12[0] = (_cl_sq_over(0.0, lam, e) + _cl_sq_over(p.x1, rest1, e))[:, None]
-    t12[1] = (_cl_sq_over(p.x1, lam, e) + _cl_sq_over(0.0, rest1, e))[:, None]
+    t12[0] = _sq_over_rows(x1, rest1_s, rest1_rows, e)
+    t12[1] = _sq_over_rows(x1, lam_s, lam_rows, e)
     h = np.empty((4, n, width))
     f = np.empty((4, n, width))
     h_flat = h.reshape(4, -1)
     f_flat = f.reshape(4, -1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(rounds):
+        for r in range(int(rounds.max())):
             ts = lo[:, None] + (hi - lo)[:, None] * lin[None, :]
             g2 = (
-                p.X22
+                X22
                 - _sq_over_rows(ts, lam_s, lam_rows, e)
-                - _sq_over_rows(p.x2 - ts, rest2_s, rest2_rows, e)
+                - _sq_over_rows(x2 - ts, rest2_s, rest2_rows, e)
             )
             gpos = g2 > 0.0
             g2_s = np.where(gpos, g2, 1.0)
             g2_bad = np.flatnonzero(~gpos)
 
-            big = ts > e
-            hroot = np.where(big, lam_X12 / np.where(big, ts, 1.0), 0.0)
-            np.clip(hroot, 0.0, p.x1, out=a1[2])
+            a1[2] = 0.0  # the h = 0 root lam X12 / a2, 0 where a2 is in the band
+            np.divide(lam_X12, ts, out=a1[2], where=ts > e)
+            np.clip(a1[2], 0.0, x1, out=a1[2])
             quad_a = inv_sum + (ts / lam_s) ** 2 / g2_s
-            quad_b = x1_rest + ts * p.X12 / (lam_s * g2_s)
+            quad_b = x1_rest + ts * X12 / (lam_s * g2_s)
             quad = quad_b / quad_a
             quad[no_quad_rows] = 0.0
             quad.reshape(-1)[g2_bad] = 0.0
-            np.clip(quad, 0.0, p.x1, out=a1[3])
+            np.clip(quad, 0.0, x1, out=a1[3])
             np.add(
                 _sq_over_rows(a1[2:], lam_s, lam_rows, e),
-                _sq_over_rows(p.x1 - a1[2:], rest1_s, rest1_rows, e),
+                _sq_over_rows(x1 - a1[2:], rest1_s, rest1_rows, e),
                 out=t12[2:],
             )
 
             np.multiply(a1, ts, out=h)
             h /= lam_s
-            np.subtract(p.X12, h, out=h)
+            np.subtract(X12, h, out=h)
             if lam_rows.size:
                 zero_num = (a1[:, lam_rows] <= e) | (ts[lam_rows] <= e)
-                h[:, lam_rows] = p.X12 - np.where(zero_num, 0.0, np.inf)
+                h[:, lam_rows] = X12[lam_rows] - np.where(zero_num, 0.0, np.inf)
             np.multiply(h, h, out=f)
             f /= g2_s
             if g2_bad.size:
@@ -300,19 +319,150 @@ def _zoom_a2(p: HullPoint, lam: np.ndarray, e: float, rounds: int, width: int):
             f += t12
 
             # first minimum over (column, candidate) in lexicographic order:
-            # the first best column of the per-column first best candidates
-            m = f.transpose(1, 2, 0).reshape(n, -1).argmin(axis=1)
-            k, c = np.divmod(m, 4)
-            f_k = f[c, idx, k]
+            # the first column holding the least value, then its first
+            # candidate holding it
+            k = f.min(axis=0).argmin(axis=1)
+            f_col = f[:, idx, k]
+            c = f_col.argmin(axis=0)
+            f_k = f_col[c, idx]
             improved = f_k < f_best
+            new_lo = ts[idx, np.maximum(k - 1, 0)]
+            new_hi = ts[idx, np.minimum(k + 1, width - 1)]
+            if r >= all_live:  # rows past their last round keep their state
+                live = r < rounds
+                improved &= live
+                new_lo = np.where(live, new_lo, lo)
+                new_hi = np.where(live, new_hi, hi)
             f_best = np.where(improved, f_k, f_best)
             a1_best = np.where(improved, a1[c, idx, k], a1_best)
             a2_best = np.where(improved, ts[idx, k], a2_best)
-            lo = ts[idx, np.maximum(k - 1, 0)]
-            hi = ts[idx, np.minimum(k + 1, width - 1)]
-            if p.x2 <= e:
-                break
+            lo, hi = new_lo, new_hi
     return f_best, a1_best, a2_best
+
+
+def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: int):
+    """Nested bracket zoom over the weight of every point of `pt`.
+
+    The weight bracket of a point shrinks around its best sampled weight
+    for `zoom_rounds` passes of 6 second-split rounds, the last pass 14; a
+    one-point weight interval gets a single 14-round pass, and a point with
+    x2 within the band one second-split round per pass.  `best` holds the
+    arrays (f, lam, a1, a2) of the grid's best triples and is improved in
+    place.  Each pass zooms the weights of all points still in their
+    schedule in one call of :func:`_zoom_a2`.
+    """
+    f_b, lam_b, a1_b, a2_b = best
+    lin = np.linspace(0.0, 1.0, width)
+    passes = np.where(lam_hi - lam_lo <= e, 1, zoom_rounds)
+    inner = np.where(pt[1] <= e, 1, 6)
+    llo, lhi = lam_lo.copy(), lam_hi.copy()
+    act = np.arange(0)
+    for r in range(zoom_rounds):
+        now = np.flatnonzero(passes > r)
+        if now.size == 0:
+            break
+        if now.size != act.size:  # the set of points only shrinks
+            act = now
+            ai = np.arange(act.size)
+            rows = tuple(np.repeat(c[act], width) for c in pt)
+            act_passes = passes[act]
+            act_inner = np.repeat(inner[act], width)
+            act_last = np.where(act_inner > 1, 14, 1)
+        rounds = np.where(np.repeat(act_passes == r + 1, width), act_last, act_inner)
+        lam_ax = llo[act, None] + (lhi[act] - llo[act])[:, None] * lin
+        phi, a1s, a2s = (
+            v.reshape(act.size, width)
+            for v in _zoom_a2(rows, lam_ax.reshape(-1), e, rounds, width)
+        )
+        k = phi.argmin(axis=1)
+        phi_k = phi[ai, k]
+        better = phi_k < f_b[act]
+        if better.any():
+            sel = act[better]
+            f_b[sel] = phi_k[better]
+            lam_b[sel] = lam_ax[ai, k][better]
+            a1_b[sel] = a1s[ai, k][better]
+            a2_b[sel] = a2s[ai, k][better]
+        llo[act] = lam_ax[ai, np.maximum(k - 1, 0)]
+        lhi[act] = lam_ax[ai, np.minimum(k + 1, width - 1)]
+
+
+#: Points per zoom pass of :func:`oracle_members`.  The zoom's cost is
+#: mostly the overhead of its many small numpy calls, which one pass pays
+#: once for all its points; per point it levels off near 64 points.
+ORACLE_CHUNK = 64
+
+OracleResult = Union[tuple[bool, OracleWitness], PairhullError]
+
+
+def _oracle_chunk(
+    points: Sequence[HullPoint], tol: Tolerances, grid: int, zoom_rounds: int, zoom_width: int
+) -> list[OracleResult]:
+    """One chunk of :func:`oracle_members`: the grid point by point, then
+    one zoom for all points that reach it."""
+    e = tol.eq_tol
+    out: list = [None] * len(points)
+    ok = []
+    start = []
+    for j, p in enumerate(points):
+        try:
+            validate_point(p, tol)
+            lam_hi = min(p.z1, p.z2)
+            if lam_hi <= e:
+                raise EmptyFeasibleSet(
+                    f"weight interval (0, {lam_hi}] is empty beyond tolerance"
+                )
+        except PairhullError as exc:
+            out[j] = exc
+            continue
+        lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
+        n_lam = grid if lam_hi - lam_lo > e else 1
+        n_a1 = grid if p.x1 > e else 1
+        n_a2 = grid if p.x2 > e else 1
+        best = _grid_eval(
+            p,
+            np.linspace(lam_lo, lam_hi, n_lam),
+            np.linspace(0.0, p.x1, n_a1),
+            np.linspace(0.0, p.x2, n_a2),
+            e,
+        )
+        ok.append(j)
+        start.append((p.x1, p.x2, p.X12, p.X22, p.z1, p.z2, lam_lo, lam_hi, *best))
+    if not ok:
+        return out
+
+    cols = np.array(start, dtype=float).T.copy()
+    best = cols[8:]
+    _zoom_lambda(cols[:6], cols[6], cols[7], best, e, zoom_rounds, zoom_width)
+    for j, (f_b, lam_b, a1_b, a2_b) in zip(ok, best.T.tolist()):
+        objective = ExtReal.inf() if math.isinf(f_b) else ExtReal.finite(f_b)
+        member = (not math.isinf(f_b)) and f_b <= points[j].X11 + tol.oracle_tol
+        out[j] = (member, OracleWitness(a1_b, a2_b, lam_b, objective))
+    return out
+
+
+def oracle_members(
+    points: Iterable[HullPoint],
+    tol: Tolerances = DEFAULT_TOL,
+    grid: int = 64,
+    zoom_rounds: int = 10,
+    zoom_width: int = 17,
+) -> list[OracleResult]:
+    """:func:`oracle_member` for many points, in input order.
+
+    Each entry is the point's ``(member, witness)``, or the
+    :class:`PairhullError` it raised (``NotInAmbientBox``,
+    ``EmptyFeasibleSet``).  The coarse grid runs point by point; the zoom
+    runs once for every :data:`ORACLE_CHUNK` points, which share its numpy
+    calls.  The results are those of single points, bit for bit: the zoom
+    is elementwise and takes first-index minima, so it does not depend on
+    the other points of its pass.
+    """
+    points = list(points)
+    out: list[OracleResult] = []
+    for i in range(0, len(points), ORACLE_CHUNK):
+        out += _oracle_chunk(points[i : i + ORACLE_CHUNK], tol, grid, zoom_rounds, zoom_width)
+    return out
 
 
 def oracle_member(
@@ -330,45 +480,13 @@ def oracle_member(
     argmin converges to the global optimum.  A final high-resolution zoom
     at the located weight polishes the witness.  Intended for points with
     X12 and both indicators above eq_tol; the X12 = 0 face and the z = 0
-    edges are decided by the closed-form module.
+    edges are decided by the closed-form module.  This is the batch of one
+    of :func:`oracle_members`.
     """
-    validate_point(p, tol)
-    e = tol.eq_tol
-    lam_hi = min(p.z1, p.z2)
-    if lam_hi <= e:
-        raise EmptyFeasibleSet(
-            f"weight interval (0, {lam_hi}] is empty beyond tolerance"
-        )
-    lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
-
-    n_lam = grid if lam_hi - lam_lo > e else 1
-    n_a1 = grid if p.x1 > e else 1
-    n_a2 = grid if p.x2 > e else 1
-    f_b, lam_b, a1_b, a2_b = _grid_eval(
-        p,
-        np.linspace(lam_lo, lam_hi, n_lam),
-        np.linspace(0.0, p.x1, n_a1),
-        np.linspace(0.0, p.x2, n_a2),
-        e,
-    )
-
-    lin = np.linspace(0.0, 1.0, zoom_width)
-    llo, lhi = lam_lo, lam_hi
-    for r in range(zoom_rounds):
-        last = r == zoom_rounds - 1 or lam_hi - lam_lo <= e
-        lam_ax = llo + (lhi - llo) * lin
-        phi, a1s, a2s = _zoom_a2(p, lam_ax, e, 14 if last else 6, zoom_width)
-        k = int(np.argmin(phi))
-        if phi[k] < f_b:
-            f_b, lam_b, a1_b, a2_b = float(phi[k]), float(lam_ax[k]), float(a1s[k]), float(a2s[k])
-        llo = lam_ax[max(k - 1, 0)]
-        lhi = lam_ax[min(k + 1, zoom_width - 1)]
-        if last:
-            break
-
-    objective = ExtReal.inf() if math.isinf(f_b) else ExtReal.finite(f_b)
-    witness = OracleWitness(a1_b, a2_b, lam_b, objective)
-    member = (not math.isinf(f_b)) and f_b <= p.X11 + tol.oracle_tol
+    (res,) = oracle_members([p], tol, grid, zoom_rounds, zoom_width)
+    if isinstance(res, PairhullError):
+        raise res
+    return res
     return member, witness
 
 

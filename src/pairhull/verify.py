@@ -27,7 +27,7 @@ from .oracle import (
     _sample_hull_array,
     _sample_s2_array,
     _sample_separable_array,
-    oracle_member,
+    oracle_members,
 )
 from .regions import Region, classify, region_partition_audit
 from .separation import separate
@@ -390,9 +390,11 @@ def run_oracle_suite(
     offender = None
     n_member = 0
     worst = math.inf
-    for p in pts:
+    for p, res in zip(pts, oracle_members(pts, tol)):
+        if isinstance(res, PairhullError):
+            raise res
         rep = member_hull(p, tol)
-        dec, wit = oracle_member(p, tol)
+        dec, wit = res
         n_member += int(rep.member)
         f = math.inf if wit.objective.infinite else wit.objective.value
         margin_in = p.X11 + tol.oracle_tol - f

@@ -1,9 +1,12 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from pairhull.cli import main
+from pairhull.cli import _point_record, main
+from pairhull.oracle import ORACLE_CHUNK
+from pairhull.verify import ctilde_margin_points
 
 R4_LINE = '{"x":[0.1,1],"X":[[1,1.2],[1.2,2.5]],"z":[0.5,0.5]}'
 R1_LINE = '{"x":[0.5,0.5],"X":[[0.5,0.5],[0.5,0.5]],"z":[0.5,0.5]}'
@@ -76,6 +79,38 @@ class TestMember:
         assert rec["member"] is False
         assert rec["objective"] == pytest.approx(2.02, abs=1e-3)
         assert set(rec["witness"]) == {"xt41", "xt42", "lambda4"}
+
+
+def _margin_lines(n, seed):
+    pts = ctilde_margin_points(np.random.default_rng(seed), n)
+    return [json.dumps(_point_record(p)) for p in pts]
+
+
+class TestMemberOracleChunks:
+    def test_chunked_stream_equals_one_line_runs(self):
+        # 64 + 5 lines cross a chunk boundary; line 40 has z1 = 0
+        lines = _margin_lines(ORACLE_CHUNK + 4, seed=31)
+        lines.insert(39, '{"x":[0,0.4],"X":[[0,0],[0,0.6]],"z":[0,0.5]}')
+        code, out = run_cli(["member", "--oracle"], "\n".join(lines) + "\n")
+        assert code == 0
+        singles = [run_cli(["member", "--oracle"], line + "\n") for line in lines]
+        assert all(c == 0 for c, _ in singles)
+        assert out == "".join(o for _, o in singles)
+        assert json.loads(out.splitlines()[39])["oracle_error"] == "EmptyFeasibleSet"
+
+    def test_bad_line_inside_a_chunk_answers_the_lines_before_it(self, capsys):
+        lines = _margin_lines(9, seed=32)
+        lines.insert(5, "{not json}")
+        text = "\n".join(lines) + "\n"
+        code, out = run_cli(["member", "--oracle"], text)
+        err = capsys.readouterr().err
+        assert code == 2
+        _, first = run_cli(["member", "--oracle"], "\n".join(lines[:5]) + "\n")
+        assert out == first and len(out.splitlines()) == 5
+        # the message of the unchunked commands, which stop at the same line
+        code, _ = run_cli(["classify"], text)
+        assert code == 2 and err == capsys.readouterr().err
+        assert err.startswith("error: line 6: invalid JSON")
 
 
 class TestSeparate:

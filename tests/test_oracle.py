@@ -13,6 +13,7 @@ from pairhull import (
     in_relaxation_ctilde,
     member_hull,
     oracle_member,
+    oracle_members,
     oracle_objective,
     sample_S2,
     sample_hull,
@@ -21,6 +22,7 @@ from pairhull import (
 from pairhull.errors import (
     EmptyFeasibleSet,
     InfeasibleWitness,
+    NotInAmbientBox,
     RegionHasNoClosedWitness,
 )
 from pairhull.core import Tolerances
@@ -207,6 +209,18 @@ ORACLE_PINS = [
 ]
 
 
+def _hex_result(res):
+    member, wit = res
+    obj = "inf" if wit.objective.infinite else float(wit.objective.value).hex()
+    return (
+        bool(member),
+        float(wit.xt41).hex(),
+        float(wit.xt42).hex(),
+        float(wit.lambda4).hex(),
+        obj,
+    )
+
+
 class TestPinnedOracle:
     @pytest.mark.parametrize(
         "coords, expected", [(pin[1], pin[2:]) for pin in ORACLE_PINS],
@@ -223,6 +237,26 @@ class TestPinnedOracle:
             obj,
         )
         assert got == expected
+
+    # one batch mixes the one-round zoom (x2_zero), the single 14-round
+    # pass (both_indicators_one) and the +inf objective with regular points
+    @pytest.mark.parametrize("order", [1, -1], ids=["listed", "reversed"])
+    def test_batch_outputs_bit_for_bit(self, order):
+        pins = ORACLE_PINS[::order]
+        got = oracle_members([HullPoint(*pin[1]) for pin in pins])
+        assert [_hex_result(res) for res in got] == [tuple(pin[2:]) for pin in pins]
+
+    def test_failing_points_hold_their_error_in_a_batch(self):
+        good = [HullPoint(*pin[1]) for pin in ORACLE_PINS[:6]]
+        z2_zero = HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.5, 0.0)
+        outside = HullPoint(-1.0, 0.4, 0.5, 0.2, 0.6, 0.5, 0.5)
+        got = oracle_members(good[:3] + [z2_zero] + good[3:5] + [outside] + good[5:])
+        assert isinstance(got[3], EmptyFeasibleSet)
+        assert isinstance(got[6], NotInAmbientBox)
+        rest = got[:3] + got[4:6] + got[7:]
+        assert [_hex_result(res) for res in rest] == [
+            _hex_result(oracle_member(p)) for p in good
+        ]
 
     def test_grid_is_exact_argmin_of_the_objective(self):
         e = 1e-9
