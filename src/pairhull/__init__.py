@@ -11,6 +11,7 @@ from .core import (
     COORD_NAMES,
     DEFAULT_TOL,
     ExtReal,
+    HullColumns,
     HullPoint,
     Tolerances,
     in_relaxation_ctilde,
@@ -20,7 +21,9 @@ from .core import (
     validate_point,
 )
 from .hull import (
+    MembershipBatch,
     MembershipReport,
+    member_batch,
     member_hull,
     member_hull_n1,
     persp_relaxation_member,
@@ -44,6 +47,7 @@ from .regions import (
     PartitionAuditReport,
     Region,
     classify,
+    classify_batch,
     region_matches,
     region_partition_audit,
 )
@@ -64,7 +68,9 @@ __all__ = [
     "DEFAULT_TOL",
     "Cut",
     "ExtReal",
+    "HullColumns",
     "HullPoint",
+    "MembershipBatch",
     "MembershipReport",
     "OracleWitness",
     "PartitionAuditReport",
@@ -75,8 +81,10 @@ __all__ = [
     "analytic_witness",
     "aux_weight_maximizer",
     "classify",
+    "classify_batch",
     "in_relaxation_ctilde",
     "in_separable_relaxation",
+    "member_batch",
     "member_hull",
     "member_hull_n1",
     "oracle_member",

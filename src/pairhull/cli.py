@@ -8,18 +8,34 @@ one record per line; results stream on stdout in input order.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import math
 import sys
 from typing import Iterator, TextIO
 
-from .core import COORD_NAMES, HullPoint, Tolerances, validate_point
+import numpy as np
+
+from .core import (
+    COORD_NAMES,
+    HullColumns,
+    HullPoint,
+    Tolerances,
+    in_ambient_box,
+    validate_point,
+)
 from .errors import NotInAmbientBox, PairhullError
-from .hull import member_hull
-from .oracle import ORACLE_CHUNK, oracle_members
-from .regions import classify
+from .hull import MembershipBatch, MembershipReport, member_batch
+from .oracle import oracle_members
+from .regions import classify_batch
 from .separation import Cut, separate
 from .verify import SUITES
+
+#: Characters (of a text stream) or bytes (of a binary stdin) asked of one
+#: read.  A chunk is the complete lines one read returns, so a caller that
+#: waits for each answer before it writes the next line still gets it.
+READ_SIZE = 1 << 16
 
 
 class InputError(Exception):
@@ -35,6 +51,10 @@ def _int_coord(v) -> float:
         return float(v)
     except OverflowError as exc:
         raise InputError("all coordinates must be finite") from exc
+
+
+def _asymmetric(X12, X21, tol: Tolerances):
+    return abs(X12 - X21) > tol.eq_tol
 
 
 def _parse_point(obj, tol: Tolerances) -> HullPoint:
@@ -62,7 +82,7 @@ def _parse_point(obj, tol: Tolerances) -> HullPoint:
     ]
     if not all(math.isfinite(v) for v in vals):
         raise InputError("all coordinates must be finite")
-    if abs(vals[3] - vals[4]) > tol.eq_tol:
+    if _asymmetric(vals[3], vals[4], tol):
         raise InputError('"X" must be symmetric')
     p = HullPoint(vals[0], vals[1], vals[2], vals[3], vals[5], vals[6], vals[7])
     try:
@@ -94,19 +114,128 @@ def _dump(obj, out: TextIO, pretty: bool) -> None:
     out.write("\n")
 
 
-def _points(stream: TextIO, tol: Tolerances) -> Iterator[tuple[int, HullPoint]]:
-    for lineno, line in enumerate(stream, start=1):
+def _reads(stream) -> Iterator[str]:
+    """The text each read of the stream returns.  A binary stdin buffer is
+    read with ``read1``, which returns what has arrived, and decoded with
+    universal newlines as line iteration would."""
+    raw = getattr(stream, "buffer", None)
+    if raw is None or not hasattr(raw, "read1"):
+        while data := stream.read(READ_SIZE):
+            yield data
+        return
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder(stream.encoding or "utf-8")(stream.errors or "strict"),
+        translate=True,
+    )
+    while data := raw.read1(READ_SIZE):
+        yield decoder.decode(data)
+    yield decoder.decode(b"", final=True)
+
+
+def _chunks(stream) -> Iterator[tuple[int, list[str]]]:
+    """(number of the first line, lines) for the complete lines of each read."""
+    lineno, tail = 1, ""
+    for data in _reads(stream):
+        lines = (tail + data).split("\n")
+        tail = lines.pop()
+        if lines:
+            yield lineno, lines
+            lineno += len(lines)
+    if tail:
+        yield lineno, [tail]
+
+
+def _parse_line(line: str, lineno: int, tol: Tolerances) -> HullPoint:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    try:
+        return _parse_point(obj, tol)
+    except InputError as exc:
+        raise InputError(f"line {lineno}: {exc}") from exc
+
+
+_scan = json.JSONDecoder().scan_once
+
+
+def _parse_chunk(
+    lines: list[str], lineno: int, tol: Tolerances
+) -> tuple[np.ndarray, InputError | None]:
+    """The points of the lines up to the first bad one, as ``(m, 7)`` rows,
+    and the error of that line.
+
+    Records of the usual shape (eight floats, checked together) take a fast
+    path; from the first line that does not fit it, :func:`_parse_line`
+    decides line by line, so every error is the one it raises."""
+    flat: list = []
+    starts: list[int] = []  # index in ``lines`` of each fast record
+    resume = len(lines)
+    for i, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            obj, end = _scan(line, 0)
+            x, X, z = obj["x"], obj["X"], obj["z"]
+            X0, X1 = X
+        except (StopIteration, ValueError, KeyError, TypeError):
+            resume = i
+            break
+        if not (
+            end == len(line)
+            and type(x) is list and len(x) == 2
+            and type(z) is list and len(z) == 2
+            and type(X) is list
+            and type(X0) is list and len(X0) == 2
+            and type(X1) is list and len(X1) == 2
+        ):
+            resume = i
+            break
+        flat += x
+        flat += X0
+        flat += X1
+        flat += z
+        starts.append(i)
+    good = 0
+    if starts and set(map(type, flat)) == {float}:
+        vals = np.array(flat).reshape(len(starts), 8)
+        rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
+        with np.errstate(invalid="ignore"):
+            ok = (
+                np.isfinite(vals).all(axis=1)
+                & ~_asymmetric(vals[:, 3], vals[:, 4], tol)
+                & in_ambient_box(HullColumns(rows), tol)
+            )
+        good = len(starts) if ok.all() else int(np.argmin(ok))
+    if good < len(starts):
+        resume = starts[good]
+    parsed = [rows[:good]] if good else []
+    for i in range(resume, len(lines)):
+        line = lines[i].strip()
+        if not line:
+            continue
         try:
-            yield lineno, _parse_point(obj, tol)
+            p = _parse_line(line, lineno + i, tol)
         except InputError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
+            return _stack(parsed), exc
+        parsed.append(np.array([p.coords()]))
+    return _stack(parsed), None
+
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty((0, len(COORD_NAMES)))
+
+
+def _read_rows(stream, tol: Tolerances) -> Iterator[np.ndarray]:
+    """The points of each chunk as ``(m, 7)`` rows.  A bad line raises its
+    :class:`InputError` once the rows before it have been handed out."""
+    for lineno, lines in _chunks(stream):
+        rows, error = _parse_chunk(lines, lineno, tol)
+        if len(rows):
+            yield rows
+        if error is not None:
+            raise error
 
 
 def _slack_json(slacks: dict[str, float]) -> dict:
@@ -114,48 +243,73 @@ def _slack_json(slacks: dict[str, float]) -> dict:
 
 
 def _cmd_classify(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
-    for _, p in _points(stdin, tol):
-        stdout.write(classify(p, tol).value + "\n")
+    for rows in _read_rows(stdin, tol):
+        stdout.write("".join(tag.value + "\n" for tag in classify_batch(rows, tol)))
+        stdout.flush()
     return 0
 
 
+def _member_record(rep: MembershipReport, report: bool) -> dict:
+    rec = {
+        "member": rep.member,
+        "region": rep.region.value,
+        "violated": list(rep.violated),
+    }
+    if report:
+        rec["slacks"] = _slack_json(rep.slacks)
+        if rep.W is not None:
+            rec["W"] = rep.W
+        if rep.degenerate:
+            rec["degenerate"] = True
+    return rec
+
+
+#: Line of a plain ``member`` record by (member, cell, slack names,
+#: violated slots), which determine it.
+_PLAIN_LINES: dict[tuple, str] = {}
+
+
+def _plain_member_lines(batch: MembershipBatch, n: int) -> str:
+    keys = zip(
+        batch.member[:n].tolist(),
+        batch.cell[:n].tolist(),
+        batch.names[:n].tolist(),
+        (batch.violated[:n] @ (1, 2, 4)).tolist(),
+    )
+    out = []
+    for i, key in enumerate(keys):
+        line = _PLAIN_LINES.get(key)
+        if line is None:
+            line = _PLAIN_LINES[key] = json.dumps(_member_record(batch.report(i), False)) + "\n"
+        out.append(line)
+    return "".join(out)
+
+
 def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
-    pending: list[tuple[dict, HullPoint]] = []  # --oracle lines of the open chunk
-    try:
-        for _, p in _points(stdin, tol):
-            rep = member_hull(p, tol)
-            rec = {
-                "member": rep.member,
-                "region": rep.region.value,
-                "violated": list(rep.violated),
-            }
-            if args.report:
-                rec["slacks"] = _slack_json(rep.slacks)
-                if rep.W is not None:
-                    rec["W"] = rep.W
-                if rep.degenerate:
-                    rec["degenerate"] = True
-            if not args.oracle:
-                _dump(rec, stdout, args.pretty)
-                continue
-            pending.append((rec, p))
-            if len(pending) == ORACLE_CHUNK:
-                chunk, pending = pending, []
-                _answer_oracle(chunk, tol, stdout, args.pretty)
-    except (InputError, PairhullError):
-        # answer the lines read before the failing one, then report it
-        _answer_oracle(pending, tol, stdout, args.pretty)
-        raise
-    _answer_oracle(pending, tol, stdout, args.pretty)
+    for rows in _read_rows(stdin, tol):
+        batch = member_batch(rows, tol)
+        n = min(batch.errors, default=len(batch))
+        if args.oracle:
+            recs = [_member_record(batch.report(i), args.report) for i in range(n)]
+            _answer_oracle(recs, rows[:n], tol, stdout, args.pretty)
+        elif args.report or args.pretty:
+            for i in range(n):
+                _dump(_member_record(batch.report(i), args.report), stdout, args.pretty)
+        else:
+            stdout.write(_plain_member_lines(batch, n))
+        stdout.flush()
+        if n < len(batch):
+            raise batch.errors[n]
     return 0
 
 
 def _answer_oracle(
-    chunk: list[tuple[dict, HullPoint]], tol: Tolerances, stdout: TextIO, pretty: bool
+    recs: list[dict], rows: np.ndarray, tol: Tolerances, stdout: TextIO, pretty: bool
 ) -> None:
-    """Decide a chunk of `member --oracle` lines in one oracle pass and
-    write their records in input order."""
-    for (rec, _), res in zip(chunk, oracle_members([p for _, p in chunk], tol)):
+    """Decide the closed-form records of a chunk of `member --oracle` lines
+    in one oracle pass and write them in input order."""
+    points = [HullPoint(*row) for row in rows.tolist()]
+    for rec, res in zip(recs, oracle_members(points, tol)):
         if isinstance(res, PairhullError):
             rec["oracle_error"] = type(res).__name__
         else:
@@ -171,16 +325,18 @@ def _answer_oracle(
 
 
 def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
-    for _, p in _points(stdin, tol):
-        try:
-            res = separate(p, tol)
-        except PairhullError as exc:
-            _dump({"error": type(exc).__name__}, stdout, args.pretty)
-            continue
-        if res.inside:
-            _dump({"inside": True}, stdout, args.pretty)
-        else:
-            _dump(_cut_record(res.cut, res.region), stdout, args.pretty)
+    for rows in _read_rows(stdin, tol):
+        for row in rows.tolist():
+            try:
+                res = separate(HullPoint(*row), tol)
+            except PairhullError as exc:
+                _dump({"error": type(exc).__name__}, stdout, args.pretty)
+                continue
+            if res.inside:
+                _dump({"inside": True}, stdout, args.pretty)
+            else:
+                _dump(_cut_record(res.cut, res.region), stdout, args.pretty)
+        stdout.flush()
     return 0
 
 

@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .columns import column_version, elementwise
 from .errors import NegativeDenominator, NegativeNumerator, NotInAmbientBox
 
 #: Canonical coordinate order used by arrays, cut coefficients and JSON records.
@@ -120,6 +123,12 @@ def slack_minus(a: float, e: ExtReal) -> float:
     return a - e.value
 
 
+@column_version(slack_minus)
+def _slack_minus_columns(a, e):
+    """slack_minus on columns: a +inf tag in e gives the -inf sentinel."""
+    return a - e
+
+
 @dataclass(frozen=True)
 class HullPoint:
     """A point (x1, x2, X11, X12, X22, z1, z2) of the lifted indicator space.
@@ -147,29 +156,114 @@ class HullPoint:
         return HullPoint(x1, x2, X11, X12, X22, z1, z2)
 
 
+#: Fewest rows a batch decides on columns.  The column path has a fixed
+#: cost of about 0.3 ms (and the first call of a process compiles the
+#: column versions), so smaller batches, such as the single lines of an
+#: interactive stream, go through the scalar functions row by row.
+COLUMN_MIN_ROWS = 64
+#: Largest coordinate magnitude a batch decides on columns.  Past it a
+#: squared term of a cell predicate can overflow, which raises
+#: OverflowError in the scalar functions, so such rows take the scalar path.
+COLUMN_MAX = 1e64
+
+
+class HullColumns:
+    """Column view of an ``(n, 7)`` array of points in :data:`COORD_NAMES`
+    order: ``cols.x1`` is the array of the x1 values, and so on, so the
+    formulas written for one :class:`HullPoint` evaluate every row at once.
+    """
+
+    __slots__ = ("table",) + COORD_NAMES
+
+    def __init__(self, rows, *, table: np.ndarray | None = None) -> None:
+        if table is None:
+            rows = np.asarray(rows, dtype=float)
+            if rows.ndim != 2 or rows.shape[1] != len(COORD_NAMES):
+                raise ValueError(f"expected an (n, 7) array of points, got shape {rows.shape}")
+            table = np.ascontiguousarray(rows.T)
+        self.table = table  # (7, n), one row per coordinate
+        for name, col in zip(COORD_NAMES, table):
+            setattr(self, name, col)
+
+    def __len__(self) -> int:
+        return self.table.shape[1]
+
+    def take(self, idx) -> "HullColumns":
+        """The view of the rows ``idx`` (indices or a mask)."""
+        return HullColumns(None, table=self.table[:, idx])
+
+    def row_by_row(self) -> bool:
+        """Whether the batch is below :data:`COLUMN_MIN_ROWS`."""
+        return len(self) < COLUMN_MIN_ROWS
+
+    def points(self) -> list[HullPoint]:
+        return [HullPoint(*row) for row in self.table.T.tolist()]
+
+    def point(self, i: int) -> HullPoint:
+        return HullPoint.from_coords(self.table[:, i])
+
+    def scalar_rows(self) -> np.ndarray:
+        """Rows with a coordinate beyond :data:`COLUMN_MAX` in magnitude."""
+        return np.abs(self.table).max(axis=0, initial=0.0) > COLUMN_MAX
+
+
+def _in_ambient_box(p: HullPoint, e: float) -> bool:
+    """Whether p is finite with x, X >= 0 and z in [0, 1]^2, within the band e."""
+    return (
+        p.x1 >= -e
+        and p.x1 < math.inf
+        and p.x2 >= -e
+        and p.x2 < math.inf
+        and p.X11 >= -e
+        and p.X11 < math.inf
+        and p.X12 >= -e
+        and p.X12 < math.inf
+        and p.X22 >= -e
+        and p.X22 < math.inf
+        and p.z1 >= -e
+        and p.z1 <= 1.0 + e
+        and p.z2 >= -e
+        and p.z2 <= 1.0 + e
+    )
+
+
 def validate_point(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> None:
     """Raise :class:`NotInAmbientBox` unless p lies in the ambient domain."""
-    e = tol.eq_tol
+    if not _in_ambient_box(p, tol.eq_tol):
+        raise NotInAmbientBox(_box_faults(p, tol.eq_tol))
+
+
+def in_ambient_box(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Mask of the rows :func:`validate_point` accepts."""
+    if cols.row_by_row():
+        return np.array([_in_ambient_box(p, tol.eq_tol) for p in cols.points()], bool)
+    return elementwise(_in_ambient_box)(cols, tol.eq_tol)
+
+
+def validate_columns(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> None:
+    """:func:`validate_point` on every row: raise its error for the first
+    row outside the ambient domain."""
+    inside = in_ambient_box(cols, tol)
+    if not inside.all():
+        validate_point(cols.point(int(np.argmin(inside))), tol)
+
+
+def _box_faults(p: HullPoint, e: float) -> str:
+    """The message of :class:`NotInAmbientBox`: every fault of p, named."""
     bad = []
     for name, v in zip(COORD_NAMES, p.coords()):
         if not math.isfinite(v):
             bad.append(f"{name}={v!r} not finite")
     if not bad:
-        if p.x1 < -e:
-            bad.append(f"x1={p.x1} < 0")
-        if p.x2 < -e:
-            bad.append(f"x2={p.x2} < 0")
-        if p.X11 < -e:
-            bad.append(f"X11={p.X11} < 0")
-        if p.X22 < -e:
-            bad.append(f"X22={p.X22} < 0")
-        if p.X12 < -e:
-            bad.append(f"X12={p.X12} < 0")
+        for name, v in (
+            ("x1", p.x1), ("x2", p.x2), ("X11", p.X11), ("X22", p.X22), ("X12", p.X12)
+        ):
+            if v < -e:
+                bad.append(f"{name}={v} < 0")
         for name, v in (("z1", p.z1), ("z2", p.z2)):
             if v < -e or v > 1.0 + e:
                 bad.append(f"{name}={v} outside [0, 1]")
-    if bad:
-        raise NotInAmbientBox("; ".join(bad))
+    return "; ".join(bad)
 
 
 def persp_sq(u: float, v: float, tol: Tolerances = DEFAULT_TOL) -> ExtReal:
@@ -186,6 +280,17 @@ def persp_sq(u: float, v: float, tol: Tolerances = DEFAULT_TOL) -> ExtReal:
     if abs(u) <= e:
         return ExtReal.finite(0.0)
     return ExtReal.inf()
+
+
+@column_version(persp_sq)
+def _persp_sq_columns(u, v, tol: Tolerances = DEFAULT_TOL):
+    """persp_sq on columns, the +inf tag as IEEE +inf.  The rows are
+    validated, so no denominator lies below the band."""
+    e = tol.eq_tol
+    pos = v > e
+    return np.where(
+        pos, u * u / np.where(pos, v, 1.0), np.where(np.abs(u) <= e, 0.0, math.inf)
+    )
 
 
 def persp_prod(u: float, v: float, w: float, tol: Tolerances = DEFAULT_TOL) -> ExtReal:

@@ -11,15 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .columns import elementwise
 from .core import (
     DEFAULT_TOL,
+    HullColumns,
     HullPoint,
     Tolerances,
     persp_sq,
     slack_minus,
+    validate_columns,
     validate_point,
 )
-from .errors import NumericallyDegenerate
+from .errors import NumericallyDegenerate, PairhullError
 from .families import (
     FAMILY_BY_CELL,
     q_value,
@@ -28,7 +33,16 @@ from .families import (
     w_shift,
     w_sqrt_arg,
 )
-from .regions import Region, classify, on_indicator_edge, region_closure_contains
+from .regions import (
+    CELLS,
+    NOT_COVERED_CODE,
+    Region,
+    cell_codes,
+    classify,
+    closure_columns,
+    on_indicator_edge,
+    region_closure_contains,
+)
 
 _NEG_INF = -math.inf
 
@@ -86,9 +100,17 @@ def psd3_by_minors(
 def _product_slack(a: float, b: float, c: float, mem_tol: float) -> float:
     """Slack of a*b >= c^2 guarding against a spuriously positive product
     when both factors sit below the band."""
-    if a < -mem_tol and b < -mem_tol:
-        return _NEG_INF
-    return a * b - c * c
+    return _NEG_INF if (a < -mem_tol and b < -mem_tol) else a * b - c * c
+
+
+def _sentinel_product(a: float, b: float, c: float, mem_tol: float) -> float:
+    """:func:`_product_slack` of factors that may carry the -inf sentinel
+    of a closed fraction, which makes the product -inf."""
+    return (
+        _NEG_INF
+        if (math.isinf(a) or math.isinf(b) or math.isinf(c))
+        else _product_slack(a, b, c, mem_tol)
+    )
 
 
 def _part1_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
@@ -98,25 +120,28 @@ def _part1_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     }
 
 
+def _closed_shifted_terms(p: HullPoint, z: float, tol: Tolerances) -> tuple[float, float, float]:
+    """The shifted terms with the shifting indicator z in the zero band:
+    closed perspectives replace the fractions over z, and x1 x2 / z has a
+    finite closure only when x1 x2 vanishes."""
+    return (
+        slack_minus(p.X11, persp_sq(p.x1, z, tol)),
+        slack_minus(p.X22, persp_sq(p.x2, z, tol)),
+        p.X12 if p.x1 * p.x2 <= tol.eq_tol else _NEG_INF,
+    )
+
+
 def _shifted_product_slacks(p: HullPoint, family: str, tol: Tolerances) -> dict[str, float]:
     """Parts II and III share one shape: X22 >= x2^2/z2 plus the family's
-    shifted product q >= 0.  With the shifting indicator z in the zero band
-    the closed perspectives replace the fractions over z."""
-    e = tol.eq_tol
+    shifted product q >= 0."""
     z = shift_z(family, p)
-    out = {f"{family}.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol))}
-    if z > e:
-        a, b, c = shifted_terms(family, p)
-    else:
-        a = slack_minus(p.X11, persp_sq(p.x1, z, tol))
-        b = slack_minus(p.X22, persp_sq(p.x2, z, tol))
-        # x1 x2 / z has a finite closure only when x1 x2 vanishes
-        c = p.X12 if p.x1 * p.x2 <= e else _NEG_INF
-    if math.isinf(a) or math.isinf(b) or math.isinf(c):
-        out[f"{family}.product"] = _NEG_INF
-    else:
-        out[f"{family}.product"] = _product_slack(a, b, c, tol.mem_tol)
-    return out
+    a, b, c = (
+        shifted_terms(family, p) if z > tol.eq_tol else _closed_shifted_terms(p, z, tol)
+    )
+    return {
+        f"{family}.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        f"{family}.product": _sentinel_product(a, b, c, tol.mem_tol),
+    }
 
 
 def _part4_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
@@ -129,24 +154,38 @@ def _part4_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     }
 
 
-def _part5_slacks(p: HullPoint, tol: Tolerances) -> tuple[dict[str, float], float]:
-    """Part V: the two perspective bounds and q_V >= 0, with the W shift.
-
-    W is defined for x2 > 0 and z1 + z2 > 1; its square-root argument is
-    clamped at zero within the membership band.
-    """
-    out = _part1_slacks(p, tol)
-    out = {"V.persp1": out["I.persp1"], "V.persp2": out["I.persp2"]}
+def _w_degenerate(p: HullPoint, tol: Tolerances) -> bool:
+    """Whether the W shift of part V is unusable at p: W is defined for
+    x2 > 0 and z1 + z2 > 1, its square-root argument may dip below zero
+    only within the membership band, and W itself must clear the zero band."""
     s, _, arg = w_sqrt_arg(p)
-    if p.x2 <= tol.eq_tol or s <= tol.eq_tol:
-        raise NumericallyDegenerate("W undefined: needs x2 > 0 and z1 + z2 > 1")
-    if arg < -tol.mem_tol:
-        raise NumericallyDegenerate(f"W sqrt argument {arg} < 0")
-    w = w_shift(p)
-    if w <= tol.eq_tol:
-        raise NumericallyDegenerate(f"W = {w} at the R8 piece boundary")
-    out["V.W-ineq"] = q_value("V", p)
-    return out, w
+    return (
+        p.x2 <= tol.eq_tol
+        or s <= tol.eq_tol
+        or arg < -tol.mem_tol
+        or w_shift(p) <= tol.eq_tol
+    )
+
+
+def _part5_piece(p: HullPoint, tol: Tolerances) -> dict[str, float]:
+    """Part V: the two perspective bounds and q_V >= 0, at a point where
+    :func:`_w_degenerate` is false."""
+    return {
+        "V.persp1": slack_minus(p.X11, persp_sq(p.x1, p.z1, tol)),
+        "V.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        "V.W-ineq": q_value("V", p),
+    }
+
+
+def _part5_slacks(p: HullPoint, tol: Tolerances) -> tuple[dict[str, float], float]:
+    """Part V and its W shift; the square-root argument of W is clamped at
+    zero within the membership band."""
+    if _w_degenerate(p, tol):
+        raise NumericallyDegenerate(
+            f"W undefined or within the zero band at {p}: needs x2 > 0, "
+            "z1 + z2 > 1 and a square-root argument above -mem_tol"
+        )
+    return _part5_piece(p, tol), w_shift(p)
 
 
 def _edge_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
@@ -157,13 +196,21 @@ def _edge_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     the part II/III products as the vanishing indicator goes to zero.
     """
     out = _part1_slacks(p, tol)
-    a = slack_minus(p.X11, persp_sq(p.x1, p.z1, tol))
-    b = slack_minus(p.X22, persp_sq(p.x2, p.z2, tol))
-    if math.isinf(a) or math.isinf(b):
-        out["edge.product"] = _NEG_INF
-    else:
-        out["edge.product"] = _product_slack(a, b, p.X12, tol.mem_tol)
+    out["edge.product"] = _sentinel_product(
+        out["I.persp1"], out["I.persp2"], p.X12, tol.mem_tol
+    )
     return out
+
+
+def _on_edge_face(p: HullPoint, tol: Tolerances) -> bool:
+    """Whether the R1 piece at p is the indicator-edge system."""
+    return p.X12 > tol.eq_tol and on_indicator_edge(p, tol)
+
+
+def _rescuable(p: HullPoint, tol: Tolerances) -> bool:
+    """Whether a neighbouring piece may rescue p: the face and edge systems
+    are exact and excluded."""
+    return p.X12 > tol.eq_tol and not on_indicator_edge(p, tol)
 
 
 def piece_slacks(
@@ -177,7 +224,7 @@ def piece_slacks(
     if region in (Region.R2, Region.R6):
         return _part1_slacks(p, tol)
     if region is Region.R1:
-        if p.X12 > tol.eq_tol and on_indicator_edge(p, tol):
+        if _on_edge_face(p, tol):
             return _edge_slacks(p, tol)
         return _part1_slacks(p, tol)
     if region is Region.R7:
@@ -226,11 +273,10 @@ def member_hull(
         return MembershipReport(is_member, region, violated, slacks, None, True)
 
     violated = tuple(k for k, v in slacks.items() if v < -tol.mem_tol)
-    if violated and p.X12 > tol.eq_tol and not on_indicator_edge(p, tol):
+    if violated and _rescuable(p, tol):
         # The hull is the union of the cell pieces; a point inside the
         # tolerance band of a cell boundary may belong to a neighboring
-        # piece even though its own cell's system rejects it.  The face
-        # and edge systems are exact and excluded from this rescue.
+        # piece even though its own cell's system rejects it.
         for other in Region:
             if other in (region, Region.NOT_COVERED):
                 continue
@@ -275,6 +321,197 @@ def _decide_uncovered(p: HullPoint, tol: Tolerances) -> MembershipReport:
             "uncovered point rejected by every piece yet no inequality names it"
         )
     return MembershipReport(False, Region.NOT_COVERED, violated, first)
+
+
+#: Most slacks of one piece.
+_SLOTS = 3
+
+
+def _held(value) -> np.ndarray:
+    """A 0-d object array holding value, to assign a tuple to many rows."""
+    out = np.empty((), object)
+    out[()] = value
+    return out
+
+
+@dataclass
+class MembershipBatch:
+    """:func:`member_hull` on every row of a batch, as columns.
+
+    Row i reports the slacks named ``names[i]``, whose values are the first
+    entries of ``slacks[i]`` (NaN past them); ``violated[i]`` flags the
+    violated ones, ``W`` is NaN where the report has no W, and ``errors``
+    maps the rows whose decision raised to the error.  :meth:`report`
+    rebuilds one row's report.
+    """
+
+    member: np.ndarray
+    cell: np.ndarray
+    names: np.ndarray
+    slacks: np.ndarray
+    violated: np.ndarray
+    W: np.ndarray
+    degenerate: np.ndarray
+    errors: dict[int, PairhullError] = field(default_factory=dict)
+
+    @classmethod
+    def empty(cls, n: int) -> "MembershipBatch":
+        return cls(
+            np.zeros(n, bool),
+            np.zeros(n, np.intp),
+            np.full(n, _held(()), object),
+            np.full((n, _SLOTS), np.nan),
+            np.zeros((n, _SLOTS), bool),
+            np.full(n, np.nan),
+            np.zeros(n, bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.member)
+
+    @property
+    def region(self) -> np.ndarray:
+        """The :class:`Region` of every row."""
+        return CELLS[self.cell]
+
+    def report(self, i: int) -> MembershipReport:
+        """Row i as the :class:`MembershipReport` of :func:`member_hull`;
+        raises the row's error if its decision raised."""
+        if i in self.errors:
+            raise self.errors[i]
+        names = self.names[i]
+        w = float(self.W[i])
+        return MembershipReport(
+            bool(self.member[i]),
+            CELLS[self.cell[i]],
+            tuple(k for k, bad in zip(names, self.violated[i]) if bad),
+            dict(zip(names, self.slacks[i, : len(names)].tolist())),
+            None if math.isnan(w) else w,
+            bool(self.degenerate[i]),
+        )
+
+    def _store(self, i: int, rep: MembershipReport) -> None:
+        names = tuple(rep.slacks)
+        self.member[i] = rep.member
+        self.cell[i] = list(CELLS).index(rep.region)
+        self.names[i] = names
+        self.slacks[i] = np.nan
+        self.slacks[i, : len(names)] = list(rep.slacks.values())
+        self.violated[i] = [k in rep.violated for k in names] + [False] * (_SLOTS - len(names))
+        self.W[i] = np.nan if rep.W is None else rep.W
+        self.degenerate[i] = rep.degenerate
+
+
+def _piece_columns(cols: HullColumns, region: Region, tol: Tolerances):
+    """:func:`piece_slacks` on every row: (usable, names, slacks, filled).
+    The slacks are NaN-padded to ``_SLOTS`` columns and ``filled`` marks
+    the columns a row's piece fills.  ``usable`` is false on the rows where
+    the scalar piece raises (R8 with W degenerate)."""
+    n = len(cols)
+    usable = np.ones(n, bool)
+    family = FAMILY_BY_CELL.get(region.value)
+    if region is Region.R1:
+        edge = elementwise(_on_edge_face)(cols, tol)
+        groups = [(edge, _edge_slacks, ()), (~edge, _part1_slacks, ())]
+    elif region is Region.R7:
+        groups = [(usable, _part4_slacks, ())]
+    elif family == "V":
+        usable = ~elementwise(_w_degenerate)(cols, tol)
+        groups = [(usable, _part5_piece, ())]
+    elif family is not None:
+        groups = [(usable, _shifted_product_slacks, (family,))]
+    else:
+        groups = [(usable, _part1_slacks, ())]
+    names = np.full(n, _held(()), object)
+    slacks = np.full((n, _SLOTS), np.nan)
+    filled = np.zeros((n, _SLOTS), bool)
+    for rows, fn, args in groups:
+        if not rows.any():
+            continue
+        idx = slice(None) if rows.all() else np.flatnonzero(rows)
+        named = elementwise(fn)(cols.take(idx), *args, tol)
+        names[idx] = _held(tuple(named))
+        for j, values in enumerate(named.values()):
+            slacks[idx, j] = values
+            filled[idx, j] = True
+    return usable, names, slacks, filled
+
+
+def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
+    """:func:`member_hull` on every row of an ``(n, 7)`` array in
+    :data:`~pairhull.core.COORD_NAMES` order, bit for bit.
+
+    The cells, the pieces and the neighbour rescue run on columns.  The
+    rows arrays do not settle go through :func:`member_hull` one by one:
+    uncovered corners, R8 rows whose W degenerates (the oracle fallback)
+    and rows past :data:`~pairhull.core.COLUMN_MAX`, and so do all rows of
+    a batch below :data:`~pairhull.core.COLUMN_MIN_ROWS`.  Raises the error of
+    :func:`member_hull` for the first row outside the ambient domain; the
+    errors of single rows are reported in ``errors``.
+    """
+    cols = HullColumns(rows)
+    out = MembershipBatch.empty(len(cols))
+    if cols.row_by_row():
+        points = cols.points()
+        for p in points:
+            validate_point(p, tol)
+        scalar = np.ones(len(cols), bool)
+    else:
+        points = None
+        scalar = _decide_columns(cols, tol, out)
+    for i in np.flatnonzero(scalar):
+        try:
+            out._store(i, member_hull(cols.point(i) if points is None else points[i], tol))
+        except (PairhullError, ArithmeticError) as exc:
+            out.errors[int(i)] = exc
+    return out
+
+
+def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) -> np.ndarray:
+    """The column path of :func:`member_batch`: fill ``out`` and return the
+    mask of the rows left to the scalar path."""
+    m = tol.mem_tol
+    with np.errstate(all="ignore"):
+        validate_columns(cols, tol)
+        cell = out.cell = cell_codes(cols, tol)
+        scalar = cols.scalar_rows() | (cell == NOT_COVERED_CODE)
+        for code, region in enumerate(CELLS[:NOT_COVERED_CODE]):
+            idx = np.flatnonzero((cell == code) & ~scalar)
+            if not idx.size:
+                continue
+            sub = cols.take(idx)
+            usable, names, slacks, _ = _piece_columns(sub, region, tol)
+            if not usable.all():
+                scalar[idx[~usable]] = True
+                idx, sub = idx[usable], sub.take(usable)
+                names, slacks = names[usable], slacks[usable]
+            out.names[idx] = names
+            out.slacks[idx] = slacks
+            if region is Region.R8:
+                out.W[idx] = elementwise(w_shift)(sub)
+        out.violated = out.slacks < -m
+
+        todo = np.flatnonzero(
+            out.violated.any(axis=1) & ~scalar & elementwise(_rescuable)(cols, tol)
+        )
+        sub = cols.take(todo)
+        for code, other in enumerate(CELLS[:NOT_COVERED_CODE]):
+            near = np.flatnonzero((cell[todo] != code) & closure_columns(sub, other, tol))
+            if not near.size:
+                continue
+            usable, names, slacks, filled = _piece_columns(sub.take(near), other, tol)
+            fits = usable & ((slacks >= -m) | ~filled).all(axis=1)
+            if not fits.any():
+                continue
+            saved = todo[near[fits]]
+            out.names[saved] = names[fits]
+            out.slacks[saved] = slacks[fits]
+            out.violated[saved] = False
+            keep = np.ones(len(todo), bool)
+            keep[near[fits]] = False
+            todo, sub = todo[keep], sub.take(keep)
+        out.member = ~out.violated.any(axis=1)
+    return scalar
 
 
 def persp_relaxation_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -487,7 +487,6 @@ def oracle_member(
     if isinstance(res, PairhullError):
         raise res
     return res
-    return member, witness
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import DEFAULT_TOL, HullPoint, Tolerances, ge, gt, in_separable_relaxation, validate_point
+import numpy as np
+
+from .columns import elementwise
+from .core import (
+    DEFAULT_TOL,
+    HullColumns,
+    HullPoint,
+    Tolerances,
+    ge,
+    gt,
+    in_separable_relaxation,
+    validate_columns,
+    validate_point,
+)
 
 
 class Region(Enum):
@@ -33,18 +46,19 @@ def on_indicator_edge(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _in_r1(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    # The cell is its own closure: past the two early returns X12 and both
-    # indicators exceed the band, so R1 has no strict inequality to relax.
+    # The cell is its own closure: past the first two alternatives X12 and
+    # both indicators exceed the band, so R1 has no strict inequality to
+    # relax.  Zero indicators fall to R1: the remaining cells all need
+    # z1, z2 > 0, and the face systems of R1 decide membership there.
     e = tol.eq_tol
-    if p.X12 <= e:
-        return True
-    # Zero indicators fall to R1: the remaining cells all need z1, z2 > 0,
-    # and the face systems of R1 decide membership there.
-    if on_indicator_edge(p, tol):
-        return True
     xx = p.x1 * p.x2
-    return ge(p.X12 * p.z1 * p.z2, xx * (p.z1 + p.z2 - 1.0), e) and ge(
-        xx, p.X12 * max(p.z1, p.z2), e
+    return (
+        p.X12 <= e
+        or on_indicator_edge(p, tol)
+        or (
+            ge(p.X12 * p.z1 * p.z2, xx * (p.z1 + p.z2 - 1.0), e)
+            and ge(xx, p.X12 * max(p.z1, p.z2), e)
+        )
     )
 
 
@@ -181,6 +195,42 @@ def classify(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Region:
         if pred(p, tol):
             return tag
     return Region.NOT_COVERED
+
+
+#: Region of each cell code of the batch functions: the index of R1..R8
+#: in :data:`_PREDICATES`, then NotCovered.
+CELLS = np.array(list(Region), dtype=object)
+NOT_COVERED_CODE = len(_PREDICATES)
+
+
+def cell_codes(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The cell code of every row of validated columns, the rows past
+    :data:`~pairhull.core.COLUMN_MAX` excepted: the index of the first cell
+    whose system holds, as in :func:`classify`."""
+    holds = [elementwise(pred)(cols, tol) for _, pred in _PREDICATES]
+    return np.select(holds, np.arange(len(holds)), NOT_COVERED_CODE)
+
+
+def closure_columns(cols: HullColumns, region: Region, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """:func:`region_closure_contains` on every row of validated columns."""
+    return elementwise(_PREDICATE_OF[region])(cols, tol, True)
+
+
+def classify_batch(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """:func:`classify` on every row of an ``(n, 7)`` array in
+    :data:`~pairhull.core.COORD_NAMES` order: an object array of
+    :class:`Region`.  Raises the error of :func:`classify` for the first
+    row outside the ambient domain.  Batches below
+    :data:`~pairhull.core.COLUMN_MIN_ROWS` rows are classified row by row."""
+    cols = HullColumns(rows)
+    if cols.row_by_row():
+        return np.array([classify(p, tol) for p in cols.points()], dtype=object)
+    with np.errstate(all="ignore"):
+        validate_columns(cols, tol)
+        tags = CELLS[cell_codes(cols, tol)]
+    for i in np.flatnonzero(cols.scalar_rows()):
+        tags[i] = classify(cols.point(i), tol)
+    return tags
 
 
 def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:

@@ -1,0 +1,173 @@
+"""The batch functions against the scalar reference, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+import pairhull.core
+from pairhull import hull
+from pairhull.core import COLUMN_MAX, HullPoint
+from pairhull.errors import NotInAmbientBox
+from pairhull.hull import member_batch, member_hull
+from pairhull.oracle import _sample_hull_array, _sample_separable_array
+from pairhull.regions import NOT_COVERED_CODE, Region, classify, classify_batch
+from pairhull.verify import (
+    _candidate_region_point,
+    ctilde_margin_points,
+    family_touch_points,
+    sample_ctilde_points,
+    shrunken_nonmembers,
+)
+
+
+def _rows(points) -> np.ndarray:
+    return np.array([p.coords() for p in points])
+
+
+def _scaled(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(x, X) -> (t x, t^2 X) per row, z fixed."""
+    out = rows.copy()
+    out[:, :2] *= t[:, None]
+    out[:, 2:5] *= (t * t)[:, None]
+    return out
+
+
+def _gate_rows(n: int, seed: int) -> dict[str, np.ndarray]:
+    """Every verify sampler, indicator-edge points, band-jittered points
+    (uncovered corners among them), points with z1 + z2 near 1 and a
+    scaled copy of all of them with t log-uniform in [1e-3, 1e3]."""
+    rng = np.random.default_rng(seed)
+    sets = {
+        "ctilde": _rows(sample_ctilde_points(rng, n)),
+        "margin": _rows(ctilde_margin_points(rng, n // 4)),
+        "shrunken": _rows(shrunken_nonmembers(rng, n)),
+        "touch": _rows(
+            [p for fam in ("II", "III", "V") for p in family_touch_points(rng, n // 3, fam)]
+        ),
+        "separable": _sample_separable_array(rng, n, 2.0, 4.0),
+    }
+    for k in range(1, 9):
+        sets[f"hull{k}"] = _sample_hull_array(rng, n // 4, k, 2.0)
+    edge = sets["separable"].copy()
+    edge[: n // 2, 5] = 0.0
+    edge[n // 2 :, 6] = 0.0
+    sets["edge"] = edge
+    band = np.concatenate([sets["touch"], sets["shrunken"]])
+    hit = rng.integers(0, 7, len(band))
+    band[np.arange(len(band)), hit] += rng.choice([-2e-9, -1e-9, 1e-9, 2e-9], len(band))
+    band[:, 5:] = np.clip(band[:, 5:], 0.0, 1.0)
+    sets["band"] = np.maximum(band, 0.0)
+    w0 = sets["ctilde"].copy()
+    w0[:, 6] = np.clip(1.0 - w0[:, 5] + rng.choice([0.0, 1e-10, 1e-9, 1e-8], n), 0.0, 1.0)
+    sets["w0"] = w0
+    every = np.concatenate(list(sets.values()))
+    sets["scaled"] = _scaled(every, np.exp(rng.uniform(math.log(1e-3), math.log(1e3), len(every))))
+    return sets
+
+
+def _key(rep):
+    return (
+        rep.member,
+        rep.region,
+        rep.violated,
+        [(k, float(v).hex()) for k, v in rep.slacks.items()],
+        None if rep.W is None else rep.W.hex(),
+        rep.degenerate,
+    )
+
+
+def _assert_batch_equals_scalar(rows: np.ndarray) -> None:
+    tags = classify_batch(rows)
+    batch = member_batch(rows)
+    assert len(tags) == len(batch) == len(rows)
+    for i, row in enumerate(rows):
+        p = HullPoint.from_coords(row)
+        assert tags[i] is classify(p), (i, row.tolist())
+        assert _key(batch.report(i)) == _key(member_hull(p)), (i, row.tolist())
+
+
+@pytest.fixture(scope="module")
+def gate_rows() -> dict[str, np.ndarray]:
+    return _gate_rows(300, seed=41)
+
+
+class TestBitIdentity:
+    def test_every_sampler_listed_and_reversed(self, gate_rows):
+        for rows in gate_rows.values():
+            _assert_batch_equals_scalar(rows)
+            _assert_batch_equals_scalar(rows[::-1])
+
+    def test_gate_reaches_every_path(self, gate_rows):
+        rows = np.concatenate(list(gate_rows.values()))
+        batch = member_batch(rows)
+        cells = np.bincount(batch.cell, minlength=NOT_COVERED_CODE + 1)
+        assert (cells > 0).all()  # R1..R8 and uncovered corners
+        assert set(batch.region) == set(Region)
+        assert {"I.persp1", "edge.product"} <= set(
+            name for names in batch.names[batch.cell == 0] for name in names
+        )
+        assert (~batch.member).any() and not batch.errors
+
+    def test_shuffled_batch_decides_each_row_alike(self, gate_rows):
+        rows = gate_rows["scaled"]
+        order = np.random.default_rng(3).permutation(len(rows))
+        whole, shuffled = member_batch(rows), member_batch(rows[order])
+        for j, i in enumerate(order[:500]):
+            assert _key(shuffled.report(j)) == _key(whole.report(i))
+
+    def test_small_batches_go_row_by_row_with_the_same_reports(self, gate_rows, monkeypatch):
+        rows = gate_rows["band"][:40]
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
+        columns = member_batch(rows)
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 10**9)
+        by_rows = member_batch(rows)
+        for i in range(len(rows)):
+            assert _key(columns.report(i)) == _key(by_rows.report(i))
+        assert [t.value for t in classify_batch(rows)] == [
+            classify(HullPoint.from_coords(r)).value for r in rows
+        ]
+
+    def test_rows_past_column_max_take_the_scalar_path(self):
+        rows = _rows(sample_ctilde_points(np.random.default_rng(5), 80))
+        rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), 1e40))
+        assert (np.abs(rows) > COLUMN_MAX).any(axis=1).sum() > 0
+        _assert_batch_equals_scalar(rows)
+
+    def test_empty_batch(self):
+        assert len(member_batch(np.empty((0, 7)))) == 0
+        assert len(classify_batch(np.empty((0, 7)))) == 0
+
+
+class TestBadRows:
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_row_outside_the_box_raises_the_scalar_error(self, n):
+        rows = _rows(sample_ctilde_points(np.random.default_rng(6), n))
+        rows[n // 2, 0] = -1.0
+        with pytest.raises(NotInAmbientBox) as scalar:
+            member_hull(HullPoint.from_coords(rows[n // 2]))
+        for fn in (member_batch, classify_batch):
+            with pytest.raises(NotInAmbientBox) as batch:
+                fn(rows)
+            assert str(batch.value) == str(scalar.value)
+
+    def test_wrong_shape_is_rejected(self):
+        with pytest.raises(ValueError):
+            member_batch(np.zeros((3, 6)))
+
+    def test_degenerate_w_takes_the_oracle_fallback(self, monkeypatch):
+        # W = 0 provably lands in R6 (see test_hull); force the R8 route in
+        # both paths, as the scalar test does
+        z1, z2, x1, x2 = 0.7, 0.6, 0.3, 1.0
+        X22 = x2 * x2 * (1 - 1e-13) / (1 - z1)
+        X12 = 0.5 * x1 * x2 * (z1 + z2 - 1) / (z1 * z2)
+        w_zero = (x1, x2, 5.0, X12, X22, z1, z2)
+        r8 = _candidate_region_point(np.random.default_rng(8), Region.R8)
+        rows = np.array([w_zero] + [r8.coords()] * 70)
+        monkeypatch.setattr(hull, "classify", lambda q, tol: Region.R8)
+        monkeypatch.setattr(hull, "cell_codes", lambda cols, tol: np.full(len(cols), 7))
+        batch = member_batch(rows)
+        rep = batch.report(0)
+        assert rep.degenerate and rep.W is None and rep.member
+        assert _key(rep) == _key(member_hull(HullPoint(*w_zero)))
+        assert not batch.degenerate[1:].any() and not np.isnan(batch.W[1:]).any()

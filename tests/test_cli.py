@@ -1,12 +1,19 @@
 import io
 import json
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pairhull import cli
 from pairhull.cli import _point_record, main
 from pairhull.oracle import ORACLE_CHUNK
-from pairhull.verify import ctilde_margin_points
+from pairhull.verify import ctilde_margin_points, shrunken_nonmembers
 
 R4_LINE = '{"x":[0.1,1],"X":[[1,1.2],[1.2,2.5]],"z":[0.5,0.5]}'
 R1_LINE = '{"x":[0.5,0.5],"X":[[0.5,0.5],[0.5,0.5]],"z":[0.5,0.5]}'
@@ -111,6 +118,136 @@ class TestMemberOracleChunks:
         code, _ = run_cli(["classify"], text)
         assert code == 2 and err == capsys.readouterr().err
         assert err.startswith("error: line 6: invalid JSON")
+
+
+STREAM_COMMANDS = [["classify"], ["member"], ["member", "--report"], ["separate"]]
+BAD_LINES = [
+    "{not json}",
+    '{"x":[-1,1],"X":[[1,0],[0,1]],"z":[0.5,0.5]}',
+    '{"x":[0.1,1],"X":[[1,1.3],[1.2,2.5]],"z":[0.5,0.5]}',
+    '{"x":[true,0.5],"X":[[1,0],[0,1]],"z":[0.5,0.5]}',
+    '{"x":[0.1,1],"X":[[1,1.2]],"z":[0.5,0.5]}',
+]
+
+
+def _long_stream() -> list[str]:
+    """Over 1000 lines: relaxation and cut-heavy points plus lines that
+    leave the fast parse (integer coordinates, CRLF, blank, outside the
+    relaxation)."""
+    lines = _margin_lines(520, seed=33)
+    pts = shrunken_nonmembers(np.random.default_rng(34), 500)
+    lines += [json.dumps(_point_record(p)) for p in pts]
+    for at, extra in ((7, R1_LINE), (300, R4_LINE + "\r"), (600, ""), (900, OUTSIDE_LINE)):
+        lines.insert(at, extra)
+    return lines
+
+
+class TestStreamChunks:
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return _long_stream()
+
+    @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
+    def test_long_stream_equals_one_line_runs(self, argv, stream):
+        text = "\n".join(stream) + "\n"
+        assert len(stream) > 1000 and len(text) > 2 * cli.READ_SIZE
+        code, out = run_cli(argv, text)
+        assert code == 0
+        singles = [run_cli(argv, line + "\n") for line in stream if line]
+        assert out == "".join(o for _, o in singles)
+
+    @pytest.mark.parametrize("bad", BAD_LINES)
+    @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
+    def test_bad_line_mid_chunk_answers_the_lines_before_it(self, argv, bad, capsys):
+        lines = _margin_lines(200, seed=35)
+        lines.insert(150, bad)
+        code, out = run_cli(argv, "\n".join(lines) + "\n")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert out == run_cli(argv, "\n".join(lines[:150]) + "\n")[1]
+        assert len(out.splitlines()) == 150
+        run_cli(argv, bad + "\n")
+        alone = capsys.readouterr().err
+        assert alone.startswith("error: line 1: ")
+        assert err == alone.replace("line 1:", "line 151:", 1)
+
+    def test_error_of_a_decision_answers_the_lines_before_it(self, monkeypatch):
+        # an uncovered corner (the "uncovered" pin of test_separation) takes
+        # the scalar path inside the batch; make its decision raise there
+        from pairhull import hull
+        from pairhull.errors import NumericallyDegenerate
+
+        corner = {"x": [0.0023614562234584202, 0.0018389504695006781],
+                  "X": [[3.303684937974451e-05, 3.261422087943452e-05],
+                        [3.261422087943452e-05, 1.785549495622005e-05]],
+                  "z": [0.28771104292453, 0.4770477567323037]}
+        lines = _margin_lines(100, seed=37)
+        lines.insert(70, json.dumps(corner))
+
+        def fail(p, tol):
+            raise NumericallyDegenerate("forced")
+
+        monkeypatch.setattr(hull, "_decide_uncovered", fail)
+        out = io.StringIO()
+        with pytest.raises(NumericallyDegenerate):
+            main(["member"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+        assert out.getvalue() == run_cli(["member"], "\n".join(lines[:70]) + "\n")[1]
+
+    @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
+    def test_binary_stdin_and_tiny_reads(self, argv, monkeypatch):
+        # a binary buffer read with read1, CRLF line ends and a multibyte
+        # character that reads of 7 bytes split
+        lines = _margin_lines(80, seed=36)
+        lines[3] = lines[3][:-1] + ', "note": "\u00e9\u00e8"}'
+        text = "\r\n".join(lines) + "\r\n"
+        expected = run_cli(argv, "\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "READ_SIZE", 7)
+        for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")):
+            out = io.StringIO()
+            assert (main(argv, stdin=stdin, stdout=out), out.getvalue()) == expected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _answer(fd: int, deadline: float) -> bytes:
+    """One line of output, or a failure once the deadline passes."""
+    buf = b""
+    while not buf.endswith(b"\n"):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            raise AssertionError(f"no answer in time; got {buf!r}")
+        data = os.read(fd, 1 << 16)
+        if not data:
+            raise AssertionError(f"output closed; got {buf!r}")
+        buf += data
+    return buf
+
+
+class TestPipe:
+    @pytest.mark.parametrize("argv", [["member"], ["member", "--oracle"]], ids=" ".join)
+    def test_each_line_is_answered_before_the_next_is_written(self, argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        with subprocess.Popen(
+            [sys.executable, "-m", "pairhull", *argv],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        ) as proc:
+            try:
+                for line in (R4_LINE, R1_LINE, R4_LINE):
+                    proc.stdin.write(line.encode() + b"\n")
+                    proc.stdin.flush()
+                    got = _answer(proc.stdout.fileno(), time.monotonic() + 60.0)
+                    assert got.decode() == run_cli(argv, line + "\n")[1]
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
 
 
 class TestSeparate:

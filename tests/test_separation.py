@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import pairhull.core
 from pairhull import (
     HullPoint,
     Region,
     classify,
+    classify_batch,
     in_relaxation_ctilde,
+    member_batch,
     member_hull,
     psd_support_cut,
     q_gradient,
@@ -338,12 +341,25 @@ class TestPinnedClosedForm:
         "coords, report, slacks, outcome", [pin[1:] for pin in CLOSED_FORM_PINS],
         ids=[pin[0] for pin in CLOSED_FORM_PINS],
     )
-    def test_outputs_bit_for_bit(self, coords, report, slacks, outcome):
+    def test_outputs_bit_for_bit(self, coords, report, slacks, outcome, monkeypatch):
+        # the batch functions decide all pins at once, listed and reversed,
+        # on columns (13 rows are below the row-by-row threshold)
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
+        rows = np.array([pin[1] for pin in CLOSED_FORM_PINS])
+        row = [pin[1] for pin in CLOSED_FORM_PINS].index(coords)
+        mirror = len(rows) - 1 - row
         p = HullPoint(*coords)
-        rep = member_hull(p)
-        w = None if rep.W is None else rep.W.hex()
-        assert (rep.member, rep.region.value, rep.violated, w, rep.degenerate) == report
-        assert " ".join(f"{k}={v.hex()}" for k, v in rep.slacks.items()) == slacks
+        reports = [
+            member_hull(p),
+            member_batch(rows).report(row),
+            member_batch(rows[::-1]).report(mirror),
+        ]
+        for rep in reports:
+            w = None if rep.W is None else rep.W.hex()
+            assert (rep.member, rep.region.value, rep.violated, w, rep.degenerate) == report
+            assert " ".join(f"{k}={v.hex()}" for k, v in rep.slacks.items()) == slacks
+        assert classify_batch(rows)[row].value == report[1]
+        assert classify_batch(rows[::-1])[mirror].value == report[1]
         res = separate(p)
         words = ["inside" if res.inside else "cut", res.region.value]
         if not res.inside:
