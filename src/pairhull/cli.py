@@ -159,17 +159,13 @@ def _parse_line(line: str, lineno: int, tol: Tolerances) -> HullPoint:
 _scan = json.JSONDecoder().scan_once
 
 
-def _parse_chunk(
-    lines: list[str], lineno: int, tol: Tolerances
-) -> tuple[np.ndarray, InputError | None]:
-    """The points of the lines up to the first bad one, as ``(m, 7)`` rows,
-    and the error of that line.
-
-    Records of the usual shape (eight floats, checked together) take a fast
-    path; from the first line that does not fit it, :func:`_parse_line`
-    decides line by line, so every error is the one it raises."""
+def _fast_rows(lines: list[str], tol: Tolerances) -> tuple[np.ndarray, int]:
+    """Rows of the leading records of the usual shape (an object with
+    "x", "X" and "z" holding eight floats) that pass every check of
+    :func:`_parse_point`, checked together, and the index of the first
+    line they do not cover."""
     flat: list = []
-    starts: list[int] = []  # index in ``lines`` of each fast record
+    starts: list[int] = []  # index in ``lines`` of each record
     resume = len(lines)
     for i, line in enumerate(lines):
         line = line.strip()
@@ -197,20 +193,31 @@ def _parse_chunk(
         flat += X1
         flat += z
         starts.append(i)
-    good = 0
-    if starts and set(map(type, flat)) == {float}:
-        vals = np.array(flat).reshape(len(starts), 8)
-        rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
-        with np.errstate(invalid="ignore"):
-            ok = (
-                np.isfinite(vals).all(axis=1)
-                & ~_asymmetric(vals[:, 3], vals[:, 4], tol)
-                & in_ambient_box(HullColumns(rows), tol)
-            )
-        good = len(starts) if ok.all() else int(np.argmin(ok))
-    if good < len(starts):
-        resume = starts[good]
-    parsed = [rows[:good]] if good else []
+    if not starts or set(map(type, flat)) != {float}:
+        return _stack([]), starts[0] if starts else resume
+    vals = np.array(flat).reshape(len(starts), 8)
+    rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
+    with np.errstate(invalid="ignore"):
+        ok = (
+            np.isfinite(vals).all(axis=1)
+            & ~_asymmetric(vals[:, 3], vals[:, 4], tol)
+            & in_ambient_box(HullColumns(rows), tol)
+        )
+    if ok.all():
+        return rows, resume
+    good = int(np.argmin(ok))
+    return rows[:good], starts[good]
+
+
+def _parse_chunk(
+    lines: list[str], lineno: int, tol: Tolerances
+) -> tuple[np.ndarray, InputError | None]:
+    """The points of the lines up to the first bad one, as ``(m, 7)`` rows,
+    and the error of that line.  Past the rows of :func:`_fast_rows`,
+    :func:`_parse_line` decides line by line, so every error is the one it
+    raises."""
+    rows, resume = _fast_rows(lines, tol)
+    parsed = [rows]
     for i in range(resume, len(lines)):
         line = lines[i].strip()
         if not line:
