@@ -148,9 +148,10 @@ class TestStreamChunks:
         return _long_stream()
 
     @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
-    def test_long_stream_equals_one_line_runs(self, argv, stream):
+    def test_long_stream_equals_one_line_runs(self, argv, stream, monkeypatch):
+        monkeypatch.setattr(cli, "READ_SIZE", 1 << 14)
         text = "\n".join(stream) + "\n"
-        assert len(stream) > 1000 and len(text) > 2 * cli.READ_SIZE
+        assert len(stream) > 1000 and len(text) > 10 * cli.READ_SIZE
         code, out = run_cli(argv, text)
         assert code == 0
         singles = [run_cli(argv, line + "\n") for line in stream if line]
