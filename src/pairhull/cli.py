@@ -273,23 +273,22 @@ def _member_record(rep: MembershipReport, report: bool) -> dict:
     return rec
 
 
-#: Line of a plain ``member`` record by (member, cell, slack names,
-#: violated slots), which determine it.
-_PLAIN_LINES: dict[tuple, str] = {}
-
-
 def _plain_member_lines(batch: MembershipBatch, n: int) -> str:
+    """The plain ``member`` records of the first n rows.  A record is
+    determined by (member, cell, slack names, violated slots), so each
+    distinct one is written once."""
     keys = zip(
         batch.member[:n].tolist(),
         batch.cell[:n].tolist(),
         batch.names[:n].tolist(),
         (batch.violated[:n] @ (1, 2, 4)).tolist(),
     )
+    lines: dict[tuple, str] = {}
     out = []
     for i, key in enumerate(keys):
-        line = _PLAIN_LINES.get(key)
+        line = lines.get(key)
         if line is None:
-            line = _PLAIN_LINES[key] = json.dumps(_member_record(batch.report(i), False)) + "\n"
+            line = lines[key] = json.dumps(_member_record(batch.report(i), False)) + "\n"
         out.append(line)
     return "".join(out)
 

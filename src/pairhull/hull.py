@@ -334,7 +334,7 @@ def _held(value) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)  # numpy columns have no truth value; batches compare by identity
 class MembershipBatch:
     """:func:`member_hull` on every row of a batch, as columns.
 
