@@ -11,10 +11,10 @@ conditional expressions ask one point a yes-or-no question.
 source with those four constructs made elementwise, and runs it with
 every package function it calls replaced by that function's column
 version.  The scalar function itself is untouched and keeps its
-short-circuits.  A closure guard whose scalar body branches on one point
-(a division with a 0/0 convention, a closed perspective with its +inf tag)
-registers a column body with :func:`column_version`; ``max``,
-``math.sqrt`` and ``math.isinf`` map to their numpy counterparts.
+short-circuits.  A function whose scalar body cannot run on columns (an
+``if`` on the point, a raise, an ``ExtReal`` result) registers a column
+body with :func:`column_version`; ``max``, ``math.sqrt`` and
+``math.isinf`` map to their numpy counterparts.
 
 A conditional expression whose test is a plain ``bool`` (a flag of the
 caller, such as ``closed``) still picks one branch, so a body may switch
