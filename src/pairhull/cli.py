@@ -203,7 +203,7 @@ def _fast_rows(lines: list[str], tol: Tolerances) -> tuple[np.ndarray, int]:
         ok = (
             np.isfinite(vals).all(axis=1)
             & ~_asymmetric(vals[:, 3], vals[:, 4], tol)
-            & in_ambient_box(HullColumns(rows), tol)
+            & in_ambient_box(HullColumns.of_rows(rows), tol)
         )
     if ok.all():
         return rows, resume

@@ -175,22 +175,25 @@ class HullColumns:
 
     __slots__ = ("table",) + COORD_NAMES
 
-    def __init__(self, rows, *, table: np.ndarray | None = None) -> None:
-        if table is None:
-            rows = np.asarray(rows, dtype=float)
-            if rows.ndim != 2 or rows.shape[1] != len(COORD_NAMES):
-                raise ValueError(f"expected an (n, 7) array of points, got shape {rows.shape}")
-            table = np.ascontiguousarray(rows.T)
+    def __init__(self, table: np.ndarray) -> None:
         self.table = table  # (7, n), one row per coordinate
         for name, col in zip(COORD_NAMES, table):
             setattr(self, name, col)
+
+    @staticmethod
+    def of_rows(rows) -> "HullColumns":
+        """The view of an ``(n, 7)`` array of points."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != len(COORD_NAMES):
+            raise ValueError(f"expected an (n, 7) array of points, got shape {rows.shape}")
+        return HullColumns(np.ascontiguousarray(rows.T))
 
     def __len__(self) -> int:
         return self.table.shape[1]
 
     def take(self, idx) -> "HullColumns":
         """The view of the rows ``idx`` (indices or a mask)."""
-        return HullColumns(None, table=self.table[:, idx])
+        return HullColumns(self.table[:, idx])
 
     def row_by_row(self) -> bool:
         """Whether the batch is below :data:`COLUMN_MIN_ROWS`."""

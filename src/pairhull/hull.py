@@ -449,7 +449,7 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     :func:`member_hull` for the first row outside the ambient domain; the
     errors of single rows are reported in ``errors``.
     """
-    cols = HullColumns(rows)
+    cols = HullColumns.of_rows(rows)
     out = MembershipBatch.empty(len(cols))
     if cols.row_by_row():
         points = cols.points()

@@ -222,7 +222,7 @@ def classify_batch(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     :class:`Region`.  Raises the error of :func:`classify` for the first
     row outside the ambient domain.  Batches below
     :data:`~pairhull.core.COLUMN_MIN_ROWS` rows are classified row by row."""
-    cols = HullColumns(rows)
+    cols = HullColumns.of_rows(rows)
     if cols.row_by_row():
         return np.array([classify(p, tol) for p in cols.points()], dtype=object)
     with np.errstate(all="ignore"):
