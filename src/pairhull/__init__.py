@@ -53,11 +53,13 @@ from .regions import (
 )
 from .separation import (
     Cut,
+    SeparationBatch,
     SeparationResult,
     psd_support_cut,
     q_gradient,
     q_value,
     separate,
+    separate_batch,
     taylor_cut,
 )
 
@@ -71,6 +73,7 @@ __all__ = [
     "HullColumns",
     "HullPoint",
     "MembershipBatch",
+    "SeparationBatch",
     "MembershipReport",
     "OracleWitness",
     "PartitionAuditReport",
@@ -105,6 +108,7 @@ __all__ = [
     "sample_hull",
     "sample_separable_relaxation",
     "separate",
+    "separate_batch",
     "taylor_cut",
     "validate_point",
 ]

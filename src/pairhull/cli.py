@@ -28,8 +28,8 @@ from .core import (
 from .errors import NotInAmbientBox, PairhullError
 from .hull import MembershipBatch, MembershipReport, member_batch
 from .oracle import oracle_members
-from .regions import classify_batch
-from .separation import Cut, separate
+from .regions import CELLS, classify_batch
+from .separation import SeparationBatch, separate_batch
 from .verify import SUITES
 
 #: Characters (of a text stream) or bytes (of a binary stdin) asked of one
@@ -38,6 +38,11 @@ from .verify import SUITES
 #: (``read1`` returns what has arrived).  A full read holds about 5000
 #: lines, over which the batch's fixed cost of about 0.3 ms spreads.
 READ_SIZE = 1 << 20
+#: Rows of a ``separate`` chunk whose records are formatted together.
+#: Their text (about 75 kB) stays small: with slices of 256 rows a
+#: stream of cuts returned heap to the system on each call, and the next
+#: command faulted about 4 MB back in.
+WRITE_ROWS = 128
 
 
 class InputError(Exception):
@@ -102,18 +107,21 @@ def _point_record(p: HullPoint) -> dict:
     }
 
 
-def _cut_record(cut: Cut, region) -> dict:
+def _cut_record(coeffs, constant, touch: HullPoint, region: str) -> dict:
     return {
-        "coeffs": dict(zip(COORD_NAMES, (float(c) for c in cut.coeffs))),
-        "constant": cut.constant,
-        "touch": _point_record(cut.touch),
-        "region": region.value,
+        "coeffs": dict(zip(COORD_NAMES, coeffs)),
+        "constant": constant,
+        "touch": _point_record(touch),
+        "region": region,
     }
 
 
+def _dumps(obj, pretty: bool) -> str:
+    return json.dumps(obj, indent=2 if pretty else None) + "\n"
+
+
 def _dump(obj, out: TextIO, pretty: bool) -> None:
-    out.write(json.dumps(obj, indent=2 if pretty else None))
-    out.write("\n")
+    out.write(_dumps(obj, pretty))
 
 
 def _reads(stream) -> Iterator[str]:
@@ -332,19 +340,56 @@ def _answer_oracle(
         _dump(rec, stdout, pretty)
 
 
+#: Columns of the numbers of a cut record, in the order the record writes
+#: them, in the row [coeffs, constant, touch] of a separation batch.
+_CUT_NUMBERS = list(range(8)) + [8 + COORD_NAMES.index(k) for k in (
+    "x1", "x2", "X11", "X12", "X12", "X22", "z1", "z2")]
+
+
+def _record_formats(pretty: bool) -> np.ndarray:
+    """The ``separate`` record of each cell code with a cut, as a format
+    whose %s slots take the numbers in :data:`_CUT_NUMBERS` order, and
+    the ``inside`` record last."""
+    hole = "%s"
+    touch = HullPoint(*[hole] * len(COORD_NAMES))
+    cuts = [
+        _dumps(_cut_record([hole] * len(COORD_NAMES), hole, touch, r.value), pretty)
+        .replace(f'"{hole}"', hole)
+        for r in CELLS
+    ]
+    return np.array(cuts + [_dumps({"inside": True}, pretty)], object)
+
+
+def _separate_lines(batch: SeparationBatch, lo: int, hi: int, formats: np.ndarray,
+                    pretty: bool) -> str:
+    """The ``separate`` records of rows lo..hi.  The numbers of all their
+    cuts are written by one ``json.dumps``, which spells every float as
+    the record's own ``json.dumps`` would."""
+    cut = batch.cuts()[lo:hi]
+    lines = formats[np.where(cut, batch.cell[lo:hi], len(formats) - 1)].tolist()
+    for i, exc in batch.errors.items():
+        if lo <= i < hi:
+            lines[i - lo] = _dumps({"error": type(exc).__name__}, pretty).replace("%", "%%")
+    text = "".join(lines)
+    if not cut.any():
+        return text
+    numbers = np.column_stack([batch.coeffs[lo:hi], batch.constant[lo:hi], batch.touch[lo:hi]])
+    return text % tuple(json.dumps(numbers[cut][:, _CUT_NUMBERS].ravel().tolist())[1:-1].split(", "))
+
+
 def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
+    formats = _record_formats(args.pretty)
     for rows in _read_rows(stdin, tol):
-        for row in rows.tolist():
-            try:
-                res = separate(HullPoint(*row), tol)
-            except PairhullError as exc:
-                _dump({"error": type(exc).__name__}, stdout, args.pretty)
-                continue
-            if res.inside:
-                _dump({"inside": True}, stdout, args.pretty)
-            else:
-                _dump(_cut_record(res.cut, res.region), stdout, args.pretty)
+        batch = separate_batch(rows, tol)
+        n = min(
+            (i for i, exc in batch.errors.items() if not isinstance(exc, PairhullError)),
+            default=len(batch),
+        )
+        for lo in range(0, n, WRITE_ROWS):
+            stdout.write(_separate_lines(batch, lo, min(lo + WRITE_ROWS, n), formats, args.pretty))
         stdout.flush()
+        if n < len(batch):
+            raise batch.errors[n]
     return 0
 
 

@@ -321,16 +321,24 @@ def ctilde_slacks(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> dict[str, floa
         "persp1": slack_minus(p.X11, persp_sq(p.x1, p.z1, tol)),
         "persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
         "shor": (p.X11 - p.x1 * p.x1) * (p.X22 - p.x2 * p.x2)
-        - (p.X12 - p.x1 * p.x2) ** 2,
+        - (p.X12 - p.x1 * p.x2) * (p.X12 - p.x1 * p.x2),
         "x12": p.X12,
     }
     return s
 
 
+def ctilde_holds(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether every slack of :func:`ctilde_slacks` clears -mem_tol (false
+    where a slack is NaN); the box is not checked."""
+    m = -tol.mem_tol
+    s = ctilde_slacks(p, tol)
+    return s["persp1"] >= m and s["persp2"] >= m and s["shor"] >= m and s["x12"] >= m
+
+
 def in_relaxation_ctilde(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Membership in the strengthened relaxation (within mem_tol)."""
     validate_point(p, tol)
-    return all(v >= -tol.mem_tol for v in ctilde_slacks(p, tol).values())
+    return ctilde_holds(p, tol)
 
 
 def in_separable_relaxation(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
+from .columns import column_version
 from .core import HullPoint
-from .errors import DegenerateGradient
 
 #: Separating family of each cell that carries one, keyed by the cell tag.
 FAMILY_BY_CELL = {"R3": "II", "R4": "II", "R5": "III", "R8": "V"}
@@ -57,6 +57,12 @@ def w_shift(p: HullPoint) -> float:
     return s - math.sqrt(max(arg, 0.0)) / p.x2
 
 
+def w_root_vanishes(p: HullPoint) -> bool:
+    """Whether the square-root term of the W shift vanishes at p, where W,
+    and so the family V gradient, is not differentiable."""
+    return math.sqrt(max(w_sqrt_arg(p)[2], 0.0)) <= 1e-12
+
+
 def q_value(family: str, p: HullPoint) -> float:
     """Boundary function of the given family ('II', 'III' or 'V') at p."""
     if family in ("II", "III"):
@@ -70,9 +76,23 @@ def q_value(family: str, p: HullPoint) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _gradient(*components: float) -> np.ndarray:
+    """The gradient vector of its seven components."""
+    return np.array(components)
+
+
+@column_version(_gradient)
+def _gradient_columns(*components) -> np.ndarray:
+    """The gradients of a batch as a (7, m) array; a constant component is
+    broadcast over the batch."""
+    return np.stack(np.broadcast_arrays(*components))
+
+
 def q_gradient(family: str, p: HullPoint) -> np.ndarray:
     """Analytic gradient of the family boundary function at p, in the
-    canonical coordinate order (x1, x2, X11, X12, X22, z1, z2)."""
+    canonical coordinate order (x1, x2, X11, X12, X22, z1, z2).  Family V
+    needs a W shift whose square-root term does not vanish (see
+    :func:`w_root_vanishes`)."""
     if family in ("II", "III"):
         z = shift_z(family, p)
         a, b, c = shifted_terms(family, p)
@@ -84,17 +104,13 @@ def q_gradient(family: str, p: HullPoint) -> np.ndarray:
             - 2.0 * c * _div0(p.x1 * p.x2, z * z)
         )
         gz1, gz2 = (0.0, gz) if family == "II" else (gz, 0.0)
-        return np.array([gx1, gx2, b, -2.0 * c, a, gz1, gz2])
+        return _gradient(gx1, gx2, b, -2.0 * c, a, gz1, gz2)
 
     if family != "V":
         raise ValueError(f"unknown family {family!r}")
 
     s, d, arg = w_sqrt_arg(p)
     r = math.sqrt(max(arg, 0.0))
-    if r <= 1e-12:
-        raise DegenerateGradient(
-            "square-root term of the W shift is nondifferentiable here"
-        )
     w = w_shift(p)
     k = p.X12 * p.z1 * p.z2
     g = k / w - p.x1 * p.x2
@@ -127,7 +143,7 @@ def q_gradient(family: str, p: HullPoint) -> np.ndarray:
         - 2.0 * s * g * dg_dz1
     )
     gz2 = -p.z1 * a1 * x2sq - g * g - 2.0 * s * g * dg_dz2
-    return np.array([gx1, gx2, gX11, gX12, gX22, gz1, gz2])
+    return _gradient(gx1, gx2, gX11, gX12, gX22, gz1, gz2)
 
 
 def x11_slope(family: str, p: HullPoint) -> float:

@@ -449,7 +449,11 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     :func:`member_hull` for the first row outside the ambient domain; the
     errors of single rows are reported in ``errors``.
     """
-    cols = HullColumns.of_rows(rows)
+    return member_columns(HullColumns.of_rows(rows), tol)
+
+
+def member_columns(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
+    """:func:`member_batch` on a column view."""
     out = MembershipBatch.empty(len(cols))
     if cols.row_by_row():
         points = cols.points()

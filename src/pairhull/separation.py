@@ -10,15 +10,19 @@ first-order Taylor expansion of q there is a violated supporting cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .columns import elementwise
 from .core import (
     DEFAULT_TOL,
+    HullColumns,
     HullPoint,
     Tolerances,
+    ctilde_holds,
     in_relaxation_ctilde,
+    validate_columns,
     validate_point,
 )
 from .errors import (
@@ -26,6 +30,7 @@ from .errors import (
     InputOutsideCtilde,
     NotOnBoundary,
     NumericallyDegenerate,
+    PairhullError,
     SeparationInvariantError,
     StrictDomainViolated,
 )
@@ -33,12 +38,13 @@ from .families import (
     FAMILY_BY_CELL,
     q_gradient,
     q_value,
+    w_root_vanishes,
     w_shift,
     x11_root,
     x11_slope,
 )
-from .hull import MembershipReport, member_hull
-from .regions import Region, region_closure_contains
+from .hull import MembershipReport, member_columns, member_hull
+from .regions import CELLS, Region, region_closure_contains
 
 
 @dataclass(frozen=True)
@@ -86,13 +92,27 @@ def taylor_cut(region: Region, touch: HullPoint, tol: Tolerances = DEFAULT_TOL) 
     return _family_cut(family, touch, tol)
 
 
-def _family_cut(family: str, touch: HullPoint, tol: Tolerances) -> Cut:
-    q0 = q_value(family, touch)
+#: Largest gradient max-norm that counts as a vanished gradient.
+_FLAT_GRADIENT = 1e-12
+
+
+def _off_boundary(family: str, touch: HullPoint, tol: Tolerances) -> bool:
+    """Whether q misses zero at the touch point by more than the membership
+    band, relative to the size of the point."""
     scale = 1.0 + abs(touch.X11) * (1.0 + abs(touch.X22)) + touch.X12 * touch.X12
-    if abs(q0) > tol.mem_tol * scale:
+    return abs(q_value(family, touch)) > tol.mem_tol * scale
+
+
+def _family_cut(family: str, touch: HullPoint, tol: Tolerances) -> Cut:
+    if _off_boundary(family, touch, tol):
+        q0 = q_value(family, touch)
         raise ValueError(f"q(touch) = {q0} is not zero within tolerance")
+    if family == "V" and w_root_vanishes(touch):
+        raise DegenerateGradient(
+            "square-root term of the W shift is nondifferentiable here"
+        )
     grad = q_gradient(family, touch)
-    if float(np.max(np.abs(grad))) <= 1e-12:
+    if float(np.max(np.abs(grad))) <= _FLAT_GRADIENT:
         raise DegenerateGradient("boundary gradient vanished at the touch point")
     constant = -float(np.dot(grad, touch.coords()))
     return Cut(grad, constant, touch)
@@ -113,6 +133,12 @@ def _bump_X22(
     raise DegenerateGradient("no X22 perturbation preserves the cell constraints")
 
 
+def _shifted_on_bound(p: HullPoint, family: str, tol: Tolerances) -> bool:
+    """Whether the X11 coefficient of the family II/III boundary vanishes
+    within the band, which puts X22 on the perspective bound."""
+    return x11_slope(family, p) <= tol.eq_tol * (1.0 + abs(p.X22))
+
+
 def _touch_shifted(p: HullPoint, region: Region, family: str, tol: Tolerances) -> HullPoint:
     """Touching point for families II/III: bump X22 off the perspective
     boundary if needed, then solve the affine-in-X11 equation q = 0."""
@@ -121,17 +147,34 @@ def _touch_shifted(p: HullPoint, region: Region, family: str, tol: Tolerances) -
         return q_value(family, c) < -tol.eq_tol
 
     base = p
-    if x11_slope(family, p) <= tol.eq_tol * (1.0 + abs(p.X22)):
+    if _shifted_on_bound(p, family, tol):
         base = _bump_X22(p, region, violated, tol)
     if x11_slope(family, base) <= 0.0:
         raise DegenerateGradient("X11 coefficient of the boundary is not positive")
     return replace(base, X11=x11_root(family, base))
 
 
+def _weighted_out_of_reach(p: HullPoint, tol: Tolerances) -> bool:
+    """Whether family V has no closed-form touch point: it needs z2 < 1 and
+    x2 > 0."""
+    return p.z2 >= 1.0 - 1e-9 or p.x2 <= tol.eq_tol
+
+
+def _weighted_on_bound(p: HullPoint, tol: Tolerances) -> bool:
+    """Whether X22 sits on its perspective bound within the band."""
+    return p.X22 * p.z2 - p.x2 * p.x2 <= tol.eq_tol * (1.0 + abs(p.X22))
+
+
+def _weighted_flat(p: HullPoint, tol: Tolerances) -> bool:
+    """Whether W or the X11 coefficient of family V fails to clear the zero
+    band."""
+    return w_shift(p) <= tol.eq_tol or x11_slope("V", p) <= tol.eq_tol
+
+
 def _touch_weighted(p: HullPoint, tol: Tolerances) -> HullPoint:
     """Touching point for family V (cell R8)."""
     e = tol.eq_tol
-    if p.z2 >= 1.0 - 1e-9 or p.x2 <= e:
+    if _weighted_out_of_reach(p, tol):
         raise NumericallyDegenerate(
             "family V needs z2 < 1 and x2 > 0; no closed-form cut here"
         )
@@ -140,14 +183,27 @@ def _touch_weighted(p: HullPoint, tol: Tolerances) -> HullPoint:
         return w_shift(c) > e and q_value("V", c) < -e
 
     base = p
-    if p.X22 * p.z2 - p.x2 * p.x2 <= e * (1.0 + abs(p.X22)):
+    if _weighted_on_bound(p, tol):
         base = _bump_X22(p, Region.R8, still_ok, tol)
-    w = w_shift(base)
-    if w <= e:
-        raise NumericallyDegenerate(f"W = {w} is not positive")
-    if x11_slope("V", base) <= e:
-        raise NumericallyDegenerate("degenerate X11 coefficient in family V")
+    if _weighted_flat(base, tol):
+        raise NumericallyDegenerate(
+            f"W = {w_shift(base)} or the X11 coefficient of family V is not positive"
+        )
     return replace(base, X11=x11_root("V", base))
+
+
+def _plain_touch(p: HullPoint, family: str, tol: Tolerances) -> bool:
+    """Whether the touch point of family II, III or V is the X11 root at p
+    itself: no X22 bump and no guard of the touch functions.  (Without the
+    bump the II/III X11 coefficient clears the band, so the positive-
+    coefficient guard of :func:`_touch_shifted` cannot fire.)"""
+    if family == "V":
+        return not (
+            _weighted_out_of_reach(p, tol)
+            or _weighted_on_bound(p, tol)
+            or _weighted_flat(p, tol)
+        )
+    return not _shifted_on_bound(p, family, tol)
 
 
 def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
@@ -171,12 +227,17 @@ def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
     return _touch_shifted(base, Region.R1, family, tol), family
 
 
+_OUTSIDE_CTILDE = "separation input must satisfy the relaxation"
+#: The violated systems a family cell may report for a cut.
+_CUT_SYSTEMS = frozenset({"II.product", "III.product", "V.W-ineq", "edge.product"})
+
+
 def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     """Decide membership for a relaxation point; emit a violated supporting
     cut (unit max-norm) when the point is outside the hull."""
     validate_point(p, tol)
     if not in_relaxation_ctilde(p, tol):
-        raise InputOutsideCtilde("separation input must satisfy the relaxation")
+        raise InputOutsideCtilde(_OUTSIDE_CTILDE)
     report: MembershipReport = member_hull(p, tol)
     region = report.region
     if report.member:
@@ -201,10 +262,7 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
 
     family = FAMILY_BY_CELL.get(region.value)
     if family is not None:
-        expected = {"II.product", "III.product", "V.W-ineq"}
-        if set(report.violated) and not set(report.violated) <= expected | {
-            "edge.product"
-        }:
+        if not set(report.violated) <= _CUT_SYSTEMS:
             raise SeparationInvariantError(
                 f"unexpected violations {report.violated} in cell {region.value}"
             )
@@ -225,6 +283,167 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     if cut.evaluate(p) >= 0.0:
         raise SeparationInvariantError("constructed cut fails to separate the query")
     return SeparationResult(False, cut, region)
+
+
+#: Code of each region in :data:`~pairhull.regions.CELLS`.
+_CODE_OF = {region: code for code, region in enumerate(CELLS)}
+#: Separating family of each cell code, "" for the cells without one.
+_FAMILY_OF_CODE = np.array([FAMILY_BY_CELL.get(r.value, "") for r in CELLS])
+
+
+@dataclass(eq=False)  # numpy columns have no truth value; batches compare by identity
+class SeparationBatch:
+    """:func:`separate` on every row of a batch, as columns.
+
+    ``inside`` is the decision and ``cell`` the code of the region in
+    :data:`~pairhull.regions.CELLS`.  The rows with a cut hold it in
+    ``coeffs`` (n, 7), ``constant`` and ``touch`` (n, 7), in
+    :data:`~pairhull.core.COORD_NAMES` order; the other rows hold NaN.
+    ``errors`` maps the rows whose separation raised to the error, and
+    :meth:`result` rebuilds one row's result.
+    """
+
+    inside: np.ndarray
+    cell: np.ndarray
+    coeffs: np.ndarray
+    constant: np.ndarray
+    touch: np.ndarray
+    errors: dict[int, Exception] = field(default_factory=dict)
+
+    @classmethod
+    def empty(cls, n: int) -> "SeparationBatch":
+        return cls(
+            np.zeros(n, bool),
+            np.zeros(n, np.intp),
+            np.full((n, 7), np.nan),
+            np.full(n, np.nan),
+            np.full((n, 7), np.nan),
+        )
+
+    def __len__(self) -> int:
+        return len(self.inside)
+
+    def cuts(self) -> np.ndarray:
+        """Mask of the rows with a cut."""
+        mask = ~self.inside
+        mask[list(self.errors)] = False
+        return mask
+
+    def result(self, i: int) -> SeparationResult:
+        """Row i as the :class:`SeparationResult` of :func:`separate`;
+        raises the row's error if its separation raised."""
+        if i in self.errors:
+            raise self.errors[i]
+        region = CELLS[self.cell[i]]
+        if self.inside[i]:
+            return SeparationResult(True, None, region)
+        touch = HullPoint.from_coords(self.touch[i])
+        return SeparationResult(
+            False, Cut(self.coeffs[i].copy(), float(self.constant[i]), touch), region
+        )
+
+    def _store(self, i: int, res: SeparationResult) -> None:
+        self.inside[i] = res.inside
+        self.cell[i] = _CODE_OF[res.region]
+        if res.cut is not None:
+            self.coeffs[i] = res.cut.coeffs
+            self.constant[i] = res.cut.constant
+            self.touch[i] = res.cut.touch.coords()
+
+
+def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
+    """:func:`separate` on every row of an ``(n, 7)`` array in
+    :data:`~pairhull.core.COORD_NAMES` order, bit for bit.
+
+    One :func:`~pairhull.hull.member_batch` decides membership; the touch
+    points, gradients, normalization and violation check of the family
+    II, III and V cuts run on columns.  The rows the columns do not settle
+    go through :func:`separate` one by one, which gives their result or
+    error: uncovered corners, rows the oracle decided, indicator edges,
+    touch points that need an X22 bump, rows where a guard of the touch
+    point or the cut fires and rows past :data:`~pairhull.core.COLUMN_MAX`;
+    so do all rows of a batch below :data:`~pairhull.core.COLUMN_MIN_ROWS`.
+    Raises the error of :func:`separate` for the first row outside the
+    ambient domain.
+    """
+    cols = HullColumns.of_rows(rows)
+    out = SeparationBatch.empty(len(cols))
+    if cols.row_by_row():
+        validate_columns(cols, tol)
+        scalar = np.ones(len(cols), bool)
+    else:
+        scalar = _separate_columns(cols, tol, out)
+    for i in np.flatnonzero(scalar):
+        try:
+            out._store(i, separate(cols.point(i), tol))
+        except (PairhullError, ArithmeticError, ValueError) as exc:
+            out.errors[int(i)] = exc
+    return out
+
+
+def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) -> np.ndarray:
+    """The column path of :func:`separate_batch`: fill ``out`` and return
+    the mask of the rows left to :func:`separate`."""
+    with np.errstate(all="ignore"):
+        validate_columns(cols, tol)
+        scalar = cols.scalar_rows()
+        relaxed = elementwise(ctilde_holds)(cols, tol)
+        for i in np.flatnonzero(~relaxed & ~scalar):
+            out.errors[int(i)] = InputOutsideCtilde(_OUTSIDE_CTILDE)
+        idx = np.flatnonzero(relaxed & ~scalar)
+        sub = cols.take(idx)
+        report = member_columns(sub, tol)
+        out.inside[idx] = report.member
+        out.cell[idx] = report.cell
+        # inside the relaxation no perspective bound is violated, so a
+        # family cell's non-member violates its product system alone and the
+        # invariant check of separate holds
+        family = _FAMILY_OF_CODE[report.cell]
+        left = ~report.member & (report.degenerate | (family == ""))
+        left[list(report.errors)] = True
+        for fam in ("II", "III", "V"):
+            j = np.flatnonzero((family == fam) & ~report.member & ~left)
+            if not j.size:
+                continue
+            off, coeffs, constant, touch = _cut_columns(fam, sub.take(j), tol)
+            left[j[off]] = True
+            rows = idx[j[~off]]
+            out.coeffs[rows] = coeffs[~off]
+            out.constant[rows] = constant[~off]
+            out.touch[rows] = touch[~off]
+        scalar[idx[left]] = True
+    return scalar
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a with the same row of b, each
+    rounded as :func:`numpy.dot` rounds one pair of vectors (a sum over an
+    axis rounds differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
+    """The unit max-norm cuts of family II, III or V at the rows ``p``,
+    as (off, coeffs, constant, touch).  ``off`` marks the rows where
+    :func:`separate` bumps X22 or a guard of the touch point, of
+    :func:`_family_cut`, of :class:`Cut` or the final violation check
+    fires; their other values are not the results."""
+    off = ~elementwise(_plain_touch)(p, family, tol)
+    table = p.table.copy()
+    table[2] = elementwise(x11_root)(family, p)
+    touch = HullColumns(table)
+    off |= elementwise(_off_boundary)(family, touch, tol)
+    if family == "V":
+        off |= elementwise(w_root_vanishes)(touch)
+    grad = np.ascontiguousarray(elementwise(q_gradient)(family, touch).T)
+    norm = np.max(np.abs(grad), axis=1)
+    off |= norm <= _FLAT_GRADIENT
+    touch_rows = np.ascontiguousarray(table.T)
+    constant = -_row_dots(grad, touch_rows) / norm
+    coeffs = grad / norm[:, None]
+    off |= np.max(np.abs(coeffs), axis=1) <= 0.0
+    off |= _row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant >= 0.0
+    return off, coeffs, constant, touch_rows
 
 
 def psd_support_cut(
@@ -277,6 +496,8 @@ def psd_support_cut(
 __all__ = [
     "Cut",
     "SeparationResult",
+    "SeparationBatch",
+    "separate_batch",
     "q_value",
     "q_gradient",
     "taylor_cut",

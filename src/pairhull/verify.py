@@ -22,7 +22,7 @@ from .core import (
 )
 from .errors import PairhullError
 from .families import FAMILY_BY_CELL, q_value, x11_root
-from .hull import member_hull
+from .hull import member_batch, member_hull
 from .oracle import (
     _sample_hull_array,
     _sample_s2_array,
@@ -30,7 +30,7 @@ from .oracle import (
     oracle_members,
 )
 from .regions import Region, classify, region_partition_audit
-from .separation import separate
+from .separation import separate_batch
 
 
 @dataclass
@@ -325,9 +325,13 @@ def run_cuts_suite(
     offender = None
     worst = math.inf
     cuts = []
-    for p in queries:
+    sep = separate_batch(np.array([p.coords() for p in queries]), tol)
+    made = sep.cuts()
+    touch = member_batch(sep.touch[made], tol)
+    touch_row = np.cumsum(made) - 1  # row of each query's touch point in ``touch``
+    for i, p in enumerate(queries):
         try:
-            res = separate(p, tol)
+            res = sep.result(i)
         except PairhullError as exc:
             failures += 1
             if offender is None:
@@ -338,7 +342,7 @@ def run_cuts_suite(
             or res.cut is None
             or res.cut.evaluate(p) >= -violation_floor
             or abs(res.cut.evaluate(res.cut.touch)) > violation_floor
-            or not member_hull(res.cut.touch, tol).member
+            or not touch.report(int(touch_row[i])).member
         )
         if bad:
             failures += 1

@@ -1,17 +1,21 @@
 """The batch functions against the scalar reference, bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairhull.core
 from pairhull import hull
 from pairhull.core import COLUMN_MAX, HullPoint
-from pairhull.errors import NotInAmbientBox
+from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
 from pairhull.oracle import _sample_hull_array, _sample_separable_array
 from pairhull.regions import NOT_COVERED_CODE, Region, classify, classify_batch
+from pairhull.separation import separate, separate_batch
 from pairhull.verify import (
     _candidate_region_point,
     ctilde_margin_points,
@@ -171,3 +175,135 @@ class TestBadRows:
         assert rep.degenerate and rep.W is None and rep.member
         assert _key(rep) == _key(member_hull(HullPoint(*w_zero)))
         assert not batch.degenerate[1:].any() and not np.isnan(batch.W[1:]).any()
+
+
+def _outcome(decide):
+    """What a separation gives: the error class, or inside and region plus
+    the cut's coefficients, constant and touch point as float.hex."""
+    try:
+        res = decide()
+    except (PairhullError, ArithmeticError, ValueError) as exc:
+        return ("error", type(exc).__name__)
+    if res.inside:
+        return ("inside", res.region.value)
+    cut = res.cut
+    values = (*cut.coeffs, cut.constant, *cut.touch.coords())
+    return ("cut", res.region.value, tuple(float(v).hex() for v in values))
+
+
+def _assert_separate_batch_equals_scalar(rows: np.ndarray) -> list:
+    batch = separate_batch(rows)
+    assert len(batch) == len(rows)
+    outcomes = []
+    for i, row in enumerate(rows):
+        scalar = _outcome(lambda: separate(HullPoint.from_coords(row)))
+        assert _outcome(lambda: batch.result(i)) == scalar, (i, row.tolist())
+        outcomes.append(scalar)
+    return outcomes
+
+
+class TestSeparateBatch:
+    def test_every_sampler_listed_reversed_and_shuffled(self, gate_rows):
+        order = np.random.default_rng(4)
+        seen = set()
+        for rows in gate_rows.values():
+            for batch in (rows, rows[::-1], rows[order.permutation(len(rows))]):
+                seen |= {o[:2] for o in _assert_separate_batch_equals_scalar(batch)}
+        # cuts of every family, member rows and the errors of scaled rows
+        assert {("cut", r) for r in ("R3", "R4", "R5", "R8")} <= seen
+        assert ("inside", "NotCovered") in seen
+        assert {("error", "InputOutsideCtilde"), ("error", "SeparationInvariantError")} <= seen
+
+    def test_bumped_edge_and_out_of_reach_rows_in_a_column_batch(self, monkeypatch):
+        # the R4 pin whose X22 sits on the perspective bound needs a bump;
+        # the two indicator-edge pins cut on an edge; an R8 row with
+        # z2 >= 1 - 1e-9 has no closed-form touch point.  No cell R8 point
+        # has such a z2, so that row is sent to R8 in both paths, as the
+        # oracle-fallback test does for W = 0
+        bump = (0.3, 0.8, 0.5, 0.7, 1.28, 0.7, 0.5)
+        edges = [(0.0, 0.8, 0.5, 0.6, 1.5, 0.0, 0.6), (0.8, 0.0, 1.5, 0.6, 0.5, 0.6, 0.0)]
+        near_one = (0.5, 1.0, 1.0, 0.0, 2.0, 0.7, 1.0 - 5e-10)
+        rows = _rows(shrunken_nonmembers(np.random.default_rng(9), 70))
+        rows = np.insert(rows, [10, 20, 30, 40], [bump, *edges, near_one], axis=0)
+        cells, codes = hull.classify, hull.cell_codes
+        monkeypatch.setattr(
+            hull, "classify",
+            lambda q, tol: Region.R8 if q.z2 >= 1.0 - 1e-9 else cells(q, tol),
+        )
+        monkeypatch.setattr(
+            hull, "cell_codes",
+            lambda c, tol: np.where(c.z2 >= 1.0 - 1e-9, 7, codes(c, tol)),
+        )
+        for batch in (rows, rows[::-1]):
+            _assert_separate_batch_equals_scalar(batch)
+        outcomes = _assert_separate_batch_equals_scalar(rows)
+        assert outcomes[10][:2] == ("cut", "R4")
+        assert outcomes[21][:2] == outcomes[32][:2] == ("cut", "R1")
+        assert outcomes[43] == ("error", "NumericallyDegenerate")
+        with pytest.raises(NumericallyDegenerate, match="z2 < 1"):
+            separate_batch(rows).result(43)
+
+    def test_small_batches_go_row_by_row_with_the_same_results(self, gate_rows, monkeypatch):
+        rows = np.concatenate([gate_rows["band"][:20], gate_rows["edge"][:20]])
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
+        columns = separate_batch(rows)
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 10**9)
+        by_rows = separate_batch(rows)
+        for i in range(len(rows)):
+            assert _outcome(lambda: columns.result(i)) == _outcome(lambda: by_rows.result(i))
+
+    def test_rows_past_column_max_take_the_scalar_path(self):
+        rows = _rows(shrunken_nonmembers(np.random.default_rng(10), 80))
+        rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), 1e40))
+        _assert_separate_batch_equals_scalar(rows)
+
+    @pytest.mark.parametrize("n", [3, 100])
+    def test_row_outside_the_box_raises_the_scalar_error(self, n):
+        rows = _rows(shrunken_nonmembers(np.random.default_rng(11), n))
+        rows[n // 2, 6] = 1.5
+        with pytest.raises(NotInAmbientBox) as scalar:
+            separate(HullPoint.from_coords(rows[n // 2]))
+        with pytest.raises(NotInAmbientBox) as batch:
+            separate_batch(rows)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_empty_batch(self):
+        batch = separate_batch(np.empty((0, 7)))
+        assert len(batch) == 0 and not batch.cuts().any()
+
+
+@st.composite
+def _ctilde_rows(draw):
+    """Rows of the separation input set built as sample_ctilde_points
+    builds them, each scaled by its own t in [1e-3, 1e3]."""
+    unit = st.floats(0.0, 1.0)
+    u = np.array(draw(st.lists(st.tuples(*[unit] * 8), min_size=8, max_size=32)))
+    x = 2.0 * u[:, :2]
+    z = 0.02 + 0.98 * u[:, 2:4]
+    X11 = x[:, 0] ** 2 / z[:, 0] + 3.0 * u[:, 4]
+    X22 = x[:, 1] ** 2 / z[:, 1] + 3.0 * u[:, 5]
+    cap = np.sqrt(np.maximum((X11 - x[:, 0] ** 2) * (X22 - x[:, 1] ** 2), 0.0))
+    X12 = np.maximum(x[:, 0] * x[:, 1] + (1.998 * u[:, 6] - 0.999) * cap, 0.0)
+    rows = np.column_stack([x, X11, X12, X22, z])
+    return _scaled(rows, 10.0 ** (6.0 * u[:, 7] - 3.0))
+
+
+class TestSeparateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_ctilde_rows())
+    def test_decisions_agree_and_cuts_separate(self, rows):
+        # inside agrees with member_batch, each cut is violated at its
+        # query and vanishes at its touch point; the batches are decided
+        # on columns however few their rows
+        with mock.patch.object(pairhull.core, "COLUMN_MIN_ROWS", 1):
+            batch = separate_batch(rows)
+            member = member_batch(rows).member
+        for i in range(len(rows)):
+            if i in batch.errors:
+                assert isinstance(batch.errors[i], PairhullError)
+                continue
+            assert batch.inside[i] == member[i]
+            if not batch.inside[i]:
+                cut = batch.result(i).cut
+                assert cut.evaluate(HullPoint.from_coords(rows[i])) < 0.0
+                assert abs(cut.evaluate(cut.touch)) <= 1e-9

@@ -276,6 +276,38 @@ class TestSeparate:
         assert lines[1] == {"inside": True}
         assert lines[2] == {"error": "InputOutsideCtilde"}
 
+    @pytest.mark.parametrize("before", [0, 100])
+    def test_overflowing_schur_term_is_outside_the_relaxation(self, before):
+        # (X12 - x1 x2)^2 overflows at X = 1e300; the line is answered and
+        # so is the next one, on the row-by-row and on the column path
+        huge = '{"x":[1,1],"X":[[1e300,1e300],[1e300,1e300]],"z":[0.5,0.5]}'
+        lines = _margin_lines(before, seed=38) + [huge, R4_LINE]
+        code, out = run_cli(["separate"], "\n".join(lines) + "\n")
+        assert code == 0
+        records = [json.loads(l) for l in out.splitlines()]
+        assert len(records) == before + 2
+        assert records[before] == {"error": "InputOutsideCtilde"}
+        assert records[before + 1]["region"] == "R4"
+
+    def test_failing_decision_answers_the_lines_before_it(self, monkeypatch):
+        # an indicator-edge non-member goes to the scalar separate inside
+        # the batch; an error that is no PairhullError stops the stream there
+        from pairhull import separation
+
+        edge = '{"x":[0.0,0.8],"X":[[0.5,0.6],[0.6,1.5]],"z":[0.0,0.6]}'
+        lines = _margin_lines(100, seed=39)
+        lines.insert(70, edge)
+
+        def fail(p, tol):
+            raise ValueError("forced")
+
+        monkeypatch.setattr(separation, "separate", fail)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="forced"):
+            main(["separate"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+        monkeypatch.undo()
+        assert out.getvalue() == run_cli(["separate"], "\n".join(lines[:70]) + "\n")[1]
+
 
 class TestVerify:
     def test_hull_suite_passes(self):

@@ -14,6 +14,7 @@ from pairhull import (
     q_gradient,
     q_value,
     separate,
+    separate_batch,
     taylor_cut,
 )
 from pairhull.errors import (
@@ -367,3 +368,19 @@ class TestPinnedClosedForm:
             values = (*cut.coeffs, cut.constant, *cut.touch.coords())
             words += [float(v).hex() for v in values]
         assert " ".join(words) == outcome
+
+    def test_separate_batch_on_all_pins_bit_for_bit(self, monkeypatch):
+        # all pins in one batch, listed and reversed, on columns
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
+        rows = np.array([pin[1] for pin in CLOSED_FORM_PINS])
+        outcomes = [pin[4] for pin in CLOSED_FORM_PINS]
+        for order in (slice(None), slice(None, None, -1)):
+            batch = separate_batch(rows[order])
+            for i, outcome in enumerate(outcomes[order]):
+                res = batch.result(i)
+                words = ["inside" if res.inside else "cut", res.region.value]
+                if not res.inside:
+                    cut = res.cut
+                    values = (*cut.coeffs, cut.constant, *cut.touch.coords())
+                    words += [float(v).hex() for v in values]
+                assert " ".join(words) == outcome
