@@ -200,7 +200,7 @@ class HullColumns:
         return len(self) < COLUMN_MIN_ROWS
 
     def points(self) -> list[HullPoint]:
-        return [HullPoint(*row) for row in self.table.T.tolist()]
+        return list(map(HullPoint, *self.table.tolist()))
 
     def point(self, i: int) -> HullPoint:
         return HullPoint.from_coords(self.table[:, i])
@@ -341,13 +341,19 @@ def in_relaxation_ctilde(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
     return ctilde_holds(p, tol)
 
 
-def in_separable_relaxation(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Membership in the separable perspective relaxation X11 z1 >= x1^2,
-    X22 z2 >= x2^2, X12 >= 0 over the ambient box (within mem_tol)."""
-    validate_point(p, tol)
+def separable_holds(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether X11 z1 >= x1^2, X22 z2 >= x2^2 and X12 >= 0 hold within
+    mem_tol; the box is not checked."""
     m = tol.mem_tol
     return (
         p.X11 * p.z1 - p.x1 * p.x1 >= -m
         and p.X22 * p.z2 - p.x2 * p.x2 >= -m
         and p.X12 >= -m
     )
+
+
+def in_separable_relaxation(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Membership in the separable perspective relaxation X11 z1 >= x1^2,
+    X22 z2 >= x2^2, X12 >= 0 over the ambient box (within mem_tol)."""
+    validate_point(p, tol)
+    return separable_holds(p, tol)

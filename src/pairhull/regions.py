@@ -15,13 +15,14 @@ import numpy as np
 
 from .columns import elementwise
 from .core import (
+    COORD_NAMES,
     DEFAULT_TOL,
     HullColumns,
     HullPoint,
     Tolerances,
     ge,
     gt,
-    in_separable_relaxation,
+    separable_holds,
     validate_columns,
     validate_point,
 )
@@ -201,14 +202,28 @@ def classify(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Region:
 #: in :data:`_PREDICATES`, then NotCovered.
 CELLS = np.array(list(Region), dtype=object)
 NOT_COVERED_CODE = len(_PREDICATES)
+_CODE_OF = {tag: code for code, tag in enumerate(CELLS)}
+
+
+def cell_masks(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The (8, n) mask of validated columns whose row k flags where the
+    system of cell k holds, every system evaluated as in
+    :func:`region_matches`; the rows past :data:`~pairhull.core.COLUMN_MAX`
+    are not meaningful."""
+    return np.array([elementwise(pred)(cols, tol) for _, pred in _PREDICATES])
+
+
+def first_cells(masks: np.ndarray) -> np.ndarray:
+    """The cell code of every column of :func:`cell_masks`: the first cell
+    whose system holds, as in :func:`classify`, else NotCovered."""
+    return np.where(masks.any(axis=0), masks.argmax(axis=0), NOT_COVERED_CODE)
 
 
 def cell_codes(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The cell code of every row of validated columns, the rows past
     :data:`~pairhull.core.COLUMN_MAX` excepted: the index of the first cell
     whose system holds, as in :func:`classify`."""
-    holds = [elementwise(pred)(cols, tol) for _, pred in _PREDICATES]
-    return np.select(holds, np.arange(len(holds)), NOT_COVERED_CODE)
+    return first_cells(cell_masks(cols, tol))
 
 
 def closure_columns(cols: HullColumns, region: Region, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -256,30 +271,60 @@ class PartitionAuditReport:
 
 
 def region_partition_audit(
-    samples: list[HullPoint],
+    samples,
     tol: Tolerances = DEFAULT_TOL,
     max_recorded: int = 20,
 ) -> PartitionAuditReport:
     """Count cell matches per sample and flag partition violations.
 
-    Only samples inside the separable relaxation are audited for coverage
-    and disjointness; every sample contributes to the per-cell counts.
+    ``samples`` is a sequence of :class:`HullPoint` or an ``(n, 7)`` array
+    in :data:`~pairhull.core.COORD_NAMES` order.  Only samples inside the
+    separable relaxation are audited for coverage and disjointness; every
+    sample contributes to the per-cell counts, which appear in the order of
+    their first sample.  The first sample outside the ambient domain
+    raises the error of :func:`classify`.
+
+    The cells are decided on columns; batches below
+    :data:`~pairhull.core.COLUMN_MIN_ROWS` rows and rows past
+    :data:`~pairhull.core.COLUMN_MAX` are audited row by row.
     """
-    report = PartitionAuditReport(total=len(samples))
-    for i, p in enumerate(samples):
-        validate_point(p, tol)
-        tag = classify(p, tol)
-        report.counts[tag.value] = report.counts.get(tag.value, 0) + 1
-        if not in_separable_relaxation(p, tol):
-            continue
-        report.audited += 1
-        matches = region_matches(p, tol)
-        if len(matches) == 0:
-            report.n_none += 1
-            if len(report.non_matches) < max_recorded:
-                report.non_matches.append(i)
-        elif len(matches) > 1:
-            report.n_multi += 1
-            if len(report.multi_matches) < max_recorded:
-                report.multi_matches.append((i, [m.value for m in matches]))
+    if not isinstance(samples, np.ndarray):
+        samples = np.reshape([p.coords() for p in samples], (-1, len(COORD_NAMES)))
+    cols = HullColumns.of_rows(samples)
+    n = len(cols)
+    if cols.row_by_row():
+        masks = np.zeros((len(_PREDICATES), n), bool)
+        codes = np.zeros(n, np.intp)
+        audited = np.zeros(n, bool)
+        scalar = np.ones(n, bool)
+    else:
+        with np.errstate(all="ignore"):
+            validate_columns(cols, tol)
+            masks = cell_masks(cols, tol)
+            audited = elementwise(separable_holds)(cols, tol)
+        codes = first_cells(masks)
+        scalar = cols.scalar_rows()
+    for i in np.flatnonzero(scalar):
+        p = cols.point(i)
+        codes[i] = _CODE_OF[classify(p, tol)]
+        audited[i] = separable_holds(p, tol)
+        matches = region_matches(p, tol) if audited[i] else []
+        masks[:, i] = [tag in matches for tag, _ in _PREDICATES]
+
+    n_matches = masks.sum(axis=0)
+    multi = np.flatnonzero(audited & (n_matches > 1))
+    none = np.flatnonzero(audited & (n_matches == 0))
+    report = PartitionAuditReport(
+        total=n, audited=int(audited.sum()), n_multi=multi.size, n_none=none.size
+    )
+    present, first = np.unique(codes, return_index=True)
+    tally = np.bincount(codes, minlength=len(CELLS))
+    for code in present[np.argsort(first)]:
+        report.counts[CELLS[code].value] = int(tally[code])
+    cap = max(max_recorded, 0)
+    report.multi_matches = [
+        (int(i), [CELLS[k].value for k in np.flatnonzero(masks[:, i])])
+        for i in multi[:cap]
+    ]
+    report.non_matches = none[:cap].tolist()
     return report

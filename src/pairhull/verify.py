@@ -13,11 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import elementwise
 from .core import (
     COORD_NAMES,
     DEFAULT_TOL,
+    HullColumns,
     HullPoint,
     Tolerances,
+    ctilde_holds,
+    in_ambient_box,
     in_relaxation_ctilde,
 )
 from .errors import PairhullError
@@ -64,6 +68,10 @@ def _point_dict(p: HullPoint) -> dict:
     return dict(zip(COORD_NAMES, p.coords()))
 
 
+def _row_dict(row: np.ndarray) -> dict:
+    return _point_dict(HullPoint.from_coords(row))
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -86,14 +94,10 @@ def sample_ctilde_points(
         cap = np.sqrt(np.maximum((X11 - x[:, 0] ** 2) * (X22 - x[:, 1] ** 2), 0.0))
         t = rng.uniform(-0.999, 0.999, m)
         X12 = np.maximum(x[:, 0] * x[:, 1] + t * cap, 0.0)
-        for i in range(m):
-            p = HullPoint.from_coords(
-                (x[i, 0], x[i, 1], X11[i], X12[i], X22[i], z[i, 0], z[i, 1])
-            )
-            if in_relaxation_ctilde(p):
-                out.append(p)
-                if len(out) == n:
-                    break
+        cols = HullColumns(np.array([x[:, 0], x[:, 1], X11, X12, X22, z[:, 0], z[:, 1]]))
+        keep = in_ambient_box(cols) & elementwise(ctilde_holds)(cols, DEFAULT_TOL)
+        cols = cols.take(np.flatnonzero(keep)[: n - len(out)])  # frees the candidates
+        out += cols.points()
     return out
 
 
@@ -255,20 +259,15 @@ def run_partition_suite(
     """Disjointness and coverage of the cells on relaxation samples."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pts = [
-        HullPoint.from_coords(r)
-        for r in _sample_separable_array(rng, trials, 2.0, 4.0)
-    ]
-    audit = region_partition_audit(pts, tol)
+    rows = _sample_separable_array(rng, trials, 2.0, 4.0)
+    audit = region_partition_audit(rows, tol)
     failures = audit.n_multi + audit.n_none
     offender = None
     if audit.multi_matches:
-        offender = {
-            "point": _point_dict(pts[audit.multi_matches[0][0]]),
-            "matches": audit.multi_matches[0][1],
-        }
+        i, matches = audit.multi_matches[0]
+        offender = {"point": _row_dict(rows[i]), "matches": matches}
     elif audit.non_matches:
-        offender = {"point": _point_dict(pts[audit.non_matches[0]]), "matches": []}
+        offender = {"point": _row_dict(rows[audit.non_matches[0]]), "matches": []}
     return SuiteReport(
         "partition",
         trials,
@@ -285,26 +284,21 @@ def run_hull_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     ks = rng.integers(1, 9, size=trials)
-    failures = 0
-    worst = math.inf
+    counts = [int(np.sum(ks == k)) for k in range(1, 9)]
+    groups = [_sample_hull_array(rng, c, k, 2.0) for k, c in enumerate(counts, 1) if c]
+    rows = np.concatenate(groups) if groups else np.empty((0, len(COORD_NAMES)))
+    batch = member_batch(rows, tol)
+    if batch.errors:
+        raise batch.errors[min(batch.errors)]
+    finite = batch.slacks[np.isfinite(batch.slacks)]
+    worst = float(finite.min()) if finite.size else math.inf
+    bad = np.flatnonzero(~batch.member)
     offender = None
-    for k in range(1, 9):
-        count = int(np.sum(ks == k))
-        if count == 0:
-            continue
-        arr = _sample_hull_array(rng, count, k, 2.0)
-        for row in arr:
-            p = HullPoint.from_coords(row)
-            rep = member_hull(p, tol)
-            finite = [s for s in rep.slacks.values() if math.isfinite(s)]
-            if finite:
-                worst = min(worst, min(finite))
-            if not rep.member:
-                failures += 1
-                if offender is None:
-                    offender = {"point": _point_dict(p), "violated": list(rep.violated)}
+    if bad.size:
+        rep = batch.report(int(bad[0]))
+        offender = {"point": _row_dict(rows[bad[0]]), "violated": list(rep.violated)}
     return SuiteReport(
-        "hull", trials, failures, worst, time.perf_counter() - t0, offender=offender
+        "hull", trials, bad.size, worst, time.perf_counter() - t0, offender=offender
     )
 
 

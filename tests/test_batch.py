@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pairhull.core
 from pairhull import hull
-from pairhull.core import COLUMN_MAX, HullPoint
+from pairhull.core import COLUMN_MAX, HullPoint, in_relaxation_ctilde
 from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
 from pairhull.oracle import _sample_hull_array, _sample_separable_array
@@ -307,3 +307,36 @@ class TestSeparateProperties:
                 cut = batch.result(i).cut
                 assert cut.evaluate(HullPoint.from_coords(rows[i])) < 0.0
                 assert abs(cut.evaluate(cut.touch)) <= 1e-9
+
+
+def _reference_ctilde_points(rng, n: int) -> list[HullPoint]:
+    """sample_ctilde_points with its candidates filtered one point at a
+    time by in_relaxation_ctilde."""
+    out: list[HullPoint] = []
+    while len(out) < n:
+        m = max(2 * (n - len(out)), 64)
+        x = rng.uniform(0.0, 2.0, (m, 2))
+        z = rng.uniform(0.02, 1.0, (m, 2))
+        a = rng.uniform(0.0, 3.0, m)
+        b = rng.uniform(0.0, 3.0, m)
+        X11 = x[:, 0] ** 2 / z[:, 0] + a
+        X22 = x[:, 1] ** 2 / z[:, 1] + b
+        cap = np.sqrt(np.maximum((X11 - x[:, 0] ** 2) * (X22 - x[:, 1] ** 2), 0.0))
+        t = rng.uniform(-0.999, 0.999, m)
+        X12 = np.maximum(x[:, 0] * x[:, 1] + t * cap, 0.0)
+        for row in np.column_stack([x[:, 0], x[:, 1], X11, X12, X22, z[:, 0], z[:, 1]]):
+            p = HullPoint.from_coords(row)
+            if in_relaxation_ctilde(p) and len(out) < n:
+                out.append(p)
+    return out
+
+
+class TestSamplers:
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_ctilde_points_equal_the_row_filter(self, seed):
+        for n in (1, 65, 4000):
+            got = sample_ctilde_points(np.random.default_rng(seed), n)
+            ref = _reference_ctilde_points(np.random.default_rng(seed), n)
+            assert [[c.hex() for c in p.coords()] for p in got] == [
+                [c.hex() for c in p.coords()] for p in ref
+            ]

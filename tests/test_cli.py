@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import select
 import subprocess
 import sys
@@ -328,6 +329,37 @@ class TestVerify:
         )
         assert code == 0
         assert len(out.splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "suite, summary, offender",
+        [
+            (
+                "hull",
+                "suite=hull trials=5000 failures=271 worst_slack=-2.285e-01 [FAIL]",
+                '{"offender": {"point": {"x1": 0.5372649752609931, "x2": 0.8006160446469472, '
+                '"X11": 1.0160338917375906, "X12": 0.0, "X22": 0.8953550258632214, '
+                '"z1": 0.28409844985441257, "z2": 0.7159015501455873}, "violated": ["I.persp1"]}}',
+            ),
+            (
+                "partition",
+                "suite=partition trials=5000 failures=94 worst_slack=0.000e+00 [FAIL] "
+                "counts={'R3': 231, 'R4': 866, 'R1': 2227, 'R5': 1458, 'R2': 169, "
+                "'R7': 10, 'R8': 6, 'R6': 25, 'NotCovered': 8}",
+                '{"offender": {"point": {"x1": 0.31947782927415713, "x2": 0.23907748636410653, '
+                '"X11": 2.098331747765032, "X12": 3.8745450812025974, "X22": 1.6994248037252189, '
+                '"z1": 0.24964702186903032, "z2": 0.4648605134033179}, "matches": ["R1", "R4"]}}',
+            ),
+        ],
+    )
+    def test_loose_tolerances_fail_with_the_first_offender(self, suite, summary, offender):
+        loose = ["--eq-tol", "0.3", "--mem-tol", "0.3", "--oracle-tol", "0.3"]
+        code, out = run_cli(
+            loose + ["verify", "--suite", suite, "--trials", "5000", "--seed", "3"], ""
+        )
+        line, record = out.splitlines()
+        assert code == 1
+        assert re.sub(r" elapsed=\S+", "", line) == summary
+        assert record == offender
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pairhull import (
+    DEFAULT_TOL,
     HullPoint,
     Region,
     classify,
@@ -14,9 +15,11 @@ from pairhull import (
     piece_slacks,
     psd3_by_minors,
     rankone_member,
+    Tolerances,
 )
 from pairhull.errors import NotInAmbientBox
 from pairhull.oracle import _sample_hull_array
+from pairhull.verify import _point_dict, run_hull_suite
 
 
 def psd_by_char_coefficients(m: np.ndarray, band: float = 1e-9) -> bool:
@@ -225,3 +228,41 @@ class TestClosureConsistency:
                 assert min(finite) >= -1e-6, (boundary, tag, slacks)
             checked += 1
         assert checked >= 20
+
+
+def _reference_hull_suite(trials: int, seed: int, tol: Tolerances):
+    """The hull campaign one member_hull call at a time: failures, worst
+    finite slack and the first non-member."""
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(1, 9, size=trials)
+    failures, worst, offender = 0, math.inf, None
+    for k in range(1, 9):
+        count = int(np.sum(ks == k))
+        if count == 0:
+            continue
+        for row in _sample_hull_array(rng, count, k, 2.0):
+            p = HullPoint.from_coords(row)
+            rep = member_hull(p, tol)
+            finite = [s for s in rep.slacks.values() if math.isfinite(s)]
+            if finite:
+                worst = min(worst, min(finite))
+            if not rep.member:
+                failures += 1
+                if offender is None:
+                    offender = {"point": _point_dict(p), "violated": list(rep.violated)}
+    return failures, worst, offender
+
+
+class TestHullSuite:
+    @pytest.mark.parametrize("trials, seed", [(0, 3), (1, 4), (40, 5), (63, 6), (3000, 7)])
+    @pytest.mark.parametrize(
+        "tol", [DEFAULT_TOL, Tolerances(0.3, 0.3, 0.3)], ids=["default", "0.3"]
+    )
+    def test_equals_the_row_by_row_campaign(self, tol, trials, seed):
+        failures, worst, offender = _reference_hull_suite(trials, seed, tol)
+        report = run_hull_suite(trials, seed, tol)
+        assert report.failures == failures
+        assert report.worst_slack.hex() == worst.hex()
+        assert report.offender == offender
+        if trials == 3000 and tol is not DEFAULT_TOL:
+            assert failures > 1

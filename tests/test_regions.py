@@ -1,12 +1,23 @@
+import dataclasses
+import json
+
 import numpy as np
+import pytest
 
 from pairhull import (
+    DEFAULT_TOL,
     HullPoint,
+    PartitionAuditReport,
     Region,
+    Tolerances,
     classify,
+    in_separable_relaxation,
     region_matches,
     region_partition_audit,
+    validate_point,
 )
+from pairhull.core import COLUMN_MAX
+from pairhull.errors import NotInAmbientBox
 from pairhull.oracle import _sample_separable_array
 from pairhull.regions import region_closure_contains
 
@@ -48,6 +59,81 @@ class TestPartitionAudit:
     def test_empty_list_gives_empty_report(self):
         report = region_partition_audit([])
         assert report.total == 0 and report.ok and report.counts == {}
+
+
+AUDIT_TOLS = [DEFAULT_TOL, Tolerances(1e-2, 1e-2, 1e-2), Tolerances(0.3, 0.3, 0.3)]
+
+
+def _audit_rows(n: int, seed: int) -> np.ndarray:
+    """Separable samples with every fourth row replaced by a point of the
+    sampling box, most of them outside the separable relaxation."""
+    rng = np.random.default_rng(seed)
+    rows = _sample_separable_array(rng, n, 2.0, 4.0) if n else np.empty((0, 7))
+    rows[::4] = rng.uniform(0.0, 1.0, (n, 7))[::4] * [2.0, 2.0, 4.0, 4.0, 4.0, 1.0, 1.0]
+    return rows
+
+
+def _reference_audit(points, tol, max_recorded) -> PartitionAuditReport:
+    """The audit one sample at a time."""
+    ref = PartitionAuditReport(total=len(points))
+    for i, p in enumerate(points):
+        tag = classify(p, tol).value
+        ref.counts[tag] = ref.counts.get(tag, 0) + 1
+        if not in_separable_relaxation(p, tol):
+            continue
+        ref.audited += 1
+        matches = [m.value for m in region_matches(p, tol)]
+        if not matches:
+            ref.n_none += 1
+            if len(ref.non_matches) < max_recorded:
+                ref.non_matches.append(i)
+        elif len(matches) > 1:
+            ref.n_multi += 1
+            if len(ref.multi_matches) < max_recorded:
+                ref.multi_matches.append((i, matches))
+    return ref
+
+
+def _assert_audit_matches_reference(rows, tol, max_recorded=3, as_points=False):
+    points = [HullPoint.from_coords(r) for r in rows]
+    got = region_partition_audit(points if as_points else rows, tol, max_recorded)
+    ref = _reference_audit(points, tol, max_recorded)
+    assert got == ref
+    assert list(got.counts.items()) == list(ref.counts.items())
+    json.dumps(dataclasses.asdict(got))  # plain ints throughout
+    return ref
+
+
+class TestColumnAudit:
+    @pytest.mark.parametrize("as_points", [False, True], ids=["array", "points"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 10_000])
+    @pytest.mark.parametrize("tol", AUDIT_TOLS, ids=["default", "1e-2", "0.3"])
+    def test_equals_the_row_by_row_audit(self, tol, n, as_points):
+        ref = _assert_audit_matches_reference(_audit_rows(n, seed=3 + n), tol, 3, as_points)
+        if n == 10_000 and tol.eq_tol == 0.3:
+            # the caps on the recorded violations are reached
+            assert ref.n_multi > 3 and ref.n_none > 3
+            assert ref.audited < n
+
+    @pytest.mark.parametrize("tol", AUDIT_TOLS, ids=["default", "1e-2", "0.3"])
+    def test_rows_past_column_max_are_audited_row_by_row(self, tol):
+        rows = _audit_rows(100, seed=8)
+        rows[10, 3] = 1e3 * COLUMN_MAX  # X12
+        rows[50, 4] = 1e30 * COLUMN_MAX  # X22
+        _assert_audit_matches_reference(rows, tol)
+
+    @pytest.mark.parametrize("as_points", [False, True], ids=["array", "points"])
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_first_row_outside_the_box_raises_its_scalar_error(self, n, as_points):
+        rows = _audit_rows(n, seed=9)
+        rows[n - 3, 5] = 1.5  # z1
+        rows[n - 1, 0] = -1.0  # x1
+        with pytest.raises(NotInAmbientBox) as scalar:
+            validate_point(HullPoint.from_coords(rows[n - 3]))
+        samples = [HullPoint.from_coords(r) for r in rows] if as_points else rows
+        with pytest.raises(NotInAmbientBox) as exc:
+            region_partition_audit(samples)
+        assert str(exc.value) == str(scalar.value) == "z1=1.5 outside [0, 1]"
 
 
 class TestDisjointnessAndCoverage:
