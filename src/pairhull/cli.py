@@ -22,10 +22,10 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
+    _box_faults,
     in_ambient_box,
-    validate_point,
 )
-from .errors import NotInAmbientBox, PairhullError
+from .errors import PairhullError
 from .hull import MembershipBatch, MembershipReport, member_batch
 from .oracle import oracle_members
 from .regions import CELLS, classify_batch
@@ -47,56 +47,6 @@ WRITE_ROWS = 128
 
 class InputError(Exception):
     """Malformed input line (reported with its line number, exit 2)."""
-
-
-def _int_coord(v) -> float:
-    """A coordinate that is not a JSON float: only a JSON integer is accepted
-    (bool is excluded, though Python makes it an int)."""
-    if type(v) is not int:
-        raise InputError("all coordinates must be numbers")
-    try:
-        return float(v)
-    except OverflowError as exc:
-        raise InputError("all coordinates must be finite") from exc
-
-
-def _asymmetric(X12, X21, tol: Tolerances):
-    return abs(X12 - X21) > tol.eq_tol
-
-
-def _parse_point(obj, tol: Tolerances) -> HullPoint:
-    if not isinstance(obj, dict):
-        raise InputError("record must be a JSON object")
-    try:
-        x = obj["x"]
-        X = obj["X"]
-        z = obj["z"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"missing field {exc}") from exc
-    if not (isinstance(x, list) and len(x) == 2):
-        raise InputError('"x" must be a list of two numbers')
-    if not (isinstance(z, list) and len(z) == 2):
-        raise InputError('"z" must be a list of two numbers')
-    if not (
-        isinstance(X, list)
-        and len(X) == 2
-        and all(isinstance(row, list) and len(row) == 2 for row in X)
-    ):
-        raise InputError('"X" must be a 2x2 matrix')
-    vals = [
-        v if type(v) is float else _int_coord(v)
-        for v in (x[0], x[1], X[0][0], X[0][1], X[1][0], X[1][1], z[0], z[1])
-    ]
-    if not all(math.isfinite(v) for v in vals):
-        raise InputError("all coordinates must be finite")
-    if _asymmetric(vals[3], vals[4], tol):
-        raise InputError('"X" must be symmetric')
-    p = HullPoint(vals[0], vals[1], vals[2], vals[3], vals[5], vals[6], vals[7])
-    try:
-        validate_point(p, tol)
-    except NotInAmbientBox as exc:
-        raise InputError(str(exc)) from exc
-    return p
 
 
 def _point_record(p: HullPoint) -> dict:
@@ -155,28 +105,76 @@ def _chunks(stream) -> Iterator[tuple[int, list[str]]]:
         yield lineno, [tail]
 
 
-def _parse_line(line: str, lineno: int, tol: Tolerances) -> HullPoint:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-    try:
-        return _parse_point(obj, tol)
-    except InputError as exc:
-        raise InputError(f"line {lineno}: {exc}") from exc
-
-
 _scan = json.JSONDecoder().scan_once
 
 
-def _fast_rows(lines: list[str], tol: Tolerances) -> tuple[np.ndarray, int]:
-    """Rows of the leading records of the usual shape (an object with
-    "x", "X" and "z" holding eight floats) that pass every check of
-    :func:`_parse_point`, checked together, and the index of the first
-    line they do not cover."""
+def _shape_fault(line: str) -> str:
+    """What makes a line no record of the usual shape (an object with "x",
+    "X" and "z" holding two, two by two and two values): its first fault
+    in the order the fields are read."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON ({exc.msg})"
+    if type(obj) is not dict:
+        return "record must be a JSON object"
+    for key in ("x", "X", "z"):
+        if key not in obj:
+            return f"missing field {key!r}"
+    for key in ("x", "z"):
+        if not (type(obj[key]) is list and len(obj[key]) == 2):
+            return f'"{key}" must be a list of two numbers'
+    return '"X" must be a 2x2 matrix'
+
+
+def _coord(v) -> float:
+    """A coordinate: a JSON float or integer (bool is excluded, though
+    Python makes it an int)."""
+    if type(v) is float:
+        return v
+    if type(v) is not int:
+        raise InputError("all coordinates must be numbers")
+    try:
+        return float(v)
+    except OverflowError as exc:
+        raise InputError("all coordinates must be finite") from exc
+
+
+def _coords(flat: list) -> tuple[np.ndarray, InputError | None]:
+    """The values as floats, up to the first that is no coordinate, and the
+    error of that value.  They are converted together; :func:`_coord` goes
+    through them one by one only to find the one that fails."""
+    if set(map(type, flat)) <= {float, int}:
+        try:
+            return np.array(flat, float), None
+        except OverflowError:
+            pass
+    vals = []
+    for v in flat:
+        try:
+            vals.append(_coord(v))
+        except InputError as exc:
+            return np.array(vals), exc
+    return np.array(vals), None
+
+
+def _parse_chunk(
+    lines: list[str], lineno: int, tol: Tolerances
+) -> tuple[np.ndarray, InputError | None]:
+    """The points of the lines up to the first bad one, as ``(m, 7)`` rows,
+    and the error of that line.
+
+    The lines are checked in three passes: their shape (an object with
+    "x", "X" and "z" holding eight values), their coordinates (JSON
+    numbers), then the values of all records at once (finite, X
+    symmetric, inside the ambient box).  Each pass stops at the first
+    line it rejects and the next pass looks only at the lines before it,
+    so the first bad line gives the error, and its first fault in that
+    order the message.
+    """
     flat: list = []
     starts: list[int] = []  # index in ``lines`` of each record
-    resume = len(lines)
+    bad, fault = None, ""
     for i, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -185,63 +183,46 @@ def _fast_rows(lines: list[str], tol: Tolerances) -> tuple[np.ndarray, int]:
             obj, end = _scan(line, 0)
             x, X, z = obj["x"], obj["X"], obj["z"]
             X0, X1 = X
+            usual = (
+                end == len(line)
+                and type(x) is list and len(x) == 2
+                and type(z) is list and len(z) == 2
+                and type(X) is list
+                and type(X0) is list and len(X0) == 2
+                and type(X1) is list and len(X1) == 2
+            )
         except (StopIteration, ValueError, KeyError, TypeError):
-            resume = i
-            break
-        if not (
-            end == len(line)
-            and type(x) is list and len(x) == 2
-            and type(z) is list and len(z) == 2
-            and type(X) is list
-            and type(X0) is list and len(X0) == 2
-            and type(X1) is list and len(X1) == 2
-        ):
-            resume = i
+            usual = False
+        if not usual:
+            bad, fault = i, _shape_fault(line)
             break
         flat += x
         flat += X0
         flat += X1
         flat += z
         starts.append(i)
-    if not starts or set(map(type, flat)) != {float}:
-        return _stack([]), starts[0] if starts else resume
-    vals = np.array(flat).reshape(len(starts), 8)
+    vals, error = _coords(flat)
+    m = len(vals) // 8
+    if error is not None:
+        bad, fault = starts[m], str(error)
+    vals = vals[: 8 * m].reshape(m, 8)
     rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
     with np.errstate(invalid="ignore"):
-        ok = (
-            np.isfinite(vals).all(axis=1)
-            & ~_asymmetric(vals[:, 3], vals[:, 4], tol)
-            & in_ambient_box(HullColumns.of_rows(rows), tol)
-        )
-    if ok.all():
-        return rows, resume
-    good = int(np.argmin(ok))
-    return rows[:good], starts[good]
-
-
-def _parse_chunk(
-    lines: list[str], lineno: int, tol: Tolerances
-) -> tuple[np.ndarray, InputError | None]:
-    """The points of the lines up to the first bad one, as ``(m, 7)`` rows,
-    and the error of that line.  Past the rows of :func:`_fast_rows`,
-    :func:`_parse_line` decides line by line, so every error is the one it
-    raises."""
-    rows, resume = _fast_rows(lines, tol)
-    parsed = [rows]
-    for i in range(resume, len(lines)):
-        line = lines[i].strip()
-        if not line:
-            continue
-        try:
-            p = _parse_line(line, lineno + i, tol)
-        except InputError as exc:
-            return _stack(parsed), exc
-        parsed.append(np.array([p.coords()]))
-    return _stack(parsed), None
-
-
-def _stack(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty((0, len(COORD_NAMES)))
+        finite = np.isfinite(vals).all(axis=1)
+        symmetric = ~(np.abs(vals[:, 3] - vals[:, 4]) > tol.eq_tol)
+        ok = finite & symmetric & in_ambient_box(HullColumns.of_rows(rows), tol)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if not finite[k]:
+            fault = "all coordinates must be finite"
+        elif not symmetric[k]:
+            fault = '"X" must be symmetric'
+        else:
+            fault = _box_faults(HullPoint(*rows[k].tolist()), tol.eq_tol)
+        rows, bad = rows[:k], starts[k]
+    if bad is None:
+        return rows, None
+    return rows, InputError(f"line {lineno + bad}: {fault}")
 
 
 def _read_rows(stream, tol: Tolerances) -> Iterator[np.ndarray]:

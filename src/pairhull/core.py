@@ -161,10 +161,6 @@ class HullPoint:
 #: column versions), so smaller batches, such as the single lines of an
 #: interactive stream, go through the scalar functions row by row.
 COLUMN_MIN_ROWS = 64
-#: Largest coordinate magnitude a batch decides on columns.  Past it a
-#: squared term of a cell predicate can overflow, which raises
-#: OverflowError in the scalar functions, so such rows take the scalar path.
-COLUMN_MAX = 1e64
 
 
 class HullColumns:
@@ -204,10 +200,6 @@ class HullColumns:
 
     def point(self, i: int) -> HullPoint:
         return HullPoint.from_coords(self.table[:, i])
-
-    def scalar_rows(self) -> np.ndarray:
-        """Rows with a coordinate beyond :data:`COLUMN_MAX` in magnitude."""
-        return np.abs(self.table).max(axis=0, initial=0.0) > COLUMN_MAX
 
 
 def _in_ambient_box(p: HullPoint, e: float) -> bool:

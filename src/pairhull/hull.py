@@ -33,6 +33,7 @@ from .families import (
     w_shift,
     w_sqrt_arg,
 )
+from .oracle import oracle_member
 from .regions import (
     CELLS,
     NOT_COVERED_CODE,
@@ -263,8 +264,6 @@ def member_hull(
     except NumericallyDegenerate:
         if not oracle_fallback:
             raise
-        from .oracle import oracle_member  # local import: oracle depends only on core
-
         is_member, wit = oracle_member(p, tol)
         gap = slack_minus(p.X11, wit.objective)
         slacks = _part1_slacks(p, tol)
@@ -443,9 +442,9 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
 
     The cells, the pieces and the neighbour rescue run on columns.  The
     rows arrays do not settle go through :func:`member_hull` one by one:
-    uncovered corners, R8 rows whose W degenerates (the oracle fallback)
-    and rows past :data:`~pairhull.core.COLUMN_MAX`, and so do all rows of
-    a batch below :data:`~pairhull.core.COLUMN_MIN_ROWS`.  Raises the error of
+    uncovered corners and R8 rows whose W degenerates (the oracle
+    fallback), and so do all rows of a batch below
+    :data:`~pairhull.core.COLUMN_MIN_ROWS`.  Raises the error of
     :func:`member_hull` for the first row outside the ambient domain; the
     errors of single rows are reported in ``errors``.
     """
@@ -478,9 +477,9 @@ def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) ->
     with np.errstate(all="ignore"):
         validate_columns(cols, tol)
         cell = out.cell = cell_codes(cols, tol)
-        scalar = cols.scalar_rows() | (cell == NOT_COVERED_CODE)
+        scalar = cell == NOT_COVERED_CODE
         for code, region in enumerate(CELLS[:NOT_COVERED_CODE]):
-            idx = np.flatnonzero((cell == code) & ~scalar)
+            idx = np.flatnonzero(cell == code)
             if not idx.size:
                 continue
             sub = cols.take(idx)

@@ -59,58 +59,49 @@ class OracleWitness:
 
 
 # ---------------------------------------------------------------------------
-# closed-fraction evaluation on arrays
+# the witness objective
 # ---------------------------------------------------------------------------
+# The oracle keeps its own closure of the fractions: it divides wherever
+# the denominator is positive, however steep the quotient, where
+# core.persp_sq divides only past eq_tol.
 
 
-def _cl_sq_over(u, den, e: float):
-    """Closure of u^2/den elementwise: den > 0 divides (however steep), the
-    0/0 corner gives 0 within the numerator band, anything else is +inf."""
-    u = np.asarray(u, dtype=float)
-    den = np.asarray(den, dtype=float)
-    num = u * u
-    pos = den > 0.0
-    out = np.where(
-        pos,
-        num / np.where(pos, den, 1.0),
-        np.where(np.abs(u) <= e, 0.0, np.inf),
-    )
-    return out
+def _closed_sq(u, den, e: float):
+    """Closure of u^2/den: den > 0 divides, the 0/0 corner gives 0 within
+    the numerator band, anything else is +inf."""
+    return u * u / den if den > 0.0 else (0.0 if abs(u) <= e else math.inf)
 
 
-def _cl_prod_over(u, v, den, e: float):
-    """Closure of u*v/den for u, v >= 0 elementwise."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    den = np.asarray(den, dtype=float)
-    pos = den > 0.0
-    zero_num = (u <= e) | (v <= e)
-    out = np.where(
-        pos,
-        u * v / np.where(pos, den, 1.0),
-        np.where(zero_num, 0.0, np.inf),
-    )
-    return out
+def _closed_prod(u, v, den, e: float):
+    """Closure of u*v/den for u, v >= 0."""
+    return u * v / den if den > 0.0 else (0.0 if u <= e or v <= e else math.inf)
 
 
-def _objective_arrays(p: HullPoint, lam, a1, a2, e: float):
-    """Objective of the witness problem on broadcastable arrays.
+def _coupling(h, g2, e: float):
+    """Closure of h^2/g2, the coupling term: +inf where g2 is negative
+    beyond the band or h is nonzero on the g2 <= 0 ray."""
+    return h * h / g2 if g2 > 0.0 else (0.0 if abs(h) <= e and g2 >= -e else math.inf)
 
-    Infeasible cells (negative slack in the quadratic constraint beyond the
-    band, or an infinite closed fraction with nonzero numerator) score +inf.
+
+def _split_cost(x, z, lam, a, e: float):
+    """a^2/lam + (x - a)^2/(z - lam): the cost of splitting one coordinate."""
+    return _closed_sq(a, lam, e) + _closed_sq(x - a, z - lam, e)
+
+
+def _witness_g2(p: HullPoint, lam, a2, e: float):
+    """Slack of the quadratic constraint: X22 less the split cost of x2."""
+    return p.X22 - _closed_sq(a2, lam, e) - _closed_sq(p.x2 - a2, p.z2 - lam, e)
+
+
+def _witness_objective(p: HullPoint, lam, a1, a2, e: float):
+    """Objective of the witness problem at weight lam and splits (a1, a2).
+
+    Infeasible triples (negative slack in the quadratic constraint beyond
+    the band, or an infinite closed fraction with nonzero numerator) score
+    +inf.  ``elementwise`` evaluates it on broadcastable arrays.
     """
-    t1 = _cl_sq_over(a1, lam, e)
-    t2 = _cl_sq_over(p.x1 - a1, p.z1 - lam, e)
-    g2 = p.X22 - _cl_sq_over(a2, lam, e) - _cl_sq_over(p.x2 - a2, p.z2 - lam, e)
-    h = p.X12 - _cl_prod_over(a1, a2, lam, e)
-    gpos = g2 > 0.0
-    with np.errstate(invalid="ignore"):
-        t3 = np.where(
-            gpos,
-            (h * h) / np.where(gpos, g2, 1.0),
-            np.where((np.abs(h) <= e) & (g2 >= -e), 0.0, np.inf),
-        )
-    return t1 + t2 + t3
+    h = p.X12 - _closed_prod(a1, a2, lam, e)
+    return _split_cost(p.x1, p.z1, lam, a1, e) + _coupling(h, _witness_g2(p, lam, a2, e), e)
 
 
 def witness_slacks(
@@ -118,12 +109,7 @@ def witness_slacks(
 ) -> dict[str, float]:
     """Constraint slacks of a witness triple (negative means violated)."""
     a1, a2, lam = float(triple[0]), float(triple[1]), float(triple[2])
-    e = tol.eq_tol
-    g2 = float(
-        p.X22
-        - _cl_sq_over(a2, lam, e)
-        - _cl_sq_over(p.x2 - a2, p.z2 - lam, e)
-    )
+    g2 = _witness_g2(p, lam, a2, tol.eq_tol)
     return {
         "lambda.lo": lam - (p.z1 + p.z2 - 1.0),
         "lambda.hi": min(p.z1, p.z2) - lam,
@@ -150,9 +136,7 @@ def oracle_objective(
     bad = {k: v for k, v in slacks.items() if v < -tol.eq_tol}
     if bad:
         raise InfeasibleWitness(f"witness constraint(s) violated: {bad}")
-    val = float(
-        _objective_arrays(p, np.float64(w[2]), np.float64(w[0]), np.float64(w[1]), tol.eq_tol)
-    )
+    val = _witness_objective(p, float(w[2]), float(w[0]), float(w[1]), tol.eq_tol)
     if math.isinf(val):
         return ExtReal.inf()
     return ExtReal.finite(val)
@@ -173,14 +157,21 @@ def _sq_over_rows(u, den_s, rows, e: float):
     return out
 
 
+def _den_rows(den):
+    """The arguments ``den_s, rows`` of :func:`_sq_over_rows` for one
+    denominator per row."""
+    return np.where(den > 0.0, den, 1.0), np.flatnonzero(den <= 0.0)
+
+
 def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
     """Evaluate the objective on the product grid with per-lambda ridge
     columns a_i = lam * x_i / z_i appended (the constraint-wise best split).
 
-    Same values as :func:`_objective_arrays` on the broadcast grid: the terms
-    of one split are computed at their 2-D shape, the coupling term in place
-    with safe denominators, and its closure cases only on the rows with
-    lambda <= 0 and the (lambda, a2) columns with g2 <= 0.
+    Same values as :func:`_witness_objective` on the broadcast grid: the
+    terms of one split are computed at their 2-D shape by
+    :func:`_sq_over_rows`, the coupling term in place with safe
+    denominators, and its closure cases only on the rows with lambda <= 0
+    and the (lambda, a2) columns with g2 <= 0.
     """
     lam_ax = np.asarray(lam_ax, dtype=float)
     L = lam_ax.size
@@ -193,15 +184,24 @@ def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
         ridge2 = np.clip(lam_ax * p.x2 / p.z2, 0.0, p.x2)
         cols2 = np.concatenate([cols2, ridge2[:, None]], axis=1)
     lam = lam_ax[:, None]
-    t12 = _cl_sq_over(cols1, lam, e) + _cl_sq_over(p.x1 - cols1, p.z1 - lam, e)
-    g2 = p.X22 - _cl_sq_over(cols2, lam, e) - _cl_sq_over(p.x2 - cols2, p.z2 - lam, e)
+    lam_s, lam_rows = _den_rows(lam)
+    rest1_s, rest1_rows = _den_rows(p.z1 - lam)
+    rest2_s, rest2_rows = _den_rows(p.z2 - lam)
+    t12 = _sq_over_rows(cols1, lam_s, lam_rows, e) + _sq_over_rows(
+        p.x1 - cols1, rest1_s, rest1_rows, e
+    )
+    g2 = (
+        p.X22
+        - _sq_over_rows(cols2, lam_s, lam_rows, e)
+        - _sq_over_rows(p.x2 - cols2, rest2_s, rest2_rows, e)
+    )
     gpos = g2 > 0.0
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         f = cols1[:, :, None] * cols2[:, None, :]
-        f /= np.where(lam > 0.0, lam, 1.0)[:, :, None]
+        f /= lam_s[:, :, None]
         np.subtract(p.X12, f, out=f)  # h = X12 - a1 a2 / lam
-        for i in np.flatnonzero(lam_ax <= 0.0):
+        for i in lam_rows:
             zero_num = (cols1[i, :, None] <= e) | (cols2[i, None, :] <= e)
             f[i] = p.X12 - np.where(zero_num, 0.0, np.inf)
         li, ki = np.nonzero(~gpos)
@@ -244,19 +244,15 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
     a2_best = np.zeros(n)
     all_live = int(rounds.min())
 
-    rest1 = z1 - lam
-    rest2 = z2 - lam
-    lam_rows = np.flatnonzero(lam <= 0.0)
-    rest1_rows = np.flatnonzero(rest1 <= 0.0)
-    rest2_rows = np.flatnonzero(rest2 <= 0.0)
-    no_quad_rows = np.flatnonzero((lam <= 0.0) | (rest1 <= 0.0))
-    lam_s = np.where(lam > 0.0, lam, 1.0)
-    rest1_s = np.where(rest1 > 0.0, rest1, 1.0)
+    lam_s, lam_rows = _den_rows(lam)
+    rest1_s, rest1_rows = _den_rows(z1 - lam)
+    rest2_s, rest2_rows = _den_rows(z2 - lam)
+    no_quad_rows = np.union1d(lam_rows, rest1_rows)
     # the per-row terms at the full (n, width) shape, which costs less in
     # the rounds than (n, 1) columns broadcast along rows of `width`
     x1, x2, X12, X22, lam_s, rest1_s, rest2_s, inv_sum, x1_rest, lam_X12 = np.repeat(
         np.stack([
-            x1, x2, X12, X22, lam_s, rest1_s, np.where(rest2 > 0.0, rest2, 1.0),
+            x1, x2, X12, X22, lam_s, rest1_s, rest2_s,
             1.0 / lam_s + 1.0 / rest1_s, x1 / rest1_s, lam * X12,
         ]),
         width,
@@ -275,7 +271,7 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
     h_flat = h.reshape(4, -1)
     f_flat = f.reshape(4, -1)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(int(rounds.max())):
             ts = lo[:, None] + (hi - lo)[:, None] * lin[None, :]
             g2 = (
@@ -387,6 +383,10 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: in
         lhi[act] = lam_ax[ai, np.minimum(k + 1, width - 1)]
 
 
+#: Samples per axis of the coarse grid of :func:`oracle_members`.
+GRID = 64
+#: Samples per bracket in each round of the zoom.
+ZOOM_WIDTH = 17
 #: Points per zoom pass of :func:`oracle_members`.  The zoom's cost is
 #: mostly the overhead of its many small numpy calls, which one pass pays
 #: once for all its points; per point it levels off near 64 points.
@@ -396,7 +396,7 @@ OracleResult = Union[tuple[bool, OracleWitness], PairhullError]
 
 
 def _oracle_chunk(
-    points: Sequence[HullPoint], tol: Tolerances, grid: int, zoom_rounds: int, zoom_width: int
+    points: Sequence[HullPoint], tol: Tolerances, zoom_rounds: int
 ) -> list[OracleResult]:
     """One chunk of :func:`oracle_members`: the grid point by point, then
     one zoom for all points that reach it."""
@@ -416,9 +416,9 @@ def _oracle_chunk(
             out[j] = exc
             continue
         lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
-        n_lam = grid if lam_hi - lam_lo > e else 1
-        n_a1 = grid if p.x1 > e else 1
-        n_a2 = grid if p.x2 > e else 1
+        n_lam = GRID if lam_hi - lam_lo > e else 1
+        n_a1 = GRID if p.x1 > e else 1
+        n_a2 = GRID if p.x2 > e else 1
         best = _grid_eval(
             p,
             np.linspace(lam_lo, lam_hi, n_lam),
@@ -433,7 +433,7 @@ def _oracle_chunk(
 
     cols = np.array(start, dtype=float).T.copy()
     best = cols[8:]
-    _zoom_lambda(cols[:6], cols[6], cols[7], best, e, zoom_rounds, zoom_width)
+    _zoom_lambda(cols[:6], cols[6], cols[7], best, e, zoom_rounds, ZOOM_WIDTH)
     for j, (f_b, lam_b, a1_b, a2_b) in zip(ok, best.T.tolist()):
         objective = ExtReal.inf() if math.isinf(f_b) else ExtReal.finite(f_b)
         member = (not math.isinf(f_b)) and f_b <= points[j].X11 + tol.oracle_tol
@@ -444,9 +444,7 @@ def _oracle_chunk(
 def oracle_members(
     points: Iterable[HullPoint],
     tol: Tolerances = DEFAULT_TOL,
-    grid: int = 64,
     zoom_rounds: int = 10,
-    zoom_width: int = 17,
 ) -> list[OracleResult]:
     """:func:`oracle_member` for many points, in input order.
 
@@ -461,16 +459,14 @@ def oracle_members(
     points = list(points)
     out: list[OracleResult] = []
     for i in range(0, len(points), ORACLE_CHUNK):
-        out += _oracle_chunk(points[i : i + ORACLE_CHUNK], tol, grid, zoom_rounds, zoom_width)
+        out += _oracle_chunk(points[i : i + ORACLE_CHUNK], tol, zoom_rounds)
     return out
 
 
 def oracle_member(
     p: HullPoint,
     tol: Tolerances = DEFAULT_TOL,
-    grid: int = 64,
     zoom_rounds: int = 10,
-    zoom_width: int = 17,
 ) -> tuple[bool, OracleWitness]:
     """Numeric membership: minimize the witness objective, compare to X11.
 
@@ -483,7 +479,7 @@ def oracle_member(
     edges are decided by the closed-form module.  This is the batch of one
     of :func:`oracle_members`.
     """
-    (res,) = oracle_members([p], tol, grid, zoom_rounds, zoom_width)
+    (res,) = oracle_members([p], tol, zoom_rounds)
     if isinstance(res, PairhullError):
         raise res
     return res
@@ -620,7 +616,7 @@ def _sample_separable_array(
 ) -> np.ndarray:
     """Uniform samples of the separable relaxation intersected with the
     sampling box, by rejection from the ambient box."""
-    rows = []
+    rows = [np.empty((0, 7))]
     have = 0
     while have < n:
         m = max(2 * (n - have), 256)

@@ -67,6 +67,7 @@ def _in_r2(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
     strict = ge if closed else gt
     xx = p.x1 * p.x2
+    d = p.X12 * p.z2 - xx
     return (
         ge(p.z2, p.z1, e)
         and strict(p.X12 * p.z2, xx, e)
@@ -74,7 +75,7 @@ def _in_r2(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
         and (closed or (gt(p.X12, 0.0, e) and gt(p.z1, 0.0, e)))
         and ge(
             p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
-            p.z1 * (p.X12 * p.z2 - xx) ** 2,
+            p.z1 * (d * d),
             e,
         )
     )
@@ -84,11 +85,12 @@ def _in_r3(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
     strict = ge if closed else gt
     xx = p.x1 * p.x2
+    d = p.X12 * p.z2 - xx
     return (
         strict(p.z2, p.z1, e)
         and strict(p.X12 * p.x2, p.X22 * p.x1, e)
         and strict(
-            p.z1 * (p.X12 * p.z2 - xx) ** 2,
+            p.z1 * (d * d),
             p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
             e,
         )
@@ -136,8 +138,8 @@ def _r6_extra(p: HullPoint, tol: Tolerances) -> bool:
     e = tol.eq_tol
     s = p.z1 + p.z2 - 1.0
     lhs = (1.0 - p.z1) * s * p.x1 * p.x1 * (p.X22 * p.z2 - p.x2 * p.x2)
-    rhs = (p.X12 * p.z1 * p.z2 - p.x1 * p.x2 * s) ** 2
-    return ge(lhs, rhs, e)
+    d = p.X12 * p.z1 * p.z2 - p.x1 * p.x2 * s
+    return ge(lhs, d * d, e)
 
 
 def _r7_extra(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
@@ -208,8 +210,7 @@ _CODE_OF = {tag: code for code, tag in enumerate(CELLS)}
 def cell_masks(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The (8, n) mask of validated columns whose row k flags where the
     system of cell k holds, every system evaluated as in
-    :func:`region_matches`; the rows past :data:`~pairhull.core.COLUMN_MAX`
-    are not meaningful."""
+    :func:`region_matches`."""
     return np.array([elementwise(pred)(cols, tol) for _, pred in _PREDICATES])
 
 
@@ -220,9 +221,8 @@ def first_cells(masks: np.ndarray) -> np.ndarray:
 
 
 def cell_codes(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """The cell code of every row of validated columns, the rows past
-    :data:`~pairhull.core.COLUMN_MAX` excepted: the index of the first cell
-    whose system holds, as in :func:`classify`."""
+    """The cell code of every row of validated columns: the index of the
+    first cell whose system holds, as in :func:`classify`."""
     return first_cells(cell_masks(cols, tol))
 
 
@@ -242,10 +242,7 @@ def classify_batch(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         return np.array([classify(p, tol) for p in cols.points()], dtype=object)
     with np.errstate(all="ignore"):
         validate_columns(cols, tol)
-        tags = CELLS[cell_codes(cols, tol)]
-    for i in np.flatnonzero(cols.scalar_rows()):
-        tags[i] = classify(cols.point(i), tol)
-    return tags
+        return CELLS[cell_codes(cols, tol)]
 
 
 def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:
@@ -285,8 +282,7 @@ def region_partition_audit(
     raises the error of :func:`classify`.
 
     The cells are decided on columns; batches below
-    :data:`~pairhull.core.COLUMN_MIN_ROWS` rows and rows past
-    :data:`~pairhull.core.COLUMN_MAX` are audited row by row.
+    :data:`~pairhull.core.COLUMN_MIN_ROWS` rows are audited row by row.
     """
     if not isinstance(samples, np.ndarray):
         samples = np.reshape([p.coords() for p in samples], (-1, len(COORD_NAMES)))
@@ -296,20 +292,17 @@ def region_partition_audit(
         masks = np.zeros((len(_PREDICATES), n), bool)
         codes = np.zeros(n, np.intp)
         audited = np.zeros(n, bool)
-        scalar = np.ones(n, bool)
+        for i, p in enumerate(cols.points()):
+            codes[i] = _CODE_OF[classify(p, tol)]
+            audited[i] = separable_holds(p, tol)
+            matches = region_matches(p, tol) if audited[i] else []
+            masks[:, i] = [tag in matches for tag, _ in _PREDICATES]
     else:
         with np.errstate(all="ignore"):
             validate_columns(cols, tol)
             masks = cell_masks(cols, tol)
             audited = elementwise(separable_holds)(cols, tol)
         codes = first_cells(masks)
-        scalar = cols.scalar_rows()
-    for i in np.flatnonzero(scalar):
-        p = cols.point(i)
-        codes[i] = _CODE_OF[classify(p, tol)]
-        audited[i] = separable_holds(p, tol)
-        matches = region_matches(p, tol) if audited[i] else []
-        masks[:, i] = [tag in matches for tag, _ in _PREDICATES]
 
     n_matches = masks.sum(axis=0)
     multi = np.flatnonzero(audited & (n_matches > 1))

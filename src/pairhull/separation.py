@@ -361,8 +361,8 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     go through :func:`separate` one by one, which gives their result or
     error: uncovered corners, rows the oracle decided, indicator edges,
     touch points that need an X22 bump, rows where a guard of the touch
-    point or the cut fires and rows past :data:`~pairhull.core.COLUMN_MAX`;
-    so do all rows of a batch below :data:`~pairhull.core.COLUMN_MIN_ROWS`.
+    point or the cut fires; so do all rows of a batch below
+    :data:`~pairhull.core.COLUMN_MIN_ROWS`.
     Raises the error of :func:`separate` for the first row outside the
     ambient domain.
     """
@@ -386,11 +386,10 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
     the mask of the rows left to :func:`separate`."""
     with np.errstate(all="ignore"):
         validate_columns(cols, tol)
-        scalar = cols.scalar_rows()
         relaxed = elementwise(ctilde_holds)(cols, tol)
-        for i in np.flatnonzero(~relaxed & ~scalar):
+        for i in np.flatnonzero(~relaxed):
             out.errors[int(i)] = InputOutsideCtilde(_OUTSIDE_CTILDE)
-        idx = np.flatnonzero(relaxed & ~scalar)
+        idx = np.flatnonzero(relaxed)
         sub = cols.take(idx)
         report = member_columns(sub, tol)
         out.inside[idx] = report.member
@@ -411,7 +410,8 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
             out.coeffs[rows] = coeffs[~off]
             out.constant[rows] = constant[~off]
             out.touch[rows] = touch[~off]
-        scalar[idx[left]] = True
+    scalar = np.zeros(len(cols), bool)
+    scalar[idx[left]] = True
     return scalar
 
 

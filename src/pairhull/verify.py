@@ -302,19 +302,23 @@ def run_hull_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     )
 
 
-def run_cuts_suite(
-    trials: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    s2_batch: int = 10_000,
-    violation_floor: float = 1e-9,
-    soundness_floor: float = -1e-8,
-) -> SuiteReport:
+#: Vertex-set samples on which the cuts suite checks every cut's soundness.
+S2_BATCH = 10_000
+#: A cut of the cuts suite must be below -VIOLATION_FLOOR at its query and
+#: within VIOLATION_FLOOR of zero at its touch point.
+VIOLATION_FLOOR = 1e-9
+#: Least value a cut of the cuts suite may take on a vertex-set sample.
+SOUNDNESS_FLOOR = -1e-8
+#: Least slack of the deciding piece at the points of the oracle suite.
+ORACLE_MARGIN = 1e-4
+
+
+def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Soundness and violation of cuts on constructed non-members."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     queries = shrunken_nonmembers(rng, trials, tol=tol)
-    batch = _sample_s2_array(rng, s2_batch, 2.0)
+    batch = _sample_s2_array(rng, S2_BATCH, 2.0)
     failures = 0
     offender = None
     worst = math.inf
@@ -334,8 +338,8 @@ def run_cuts_suite(
         bad = (
             res.inside
             or res.cut is None
-            or res.cut.evaluate(p) >= -violation_floor
-            or abs(res.cut.evaluate(res.cut.touch)) > violation_floor
+            or res.cut.evaluate(p) >= -VIOLATION_FLOOR
+            or abs(res.cut.evaluate(res.cut.touch)) > VIOLATION_FLOOR
             or not touch.report(int(touch_row[i])).member
         )
         if bad:
@@ -350,7 +354,7 @@ def run_cuts_suite(
         vals = batch @ coeffs.T + consts
         per_cut_min = vals.min(axis=0)
         worst = float(per_cut_min.min())
-        for i in np.nonzero(per_cut_min < soundness_floor)[0]:
+        for i in np.nonzero(per_cut_min < SOUNDNESS_FLOOR)[0]:
             failures += 1
             if offender is None:
                 offender = {
@@ -363,17 +367,12 @@ def run_cuts_suite(
         failures,
         worst,
         time.perf_counter() - t0,
-        detail=f"cuts={len(cuts)} batch={s2_batch}",
+        detail=f"cuts={len(cuts)} batch={S2_BATCH}",
         offender=offender,
     )
 
 
-def run_oracle_suite(
-    trials: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    margin: float = 1e-4,
-) -> SuiteReport:
+def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Agreement of the closed-form decision with the numeric oracle.
 
     The slack of a point is its oracle decision margin, signed so that it is
@@ -383,7 +382,7 @@ def run_oracle_suite(
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pts = ctilde_margin_points(rng, trials, margin, tol)
+    pts = ctilde_margin_points(rng, trials, ORACLE_MARGIN, tol)
     failures = 0
     offender = None
     n_member = 0

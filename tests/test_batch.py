@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import pairhull.core
 from pairhull import hull
-from pairhull.core import COLUMN_MAX, HullPoint, in_relaxation_ctilde
+from pairhull.core import HullPoint, in_relaxation_ctilde
 from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
 from pairhull.oracle import _sample_hull_array, _sample_separable_array
@@ -81,6 +81,14 @@ def _key(rep):
     )
 
 
+def _member_outcome(decide):
+    """The report key of a decision, or the class of its PairhullError."""
+    try:
+        return _key(decide())
+    except PairhullError as exc:
+        return ("error", type(exc).__name__)
+
+
 def _assert_batch_equals_scalar(rows: np.ndarray) -> None:
     tags = classify_batch(rows)
     batch = member_batch(rows)
@@ -133,10 +141,24 @@ class TestBitIdentity:
         ]
 
     def test_rows_past_column_max_take_the_scalar_path(self):
-        rows = _rows(sample_ctilde_points(np.random.default_rng(5), 80))
+        base = _rows(sample_ctilde_points(np.random.default_rng(5), 80))
+        rows = base.copy()
         rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), 1e40))
-        assert (np.abs(rows) > COLUMN_MAX).any(axis=1).sum() > 0
+        assert (np.abs(rows) > 1e64).any(axis=1).sum() > 0
         _assert_batch_equals_scalar(rows)
+        # at these scales the squares of the cell systems overflow to inf:
+        # the scalar classify and member_hull raise no OverflowError, and a
+        # row whose decision raises raises the same error in the batch
+        for t in (1e80, 1e120):
+            rows = base.copy()
+            rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), t))
+            tags, batch = classify_batch(rows), member_batch(rows)
+            for i, row in enumerate(rows):
+                p = HullPoint.from_coords(row)
+                assert tags[i] is classify(p), (i, row.tolist())
+                assert _member_outcome(lambda: batch.report(i)) == _member_outcome(
+                    lambda: member_hull(p)
+                ), (i, row.tolist())
 
     def test_empty_batch(self):
         assert len(member_batch(np.empty((0, 7)))) == 0
@@ -253,9 +275,12 @@ class TestSeparateBatch:
             assert _outcome(lambda: columns.result(i)) == _outcome(lambda: by_rows.result(i))
 
     def test_rows_past_column_max_take_the_scalar_path(self):
-        rows = _rows(shrunken_nonmembers(np.random.default_rng(10), 80))
-        rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), 1e40))
-        _assert_separate_batch_equals_scalar(rows)
+        base = _rows(shrunken_nonmembers(np.random.default_rng(10), 80))
+        for t in (1e40, 1e80, 1e120):
+            rows = base.copy()
+            rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), t))
+            outcomes = _assert_separate_batch_equals_scalar(rows)
+            assert ("error", "OverflowError") not in outcomes
 
     @pytest.mark.parametrize("n", [3, 100])
     def test_row_outside_the_box_raises_the_scalar_error(self, n):

@@ -129,6 +129,26 @@ BAD_LINES = [
     '{"x":[true,0.5],"X":[[1,0],[0,1]],"z":[0.5,0.5]}',
     '{"x":[0.1,1],"X":[[1,1.2]],"z":[0.5,0.5]}',
 ]
+#: The bad lines after float lines (ids as before), and after a stream
+#: with integer coordinates on every third line.
+BAD_CASES = [pytest.param(bad, False, id=bad) for bad in BAD_LINES] + [
+    pytest.param(bad, True, id=f"integers-{bad}") for bad in BAD_LINES
+]
+#: An in-box point whose squared terms overflow Python floats.
+LARGE_LINE = (
+    '{"x": [2.7019301004482245e+79, 1.3879690862929906e+80], '
+    '"X": [[9.053321911771368e+159, 1.3889030762863502e+160], '
+    '[1.3889030762863502e+160, 3.4401621102217154e+160]], '
+    '"z": [0.09752909616287808, 0.8297852952045203]}'
+)
+
+
+def _integer_line(line: str) -> str:
+    """The record of a line with x and X rounded to JSON integers."""
+    rec = json.loads(line)
+    rec["x"] = [round(v) for v in rec["x"]]
+    rec["X"] = [[round(v) for v in row] for row in rec["X"]]
+    return json.dumps(rec)
 
 
 def _long_stream() -> list[str]:
@@ -158,10 +178,12 @@ class TestStreamChunks:
         singles = [run_cli(argv, line + "\n") for line in stream if line]
         assert out == "".join(o for _, o in singles)
 
-    @pytest.mark.parametrize("bad", BAD_LINES)
+    @pytest.mark.parametrize("bad, integers", BAD_CASES)
     @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
-    def test_bad_line_mid_chunk_answers_the_lines_before_it(self, argv, bad, capsys):
+    def test_bad_line_mid_chunk_answers_the_lines_before_it(self, argv, bad, integers, capsys):
         lines = _margin_lines(200, seed=35)
+        if integers:
+            lines[::3] = map(_integer_line, lines[::3])
         lines.insert(150, bad)
         code, out = run_cli(argv, "\n".join(lines) + "\n")
         err = capsys.readouterr().err
@@ -172,6 +194,15 @@ class TestStreamChunks:
         alone = capsys.readouterr().err
         assert alone.startswith("error: line 1: ")
         assert err == alone.replace("line 1:", "line 151:", 1)
+
+    @pytest.mark.parametrize(
+        "argv", STREAM_COMMANDS + [["member", "--oracle"]], ids=" ".join
+    )
+    def test_point_with_overflowing_squares_is_answered(self, argv, capsys):
+        code, out = run_cli(argv, LARGE_LINE + "\n")
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert capsys.readouterr().err == ""
 
     def test_error_of_a_decision_answers_the_lines_before_it(self, monkeypatch):
         # an uncovered corner (the "uncovered" pin of test_separation) takes

@@ -26,10 +26,11 @@ from pairhull.errors import (
     RegionHasNoClosedWitness,
 )
 from pairhull.core import Tolerances
+from pairhull.columns import elementwise
 from pairhull.oracle import (
     _grid_eval,
-    _objective_arrays,
     _sample_separable_array,
+    _witness_objective,
     witness_slacks,
 )
 from pairhull.verify import (
@@ -129,8 +130,7 @@ class TestOracleMember:
             assert wit.objective.infinite or wit.objective.value >= 0.0
 
     def test_stationarity_at_interior_optima(self):
-        from pairhull.oracle import _objective_arrays
-
+        objective = elementwise(_witness_objective)
         rng = np.random.default_rng(79)
         checked = 0
         for row in _sample_separable_array(rng, 200, 2.0, 4.0):
@@ -153,8 +153,9 @@ class TestOracleMember:
                 up, dn = base.copy(), base.copy()
                 up[i] += 1e-7
                 dn[i] -= 1e-7
-                fa = float(_objective_arrays(p, up[0], up[1], up[2], 1e-9))
-                fb = float(_objective_arrays(p, dn[0], dn[1], dn[2], 1e-9))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    fa = float(objective(p, up[0], up[1], up[2], 1e-9))
+                    fb = float(objective(p, dn[0], dn[1], dn[2], 1e-9))
                 grad[i] = (fa - fb) / 2e-7
             if not np.all(np.isfinite(grad)):
                 continue  # optimum on the feasibility boundary
@@ -274,9 +275,10 @@ class TestPinnedOracle:
                 cols1 = np.column_stack([cols1, np.clip(lam * p.x1 / p.z1, 0.0, p.x1)])
             if p.x2 > 0.0:
                 cols2 = np.column_stack([cols2, np.clip(lam * p.x2 / p.z2, 0.0, p.x2)])
-            f = _objective_arrays(
-                p, lam[:, None, None], cols1[:, :, None], cols2[:, None, :], e
-            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = elementwise(_witness_objective)(
+                    p, lam[:, None, None], cols1[:, :, None], cols2[:, None, :], e
+                )
             i, j, k = np.unravel_index(int(np.argmin(f)), f.shape)
             expected = (float(f[i, j, k]), lam[i], cols1[i, j], cols2[i, k])
             assert _grid_eval(p, lam, a1_ax, a2_ax, e) == expected

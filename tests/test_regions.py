@@ -16,10 +16,10 @@ from pairhull import (
     region_partition_audit,
     validate_point,
 )
-from pairhull.core import COLUMN_MAX
 from pairhull.errors import NotInAmbientBox
 from pairhull.oracle import _sample_separable_array
 from pairhull.regions import region_closure_contains
+from pairhull.verify import run_partition_suite
 
 
 class TestClassifyExamples:
@@ -59,6 +59,14 @@ class TestPartitionAudit:
     def test_empty_list_gives_empty_report(self):
         report = region_partition_audit([])
         assert report.total == 0 and report.ok and report.counts == {}
+
+    def test_zero_trials_give_an_empty_passing_suite(self):
+        report = run_partition_suite(0, 1)
+        assert report.ok and report.trials == 0 and report.offender is None
+        assert report.detail == "counts={}"
+        rng = np.random.default_rng(1)
+        assert _sample_separable_array(rng, 0, 2.0, 4.0).shape == (0, 7)
+        assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
 
 
 AUDIT_TOLS = [DEFAULT_TOL, Tolerances(1e-2, 1e-2, 1e-2), Tolerances(0.3, 0.3, 0.3)]
@@ -118,8 +126,13 @@ class TestColumnAudit:
     @pytest.mark.parametrize("tol", AUDIT_TOLS, ids=["default", "1e-2", "0.3"])
     def test_rows_past_column_max_are_audited_row_by_row(self, tol):
         rows = _audit_rows(100, seed=8)
-        rows[10, 3] = 1e3 * COLUMN_MAX  # X12
-        rows[50, 4] = 1e30 * COLUMN_MAX  # X22
+        rows[10, 3] = 1e3 * 1e64  # X12
+        rows[50, 4] = 1e30 * 1e64  # X22
+        # (x, X) -> (t x, t^2 X): the squares of the cell systems overflow
+        # to inf, and the reference's scalar classify raises no OverflowError
+        for lo, t in ((60, 1e80), (80, 1e120)):
+            rows[lo : lo + 10, :2] *= t
+            rows[lo : lo + 10, 2:5] *= t * t
         _assert_audit_matches_reference(rows, tol)
 
     @pytest.mark.parametrize("as_points", [False, True], ids=["array", "points"])
