@@ -163,15 +163,35 @@ def _den_rows(den):
     return np.where(den > 0.0, den, 1.0), np.flatnonzero(den <= 0.0)
 
 
+def _first_min(f, li):
+    """Index (r, j) of the first minimum of f in (lambda, a1, a2) order.
+
+    Row r of f holds the (lambda, a2) pair (li[r], ki[r]) of a grid, the
+    rows sorted by (li, ki), and column j the first split: the answer is
+    the entry np.argmin finds on the dense (L, N1, N2) layout.  np.argmin
+    on f finds the first minimum in (li, ki, j) order.  An entry tied with
+    it comes first in (li, j, ki) order only in a later row of the same li,
+    at a smaller j, so the first minimum of those rows taken in (j, ki)
+    order is the answer.  f must hold no NaN.
+    """
+    r, j = divmod(int(np.argmin(f)), f.shape[1])
+    stop = int(np.searchsorted(li, li[r], side="right"))
+    j, k = divmod(int(np.argmin(f[r:stop].T)), stop - r)
+    return r + k, j
+
+
 def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
     """Evaluate the objective on the product grid with per-lambda ridge
-    columns a_i = lam * x_i / z_i appended (the constraint-wise best split).
+    columns a_i = lam * x_i / z_i appended (the constraint-wise best split),
+    and return the grid's first minimum in (lambda, a1, a2) order.
 
-    Same values as :func:`_witness_objective` on the broadcast grid: the
-    terms of one split are computed at their 2-D shape by
-    :func:`_sq_over_rows`, the coupling term in place with safe
-    denominators, and its closure cases only on the rows with lambda <= 0
-    and the (lambda, a2) columns with g2 <= 0.
+    Same values as :func:`_witness_objective` on the broadcast grid, but
+    only on the (lambda, a2) pairs with g2 >= -eq_tol: at the others the
+    coupling term, and so the objective, is +inf for every a1.  The kept
+    pairs are the rows of an (m, N1) array; the terms of one split are
+    computed at their 2-D shape by :func:`_sq_over_rows`, the coupling term
+    in place with safe denominators, and its closure cases only on the
+    rows with lambda <= 0 and the band -eq_tol <= g2 <= 0.
     """
     lam_ax = np.asarray(lam_ax, dtype=float)
     L = lam_ax.size
@@ -194,27 +214,36 @@ def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
         p.X22
         - _sq_over_rows(cols2, lam_s, lam_rows, e)
         - _sq_over_rows(p.x2 - cols2, rest2_s, rest2_rows, e)
-    )
-    gpos = g2 > 0.0
+    ).reshape(-1)
+    inf_result = (math.inf, float(lam_ax[0]), float(cols1[0, 0]), float(cols2[0, 0]))
+    pairs = np.flatnonzero(g2 >= -e)
+    if pairs.size == 0:
+        return inf_result
+    li = pairs // cols2.shape[1]
+    a2 = cols2.reshape(-1)[pairs, None]
+    g2 = g2[pairs]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        f = cols1[:, :, None] * cols2[:, None, :]
-        f /= lam_s[:, :, None]
+        f = np.take(cols1, li, axis=0)
+        f *= a2
+        f /= lam_s[li]
         np.subtract(p.X12, f, out=f)  # h = X12 - a1 a2 / lam
-        for i in lam_rows:
-            zero_num = (cols1[i, :, None] <= e) | (cols2[i, None, :] <= e)
-            f[i] = p.X12 - np.where(zero_num, 0.0, np.inf)
-        li, ki = np.nonzero(~gpos)
-        h_bad = f[li, :, ki]
+        zero_lam = np.flatnonzero(lam_ax[li] <= 0.0)
+        if zero_lam.size:
+            zero_num = (cols1[li[zero_lam]] <= e) | (a2[zero_lam] <= e)
+            f[zero_lam] = p.X12 - np.where(zero_num, 0.0, np.inf)
+        band = np.flatnonzero(g2 <= 0.0)
+        h_band = f[band]
         f *= f
-        f /= np.where(gpos, g2, 1.0)[:, None, :]
-        f[li, :, ki] = np.where(
-            (np.abs(h_bad) <= e) & (g2[li, ki] >= -e)[:, None], 0.0, np.inf
-        )
-        f += t12[:, :, None]
-    k = int(np.argmin(f))
-    i, j, l = np.unravel_index(k, f.shape)
-    return float(f[i, j, l]), float(lam_ax[i]), float(cols1[i, j]), float(cols2[i, l])
+        f /= np.where(g2 > 0.0, g2, 1.0)[:, None]
+        f[band] = np.where(np.abs(h_band) <= e, 0.0, np.inf)
+        f += np.take(t12, li, axis=0)
+    # no entry is NaN (no inf - inf arises, and inf + inf is inf), so the
+    # first minimum is the least value
+    r, j = _first_min(f, li)
+    if math.isinf(f[r, j]):
+        return inf_result
+    return float(f[r, j]), float(lam_ax[li[r]]), float(cols1[li[r], j]), float(a2[r, 0])
 
 
 def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):

@@ -270,18 +270,18 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
             touch = _touch_weighted(p, tol)
         else:
             touch = _touch_shifted(p, region, family, tol)
-        cut = _family_cut(family, touch, tol).normalized()
     elif region is Region.R1 and "edge.product" in report.violated:
         touch, family = _touch_edge(p, tol)
-        cut = _family_cut(family, touch, tol).normalized()
     else:
         raise SeparationInvariantError(
             f"cell {region.value} cannot carry a violated system inside the "
             f"relaxation; got {report.violated}"
         )
 
-    if cut.evaluate(p) >= 0.0:
-        raise SeparationInvariantError("constructed cut fails to separate the query")
+    with np.errstate(all="ignore"):  # as on the column path of separate_batch
+        cut = _family_cut(family, touch, tol).normalized()
+        if cut.evaluate(p) >= 0.0:
+            raise SeparationInvariantError("constructed cut fails to separate the query")
     return SeparationResult(False, cut, region)
 
 

@@ -1,6 +1,7 @@
 """The batch functions against the scalar reference, bit for bit."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -281,6 +282,18 @@ class TestSeparateBatch:
             rows[::7] = _scaled(rows[::7], np.full(len(rows[::7]), t))
             outcomes = _assert_separate_batch_equals_scalar(rows)
             assert ("error", "OverflowError") not in outcomes
+
+    def test_far_scaled_rows_warn_in_neither_path(self):
+        # near t = 1e77 the dot product of the gradient with the touch point
+        # overflows on three of these rows, and on two of them the
+        # normalization of the cut divides inf by inf
+        rng = np.random.default_rng(19)
+        rows = _rows(sample_ctilde_points(rng, 400) + shrunken_nonmembers(rng, 400))
+        rows = _scaled(rows, np.exp(rng.uniform(math.log(1e20), math.log(1e150), len(rows))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = _assert_separate_batch_equals_scalar(rows)
+        assert {"cut", "inside", "error"} <= {o[0] for o in outcomes}
 
     @pytest.mark.parametrize("n", [3, 100])
     def test_row_outside_the_box_raises_the_scalar_error(self, n):

@@ -28,6 +28,7 @@ from pairhull.errors import (
 from pairhull.core import Tolerances
 from pairhull.columns import elementwise
 from pairhull.oracle import (
+    _first_min,
     _grid_eval,
     _sample_separable_array,
     _witness_objective,
@@ -210,6 +211,141 @@ ORACLE_PINS = [
 ]
 
 
+# oracle_members on the 64 rows of _sample_separable_array(default_rng(7), 64,
+# 2.0, 4.0), in the format of ORACLE_PINS; z1 + z2 <= 1, and with it a
+# lambda = 0 row of the grid, on 25 of them
+SEPARABLE_PINS = [
+    (True, "0x1.591126e9a1a80p-7", "0x1.0c7323ee0d52fp-2",
+     "0x1.86b66c3576cc0p-3", "0x1.336c42e5c44f2p-1"),
+    (False, "0x1.df2a571c79f0ep-1", "0x1.4cd9b567e3a09p-3",
+     "0x1.496b14660cb04p-2", "0x1.edb329e667f0ep+3"),
+    (True, "0x1.5802ca138eb14p-2", "0x1.dc06ea58ce55ep-2",
+     "0x1.1205684c50508p-2", "0x1.65ede908cb903p-1"),
+    (True, "0x1.fbcdd5b06b6c2p-3", "0x1.8c863d7740cd0p-3",
+     "0x1.7a0f4694ec800p-3", "0x1.2605fa9593b77p-1"),
+    (False, "0x1.244af7ce3b760p-4", "0x1.031cf324e7286p+0",
+     "0x1.5326add3ec7a0p-1", "0x1.5bca75894d8e0p+3"),
+    (False, "0x1.d2b54f91a67e3p-1", "0x1.86d62e1686428p-2",
+     "0x1.12d226a5f627ep-1", "0x1.b92776b7c276ep+1"),
+    (False, "0x1.fae91a7b08f64p-2", "0x1.4fde65838cb74p-1",
+     "0x1.00460cac3abbfp-1", "0x1.68b68e1fdd96fp+4"),
+    (True, "0x1.2510881405cbap-2", "0x1.7962a94f1bc60p-2",
+     "0x1.2c8359d68d770p-2", "0x1.e8990cba75828p-1"),
+    (False, "0x1.4789022d6a74dp+0", "0x1.fc4e39f0e97c9p-1",
+     "0x1.3016ed92e864cp-1", "0x1.aa397cacbf028p+2"),
+    (False, "0x1.71ef349abe7c4p-1", "0x1.4756b59ab618ep-1",
+     "0x1.2a1d15cd4b7ecp-1", "0x1.2fc477267c9bcp+1"),
+    (True, "0x1.0460086307bdbp-5", "0x1.111d718f3f270p-4",
+     "0x1.819f8a9b44ae5p-7", "0x1.16a785b2db2a0p-2"),
+    (True, "0x1.339bea61ce224p-2", "0x1.7e2f8b08b1b6ap-1",
+     "0x1.51e918902a15cp-1", "0x1.698d8cddf7286p+0"),
+    (True, "0x1.7e7939e6dadb3p-2", "0x1.285be5137bb04p-1",
+     "0x1.6c36060ecae7ep-3", "0x1.5708978dc8ab1p+1"),
+    (False, "0x1.eaa082aadd2c8p-2", "0x1.1efff895d16d4p-2",
+     "0x1.116115068ac4cp-3", "0x1.19da2c6694f9ep+2"),
+    (True, "0x1.294ea3446693fp-2", "0x1.f95eca341a408p-3",
+     "0x1.137ee562a3607p-2", "0x1.437524de63146p+1"),
+    (False, "0x1.f3eab4182970bp-2", "0x1.6a1a14e16dae0p-2",
+     "0x1.258b0516f480dp-3", "0x1.b3eadf140ac6ep+1"),
+    (False, "0x1.0d8c97c443a6cp-2", "0x1.fd607a4003626p-3",
+     "0x1.052fd8a256b32p-4", "0x1.7d524c3a46700p+2"),
+    (True, "0x1.b394b3a6dba0ep-5", "0x1.ffc937a2fc6a0p-3",
+     "0x1.60f8905447383p-6", "0x1.6f9f9b303088ep-1"),
+    (True, "0x1.27071d646ff4fp-2", "0x1.0ab7c284ea340p-4",
+     "0x1.6714faf4489b4p-1", "0x1.70d197106abbcp+0"),
+    (True, "0x1.0a465c4ab925dp+0", "0x1.f99450209212bp-2",
+     "0x1.482d2a17804fbp-1", "0x1.0a86656a14188p+1"),
+    (True, "0x1.0c5cfa09f5a56p-1", "0x1.c448d30699014p-1",
+     "0x1.9d9619beb531fp-2", "0x1.f40ae020b70e3p-1"),
+    (False, "0x1.d92688d609b8dp-2", "0x1.d11877b752930p-4",
+     "0x1.67abe7e59017ep-3", "0x1.70ba83b1dde40p+2"),
+    (False, "0x1.9ca6884ddc6d2p-2", "0x1.d1437c75f4a4cp-2",
+     "0x1.ed25283f1fa8ep-3", "0x1.11decdc6d5e8fp+1"),
+    (True, "0x1.36994f3b5469cp-5", "0x1.0e88308d98cd0p-4",
+     "0x1.13d8d90757887p-2", "0x1.1e900956a6d10p-1"),
+    (True, "0x1.9190872262e45p-5", "0x1.f85aff1d790f8p-3",
+     "0x1.86033a7c39703p-1", "0x1.11a74ce134de2p-7"),
+    (True, "0x1.f75db57e83e90p-3", "0x1.6912441829e7bp-2",
+     "0x1.07e8cb4aaca78p-3", "0x1.171e27763d976p+1"),
+    (True, "0x1.4419856ef15fdp-1", "0x1.058c55cb34f92p-1",
+     "0x1.51db8c813b5a3p-2", "0x1.77da14b0b716cp+1"),
+    (True, "0x1.5366f34ec2600p-7", "0x1.2cff5160952b8p-3",
+     "0x1.daef89ad44879p-3", "0x1.60e8d99311bfep-5"),
+    (True, "0x1.cfb71d69d8620p-2", "0x1.42eb52e275e9ep-1",
+     "0x1.745064ee27b52p-2", "0x1.0320321cda5e1p+0"),
+    (False, "0x1.8c4bfc6b5a40fp-3", "0x1.0ff7940fbf780p-3",
+     "0x1.79e26548346b6p-7", "0x1.80475dc5e2382p+2"),
+    (True, "0x1.13e399fafcde3p-1", "0x1.dc399817a7a9cp-1",
+     "0x1.eb1c5b45220e4p-3", "0x1.4eda1899812d0p+0"),
+    (False, "0x1.a586917d7f628p-1", "0x1.4bf4000b37265p-1",
+     "0x1.e7f1cdf30a9dfp-2", "0x1.03f771c482f04p+2"),
+    (False, "0x1.197544e18b580p-3", "0x1.da0c8c610b5d0p-4",
+     "0x1.755a435ac5700p-3", "0x1.06aeed65e921fp+1"),
+    (True, "0x1.ada5fcf2acdb9p-2", "0x1.2697b0f0c3b27p+0",
+     "0x1.617fd7afe2e42p-1", "0x1.515c156bdf1a6p-2"),
+    (True, "0x1.8f8107fa6f844p-1", "0x1.6a97c86595407p-2",
+     "0x1.6271bbea8a34dp-2", "0x1.cbae67e7403fep+0"),
+    (True, "0x1.cc69f6797dfb0p-3", "0x1.90955c981c230p-2",
+     "0x1.0f3b7c0d7fcfcp-2", "0x1.51976f5cbd4c1p-1"),
+    (True, "0x1.a2313add6bbfep-1", "0x1.89d0df911088bp+0",
+     "0x1.536396314eff6p-1", "0x1.1dc397bec98d7p+0"),
+    (False, "0x1.91879c2b0b039p-1", "0x1.5b2b181f58770p-3",
+     "0x1.5fc6b528fafdap-4", "0x1.16cb0aa422aadp+4"),
+    (False, "0x1.e08106d0ef932p-4", "0x1.4472ead427b70p-4",
+     "0x1.aa4bcff316e10p-3", "0x1.8fcffeaece6f2p+1"),
+    (True, "0x1.ce5e006e2fe49p-8", "0x1.9fe7e296723d4p-3",
+     "0x1.a28e592b5a074p-6", "0x1.a62d9f43fb21dp-6"),
+    (False, "0x1.f04093cae4a60p-5", "0x1.230a95177eda6p-3",
+     "0x1.83c031317c93ep-3", "0x1.567c794dfeb06p+1"),
+    (True, "0x1.4d6d95cf9d29ap-2", "0x1.952e3e341bfacp-2",
+     "0x1.a4b36bab248bep-3", "0x1.5c3a5e053ef1cp+0"),
+    (False, "0x1.fd122635a75c0p-2", "0x1.04e38de073904p-1",
+     "0x1.3d4542043d431p-3", "0x1.3825e3ab689f2p+2"),
+    (False, "0x1.3f5f3c07ceb90p-4", "0x1.493333b6902fbp-2",
+     "0x1.b353fb55b687dp-4", "0x1.9df222361c6c4p+3"),
+    (True, "0x1.c58ccc402c888p-4", "0x1.55cf870a0c4a8p-2",
+     "0x1.4db928a5c0c58p-3", "0x1.ce1167acec89cp-3"),
+    (False, "0x1.9f69d5e082d60p-4", "0x1.861b0ee29c520p-1",
+     "0x1.31482655c1236p-1", "0x1.c69d066cb516fp+1"),
+    (True, "0x1.2a564d85658e5p-1", "0x1.117dbe6d2dc9dp-2",
+     "0x1.6eaf4087136f4p-1", "0x1.055f33079408cp-1"),
+    (False, "0x1.4f052ec5725d4p-1", "0x1.4f0d7fb24a2b8p-1",
+     "0x1.dc4cba708d07cp-3", "0x1.021166b24aabbp+2"),
+    (True, "0x1.4ac6f9911b13cp-2", "0x1.6257ac397f929p-2",
+     "0x1.4e46923c8cb95p-4", "0x1.7fd2096294df8p+1"),
+    (False, "0x1.b57dc61634300p-5", "0x1.ec0e1fec519eap-3",
+     "0x1.273619073b699p-2", "0x1.3c8567072b838p+0"),
+    (True, "0x1.af8f3f184f9b7p-4", "0x1.a0e6decaafb80p-1",
+     "0x1.4f949bd164370p-1", "0x1.b1b1d420b280ep-5"),
+    (False, "0x1.b87036925e2e4p-2", "0x1.9c588c413b91bp-2",
+     "0x1.5ebccca8dff58p-2", "0x1.1e1b16622db86p+2"),
+    (True, "0x1.fab1e145af9c0p-2", "0x1.40fc3fb8eba93p-1",
+     "0x1.c6348fc87bf4dp-2", "0x1.d57a9441bcab4p-1"),
+    (True, "0x1.5231ab621edaap-8", "0x1.aaba0930c3500p-8",
+     "0x1.026ff0719de06p-4", "0x1.92546119b83cdp-2"),
+    (False, "0x1.2e4c71415e93ap-4", "0x1.378f0b2520be0p-5",
+     "0x1.e409eec9e5ab5p-5", "0x1.136d114dc8507p+1"),
+    (True, "0x1.5d1b484444907p-3", "0x1.ae66d5fa60ef8p-2",
+     "0x1.a0c7f46855ea2p-4", "0x1.1121224d1f09bp+1"),
+    (False, "0x1.3a345b216c860p-1", "0x1.3993155e63f95p-1",
+     "0x1.8e7e83ffacb7cp-2", "0x1.53f2366852939p+2"),
+    (False, "0x1.895fd3863c8e6p-1", "0x1.317d42e4705e1p-3",
+     "0x1.3432b997d92f6p-2", "0x1.610e34525221bp+4"),
+    (False, "0x1.2ae7b37fead6ep-1", "0x1.6472c0602a115p-3",
+     "0x1.d0a6b7832bb10p-4", "0x1.5f6f247f28aa5p+6"),
+    (False, "0x1.67e4788b2a500p-2", "0x1.6f943e4064752p-2",
+     "0x1.68bbdee859498p-2", "0x1.be4685951a735p+2"),
+    (False, "0x1.be5e1970c1db1p-2", "0x1.95031f02caa34p-2",
+     "0x1.50c6df543a13bp-4", "0x1.48acb45d2529dp+1"),
+    (False, "0x1.12b9c3d4429a9p-1", "0x1.b223408814e98p-3",
+     "0x1.8ac118574c1e4p-1", "0x1.fce05559ee6a8p+1"),
+    (False, "0x1.1656c3b49a3a0p-5", "0x1.b26243473178ep-3",
+     "0x1.c9ecc8078ae58p-3", "0x1.796444be69522p+3"),
+    (False, "0x1.1231f660b7306p-1", "0x1.b6776bedb4280p-3",
+     "0x1.d7a5749666ae7p-5", "0x1.d7b5a993b028cp+2"),
+]
+
+
 def _hex_result(res):
     member, wit = res
     obj = "inf" if wit.objective.infinite else float(wit.objective.value).hex()
@@ -247,6 +383,11 @@ class TestPinnedOracle:
         got = oracle_members([HullPoint(*pin[1]) for pin in pins])
         assert [_hex_result(res) for res in got] == [tuple(pin[2:]) for pin in pins]
 
+    def test_separable_batch_bit_for_bit(self):
+        rows = _sample_separable_array(np.random.default_rng(7), 64, 2.0, 4.0)
+        got = oracle_members([HullPoint.from_coords(row) for row in rows])
+        assert [_hex_result(res) for res in got] == SEPARABLE_PINS
+
     def test_failing_points_hold_their_error_in_a_batch(self):
         good = [HullPoint(*pin[1]) for pin in ORACLE_PINS[:6]]
         z2_zero = HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.5, 0.0)
@@ -264,13 +405,28 @@ class TestPinnedOracle:
         pts = ctilde_margin_points(np.random.default_rng(91), 6)
         pts += shrunken_nonmembers(np.random.default_rng(92), 4)
         pts += [p for p in sample_hull(SampleSeed(93, 6), 3) if min(p.z1, p.z2) > e]
+        pts += [
+            HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5),  # z1 + z2 <= 1: a lambda = 0 row
+            HullPoint(0.5, 0.6, 0.3, 0.25, 0.8, 1.0, 0.7),  # one-point weight interval
+            HullPoint(0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6),  # x1 = 0: no a1 ridge
+            HullPoint(0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # x2 = 0: no a2 ridge
+            HullPoint(0.0, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # one column, ties across lambda
+            # X22 below every split cost x2^2 / z2 of x2: no pair kept, +inf
+            HullPoint(0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6),
+            # X22 = x2^2 / z2: g2 = 0 on the lambda = 0 row at a2 = 0, in the
+            # band; with X12 = 0 that band pair holds the minimum
+            HullPoint(0.3, 0.4, 0.5, 0.2, 0.4 * 0.4 / 0.5, 0.4, 0.5),
+            HullPoint(0.3, 0.4, 0.5, 0.0, 0.4 * 0.4 / 0.5, 0.4, 0.5),
+        ]
         for p in pts:
+            # the axes of oracle_members
             lam_hi = min(p.z1, p.z2)
-            lam = np.linspace(min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi), lam_hi, 64)
-            a1_ax = np.linspace(0.0, p.x1, 64)
-            a2_ax = np.linspace(0.0, p.x2, 64)
-            cols1 = np.tile(a1_ax, (64, 1))
-            cols2 = np.tile(a2_ax, (64, 1))
+            lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
+            lam = np.linspace(lam_lo, lam_hi, 64 if lam_hi - lam_lo > e else 1)
+            a1_ax = np.linspace(0.0, p.x1, 64 if p.x1 > e else 1)
+            a2_ax = np.linspace(0.0, p.x2, 64 if p.x2 > e else 1)
+            cols1 = np.tile(a1_ax, (lam.size, 1))
+            cols2 = np.tile(a2_ax, (lam.size, 1))
             if p.x1 > 0.0:  # ridge columns a_i = lam x_i / z_i
                 cols1 = np.column_stack([cols1, np.clip(lam * p.x1 / p.z1, 0.0, p.x1)])
             if p.x2 > 0.0:
@@ -281,7 +437,25 @@ class TestPinnedOracle:
                 )
             i, j, k = np.unravel_index(int(np.argmin(f)), f.shape)
             expected = (float(f[i, j, k]), lam[i], cols1[i, j], cols2[i, k])
-            assert _grid_eval(p, lam, a1_ax, a2_ax, e) == expected
+            assert _grid_eval(p, lam, a1_ax, a2_ax, e) == expected, p
+
+    def test_grid_takes_the_first_minimum_of_the_dense_layout(self):
+        # objectives of few distinct values, so that most minima are tied
+        # across (lambda, a1, a2), and whole (lambda, a2) pairs +inf; the
+        # grid keeps every finite pair and some +inf ones
+        rng = np.random.default_rng(94)
+        for _ in range(300):
+            L, n1, n2 = rng.integers(1, 6, size=3)
+            dense = rng.integers(0, 3, size=(L, n1, n2)).astype(float)
+            dense[np.broadcast_to(rng.random((L, 1, n2)) < 0.4, dense.shape)] = np.inf
+            by_pair = dense.transpose(0, 2, 1).reshape(L * n2, n1)
+            finite = np.isfinite(by_pair).any(axis=1)
+            pairs = np.flatnonzero(finite | (rng.random(L * n2) < 0.5))
+            if not pairs.size or not finite.any():
+                continue
+            r, j = _first_min(by_pair[pairs], pairs // n2)
+            first = np.unravel_index(int(np.argmin(dense)), dense.shape)
+            assert (pairs[r] // n2, j, pairs[r] % n2) == first
 
 
 class TestOracleSuite:
