@@ -10,13 +10,11 @@ verification.
 from .core import (
     COORD_NAMES,
     DEFAULT_TOL,
-    ExtReal,
     HullColumns,
     HullPoint,
     Tolerances,
     in_relaxation_ctilde,
     in_separable_relaxation,
-    persp_prod,
     persp_sq,
     validate_point,
 )
@@ -25,7 +23,6 @@ from .hull import (
     MembershipReport,
     member_batch,
     member_hull,
-    member_hull_n1,
     persp_relaxation_member,
     piece_slacks,
     psd3_by_minors,
@@ -33,15 +30,10 @@ from .hull import (
 )
 from .oracle import (
     OracleWitness,
-    SampleSeed,
     analytic_witness,
-    aux_weight_maximizer,
     oracle_member,
     oracle_members,
     oracle_objective,
-    sample_S2,
-    sample_hull,
-    sample_separable_relaxation,
 )
 from .regions import (
     PartitionAuditReport,
@@ -62,6 +54,7 @@ from .separation import (
     separate_batch,
     taylor_cut,
 )
+from .verify import SampleSeed, sample_hull, sample_S2, sample_separable_relaxation
 
 __version__ = "0.1.0"
 
@@ -69,7 +62,6 @@ __all__ = [
     "COORD_NAMES",
     "DEFAULT_TOL",
     "Cut",
-    "ExtReal",
     "HullColumns",
     "HullPoint",
     "MembershipBatch",
@@ -82,18 +74,15 @@ __all__ = [
     "SeparationResult",
     "Tolerances",
     "analytic_witness",
-    "aux_weight_maximizer",
     "classify",
     "classify_batch",
     "in_relaxation_ctilde",
     "in_separable_relaxation",
     "member_batch",
     "member_hull",
-    "member_hull_n1",
     "oracle_member",
     "oracle_members",
     "oracle_objective",
-    "persp_prod",
     "persp_relaxation_member",
     "persp_sq",
     "piece_slacks",

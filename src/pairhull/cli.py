@@ -317,7 +317,7 @@ def _answer_oracle(
                 "xt42": wit.xt42,
                 "lambda4": wit.lambda4,
             }
-            rec["objective"] = None if wit.objective.infinite else wit.objective.value
+            rec["objective"] = None if math.isinf(wit.objective) else wit.objective
         _dump(rec, stdout, pretty)
 
 

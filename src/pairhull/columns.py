@@ -12,9 +12,9 @@ source with those four constructs made elementwise, and runs it with
 every package function it calls replaced by that function's column
 version.  The scalar function itself is untouched and keeps its
 short-circuits.  A function whose scalar body cannot run on columns (an
-``if`` on the point, a raise, an ``ExtReal`` result) registers a column
-body with :func:`column_version`; ``max``, ``math.sqrt`` and
-``math.isinf`` map to their numpy counterparts.
+``if`` on the point or a raise) registers a column body with
+:func:`column_version`; ``max``, ``math.sqrt`` and ``math.isinf`` map to
+their numpy counterparts.
 
 A conditional expression whose test is a plain ``bool`` (a flag of the
 caller, such as ``closed``) still picks one branch, so a body may switch

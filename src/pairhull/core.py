@@ -53,83 +53,6 @@ def ge(a: float, b: float, eq_tol: float) -> bool:
 
 
 @dataclass(frozen=True)
-class ExtReal:
-    """A real number extended with an explicit +infinity tag.
-
-    The tag never leaks as an IEEE infinity into arithmetic: adding or
-    subtracting an infinite value raises, only comparisons are allowed.
-    """
-
-    value: float = 0.0
-    infinite: bool = False
-
-    @staticmethod
-    def finite(v: float) -> "ExtReal":
-        return ExtReal(float(v), False)
-
-    @staticmethod
-    def inf() -> "ExtReal":
-        return ExtReal(math.inf, True)
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.infinite
-
-    def _as_pair(self, other: "ExtReal | float") -> tuple[bool, float]:
-        if isinstance(other, ExtReal):
-            return other.infinite, other.value
-        return False, float(other)
-
-    def __le__(self, other: "ExtReal | float") -> bool:
-        oinf, oval = self._as_pair(other)
-        if self.infinite:
-            return oinf
-        return oinf or self.value <= oval
-
-    def __lt__(self, other: "ExtReal | float") -> bool:
-        oinf, oval = self._as_pair(other)
-        if self.infinite:
-            return False
-        return oinf or self.value < oval
-
-    def __ge__(self, other: "ExtReal | float") -> bool:
-        return not self.__lt__(other)
-
-    def __gt__(self, other: "ExtReal | float") -> bool:
-        return not self.__le__(other)
-
-    def __add__(self, other: "ExtReal | float"):
-        oinf, oval = self._as_pair(other)
-        if self.infinite or oinf:
-            raise ArithmeticError("arithmetic on the +inf tag is not defined")
-        return ExtReal.finite(self.value + oval)
-
-    def __sub__(self, other: "ExtReal | float"):
-        oinf, oval = self._as_pair(other)
-        if self.infinite or oinf:
-            raise ArithmeticError("arithmetic on the +inf tag is not defined")
-        return ExtReal.finite(self.value - oval)
-
-    def __float__(self) -> float:
-        if self.infinite:
-            raise ArithmeticError("the +inf tag cannot be converted to float")
-        return self.value
-
-
-def slack_minus(a: float, e: ExtReal) -> float:
-    """Slack ``a - e`` as a plain float, with -inf as the violated sentinel."""
-    if e.infinite:
-        return -math.inf
-    return a - e.value
-
-
-@column_version(slack_minus)
-def _slack_minus_columns(a, e):
-    """slack_minus on columns: a +inf tag in e gives the -inf sentinel."""
-    return a - e
-
-
-@dataclass(frozen=True)
 class HullPoint:
     """A point (x1, x2, X11, X12, X22, z1, z2) of the lifted indicator space.
 
@@ -261,26 +184,26 @@ def _box_faults(p: HullPoint, e: float) -> str:
     return "; ".join(bad)
 
 
-def persp_sq(u: float, v: float, tol: Tolerances = DEFAULT_TOL) -> ExtReal:
+def persp_sq(u: float, v: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Closure of u^2/v on v >= 0.
 
-    Returns u^2/v for v > 0, zero at u = v = 0 and the +inf tag when v = 0
-    with u nonzero.  Negative v beyond the band is a caller error.
+    Returns u^2/v for v > 0, zero at u = v = 0 and +inf when v = 0 with u
+    nonzero.  Negative v beyond the band is a caller error.
     """
     e = tol.eq_tol
     if v < -e:
         raise NegativeDenominator(f"persp_sq denominator {v} < 0")
     if v > e:
-        return ExtReal.finite(u * u / v)
+        return u * u / v
     if abs(u) <= e:
-        return ExtReal.finite(0.0)
-    return ExtReal.inf()
+        return 0.0
+    return math.inf
 
 
 @column_version(persp_sq)
 def _persp_sq_columns(u, v, tol: Tolerances = DEFAULT_TOL):
-    """persp_sq on columns, the +inf tag as IEEE +inf.  The rows are
-    validated, so no denominator lies below the band."""
+    """persp_sq on columns, without its raise: the rows are validated, so
+    no denominator lies below the band."""
     e = tol.eq_tol
     pos = v > e
     return np.where(
@@ -288,7 +211,7 @@ def _persp_sq_columns(u, v, tol: Tolerances = DEFAULT_TOL):
     )
 
 
-def persp_prod(u: float, v: float, w: float, tol: Tolerances = DEFAULT_TOL) -> ExtReal:
+def persp_prod(u: float, v: float, w: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Closure of u*v/w for u, v >= 0 and w >= 0 (same convention as persp_sq)."""
     e = tol.eq_tol
     if u < -e or v < -e:
@@ -296,10 +219,10 @@ def persp_prod(u: float, v: float, w: float, tol: Tolerances = DEFAULT_TOL) -> E
     if w < -e:
         raise NegativeDenominator(f"persp_prod denominator {w} < 0")
     if w > e:
-        return ExtReal.finite(u * v / w)
+        return u * v / w
     if u <= e or v <= e:
-        return ExtReal.finite(0.0)
-    return ExtReal.inf()
+        return 0.0
+    return math.inf
 
 
 def ctilde_slacks(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
@@ -310,8 +233,8 @@ def ctilde_slacks(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> dict[str, floa
     Box bounds are assumed validated separately.
     """
     s = {
-        "persp1": slack_minus(p.X11, persp_sq(p.x1, p.z1, tol)),
-        "persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        "persp1": p.X11 - persp_sq(p.x1, p.z1, tol),
+        "persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
         "shor": (p.X11 - p.x1 * p.x1) * (p.X22 - p.x2 * p.x2)
         - (p.X12 - p.x1 * p.x2) * (p.X12 - p.x1 * p.x2),
         "x12": p.X12,

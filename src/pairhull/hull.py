@@ -20,7 +20,6 @@ from .core import (
     HullPoint,
     Tolerances,
     persp_sq,
-    slack_minus,
     validate_columns,
     validate_point,
 )
@@ -116,8 +115,8 @@ def _sentinel_product(a: float, b: float, c: float, mem_tol: float) -> float:
 
 def _part1_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     return {
-        "I.persp1": slack_minus(p.X11, persp_sq(p.x1, p.z1, tol)),
-        "I.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        "I.persp1": p.X11 - persp_sq(p.x1, p.z1, tol),
+        "I.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
     }
 
 
@@ -126,8 +125,8 @@ def _closed_shifted_terms(p: HullPoint, z: float, tol: Tolerances) -> tuple[floa
     closed perspectives replace the fractions over z, and x1 x2 / z has a
     finite closure only when x1 x2 vanishes."""
     return (
-        slack_minus(p.X11, persp_sq(p.x1, z, tol)),
-        slack_minus(p.X22, persp_sq(p.x2, z, tol)),
+        p.X11 - persp_sq(p.x1, z, tol),
+        p.X22 - persp_sq(p.x2, z, tol),
         p.X12 if p.x1 * p.x2 <= tol.eq_tol else _NEG_INF,
     )
 
@@ -140,7 +139,7 @@ def _shifted_product_slacks(p: HullPoint, family: str, tol: Tolerances) -> dict[
         shifted_terms(family, p) if z > tol.eq_tol else _closed_shifted_terms(p, z, tol)
     )
     return {
-        f"{family}.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        f"{family}.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
         f"{family}.product": _sentinel_product(a, b, c, tol.mem_tol),
     }
 
@@ -150,7 +149,7 @@ def _part4_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     b = p.X22 - p.x2 * p.x2
     return {
         "IV.diag1": a,
-        "IV.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        "IV.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
         "IV.shor": _product_slack(a, b, p.X12 - p.x1 * p.x2, tol.mem_tol),
     }
 
@@ -172,8 +171,8 @@ def _part5_piece(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     """Part V: the two perspective bounds and q_V >= 0, at a point where
     :func:`_w_degenerate` is false."""
     return {
-        "V.persp1": slack_minus(p.X11, persp_sq(p.x1, p.z1, tol)),
-        "V.persp2": slack_minus(p.X22, persp_sq(p.x2, p.z2, tol)),
+        "V.persp1": p.X11 - persp_sq(p.x1, p.z1, tol),
+        "V.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
         "V.W-ineq": q_value("V", p),
     }
 
@@ -265,7 +264,7 @@ def member_hull(
         if not oracle_fallback:
             raise
         is_member, wit = oracle_member(p, tol)
-        gap = slack_minus(p.X11, wit.objective)
+        gap = p.X11 - wit.objective
         slacks = _part1_slacks(p, tol)
         slacks["V.W-ineq"] = gap
         violated = () if is_member else ("V.W-ineq",)

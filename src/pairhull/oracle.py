@@ -4,8 +4,8 @@ A point is in the hull iff the three-variable convex program over the
 disjunction witness (xt41, xt42, lambda4) attains an objective no larger
 than X11.  The minimizer is located by a coarse grid followed by a
 shrinking-grid refinement, entirely independent of the closed-form piece
-descriptions.  The module also hosts the exact samplers for the vertex set
-and its convex combinations, and the closed-form optimizers per cell.
+descriptions.  The module also hosts the closed-form optimizers per cell.
+An infeasible witness scores +inf, a plain IEEE float.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    ExtReal,
-    HullPoint,
-    Tolerances,
-    validate_point,
-)
+from .core import DEFAULT_TOL, HullPoint, Tolerances, validate_point
 from .errors import (
     EmptyFeasibleSet,
     InfeasibleWitness,
@@ -34,28 +28,13 @@ from .regions import Region, classify, on_indicator_edge
 
 
 @dataclass(frozen=True)
-class SampleSeed:
-    """Reproducible sampling request: PCG64 stream `seed`, `count` draws."""
-
-    seed: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("count must be a positive integer")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-@dataclass(frozen=True)
 class OracleWitness:
     """Feasible witness triple with its objective value."""
 
     xt41: float
     xt42: float
     lambda4: float
-    objective: ExtReal
+    objective: float
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +103,19 @@ def witness_slacks(
 
 def oracle_objective(
     p: HullPoint, w: tuple[float, float, float], tol: Tolerances = DEFAULT_TOL
-) -> ExtReal:
+) -> float:
     """Objective of the witness problem at triple w = (xt41, xt42, lambda4).
 
     Raises :class:`InfeasibleWitness` when a box or weight-interval or
     quadratic constraint is violated beyond eq_tol.  A feasible witness on
-    the g2 = 0, h != 0 ray evaluates to the +inf tag.
+    the g2 = 0, h != 0 ray evaluates to +inf.
     """
     validate_point(p, tol)
     slacks = witness_slacks(p, w, tol)
     bad = {k: v for k, v in slacks.items() if v < -tol.eq_tol}
     if bad:
         raise InfeasibleWitness(f"witness constraint(s) violated: {bad}")
-    val = _witness_objective(p, float(w[2]), float(w[0]), float(w[1]), tol.eq_tol)
-    if math.isinf(val):
-        return ExtReal.inf()
-    return ExtReal.finite(val)
+    return float(_witness_objective(p, float(w[2]), float(w[0]), float(w[1]), tol.eq_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +440,8 @@ def _oracle_chunk(
     best = cols[8:]
     _zoom_lambda(cols[:6], cols[6], cols[7], best, e, zoom_rounds, ZOOM_WIDTH)
     for j, (f_b, lam_b, a1_b, a2_b) in zip(ok, best.T.tolist()):
-        objective = ExtReal.inf() if math.isinf(f_b) else ExtReal.finite(f_b)
-        member = (not math.isinf(f_b)) and f_b <= points[j].X11 + tol.oracle_tol
-        out[j] = (member, OracleWitness(a1_b, a2_b, lam_b, objective))
+        member = f_b <= points[j].X11 + tol.oracle_tol
+        out[j] = (member, OracleWitness(a1_b, a2_b, lam_b, f_b))
     return out
 
 
@@ -585,92 +560,3 @@ def analytic_witness(
 
     objective = oracle_objective(p, triple, tol)
     return OracleWitness(triple[0], triple[1], triple[2], objective)
-
-
-# ---------------------------------------------------------------------------
-# samplers
-# ---------------------------------------------------------------------------
-
-
-def _sample_s2_array(rng: np.random.Generator, n: int, xmax: float) -> np.ndarray:
-    """Vertex-set samples as rows (x1, x2, X11, X12, X22, z1, z2)."""
-    piece = rng.integers(1, 5, size=n)
-    u1 = rng.uniform(0.0, xmax, size=n)
-    u2 = rng.uniform(0.0, xmax, size=n)
-    out = np.zeros((n, 7))
-    m2 = piece == 2
-    out[m2, 0] = u1[m2]
-    out[m2, 2] = u1[m2] ** 2
-    out[m2, 5] = 1.0
-    m3 = piece == 3
-    out[m3, 1] = u2[m3]
-    out[m3, 4] = u2[m3] ** 2
-    out[m3, 6] = 1.0
-    m4 = piece == 4
-    out[m4, 0] = u1[m4]
-    out[m4, 1] = u2[m4]
-    out[m4, 2] = u1[m4] ** 2
-    out[m4, 3] = u1[m4] * u2[m4]
-    out[m4, 4] = u2[m4] ** 2
-    out[m4, 5] = 1.0
-    out[m4, 6] = 1.0
-    return out
-
-
-def sample_S2(seed: SampleSeed, xmax: float = 2.0) -> list[HullPoint]:
-    """Exact vertex-set samples: a uniform piece index, then uniform decision
-    values in [0, xmax] with the piece's zero pattern and binary indicators."""
-    arr = _sample_s2_array(seed.rng(), seed.count, xmax)
-    return [HullPoint.from_coords(row) for row in arr]
-
-
-def _sample_hull_array(
-    rng: np.random.Generator, n: int, k: int, xmax: float
-) -> np.ndarray:
-    pts = _sample_s2_array(rng, n * k, xmax).reshape(n, k, 7)
-    w = rng.dirichlet(np.ones(k), size=n)
-    return np.einsum("nk,nkc->nc", w, pts)
-
-
-def sample_hull(seed: SampleSeed, k: int, xmax: float = 2.0) -> list[HullPoint]:
-    """Random convex combinations of k vertex samples, Dirichlet(1) weights."""
-    if not 1 <= k <= 8:
-        raise ValueError("k must be between 1 and 8")
-    arr = _sample_hull_array(seed.rng(), seed.count, k, xmax)
-    return [HullPoint.from_coords(row) for row in arr]
-
-
-def _sample_separable_array(
-    rng: np.random.Generator, n: int, xmax: float, lift_max: float
-) -> np.ndarray:
-    """Uniform samples of the separable relaxation intersected with the
-    sampling box, by rejection from the ambient box."""
-    rows = [np.empty((0, 7))]
-    have = 0
-    while have < n:
-        m = max(2 * (n - have), 256)
-        cand = np.column_stack(
-            [
-                rng.uniform(0.0, xmax, m),
-                rng.uniform(0.0, xmax, m),
-                rng.uniform(0.0, lift_max, m),
-                rng.uniform(0.0, lift_max, m),
-                rng.uniform(0.0, lift_max, m),
-                rng.uniform(0.0, 1.0, m),
-                rng.uniform(0.0, 1.0, m),
-            ]
-        )
-        keep = (cand[:, 2] * cand[:, 5] >= cand[:, 0] ** 2) & (
-            cand[:, 4] * cand[:, 6] >= cand[:, 1] ** 2
-        )
-        rows.append(cand[keep])
-        have += int(keep.sum())
-    return np.concatenate(rows, axis=0)[:n]
-
-
-def sample_separable_relaxation(
-    seed: SampleSeed, xmax: float = 2.0, lift_max: float = 4.0
-) -> list[HullPoint]:
-    """Uniform samples of the separable relaxation within the sampling box."""
-    arr = _sample_separable_array(seed.rng(), seed.count, xmax, lift_max)
-    return [HullPoint.from_coords(row) for row in arr]

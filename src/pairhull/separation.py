@@ -280,7 +280,7 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
 
     with np.errstate(all="ignore"):  # as on the column path of separate_batch
         cut = _family_cut(family, touch, tol).normalized()
-        if cut.evaluate(p) >= 0.0:
+        if not cut.evaluate(p) < 0.0:  # a NaN cut separates nothing
             raise SeparationInvariantError("constructed cut fails to separate the query")
     return SeparationResult(False, cut, region)
 
@@ -442,7 +442,7 @@ def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
     constant = -_row_dots(grad, touch_rows) / norm
     coeffs = grad / norm[:, None]
     off |= np.max(np.abs(coeffs), axis=1) <= 0.0
-    off |= _row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant >= 0.0
+    off |= ~(_row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
     return off, coeffs, constant, touch_rows
 
 

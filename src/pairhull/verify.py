@@ -1,4 +1,5 @@
-"""Randomized verification campaigns shared by the CLI and the test suite.
+"""Randomized verification campaigns shared by the CLI and the test suite,
+and the samplers they draw from.
 
 Each campaign is deterministic given its seed: sampling uses PCG64 streams
 and every check reports the worst slack it observed together with the
@@ -27,12 +28,7 @@ from .core import (
 from .errors import PairhullError
 from .families import FAMILY_BY_CELL, q_value, x11_root
 from .hull import member_batch, member_hull
-from .oracle import (
-    _sample_hull_array,
-    _sample_s2_array,
-    _sample_separable_array,
-    oracle_members,
-)
+from .oracle import oracle_members
 from .regions import Region, classify, region_partition_audit
 from .separation import separate_batch
 
@@ -75,6 +71,105 @@ def _row_dict(row: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SampleSeed:
+    """Reproducible sampling request: PCG64 stream `seed`, `count` draws."""
+
+    seed: int
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("count must be a positive integer")
+
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+
+def _sample_s2_array(rng: np.random.Generator, n: int, xmax: float) -> np.ndarray:
+    """Vertex-set samples as rows (x1, x2, X11, X12, X22, z1, z2)."""
+    piece = rng.integers(1, 5, size=n)
+    u1 = rng.uniform(0.0, xmax, size=n)
+    u2 = rng.uniform(0.0, xmax, size=n)
+    out = np.zeros((n, 7))
+    m2 = piece == 2
+    out[m2, 0] = u1[m2]
+    out[m2, 2] = u1[m2] ** 2
+    out[m2, 5] = 1.0
+    m3 = piece == 3
+    out[m3, 1] = u2[m3]
+    out[m3, 4] = u2[m3] ** 2
+    out[m3, 6] = 1.0
+    m4 = piece == 4
+    out[m4, 0] = u1[m4]
+    out[m4, 1] = u2[m4]
+    out[m4, 2] = u1[m4] ** 2
+    out[m4, 3] = u1[m4] * u2[m4]
+    out[m4, 4] = u2[m4] ** 2
+    out[m4, 5] = 1.0
+    out[m4, 6] = 1.0
+    return out
+
+
+def sample_S2(seed: SampleSeed, xmax: float = 2.0) -> list[HullPoint]:
+    """Exact vertex-set samples: a uniform piece index, then uniform decision
+    values in [0, xmax] with the piece's zero pattern and binary indicators."""
+    arr = _sample_s2_array(seed.rng(), seed.count, xmax)
+    return [HullPoint.from_coords(row) for row in arr]
+
+
+def _sample_hull_array(
+    rng: np.random.Generator, n: int, k: int, xmax: float
+) -> np.ndarray:
+    pts = _sample_s2_array(rng, n * k, xmax).reshape(n, k, 7)
+    w = rng.dirichlet(np.ones(k), size=n)
+    return np.einsum("nk,nkc->nc", w, pts)
+
+
+def sample_hull(seed: SampleSeed, k: int, xmax: float = 2.0) -> list[HullPoint]:
+    """Random convex combinations of k vertex samples, Dirichlet(1) weights."""
+    if not 1 <= k <= 8:
+        raise ValueError("k must be between 1 and 8")
+    arr = _sample_hull_array(seed.rng(), seed.count, k, xmax)
+    return [HullPoint.from_coords(row) for row in arr]
+
+
+def _sample_separable_array(
+    rng: np.random.Generator, n: int, xmax: float, lift_max: float
+) -> np.ndarray:
+    """Uniform samples of the separable relaxation intersected with the
+    sampling box, by rejection from the ambient box."""
+    rows = [np.empty((0, 7))]
+    have = 0
+    while have < n:
+        m = max(2 * (n - have), 256)
+        cand = np.column_stack(
+            [
+                rng.uniform(0.0, xmax, m),
+                rng.uniform(0.0, xmax, m),
+                rng.uniform(0.0, lift_max, m),
+                rng.uniform(0.0, lift_max, m),
+                rng.uniform(0.0, lift_max, m),
+                rng.uniform(0.0, 1.0, m),
+                rng.uniform(0.0, 1.0, m),
+            ]
+        )
+        keep = (cand[:, 2] * cand[:, 5] >= cand[:, 0] ** 2) & (
+            cand[:, 4] * cand[:, 6] >= cand[:, 1] ** 2
+        )
+        rows.append(cand[keep])
+        have += int(keep.sum())
+    return np.concatenate(rows, axis=0)[:n]
+
+
+def sample_separable_relaxation(
+    seed: SampleSeed, xmax: float = 2.0, lift_max: float = 4.0
+) -> list[HullPoint]:
+    """Uniform samples of the separable relaxation within the sampling box."""
+    arr = _sample_separable_array(seed.rng(), seed.count, xmax, lift_max)
+    return [HullPoint.from_coords(row) for row in arr]
 
 
 def sample_ctilde_points(
@@ -393,8 +488,7 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
         rep = member_hull(p, tol)
         dec, wit = res
         n_member += int(rep.member)
-        f = math.inf if wit.objective.infinite else wit.objective.value
-        margin_in = p.X11 + tol.oracle_tol - f
+        margin_in = p.X11 + tol.oracle_tol - wit.objective
         worst = min(worst, margin_in if rep.member else -margin_in)
         if dec != rep.member:
             failures += 1
@@ -403,7 +497,7 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
                     "point": _point_dict(p),
                     "closed_form": rep.member,
                     "oracle": dec,
-                    "objective": None if wit.objective.infinite else wit.objective.value,
+                    "objective": None if math.isinf(wit.objective) else wit.objective,
                     "slacks": rep.slacks,
                 }
     return SuiteReport(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairhull.oracle import _sample_s2_array
+from pairhull.verify import _sample_s2_array
 
 
 @pytest.fixture(scope="session")

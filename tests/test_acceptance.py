@@ -22,8 +22,8 @@ from pairhull import (
     rankone_member,
     separate,
 )
-from pairhull.oracle import _sample_s2_array
 from pairhull.verify import (
+    _sample_s2_array,
     family_touch_points,
     run_cuts_suite,
     run_hull_suite,
@@ -97,13 +97,13 @@ def test_criterion_5_worked_nonmember():
         "hull-infeasible": not rep.member,
         "touch-X11": abs(res.cut.touch.X11 - 2.02) <= 1e-9,
         "oracle-objective": (
-            not member_oracle and abs(wit.objective.value - 2.02) <= 1e-3
+            not member_oracle and abs(wit.objective - 2.02) <= 1e-3
         ),
     }
     verdict(
         "5 worked-nonmember",
         all(checks.values()),
-        f"touch_X11={res.cut.touch.X11!r} oracle={wit.objective.value!r} "
+        f"touch_X11={res.cut.touch.X11!r} oracle={wit.objective!r} "
         f"checks={checks}",
     )
 

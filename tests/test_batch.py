@@ -14,11 +14,12 @@ from pairhull import hull
 from pairhull.core import HullPoint, in_relaxation_ctilde
 from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
-from pairhull.oracle import _sample_hull_array, _sample_separable_array
 from pairhull.regions import NOT_COVERED_CODE, Region, classify, classify_batch
 from pairhull.separation import separate, separate_batch
 from pairhull.verify import (
     _candidate_region_point,
+    _sample_hull_array,
+    _sample_separable_array,
     ctilde_margin_points,
     family_touch_points,
     sample_ctilde_points,
@@ -121,6 +122,11 @@ class TestBitIdentity:
             name for names in batch.names[batch.cell == 0] for name in names
         )
         assert (~batch.member).any() and not batch.errors
+        # the +inf of a closed fraction enters these slacks as -inf
+        hit, slot = np.nonzero(np.isneginf(batch.slacks))
+        assert {batch.names[i][j] for i, j in zip(hit, slot)} == {
+            "I.persp1", "I.persp2", "edge.product", "II.product"
+        }
 
     def test_shuffled_batch_decides_each_row_alike(self, gate_rows):
         rows = gate_rows["scaled"]
@@ -286,7 +292,7 @@ class TestSeparateBatch:
     def test_far_scaled_rows_warn_in_neither_path(self):
         # near t = 1e77 the dot product of the gradient with the touch point
         # overflows on three of these rows, and on two of them the
-        # normalization of the cut divides inf by inf
+        # normalization of the cut divides inf by inf; the NaN cuts are refused
         rng = np.random.default_rng(19)
         rows = _rows(sample_ctilde_points(rng, 400) + shrunken_nonmembers(rng, 400))
         rows = _scaled(rows, np.exp(rng.uniform(math.log(1e20), math.log(1e150), len(rows))))
@@ -294,6 +300,8 @@ class TestSeparateBatch:
             warnings.simplefilter("error")
             outcomes = _assert_separate_batch_equals_scalar(rows)
         assert {"cut", "inside", "error"} <= {o[0] for o in outcomes}
+        # a NaN cut separates nothing: both paths raise on those rows
+        assert not any("nan" in o[2][:8] for o in outcomes if o[0] == "cut")
 
     @pytest.mark.parametrize("n", [3, 100])
     def test_row_outside_the_box_raises_the_scalar_error(self, n):

@@ -88,6 +88,12 @@ class TestMember:
         assert rec["objective"] == pytest.approx(2.02, abs=1e-3)
         assert set(rec["witness"]) == {"xt41", "xt42", "lambda4"}
 
+    def test_infinite_oracle_objective_is_null(self):
+        # X22 < x2^2 / z2: no witness is feasible, the objective is +inf
+        line = '{"x":[0.5,1],"X":[[1,0.5],[0.5,0.1]],"z":[0.5,0.5]}'
+        _, out = run_cli(["member", "--oracle"], line + "\n")
+        assert '"member": false' in out and '"objective": null' in out
+
 
 def _margin_lines(n, seed):
     pts = ctilde_margin_points(np.random.default_rng(seed), n)

@@ -10,7 +10,6 @@ from pairhull import (
     classify,
     in_relaxation_ctilde,
     member_hull,
-    member_hull_n1,
     persp_relaxation_member,
     piece_slacks,
     psd3_by_minors,
@@ -18,8 +17,8 @@ from pairhull import (
     Tolerances,
 )
 from pairhull.errors import NotInAmbientBox
-from pairhull.oracle import _sample_hull_array
-from pairhull.verify import _point_dict, run_hull_suite
+from pairhull.hull import member_hull_n1
+from pairhull.verify import _point_dict, _sample_hull_array, run_hull_suite
 
 
 def psd_by_char_coefficients(m: np.ndarray, band: float = 1e-9) -> bool:

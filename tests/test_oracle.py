@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from pairhull import (
     Region,
     SampleSeed,
     analytic_witness,
-    aux_weight_maximizer,
     classify,
     in_relaxation_ctilde,
     member_hull,
@@ -30,11 +30,12 @@ from pairhull.columns import elementwise
 from pairhull.oracle import (
     _first_min,
     _grid_eval,
-    _sample_separable_array,
     _witness_objective,
+    aux_weight_maximizer,
     witness_slacks,
 )
 from pairhull.verify import (
+    _sample_separable_array,
     ctilde_margin_points,
     run_oracle_suite,
     sample_ctilde_points,
@@ -48,19 +49,19 @@ class TestObjective:
     def test_vertex_witness_collapses(self):
         p = HullPoint(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         f = oracle_objective(p, (1.0, 1.0, 1.0))
-        assert f.value == pytest.approx(1.0)
+        assert f == pytest.approx(1.0)
 
     def test_zero_slack_with_nonzero_coupling_is_infinite(self):
         p = HullPoint(1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0)
         f = oracle_objective(p, (0.0, 1.0, 1.0))  # g2 = 0, h = 0.5
-        assert f.infinite
+        assert math.isinf(f)
 
     def test_balanced_point_attains_lower_bound(self):
         p = HullPoint(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
         lam = p.X12 * p.z1 * p.z2 / (p.x1 * p.x2)
         w = (lam * p.x1 / p.z1, lam * p.x2 / p.z2, lam)
         f = oracle_objective(p, w)
-        assert f.value == pytest.approx(p.x1 ** 2 / p.z1)
+        assert f == pytest.approx(p.x1 ** 2 / p.z1)
 
     def test_infeasible_witness_rejected(self):
         with pytest.raises(InfeasibleWitness):
@@ -84,7 +85,7 @@ class TestOracleMember:
     def test_worked_nonmember_objective(self):
         member, wit = oracle_member(WORKED)
         assert not member
-        assert wit.objective.value == pytest.approx(2.02, abs=1e-3)
+        assert wit.objective == pytest.approx(2.02, abs=1e-3)
 
     def test_convex_combinations_are_members(self):
         for k in (2, 5, 8):
@@ -119,7 +120,7 @@ class TestOracleMember:
         for p in shrunken_nonmembers(rng, 10):
             member, wit = oracle_member(p)
             assert not member
-            assert wit.objective.value > p.X11 + 10 * 1e-6
+            assert wit.objective > p.X11 + 10 * 1e-6
 
     def test_objective_is_nonnegative(self):
         rng = np.random.default_rng(78)
@@ -128,7 +129,7 @@ class TestOracleMember:
             if min(p.z1, p.z2) < 0.05:
                 continue
             _, wit = oracle_member(p)
-            assert wit.objective.infinite or wit.objective.value >= 0.0
+            assert math.isinf(wit.objective) or wit.objective >= 0.0
 
     def test_stationarity_at_interior_optima(self):
         objective = elementwise(_witness_objective)
@@ -348,7 +349,7 @@ SEPARABLE_PINS = [
 
 def _hex_result(res):
     member, wit = res
-    obj = "inf" if wit.objective.infinite else float(wit.objective.value).hex()
+    obj = "inf" if math.isinf(wit.objective) else float(wit.objective).hex()
     return (
         bool(member),
         float(wit.xt41).hex(),
@@ -365,7 +366,7 @@ class TestPinnedOracle:
     )
     def test_edge_case_outputs_bit_for_bit(self, coords, expected):
         member, wit = oracle_member(HullPoint(*coords))
-        obj = "inf" if wit.objective.infinite else float(wit.objective.value).hex()
+        obj = "inf" if math.isinf(wit.objective) else float(wit.objective).hex()
         got = (
             bool(member),
             float(wit.xt41).hex(),
@@ -464,7 +465,7 @@ class TestOracleSuite:
         margins = []
         for p in ctilde_margin_points(np.random.default_rng(11), 5):
             _, wit = oracle_member(p)
-            m = p.X11 + 1e-6 - wit.objective.value
+            m = p.X11 + 1e-6 - wit.objective
             margins.append(m if member_hull(p).member else -m)
         assert report.ok
         assert report.worst_slack == min(margins) > 0.0
@@ -495,7 +496,7 @@ class TestAnalyticWitness:
         assert w.xt42 == pytest.approx(p.X12 * p.z1 / p.x1)
         assert w.lambda4 == pytest.approx(p.z1)
         # part I bound: the lower envelope value is x1^2/z1
-        assert w.objective.value == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
+        assert w.objective == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
 
     def test_r6_formula_zeroes_the_coupling(self):
         rng = np.random.default_rng(74)
@@ -505,7 +506,7 @@ class TestAnalyticWitness:
         assert w.lambda4 == pytest.approx(s)
         assert w.xt41 == pytest.approx(s * p.x1 / p.z1)
         assert w.xt42 == pytest.approx(p.X12 * p.z1 / p.x1)
-        assert w.objective.value == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
+        assert w.objective == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
 
     @pytest.mark.parametrize(
         "region",
@@ -521,9 +522,9 @@ class TestAnalyticWitness:
             except RegionHasNoClosedWitness:
                 continue
             _, nw = oracle_member(p)
-            assert not w.objective.infinite and not nw.objective.infinite
-            assert abs(w.objective.value - nw.objective.value) <= 1e-4 * (
-                1.0 + abs(w.objective.value)
+            assert not math.isinf(w.objective) and not math.isinf(nw.objective)
+            assert abs(w.objective - nw.objective) <= 1e-4 * (
+                1.0 + abs(w.objective)
             )
             checked += 1
 

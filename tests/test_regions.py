@@ -17,9 +17,8 @@ from pairhull import (
     validate_point,
 )
 from pairhull.errors import NotInAmbientBox
-from pairhull.oracle import _sample_separable_array
 from pairhull.regions import region_closure_contains
-from pairhull.verify import run_partition_suite
+from pairhull.verify import _sample_separable_array, run_partition_suite
 
 
 class TestClassifyExamples:
