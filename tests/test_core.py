@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from pairhull import (
     persp_sq,
     validate_point,
 )
-from pairhull.core import persp_prod
+from pairhull.core import _persp_sq_columns, ctilde_slacks, persp_prod
 from pairhull.errors import NegativeDenominator, NegativeNumerator, NotInAmbientBox
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
@@ -49,6 +50,15 @@ class TestPerspSq:
         mid = persp_sq(0.5 * (u1 + u2), 0.5 * (v1 + v2))
         avg = 0.5 * (persp_sq(u1, v1) + persp_sq(u2, v2))
         assert mid <= avg + 1e-9 * (1.0 + abs(avg))
+
+    def test_columns_match_scalar_bit_for_bit(self):
+        # the closure's 0 and +inf are the same IEEE values on both paths
+        e = Tolerances().eq_tol
+        u = np.array([0.0, 1.0, -1.0, 0.5 * e, 2.0 * e, 3.0, 3.0, 1e-300])
+        v = np.array([0.0, 0.0, 0.0, 0.0, 0.5 * e, 2.0, -0.5 * e, 1e-300])
+        cols = _persp_sq_columns(u, v)
+        assert [c.hex() for c in cols] == [persp_sq(a, b).hex() for a, b in zip(u, v)]
+        assert math.isinf(cols[1]) and cols[1] > 0.0 and cols[0] == 0.0
 
 
 class TestPerspProd:
@@ -103,6 +113,13 @@ class TestRelaxationMembership:
 
     def test_perspective_violation(self):
         assert not in_relaxation_ctilde(HullPoint(1, 1, 1, 1, 1, 0.5, 0.5))
+
+    def test_infinite_closure_enters_the_slack_as_neg_inf(self):
+        # z1 = 0 with x1 > 0: x1^2/z1 closes to +inf, so X11 - (+inf) = -inf
+        p = HullPoint(0.5, 1, 1, 0.5, 1, 0, 1)
+        s = ctilde_slacks(p)
+        assert s["persp1"] == -math.inf and math.isfinite(s["persp2"])
+        assert not in_relaxation_ctilde(p)
 
     def test_all_vertex_samples_pass(self, s2_batch):
         for row in s2_batch[:2000]:
