@@ -14,7 +14,6 @@ from .core import (
     HullPoint,
     Tolerances,
     in_relaxation_ctilde,
-    in_separable_relaxation,
     persp_sq,
     validate_point,
 )
@@ -23,14 +22,10 @@ from .hull import (
     MembershipReport,
     member_batch,
     member_hull,
-    persp_relaxation_member,
     piece_slacks,
-    psd3_by_minors,
-    rankone_member,
 )
 from .oracle import (
     OracleWitness,
-    analytic_witness,
     oracle_member,
     oracle_members,
     oracle_objective,
@@ -52,9 +47,7 @@ from .separation import (
     q_value,
     separate,
     separate_batch,
-    taylor_cut,
 )
-from .verify import SampleSeed, sample_hull, sample_S2, sample_separable_relaxation
 
 __version__ = "0.1.0"
 
@@ -70,34 +63,24 @@ __all__ = [
     "OracleWitness",
     "PartitionAuditReport",
     "Region",
-    "SampleSeed",
     "SeparationResult",
     "Tolerances",
-    "analytic_witness",
     "classify",
     "classify_batch",
     "in_relaxation_ctilde",
-    "in_separable_relaxation",
     "member_batch",
     "member_hull",
     "oracle_member",
     "oracle_members",
     "oracle_objective",
-    "persp_relaxation_member",
     "persp_sq",
     "piece_slacks",
-    "psd3_by_minors",
     "psd_support_cut",
     "q_gradient",
     "q_value",
-    "rankone_member",
     "region_matches",
     "region_partition_audit",
-    "sample_S2",
-    "sample_hull",
-    "sample_separable_relaxation",
     "separate",
     "separate_batch",
-    "taylor_cut",
     "validate_point",
 ]

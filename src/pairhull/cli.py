@@ -443,6 +443,8 @@ def main(argv: list[str] | None = None, stdin: TextIO | None = None, stdout: Tex
         parser.error(str(exc))  # exits 2
     if args.command == "verify" and args.trials < 1:
         parser.error("--trials must be a positive integer")
+    if args.command == "verify" and args.seed < 0:
+        parser.error("--seed must be a nonnegative integer")
     try:
         return _COMMANDS[args.command](args, tol, stdin, stdout)
     except InputError as exc:

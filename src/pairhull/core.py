@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .columns import column_version, elementwise
-from .errors import NegativeDenominator, NegativeNumerator, NotInAmbientBox
+from .errors import NegativeDenominator, NotInAmbientBox
 
 #: Canonical coordinate order used by arrays, cut coefficients and JSON records.
 COORD_NAMES = ("x1", "x2", "X11", "X12", "X22", "z1", "z2")
@@ -211,20 +211,6 @@ def _persp_sq_columns(u, v, tol: Tolerances = DEFAULT_TOL):
     )
 
 
-def persp_prod(u: float, v: float, w: float, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Closure of u*v/w for u, v >= 0 and w >= 0 (same convention as persp_sq)."""
-    e = tol.eq_tol
-    if u < -e or v < -e:
-        raise NegativeNumerator(f"persp_prod numerator factors ({u}, {v}) < 0")
-    if w < -e:
-        raise NegativeDenominator(f"persp_prod denominator {w} < 0")
-    if w > e:
-        return u * v / w
-    if u <= e or v <= e:
-        return 0.0
-    return math.inf
-
-
 def ctilde_slacks(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
     """Slacks of the strengthened relaxation used as the separation input set.
 
@@ -266,9 +252,3 @@ def separable_holds(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
         and p.X12 >= -m
     )
 
-
-def in_separable_relaxation(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Membership in the separable perspective relaxation X11 z1 >= x1^2,
-    X22 z2 >= x2^2, X12 >= 0 over the ambient box (within mem_tol)."""
-    validate_point(p, tol)
-    return separable_holds(p, tol)

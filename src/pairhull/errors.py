@@ -9,10 +9,6 @@ class NegativeDenominator(PairhullError):
     """Closed fraction evaluated with a denominator below the zero band."""
 
 
-class NegativeNumerator(PairhullError):
-    """Closed product fraction evaluated with a negative numerator factor."""
-
-
 class NotInAmbientBox(PairhullError):
     """Point violates the ambient domain x >= 0, X diag >= 0, X12 >= 0, z in [0,1]^2."""
 
@@ -43,10 +39,6 @@ class NotOnBoundary(PairhullError):
 
 class StrictDomainViolated(PairhullError):
     """PSD support cut requested where the strict side conditions fail."""
-
-
-class RegionHasNoClosedWitness(PairhullError):
-    """No closed-form optimizer exists for this region (epsilon-interior cases)."""
 
 
 class SeparationInvariantError(PairhullError):

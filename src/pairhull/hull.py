@@ -35,6 +35,7 @@ from .families import (
 from .oracle import oracle_member
 from .regions import (
     CELLS,
+    CODE_OF,
     NOT_COVERED_CODE,
     Region,
     cell_codes,
@@ -57,44 +58,6 @@ class MembershipReport:
     slacks: dict[str, float] = field(default_factory=dict)
     W: float | None = None
     degenerate: bool = False
-
-
-def member_hull_n1(x1: float, X11: float, z1: float, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Single-variable hull test: X11 z1 >= x1^2 over the ambient strip."""
-    m = tol.mem_tol
-    if not all(math.isfinite(v) for v in (x1, X11, z1)):
-        return False
-    return (
-        X11 * z1 - x1 * x1 >= -m
-        and x1 >= -m
-        and X11 >= -m
-        and -m <= z1 <= 1.0 + m
-    )
-
-
-def psd3_by_minors(
-    m6: tuple[float, float, float, float, float, float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> bool:
-    """Positive semidefiniteness of a symmetric 3x3 via four minors.
-
-    ``m6`` is (a11, a12, a13, a22, a23, a33).  For a11 > 0 only the two
-    mixed 2x2 minors and one scaled product inequality are needed; a11 = 0
-    forces a zero first row/column, falling back to the trailing 2x2 block.
-    """
-    a11, a12, a13, a22, a23, a33 = (float(v) for v in m6)
-    e = tol.eq_tol
-    if a11 < -e:
-        return False
-    if a11 <= e:
-        if abs(a12) > e or abs(a13) > e:
-            return False
-        return a22 >= -e and a33 >= -e and a22 * a33 - a23 * a23 >= -e
-    m1 = a11 * a22 - a12 * a12
-    m2 = a11 * a33 - a13 * a13
-    if m1 < -e or m2 < -e:
-        return False
-    return m1 * m2 - (a11 * a23 - a12 * a13) ** 2 >= -e
 
 
 def _product_slack(a: float, b: float, c: float, mem_tol: float) -> float:
@@ -237,16 +200,17 @@ def piece_slacks(
     raise ValueError(f"no hull piece for region {region}")
 
 
-def member_hull(
-    p: HullPoint,
-    tol: Tolerances = DEFAULT_TOL,
-    oracle_fallback: bool = True,
-) -> MembershipReport:
+#: Whether the numeric witness oracle decides where the R8 piece is
+#: ill-posed; if false, :func:`member_hull` raises there.
+ORACLE_FALLBACK = True
+
+
+def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
     """Decide hull membership through the piece of the containing cell.
 
     For the R8 piece with W within the zero band the closed form is
-    ill-posed; with ``oracle_fallback`` the numeric witness oracle decides
-    and the report is flagged degenerate.
+    ill-posed; with :data:`ORACLE_FALLBACK` the numeric witness oracle
+    decides and the report is flagged degenerate.
     """
     validate_point(p, tol)
     region = classify(p, tol)
@@ -261,7 +225,7 @@ def member_hull(
         else:
             slacks = piece_slacks(p, region, tol)
     except NumericallyDegenerate:
-        if not oracle_fallback:
+        if not ORACLE_FALLBACK:
             raise
         is_member, wit = oracle_member(p, tol)
         gap = p.X11 - wit.objective
@@ -391,7 +355,7 @@ class MembershipBatch:
     def _store(self, i: int, rep: MembershipReport) -> None:
         names = tuple(rep.slacks)
         self.member[i] = rep.member
-        self.cell[i] = list(CELLS).index(rep.region)
+        self.cell[i] = CODE_OF[rep.region]
         self.names[i] = names
         self.slacks[i] = np.nan
         self.slacks[i, : len(names)] = list(rep.slacks.values())
@@ -515,26 +479,3 @@ def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) ->
         out.member = ~out.violated.any(axis=1)
     return scalar
 
-
-def persp_relaxation_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Perspective relaxation: X11 z1 >= x1^2, X22 z2 >= x2^2 plus the 2x2
-    Schur block of X - x x^T restricted to these coordinates."""
-    validate_point(p, tol)
-    m = tol.mem_tol
-    a = p.X11 - p.x1 * p.x1
-    b = p.X22 - p.x2 * p.x2
-    return (
-        p.X11 * p.z1 - p.x1 * p.x1 >= -m
-        and p.X22 * p.z2 - p.x2 * p.x2 >= -m
-        and a >= -m
-        and b >= -m
-        and _product_slack(a, b, p.X12 - p.x1 * p.x2, m) >= -m
-    )
-
-
-def rankone_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """PSD test of the 3x3 moment matrix with top-left entry z1 + z2."""
-    validate_point(p, tol)
-    return psd3_by_minors(
-        (p.z1 + p.z2, p.x1, p.x2, p.X11, p.X12, p.X22), tol
-    )

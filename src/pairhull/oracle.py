@@ -4,8 +4,7 @@ A point is in the hull iff the three-variable convex program over the
 disjunction witness (xt41, xt42, lambda4) attains an objective no larger
 than X11.  The minimizer is located by a coarse grid followed by a
 shrinking-grid refinement, entirely independent of the closed-form piece
-descriptions.  The module also hosts the closed-form optimizers per cell.
-An infeasible witness scores +inf, a plain IEEE float.
+descriptions.  An infeasible witness scores +inf, a plain IEEE float.
 """
 
 from __future__ import annotations
@@ -17,14 +16,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .core import DEFAULT_TOL, HullPoint, Tolerances, validate_point
-from .errors import (
-    EmptyFeasibleSet,
-    InfeasibleWitness,
-    PairhullError,
-    RegionHasNoClosedWitness,
-)
-from .families import w_shift
-from .regions import Region, classify, on_indicator_edge
+from .errors import EmptyFeasibleSet, InfeasibleWitness, PairhullError
 
 
 @dataclass(frozen=True)
@@ -488,75 +480,3 @@ def oracle_member(
         raise res
     return res
 
-
-# ---------------------------------------------------------------------------
-# closed-form optimizers per cell
-# ---------------------------------------------------------------------------
-
-
-def aux_weight_maximizer(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Unconstrained maximizer of the concave one-variable slack profile
-    obtained after fixing the witness splits to their ridge values."""
-    e = tol.eq_tol
-    xx = p.x1 * p.x2
-    lhs = p.X12 * p.z1
-    if abs(lhs - xx) <= e:
-        return min(p.z1, p.z2)
-    if lhs < xx:
-        return p.X12 * p.z1 * p.z2 / xx
-    return p.X12 * p.z1 * p.z2 / (2.0 * lhs - xx)
-
-
-def analytic_witness(
-    p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL
-) -> OracleWitness:
-    """Closed-form optimizer of the witness problem for the given cell.
-
-    Available for R1, R2, R3, R6, R7, R8 and the z2 < z1 part of R5; the
-    remaining cases only admit epsilon-interior optimizers and raise
-    :class:`RegionHasNoClosedWitness`.  The returned triple is validated
-    and scored by :func:`oracle_objective`.
-    """
-    validate_point(p, tol)
-    actual = classify(p, tol)
-    if actual is not region:
-        raise ValueError(f"point classifies to {actual.value}, not {region.value}")
-    e = tol.eq_tol
-    x1, x2, X12, X22, z1, z2 = p.x1, p.x2, p.X12, p.X22, p.z1, p.z2
-    s = z1 + z2 - 1.0
-
-    if region is Region.R1:
-        if X12 <= e or x1 <= e or x2 <= e or on_indicator_edge(p, tol):
-            raise RegionHasNoClosedWitness(
-                "R1 face/edge points have no interior closed-form witness"
-            )
-        lam = X12 * z1 * z2 / (x1 * x2)
-        triple = (lam * x1 / z1, lam * x2 / z2, lam)
-    elif region is Region.R2:
-        triple = (x1, X12 * z1 / x1, z1)
-    elif region is Region.R3:
-        den = X12 * z2 - x1 * x2
-        triple = (x1, (X12 * x2 * z1 + x1 * (X22 * (z2 - z1) - x2 * x2)) / den, z1)
-    elif region is Region.R4:
-        raise RegionHasNoClosedWitness("R4 optimizers are epsilon-interior only")
-    elif region is Region.R5:
-        if not z2 < z1 - e:
-            raise RegionHasNoClosedWitness(
-                "the z1 <= z2 part of R5 has epsilon-interior optimizers only"
-            )
-        den = X22 * z1 - x2 * x2
-        triple = ((x1 * (X22 * z2 - x2 * x2) + X12 * x2 * (z1 - z2)) / den, x2, z2)
-    elif region is Region.R6:
-        triple = (s * x1 / z1, X12 * z1 / x1, s)
-    elif region is Region.R7:
-        a1 = (X12 * x2 * (1.0 - z2) + x1 * (X22 * z2 - x2 * x2)) / (X22 - x2 * x2)
-        a2 = (x1 * (x2 * x2 - X22 * (1.0 - z1)) - X12 * x2 * z1) / (x1 * x2 - X12)
-        triple = (a1, a2, s)
-    elif region is Region.R8:
-        w = w_shift(p)
-        triple = (s * X12 * z2 / (x2 * w), x2 * w / z2, s)
-    else:
-        raise RegionHasNoClosedWitness(f"no closed-form witness for {region.value}")
-
-    objective = oracle_objective(p, triple, tol)
-    return OracleWitness(triple[0], triple[1], triple[2], objective)

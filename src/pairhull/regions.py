@@ -204,7 +204,8 @@ def classify(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Region:
 #: in :data:`_PREDICATES`, then NotCovered.
 CELLS = np.array(list(Region), dtype=object)
 NOT_COVERED_CODE = len(_PREDICATES)
-_CODE_OF = {tag: code for code, tag in enumerate(CELLS)}
+#: Cell code of each :class:`Region`.
+CODE_OF = {tag: code for code, tag in enumerate(CELLS)}
 
 
 def cell_masks(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -267,11 +268,12 @@ class PartitionAuditReport:
         return self.n_multi == 0 and self.n_none == 0
 
 
-def region_partition_audit(
-    samples,
-    tol: Tolerances = DEFAULT_TOL,
-    max_recorded: int = 20,
-) -> PartitionAuditReport:
+#: Most partition violations of each kind a :class:`PartitionAuditReport`
+#: records by index.
+MAX_RECORDED = 20
+
+
+def region_partition_audit(samples, tol: Tolerances = DEFAULT_TOL) -> PartitionAuditReport:
     """Count cell matches per sample and flag partition violations.
 
     ``samples`` is a sequence of :class:`HullPoint` or an ``(n, 7)`` array
@@ -293,7 +295,7 @@ def region_partition_audit(
         codes = np.zeros(n, np.intp)
         audited = np.zeros(n, bool)
         for i, p in enumerate(cols.points()):
-            codes[i] = _CODE_OF[classify(p, tol)]
+            codes[i] = CODE_OF[classify(p, tol)]
             audited[i] = separable_holds(p, tol)
             matches = region_matches(p, tol) if audited[i] else []
             masks[:, i] = [tag in matches for tag, _ in _PREDICATES]
@@ -314,10 +316,9 @@ def region_partition_audit(
     tally = np.bincount(codes, minlength=len(CELLS))
     for code in present[np.argsort(first)]:
         report.counts[CELLS[code].value] = int(tally[code])
-    cap = max(max_recorded, 0)
     report.multi_matches = [
         (int(i), [CELLS[k].value for k in np.flatnonzero(masks[:, i])])
-        for i in multi[:cap]
+        for i in multi[:MAX_RECORDED]
     ]
-    report.non_matches = none[:cap].tolist()
+    report.non_matches = none[:MAX_RECORDED].tolist()
     return report

@@ -44,7 +44,7 @@ from .families import (
     x11_slope,
 )
 from .hull import MembershipReport, member_columns, member_hull
-from .regions import CELLS, Region, region_closure_contains
+from .regions import CELLS, CODE_OF, Region, region_closure_contains
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ class Cut:
     def evaluate(self, p: HullPoint) -> float:
         return float(np.dot(self.coeffs, p.coords()) + self.constant)
 
-    def evaluate_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an (n, 7) coordinate array."""
-        return rows @ self.coeffs + self.constant
-
     def normalized(self) -> "Cut":
         """Rescale to unit max-norm coefficients (same hyperplane)."""
         m = float(np.max(np.abs(self.coeffs)))
@@ -81,15 +77,6 @@ class SeparationResult:
     inside: bool
     cut: Cut | None
     region: Region
-
-
-def taylor_cut(region: Region, touch: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Cut:
-    """First-order Taylor cut of the region's boundary function at a
-    touching point (q(touch) must vanish within the band)."""
-    family = FAMILY_BY_CELL.get(region.value)
-    if family is None:
-        raise ValueError(f"region {region.value} carries no separating form")
-    return _family_cut(family, touch, tol)
 
 
 #: Largest gradient max-norm that counts as a vanished gradient.
@@ -285,8 +272,6 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     return SeparationResult(False, cut, region)
 
 
-#: Code of each region in :data:`~pairhull.regions.CELLS`.
-_CODE_OF = {region: code for code, region in enumerate(CELLS)}
 #: Separating family of each cell code, "" for the cells without one.
 _FAMILY_OF_CODE = np.array([FAMILY_BY_CELL.get(r.value, "") for r in CELLS])
 
@@ -344,7 +329,7 @@ class SeparationBatch:
 
     def _store(self, i: int, res: SeparationResult) -> None:
         self.inside[i] = res.inside
-        self.cell[i] = _CODE_OF[res.region]
+        self.cell[i] = CODE_OF[res.region]
         if res.cut is not None:
             self.coeffs[i] = res.cut.coeffs
             self.constant[i] = res.cut.constant
@@ -500,7 +485,6 @@ __all__ = [
     "separate_batch",
     "q_value",
     "q_gradient",
-    "taylor_cut",
     "separate",
     "psd_support_cut",
 ]

@@ -73,26 +73,32 @@ def _row_dict(row: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleSeed:
-    """Reproducible sampling request: PCG64 stream `seed`, `count` draws."""
+#: Upper end of the sampled decision values x1, x2.
+XMAX = 2.0
+#: Upper end of the sampled lifted products X11, X12, X22 of the separable
+#: relaxation sampler.
+LIFT_MAX = 4.0
+#: Lower end of the sampled indicators of :func:`sample_ctilde_points`.
+Z_FLOOR = 0.02
+#: Least slack of the deciding piece at the points of
+#: :func:`ctilde_margin_points`, which the oracle suite draws.
+ORACLE_MARGIN = 1e-4
+#: Cells of the non-members :func:`shrunken_nonmembers` builds.
+SHRUNKEN_REGIONS = (Region.R3, Region.R4, Region.R5, Region.R8)
+#: Least gap between the relaxation and the hull bound on X11 of a
+#: shrunken non-member.
+GAP_FLOOR = 1e-3
+#: Most candidates a constructive sampler draws before it gives up.
+MAX_DRAWS = 2_000_000
 
-    seed: int
-    count: int
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("count must be a positive integer")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-def _sample_s2_array(rng: np.random.Generator, n: int, xmax: float) -> np.ndarray:
-    """Vertex-set samples as rows (x1, x2, X11, X12, X22, z1, z2)."""
+def _sample_s2_array(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Exact vertex-set samples as rows (x1, x2, X11, X12, X22, z1, z2): a
+    uniform piece index, then uniform decision values in [0, XMAX] with the
+    piece's zero pattern and binary indicators."""
     piece = rng.integers(1, 5, size=n)
-    u1 = rng.uniform(0.0, xmax, size=n)
-    u2 = rng.uniform(0.0, xmax, size=n)
+    u1 = rng.uniform(0.0, XMAX, size=n)
+    u2 = rng.uniform(0.0, XMAX, size=n)
     out = np.zeros((n, 7))
     m2 = piece == 2
     out[m2, 0] = u1[m2]
@@ -113,32 +119,14 @@ def _sample_s2_array(rng: np.random.Generator, n: int, xmax: float) -> np.ndarra
     return out
 
 
-def sample_S2(seed: SampleSeed, xmax: float = 2.0) -> list[HullPoint]:
-    """Exact vertex-set samples: a uniform piece index, then uniform decision
-    values in [0, xmax] with the piece's zero pattern and binary indicators."""
-    arr = _sample_s2_array(seed.rng(), seed.count, xmax)
-    return [HullPoint.from_coords(row) for row in arr]
-
-
-def _sample_hull_array(
-    rng: np.random.Generator, n: int, k: int, xmax: float
-) -> np.ndarray:
-    pts = _sample_s2_array(rng, n * k, xmax).reshape(n, k, 7)
+def _sample_hull_array(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Random convex combinations of k vertex samples, Dirichlet(1) weights."""
+    pts = _sample_s2_array(rng, n * k).reshape(n, k, 7)
     w = rng.dirichlet(np.ones(k), size=n)
     return np.einsum("nk,nkc->nc", w, pts)
 
 
-def sample_hull(seed: SampleSeed, k: int, xmax: float = 2.0) -> list[HullPoint]:
-    """Random convex combinations of k vertex samples, Dirichlet(1) weights."""
-    if not 1 <= k <= 8:
-        raise ValueError("k must be between 1 and 8")
-    arr = _sample_hull_array(seed.rng(), seed.count, k, xmax)
-    return [HullPoint.from_coords(row) for row in arr]
-
-
-def _sample_separable_array(
-    rng: np.random.Generator, n: int, xmax: float, lift_max: float
-) -> np.ndarray:
+def _sample_separable_array(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform samples of the separable relaxation intersected with the
     sampling box, by rejection from the ambient box."""
     rows = [np.empty((0, 7))]
@@ -147,11 +135,11 @@ def _sample_separable_array(
         m = max(2 * (n - have), 256)
         cand = np.column_stack(
             [
-                rng.uniform(0.0, xmax, m),
-                rng.uniform(0.0, xmax, m),
-                rng.uniform(0.0, lift_max, m),
-                rng.uniform(0.0, lift_max, m),
-                rng.uniform(0.0, lift_max, m),
+                rng.uniform(0.0, XMAX, m),
+                rng.uniform(0.0, XMAX, m),
+                rng.uniform(0.0, LIFT_MAX, m),
+                rng.uniform(0.0, LIFT_MAX, m),
+                rng.uniform(0.0, LIFT_MAX, m),
                 rng.uniform(0.0, 1.0, m),
                 rng.uniform(0.0, 1.0, m),
             ]
@@ -164,24 +152,14 @@ def _sample_separable_array(
     return np.concatenate(rows, axis=0)[:n]
 
 
-def sample_separable_relaxation(
-    seed: SampleSeed, xmax: float = 2.0, lift_max: float = 4.0
-) -> list[HullPoint]:
-    """Uniform samples of the separable relaxation within the sampling box."""
-    arr = _sample_separable_array(seed.rng(), seed.count, xmax, lift_max)
-    return [HullPoint.from_coords(row) for row in arr]
-
-
-def sample_ctilde_points(
-    rng: np.random.Generator, n: int, xmax: float = 2.0, z_floor: float = 0.02
-) -> list[HullPoint]:
+def sample_ctilde_points(rng: np.random.Generator, n: int) -> list[HullPoint]:
     """Constructive samples of the separation input set: perspective bounds
     hold by construction, X12 is placed inside the Schur cap."""
     out: list[HullPoint] = []
     while len(out) < n:
         m = max(2 * (n - len(out)), 64)
-        x = rng.uniform(0.0, xmax, (m, 2))
-        z = rng.uniform(z_floor, 1.0, (m, 2))
+        x = rng.uniform(0.0, XMAX, (m, 2))
+        z = rng.uniform(Z_FLOOR, 1.0, (m, 2))
         a = rng.uniform(0.0, 3.0, m)
         b = rng.uniform(0.0, 3.0, m)
         X11 = x[:, 0] ** 2 / z[:, 0] + a
@@ -197,13 +175,10 @@ def sample_ctilde_points(
 
 
 def ctilde_margin_points(
-    rng: np.random.Generator,
-    n: int,
-    margin: float = 1e-4,
-    tol: Tolerances = DEFAULT_TOL,
+    rng: np.random.Generator, n: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[HullPoint]:
-    """Relaxation points whose membership decision has slack >= margin on
-    every inequality of the deciding piece (robust for oracle comparison)."""
+    """Relaxation points whose membership decision has slack >= ORACLE_MARGIN
+    on every inequality of the deciding piece (robust for oracle comparison)."""
     out: list[HullPoint] = []
     while len(out) < n:
         for p in sample_ctilde_points(rng, 4 * (n - len(out))):
@@ -213,7 +188,7 @@ def ctilde_margin_points(
             if rep.degenerate or rep.region is Region.NOT_COVERED:
                 continue
             finite = [s for s in rep.slacks.values() if math.isfinite(s)]
-            if not finite or min(abs(s) for s in finite) < margin:
+            if not finite or min(abs(s) for s in finite) < ORACLE_MARGIN:
                 continue
             out.append(p)
             if len(out) == n:
@@ -275,12 +250,7 @@ def _candidate_region_point(rng: np.random.Generator, region: Region) -> HullPoi
 
 
 def shrunken_nonmembers(
-    rng: np.random.Generator,
-    n: int,
-    regions: tuple[Region, ...] = (Region.R3, Region.R4, Region.R5, Region.R8),
-    gap_floor: float = 1e-3,
-    tol: Tolerances = DEFAULT_TOL,
-    max_draws: int = 2_000_000,
+    rng: np.random.Generator, n: int, tol: Tolerances = DEFAULT_TOL
 ) -> list[HullPoint]:
     """Relaxation points strictly below their cell's hull bound on X11.
 
@@ -289,16 +259,16 @@ def shrunken_nonmembers(
     """
     out: list[HullPoint] = []
     draws = 0
-    while len(out) < n and draws < max_draws:
+    while len(out) < n and draws < MAX_DRAWS:
         draws += 1
-        region = regions[int(rng.integers(len(regions)))]
+        region = SHRUNKEN_REGIONS[int(rng.integers(len(SHRUNKEN_REGIONS)))]
         cand = _candidate_region_point(rng, region)
         lo = _ctilde_x11_bound(cand)
         try:
             hi = _hull_x11_bound(cand, region)
         except (ValueError, ZeroDivisionError):
             continue
-        if not (hi - lo > gap_floor):
+        if not (hi - lo > GAP_FLOOR):
             continue
         x11 = lo + rng.uniform(0.1, 0.9) * (hi - lo)
         p = HullPoint(cand.x1, cand.x2, x11, cand.X12, cand.X22, cand.z1, cand.z2)
@@ -313,18 +283,14 @@ def shrunken_nonmembers(
 
 
 def family_touch_points(
-    rng: np.random.Generator,
-    n: int,
-    family: str,
-    tol: Tolerances = DEFAULT_TOL,
-    max_draws: int = 2_000_000,
+    rng: np.random.Generator, n: int, family: str, tol: Tolerances = DEFAULT_TOL
 ) -> list[HullPoint]:
     """Boundary points of one separating family (q = 0 with margins), used
     for gradient checks."""
     regions = tuple(Region(c) for c, f in FAMILY_BY_CELL.items() if f == family)
     out: list[HullPoint] = []
     draws = 0
-    while len(out) < n and draws < max_draws:
+    while len(out) < n and draws < MAX_DRAWS:
         draws += 1
         region = regions[int(rng.integers(len(regions)))]
         cand = _candidate_region_point(rng, region)
@@ -354,7 +320,7 @@ def run_partition_suite(
     """Disjointness and coverage of the cells on relaxation samples."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    rows = _sample_separable_array(rng, trials, 2.0, 4.0)
+    rows = _sample_separable_array(rng, trials)
     audit = region_partition_audit(rows, tol)
     failures = audit.n_multi + audit.n_none
     offender = None
@@ -380,7 +346,7 @@ def run_hull_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     rng = np.random.default_rng(seed)
     ks = rng.integers(1, 9, size=trials)
     counts = [int(np.sum(ks == k)) for k in range(1, 9)]
-    groups = [_sample_hull_array(rng, c, k, 2.0) for k, c in enumerate(counts, 1) if c]
+    groups = [_sample_hull_array(rng, c, k) for k, c in enumerate(counts, 1) if c]
     rows = np.concatenate(groups) if groups else np.empty((0, len(COORD_NAMES)))
     batch = member_batch(rows, tol)
     if batch.errors:
@@ -404,16 +370,14 @@ S2_BATCH = 10_000
 VIOLATION_FLOOR = 1e-9
 #: Least value a cut of the cuts suite may take on a vertex-set sample.
 SOUNDNESS_FLOOR = -1e-8
-#: Least slack of the deciding piece at the points of the oracle suite.
-ORACLE_MARGIN = 1e-4
 
 
 def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Soundness and violation of cuts on constructed non-members."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    queries = shrunken_nonmembers(rng, trials, tol=tol)
-    batch = _sample_s2_array(rng, S2_BATCH, 2.0)
+    queries = shrunken_nonmembers(rng, trials, tol)
+    batch = _sample_s2_array(rng, S2_BATCH)
     failures = 0
     offender = None
     worst = math.inf
@@ -477,7 +441,7 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    pts = ctilde_margin_points(rng, trials, ORACLE_MARGIN, tol)
+    pts = ctilde_margin_points(rng, trials, tol)
     failures = 0
     offender = None
     n_member = 0

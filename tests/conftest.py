@@ -7,4 +7,4 @@ from pairhull.verify import _sample_s2_array
 @pytest.fixture(scope="session")
 def s2_batch() -> np.ndarray:
     """Shared batch of exact vertex samples as (n, 7) rows."""
-    return _sample_s2_array(np.random.default_rng(20240805), 10_000, 2.0)
+    return _sample_s2_array(np.random.default_rng(20240805), 10_000)

@@ -1,0 +1,130 @@
+"""Reference formulas the tests compare the package against.
+
+None of these is called by the package: the closed-form optimizer of the
+witness problem per cell (the oracle's closed-form cross-check), the PSD
+test of a symmetric 3x3 by minors, and the two relaxations the hull
+strengthens.
+"""
+
+from __future__ import annotations
+
+from pairhull import (
+    DEFAULT_TOL,
+    HullPoint,
+    OracleWitness,
+    Region,
+    Tolerances,
+    classify,
+    oracle_objective,
+    validate_point,
+)
+from pairhull.errors import PairhullError
+from pairhull.families import w_shift
+from pairhull.regions import on_indicator_edge
+
+
+class RegionHasNoClosedWitness(PairhullError):
+    """No closed-form optimizer exists for this region (epsilon-interior cases)."""
+
+
+def analytic_witness(
+    p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL
+) -> OracleWitness:
+    """Closed-form optimizer of the witness problem for the given cell.
+
+    Available for R1, R2, R3, R6, R7, R8 and the z2 < z1 part of R5; the
+    remaining cases only admit epsilon-interior optimizers and raise
+    :class:`RegionHasNoClosedWitness`.  The returned triple is validated
+    and scored by :func:`~pairhull.oracle.oracle_objective`.
+    """
+    validate_point(p, tol)
+    actual = classify(p, tol)
+    if actual is not region:
+        raise ValueError(f"point classifies to {actual.value}, not {region.value}")
+    e = tol.eq_tol
+    x1, x2, X12, X22, z1, z2 = p.x1, p.x2, p.X12, p.X22, p.z1, p.z2
+    s = z1 + z2 - 1.0
+
+    if region is Region.R1:
+        if X12 <= e or x1 <= e or x2 <= e or on_indicator_edge(p, tol):
+            raise RegionHasNoClosedWitness(
+                "R1 face/edge points have no interior closed-form witness"
+            )
+        lam = X12 * z1 * z2 / (x1 * x2)
+        triple = (lam * x1 / z1, lam * x2 / z2, lam)
+    elif region is Region.R2:
+        triple = (x1, X12 * z1 / x1, z1)
+    elif region is Region.R3:
+        den = X12 * z2 - x1 * x2
+        triple = (x1, (X12 * x2 * z1 + x1 * (X22 * (z2 - z1) - x2 * x2)) / den, z1)
+    elif region is Region.R4:
+        raise RegionHasNoClosedWitness("R4 optimizers are epsilon-interior only")
+    elif region is Region.R5:
+        if not z2 < z1 - e:
+            raise RegionHasNoClosedWitness(
+                "the z1 <= z2 part of R5 has epsilon-interior optimizers only"
+            )
+        den = X22 * z1 - x2 * x2
+        triple = ((x1 * (X22 * z2 - x2 * x2) + X12 * x2 * (z1 - z2)) / den, x2, z2)
+    elif region is Region.R6:
+        triple = (s * x1 / z1, X12 * z1 / x1, s)
+    elif region is Region.R7:
+        a1 = (X12 * x2 * (1.0 - z2) + x1 * (X22 * z2 - x2 * x2)) / (X22 - x2 * x2)
+        a2 = (x1 * (x2 * x2 - X22 * (1.0 - z1)) - X12 * x2 * z1) / (x1 * x2 - X12)
+        triple = (a1, a2, s)
+    elif region is Region.R8:
+        w = w_shift(p)
+        triple = (s * X12 * z2 / (x2 * w), x2 * w / z2, s)
+    else:
+        raise RegionHasNoClosedWitness(f"no closed-form witness for {region.value}")
+
+    objective = oracle_objective(p, triple, tol)
+    return OracleWitness(triple[0], triple[1], triple[2], objective)
+
+
+def psd3_by_minors(
+    m6: tuple[float, float, float, float, float, float],
+    tol: Tolerances = DEFAULT_TOL,
+) -> bool:
+    """Positive semidefiniteness of a symmetric 3x3 via four minors.
+
+    ``m6`` is (a11, a12, a13, a22, a23, a33).  For a11 > 0 only the two
+    mixed 2x2 minors and one scaled product inequality are needed; a11 = 0
+    forces a zero first row/column, falling back to the trailing 2x2 block.
+    """
+    a11, a12, a13, a22, a23, a33 = (float(v) for v in m6)
+    e = tol.eq_tol
+    if a11 < -e:
+        return False
+    if a11 <= e:
+        if abs(a12) > e or abs(a13) > e:
+            return False
+        return a22 >= -e and a33 >= -e and a22 * a33 - a23 * a23 >= -e
+    m1 = a11 * a22 - a12 * a12
+    m2 = a11 * a33 - a13 * a13
+    if m1 < -e or m2 < -e:
+        return False
+    return m1 * m2 - (a11 * a23 - a12 * a13) ** 2 >= -e
+
+
+def persp_relaxation_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Perspective relaxation: X11 z1 >= x1^2, X22 z2 >= x2^2 plus the 2x2
+    Schur block of X - x x^T restricted to these coordinates."""
+    validate_point(p, tol)
+    m = tol.mem_tol
+    a = p.X11 - p.x1 * p.x1
+    b = p.X22 - p.x2 * p.x2
+    c = p.X12 - p.x1 * p.x2
+    return (
+        p.X11 * p.z1 - p.x1 * p.x1 >= -m
+        and p.X22 * p.z2 - p.x2 * p.x2 >= -m
+        and a >= -m
+        and b >= -m
+        and a * b - c * c >= -m
+    )
+
+
+def rankone_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """PSD test of the 3x3 moment matrix with top-left entry z1 + z2."""
+    validate_point(p, tol)
+    return psd3_by_minors((p.z1 + p.z2, p.x1, p.x2, p.X11, p.X12, p.X22), tol)

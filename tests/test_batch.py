@@ -51,10 +51,10 @@ def _gate_rows(n: int, seed: int) -> dict[str, np.ndarray]:
         "touch": _rows(
             [p for fam in ("II", "III", "V") for p in family_touch_points(rng, n // 3, fam)]
         ),
-        "separable": _sample_separable_array(rng, n, 2.0, 4.0),
+        "separable": _sample_separable_array(rng, n),
     }
     for k in range(1, 9):
-        sets[f"hull{k}"] = _sample_hull_array(rng, n // 4, k, 2.0)
+        sets[f"hull{k}"] = _sample_hull_array(rng, n // 4, k)
     edge = sets["separable"].copy()
     edge[: n // 2, 5] = 0.0
     edge[n // 2 :, 6] = 0.0

@@ -360,6 +360,12 @@ class TestVerify:
             run_cli(["verify", "--trials", "0"], "")
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--suite", "hull", "--trials", "5", "--seed", "-1"], "")
+        assert exc.value.code == 2
+        assert "--seed must be a nonnegative integer" in capsys.readouterr().err
+
     def test_all_suites_smoke(self):
         code, out = run_cli(
             ["verify", "--suite", "all", "--trials", "20", "--seed", "3"], ""

@@ -9,12 +9,11 @@ from pairhull import (
     HullPoint,
     Tolerances,
     in_relaxation_ctilde,
-    in_separable_relaxation,
     persp_sq,
     validate_point,
 )
-from pairhull.core import _persp_sq_columns, ctilde_slacks, persp_prod
-from pairhull.errors import NegativeDenominator, NegativeNumerator, NotInAmbientBox
+from pairhull.core import _persp_sq_columns, ctilde_slacks, separable_holds
+from pairhull.errors import NegativeDenominator, NotInAmbientBox
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
 pos_floats = st.floats(1e-6, 10.0, allow_nan=False)
@@ -59,23 +58,6 @@ class TestPerspSq:
         cols = _persp_sq_columns(u, v)
         assert [c.hex() for c in cols] == [persp_sq(a, b).hex() for a, b in zip(u, v)]
         assert math.isinf(cols[1]) and cols[1] > 0.0 and cols[0] == 0.0
-
-
-class TestPerspProd:
-    def test_direct_value(self):
-        assert persp_prod(2.0, 3.0, 4.0) == pytest.approx(1.5)
-
-    def test_zero_numerator_closure(self):
-        assert persp_prod(0.0, 5.0, 0.0) == 0.0
-
-    def test_infinite_ray(self):
-        assert math.isinf(persp_prod(1.0, 1.0, 0.0))
-
-    def test_negative_arguments(self):
-        with pytest.raises(NegativeNumerator):
-            persp_prod(-1.0, 1.0, 1.0)
-        with pytest.raises(NegativeDenominator):
-            persp_prod(1.0, 1.0, -1.0)
 
 
 class TestTolerances:
@@ -125,4 +107,4 @@ class TestRelaxationMembership:
         for row in s2_batch[:2000]:
             p = HullPoint.from_coords(row)
             assert in_relaxation_ctilde(p)
-            assert in_separable_relaxation(p)
+            assert separable_holds(p)

@@ -10,15 +10,12 @@ from pairhull import (
     classify,
     in_relaxation_ctilde,
     member_hull,
-    persp_relaxation_member,
     piece_slacks,
-    psd3_by_minors,
-    rankone_member,
     Tolerances,
 )
 from pairhull.errors import NotInAmbientBox
-from pairhull.hull import member_hull_n1
 from pairhull.verify import _point_dict, _sample_hull_array, run_hull_suite
+from reference import persp_relaxation_member, psd3_by_minors, rankone_member
 
 
 def psd_by_char_coefficients(m: np.ndarray, band: float = 1e-9) -> bool:
@@ -40,17 +37,6 @@ def psd_by_char_coefficients(m: np.ndarray, band: float = 1e-9) -> bool:
 def as_matrix(m6):
     a11, a12, a13, a22, a23, a33 = m6
     return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-
-
-class TestSingleVariableHull:
-    def test_vertex(self):
-        assert member_hull_n1(1.0, 1.0, 1.0)
-
-    def test_boundary(self):
-        assert member_hull_n1(1.0, 2.0, 0.5)
-
-    def test_outside(self):
-        assert not member_hull_n1(1.0, 1.0, 0.5)
 
 
 class TestPsdByMinors:
@@ -150,8 +136,9 @@ class TestMemberHull:
         X12 = 0.5 * x1 * x2 * (z1 + z2 - 1) / (z1 * z2)
         p = HullPoint(x1, x2, 5.0, X12, X22, z1, z2)
         monkeypatch.setattr(hull_mod, "classify", lambda q, tol: Region.R8)
-        with pytest.raises(NumericallyDegenerate):
-            member_hull(p, oracle_fallback=False)
+        with monkeypatch.context() as m, pytest.raises(NumericallyDegenerate):
+            m.setattr(hull_mod, "ORACLE_FALLBACK", False)
+            member_hull(p)
         rep = member_hull(p)
         assert rep.degenerate and rep.W is None
         assert rep.member  # X11 = 5 is far above the piece bound here
@@ -168,7 +155,7 @@ class TestRelaxationOrdering:
     def test_members_pass_all_relaxations(self):
         rng = np.random.default_rng(23)
         for k in (1, 2, 4, 8):
-            for row in _sample_hull_array(rng, 300, k, 2.0):
+            for row in _sample_hull_array(rng, 300, k):
                 p = HullPoint.from_coords(row)
                 assert member_hull(p).member
                 assert persp_relaxation_member(p)
@@ -188,8 +175,8 @@ class TestRelaxationOrdering:
 class TestConvexityProbe:
     def test_midpoints_of_members_are_members(self):
         rng = np.random.default_rng(31)
-        a = _sample_hull_array(rng, 400, 3, 2.0)
-        b = _sample_hull_array(rng, 400, 5, 2.0)
+        a = _sample_hull_array(rng, 400, 3)
+        b = _sample_hull_array(rng, 400, 5)
         mid = 0.5 * (a + b)
         for row in mid:
             assert member_hull(HullPoint.from_coords(row)).member
@@ -200,8 +187,8 @@ class TestClosureConsistency:
         # walk the segment between members in different cells; at the
         # crossing both piecewise descriptions must accept the point
         rng = np.random.default_rng(53)
-        a = _sample_hull_array(rng, 300, 2, 2.0)
-        b = _sample_hull_array(rng, 300, 6, 2.0)
+        a = _sample_hull_array(rng, 300, 2)
+        b = _sample_hull_array(rng, 300, 6)
         checked = 0
         for ra, rb in zip(a, b):
             pa, pb = HullPoint.from_coords(ra), HullPoint.from_coords(rb)
@@ -239,7 +226,7 @@ def _reference_hull_suite(trials: int, seed: int, tol: Tolerances):
         count = int(np.sum(ks == k))
         if count == 0:
             continue
-        for row in _sample_hull_array(rng, count, k, 2.0):
+        for row in _sample_hull_array(rng, count, k):
             p = HullPoint.from_coords(row)
             rep = member_hull(p, tol)
             finite = [s for s in rep.slacks.values() if math.isfinite(s)]

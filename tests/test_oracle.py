@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,42 +9,43 @@ import pytest
 from pairhull import (
     HullPoint,
     Region,
-    SampleSeed,
-    analytic_witness,
     classify,
     in_relaxation_ctilde,
     member_hull,
     oracle_member,
     oracle_members,
     oracle_objective,
-    sample_S2,
-    sample_hull,
-    sample_separable_relaxation,
 )
 from pairhull.errors import (
     EmptyFeasibleSet,
     InfeasibleWitness,
     NotInAmbientBox,
-    RegionHasNoClosedWitness,
 )
-from pairhull.core import Tolerances
+from pairhull.core import Tolerances, separable_holds
 from pairhull.columns import elementwise
 from pairhull.oracle import (
     _first_min,
     _grid_eval,
     _witness_objective,
-    aux_weight_maximizer,
     witness_slacks,
 )
 from pairhull.verify import (
+    _sample_hull_array,
+    _sample_s2_array,
     _sample_separable_array,
     ctilde_margin_points,
     run_oracle_suite,
     sample_ctilde_points,
     shrunken_nonmembers,
 )
+from reference import RegionHasNoClosedWitness, analytic_witness
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
+SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
+
+
+def _points(rows):
+    return [HullPoint.from_coords(row) for row in rows]
 
 
 class TestObjective:
@@ -89,7 +92,7 @@ class TestOracleMember:
 
     def test_convex_combinations_are_members(self):
         for k in (2, 5, 8):
-            for p in sample_hull(SampleSeed(101 + k, 15), k):
+            for p in _points(_sample_hull_array(np.random.default_rng(101 + k), 15, k)):
                 if min(p.z1, p.z2) <= 1e-9:
                     continue
                 member, _ = oracle_member(p)
@@ -103,7 +106,7 @@ class TestOracleMember:
 
     def test_returned_witness_is_feasible(self):
         rng = np.random.default_rng(71)
-        for row in _sample_separable_array(rng, 25, 2.0, 4.0):
+        for row in _sample_separable_array(rng, 25):
             p = HullPoint.from_coords(row)
             if min(p.z1, p.z2) < 0.05:
                 continue
@@ -124,7 +127,7 @@ class TestOracleMember:
 
     def test_objective_is_nonnegative(self):
         rng = np.random.default_rng(78)
-        for row in _sample_separable_array(rng, 40, 2.0, 4.0):
+        for row in _sample_separable_array(rng, 40):
             p = HullPoint.from_coords(row)
             if min(p.z1, p.z2) < 0.05:
                 continue
@@ -135,7 +138,7 @@ class TestOracleMember:
         objective = elementwise(_witness_objective)
         rng = np.random.default_rng(79)
         checked = 0
-        for row in _sample_separable_array(rng, 200, 2.0, 4.0):
+        for row in _sample_separable_array(rng, 200):
             p = HullPoint.from_coords(row)
             if min(p.z1, p.z2) < 0.1 or p.X12 < 0.05:
                 continue
@@ -212,8 +215,8 @@ ORACLE_PINS = [
 ]
 
 
-# oracle_members on the 64 rows of _sample_separable_array(default_rng(7), 64,
-# 2.0, 4.0), in the format of ORACLE_PINS; z1 + z2 <= 1, and with it a
+# oracle_members on the 64 rows of _sample_separable_array(default_rng(7), 64),
+# in the format of ORACLE_PINS; z1 + z2 <= 1, and with it a
 # lambda = 0 row of the grid, on 25 of them
 SEPARABLE_PINS = [
     (True, "0x1.591126e9a1a80p-7", "0x1.0c7323ee0d52fp-2",
@@ -385,7 +388,7 @@ class TestPinnedOracle:
         assert [_hex_result(res) for res in got] == [tuple(pin[2:]) for pin in pins]
 
     def test_separable_batch_bit_for_bit(self):
-        rows = _sample_separable_array(np.random.default_rng(7), 64, 2.0, 4.0)
+        rows = _sample_separable_array(np.random.default_rng(7), 64)
         got = oracle_members([HullPoint.from_coords(row) for row in rows])
         assert [_hex_result(res) for res in got] == SEPARABLE_PINS
 
@@ -405,7 +408,8 @@ class TestPinnedOracle:
         e = 1e-9
         pts = ctilde_margin_points(np.random.default_rng(91), 6)
         pts += shrunken_nonmembers(np.random.default_rng(92), 4)
-        pts += [p for p in sample_hull(SampleSeed(93, 6), 3) if min(p.z1, p.z2) > e]
+        hull = _points(_sample_hull_array(np.random.default_rng(93), 6, 3))
+        pts += [p for p in hull if min(p.z1, p.z2) > e]
         pts += [
             HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5),  # z1 + z2 <= 1: a lambda = 0 row
             HullPoint(0.5, 0.6, 0.3, 0.25, 0.8, 1.0, 0.7),  # one-point weight interval
@@ -550,42 +554,35 @@ def _find_region_point(rng, region, z_floor=0.05):
                 return p
 
 
-class TestAuxWeightMaximizer:
-    def test_matches_grid_maximum(self):
-        rng = np.random.default_rng(77)
-        checked = 0
-        while checked < 40:
-            x1, x2 = rng.uniform(0.1, 2.0, 2)
-            z1, z2 = rng.uniform(0.1, 1.0, 2)
-            X12 = rng.uniform(0.05, 2.0)
-            X22 = x2 * x2 / z2 + rng.uniform(0.0, 2.0)
-            p = HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
-            a2 = X12 * z1 / x1
-            lam_star = aux_weight_maximizer(p)
-            if not 1e-6 < lam_star < z2 - 1e-6:
-                continue
-            lam = np.linspace(1e-9, z2 - 1e-9, 20001)
-            vals = X22 - a2 * a2 / lam - (x2 - a2) ** 2 / (z2 - lam)
-            lam_best = lam[int(np.argmax(vals))]
-            assert lam_star == pytest.approx(lam_best, abs=2 * (z2 / 20000))
-            checked += 1
+class TestIndependence:
+    def test_oracle_imports_no_closed_form_module(self):
+        # the oracle is the cross-check of the closed form, so it may use
+        # the domain types and the errors and nothing of the pieces
+        imported = set()
+        for node in ast.walk(ast.parse((SRC / "oracle.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "pairhull." * (node.level > 0) + (node.module or "")
+                if base.rstrip(".") == "pairhull":
+                    imported.update(f"pairhull.{a.name}" for a in node.names)
+                else:
+                    imported.add(base)
+        package = {m for m in imported if m.split(".")[0] == "pairhull"}
+        assert package == {"pairhull.core", "pairhull.errors"}
 
 
 class TestSamplers:
-    def test_seed_count_validated(self):
-        with pytest.raises(ValueError):
-            SampleSeed(1, 0)
-
     def test_reproducible_streams(self):
-        a = sample_S2(SampleSeed(5, 50))
-        b = sample_S2(SampleSeed(5, 50))
+        a = _points(_sample_s2_array(np.random.default_rng(5), 50))
+        b = _points(_sample_s2_array(np.random.default_rng(5), 50))
         assert a == b
-        c = sample_hull(SampleSeed(5, 20), 4)
-        d = sample_hull(SampleSeed(5, 20), 4)
+        c = _points(_sample_hull_array(np.random.default_rng(5), 20, 4))
+        d = _points(_sample_hull_array(np.random.default_rng(5), 20, 4))
         assert c == d
 
     def test_vertex_patterns(self):
-        for p in sample_S2(SampleSeed(9, 500)):
+        for p in _points(_sample_s2_array(np.random.default_rng(9), 500)):
             z = (round(p.z1), round(p.z2))
             assert (p.z1, p.z2) == z
             if z == (0, 0):
@@ -602,7 +599,7 @@ class TestSamplers:
                 assert p.X22 == pytest.approx(p.x2 ** 2)
 
     def test_single_point_combination_is_vertex(self):
-        (p,) = sample_hull(SampleSeed(3, 1), 1)
+        (p,) = _points(_sample_hull_array(np.random.default_rng(3), 1, 1))
         assert p.z1 in (0.0, 1.0) and p.z2 in (0.0, 1.0)
         assert p.X11 == pytest.approx(p.x1 ** 2)
 
@@ -615,12 +612,10 @@ class TestSamplers:
         assert member_hull(mid).member
 
     def test_vertex_samples_pass_membership(self):
-        for p in sample_S2(SampleSeed(13, 800)):
+        for p in _points(_sample_s2_array(np.random.default_rng(13), 800)):
             assert in_relaxation_ctilde(p)
             assert member_hull(p).member
 
     def test_separable_samples_in_relaxation(self):
-        from pairhull import in_separable_relaxation
-
-        for p in sample_separable_relaxation(SampleSeed(15, 300)):
-            assert in_separable_relaxation(p)
+        for p in _points(_sample_separable_array(np.random.default_rng(15), 300)):
+            assert separable_holds(p)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from pairhull import (
     Region,
     Tolerances,
     classify,
-    in_separable_relaxation,
     region_matches,
     region_partition_audit,
     validate_point,
 )
 from pairhull.errors import NotInAmbientBox
+from pairhull import regions
+from pairhull.core import separable_holds
 from pairhull.regions import region_closure_contains
 from pairhull.verify import _sample_separable_array, run_partition_suite
 
@@ -43,7 +45,7 @@ class TestClassifyExamples:
 class TestPartitionAudit:
     def test_uniform_samples_have_no_violations(self):
         rng = np.random.default_rng(41)
-        pts = [HullPoint.from_coords(r) for r in _sample_separable_array(rng, 2000, 2.0, 4.0)]
+        pts = [HullPoint.from_coords(r) for r in _sample_separable_array(rng, 2000)]
         report = region_partition_audit(pts)
         assert report.ok
         assert report.audited == len(pts)
@@ -64,7 +66,7 @@ class TestPartitionAudit:
         assert report.ok and report.trials == 0 and report.offender is None
         assert report.detail == "counts={}"
         rng = np.random.default_rng(1)
-        assert _sample_separable_array(rng, 0, 2.0, 4.0).shape == (0, 7)
+        assert _sample_separable_array(rng, 0).shape == (0, 7)
         assert rng.random() == np.random.default_rng(1).random()  # nothing drawn
 
 
@@ -75,7 +77,7 @@ def _audit_rows(n: int, seed: int) -> np.ndarray:
     """Separable samples with every fourth row replaced by a point of the
     sampling box, most of them outside the separable relaxation."""
     rng = np.random.default_rng(seed)
-    rows = _sample_separable_array(rng, n, 2.0, 4.0) if n else np.empty((0, 7))
+    rows = _sample_separable_array(rng, n) if n else np.empty((0, 7))
     rows[::4] = rng.uniform(0.0, 1.0, (n, 7))[::4] * [2.0, 2.0, 4.0, 4.0, 4.0, 1.0, 1.0]
     return rows
 
@@ -86,7 +88,7 @@ def _reference_audit(points, tol, max_recorded) -> PartitionAuditReport:
     for i, p in enumerate(points):
         tag = classify(p, tol).value
         ref.counts[tag] = ref.counts.get(tag, 0) + 1
-        if not in_separable_relaxation(p, tol):
+        if not separable_holds(p, tol):
             continue
         ref.audited += 1
         matches = [m.value for m in region_matches(p, tol)]
@@ -103,7 +105,8 @@ def _reference_audit(points, tol, max_recorded) -> PartitionAuditReport:
 
 def _assert_audit_matches_reference(rows, tol, max_recorded=3, as_points=False):
     points = [HullPoint.from_coords(r) for r in rows]
-    got = region_partition_audit(points if as_points else rows, tol, max_recorded)
+    with mock.patch.object(regions, "MAX_RECORDED", max_recorded):
+        got = region_partition_audit(points if as_points else rows, tol)
     ref = _reference_audit(points, tol, max_recorded)
     assert got == ref
     assert list(got.counts.items()) == list(ref.counts.items())
@@ -151,7 +154,7 @@ class TestColumnAudit:
 class TestDisjointnessAndCoverage:
     def test_each_sample_matches_exactly_one_cell(self):
         rng = np.random.default_rng(99)
-        for row in _sample_separable_array(rng, 3000, 2.0, 4.0):
+        for row in _sample_separable_array(rng, 3000):
             p = HullPoint.from_coords(row)
             matches = region_matches(p)
             assert len(matches) == 1, (p, matches)
@@ -159,7 +162,7 @@ class TestDisjointnessAndCoverage:
 
     def test_classification_is_deterministic(self):
         rng = np.random.default_rng(5)
-        pts = [HullPoint.from_coords(r) for r in _sample_separable_array(rng, 200, 2.0, 4.0)]
+        pts = [HullPoint.from_coords(r) for r in _sample_separable_array(rng, 200)]
         tags = [classify(p) for p in pts]
         assert tags == [classify(p) for p in pts]
 
@@ -167,7 +170,7 @@ class TestDisjointnessAndCoverage:
 class TestClosures:
     def test_cell_lies_in_its_closure(self):
         rng = np.random.default_rng(17)
-        for row in _sample_separable_array(rng, 1000, 2.0, 4.0):
+        for row in _sample_separable_array(rng, 1000):
             p = HullPoint.from_coords(row)
             tag = classify(p)
             if tag is Region.NOT_COVERED:
@@ -179,7 +182,7 @@ class TestClosures:
         # values) moved onto the zero edge, where classify answers R1
         rng = np.random.default_rng(18)
         pts = [HullPoint(0.0, 0.8, 0.5, 0.3, 1.5, 0.0, 0.6)]
-        for i, row in enumerate(_sample_separable_array(rng, 600, 2.0, 4.0)):
+        for i, row in enumerate(_sample_separable_array(rng, 600)):
             x1, x2, X11, X12, X22, z1, z2 = map(float, row)
             if i % 3 != 1:
                 x1, z1 = 0.0, (0.0 if i % 2 else 5e-10)

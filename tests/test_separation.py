@@ -3,6 +3,7 @@ import pytest
 
 import pairhull.core
 from pairhull import (
+    DEFAULT_TOL,
     HullPoint,
     Region,
     classify,
@@ -15,13 +16,14 @@ from pairhull import (
     q_value,
     separate,
     separate_batch,
-    taylor_cut,
 )
 from pairhull.errors import (
     InputOutsideCtilde,
     NotOnBoundary,
     StrictDomainViolated,
 )
+from pairhull.families import FAMILY_BY_CELL
+from pairhull.separation import _family_cut
 from pairhull.verify import family_touch_points, shrunken_nonmembers
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
@@ -62,7 +64,7 @@ class TestWorkedExample:
 
     def test_raw_gradient_coefficient_on_x11(self):
         touch = separate(WORKED).cut.touch
-        raw = taylor_cut(Region.R4, touch)
+        raw = _family_cut(FAMILY_BY_CELL["R4"], touch, DEFAULT_TOL)
         # slope in X11 equals X22 - x2^2/z2 at the touch
         assert raw.coeffs[2] == pytest.approx(0.5, abs=1e-12)
 
@@ -98,12 +100,12 @@ class TestGradients:
         rng = np.random.default_rng(62)
         for p in family_touch_points(rng, 20, "II"):
             region = classify(p)
-            cut = taylor_cut(region, p)
+            cut = _family_cut(FAMILY_BY_CELL[region.value], p, DEFAULT_TOL)
             assert abs(cut.evaluate(p)) <= 1e-9
 
     def test_taylor_cut_rejects_off_boundary_base(self):
         with pytest.raises(ValueError):
-            taylor_cut(Region.R4, WORKED)  # q(WORKED) != 0
+            _family_cut(FAMILY_BY_CELL["R4"], WORKED, DEFAULT_TOL)  # q(WORKED) != 0
 
 
 class TestCutSoundness:
@@ -117,7 +119,7 @@ class TestCutSoundness:
             assert cut.evaluate(p) < -1e-9
             assert abs(cut.evaluate(cut.touch)) <= 1e-9
             assert member_hull(cut.touch).member
-            assert float(cut.evaluate_rows(s2_batch).min()) >= -1e-8
+            assert float((s2_batch @ cut.coeffs + cut.constant).min()) >= -1e-8
 
     def test_cut_normalization(self):
         cut = separate(WORKED).cut
@@ -134,7 +136,7 @@ class TestIndicatorEdgeSeparation:
         res = separate(p)
         assert not res.inside
         assert res.cut.evaluate(p) < -1e-9
-        assert float(res.cut.evaluate_rows(s2_batch).min()) >= -1e-8
+        assert float((s2_batch @ res.cut.coeffs + res.cut.constant).min()) >= -1e-8
         assert res.cut.touch.X11 == pytest.approx(1.44 / 0.5, abs=1e-12)
 
     def test_second_edge_nonmember_gets_sound_cut(self, s2_batch):
@@ -144,7 +146,7 @@ class TestIndicatorEdgeSeparation:
         assert not res.inside
         # bound: x1^2/z1 + X12^2 / X22 = 2 + 1.44
         assert res.cut.touch.X11 == pytest.approx(2.0 + 1.44, abs=1e-12)
-        assert float(res.cut.evaluate_rows(s2_batch).min()) >= -1e-8
+        assert float((s2_batch @ res.cut.coeffs + res.cut.constant).min()) >= -1e-8
 
 
 class TestPsdSupportCut:
@@ -169,7 +171,7 @@ class TestPsdSupportCut:
             p6, m, g = self._boundary_instance(rng)
             cut = psd_support_cut(p6)
             assert abs(cut.evaluate(cut.touch)) <= 1e-9
-            assert float(cut.evaluate_rows(s2_batch).min()) >= -1e-8
+            assert float((s2_batch @ cut.coeffs + cut.constant).min()) >= -1e-8
             # null vector cross-check: the cut coefficients reproduce
             # v^T M v with v the cross product of the two Gram rows
             v = np.cross(g[0], g[1])
