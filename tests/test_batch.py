@@ -14,7 +14,7 @@ from pairhull import hull
 from pairhull.core import HullPoint, in_relaxation_ctilde
 from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
-from pairhull.regions import NOT_COVERED_CODE, Region, classify, classify_batch
+from pairhull.regions import CODE_OF, NOT_COVERED_CODE, Region, classify, classify_batch
 from pairhull.separation import separate, separate_batch
 from pairhull.verify import (
     _candidate_region_point,
@@ -312,6 +312,16 @@ class TestSeparateBatch:
         with pytest.raises(NotInAmbientBox) as batch:
             separate_batch(rows)
         assert str(batch.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("min_rows", [1, 10**9])
+    def test_cell_codes_are_the_region_codes(self, gate_rows, monkeypatch, min_rows):
+        rows = np.concatenate([gate_rows["ctilde"][:30], gate_rows["shrunken"][:30]])
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", min_rows)
+        members, cuts = member_batch(rows), separate_batch(rows)
+        for i, row in enumerate(rows):
+            p = HullPoint.from_coords(row)
+            assert members.cell[i] == CODE_OF[member_hull(p).region]
+            assert cuts.cell[i] == CODE_OF[separate(p).region]
 
     def test_empty_batch(self):
         batch = separate_batch(np.empty((0, 7)))

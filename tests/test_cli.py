@@ -347,6 +347,14 @@ class TestSeparate:
         assert out.getvalue() == run_cli(["separate"], "\n".join(lines[:70]) + "\n")[1]
 
 
+class TestPackage:
+    def test_every_exported_name_resolves(self):
+        import pairhull
+
+        assert [n for n in pairhull.__all__ if not hasattr(pairhull, n)] == []
+        assert len(set(pairhull.__all__)) == len(pairhull.__all__)
+
+
 class TestVerify:
     def test_hull_suite_passes(self):
         code, out = run_cli(

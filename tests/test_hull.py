@@ -39,6 +39,27 @@ def as_matrix(m6):
     return np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
 
 
+class TestSingleVariableHull:
+    """The single-variable hull {X z >= x^2} is the face z2 = 0 of the pair
+    hull (and, swapped, the face z1 = 0)."""
+
+    @staticmethod
+    def _faces(x, X, z):
+        return (
+            member_hull(HullPoint(x, 0.0, X, 0.0, 0.0, z, 0.0)).member,
+            member_hull(HullPoint(0.0, x, 0.0, 0.0, X, 0.0, z)).member,
+        )
+
+    def test_vertex(self):
+        assert self._faces(1.0, 1.0, 1.0) == (True, True)
+
+    def test_boundary(self):
+        assert self._faces(1.0, 2.0, 0.5) == (True, True)
+
+    def test_outside(self):
+        assert self._faces(1.0, 1.0, 0.5) == (False, False)
+
+
 class TestPsdByMinors:
     def test_identity(self):
         assert psd3_by_minors((1, 0, 0, 1, 0, 1))

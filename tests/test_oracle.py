@@ -30,6 +30,10 @@ from pairhull.oracle import (
     witness_slacks,
 )
 from pairhull.verify import (
+    LIFT_MAX,
+    ORACLE_MARGIN,
+    XMAX,
+    Z_FLOOR,
     _sample_hull_array,
     _sample_s2_array,
     _sample_separable_array,
@@ -619,3 +623,34 @@ class TestSamplers:
     def test_separable_samples_in_relaxation(self):
         for p in _points(_sample_separable_array(np.random.default_rng(15), 300)):
             assert separable_holds(p)
+
+    def test_samples_stay_in_the_sampling_box(self):
+        # a convex combination of box points may round past the box by an ulp
+        ulp = 1.0 + 4 * np.finfo(float).eps
+        rng = np.random.default_rng(17)
+        for rows, lift in (
+            (_sample_s2_array(rng, 400), XMAX * XMAX),
+            (_sample_hull_array(rng, 200, 4), XMAX * XMAX),
+            (_sample_separable_array(rng, 400), LIFT_MAX),
+        ):
+            assert rows.min() >= 0.0
+            assert rows[:, :2].max() <= XMAX * ulp
+            assert rows[:, 2:5].max() <= lift * ulp
+            assert rows[:, 5:].max() <= ulp
+
+    def test_ctilde_points_respect_the_indicator_floor(self):
+        pts = sample_ctilde_points(np.random.default_rng(19), 300)
+        assert len(pts) == 300
+        for p in pts:
+            assert min(p.z1, p.z2) >= Z_FLOOR
+            assert max(p.x1, p.x2) <= XMAX
+            assert in_relaxation_ctilde(p)
+
+    def test_margin_points_clear_the_oracle_margin(self):
+        pts = ctilde_margin_points(np.random.default_rng(21), 40)
+        assert len(pts) == 40
+        for p in pts:
+            rep = member_hull(p)
+            assert not rep.degenerate and rep.region is not Region.NOT_COVERED
+            finite = [s for s in rep.slacks.values() if math.isfinite(s)]
+            assert finite and min(abs(s) for s in finite) >= ORACLE_MARGIN

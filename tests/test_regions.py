@@ -42,6 +42,14 @@ class TestClassifyExamples:
         assert classify(HullPoint(1, 0, 3, 1.2, 1.0, 0.5, 0.0)) is Region.R1
 
 
+class TestCodeMap:
+    def test_codes_round_trip_through_cells(self):
+        assert len(regions.CODE_OF) == len(Region)
+        for tag in Region:
+            assert regions.CELLS[regions.CODE_OF[tag]] is tag
+        assert regions.CODE_OF[Region.NOT_COVERED] == regions.NOT_COVERED_CODE
+
+
 class TestPartitionAudit:
     def test_uniform_samples_have_no_violations(self):
         rng = np.random.default_rng(41)
