@@ -2,9 +2,13 @@
 
 A point is in the hull iff the three-variable convex program over the
 disjunction witness (xt41, xt42, lambda4) attains an objective no larger
-than X11.  The minimizer is located by a coarse grid followed by a
-shrinking-grid refinement, entirely independent of the closed-form piece
-descriptions.  An infeasible witness scores +inf, a plain IEEE float.
+than X11.  The minimizer is searched weight by weight: at each weight the
+second split xt42 is sampled only inside the interval where the quadratic
+constraint holds, whose ends are closed-form roots, and the first split
+xt41 is minimized exactly from four closed-form candidates.  A coarse pass
+over 64 weights is followed by a shrinking-bracket zoom over the weight,
+entirely independent of the closed-form piece descriptions.  An
+infeasible witness scores +inf, a plain IEEE float.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def oracle_objective(
 
 
 # ---------------------------------------------------------------------------
-# numeric minimization: coarse grid + shrinking-grid refinement
+# numeric minimization: coarse pass + shrinking-bracket refinement
 # ---------------------------------------------------------------------------
 
 
@@ -131,87 +135,24 @@ def _den_rows(den):
     return np.where(den > 0.0, den, 1.0), np.flatnonzero(den <= 0.0)
 
 
-def _first_min(f, li):
-    """Index (r, j) of the first minimum of f in (lambda, a1, a2) order.
+def _a2_bracket(x2, X22, z2, lam, e: float):
+    """Ends ``(lo, hi)`` of the second splits a2 in [0, x2] with
+    g2 >= -eq_tol/2 at weight lam.
 
-    Row r of f holds the (lambda, a2) pair (li[r], ki[r]) of a grid, the
-    rows sorted by (li, ki), and column j the first split: the answer is
-    the entry np.argmin finds on the dense (L, N1, N2) layout.  np.argmin
-    on f finds the first minimum in (li, ki, j) order.  An entry tied with
-    it comes first in (li, j, ki) order only in a later row of the same li,
-    at a smaller j, so the first minimum of those rows taken in (j, ki)
-    order is the answer.  f must hold no NaN.
+    g2 is concave in a2, and lam (z2 - lam) g2 is the quadratic
+    lam (z2 - lam) X22 - z2 a2^2 + 2 lam x2 a2 - lam x2^2.  Its roots, with
+    X22 + eq_tol/2 for X22, are lam x2 / z2 -+ sqrt(lam (z2 - lam)
+    (z2 (X22 + eq_tol/2) - x2^2)) / z2: centred on the ridge lam x2 / z2,
+    free of any division by z2 - lam, and exactly {0} at lam = 0 and {x2}
+    at lam = z2.  Half the closure's band g2 >= -eq_tol, not all of it: at
+    the roots of g2 = -eq_tol rounding puts about a third of the ends just
+    below the band, where the objective is +inf, and an optimum on g2 = 0
+    is then reached only from inside.  With a negative discriminant the
+    bracket is the ridge point, the split of largest g2.
     """
-    r, j = divmod(int(np.argmin(f)), f.shape[1])
-    stop = int(np.searchsorted(li, li[r], side="right"))
-    j, k = divmod(int(np.argmin(f[r:stop].T)), stop - r)
-    return r + k, j
-
-
-def _grid_eval(p: HullPoint, lam_ax, a1_ax, a2_ax, e: float):
-    """Evaluate the objective on the product grid with per-lambda ridge
-    columns a_i = lam * x_i / z_i appended (the constraint-wise best split),
-    and return the grid's first minimum in (lambda, a1, a2) order.
-
-    Same values as :func:`_witness_objective` on the broadcast grid, but
-    only on the (lambda, a2) pairs with g2 >= -eq_tol: at the others the
-    coupling term, and so the objective, is +inf for every a1.  The kept
-    pairs are the rows of an (m, N1) array; the terms of one split are
-    computed at their 2-D shape by :func:`_sq_over_rows`, the coupling term
-    in place with safe denominators, and its closure cases only on the
-    rows with lambda <= 0 and the band -eq_tol <= g2 <= 0.
-    """
-    lam_ax = np.asarray(lam_ax, dtype=float)
-    L = lam_ax.size
-    cols1 = np.broadcast_to(np.asarray(a1_ax, dtype=float), (L, np.size(a1_ax))).copy()
-    cols2 = np.broadcast_to(np.asarray(a2_ax, dtype=float), (L, np.size(a2_ax))).copy()
-    if p.z1 > e and p.x1 > 0.0:
-        ridge1 = np.clip(lam_ax * p.x1 / p.z1, 0.0, p.x1)
-        cols1 = np.concatenate([cols1, ridge1[:, None]], axis=1)
-    if p.z2 > e and p.x2 > 0.0:
-        ridge2 = np.clip(lam_ax * p.x2 / p.z2, 0.0, p.x2)
-        cols2 = np.concatenate([cols2, ridge2[:, None]], axis=1)
-    lam = lam_ax[:, None]
-    lam_s, lam_rows = _den_rows(lam)
-    rest1_s, rest1_rows = _den_rows(p.z1 - lam)
-    rest2_s, rest2_rows = _den_rows(p.z2 - lam)
-    t12 = _sq_over_rows(cols1, lam_s, lam_rows, e) + _sq_over_rows(
-        p.x1 - cols1, rest1_s, rest1_rows, e
-    )
-    g2 = (
-        p.X22
-        - _sq_over_rows(cols2, lam_s, lam_rows, e)
-        - _sq_over_rows(p.x2 - cols2, rest2_s, rest2_rows, e)
-    ).reshape(-1)
-    inf_result = (math.inf, float(lam_ax[0]), float(cols1[0, 0]), float(cols2[0, 0]))
-    pairs = np.flatnonzero(g2 >= -e)
-    if pairs.size == 0:
-        return inf_result
-    li = pairs // cols2.shape[1]
-    a2 = cols2.reshape(-1)[pairs, None]
-    g2 = g2[pairs]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.take(cols1, li, axis=0)
-        f *= a2
-        f /= lam_s[li]
-        np.subtract(p.X12, f, out=f)  # h = X12 - a1 a2 / lam
-        zero_lam = np.flatnonzero(lam_ax[li] <= 0.0)
-        if zero_lam.size:
-            zero_num = (cols1[li[zero_lam]] <= e) | (a2[zero_lam] <= e)
-            f[zero_lam] = p.X12 - np.where(zero_num, 0.0, np.inf)
-        band = np.flatnonzero(g2 <= 0.0)
-        h_band = f[band]
-        f *= f
-        f /= np.where(g2 > 0.0, g2, 1.0)[:, None]
-        f[band] = np.where(np.abs(h_band) <= e, 0.0, np.inf)
-        f += np.take(t12, li, axis=0)
-    # no entry is NaN (no inf - inf arises, and inf + inf is inf), so the
-    # first minimum is the least value
-    r, j = _first_min(f, li)
-    if math.isinf(f[r, j]):
-        return inf_result
-    return float(f[r, j]), float(lam_ax[li[r]]), float(cols1[li[r], j]), float(a2[r, 0])
+    mid = x2 * (lam / z2)
+    half = np.sqrt(np.maximum(lam * (z2 - lam) * (z2 * (X22 + 0.5 * e) - x2 * x2), 0.0)) / z2
+    return np.clip(mid - half, 0.0, x2), np.clip(mid + half, 0.0, x2)
 
 
 def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
@@ -219,22 +160,22 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
 
     Row i holds the weight lam[i] of the point whose (x1, x2, X12, X22, z1,
     z2) are entry i of the six arrays in `pt`, so one call zooms the weights
-    of many points.  Row i runs rounds[i] rounds; a row whose rounds are
+    of many points.  Row i starts from the feasible interval of
+    :func:`_a2_bracket` and runs rounds[i] rounds; a row whose rounds are
     used up keeps its bracket and its best split.
 
-    Each round samples `width` second splits per lambda and minimizes exactly
-    over the first split.  For positive denominators the objective is a
-    convex quadratic in the first split, so the clipped stationary point is
-    the box minimizer; the closure cases are covered by the box ends and the
-    h = 0 root.  These four candidates lie on axis 0 of (4, n, width)
-    buffers.  Terms that depend on lambda alone are computed once per call,
+    Each round samples `width` second splits per lambda, the bracket ends
+    among them, and minimizes exactly over the first split.  For positive
+    denominators the objective is a convex quadratic in the first split, so
+    the clipped stationary point is the box minimizer; the closure cases
+    are covered by the box ends and the h = 0 root.  These four candidates
+    lie on axis 0 of (4, n, width) buffers.  Terms that depend on lambda alone are computed once per call,
     and the closure cases only where a denominator is not positive.
     """
     x1, x2, X12, X22, z1, z2 = pt
     n = lam.size
     lin = np.linspace(0.0, 1.0, width)
-    lo = np.zeros(n)
-    hi = x2
+    lo, hi = _a2_bracket(x2, X22, z2, lam, e)
     idx = np.arange(n)
     f_best = np.full(n, np.inf)
     a1_best = np.zeros(n)
@@ -333,58 +274,58 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
     return f_best, a1_best, a2_best
 
 
+def _sweep(pt, lam_ax, e: float, rounds, width: int):
+    """Zoom the second split at each weight of row i of lam_ax, the weights
+    of point i of `pt`, for rounds[i] rounds, in one call of
+    :func:`_zoom_a2`.  Returns the column k of each row's first least
+    objective and the (4, n) array of its (f, lam, a1, a2)."""
+    n, m = lam_ax.shape
+    rows = tuple(np.repeat(c, m) for c in pt)
+    f, a1, a2 = (
+        v.reshape(n, m)
+        for v in _zoom_a2(rows, lam_ax.reshape(-1), e, np.repeat(rounds, m), width)
+    )
+    k = f.argmin(axis=1)
+    i = np.arange(n)
+    return k, np.stack([f[i, k], lam_ax[i, k], a1[i, k], a2[i, k]])
+
+
 def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: int):
     """Nested bracket zoom over the weight of every point of `pt`.
 
-    The weight bracket of a point shrinks around its best sampled weight
-    for `zoom_rounds` passes of 6 second-split rounds, the last pass 14; a
+    Each pass samples `width` weights of every point's weight bracket,
+    zooms the second split inside its feasible interval at each of them
+    (:func:`_sweep`), and shrinks the bracket around the best weight.  The
+    zoom starts from the whole interval [lam_lo, lam_hi] and runs
+    `zoom_rounds` passes of 6 second-split rounds, the last pass 14; a
     one-point weight interval gets a single 14-round pass, and a point with
-    x2 within the band one second-split round per pass.  `best` holds the
-    arrays (f, lam, a1, a2) of the grid's best triples and is improved in
-    place.  Each pass zooms the weights of all points still in their
-    schedule in one call of :func:`_zoom_a2`.
+    x2 within the band one second-split round per pass.  `best`, the (4, n)
+    array of the coarse pass's (f, lam, a1, a2), is improved in place.
     """
-    f_b, lam_b, a1_b, a2_b = best
     lin = np.linspace(0.0, 1.0, width)
     passes = np.where(lam_hi - lam_lo <= e, 1, zoom_rounds)
     inner = np.where(pt[1] <= e, 1, 6)
+    last = np.where(inner > 1, 14, 1)
     llo, lhi = lam_lo.copy(), lam_hi.copy()
-    act = np.arange(0)
     for r in range(zoom_rounds):
-        now = np.flatnonzero(passes > r)
-        if now.size == 0:
+        act = np.flatnonzero(passes > r)
+        if act.size == 0:
             break
-        if now.size != act.size:  # the set of points only shrinks
-            act = now
-            ai = np.arange(act.size)
-            rows = tuple(np.repeat(c[act], width) for c in pt)
-            act_passes = passes[act]
-            act_inner = np.repeat(inner[act], width)
-            act_last = np.where(act_inner > 1, 14, 1)
-        rounds = np.where(np.repeat(act_passes == r + 1, width), act_last, act_inner)
         lam_ax = llo[act, None] + (lhi[act] - llo[act])[:, None] * lin
-        phi, a1s, a2s = (
-            v.reshape(act.size, width)
-            for v in _zoom_a2(rows, lam_ax.reshape(-1), e, rounds, width)
-        )
-        k = phi.argmin(axis=1)
-        phi_k = phi[ai, k]
-        better = phi_k < f_b[act]
-        if better.any():
-            sel = act[better]
-            f_b[sel] = phi_k[better]
-            lam_b[sel] = lam_ax[ai, k][better]
-            a1_b[sel] = a1s[ai, k][better]
-            a2_b[sel] = a2s[ai, k][better]
+        rounds = np.where(passes[act] == r + 1, last[act], inner[act])
+        k, found = _sweep(tuple(c[act] for c in pt), lam_ax, e, rounds, width)
+        better = found[0] < best[0, act]
+        best[:, act[better]] = found[:, better]
+        ai = np.arange(act.size)
         llo[act] = lam_ax[ai, np.maximum(k - 1, 0)]
         lhi[act] = lam_ax[ai, np.minimum(k + 1, width - 1)]
 
 
-#: Samples per axis of the coarse grid of :func:`oracle_members`.
+#: Weights per point of the coarse pass of :func:`oracle_members`.
 GRID = 64
-#: Samples per bracket in each round of the zoom.
+#: Second splits per bracket in each round, of the coarse pass and the zoom.
 ZOOM_WIDTH = 17
-#: Points per zoom pass of :func:`oracle_members`.  The zoom's cost is
+#: Points per pass of :func:`oracle_members`.  The search's cost is
 #: mostly the overhead of its many small numpy calls, which one pass pays
 #: once for all its points; per point it levels off near 64 points.
 ORACLE_CHUNK = 64
@@ -395,8 +336,8 @@ OracleResult = Union[tuple[bool, OracleWitness], PairhullError]
 def _oracle_chunk(
     points: Sequence[HullPoint], tol: Tolerances, zoom_rounds: int
 ) -> list[OracleResult]:
-    """One chunk of :func:`oracle_members`: the grid point by point, then
-    one zoom for all points that reach it."""
+    """One chunk of :func:`oracle_members`: one coarse pass over the
+    :data:`GRID` weights of every valid point, then one zoom."""
     e = tol.eq_tol
     out: list = [None] * len(points)
     ok = []
@@ -413,24 +354,16 @@ def _oracle_chunk(
             out[j] = exc
             continue
         lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
-        n_lam = GRID if lam_hi - lam_lo > e else 1
-        n_a1 = GRID if p.x1 > e else 1
-        n_a2 = GRID if p.x2 > e else 1
-        best = _grid_eval(
-            p,
-            np.linspace(lam_lo, lam_hi, n_lam),
-            np.linspace(0.0, p.x1, n_a1),
-            np.linspace(0.0, p.x2, n_a2),
-            e,
-        )
         ok.append(j)
-        start.append((p.x1, p.x2, p.X12, p.X22, p.z1, p.z2, lam_lo, lam_hi, *best))
+        start.append((p.x1, p.x2, p.X12, p.X22, p.z1, p.z2, lam_lo, lam_hi))
     if not ok:
         return out
 
-    cols = np.array(start, dtype=float).T.copy()
-    best = cols[8:]
-    _zoom_lambda(cols[:6], cols[6], cols[7], best, e, zoom_rounds, ZOOM_WIDTH)
+    cols = np.array(start, dtype=float).T
+    pt, lam_lo, lam_hi = cols[:6], cols[6], cols[7]
+    lam_ax = np.linspace(lam_lo, lam_hi, GRID, axis=1)
+    _, best = _sweep(pt, lam_ax, e, np.ones(len(ok), dtype=int), ZOOM_WIDTH)
+    _zoom_lambda(pt, lam_lo, lam_hi, best, e, zoom_rounds, ZOOM_WIDTH)
     for j, (f_b, lam_b, a1_b, a2_b) in zip(ok, best.T.tolist()):
         member = f_b <= points[j].X11 + tol.oracle_tol
         out[j] = (member, OracleWitness(a1_b, a2_b, lam_b, f_b))
@@ -446,11 +379,11 @@ def oracle_members(
 
     Each entry is the point's ``(member, witness)``, or the
     :class:`PairhullError` it raised (``NotInAmbientBox``,
-    ``EmptyFeasibleSet``).  The coarse grid runs point by point; the zoom
-    runs once for every :data:`ORACLE_CHUNK` points, which share its numpy
-    calls.  The results are those of single points, bit for bit: the zoom
-    is elementwise and takes first-index minima, so it does not depend on
-    the other points of its pass.
+    ``EmptyFeasibleSet``).  The coarse pass and each zoom pass run once
+    for every :data:`ORACLE_CHUNK` points, which share their numpy calls.
+    The results are those of single points, bit for bit: the search is
+    elementwise and takes first-index minima, so it does not depend on the
+    other points of its pass.
     """
     points = list(points)
     out: list[OracleResult] = []
@@ -466,14 +399,22 @@ def oracle_member(
 ) -> tuple[bool, OracleWitness]:
     """Numeric membership: minimize the witness objective, compare to X11.
 
-    A coarse grid scans the whole box, then a nested bracket zoom exploits
-    joint convexity: the value after minimizing out the splits is convex in
-    the disjunction weight, so shrinking a sampled bracket around the
-    argmin converges to the global optimum.  A final high-resolution zoom
-    at the located weight polishes the witness.  Intended for points with
-    X12 and both indicators above eq_tol; the X12 = 0 face and the z = 0
-    edges are decided by the closed-form module.  This is the batch of one
-    of :func:`oracle_members`.
+    At a weight the quadratic constraint is concave in the second split,
+    so its feasible splits form an interval with closed-form ends
+    (:func:`_a2_bracket`); the search samples the second split only there,
+    and the first split exactly from closed-form candidates.  A coarse pass
+    takes :data:`GRID` weights with one round of :data:`ZOOM_WIDTH`
+    second splits each; ``zoom_rounds=0`` stops there.  Then a nested
+    bracket zoom exploits joint convexity: the value after minimizing out
+    the splits is convex in the disjunction weight, so shrinking a sampled
+    bracket around the argmin converges to the global optimum.  A final
+    high-resolution zoom at the located weight polishes the witness.
+    Intended for points with X12 and both indicators above eq_tol; the
+    X12 = 0 face and the z = 0 edges are decided by the closed-form module.
+    This is the batch of one of :func:`oracle_members`, which shares the
+    numpy calls among many points: on 16 margin points the search costs
+    about 0.65 ms per point, 0.08 ms of it the coarse pass, against 3.5 ms
+    for one point alone (2-core x86-64, Python 3.11, numpy 2.4).
     """
     (res,) = oracle_members([p], tol, zoom_rounds)
     if isinstance(res, PairhullError):

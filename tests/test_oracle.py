@@ -24,8 +24,11 @@ from pairhull.errors import (
 from pairhull.core import Tolerances, separable_holds
 from pairhull.columns import elementwise
 from pairhull.oracle import (
-    _first_min,
-    _grid_eval,
+    GRID,
+    ZOOM_WIDTH,
+    _a2_bracket,
+    _sweep,
+    _witness_g2,
     _witness_objective,
     witness_slacks,
 )
@@ -122,6 +125,21 @@ class TestOracleMember:
         with pytest.raises(EmptyFeasibleSet):
             oracle_member(HullPoint(1.0, 0.0, 2.0, 0.0, 0.0, 0.5, 0.0))
 
+    def test_r8_optimum_on_a_narrow_a2_interval(self):
+        # point 156 of ctilde_margin_points(default_rng(7), 200): the optimum
+        # sits at lambda = z1 + z2 - 1 with g2 = 0, where the feasible a2
+        # interval [1.30908, 1.31704] is narrower than x2 / 63, the step of a
+        # 64-sample grid over [0, x2]; 2.122941640066569 is its closed-form
+        # optimum (analytic_witness)
+        p = HullPoint(
+            1.4130575426467569, 1.5410279630693609, 2.1326427688477576,
+            1.687031822085912, 6.806505247396112, 0.9483849477436118,
+            0.34891514518086963,
+        )
+        member, wit = oracle_member(p)
+        assert member
+        assert wit.objective <= 2.122941640066569 + 1e-9
+
     def test_nonmembers_are_separated_by_margin(self):
         rng = np.random.default_rng(72)
         for p in shrunken_nonmembers(rng, 10):
@@ -174,181 +192,181 @@ class TestOracleMember:
 
 
 # oracle_member outputs (member, xt41, xt42, lambda4, objective), objective
-# "inf" when infinite, as float.hex: any change to the grid or zoom
+# "inf" when infinite, as float.hex: any change to the coarse pass or zoom
 # arithmetic that moves a bit of the witness shows here.
 ORACLE_PINS = [
     ("lam_lo_zero", (0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5), True,
-     "0x1.8c24130d59ed7p-4", "0x1.111110fcccccdp-2", "0x1.08180ca000000p-3",
-     "0x1.ccccccccccccap-3"),
+     "0x1.cb977f6984c46p-3", "0x1.11111106bddadp-2", "0x1.3264ff999999ap-2",
+     "0x1.ccccccccccccbp-3"),
     # both z - lambda denominators reach 0 at lambda_hi
     ("z1_eq_z2", (0.3, 0.4, 0.5, 0.2, 0.6, 0.6, 0.6), True,
      "0x1.75d75d75d75d6p-3", "0x1.999999999999ap-2", "0x1.75d75d75d75d6p-2",
      "0x1.3333333333332p-3"),
     ("z1_eq_z2_lam_lo_zero", (0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.4), True,
-     "0x1.99dd5e4ccda93p-4", "0x1.111111199999ap-2", "0x1.113e3ee666668p-3",
+     "0x1.999999954e16cp-4", "0x1.11111113ee130p-2", "0x1.1111111111111p-3",
      "0x1.ccccccccccccap-3"),
     # the zoom stops after one round
     ("x2_zero", (0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6), True,
-     "0x1.0750750750750p-3", "0x0.0p+0", "0x1.3333333333330p-2",
+     "0x1.075075075074fp-3", "0x0.0p+0", "0x1.3333333333330p-2",
      "0x1.4b94b94b94b94p-3"),
     ("x1_zero", (0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6), True,
-     "0x0.0p+0", "0x1.c09c09c09c099p-3", "0x1.5075075075072p-2",
+     "0x0.0p+0", "0x1.a800000000000p-3", "0x1.3dffffffffffdp-2",
      "0x1.eb851eb851ebap-4"),
     ("X12_zero", (0.3, 0.4, 0.5, 0.0, 0.6, 0.7, 0.6), True,
-     "0x1.0750750750750p-3", "0x0.0p+0", "0x1.3333333333330p-2",
+     "0x1.075075075074fp-3", "0x0.0p+0", "0x1.3333333333330p-2",
      "0x1.0750750750750p-3"),
-    # X22 < x2^2 / z2: g2 <= 0 on every grid column, objective +inf
+    # X22 < x2^2 / z2: g2 < -eq_tol at every split, objective +inf
     ("g2_nonpositive_everywhere", (0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6), False,
      "0x0.0p+0", "0x0.0p+0", "0x1.3333333333330p-2", "inf"),
     ("worked_nonmember", (0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5), False,
-     "0x1.999999999999ap-4", "0x1.2bffff8000000p-3", "0x1.9fffff0000000p-5",
+     "0x1.999999999999ap-4", "0x1.ffe56663904cep-1", "0x1.ffe3fffd00000p-2",
      "0x1.028f5c28f5c26p+1"),
     # one-point weight interval lambda = 1
     ("both_indicators_one", (0.5, 0.5, 0.3, 0.25, 0.3, 1.0, 1.0), True,
      "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p+0",
      "0x1.0000000000000p-2"),
     ("small_indicator", (0.01, 0.5, 0.2, 0.05, 0.6, 0.001, 0.8), True,
-     "0x1.c47ad921551c8p-11", "0x1.47ae142000000p-8", "0x1.69fbe083126eap-14",
-     "0x1.9999999999998p-4"),
+     "0x1.51eb83f9b0558p-8", "0x1.47ae13ddc92cbp-8", "0x1.0e560322d0e56p-11",
+     "0x1.9999999999999p-4"),
     ("scaled_member", (30.0, 40.0, 5000.0, 1500.0, 6000.0, 0.7, 0.6), True,
-     "0x1.8e92492492493p+4", "0x1.1800000000000p+5", "0x1.299999999999ap-1",
-     "0x1.416db6db6db6dp+10"),
+     "0x1.9ca5c0492491fp+3", "0x1.1800000000000p+5", "0x1.341c2fffffffcp-2",
+     "0x1.416db6db6db6cp+10"),
     ("interior_member", (0.5, 0.6, 0.6, 0.35, 0.8, 0.55, 0.65), True,
-     "0x1.90da17875a97bp-3", "0x1.8a3d7095fffffp-2", "0x1.b8efe69f3333ap-3",
+     "0x1.9e5cef21a133fp-3", "0x1.8a3d70a69c5afp-2", "0x1.c7cca0a800006p-3",
      "0x1.d1745d1745d14p-2"),
 ]
 
 
 # oracle_members on the 64 rows of _sample_separable_array(default_rng(7), 64),
 # in the format of ORACLE_PINS; z1 + z2 <= 1, and with it a
-# lambda = 0 row of the grid, on 25 of them
+# lambda = 0 weight of the coarse pass, on 25 of them
 SEPARABLE_PINS = [
-    (True, "0x1.591126e9a1a80p-7", "0x1.0c7323ee0d52fp-2",
-     "0x1.86b66c3576cc0p-3", "0x1.336c42e5c44f2p-1"),
-    (False, "0x1.df2a571c79f0ep-1", "0x1.4cd9b567e3a09p-3",
-     "0x1.496b14660cb04p-2", "0x1.edb329e667f0ep+3"),
+    (True, "0x1.591126e9a1a80p-7", "0x1.0c72876cb8438p-2",
+     "0x1.86b57801ec743p-3", "0x1.336c42edb9c42p-1"),
+    (False, "0x1.df2a571c79f0ep-1", "0x1.4cd9b5800fd8fp-3",
+     "0x1.496b141388bdcp-2", "0x1.edb329e9415a7p+3"),
     (True, "0x1.5802ca138eb14p-2", "0x1.dc06ea58ce55ep-2",
      "0x1.1205684c50508p-2", "0x1.65ede908cb903p-1"),
     (True, "0x1.fbcdd5b06b6c2p-3", "0x1.8c863d7740cd0p-3",
      "0x1.7a0f4694ec800p-3", "0x1.2605fa9593b77p-1"),
-    (False, "0x1.244af7ce3b760p-4", "0x1.031cf324e7286p+0",
-     "0x1.5326add3ec7a0p-1", "0x1.5bca75894d8e0p+3"),
-    (False, "0x1.d2b54f91a67e3p-1", "0x1.86d62e1686428p-2",
-     "0x1.12d226a5f627ep-1", "0x1.b92776b7c276ep+1"),
-    (False, "0x1.fae91a7b08f64p-2", "0x1.4fde65838cb74p-1",
-     "0x1.00460cac3abbfp-1", "0x1.68b68e1fdd96fp+4"),
-    (True, "0x1.2510881405cbap-2", "0x1.7962a94f1bc60p-2",
-     "0x1.2c8359d68d770p-2", "0x1.e8990cba75828p-1"),
-    (False, "0x1.4789022d6a74dp+0", "0x1.fc4e39f0e97c9p-1",
-     "0x1.3016ed92e864cp-1", "0x1.aa397cacbf028p+2"),
-    (False, "0x1.71ef349abe7c4p-1", "0x1.4756b59ab618ep-1",
-     "0x1.2a1d15cd4b7ecp-1", "0x1.2fc477267c9bcp+1"),
-    (True, "0x1.0460086307bdbp-5", "0x1.111d718f3f270p-4",
-     "0x1.819f8a9b44ae5p-7", "0x1.16a785b2db2a0p-2"),
-    (True, "0x1.339bea61ce224p-2", "0x1.7e2f8b08b1b6ap-1",
-     "0x1.51e918902a15cp-1", "0x1.698d8cddf7286p+0"),
-    (True, "0x1.7e7939e6dadb3p-2", "0x1.285be5137bb04p-1",
-     "0x1.6c36060ecae7ep-3", "0x1.5708978dc8ab1p+1"),
+    (False, "0x1.244af7ce3b760p-4", "0x1.cecf03af2535fp-1",
+     "0x1.2e063f60979fbp-1", "0x1.5bca75894d8e0p+3"),
+    (False, "0x1.d0bf8d5ba4fbdp-1", "0x1.86d62e1686428p-2",
+     "0x1.10a7e51196da4p-1", "0x1.b92776b7c276ep+1"),
+    (False, "0x1.fae91a7b08f64p-2", "0x1.55f8f71cb6982p-1",
+     "0x1.0548fe90adaf8p-1", "0x1.68b68e1fdd96fp+4"),
+    (True, "0x1.c5f0e31bba457p-3", "0x1.7962a94f1bc60p-2",
+     "0x1.c9ecb9a8760abp-4", "0x1.e8990cba75828p-1"),
+    (False, "0x1.4789022d6a74dp+0", "0x1.fc5b0324d17d7p-1",
+     "0x1.302765b7b78b6p-1", "0x1.aa397cacbf028p+2"),
+    (False, "0x1.71ef349abe7c4p-1", "0x1.60826ccd4c954p-1",
+     "0x1.600929186d54cp-1", "0x1.2fc477267c9bcp+1"),
+    (True, "0x1.37383f199cf7fp-5", "0x1.111d718f3f270p-4",
+     "0x1.165835d9f0217p-5", "0x1.16a785b2db2a0p-2"),
+    (True, "0x1.339bea61ce224p-2", "0x1.697aaa4d3d91bp-1",
+     "0x1.238a41d3a2f82p-1", "0x1.698d8cddf7286p+0"),
+    (True, "0x1.801f49f97918bp-2", "0x1.285be50c33ed9p-1",
+     "0x1.6dc7eef84eda1p-3", "0x1.5708978dc8ab0p+1"),
     (False, "0x1.eaa082aadd2c8p-2", "0x1.1efff895d16d4p-2",
      "0x1.116115068ac4cp-3", "0x1.19da2c6694f9ep+2"),
-    (True, "0x1.294ea3446693fp-2", "0x1.f95eca341a408p-3",
-     "0x1.137ee562a3607p-2", "0x1.437524de63146p+1"),
+    (True, "0x1.9f95619590b70p-3", "0x1.f95eca341a408p-3",
+     "0x1.ae912f7d17182p-6", "0x1.437524de63146p+1"),
     (False, "0x1.f3eab4182970bp-2", "0x1.6a1a14e16dae0p-2",
      "0x1.258b0516f480dp-3", "0x1.b3eadf140ac6ep+1"),
-    (False, "0x1.0d8c97c443a6cp-2", "0x1.fd607a4003626p-3",
-     "0x1.052fd8a256b32p-4", "0x1.7d524c3a46700p+2"),
-    (True, "0x1.b394b3a6dba0ep-5", "0x1.ffc937a2fc6a0p-3",
-     "0x1.60f8905447383p-6", "0x1.6f9f9b303088ep-1"),
-    (True, "0x1.27071d646ff4fp-2", "0x1.0ab7c284ea340p-4",
-     "0x1.6714faf4489b4p-1", "0x1.70d197106abbcp+0"),
-    (True, "0x1.0a465c4ab925dp+0", "0x1.f99450209212bp-2",
-     "0x1.482d2a17804fbp-1", "0x1.0a86656a14188p+1"),
-    (True, "0x1.0c5cfa09f5a56p-1", "0x1.c448d30699014p-1",
-     "0x1.9d9619beb531fp-2", "0x1.f40ae020b70e3p-1"),
+    (False, "0x1.0d8c97c443a6cp-2", "0x1.b4d758fd8702bp-2",
+     "0x1.042baf5bedc9dp-3", "0x1.7d524c3a46701p+2"),
+    (True, "0x1.0002f2cc16873p-4", "0x1.ffc9388d7ff8fp-3",
+     "0x1.9eea5fa633f9dp-6", "0x1.6f9f9b303088ep-1"),
+    (True, "0x1.296f74f465f34p-2", "0x1.0ab7c284ea340p-4",
+     "0x1.6bc7ffeda0cd4p-1", "0x1.70d197106abbbp+0"),
+    (True, "0x1.4529a83b684e5p+0", "0x1.f99450076f88fp-2",
+     "0x1.90c10d87661fbp-1", "0x1.0a86656a14188p+1"),
+    (True, "0x1.1dae3eedee6fdp-1", "0x1.c448d2ea9c830p-1",
+     "0x1.b846680fbf18cp-2", "0x1.f40ae020b70e3p-1"),
     (False, "0x1.d92688d609b8dp-2", "0x1.d11877b752930p-4",
      "0x1.67abe7e59017ep-3", "0x1.70ba83b1dde40p+2"),
     (False, "0x1.9ca6884ddc6d2p-2", "0x1.d1437c75f4a4cp-2",
      "0x1.ed25283f1fa8ep-3", "0x1.11decdc6d5e8fp+1"),
-    (True, "0x1.36994f3b5469cp-5", "0x1.0e88308d98cd0p-4",
-     "0x1.13d8d90757887p-2", "0x1.1e900956a6d10p-1"),
-    (True, "0x1.9190872262e45p-5", "0x1.f85aff1d790f8p-3",
-     "0x1.86033a7c39703p-1", "0x1.11a74ce134de2p-7"),
-    (True, "0x1.f75db57e83e90p-3", "0x1.6912441829e7bp-2",
-     "0x1.07e8cb4aaca78p-3", "0x1.171e27763d976p+1"),
-    (True, "0x1.4419856ef15fdp-1", "0x1.058c55cb34f92p-1",
-     "0x1.51db8c813b5a3p-2", "0x1.77da14b0b716cp+1"),
+    (True, "0x1.9992821b44baep-5", "0x1.0e88308d98cd0p-4",
+     "0x1.338bb8d88015dp-1", "0x1.1e900956a6d10p-1"),
+    (True, "0x1.90d2eda02824ep-5", "0x1.f85aff1d790f8p-3",
+     "0x1.85218a8961ec2p-1", "0x1.11a74ce134de2p-7"),
+    (True, "0x1.f75db57e83e90p-3", "0x1.690139202b2f8p-2",
+     "0x1.07c7d55822544p-3", "0x1.171e277bd1432p+1"),
+    (True, "0x1.bf69b1601e283p-1", "0x1.058c55398c998p-1",
+     "0x1.d267c72c66e7fp-2", "0x1.77da14b0b716cp+1"),
     (True, "0x1.5366f34ec2600p-7", "0x1.2cff5160952b8p-3",
      "0x1.daef89ad44879p-3", "0x1.60e8d99311bfep-5"),
-    (True, "0x1.cfb71d69d8620p-2", "0x1.42eb52e275e9ep-1",
-     "0x1.745064ee27b52p-2", "0x1.0320321cda5e1p+0"),
+    (True, "0x1.cfb71d69d8620p-2", "0x1.42eb4a77f1812p-1",
+     "0x1.745016bbfcfb8p-2", "0x1.0320321e1a0ccp+0"),
     (False, "0x1.8c4bfc6b5a40fp-3", "0x1.0ff7940fbf780p-3",
      "0x1.79e26548346b6p-7", "0x1.80475dc5e2382p+2"),
     (True, "0x1.13e399fafcde3p-1", "0x1.dc399817a7a9cp-1",
      "0x1.eb1c5b45220e4p-3", "0x1.4eda1899812d0p+0"),
     (False, "0x1.a586917d7f628p-1", "0x1.4bf4000b37265p-1",
      "0x1.e7f1cdf30a9dfp-2", "0x1.03f771c482f04p+2"),
-    (False, "0x1.197544e18b580p-3", "0x1.da0c8c610b5d0p-4",
-     "0x1.755a435ac5700p-3", "0x1.06aeed65e921fp+1"),
-    (True, "0x1.ada5fcf2acdb9p-2", "0x1.2697b0f0c3b27p+0",
-     "0x1.617fd7afe2e42p-1", "0x1.515c156bdf1a6p-2"),
-    (True, "0x1.8f8107fa6f844p-1", "0x1.6a97c86595407p-2",
-     "0x1.6271bbea8a34dp-2", "0x1.cbae67e7403fep+0"),
+    (False, "0x1.197544e18b580p-3", "0x1.e66d4354b31c4p-4",
+     "0x1.850934b6ae371p-3", "0x1.06aeed65e921fp+1"),
+    (True, "0x1.a41dd31e6e277p-2", "0x1.2697b0f0c3b27p+0",
+     "0x1.527824755b401p-1", "0x1.515c156bdf1a6p-2"),
+    (True, "0x1.9645b3458d241p-1", "0x1.6a97c860a4e9bp-2",
+     "0x1.6872fa0c0d62cp-2", "0x1.cbae67e7403fep+0"),
     (True, "0x1.cc69f6797dfb0p-3", "0x1.90955c981c230p-2",
      "0x1.0f3b7c0d7fcfcp-2", "0x1.51976f5cbd4c1p-1"),
-    (True, "0x1.a2313add6bbfep-1", "0x1.89d0df911088bp+0",
-     "0x1.536396314eff6p-1", "0x1.1dc397bec98d7p+0"),
-    (False, "0x1.91879c2b0b039p-1", "0x1.5b2b181f58770p-3",
-     "0x1.5fc6b528fafdap-4", "0x1.16cb0aa422aadp+4"),
+    (True, "0x1.a00475d831350p-1", "0x1.89d0df911088bp+0",
+     "0x1.4f22e9a7fb247p-1", "0x1.1dc397bec98d7p+0"),
+    (False, "0x1.8e9dfe5c42d44p-1", "0x1.5b2b181f58770p-3",
+     "0x1.3da73dfffb7a0p-5", "0x1.16cb0aa422aadp+4"),
     (False, "0x1.e08106d0ef932p-4", "0x1.4472ead427b70p-4",
      "0x1.aa4bcff316e10p-3", "0x1.8fcffeaece6f2p+1"),
-    (True, "0x1.ce5e006e2fe49p-8", "0x1.9fe7e296723d4p-3",
-     "0x1.a28e592b5a074p-6", "0x1.a62d9f43fb21dp-6"),
+    (True, "0x1.8af08aa3a8496p-6", "0x1.9fe7e162d08d8p-3",
+     "0x1.65847affc4acap-4", "0x1.a62d9f43fb21cp-6"),
     (False, "0x1.f04093cae4a60p-5", "0x1.230a95177eda6p-3",
      "0x1.83c031317c93ep-3", "0x1.567c794dfeb06p+1"),
     (True, "0x1.4d6d95cf9d29ap-2", "0x1.952e3e341bfacp-2",
      "0x1.a4b36bab248bep-3", "0x1.5c3a5e053ef1cp+0"),
-    (False, "0x1.fd122635a75c0p-2", "0x1.04e38de073904p-1",
-     "0x1.3d4542043d431p-3", "0x1.3825e3ab689f2p+2"),
-    (False, "0x1.3f5f3c07ceb90p-4", "0x1.493333b6902fbp-2",
-     "0x1.b353fb55b687dp-4", "0x1.9df222361c6c4p+3"),
-    (True, "0x1.c58ccc402c888p-4", "0x1.55cf870a0c4a8p-2",
-     "0x1.4db928a5c0c58p-3", "0x1.ce1167acec89cp-3"),
-    (False, "0x1.9f69d5e082d60p-4", "0x1.861b0ee29c520p-1",
-     "0x1.31482655c1236p-1", "0x1.c69d066cb516fp+1"),
-    (True, "0x1.2a564d85658e5p-1", "0x1.117dbe6d2dc9dp-2",
-     "0x1.6eaf4087136f4p-1", "0x1.055f33079408cp-1"),
+    (False, "0x1.fd122635a75c0p-2", "0x1.acce56e1fb934p-1",
+     "0x1.d74b56a075e07p-2", "0x1.3825e3ab689f2p+2"),
+    (False, "0x1.3f5f3c07ceb90p-4", "0x1.4f3cf419121e7p-2",
+     "0x1.bb8aa1af29c4ap-4", "0x1.9df222361c6bcp+3"),
+    (True, "0x1.ce5fd160d4d7fp-4", "0x1.55cf874b1f8b5p-2",
+     "0x1.54375a40a4da8p-3", "0x1.ce1167acec89cp-3"),
+    (False, "0x1.9f69d5e082d60p-4", "0x1.861b0eeb07c0ap-1",
+     "0x1.314826559a966p-1", "0x1.c69d067315780p+1"),
+    (True, "0x1.358c3db277687p-1", "0x1.117dbe06e0369p-2",
+     "0x1.7c76ad8b9ec6bp-1", "0x1.055f33079408cp-1"),
     (False, "0x1.4f052ec5725d4p-1", "0x1.4f0d7fb24a2b8p-1",
      "0x1.dc4cba708d07cp-3", "0x1.021166b24aabbp+2"),
-    (True, "0x1.4ac6f9911b13cp-2", "0x1.6257ac397f929p-2",
-     "0x1.4e46923c8cb95p-4", "0x1.7fd2096294df8p+1"),
+    (True, "0x1.4ac6f9911b13cp-2", "0x1.5f5a85828fcdap-1",
+     "0x1.247dc0583815cp-2", "0x1.7fd2096294df7p+1"),
     (False, "0x1.b57dc61634300p-5", "0x1.ec0e1fec519eap-3",
      "0x1.273619073b699p-2", "0x1.3c8567072b838p+0"),
-    (True, "0x1.af8f3f184f9b7p-4", "0x1.a0e6decaafb80p-1",
+    (True, "0x1.af8f3f182c8c8p-4", "0x1.a0e6dec9a3dccp-1",
      "0x1.4f949bd164370p-1", "0x1.b1b1d420b280ep-5"),
-    (False, "0x1.b87036925e2e4p-2", "0x1.9c588c413b91bp-2",
-     "0x1.5ebccca8dff58p-2", "0x1.1e1b16622db86p+2"),
+    (False, "0x1.b87036925e2e4p-2", "0x1.9be38ec5b4175p-2",
+     "0x1.5dccfeafc7384p-2", "0x1.1e1b1665abbe4p+2"),
     (True, "0x1.fab1e145af9c0p-2", "0x1.40fc3fb8eba93p-1",
      "0x1.c6348fc87bf4dp-2", "0x1.d57a9441bcab4p-1"),
     (True, "0x1.5231ab621edaap-8", "0x1.aaba0930c3500p-8",
      "0x1.026ff0719de06p-4", "0x1.92546119b83cdp-2"),
     (False, "0x1.2e4c71415e93ap-4", "0x1.378f0b2520be0p-5",
      "0x1.e409eec9e5ab5p-5", "0x1.136d114dc8507p+1"),
-    (True, "0x1.5d1b484444907p-3", "0x1.ae66d5fa60ef8p-2",
-     "0x1.a0c7f46855ea2p-4", "0x1.1121224d1f09bp+1"),
+    (True, "0x1.849aad2d4fa64p-3", "0x1.ae66d5fa60ef8p-2",
+     "0x1.d4cb7f4852becp-4", "0x1.1121224d1f09ap+1"),
     (False, "0x1.3a345b216c860p-1", "0x1.3993155e63f95p-1",
      "0x1.8e7e83ffacb7cp-2", "0x1.53f2366852939p+2"),
     (False, "0x1.895fd3863c8e6p-1", "0x1.317d42e4705e1p-3",
      "0x1.3432b997d92f6p-2", "0x1.610e34525221bp+4"),
-    (False, "0x1.2ae7b37fead6ep-1", "0x1.6472c0602a115p-3",
-     "0x1.d0a6b7832bb10p-4", "0x1.5f6f247f28aa5p+6"),
-    (False, "0x1.67e4788b2a500p-2", "0x1.6f943e4064752p-2",
-     "0x1.68bbdee859498p-2", "0x1.be4685951a735p+2"),
+    (False, "0x1.2ae7b37fead6ep-1", "0x1.6472c082729bfp-3",
+     "0x1.d0a6b7830ea69p-4", "0x1.5f6f250735bdap+6"),
+    (False, "0x1.67e4788b2a500p-2", "0x1.6f943db6deb9ap-2",
+     "0x1.68bbde161656dp-2", "0x1.be4685a8b5740p+2"),
     (False, "0x1.be5e1970c1db1p-2", "0x1.95031f02caa34p-2",
      "0x1.50c6df543a13bp-4", "0x1.48acb45d2529dp+1"),
     (False, "0x1.12b9c3d4429a9p-1", "0x1.b223408814e98p-3",
      "0x1.8ac118574c1e4p-1", "0x1.fce05559ee6a8p+1"),
-    (False, "0x1.1656c3b49a3a0p-5", "0x1.b26243473178ep-3",
-     "0x1.c9ecc8078ae58p-3", "0x1.796444be69522p+3"),
+    (False, "0x1.1656c3b49a3a0p-5", "0x1.5b169dc4dfb63p-3",
+     "0x1.6903c263f8d25p-3", "0x1.796444be69522p+3"),
     (False, "0x1.1231f660b7306p-1", "0x1.b6776bedb4280p-3",
      "0x1.d7a5749666ae7p-5", "0x1.d7b5a993b028cp+2"),
 ]
@@ -408,63 +426,138 @@ class TestPinnedOracle:
             _hex_result(oracle_member(p)) for p in good
         ]
 
-    def test_grid_is_exact_argmin_of_the_objective(self):
+    def test_coarse_pass_is_the_first_minimum_of_its_samples(self):
+        # the coarse pass samples GRID weights, ZOOM_WIDTH second splits
+        # across each weight's bracket and four first splits per pair (the
+        # box ends, the h = 0 root and the clipped stationary point); it must
+        # return the first least objective in (lambda, a2, a1) order
         e = 1e-9
+        objective = elementwise(_witness_objective)
+        g2_of = elementwise(_witness_g2)
         pts = ctilde_margin_points(np.random.default_rng(91), 6)
         pts += shrunken_nonmembers(np.random.default_rng(92), 4)
         hull = _points(_sample_hull_array(np.random.default_rng(93), 6, 3))
         pts += [p for p in hull if min(p.z1, p.z2) > e]
         pts += [
-            HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5),  # z1 + z2 <= 1: a lambda = 0 row
+            HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5),  # z1 + z2 <= 1: lambda = 0
             HullPoint(0.5, 0.6, 0.3, 0.25, 0.8, 1.0, 0.7),  # one-point weight interval
-            HullPoint(0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6),  # x1 = 0: no a1 ridge
-            HullPoint(0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # x2 = 0: no a2 ridge
-            HullPoint(0.0, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # one column, ties across lambda
-            # X22 below every split cost x2^2 / z2 of x2: no pair kept, +inf
+            HullPoint(0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6),  # x1 = 0
+            HullPoint(0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # x2 = 0
+            HullPoint(0.0, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # ties across lambda
+            # X22 below every split cost x2^2 / z2 of x2: every sample +inf
             HullPoint(0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6),
-            # X22 = x2^2 / z2: g2 = 0 on the lambda = 0 row at a2 = 0, in the
-            # band; with X12 = 0 that band pair holds the minimum
+            # X22 = x2^2 / z2: g2 = 0 at lambda = 0, a2 = 0, in the band
             HullPoint(0.3, 0.4, 0.5, 0.2, 0.4 * 0.4 / 0.5, 0.4, 0.5),
             HullPoint(0.3, 0.4, 0.5, 0.0, 0.4 * 0.4 / 0.5, 0.4, 0.5),
         ]
-        for p in pts:
-            # the axes of oracle_members
-            lam_hi = min(p.z1, p.z2)
-            lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
-            lam = np.linspace(lam_lo, lam_hi, 64 if lam_hi - lam_lo > e else 1)
-            a1_ax = np.linspace(0.0, p.x1, 64 if p.x1 > e else 1)
-            a2_ax = np.linspace(0.0, p.x2, 64 if p.x2 > e else 1)
-            cols1 = np.tile(a1_ax, (lam.size, 1))
-            cols2 = np.tile(a2_ax, (lam.size, 1))
-            if p.x1 > 0.0:  # ridge columns a_i = lam x_i / z_i
-                cols1 = np.column_stack([cols1, np.clip(lam * p.x1 / p.z1, 0.0, p.x1)])
-            if p.x2 > 0.0:
-                cols2 = np.column_stack([cols2, np.clip(lam * p.x2 / p.z2, 0.0, p.x2)])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f = elementwise(_witness_objective)(
-                    p, lam[:, None, None], cols1[:, :, None], cols2[:, None, :], e
+        cols = np.array([(p.x1, p.x2, p.X12, p.X22, p.z1, p.z2) for p in pts]).T
+        lam_hi = np.minimum(cols[4], cols[5])
+        lam_lo = np.minimum(np.maximum(cols[4] + cols[5] - 1.0, 0.0), lam_hi)
+        lam_ax = np.linspace(lam_lo, lam_hi, GRID, axis=1)
+        _, got = _sweep(cols, lam_ax, e, np.ones(len(pts), dtype=int), ZOOM_WIDTH)
+        lin = np.linspace(0.0, 1.0, ZOOM_WIDTH)
+        for i, p in enumerate(pts):
+            lam = lam_ax[i][:, None]
+            lo, hi = _a2_bracket(p.x2, p.X22, p.z2, lam, e)
+            a2 = lo + (hi - lo) * lin
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                g2 = g2_of(p, lam, a2, e)
+                root = np.where(a2 > e, lam * p.X12 / a2, 0.0)
+                stationary = (p.x1 / (p.z1 - lam) + a2 * p.X12 / (lam * g2)) / (
+                    1.0 / lam + 1.0 / (p.z1 - lam) + (a2 / lam) ** 2 / g2
                 )
-            i, j, k = np.unravel_index(int(np.argmin(f)), f.shape)
-            expected = (float(f[i, j, k]), lam[i], cols1[i, j], cols2[i, k])
-            assert _grid_eval(p, lam, a1_ax, a2_ax, e) == expected, p
+                quadratic = (lam > 0.0) & (p.z1 - lam > 0.0) & (g2 > 0.0)
+                a1 = np.stack([
+                    np.zeros_like(a2),
+                    np.full_like(a2, p.x1),
+                    np.clip(root, 0.0, p.x1),
+                    np.clip(np.where(quadratic, stationary, 0.0), 0.0, p.x1),
+                ], axis=-1)
+                f = objective(p, lam[..., None], a1, a2[..., None], e)
+            r, k, c = np.unravel_index(int(np.argmin(f)), f.shape)
+            if math.isinf(f[r, k, c]):  # nothing finite: the splits stay 0
+                expected = (math.inf, lam_ax[i, 0], 0.0, 0.0)
+            else:
+                expected = (f[r, k, c], lam_ax[i, r], a1[r, k, c], a2[r, k])
+            assert tuple(got[:, i]) == expected, p
 
-    def test_grid_takes_the_first_minimum_of_the_dense_layout(self):
-        # objectives of few distinct values, so that most minima are tied
-        # across (lambda, a1, a2), and whole (lambda, a2) pairs +inf; the
-        # grid keeps every finite pair and some +inf ones
-        rng = np.random.default_rng(94)
-        for _ in range(300):
-            L, n1, n2 = rng.integers(1, 6, size=3)
-            dense = rng.integers(0, 3, size=(L, n1, n2)).astype(float)
-            dense[np.broadcast_to(rng.random((L, 1, n2)) < 0.4, dense.shape)] = np.inf
-            by_pair = dense.transpose(0, 2, 1).reshape(L * n2, n1)
-            finite = np.isfinite(by_pair).any(axis=1)
-            pairs = np.flatnonzero(finite | (rng.random(L * n2) < 0.5))
-            if not pairs.size or not finite.any():
-                continue
-            r, j = _first_min(by_pair[pairs], pairs // n2)
-            first = np.unravel_index(int(np.argmin(dense)), dense.shape)
-            assert (pairs[r] // n2, j, pairs[r] % n2) == first
+
+def _bracket_cases():
+    """Relaxation points, margin points and non-members, each with nine
+    weights strictly inside (0, z2) across its weight interval."""
+    pts = sample_ctilde_points(np.random.default_rng(95), 40)
+    pts += ctilde_margin_points(np.random.default_rng(96), 20)
+    pts += shrunken_nonmembers(np.random.default_rng(97), 20)
+    for p in pts:
+        lam_hi = min(p.z1, p.z2)
+        lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
+        for lam in np.linspace(lam_lo, lam_hi, 11)[1:-1]:
+            if 0.0 < lam < p.z2:
+                yield p, float(lam)
+
+
+def _g2_rounding(p, lam, a2):
+    """A bound on the rounding error of g2 at an interior weight: 256 ulps
+    of the terms it sums."""
+    terms = p.X22 + a2 * a2 / lam + (p.x2 - a2) ** 2 / (p.z2 - lam)
+    return 256 * np.finfo(float).eps * terms
+
+
+class TestA2Bracket:
+    E = 1e-9
+
+    def test_ends_are_inside_the_band(self):
+        checked = 0
+        for p, lam in _bracket_cases():
+            for a2 in _a2_bracket(p.x2, p.X22, p.z2, lam, self.E):
+                assert 0.0 <= a2 <= p.x2
+                assert _witness_g2(p, lam, float(a2), self.E) >= -self.E, (p, lam, a2)
+                checked += 1
+        assert checked >= 1000
+
+    def test_splits_just_outside_are_below_the_half_band(self):
+        # the ends solve g2 = -eq_tol / 2, so moving off them by 1e-9 relative
+        # drops g2 below it; where g2 < -eq_tol / 2 at every split the
+        # bracket is the ridge point lam x2 / z2
+        e = self.E
+        outside = 0
+        for p, lam in _bracket_cases():
+            lo, hi = _a2_bracket(p.x2, p.X22, p.z2, lam, e)
+            d = 1e-9 * max(1.0, p.x2)
+            for a2 in (lo - d, hi + d):
+                if 0.0 <= a2 <= p.x2:
+                    g2 = _witness_g2(p, lam, float(a2), e)
+                    assert g2 < -e / 2 - _g2_rounding(p, lam, a2), (p, lam, a2)
+                    outside += 1
+        assert outside >= 500
+        p = HullPoint(0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6)  # X22 < x2^2 / z2
+        for lam in (0.35, 0.5, 0.59):
+            lo, hi = _a2_bracket(p.x2, p.X22, p.z2, lam, e)
+            assert lo == hi == pytest.approx(lam * p.x2 / p.z2, rel=1e-15)
+            assert _witness_g2(p, lam, float(lo), e) < -e
+
+    def test_weight_ends_give_the_split_ends_exactly(self):
+        rows = _sample_separable_array(np.random.default_rng(98), 500)
+        x2, X22, z2 = rows[:, 1], rows[:, 4], rows[:, 6]
+        keep = z2 > 0.0
+        x2, X22, z2 = x2[keep], X22[keep], z2[keep]
+        lo, hi = _a2_bracket(x2, X22, z2, np.zeros_like(z2), self.E)
+        assert np.all(lo == 0.0) and np.all(hi == 0.0)
+        lo, hi = _a2_bracket(x2, X22, z2, z2, self.E)
+        assert np.array_equal(lo, x2) and np.array_equal(hi, x2)
+
+    def test_finite_one_ulp_below_z2_and_at_x2_zero(self):
+        rows = _sample_separable_array(np.random.default_rng(99), 500)
+        x2, X22, z2 = rows[:, 1], rows[:, 4], rows[:, 6]
+        keep = z2 > 0.0
+        x2, X22, z2 = x2[keep], X22[keep], z2[keep]
+        lo, hi = _a2_bracket(x2, X22, z2, np.nextafter(z2, 0.0), self.E)
+        assert np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+        assert np.all((0.0 <= lo) & (lo <= hi) & (hi <= x2))
+        zero = np.zeros_like(x2)
+        for lam in (0.5 * z2, np.nextafter(z2, 0.0), z2):
+            lo, hi = _a2_bracket(zero, X22, z2, lam, self.E)
+            assert np.all(lo == 0.0) and np.all(hi == 0.0)
 
 
 class TestOracleSuite:
@@ -535,6 +628,26 @@ class TestAnalyticWitness:
                 1.0 + abs(w.objective)
             )
             checked += 1
+
+    def test_oracle_is_never_above_the_closed_form_optimum(self):
+        # on every relaxation point with a closed witness the oracle's
+        # minimum is at most the analytic one; a miss shows an optimum the
+        # search brackets away from
+        pts, ref = [], []
+        for p in sample_ctilde_points(np.random.default_rng(11), 6000):
+            try:
+                w = analytic_witness(p, classify(p))
+            except RegionHasNoClosedWitness:
+                continue
+            pts.append(p)
+            ref.append(w.objective)
+        assert len(pts) > 3000
+        above = [
+            (p, f, res[1].objective)
+            for p, f, res in zip(pts, ref, oracle_members(pts))
+            if not res[1].objective <= f + 1e-9 * max(1.0, abs(f))
+        ]
+        assert not above
 
     def test_epsilon_interior_regions_refuse(self):
         rng = np.random.default_rng(76)
