@@ -25,7 +25,6 @@ from .core import (
 )
 from .errors import NumericallyDegenerate, PairhullError
 from .families import (
-    FAMILY_BY_CELL,
     q_value,
     shift_z,
     shifted_terms,
@@ -140,17 +139,6 @@ def _part5_piece(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     }
 
 
-def _part5_slacks(p: HullPoint, tol: Tolerances) -> tuple[dict[str, float], float]:
-    """Part V and its W shift; the square-root argument of W is clamped at
-    zero within the membership band."""
-    if _w_degenerate(p, tol):
-        raise NumericallyDegenerate(
-            f"W undefined or within the zero band at {p}: needs x2 > 0, "
-            "z1 + z2 > 1 and a square-root argument above -mem_tol"
-        )
-    return _part5_piece(p, tol), w_shift(p)
-
-
 def _edge_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     """Closure system on the z1 = 0 / z2 = 0 edges when X12 > 0.
 
@@ -176,113 +164,88 @@ def _rescuable(p: HullPoint, tol: Tolerances) -> bool:
     return p.X12 > tol.eq_tol and not on_indicator_edge(p, tol)
 
 
+#: The hull piece of each cell in cell order, as (slacks function, arguments,
+#: face, face function): part I on R1, R2 and R6, family II on R3 and R4,
+#: family III on R5, part IV on R7, part V on R8.  Where the face holds, the
+#: face function replaces the piece; None marks R8 where W degenerates.
+_PIECES = {
+    Region.R1: (_part1_slacks, (), _on_edge_face, _edge_slacks),
+    Region.R2: (_part1_slacks, (), None, None),
+    Region.R3: (_shifted_product_slacks, ("II",), None, None),
+    Region.R4: (_shifted_product_slacks, ("II",), None, None),
+    Region.R5: (_shifted_product_slacks, ("III",), None, None),
+    Region.R6: (_part1_slacks, (), None, None),
+    Region.R7: (_part4_slacks, (), None, None),
+    Region.R8: (_part5_piece, (), _w_degenerate, None),
+}
+
+
 def piece_slacks(
     p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL
 ) -> dict[str, float]:
     """Named slacks of the hull piece attached to ``region`` evaluated at p.
 
-    Raises :class:`NumericallyDegenerate` for the R8 piece when W is not
-    strictly positive.
+    Raises :class:`NumericallyDegenerate` for the R8 piece when W is
+    degenerate, and :class:`KeyError` for NotCovered, which has no piece.
     """
-    if region in (Region.R2, Region.R6):
-        return _part1_slacks(p, tol)
-    if region is Region.R1:
-        if _on_edge_face(p, tol):
-            return _edge_slacks(p, tol)
-        return _part1_slacks(p, tol)
-    if region is Region.R7:
-        return _part4_slacks(p, tol)
-    family = FAMILY_BY_CELL.get(region.value)
-    if family == "V":
-        return _part5_slacks(p, tol)[0]
-    if family is not None:
-        return _shifted_product_slacks(p, family, tol)
-    raise ValueError(f"no hull piece for region {region}")
-
-
-#: Whether the numeric witness oracle decides where the R8 piece is
-#: ill-posed; if false, :func:`member_hull` raises there.
-ORACLE_FALLBACK = True
+    fn, args, face, face_fn = _PIECES[region]
+    if face is not None and face(p, tol):
+        if face_fn is None:
+            raise NumericallyDegenerate(
+                f"W undefined or within the zero band at {p}: needs x2 > 0, "
+                "z1 + z2 > 1 and a square-root argument above -mem_tol"
+            )
+        return face_fn(p, tol)
+    return fn(p, *args, tol)
 
 
 def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
-    """Decide hull membership through the piece of the containing cell.
+    """Decide hull membership.  The hull is the union of the closures of the
+    cell pieces, so p is a member when the piece of a cell whose closure
+    holds p is satisfied.
 
-    For the R8 piece with W within the zero band the closed form is
-    ill-posed; with :data:`ORACLE_FALLBACK` the numeric witness oracle
-    decides and the report is flagged degenerate.
+    The piece of p's own cell decides first.  If it rejects p with X12 > 0
+    off the indicator edges, or p is an uncovered corner, the first other
+    closure piece that holds makes p a member.  Otherwise an uncovered
+    corner reports its first usable closure piece (part I if none is
+    usable), and raises :class:`NumericallyDegenerate` if that piece names
+    no violated inequality.  Where W degenerates in R8 the numeric witness
+    oracle decides and the report is flagged degenerate.
     """
     validate_point(p, tol)
     region = classify(p, tol)
-
-    if region is Region.NOT_COVERED:
-        return _decide_uncovered(p, tol)
-
-    w_val: float | None = None
-    try:
-        if region is Region.R8:
-            slacks, w_val = _part5_slacks(p, tol)
-        else:
-            slacks = piece_slacks(p, region, tol)
-    except NumericallyDegenerate:
-        if not ORACLE_FALLBACK:
-            raise
-        is_member, wit = oracle_member(p, tol)
-        gap = p.X11 - wit.objective
-        slacks = _part1_slacks(p, tol)
-        slacks["V.W-ineq"] = gap
-        violated = () if is_member else ("V.W-ineq",)
-        return MembershipReport(is_member, region, violated, slacks, None, True)
-
-    violated = tuple(k for k, v in slacks.items() if v < -tol.mem_tol)
-    if violated and _rescuable(p, tol):
-        # The hull is the union of the cell pieces; a point inside the
-        # tolerance band of a cell boundary may belong to a neighboring
-        # piece even though its own cell's system rejects it.
-        for other in Region:
-            if other in (region, Region.NOT_COVERED):
-                continue
-            if not region_closure_contains(p, other, tol):
-                continue
-            try:
-                other_slacks = piece_slacks(p, other, tol)
-            except NumericallyDegenerate:
-                continue
-            if all(v >= -tol.mem_tol for v in other_slacks.values()):
-                return MembershipReport(True, region, (), other_slacks, w_val)
-    return MembershipReport(not violated, region, violated, slacks, w_val)
-
-
-def _decide_uncovered(p: HullPoint, tol: Tolerances) -> MembershipReport:
-    """Decision for points no cell claims.
-
-    These are tolerance-band corners (only reachable with X12 > 0 and both
-    indicators positive); every such point lies in the closure of at least
-    one cell, whose piece decides.
-    """
-    candidates = [
-        r
-        for r in Region
-        if r is not Region.NOT_COVERED and region_closure_contains(p, r, tol)
-    ]
-    first: dict[str, float] | None = None
-    for r in candidates:
+    slacks = w_val = None
+    if region is not Region.NOT_COVERED:
         try:
-            slacks = piece_slacks(p, r, tol)
+            slacks = piece_slacks(p, region, tol)
+        except NumericallyDegenerate:
+            is_member, wit = oracle_member(p, tol)
+            slacks = {**_part1_slacks(p, tol), "V.W-ineq": p.X11 - wit.objective}
+            violated = () if is_member else ("V.W-ineq",)
+            return MembershipReport(is_member, region, violated, slacks, None, True)
+        if region is Region.R8:
+            w_val = w_shift(p)
+        violated = tuple(k for k, v in slacks.items() if v < -tol.mem_tol)
+        if not violated or not _rescuable(p, tol):
+            return MembershipReport(not violated, region, violated, slacks, w_val)
+    for other in _PIECES:
+        if other is region or not region_closure_contains(p, other, tol):
+            continue
+        try:
+            other_slacks = piece_slacks(p, other, tol)
         except NumericallyDegenerate:
             continue
-        if first is None:
-            first = slacks
-        if all(v >= -tol.mem_tol for v in slacks.values()):
-            return MembershipReport(True, Region.NOT_COVERED, (), slacks)
-    if first is None:
-        first = _part1_slacks(p, tol)
-    violated = tuple(k for k, v in first.items() if v < -tol.mem_tol)
+        if all(v >= -tol.mem_tol for v in other_slacks.values()):
+            return MembershipReport(True, region, (), other_slacks, w_val)
+        if slacks is None:
+            slacks = other_slacks
+    slacks = slacks or _part1_slacks(p, tol)
+    violated = tuple(k for k, v in slacks.items() if v < -tol.mem_tol)
     if not violated:
         raise NumericallyDegenerate(
             "uncovered point rejected by every piece yet no inequality names it"
         )
-    return MembershipReport(False, Region.NOT_COVERED, violated, first)
+    return MembershipReport(False, region, violated, slacks, w_val)
 
 
 #: Most slacks of one piece.
@@ -370,20 +333,17 @@ def _piece_columns(cols: HullColumns, region: Region, tol: Tolerances):
     the columns a row's piece fills.  ``usable`` is false on the rows where
     the scalar piece raises (R8 with W degenerate)."""
     n = len(cols)
-    usable = np.ones(n, bool)
-    family = FAMILY_BY_CELL.get(region.value)
-    if region is Region.R1:
-        edge = elementwise(_on_edge_face)(cols, tol)
-        groups = [(edge, _edge_slacks, ()), (~edge, _part1_slacks, ())]
-    elif region is Region.R7:
-        groups = [(usable, _part4_slacks, ())]
-    elif family == "V":
-        usable = ~elementwise(_w_degenerate)(cols, tol)
-        groups = [(usable, _part5_piece, ())]
-    elif family is not None:
-        groups = [(usable, _shifted_product_slacks, (family,))]
-    else:
-        groups = [(usable, _part1_slacks, ())]
+    fn, args, face, face_fn = _PIECES[region]
+    rows = usable = np.ones(n, bool)
+    groups = []
+    if face is not None:
+        on = elementwise(face)(cols, tol)
+        rows = ~on
+        if face_fn is None:
+            usable = rows
+        else:
+            groups.append((on, face_fn, ()))
+    groups.append((rows, fn, args))
     names = np.full(n, _held(()), object)
     slacks = np.full((n, _SLOTS), np.nan)
     filled = np.zeros((n, _SLOTS), bool)
@@ -403,10 +363,9 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     """:func:`member_hull` on every row of an ``(n, 7)`` array in
     :data:`~pairhull.core.COORD_NAMES` order, bit for bit.
 
-    The cells, the pieces and the neighbour rescue run on columns.  The
-    rows arrays do not settle go through :func:`member_hull` one by one:
-    uncovered corners and R8 rows whose W degenerates (the oracle
-    fallback), and so do all rows of a batch below
+    The cells, the pieces and the neighbour rescue run on columns.
+    Uncovered corners and R8 rows whose W degenerates go through
+    :func:`member_hull` one by one, and so do all rows of a batch below
     :data:`~pairhull.core.COLUMN_MIN_ROWS`.  Raises the error of
     :func:`member_hull` for the first row outside the ambient domain; the
     errors of single rows are reported in ``errors``.

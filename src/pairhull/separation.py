@@ -411,8 +411,8 @@ def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
     """The unit max-norm cuts of family II, III or V at the rows ``p``,
     as (off, coeffs, constant, touch).  ``off`` marks the rows where
     :func:`separate` bumps X22 or a guard of the touch point, of
-    :func:`_family_cut`, of :class:`Cut` or the final violation check
-    fires; their other values are not the results."""
+    :func:`_family_cut` or the final violation check fires; their other
+    values are not the results."""
     off = ~elementwise(_plain_touch)(p, family, tol)
     table = p.table.copy()
     table[2] = elementwise(x11_root)(family, p)
@@ -426,7 +426,6 @@ def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
     touch_rows = np.ascontiguousarray(table.T)
     constant = -_row_dots(grad, touch_rows) / norm
     coeffs = grad / norm[:, None]
-    off |= np.max(np.abs(coeffs), axis=1) <= 0.0
     off |= ~(_row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
     return off, coeffs, constant, touch_rows
 

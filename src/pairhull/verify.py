@@ -196,15 +196,6 @@ def ctilde_margin_points(
     return out
 
 
-def _hull_x11_bound(p: HullPoint, region: Region) -> float:
-    """Smallest X11 putting p inside the hull piece of its cell (the other
-    six coordinates held fixed)."""
-    family = FAMILY_BY_CELL.get(region.value)
-    if family is None:
-        raise ValueError(f"cell {region.value} has no finite X11 bound beyond C")
-    return x11_root(family, p)
-
-
 def _ctilde_x11_bound(p: HullPoint) -> float:
     """Smallest X11 keeping p inside the separation input set."""
     lo = p.x1 * p.x1 / p.z1
@@ -265,8 +256,8 @@ def shrunken_nonmembers(
         cand = _candidate_region_point(rng, region)
         lo = _ctilde_x11_bound(cand)
         try:
-            hi = _hull_x11_bound(cand, region)
-        except (ValueError, ZeroDivisionError):
+            hi = x11_root(FAMILY_BY_CELL[region.value], cand)
+        except ZeroDivisionError:
             continue
         if not (hi - lo > GAP_FLOOR):
             continue
@@ -295,8 +286,8 @@ def family_touch_points(
         region = regions[int(rng.integers(len(regions)))]
         cand = _candidate_region_point(rng, region)
         try:
-            hi = _hull_x11_bound(cand, region)
-        except (ValueError, ZeroDivisionError):
+            hi = x11_root(family, cand)
+        except ZeroDivisionError:
             continue
         p = HullPoint(cand.x1, cand.x2, hi, cand.X12, cand.X22, cand.z1, cand.z2)
         if classify(p, tol) is not region:

@@ -226,7 +226,7 @@ class TestStreamChunks:
         def fail(p, tol):
             raise NumericallyDegenerate("forced")
 
-        monkeypatch.setattr(hull, "_decide_uncovered", fail)
+        monkeypatch.setattr(hull, "member_hull", fail)
         out = io.StringIO()
         with pytest.raises(NumericallyDegenerate):
             main(["member"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)

@@ -157,12 +157,24 @@ class TestMemberHull:
         X12 = 0.5 * x1 * x2 * (z1 + z2 - 1) / (z1 * z2)
         p = HullPoint(x1, x2, 5.0, X12, X22, z1, z2)
         monkeypatch.setattr(hull_mod, "classify", lambda q, tol: Region.R8)
-        with monkeypatch.context() as m, pytest.raises(NumericallyDegenerate):
-            m.setattr(hull_mod, "ORACLE_FALLBACK", False)
-            member_hull(p)
+        with pytest.raises(NumericallyDegenerate):
+            piece_slacks(p, Region.R8)
         rep = member_hull(p)
         assert rep.degenerate and rep.W is None
         assert rep.member  # X11 = 5 is far above the piece bound here
+
+    def test_uncovered_point_outside_every_closure_reports_part_one(self, monkeypatch):
+        # far from unit scale an uncovered corner can lie in no cell's
+        # closure; the perspective bounds of part I hold on the whole hull
+        # and decide it.  Force that route at unit scale.
+        from pairhull import hull as hull_mod
+
+        p = HullPoint(0.3, 0.4, 0.1, 0.2, 0.6, 0.5, 0.5)
+        monkeypatch.setattr(hull_mod, "classify", lambda q, tol: Region.NOT_COVERED)
+        monkeypatch.setattr(hull_mod, "region_closure_contains", lambda q, r, tol: False)
+        rep = member_hull(p)
+        assert (rep.member, rep.region, rep.violated) == (False, Region.NOT_COVERED, ("I.persp1",))
+        assert list(rep.slacks) == ["I.persp1", "I.persp2"]
 
 
 class TestRelaxationOrdering:

@@ -20,6 +20,7 @@ from pairhull import (
 from pairhull.errors import (
     InputOutsideCtilde,
     NotOnBoundary,
+    NumericallyDegenerate,
     StrictDomainViolated,
 )
 from pairhull.families import FAMILY_BY_CELL
@@ -205,7 +206,8 @@ class TestPsdSupportCut:
 # slacks and the separate outcome ("inside", or the cut coefficients, constant
 # and touch point) as float.hex, on non-members of each separating family,
 # both indicator edges, an X22 on the perspective bound (the touch point bumps
-# X22), an R8 point with small W, scaled copies and an uncovered corner: a
+# X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
+# row a neighbouring piece (part IV) rescues and an uncovered non-member: a
 # change to the family formulas that moves a bit shows here.
 CLOSED_FORM_PINS = [
     ("R3_nonmember",
@@ -336,6 +338,24 @@ CLOSED_FORM_PINS = [
      (True, "NotCovered", (), None, False),
      "II.persp2=0x1.69446fcd4d63ep-17 II.product=-0x1.63126fd7b47fep-32",
      "inside NotCovered"),
+    ("R8_rescued",
+     (0.01265912918967138, 0.028927739041855843, 0.0004894393558082376, 3.635929138912215e-05,
+      0.0012608296600780254, 0.7456665702742226, 0.771481629446558),
+     (True, "R8", (), "0x1.7be776b39135cp-2", False),
+     "IV.diag1=0x1.592d243293746p-12 IV.persp2=0x1.7167449bf51b0p-13 "
+     "IV.shor=0x1.0870fbd40ada8p-25",
+     "inside R8"),
+    ("uncovered_nonmember",
+     (0.0031845647784178414, 0.011753868360517469, 0.00023187148831582037, 0.0003230202897677098,
+      0.000525046998583723, 0.17677624583023097, 0.3172765020608486),
+     (False, "NotCovered", ("II.product",), None, False),
+     "II.persp2=0x1.77dbb7eb5dea0p-14 II.product=-0x1.9e896730be647p-26",
+     "cut R3 0x1.d3b597eefcd2dp-6 "
+     "-0x1.0b8c0124914d9p-4 0x1.872ac2f6d7f74p-3 -0x1.bf8615ad3d7d8p-1 "
+     "0x1.0000000000000p+0 0x0.0p+0 0x1.179d56f38717fp-10 "
+     "-0x1.7787541567082p-67 0x1.a16843268d798p-9 0x1.8126981ade62bp-7 "
+     "0x1.06bd5256c66d4p-11 0x1.52b61949b6f7bp-12 0x1.13469d8092d38p-11 "
+     "0x1.6a09aa14676bbp-3 0x1.44e421a08fff1p-2"),
 ]
 
 
@@ -370,6 +390,21 @@ class TestPinnedClosedForm:
             values = (*cut.coeffs, cut.constant, *cut.touch.coords())
             words += [float(v).hex() for v in values]
         assert " ".join(words) == outcome
+
+    def test_uncovered_point_no_piece_names_raises(self, monkeypatch):
+        # at this scale the product of the corner's one closure piece (R3)
+        # overflows to NaN, which neither holds nor counts as violated; one
+        # by one and on columns alike
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
+        coords = (8.402357813737216e+98, 5.922999995674674e+99, 1.1670788988859778e+200,
+                  4.265558779227307e+199, 7.966236754103545e+199,
+                  0.4528926937260271, 0.7567709337848311)
+        message = "uncovered point rejected by every piece"
+        with pytest.raises(NumericallyDegenerate, match=message):
+            member_hull(HullPoint(*coords))
+        rows = np.array([pin[1] for pin in CLOSED_FORM_PINS] + [coords])
+        with pytest.raises(NumericallyDegenerate, match=message):
+            member_batch(rows).report(len(rows) - 1)
 
     def test_separate_batch_on_all_pins_bit_for_bit(self, monkeypatch):
         # all pins in one batch, listed and reversed, on columns
