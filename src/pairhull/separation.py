@@ -400,7 +400,7 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
     return scalar
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot product of each row of a with the same row of b, each
     rounded as :func:`numpy.dot` rounds one pair of vectors (a sum over an
     axis rounds differently)."""
@@ -424,9 +424,9 @@ def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
     norm = np.max(np.abs(grad), axis=1)
     off |= norm <= _FLAT_GRADIENT
     touch_rows = np.ascontiguousarray(table.T)
-    constant = -_row_dots(grad, touch_rows) / norm
+    constant = -row_dots(grad, touch_rows) / norm
     coeffs = grad / norm[:, None]
-    off |= ~(_row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
+    off |= ~(row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
     return off, coeffs, constant, touch_rows
 
 

@@ -30,7 +30,7 @@ from .families import FAMILY_BY_CELL, q_value, x11_root
 from .hull import member_batch, member_hull
 from .oracle import oracle_members
 from .regions import Region, classify, region_partition_audit
-from .separation import separate_batch
+from .separation import row_dots, separate_batch
 
 
 @dataclass
@@ -95,28 +95,16 @@ MAX_DRAWS = 2_000_000
 def _sample_s2_array(rng: np.random.Generator, n: int) -> np.ndarray:
     """Exact vertex-set samples as rows (x1, x2, X11, X12, X22, z1, z2): a
     uniform piece index, then uniform decision values in [0, XMAX] with the
-    piece's zero pattern and binary indicators."""
+    piece's zero pattern and binary indicators.  Piece 1 is the origin,
+    piece 2 frees x1, piece 3 frees x2 and piece 4 frees both."""
     piece = rng.integers(1, 5, size=n)
     u1 = rng.uniform(0.0, XMAX, size=n)
     u2 = rng.uniform(0.0, XMAX, size=n)
-    out = np.zeros((n, 7))
-    m2 = piece == 2
-    out[m2, 0] = u1[m2]
-    out[m2, 2] = u1[m2] ** 2
-    out[m2, 5] = 1.0
-    m3 = piece == 3
-    out[m3, 1] = u2[m3]
-    out[m3, 4] = u2[m3] ** 2
-    out[m3, 6] = 1.0
-    m4 = piece == 4
-    out[m4, 0] = u1[m4]
-    out[m4, 1] = u2[m4]
-    out[m4, 2] = u1[m4] ** 2
-    out[m4, 3] = u1[m4] * u2[m4]
-    out[m4, 4] = u2[m4] ** 2
-    out[m4, 5] = 1.0
-    out[m4, 6] = 1.0
-    return out
+    on1 = (piece == 2) | (piece == 4)
+    on2 = piece >= 3
+    x1 = np.where(on1, u1, 0.0)
+    x2 = np.where(on2, u2, 0.0)
+    return np.column_stack([x1, x2, x1 * x1, x1 * x2, x2 * x2, on1, on2])
 
 
 def _sample_hull_array(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -356,6 +344,9 @@ def run_hull_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
 
 #: Vertex-set samples on which the cuts suite checks every cut's soundness.
 S2_BATCH = 10_000
+#: Cut values the soundness check of the cuts suite holds at once (2 MiB of
+#: float64), so its memory does not grow with trials x S2_BATCH.
+SOUNDNESS_TILE = 1 << 18
 #: A cut of the cuts suite must be below -VIOLATION_FLOOR at its query and
 #: within VIOLATION_FLOOR of zero at its touch point.
 VIOLATION_FLOOR = 1e-9
@@ -363,61 +354,85 @@ VIOLATION_FLOOR = 1e-9
 SOUNDNESS_FLOOR = -1e-8
 
 
+def _cut_minima(samples: np.ndarray, coeffs: np.ndarray, constant: np.ndarray) -> np.ndarray:
+    """Least value of each cut ``coeffs . p + constant`` over the rows of
+    ``samples``, evaluated on tiles of SOUNDNESS_TILE // cuts rows (at
+    least one)."""
+    step = max(1, SOUNDNESS_TILE // len(coeffs))
+    low = np.full(len(coeffs), np.inf)
+    for r in range(0, len(samples), step):
+        vals = samples[r : r + step] @ coeffs.T
+        vals += constant
+        np.minimum(low, vals.min(axis=0), out=low)
+    return low
+
+
 def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
-    """Soundness and violation of cuts on constructed non-members."""
+    """Soundness and violation of cuts on constructed non-members.
+
+    A query fails when its separation raised a :class:`PairhullError`, when
+    it is called inside, when its cut is not below -VIOLATION_FLOOR at it or
+    not within VIOLATION_FLOOR of zero at the touch point, or when the
+    touch point is not a member; these checks run on columns, and the first
+    failing query is the offender.  Any other error of a separation, and the
+    error of the membership of a touch point that is asked, is raised.
+    Every kept cut must be at least SOUNDNESS_FLOOR on S2_BATCH vertex-set
+    samples.  That check runs in tiles of SOUNDNESS_TILE values folded into
+    a running minimum per cut, so the suite's memory is O(S2_BATCH + trials).
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     queries = shrunken_nonmembers(rng, trials, tol)
     batch = _sample_s2_array(rng, S2_BATCH)
-    failures = 0
-    offender = None
-    worst = math.inf
-    cuts = []
-    sep = separate_batch(np.array([p.coords() for p in queries]), tol)
-    made = sep.cuts()
+    rows = np.array([p.coords() for p in queries])
+    sep = separate_batch(rows, tol)
+    made = np.flatnonzero(sep.cuts())
     touch = member_batch(sep.touch[made], tol)
-    touch_row = np.cumsum(made) - 1  # row of each query's touch point in ``touch``
-    for i, p in enumerate(queries):
-        try:
-            res = sep.result(i)
-        except PairhullError as exc:
-            failures += 1
-            if offender is None:
-                offender = {"point": _point_dict(p), "error": str(exc)}
-            continue
-        bad = (
-            res.inside
-            or res.cut is None
-            or res.cut.evaluate(p) >= -VIOLATION_FLOOR
-            or abs(res.cut.evaluate(res.cut.touch)) > VIOLATION_FLOOR
-            or not touch.report(int(touch_row[i])).member
-        )
-        if bad:
-            failures += 1
-            if offender is None:
-                offender = {"point": _point_dict(p), "inside": res.inside}
-            continue
-        cuts.append(res.cut)
-    if cuts:
-        coeffs = np.array([c.coeffs for c in cuts])
-        consts = np.array([c.constant for c in cuts])
-        vals = batch @ coeffs.T + consts
-        per_cut_min = vals.min(axis=0)
-        worst = float(per_cut_min.min())
-        for i in np.nonzero(per_cut_min < SOUNDNESS_FLOOR)[0]:
-            failures += 1
-            if offender is None:
-                offender = {
-                    "point": _point_dict(queries[i]),
-                    "cut_min_on_samples": float(per_cut_min[i]),
-                }
+    with np.errstate(all="ignore"):  # the rows without a cut hold NaN
+        at_query = row_dots(sep.coeffs, rows) + sep.constant
+        at_touch = row_dots(sep.coeffs, sep.touch) + sep.constant
+    failed = (
+        sep.inside
+        | (at_query >= -VIOLATION_FLOOR)
+        | (np.abs(at_touch) > VIOLATION_FLOOR)
+    )
+    failed[list(sep.errors)] = True
+    raised = {i: e for i, e in sep.errors.items() if not isinstance(e, PairhullError)}
+    raised.update(
+        (int(made[k]), e) for k, e in touch.errors.items() if not failed[made[k]]
+    )
+    if raised:
+        raise raised[min(raised)]
+    failed[made[~touch.member]] = True
+    bad = np.flatnonzero(failed)
+    failures = bad.size
+    offender = None
+    if bad.size:
+        i = int(bad[0])
+        offender = {"point": _point_dict(queries[i])}
+        if i in sep.errors:
+            offender["error"] = str(sep.errors[i])
+        else:
+            offender["inside"] = bool(sep.inside[i])
+    worst = math.inf
+    kept = np.flatnonzero(~failed)
+    if kept.size:
+        low = _cut_minima(batch, sep.coeffs[kept], sep.constant[kept])
+        worst = float(low.min())
+        unsound = np.flatnonzero(low < SOUNDNESS_FLOOR)
+        failures += unsound.size
+        if offender is None and unsound.size:
+            offender = {
+                "point": _point_dict(queries[kept[unsound[0]]]),
+                "cut_min_on_samples": float(low[unsound[0]]),
+            }
     return SuiteReport(
         "cuts",
         trials,
         failures,
         worst,
         time.perf_counter() - t0,
-        detail=f"cuts={len(cuts)} batch={S2_BATCH}",
+        detail=f"cuts={kept.size} batch={S2_BATCH}",
         offender=offender,
     )
 
@@ -428,7 +443,9 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
     The slack of a point is its oracle decision margin, signed so that it is
     negative when the oracle disagrees with the closed form: X11 +
     oracle_tol - f where the closed form says member, its negation where it
-    says non-member (an infinite objective f gives -inf or +inf).
+    says non-member (an infinite objective f gives -inf or +inf).  A point
+    the oracle cannot decide (its :class:`PairhullError`) is a failure with
+    no slack, and its error is the offender's.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -438,11 +455,14 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
     n_member = 0
     worst = math.inf
     for p, res in zip(pts, oracle_members(pts, tol)):
-        if isinstance(res, PairhullError):
-            raise res
         rep = member_hull(p, tol)
-        dec, wit = res
         n_member += int(rep.member)
+        if isinstance(res, PairhullError):
+            failures += 1
+            if offender is None:
+                offender = {"point": _point_dict(p), "error": str(res)}
+            continue
+        dec, wit = res
         margin_in = p.X11 + tol.oracle_tol - wit.objective
         worst = min(worst, margin_in if rep.member else -margin_in)
         if dec != rep.member:

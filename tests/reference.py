@@ -2,11 +2,16 @@
 
 None of these is called by the package: the closed-form optimizer of the
 witness problem per cell (the oracle's closed-form cross-check), the PSD
-test of a symmetric 3x3 by minors, and the two relaxations the hull
-strengthens.
+test of a symmetric 3x3 by minors, the two relaxations the hull
+strengthens, and the per-query loop and dense soundness matrix of the cuts
+suite with the masked vertex sampler it drew from.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from pairhull import (
     DEFAULT_TOL,
@@ -20,7 +25,18 @@ from pairhull import (
 )
 from pairhull.errors import PairhullError
 from pairhull.families import w_shift
+from pairhull.hull import member_batch
 from pairhull.regions import on_indicator_edge
+from pairhull.separation import separate_batch
+from pairhull.verify import (
+    S2_BATCH,
+    SOUNDNESS_FLOOR,
+    VIOLATION_FLOOR,
+    XMAX,
+    SuiteReport,
+    _point_dict,
+    shrunken_nonmembers,
+)
 
 
 class RegionHasNoClosedWitness(PairhullError):
@@ -128,3 +144,91 @@ def rankone_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
     """PSD test of the 3x3 moment matrix with top-left entry z1 + z2."""
     validate_point(p, tol)
     return psd3_by_minors((p.z1 + p.z2, p.x1, p.x2, p.X11, p.X12, p.X22), tol)
+
+
+def sample_s2_masked(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Vertex-set samples built by boolean-mask writes, the construction
+    :func:`pairhull.verify._sample_s2_array` must equal bit for bit with the
+    same draws from ``rng``."""
+    piece = rng.integers(1, 5, size=n)
+    u1 = rng.uniform(0.0, XMAX, size=n)
+    u2 = rng.uniform(0.0, XMAX, size=n)
+    out = np.zeros((n, 7))
+    m2 = piece == 2
+    out[m2, 0] = u1[m2]
+    out[m2, 2] = u1[m2] ** 2
+    out[m2, 5] = 1.0
+    m3 = piece == 3
+    out[m3, 1] = u2[m3]
+    out[m3, 4] = u2[m3] ** 2
+    out[m3, 6] = 1.0
+    m4 = piece == 4
+    out[m4, 0] = u1[m4]
+    out[m4, 1] = u2[m4]
+    out[m4, 2] = u1[m4] ** 2
+    out[m4, 3] = u1[m4] * u2[m4]
+    out[m4, 4] = u2[m4] ** 2
+    out[m4, 5] = 1.0
+    out[m4, 6] = 1.0
+    return out
+
+
+def cuts_suite_by_loop(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
+    """:func:`pairhull.verify.run_cuts_suite` checked one query at a time
+    through :meth:`SeparationBatch.result`, :meth:`Cut.evaluate` and
+    :meth:`MembershipBatch.report`, with every cut evaluated on all vertex
+    samples as one dense ``S2_BATCH x cuts`` matrix."""
+    rng = np.random.default_rng(seed)
+    queries = shrunken_nonmembers(rng, trials, tol)
+    batch = sample_s2_masked(rng, S2_BATCH)
+    failures = 0
+    offender = None
+    worst = math.inf
+    cuts = []
+    sep = separate_batch(np.array([p.coords() for p in queries]), tol)
+    made = sep.cuts()
+    touch = member_batch(sep.touch[made], tol)
+    touch_row = np.cumsum(made) - 1  # row of each query's touch point in ``touch``
+    for i, p in enumerate(queries):
+        try:
+            res = sep.result(i)
+        except PairhullError as exc:
+            failures += 1
+            if offender is None:
+                offender = {"point": _point_dict(p), "error": str(exc)}
+            continue
+        bad = (
+            res.inside
+            or res.cut is None
+            or res.cut.evaluate(p) >= -VIOLATION_FLOOR
+            or abs(res.cut.evaluate(res.cut.touch)) > VIOLATION_FLOOR
+            or not touch.report(int(touch_row[i])).member
+        )
+        if bad:
+            failures += 1
+            if offender is None:
+                offender = {"point": _point_dict(p), "inside": res.inside}
+            continue
+        cuts.append(res.cut)
+    if cuts:
+        coeffs = np.array([c.coeffs for c in cuts])
+        consts = np.array([c.constant for c in cuts])
+        vals = batch @ coeffs.T + consts
+        per_cut_min = vals.min(axis=0)
+        worst = float(per_cut_min.min())
+        for i in np.nonzero(per_cut_min < SOUNDNESS_FLOOR)[0]:
+            failures += 1
+            if offender is None:  # no query failed, so cut i is query i's
+                offender = {
+                    "point": _point_dict(queries[i]),
+                    "cut_min_on_samples": float(per_cut_min[i]),
+                }
+    return SuiteReport(
+        "cuts",
+        trials,
+        failures,
+        worst,
+        0.0,
+        detail=f"cuts={len(cuts)} batch={S2_BATCH}",
+        offender=offender,
+    )

@@ -412,6 +412,16 @@ class TestVerify:
         assert re.sub(r" elapsed=\S+", "", line) == summary
         assert record == offender
 
+    def test_loose_oracle_suite_reports_an_oracle_error(self):
+        loose = ["--eq-tol", "0.3", "--mem-tol", "0.3", "--oracle-tol", "0.3"]
+        code, out = run_cli(
+            loose + ["verify", "--suite", "oracle", "--trials", "60", "--seed", "1"], ""
+        )
+        line, record = out.splitlines()
+        assert code == 1
+        assert line.startswith("suite=oracle trials=60 failures=")
+        assert json.loads(record)["offender"]["error"].startswith("weight interval")
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self):

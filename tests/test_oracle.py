@@ -578,6 +578,15 @@ class TestOracleSuite:
         assert not report.ok
         assert report.worst_slack <= 0.0
 
+    def test_oracle_errors_count_as_failures(self):
+        # at these bands the oracle finds some weight intervals empty; each
+        # such point is a failure and the first one the offender
+        report = run_oracle_suite(60, seed=1, tol=Tolerances(0.3, 0.3, 0.3))
+        assert not report.ok
+        assert set(report.offender) == {"point", "error"}
+        assert "is empty beyond tolerance" in report.offender["error"]
+        assert report.detail == "members=43 nonmembers=17"
+
     def test_relaxation_samples_carry_plain_floats(self):
         pts = sample_ctilde_points(np.random.default_rng(12), 4)
         pts += ctilde_margin_points(np.random.default_rng(13), 2)
