@@ -35,7 +35,6 @@ from .regions import (
     Region,
     classify,
     classify_batch,
-    region_matches,
     region_partition_audit,
 )
 from .separation import (
@@ -78,7 +77,6 @@ __all__ = [
     "psd_support_cut",
     "q_gradient",
     "q_value",
-    "region_matches",
     "region_partition_audit",
     "separate",
     "separate_batch",

@@ -79,23 +79,17 @@ class HullPoint:
         return HullPoint(x1, x2, X11, X12, X22, z1, z2)
 
 
-#: Fewest rows a batch decides on columns.  The column path has a fixed
-#: cost of about 0.3 ms (and the first call of a process compiles the
-#: column versions), so smaller batches, such as the single lines of an
-#: interactive stream, go through the scalar functions row by row.
-COLUMN_MIN_ROWS = 64
-
-
 class HullColumns:
     """Column view of an ``(n, 7)`` array of points in :data:`COORD_NAMES`
     order: ``cols.x1`` is the array of the x1 values, and so on, so the
     formulas written for one :class:`HullPoint` evaluate every row at once.
     """
 
-    __slots__ = ("table",) + COORD_NAMES
+    __slots__ = ("table", "_points") + COORD_NAMES
 
     def __init__(self, table: np.ndarray) -> None:
         self.table = table  # (7, n), one row per coordinate
+        self._points = None
         for name, col in zip(COORD_NAMES, table):
             setattr(self, name, col)
 
@@ -114,12 +108,12 @@ class HullColumns:
         """The view of the rows ``idx`` (indices or a mask)."""
         return HullColumns(self.table[:, idx])
 
-    def row_by_row(self) -> bool:
-        """Whether the batch is below :data:`COLUMN_MIN_ROWS`."""
-        return len(self) < COLUMN_MIN_ROWS
-
-    def points(self) -> list[HullPoint]:
-        return list(map(HullPoint, *self.table.tolist()))
+    def points(self) -> tuple[HullPoint, ...]:
+        """The rows as points, built on the first call: the row-by-row side
+        of a batch asks for them once per scalar function."""
+        if self._points is None:
+            self._points = tuple(map(HullPoint, *self.table.tolist()))
+        return self._points
 
     def point(self, i: int) -> HullPoint:
         return HullPoint.from_coords(self.table[:, i])
@@ -151,11 +145,49 @@ def validate_point(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> None:
         raise NotInAmbientBox(_box_faults(p, tol.eq_tol))
 
 
+#: Fewest rows a batch decides on columns.  The column path has a fixed
+#: cost of about 0.3 ms (and the first call of a process compiles the
+#: column versions), so smaller batches, such as the single lines of an
+#: interactive stream, go through the scalar functions row by row.  Only
+#: :func:`row_mask` and :func:`decide_rows` make that choice.
+COLUMN_MIN_ROWS = 64
+
+
+def row_mask(pred, cols: HullColumns, *args) -> np.ndarray:
+    """Mask of the rows p of ``cols`` where ``pred(p, *args)`` holds: row by
+    row below :data:`COLUMN_MIN_ROWS` rows, else ``elementwise(pred)`` on
+    the columns."""
+    if len(cols) < COLUMN_MIN_ROWS:
+        return np.array([pred(p, *args) for p in cols.points()], bool)
+    return elementwise(pred)(cols, *args)
+
+
+def decide_rows(out, cols: HullColumns, columns, decide, catch, tol: Tolerances):
+    """Fill the batch ``out`` with the decision of every row of ``cols``.
+
+    The rows are validated as by :func:`validate_columns`.  Below
+    :data:`COLUMN_MIN_ROWS` rows every row goes to the scalar
+    ``decide(p, tol)``; otherwise ``columns(cols, tol, out)`` fills ``out``
+    on columns and returns the mask of the rows it leaves to ``decide``.
+    ``out._store(i, result)`` keeps row i's result, and a row whose
+    decision raises one of ``catch`` has its error in ``out.errors``.
+    """
+    validate_columns(cols, tol)
+    if len(cols) < COLUMN_MIN_ROWS:
+        rows = enumerate(cols.points())
+    else:
+        rows = ((int(i), cols.point(i)) for i in np.flatnonzero(columns(cols, tol, out)))
+    for i, p in rows:
+        try:
+            out._store(i, decide(p, tol))
+        except catch as exc:
+            out.errors[i] = exc
+    return out
+
+
 def in_ambient_box(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Mask of the rows :func:`validate_point` accepts."""
-    if cols.row_by_row():
-        return np.array([_in_ambient_box(p, tol.eq_tol) for p in cols.points()], bool)
-    return elementwise(_in_ambient_box)(cols, tol.eq_tol)
+    return row_mask(_in_ambient_box, cols, tol.eq_tol)
 
 
 def validate_columns(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> None:

@@ -19,8 +19,8 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
+    decide_rows,
     persp_sq,
-    validate_columns,
     validate_point,
 )
 from .errors import NumericallyDegenerate, PairhullError
@@ -266,8 +266,9 @@ class MembershipBatch:
     Row i reports the slacks named ``names[i]``, whose values are the first
     entries of ``slacks[i]`` (NaN past them); ``violated[i]`` flags the
     violated ones, ``W`` is NaN where the report has no W, and ``errors``
-    maps the rows whose decision raised to the error.  :meth:`report`
-    rebuilds one row's report.
+    maps the rows whose decision raised to the error, a
+    :class:`~pairhull.errors.PairhullError` or an :class:`ArithmeticError`.
+    :meth:`report` rebuilds one row's report.
     """
 
     member: np.ndarray
@@ -277,7 +278,7 @@ class MembershipBatch:
     violated: np.ndarray
     W: np.ndarray
     degenerate: np.ndarray
-    errors: dict[int, PairhullError] = field(default_factory=dict)
+    errors: dict[int, PairhullError | ArithmeticError] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, n: int) -> "MembershipBatch":
@@ -365,8 +366,7 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
 
     The cells, the pieces and the neighbour rescue run on columns.
     Uncovered corners and R8 rows whose W degenerates go through
-    :func:`member_hull` one by one, and so do all rows of a batch below
-    :data:`~pairhull.core.COLUMN_MIN_ROWS`.  Raises the error of
+    :func:`member_hull` one by one.  Raises the error of
     :func:`member_hull` for the first row outside the ambient domain; the
     errors of single rows are reported in ``errors``.
     """
@@ -375,29 +375,17 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
 
 def member_columns(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     """:func:`member_batch` on a column view."""
-    out = MembershipBatch.empty(len(cols))
-    if cols.row_by_row():
-        points = cols.points()
-        for p in points:
-            validate_point(p, tol)
-        scalar = np.ones(len(cols), bool)
-    else:
-        points = None
-        scalar = _decide_columns(cols, tol, out)
-    for i in np.flatnonzero(scalar):
-        try:
-            out._store(i, member_hull(cols.point(i) if points is None else points[i], tol))
-        except (PairhullError, ArithmeticError) as exc:
-            out.errors[int(i)] = exc
-    return out
+    return decide_rows(
+        MembershipBatch.empty(len(cols)), cols, _decide_columns, member_hull,
+        (PairhullError, ArithmeticError), tol,
+    )
 
 
 def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) -> np.ndarray:
-    """The column path of :func:`member_batch`: fill ``out`` and return the
-    mask of the rows left to the scalar path."""
+    """The column path of :func:`member_batch` on validated columns: fill
+    ``out`` and return the mask of the rows left to :func:`member_hull`."""
     m = tol.mem_tol
     with np.errstate(all="ignore"):
-        validate_columns(cols, tol)
         cell = out.cell = cell_codes(cols, tol)
         scalar = cell == NOT_COVERED_CODE
         for code, region in enumerate(CELLS[:NOT_COVERED_CODE]):

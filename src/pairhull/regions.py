@@ -15,13 +15,13 @@ import numpy as np
 
 from .columns import elementwise
 from .core import (
-    COORD_NAMES,
     DEFAULT_TOL,
     HullColumns,
     HullPoint,
     Tolerances,
     ge,
     gt,
+    row_mask,
     separable_holds,
     validate_columns,
     validate_point,
@@ -210,9 +210,8 @@ CODE_OF = {tag: code for code, tag in enumerate(CELLS)}
 
 def cell_masks(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The (8, n) mask of validated columns whose row k flags where the
-    system of cell k holds, every system evaluated as in
-    :func:`region_matches`."""
-    return np.array([elementwise(pred)(cols, tol) for _, pred in _PREDICATES])
+    system of cell k holds, every system evaluated on every row."""
+    return np.array([row_mask(pred, cols, tol) for _, pred in _PREDICATES])
 
 
 def first_cells(masks: np.ndarray) -> np.ndarray:
@@ -236,75 +235,48 @@ def classify_batch(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """:func:`classify` on every row of an ``(n, 7)`` array in
     :data:`~pairhull.core.COORD_NAMES` order: an object array of
     :class:`Region`.  Raises the error of :func:`classify` for the first
-    row outside the ambient domain.  Batches below
-    :data:`~pairhull.core.COLUMN_MIN_ROWS` rows are classified row by row."""
+    row outside the ambient domain."""
     cols = HullColumns.of_rows(rows)
-    if cols.row_by_row():
-        return np.array([classify(p, tol) for p in cols.points()], dtype=object)
     with np.errstate(all="ignore"):
         validate_columns(cols, tol)
         return CELLS[cell_codes(cols, tol)]
 
 
-def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:
-    """Evaluate all eight cell systems independently (no short-circuit)."""
-    return [tag for tag, pred in _PREDICATES if pred(p, tol)]
-
-
 @dataclass
 class PartitionAuditReport:
-    """Outcome of a disjointness/coverage audit over a sample batch."""
+    """Outcome of a disjointness/coverage audit over a sample batch:
+    ``first_multi`` is the first audited sample that matches several cells,
+    with their tags, and ``first_none`` the first that matches none."""
 
     total: int = 0
     audited: int = 0  # samples inside the separable relaxation
     n_multi: int = 0
     n_none: int = 0
     counts: dict[str, int] = field(default_factory=dict)
-    multi_matches: list[tuple[int, list[str]]] = field(default_factory=list)
-    non_matches: list[int] = field(default_factory=list)
+    first_multi: tuple[int, list[str]] | None = None
+    first_none: int | None = None
 
     @property
     def ok(self) -> bool:
         return self.n_multi == 0 and self.n_none == 0
 
 
-#: Most partition violations of each kind a :class:`PartitionAuditReport`
-#: records by index.
-MAX_RECORDED = 20
+def region_partition_audit(rows, tol: Tolerances = DEFAULT_TOL) -> PartitionAuditReport:
+    """Count cell matches per row of an ``(n, 7)`` array in
+    :data:`~pairhull.core.COORD_NAMES` order and flag partition violations.
 
-
-def region_partition_audit(samples, tol: Tolerances = DEFAULT_TOL) -> PartitionAuditReport:
-    """Count cell matches per sample and flag partition violations.
-
-    ``samples`` is a sequence of :class:`HullPoint` or an ``(n, 7)`` array
-    in :data:`~pairhull.core.COORD_NAMES` order.  Only samples inside the
-    separable relaxation are audited for coverage and disjointness; every
-    sample contributes to the per-cell counts, which appear in the order of
-    their first sample.  The first sample outside the ambient domain
-    raises the error of :func:`classify`.
-
-    The cells are decided on columns; batches below
-    :data:`~pairhull.core.COLUMN_MIN_ROWS` rows are audited row by row.
+    Only rows inside the separable relaxation are audited for coverage and
+    disjointness; every row contributes to the per-cell counts, which
+    appear in the order of their first row.  The first row outside the
+    ambient domain raises the error of :func:`classify`.
     """
-    if not isinstance(samples, np.ndarray):
-        samples = np.reshape([p.coords() for p in samples], (-1, len(COORD_NAMES)))
-    cols = HullColumns.of_rows(samples)
+    cols = HullColumns.of_rows(rows)
     n = len(cols)
-    if cols.row_by_row():
-        masks = np.zeros((len(_PREDICATES), n), bool)
-        codes = np.zeros(n, np.intp)
-        audited = np.zeros(n, bool)
-        for i, p in enumerate(cols.points()):
-            codes[i] = CODE_OF[classify(p, tol)]
-            audited[i] = separable_holds(p, tol)
-            matches = region_matches(p, tol) if audited[i] else []
-            masks[:, i] = [tag in matches for tag, _ in _PREDICATES]
-    else:
-        with np.errstate(all="ignore"):
-            validate_columns(cols, tol)
-            masks = cell_masks(cols, tol)
-            audited = elementwise(separable_holds)(cols, tol)
-        codes = first_cells(masks)
+    with np.errstate(all="ignore"):
+        validate_columns(cols, tol)
+        masks = cell_masks(cols, tol)
+        audited = row_mask(separable_holds, cols, tol)
+    codes = first_cells(masks)
 
     n_matches = masks.sum(axis=0)
     multi = np.flatnonzero(audited & (n_matches > 1))
@@ -316,9 +288,9 @@ def region_partition_audit(samples, tol: Tolerances = DEFAULT_TOL) -> PartitionA
     tally = np.bincount(codes, minlength=len(CELLS))
     for code in present[np.argsort(first)]:
         report.counts[CELLS[code].value] = int(tally[code])
-    report.multi_matches = [
-        (int(i), [CELLS[k].value for k in np.flatnonzero(masks[:, i])])
-        for i in multi[:MAX_RECORDED]
-    ]
-    report.non_matches = none[:MAX_RECORDED].tolist()
+    if multi.size:
+        i = int(multi[0])
+        report.first_multi = (i, [CELLS[k].value for k in np.flatnonzero(masks[:, i])])
+    if none.size:
+        report.first_none = int(none[0])
     return report

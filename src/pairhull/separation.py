@@ -21,8 +21,8 @@ from .core import (
     HullPoint,
     Tolerances,
     ctilde_holds,
+    decide_rows,
     in_relaxation_ctilde,
-    validate_columns,
     validate_point,
 )
 from .errors import (
@@ -346,31 +346,20 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     go through :func:`separate` one by one, which gives their result or
     error: uncovered corners, rows the oracle decided, indicator edges,
     touch points that need an X22 bump, rows where a guard of the touch
-    point or the cut fires; so do all rows of a batch below
-    :data:`~pairhull.core.COLUMN_MIN_ROWS`.
-    Raises the error of :func:`separate` for the first row outside the
-    ambient domain.
+    point or the cut fires.  Raises the error of :func:`separate` for the
+    first row outside the ambient domain.
     """
     cols = HullColumns.of_rows(rows)
-    out = SeparationBatch.empty(len(cols))
-    if cols.row_by_row():
-        validate_columns(cols, tol)
-        scalar = np.ones(len(cols), bool)
-    else:
-        scalar = _separate_columns(cols, tol, out)
-    for i in np.flatnonzero(scalar):
-        try:
-            out._store(i, separate(cols.point(i), tol))
-        except (PairhullError, ArithmeticError, ValueError) as exc:
-            out.errors[int(i)] = exc
-    return out
+    return decide_rows(
+        SeparationBatch.empty(len(cols)), cols, _separate_columns, separate,
+        (PairhullError, ArithmeticError, ValueError), tol,
+    )
 
 
 def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) -> np.ndarray:
-    """The column path of :func:`separate_batch`: fill ``out`` and return
-    the mask of the rows left to :func:`separate`."""
+    """The column path of :func:`separate_batch` on validated columns: fill
+    ``out`` and return the mask of the rows left to :func:`separate`."""
     with np.errstate(all="ignore"):
-        validate_columns(cols, tol)
         relaxed = elementwise(ctilde_holds)(cols, tol)
         for i in np.flatnonzero(~relaxed):
             out.errors[int(i)] = InputOutsideCtilde(_OUTSIDE_CTILDE)

@@ -26,7 +26,7 @@ from .core import (
     in_relaxation_ctilde,
 )
 from .errors import PairhullError
-from .families import FAMILY_BY_CELL, q_value, x11_root
+from .families import FAMILY_BY_CELL, x11_root
 from .hull import member_batch, member_hull
 from .oracle import oracle_members
 from .regions import Region, classify, region_partition_audit
@@ -83,8 +83,9 @@ Z_FLOOR = 0.02
 #: Least slack of the deciding piece at the points of
 #: :func:`ctilde_margin_points`, which the oracle suite draws.
 ORACLE_MARGIN = 1e-4
-#: Cells of the non-members :func:`shrunken_nonmembers` builds.
-SHRUNKEN_REGIONS = (Region.R3, Region.R4, Region.R5, Region.R8)
+#: Cells of the non-members :func:`shrunken_nonmembers` builds: the cells
+#: of the separating families.
+SHRUNKEN_REGIONS = tuple(Region(tag) for tag in FAMILY_BY_CELL)
 #: Least gap between the relaxation and the hull bound on X11 of a
 #: shrunken non-member.
 GAP_FLOOR = 1e-3
@@ -261,33 +262,6 @@ def shrunken_nonmembers(
     return out
 
 
-def family_touch_points(
-    rng: np.random.Generator, n: int, family: str, tol: Tolerances = DEFAULT_TOL
-) -> list[HullPoint]:
-    """Boundary points of one separating family (q = 0 with margins), used
-    for gradient checks."""
-    regions = tuple(Region(c) for c, f in FAMILY_BY_CELL.items() if f == family)
-    out: list[HullPoint] = []
-    draws = 0
-    while len(out) < n and draws < MAX_DRAWS:
-        draws += 1
-        region = regions[int(rng.integers(len(regions)))]
-        cand = _candidate_region_point(rng, region)
-        try:
-            hi = x11_root(family, cand)
-        except ZeroDivisionError:
-            continue
-        p = HullPoint(cand.x1, cand.x2, hi, cand.X12, cand.X22, cand.z1, cand.z2)
-        if classify(p, tol) is not region:
-            continue
-        if abs(q_value(family, p)) > tol.mem_tol * (1.0 + hi * hi):
-            continue
-        out.append(p)
-    if len(out) < n:
-        raise RuntimeError(f"only built {len(out)}/{n} touch points for {family}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # campaigns
 # ---------------------------------------------------------------------------
@@ -303,11 +277,11 @@ def run_partition_suite(
     audit = region_partition_audit(rows, tol)
     failures = audit.n_multi + audit.n_none
     offender = None
-    if audit.multi_matches:
-        i, matches = audit.multi_matches[0]
+    if audit.first_multi is not None:
+        i, matches = audit.first_multi
         offender = {"point": _row_dict(rows[i]), "matches": matches}
-    elif audit.non_matches:
-        offender = {"point": _row_dict(rows[audit.non_matches[0]]), "matches": []}
+    elif audit.first_none is not None:
+        offender = {"point": _row_dict(rows[audit.first_none]), "matches": []}
     return SuiteReport(
         "partition",
         trials,

@@ -3,8 +3,10 @@
 None of these is called by the package: the closed-form optimizer of the
 witness problem per cell (the oracle's closed-form cross-check), the PSD
 test of a symmetric 3x3 by minors, the two relaxations the hull
-strengthens, and the per-query loop and dense soundness matrix of the cuts
-suite with the masked vertex sampler it drew from.
+strengthens, the eight cell systems of one point evaluated independently,
+the boundary points of one separating family, and the per-query loop and
+dense soundness matrix of the cuts suite with the masked vertex sampler it
+drew from.
 """
 
 from __future__ import annotations
@@ -24,16 +26,18 @@ from pairhull import (
     validate_point,
 )
 from pairhull.errors import PairhullError
-from pairhull.families import w_shift
+from pairhull.families import FAMILY_BY_CELL, q_value, w_shift, x11_root
 from pairhull.hull import member_batch
-from pairhull.regions import on_indicator_edge
+from pairhull.regions import _PREDICATES, on_indicator_edge
 from pairhull.separation import separate_batch
 from pairhull.verify import (
+    MAX_DRAWS,
     S2_BATCH,
     SOUNDNESS_FLOOR,
     VIOLATION_FLOOR,
     XMAX,
     SuiteReport,
+    _candidate_region_point,
     _point_dict,
     shrunken_nonmembers,
 )
@@ -144,6 +148,38 @@ def rankone_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
     """PSD test of the 3x3 moment matrix with top-left entry z1 + z2."""
     validate_point(p, tol)
     return psd3_by_minors((p.z1 + p.z2, p.x1, p.x2, p.X11, p.X12, p.X22), tol)
+
+
+def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:
+    """Evaluate all eight cell systems independently (no short-circuit)."""
+    return [tag for tag, pred in _PREDICATES if pred(p, tol)]
+
+
+def family_touch_points(
+    rng: np.random.Generator, n: int, family: str, tol: Tolerances = DEFAULT_TOL
+) -> list[HullPoint]:
+    """Boundary points of one separating family (q = 0 with margins), used
+    for gradient checks."""
+    regions = tuple(Region(c) for c, f in FAMILY_BY_CELL.items() if f == family)
+    out: list[HullPoint] = []
+    draws = 0
+    while len(out) < n and draws < MAX_DRAWS:
+        draws += 1
+        region = regions[int(rng.integers(len(regions)))]
+        cand = _candidate_region_point(rng, region)
+        try:
+            hi = x11_root(family, cand)
+        except ZeroDivisionError:
+            continue
+        p = HullPoint(cand.x1, cand.x2, hi, cand.X12, cand.X22, cand.z1, cand.z2)
+        if classify(p, tol) is not region:
+            continue
+        if abs(q_value(family, p)) > tol.mem_tol * (1.0 + hi * hi):
+            continue
+        out.append(p)
+    if len(out) < n:
+        raise RuntimeError(f"only built {len(out)}/{n} touch points for {family}")
+    return out
 
 
 def sample_s2_masked(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -21,13 +21,17 @@ from pairhull import (
 )
 from pairhull.verify import (
     _sample_s2_array,
-    family_touch_points,
     run_cuts_suite,
     run_hull_suite,
     run_oracle_suite,
     run_partition_suite,
 )
-from reference import persp_relaxation_member, psd3_by_minors, rankone_member
+from reference import (
+    family_touch_points,
+    persp_relaxation_member,
+    psd3_by_minors,
+    rankone_member,
+)
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,10 +22,13 @@ from pairhull.verify import (
     _sample_hull_array,
     _sample_separable_array,
     ctilde_margin_points,
-    family_touch_points,
     sample_ctilde_points,
     shrunken_nonmembers,
 )
+from reference import family_touch_points
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
 
 
 def _rows(points) -> np.ndarray:
@@ -170,6 +174,14 @@ class TestBitIdentity:
     def test_empty_batch(self):
         assert len(member_batch(np.empty((0, 7)))) == 0
         assert len(classify_batch(np.empty((0, 7)))) == 0
+
+
+class TestOneSwitch:
+    def test_only_core_names_the_column_threshold(self):
+        # the row-by-row or columns choice is made once, by the helpers of
+        # core; the batch functions each have one body
+        naming = {f.name for f in SRC.glob("*.py") if "COLUMN_MIN_ROWS" in f.read_text()}
+        assert naming == {"core.py"}
 
 
 class TestBadRows:

@@ -1,10 +1,10 @@
 import dataclasses
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
 
+import pairhull.core
 from pairhull import (
     DEFAULT_TOL,
     HullPoint,
@@ -12,7 +12,6 @@ from pairhull import (
     Region,
     Tolerances,
     classify,
-    region_matches,
     region_partition_audit,
     validate_point,
 )
@@ -21,6 +20,7 @@ from pairhull import regions
 from pairhull.core import separable_holds
 from pairhull.regions import region_closure_contains
 from pairhull.verify import _sample_separable_array, run_partition_suite
+from reference import region_matches
 
 
 class TestClassifyExamples:
@@ -53,20 +53,20 @@ class TestCodeMap:
 class TestPartitionAudit:
     def test_uniform_samples_have_no_violations(self):
         rng = np.random.default_rng(41)
-        pts = [HullPoint.from_coords(r) for r in _sample_separable_array(rng, 2000)]
-        report = region_partition_audit(pts)
+        rows = _sample_separable_array(rng, 2000)
+        report = region_partition_audit(rows)
         assert report.ok
-        assert report.audited == len(pts)
-        assert sum(report.counts.values()) == len(pts)
+        assert report.audited == len(rows)
+        assert sum(report.counts.values()) == len(rows)
 
     def test_single_vertex_point_matches_exactly_one(self):
         p = HullPoint(1.2, 0.7, 1.44, 0.84, 0.49, 1.0, 1.0)
         assert region_matches(p) == [Region.R1]
-        report = region_partition_audit([p])
+        report = region_partition_audit(np.array([p.coords()]))
         assert report.ok and report.counts == {"R1": 1}
 
-    def test_empty_list_gives_empty_report(self):
-        report = region_partition_audit([])
+    def test_empty_array_gives_empty_report(self):
+        report = region_partition_audit(np.empty((0, 7)))
         assert report.total == 0 and report.ok and report.counts == {}
 
     def test_zero_trials_give_an_empty_passing_suite(self):
@@ -90,7 +90,7 @@ def _audit_rows(n: int, seed: int) -> np.ndarray:
     return rows
 
 
-def _reference_audit(points, tol, max_recorded) -> PartitionAuditReport:
+def _reference_audit(points, tol) -> PartitionAuditReport:
     """The audit one sample at a time."""
     ref = PartitionAuditReport(total=len(points))
     for i, p in enumerate(points):
@@ -102,35 +102,39 @@ def _reference_audit(points, tol, max_recorded) -> PartitionAuditReport:
         matches = [m.value for m in region_matches(p, tol)]
         if not matches:
             ref.n_none += 1
-            if len(ref.non_matches) < max_recorded:
-                ref.non_matches.append(i)
+            if ref.first_none is None:
+                ref.first_none = i
         elif len(matches) > 1:
             ref.n_multi += 1
-            if len(ref.multi_matches) < max_recorded:
-                ref.multi_matches.append((i, matches))
+            if ref.first_multi is None:
+                ref.first_multi = (i, matches)
     return ref
 
 
-def _assert_audit_matches_reference(rows, tol, max_recorded=3, as_points=False):
-    points = [HullPoint.from_coords(r) for r in rows]
-    with mock.patch.object(regions, "MAX_RECORDED", max_recorded):
-        got = region_partition_audit(points if as_points else rows, tol)
-    ref = _reference_audit(points, tol, max_recorded)
+def _assert_audit_matches_reference(rows, tol):
+    got = region_partition_audit(rows, tol)
+    ref = _reference_audit([HullPoint.from_coords(r) for r in rows], tol)
     assert got == ref
     assert list(got.counts.items()) == list(ref.counts.items())
     json.dumps(dataclasses.asdict(got))  # plain ints throughout
     return ref
 
 
+#: Fewest rows decided on columns that puts a whole batch on one side of
+#: the row-by-row or columns switch.
+SIDES = {"rows": 10**9, "columns": 1}
+
+
 class TestColumnAudit:
-    @pytest.mark.parametrize("as_points", [False, True], ids=["array", "points"])
+    @pytest.mark.parametrize("side", list(SIDES))
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 10_000])
     @pytest.mark.parametrize("tol", AUDIT_TOLS, ids=["default", "1e-2", "0.3"])
-    def test_equals_the_row_by_row_audit(self, tol, n, as_points):
-        ref = _assert_audit_matches_reference(_audit_rows(n, seed=3 + n), tol, 3, as_points)
+    def test_equals_the_row_by_row_audit(self, tol, n, side, monkeypatch):
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", SIDES[side])
+        ref = _assert_audit_matches_reference(_audit_rows(n, seed=3 + n), tol)
         if n == 10_000 and tol.eq_tol == 0.3:
-            # the caps on the recorded violations are reached
-            assert ref.n_multi > 3 and ref.n_none > 3
+            # of several violations of each kind the first is recorded
+            assert ref.n_multi > 1 and ref.n_none > 1
             assert ref.audited < n
 
     @pytest.mark.parametrize("tol", AUDIT_TOLS, ids=["default", "1e-2", "0.3"])
@@ -145,17 +149,17 @@ class TestColumnAudit:
             rows[lo : lo + 10, 2:5] *= t * t
         _assert_audit_matches_reference(rows, tol)
 
-    @pytest.mark.parametrize("as_points", [False, True], ids=["array", "points"])
+    @pytest.mark.parametrize("side", list(SIDES))
     @pytest.mark.parametrize("n", [5, 200])
-    def test_first_row_outside_the_box_raises_its_scalar_error(self, n, as_points):
+    def test_first_row_outside_the_box_raises_its_scalar_error(self, n, side, monkeypatch):
+        monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", SIDES[side])
         rows = _audit_rows(n, seed=9)
         rows[n - 3, 5] = 1.5  # z1
         rows[n - 1, 0] = -1.0  # x1
         with pytest.raises(NotInAmbientBox) as scalar:
             validate_point(HullPoint.from_coords(rows[n - 3]))
-        samples = [HullPoint.from_coords(r) for r in rows] if as_points else rows
         with pytest.raises(NotInAmbientBox) as exc:
-            region_partition_audit(samples)
+            region_partition_audit(rows)
         assert str(exc.value) == str(scalar.value) == "z1=1.5 outside [0, 1]"
 
 

@@ -25,7 +25,8 @@ from pairhull.errors import (
 )
 from pairhull.families import FAMILY_BY_CELL
 from pairhull.separation import _family_cut
-from pairhull.verify import family_touch_points, shrunken_nonmembers
+from pairhull.verify import VIOLATION_FLOOR, shrunken_nonmembers
+from reference import family_touch_points
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 
@@ -205,8 +206,8 @@ class TestPsdSupportCut:
 # member_hull reports (member, region, violated, W, degenerate), their named
 # slacks and the separate outcome ("inside", or the cut coefficients, constant
 # and touch point) as float.hex, on non-members of each separating family,
-# both indicator edges, an X22 on the perspective bound (the touch point bumps
-# X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
+# both indicator edges, an X22 on the perspective bound in R4 and in R8 (the
+# touch point bumps X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
 # row a neighbouring piece (part IV) rescues and an uncovered non-member: a
 # change to the family formulas that moves a bit shows here.
 CLOSED_FORM_PINS = [
@@ -309,6 +310,17 @@ CLOSED_FORM_PINS = [
      "0x1.c8d99a6a8663bp-2 0x1.3333333333333p+0 0x1.ccccccccccccdp-1 "
      "0x1.0751b896d3908p+1 0x1.a3324386863b6p-6 0x1.4e45a1cac0830p+1 "
      "0x1.6666666666666p-1 0x1.3333333333333p-1"),
+    ("R8_X22_on_persp_bound",
+     (0.4573629335106726, 0.42313868973994073, 0.2637160410334129, 0.10703844896112873,
+      0.3479534118820882, 0.8175239086750108, 0.5145698953959609),
+     (False, "R8", ("V.W-ineq",), "0x1.541065eec1978p-2", False),
+     "V.persp1=0x1.010efe973a2c0p-7 V.persp2=0x0.0p+0 V.W-ineq=-0x1.243e4fa84e800p-11",
+     "cut R8 -0x1.22610f5c99366p-6 "
+     "-0x1.0000000000000p+0 0x1.af064101b1562p-7 0x1.2734196902a92p-7 "
+     "0x1.369b130636ae9p-1 0x1.08de3efa04147p-9 0x1.a1f1ba482d0bap-2 "
+     "0x1.02d1ef8e869a4p-8 0x1.d456f2e752e78p-2 0x1.b14b44c86bdd4p-2 "
+     "0x1.15fbdc70e3cc3p-2 0x1.b66df2db3de73p-4 0x1.644e294e21432p-2 "
+     "0x1.a2927e66ea1e4p-1 0x1.0775b49076ad9p-1"),
     ("R3_scaled_1e3",
      (132.44449792131434, 1917.8391154195901, 405229.2625282925, 722464.5788875989,
       4286616.169951485, 0.3826840560551668, 0.9718972651216101),
@@ -366,7 +378,7 @@ class TestPinnedClosedForm:
     )
     def test_outputs_bit_for_bit(self, coords, report, slacks, outcome, monkeypatch):
         # the batch functions decide all pins at once, listed and reversed,
-        # on columns (13 rows are below the row-by-row threshold)
+        # on columns (16 rows are below the row-by-row threshold)
         monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
         rows = np.array([pin[1] for pin in CLOSED_FORM_PINS])
         row = [pin[1] for pin in CLOSED_FORM_PINS].index(coords)
@@ -390,6 +402,18 @@ class TestPinnedClosedForm:
             values = (*cut.coeffs, cut.constant, *cut.touch.coords())
             words += [float(v).hex() for v in values]
         assert " ".join(words) == outcome
+
+    @pytest.mark.parametrize("pin", ["R4_X22_on_persp_bound", "R8_X22_on_persp_bound"])
+    def test_touch_point_bumps_x22_off_the_perspective_bound(self, pin):
+        # X22 z2 = x2^2 at both pins: the touch point raises X22 by the base
+        # step max(1e-6, 1e-6 X22), which keeps the point in the closure of its cell (and in
+        # R8 keeps W > 0 and q_V < 0), and is a member; the cut is violated
+        coords = dict((name, c) for name, c, *_ in CLOSED_FORM_PINS)[pin]
+        p = HullPoint(*coords)
+        cut = separate(p).cut
+        assert cut.touch.X22 == p.X22 + max(1e-6, 1e-6 * p.X22)
+        assert member_hull(cut.touch).member
+        assert cut.evaluate(p) < -VIOLATION_FLOOR
 
     def test_uncovered_point_no_piece_names_raises(self, monkeypatch):
         # at this scale the product of the corner's one closure piece (R3)
