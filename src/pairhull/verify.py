@@ -3,11 +3,16 @@ and the samplers they draw from.
 
 Each campaign is deterministic given its seed: sampling uses PCG64 streams
 and every check reports the worst slack it observed together with the
-first offending point, so failures reproduce exactly.
+first offending point, so failures reproduce exactly.  The samplers build
+blocks of candidates on columns and keep, in draw order, the rows that
+pass their checks; the cuts suite's non-members are built that way too,
+one cell per row, with their X11 placed between the relaxation bound and
+the column :func:`~pairhull.families.x11_root` of the cell's family.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -23,13 +28,12 @@ from .core import (
     Tolerances,
     ctilde_holds,
     in_ambient_box,
-    in_relaxation_ctilde,
 )
 from .errors import PairhullError
 from .families import FAMILY_BY_CELL, x11_root
 from .hull import member_batch, member_hull
 from .oracle import oracle_members
-from .regions import Region, classify, region_partition_audit
+from .regions import CODE_OF, Region, cell_codes, region_partition_audit
 from .separation import row_dots, separate_batch
 
 
@@ -185,48 +189,89 @@ def ctilde_margin_points(
     return out
 
 
-def _ctilde_x11_bound(p: HullPoint) -> float:
-    """Smallest X11 keeping p inside the separation input set."""
-    lo = p.x1 * p.x1 / p.z1
-    gap2 = p.X22 - p.x2 * p.x2
-    if gap2 > 1e-12:
-        lo = max(lo, p.x1 * p.x1 + (p.X12 - p.x1 * p.x2) ** 2 / gap2)
-    return lo
+def _ctilde_x11_bound(cols: HullColumns) -> np.ndarray:
+    """Smallest X11 keeping each row of ``cols`` inside the separation input
+    set: the perspective bound x1^2/z1, raised to the Schur bound where
+    X22 - x2^2 > 1e-12."""
+    x1sq = cols.x1 * cols.x1
+    lo = x1sq / cols.z1
+    gap2 = cols.X22 - cols.x2 * cols.x2
+    wide = gap2 > 1e-12
+    schur = x1sq + (cols.X12 - cols.x1 * cols.x2) ** 2 / np.where(wide, gap2, 1.0)
+    return np.where(wide, np.maximum(lo, schur), lo)
 
 
-def _candidate_region_point(rng: np.random.Generator, region: Region) -> HullPoint:
-    """One random candidate in the target cell (X11 set later)."""
-    if region is Region.R8:
-        z1 = rng.uniform(0.55, 0.97)
-        z2 = rng.uniform(max(1.08 - z1, 0.35), 0.96)
-        x1 = rng.uniform(0.4, 1.8)
-        x2 = rng.uniform(0.4, 1.8)
-        s = z1 + z2 - 1.0
-        X12 = rng.uniform(0.05, 0.85) * x1 * x2 * s / (z1 * z2)
-        X22 = (x2 * x2 + rng.uniform(0.02, 0.5)) / z2
-        return HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
-    if region is Region.R5:
-        x1 = rng.uniform(0.4, 2.0)
-        x2 = rng.uniform(0.02, 0.9)
-        z1 = rng.uniform(0.15, 1.0)
-        z2 = rng.uniform(0.05, 1.0)
-        X12 = (x1 * x2 / z1 + 0.01) * rng.uniform(1.05, 2.5)
-        X22 = max(X12 * x2 / x1 * rng.uniform(1.05, 2.0), x2 * x2 / z2 + 0.05)
-        X22 = max(X22, x2 * x2 + 0.05)
-        return HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
-    # R3 / R4: X12 x2 > X22 x1 with the matching indicator order
-    if region is Region.R3:
-        z1 = rng.uniform(0.05, 0.7)
-        z2 = rng.uniform(min(z1 + 0.05, 0.99), 1.0)
-    else:
-        z2 = rng.uniform(0.05, 0.95)
-        z1 = rng.uniform(z2, 1.0)
-    x1 = rng.uniform(0.02, 0.8)
-    x2 = rng.uniform(0.4, 2.0)
-    X22 = x2 * x2 / z2 + rng.uniform(0.05, 1.5)
-    X22 = max(X22, x2 * x2 + 0.05)
-    X12 = X22 * x1 / x2 * rng.uniform(1.05, 3.0) + rng.uniform(0.01, 0.2)
-    return HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
+def _shrunken_candidates(rng: np.random.Generator, cells: np.ndarray) -> HullColumns:
+    """Columns of random candidates, row i aimed at the cell
+    ``SHRUNKEN_REGIONS[cells[i]]``; X11 is left at 1, to be set later."""
+    table = np.empty((len(COORD_NAMES), len(cells)))
+    for code, region in enumerate(SHRUNKEN_REGIONS):
+        idx = np.flatnonzero(cells == code)
+        u = functools.partial(rng.uniform, size=idx.size)
+        if region is Region.R8:
+            z1 = u(0.55, 0.97)
+            z2 = u(np.maximum(1.08 - z1, 0.35), 0.96)
+            x1 = u(0.4, 1.8)
+            x2 = u(0.4, 1.8)
+            s = z1 + z2 - 1.0
+            X12 = u(0.05, 0.85) * x1 * x2 * s / (z1 * z2)
+            X22 = (x2 * x2 + u(0.02, 0.5)) / z2
+        elif region is Region.R5:
+            x1 = u(0.4, 2.0)
+            x2 = u(0.02, 0.9)
+            z1 = u(0.15, 1.0)
+            z2 = u(0.05, 1.0)
+            X12 = (x1 * x2 / z1 + 0.01) * u(1.05, 2.5)
+            X22 = np.maximum(X12 * x2 / x1 * u(1.05, 2.0), x2 * x2 / z2 + 0.05)
+            X22 = np.maximum(X22, x2 * x2 + 0.05)
+        else:  # R3 / R4: X12 x2 > X22 x1 with the matching indicator order
+            if region is Region.R3:
+                z1 = u(0.05, 0.7)
+                z2 = u(np.minimum(z1 + 0.05, 0.99), 1.0)
+            else:
+                z2 = u(0.05, 0.95)
+                z1 = u(z2, 1.0)
+            x1 = u(0.02, 0.8)
+            x2 = u(0.4, 2.0)
+            X22 = x2 * x2 / z2 + u(0.05, 1.5)
+            X22 = np.maximum(X22, x2 * x2 + 0.05)
+            X12 = X22 * x1 / x2 * u(1.05, 3.0) + u(0.01, 0.2)
+        table[:, idx] = np.broadcast_arrays(x1, x2, 1.0, X12, X22, z1, z2)
+    return HullColumns(table)
+
+
+def _shrunken_rows(rng: np.random.Generator, n: int, tol: Tolerances) -> np.ndarray:
+    """The ``(n, 7)`` array of :func:`shrunken_nonmembers`."""
+    families = np.array([FAMILY_BY_CELL[r.value] for r in SHRUNKEN_REGIONS])
+    targets = np.array([CODE_OF[r] for r in SHRUNKEN_REGIONS])
+    found = [np.empty((0, len(COORD_NAMES)))]
+    have = draws = 0
+    while have < n and draws < MAX_DRAWS:
+        # about three in four candidates are kept
+        m = min(max(3 * (n - have) // 2, 256), MAX_DRAWS - draws)
+        draws += m
+        cells = rng.integers(len(SHRUNKEN_REGIONS), size=m)
+        cols = _shrunken_candidates(rng, cells)
+        # a zero X11 slope divides by zero: hi is inf or NaN and the row is dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lo = _ctilde_x11_bound(cols)
+            hi = np.empty(m)
+            for family in dict.fromkeys(families):
+                idx = np.flatnonzero(families[cells] == family)
+                hi[idx] = elementwise(x11_root)(family, cols.take(idx))
+            cols.X11[:] = lo + rng.uniform(0.1, 0.9, m) * (hi - lo)
+        idx = np.flatnonzero(np.isfinite(hi) & (hi - lo > GAP_FLOOR))
+        sub = cols.take(idx)
+        idx = idx[
+            in_ambient_box(sub, tol)
+            & (cell_codes(sub, tol) == targets[cells[idx]])
+            & elementwise(ctilde_holds)(sub, tol)
+        ][: n - have]
+        found.append(cols.table[:, idx].T)
+        have += idx.size
+    if have < n:
+        raise RuntimeError(f"only built {have}/{n} shrunken non-members")
+    return np.concatenate(found)
 
 
 def shrunken_nonmembers(
@@ -234,32 +279,15 @@ def shrunken_nonmembers(
 ) -> list[HullPoint]:
     """Relaxation points strictly below their cell's hull bound on X11.
 
-    Built by placing X11 between the relaxation bound and the hull bound,
-    which leaves the cell unchanged (no cell involves X11).
+    Each round draws a block of candidates, one of the cells R3, R4, R5, R8
+    per row uniformly, and places X11 uniformly in the middle 80% of the
+    gap between the relaxation bound and the hull bound, which leaves the
+    cell unchanged (no cell involves X11).  A candidate is kept, in draw
+    order, when its gap exceeds GAP_FLOOR, it lies in its target cell and
+    inside the separation input set.  Raises :class:`RuntimeError` when
+    MAX_DRAWS candidates give fewer than n points.
     """
-    out: list[HullPoint] = []
-    draws = 0
-    while len(out) < n and draws < MAX_DRAWS:
-        draws += 1
-        region = SHRUNKEN_REGIONS[int(rng.integers(len(SHRUNKEN_REGIONS)))]
-        cand = _candidate_region_point(rng, region)
-        lo = _ctilde_x11_bound(cand)
-        try:
-            hi = x11_root(FAMILY_BY_CELL[region.value], cand)
-        except ZeroDivisionError:
-            continue
-        if not (hi - lo > GAP_FLOOR):
-            continue
-        x11 = lo + rng.uniform(0.1, 0.9) * (hi - lo)
-        p = HullPoint(cand.x1, cand.x2, x11, cand.X12, cand.X22, cand.z1, cand.z2)
-        if classify(p, tol) is not region:
-            continue
-        if not in_relaxation_ctilde(p, tol):
-            continue
-        out.append(p)
-    if len(out) < n:
-        raise RuntimeError(f"only built {len(out)}/{n} shrunken non-members")
-    return out
+    return list(HullColumns(_shrunken_rows(rng, n, tol).T).points())
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +384,8 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    queries = shrunken_nonmembers(rng, trials, tol)
+    rows = _shrunken_rows(rng, trials, tol)
     batch = _sample_s2_array(rng, S2_BATCH)
-    rows = np.array([p.coords() for p in queries])
     sep = separate_batch(rows, tol)
     made = np.flatnonzero(sep.cuts())
     touch = member_batch(sep.touch[made], tol)
@@ -383,7 +410,7 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     offender = None
     if bad.size:
         i = int(bad[0])
-        offender = {"point": _point_dict(queries[i])}
+        offender = {"point": _row_dict(rows[i])}
         if i in sep.errors:
             offender["error"] = str(sep.errors[i])
         else:
@@ -397,7 +424,7 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
         failures += unsound.size
         if offender is None and unsound.size:
             offender = {
-                "point": _point_dict(queries[kept[unsound[0]]]),
+                "point": _row_dict(rows[kept[unsound[0]]]),
                 "cut_min_on_samples": float(low[unsound[0]]),
             }
     return SuiteReport(

@@ -4,9 +4,11 @@ None of these is called by the package: the closed-form optimizer of the
 witness problem per cell (the oracle's closed-form cross-check), the PSD
 test of a symmetric 3x3 by minors, the two relaxations the hull
 strengthens, the eight cell systems of one point evaluated independently,
-the boundary points of one separating family, and the per-query loop and
-dense soundness matrix of the cuts suite with the masked vertex sampler it
-drew from.
+the boundary points of one separating family, the one-candidate-at-a-time
+loop that drew the cuts suite's shrunken non-members (with its candidate
+builder and relaxation bound on X11, which the boundary points share), and
+the per-query loop and dense soundness matrix of the cuts suite with the
+masked vertex sampler it drew from.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pairhull import (
     Region,
     Tolerances,
     classify,
+    in_relaxation_ctilde,
     oracle_objective,
     validate_point,
 )
@@ -31,13 +34,14 @@ from pairhull.hull import member_batch
 from pairhull.regions import _PREDICATES, on_indicator_edge
 from pairhull.separation import separate_batch
 from pairhull.verify import (
+    GAP_FLOOR,
     MAX_DRAWS,
     S2_BATCH,
+    SHRUNKEN_REGIONS,
     SOUNDNESS_FLOOR,
     VIOLATION_FLOOR,
     XMAX,
     SuiteReport,
-    _candidate_region_point,
     _point_dict,
     shrunken_nonmembers,
 )
@@ -155,6 +159,80 @@ def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:
     return [tag for tag, pred in _PREDICATES if pred(p, tol)]
 
 
+def ctilde_x11_bound(p: HullPoint) -> float:
+    """Smallest X11 keeping p inside the separation input set."""
+    lo = p.x1 * p.x1 / p.z1
+    gap2 = p.X22 - p.x2 * p.x2
+    if gap2 > 1e-12:
+        lo = max(lo, p.x1 * p.x1 + (p.X12 - p.x1 * p.x2) ** 2 / gap2)
+    return lo
+
+
+def candidate_region_point(rng: np.random.Generator, region: Region) -> HullPoint:
+    """One random candidate in the target cell (X11 set later)."""
+    if region is Region.R8:
+        z1 = rng.uniform(0.55, 0.97)
+        z2 = rng.uniform(max(1.08 - z1, 0.35), 0.96)
+        x1 = rng.uniform(0.4, 1.8)
+        x2 = rng.uniform(0.4, 1.8)
+        s = z1 + z2 - 1.0
+        X12 = rng.uniform(0.05, 0.85) * x1 * x2 * s / (z1 * z2)
+        X22 = (x2 * x2 + rng.uniform(0.02, 0.5)) / z2
+        return HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
+    if region is Region.R5:
+        x1 = rng.uniform(0.4, 2.0)
+        x2 = rng.uniform(0.02, 0.9)
+        z1 = rng.uniform(0.15, 1.0)
+        z2 = rng.uniform(0.05, 1.0)
+        X12 = (x1 * x2 / z1 + 0.01) * rng.uniform(1.05, 2.5)
+        X22 = max(X12 * x2 / x1 * rng.uniform(1.05, 2.0), x2 * x2 / z2 + 0.05)
+        X22 = max(X22, x2 * x2 + 0.05)
+        return HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
+    # R3 / R4: X12 x2 > X22 x1 with the matching indicator order
+    if region is Region.R3:
+        z1 = rng.uniform(0.05, 0.7)
+        z2 = rng.uniform(min(z1 + 0.05, 0.99), 1.0)
+    else:
+        z2 = rng.uniform(0.05, 0.95)
+        z1 = rng.uniform(z2, 1.0)
+    x1 = rng.uniform(0.02, 0.8)
+    x2 = rng.uniform(0.4, 2.0)
+    X22 = x2 * x2 / z2 + rng.uniform(0.05, 1.5)
+    X22 = max(X22, x2 * x2 + 0.05)
+    X12 = X22 * x1 / x2 * rng.uniform(1.05, 3.0) + rng.uniform(0.01, 0.2)
+    return HullPoint(x1, x2, 1.0, X12, X22, z1, z2)
+
+
+def shrunken_nonmembers_by_loop(
+    rng: np.random.Generator, n: int, tol: Tolerances = DEFAULT_TOL
+) -> list[HullPoint]:
+    """:func:`pairhull.verify.shrunken_nonmembers` one candidate at a time:
+    the same distribution from a different stream of ``rng``."""
+    out: list[HullPoint] = []
+    draws = 0
+    while len(out) < n and draws < MAX_DRAWS:
+        draws += 1
+        region = SHRUNKEN_REGIONS[int(rng.integers(len(SHRUNKEN_REGIONS)))]
+        cand = candidate_region_point(rng, region)
+        lo = ctilde_x11_bound(cand)
+        try:
+            hi = x11_root(FAMILY_BY_CELL[region.value], cand)
+        except ZeroDivisionError:
+            continue
+        if not (hi - lo > GAP_FLOOR):
+            continue
+        x11 = lo + rng.uniform(0.1, 0.9) * (hi - lo)
+        p = HullPoint(cand.x1, cand.x2, x11, cand.X12, cand.X22, cand.z1, cand.z2)
+        if classify(p, tol) is not region:
+            continue
+        if not in_relaxation_ctilde(p, tol):
+            continue
+        out.append(p)
+    if len(out) < n:
+        raise RuntimeError(f"only built {len(out)}/{n} shrunken non-members")
+    return out
+
+
 def family_touch_points(
     rng: np.random.Generator, n: int, family: str, tol: Tolerances = DEFAULT_TOL
 ) -> list[HullPoint]:
@@ -166,7 +244,7 @@ def family_touch_points(
     while len(out) < n and draws < MAX_DRAWS:
         draws += 1
         region = regions[int(rng.integers(len(regions)))]
-        cand = _candidate_region_point(rng, region)
+        cand = candidate_region_point(rng, region)
         try:
             hi = x11_root(family, cand)
         except ZeroDivisionError:

@@ -18,14 +18,13 @@ from pairhull.hull import member_batch, member_hull
 from pairhull.regions import CODE_OF, NOT_COVERED_CODE, Region, classify, classify_batch
 from pairhull.separation import separate, separate_batch
 from pairhull.verify import (
-    _candidate_region_point,
     _sample_hull_array,
     _sample_separable_array,
     ctilde_margin_points,
     sample_ctilde_points,
     shrunken_nonmembers,
 )
-from reference import family_touch_points
+from reference import candidate_region_point, family_touch_points
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
@@ -207,7 +206,7 @@ class TestBadRows:
         X22 = x2 * x2 * (1 - 1e-13) / (1 - z1)
         X12 = 0.5 * x1 * x2 * (z1 + z2 - 1) / (z1 * z2)
         w_zero = (x1, x2, 5.0, X12, X22, z1, z2)
-        r8 = _candidate_region_point(np.random.default_rng(8), Region.R8)
+        r8 = candidate_region_point(np.random.default_rng(8), Region.R8)
         rows = np.array([w_zero] + [r8.coords()] * 70)
         monkeypatch.setattr(hull, "classify", lambda q, tol: Region.R8)
         monkeypatch.setattr(hull, "cell_codes", lambda cols, tol: np.full(len(cols), 7))

@@ -1,17 +1,36 @@
-"""The verify campaigns against their references: the masked vertex sampler
-and the per-query loop with the dense soundness matrix of the cuts suite."""
+"""The verify campaigns against their references: the masked vertex sampler,
+the one-candidate-at-a-time loop of the shrunken non-members, and the
+per-query loop with the dense soundness matrix of the cuts suite."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairhull.verify
 import reference
-from pairhull.core import Tolerances
+from pairhull.core import HullPoint, Tolerances, in_relaxation_ctilde
 from pairhull.errors import DegenerateGradient, NumericallyDegenerate
-from pairhull.verify import _sample_s2_array, run_cuts_suite
-from reference import cuts_suite_by_loop, sample_s2_masked
+from pairhull.families import FAMILY_BY_CELL, x11_root
+from pairhull.hull import member_batch
+from pairhull.regions import classify, classify_batch
+from pairhull.verify import (
+    GAP_FLOOR,
+    SHRUNKEN_REGIONS,
+    _sample_s2_array,
+    run_cuts_suite,
+    shrunken_nonmembers,
+)
+from reference import (
+    ctilde_x11_bound,
+    cuts_suite_by_loop,
+    sample_s2_masked,
+    shrunken_nonmembers_by_loop,
+)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -113,3 +132,109 @@ def test_cuts_suite_memory_does_not_grow_with_trials_times_samples():
         tracemalloc.stop()
     assert report.ok
     assert peak < 32 * 2**20
+
+
+def _gap_ends(p: HullPoint) -> tuple[float, float]:
+    """(lo, hi): the relaxation and the hull bound on X11 at p's cell."""
+    family = FAMILY_BY_CELL[classify(p).value]
+    return ctilde_x11_bound(p), x11_root(family, p)
+
+
+def _shrunken_stats(points: list[HullPoint]) -> dict[str, np.ndarray]:
+    """Cell tags, X11 position in the gap, gap and closed-form violation
+    (minus the least slack of the membership decision) of each point."""
+    rows = np.array([p.coords() for p in points])
+    lo, hi = np.array([_gap_ends(p) for p in points]).T
+    decided = member_batch(rows)
+    assert not decided.errors and not decided.member.any()
+    return {
+        "cell": np.array([r.value for r in classify_batch(rows)]),
+        "position": (rows[:, 2] - lo) / (hi - lo),
+        "gap": hi - lo,
+        "violation": -np.nanmin(decided.slacks, axis=1),
+    }
+
+
+def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest distance
+    between the empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    fa = np.searchsorted(a, at, side="right") / a.size
+    fb = np.searchsorted(b, at, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+def _ks_critical(n: int, m: int, alpha: float) -> float:
+    """Asymptotic critical value of the two-sample statistic at level alpha."""
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((n + m) / (n * m))
+
+
+class TestShrunkenSampler:
+    @pytest.mark.parametrize("seed", [3, 21])
+    def test_draws_from_the_distribution_of_the_loop(self, seed):
+        n = 20_000
+        cols = _shrunken_stats(shrunken_nonmembers(np.random.default_rng(seed), n))
+        loop_rng = np.random.default_rng(seed + 1)
+        loop = _shrunken_stats(shrunken_nonmembers_by_loop(loop_rng, n))
+        for region in SHRUNKEN_REGIONS:
+            a = np.mean(cols["cell"] == region.value)
+            b = np.mean(loop["cell"] == region.value)
+            share = (a + b) / 2.0
+            assert abs(a - b) <= 4.0 * math.sqrt(share * (1.0 - share) * 2.0 / n), region
+        critical = _ks_critical(n, n, 1e-3)
+        for name in ("position", "gap", "violation"):
+            assert _ks_statistic(cols[name], loop[name]) < critical, name
+
+    def test_ks_statistic_of_known_samples(self):
+        assert _ks_statistic(np.arange(4.0), np.arange(4.0)) == 0.0
+        assert _ks_statistic(np.arange(4.0), np.arange(4.0) + 10.0) == 1.0
+        assert _ks_statistic(np.array([0.0, 2.0]), np.array([1.0, 3.0])) == 0.5
+        assert round(_ks_critical(20_000, 20_000, 1e-3), 4) == 0.0195
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
+    def test_every_point_lies_strictly_inside_its_gap(self, seed, n):
+        points = shrunken_nonmembers(np.random.default_rng(seed), n)
+        assert len(points) == n
+        for p in points:
+            assert all(type(v) is float for v in p.coords())
+            assert classify(p) in SHRUNKEN_REGIONS
+            assert in_relaxation_ctilde(p)
+            lo, hi = _gap_ends(p)
+            assert lo < p.X11 < hi
+            assert hi - lo > GAP_FLOOR
+
+    def test_rejects_candidates_whose_x11_slope_is_zero(self, monkeypatch):
+        # X22 on the family II perspective bound: the scalar x11_root
+        # divides by zero, the column one gives an infinite hull bound
+        build = pairhull.verify._shrunken_candidates
+
+        def flat(rng, cells):
+            cols = build(rng, cells)
+            on = cells < 2  # R3 and R4, the cells of family II
+            cols.X22[on] = cols.x2[on] * cols.x2[on] / cols.z2[on]
+            return cols
+
+        monkeypatch.setattr(pairhull.verify, "_shrunken_candidates", flat)
+        probe = flat(np.random.default_rng(5), np.zeros(3, np.intp)).points()
+        for cand in probe:
+            with pytest.raises(ZeroDivisionError):
+                x11_root("II", cand)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = shrunken_nonmembers(np.random.default_rng(5), 400)
+        assert {classify(p).value for p in points} == {"R5", "R8"}
+        assert all(math.isfinite(v) for p in points for v in p.coords())
+
+    def test_gives_up_after_max_draws(self, monkeypatch):
+        monkeypatch.setattr(pairhull.verify, "MAX_DRAWS", 50)
+        monkeypatch.setattr(reference, "MAX_DRAWS", 50)
+        message = r"^only built \d+/1000 shrunken non-members$"
+        for sampler in (shrunken_nonmembers, shrunken_nonmembers_by_loop):
+            with pytest.raises(RuntimeError, match=message) as info:
+                sampler(np.random.default_rng(6), 1000)
+            built = int(str(info.value).split()[2].split("/")[0])
+            assert 0 < built <= 50
+        with pytest.raises(RuntimeError, match="shrunken non-members"):
+            run_cuts_suite(1000, 6)
