@@ -329,35 +329,18 @@ class MembershipBatch:
 
 
 def _piece_columns(cols: HullColumns, region: Region, tol: Tolerances):
-    """:func:`piece_slacks` on every row: (usable, names, slacks, filled).
-    The slacks are NaN-padded to ``_SLOTS`` columns and ``filled`` marks
-    the columns a row's piece fills.  ``usable`` is false on the rows where
-    the scalar piece raises (R8 with W degenerate)."""
-    n = len(cols)
-    fn, args, face, face_fn = _PIECES[region]
-    rows = usable = np.ones(n, bool)
-    groups = []
-    if face is not None:
-        on = elementwise(face)(cols, tol)
-        rows = ~on
-        if face_fn is None:
-            usable = rows
-        else:
-            groups.append((on, face_fn, ()))
-    groups.append((rows, fn, args))
-    names = np.full(n, _held(()), object)
-    slacks = np.full((n, _SLOTS), np.nan)
-    filled = np.zeros((n, _SLOTS), bool)
-    for rows, fn, args in groups:
-        if not rows.any():
-            continue
-        idx = slice(None) if rows.all() else np.flatnonzero(rows)
-        named = elementwise(fn)(cols.take(idx), *args, tol)
-        names[idx] = _held(tuple(named))
-        for j, values in enumerate(named.values()):
-            slacks[idx, j] = values
-            filled[idx, j] = True
-    return usable, names, slacks, filled
+    """:func:`piece_slacks` of the cell's piece on every row: (usable,
+    names, slacks).  The piece's slacks, named ``names``, fill the first
+    columns of ``slacks`` (NaN past them).  ``usable`` is false on the rows
+    where the piece's face holds (R1 on the indicator edge with X12 > 0, R8
+    with W degenerate): :func:`member_hull` decides those rows."""
+    fn, args, face, _ = _PIECES[region]
+    usable = np.ones(len(cols), bool) if face is None else ~elementwise(face)(cols, tol)
+    named = elementwise(fn)(cols, *args, tol)
+    slacks = np.full((len(cols), _SLOTS), np.nan)
+    for j, values in enumerate(named.values()):
+        slacks[:, j] = values
+    return usable, tuple(named), slacks
 
 
 def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
@@ -365,7 +348,8 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     :data:`~pairhull.core.COORD_NAMES` order, bit for bit.
 
     The cells, the pieces and the neighbour rescue run on columns.
-    Uncovered corners and R8 rows whose W degenerates go through
+    Uncovered corners and the rows on a face of their piece (R1 on an
+    indicator edge with X12 > 0, R8 with W degenerate) go through
     :func:`member_hull` one by one.  Raises the error of
     :func:`member_hull` for the first row outside the ambient domain; the
     errors of single rows are reported in ``errors``.
@@ -393,12 +377,11 @@ def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) ->
             if not idx.size:
                 continue
             sub = cols.take(idx)
-            usable, names, slacks, _ = _piece_columns(sub, region, tol)
+            usable, names, slacks = _piece_columns(sub, region, tol)
             if not usable.all():
                 scalar[idx[~usable]] = True
-                idx, sub = idx[usable], sub.take(usable)
-                names, slacks = names[usable], slacks[usable]
-            out.names[idx] = names
+                idx, sub, slacks = idx[usable], sub.take(usable), slacks[usable]
+            out.names[idx] = _held(names)
             out.slacks[idx] = slacks
             if region is Region.R8:
                 out.W[idx] = elementwise(w_shift)(sub)
@@ -412,12 +395,12 @@ def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) ->
             near = np.flatnonzero((cell[todo] != code) & closure_columns(sub, other, tol))
             if not near.size:
                 continue
-            usable, names, slacks, filled = _piece_columns(sub.take(near), other, tol)
-            fits = usable & ((slacks >= -m) | ~filled).all(axis=1)
+            usable, names, slacks = _piece_columns(sub.take(near), other, tol)
+            fits = usable & (slacks[:, : len(names)] >= -m).all(axis=1)
             if not fits.any():
                 continue
             saved = todo[near[fits]]
-            out.names[saved] = names[fits]
+            out.names[saved] = _held(names)
             out.slacks[saved] = slacks[fits]
             out.violated[saved] = False
             keep = np.ones(len(todo), bool)

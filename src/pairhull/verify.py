@@ -26,8 +26,6 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
-    ctilde_holds,
-    in_ambient_box,
 )
 from .errors import PairhullError
 from .families import FAMILY_BY_CELL, x11_root
@@ -147,24 +145,23 @@ def _sample_separable_array(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def sample_ctilde_points(rng: np.random.Generator, n: int) -> list[HullPoint]:
     """Constructive samples of the separation input set: perspective bounds
-    hold by construction, X12 is placed inside the Schur cap."""
-    out: list[HullPoint] = []
-    while len(out) < n:
-        m = max(2 * (n - len(out)), 64)
-        x = rng.uniform(0.0, XMAX, (m, 2))
-        z = rng.uniform(Z_FLOOR, 1.0, (m, 2))
-        a = rng.uniform(0.0, 3.0, m)
-        b = rng.uniform(0.0, 3.0, m)
-        X11 = x[:, 0] ** 2 / z[:, 0] + a
-        X22 = x[:, 1] ** 2 / z[:, 1] + b
-        cap = np.sqrt(np.maximum((X11 - x[:, 0] ** 2) * (X22 - x[:, 1] ** 2), 0.0))
-        t = rng.uniform(-0.999, 0.999, m)
-        X12 = np.maximum(x[:, 0] * x[:, 1] + t * cap, 0.0)
-        cols = HullColumns(np.array([x[:, 0], x[:, 1], X11, X12, X22, z[:, 0], z[:, 1]]))
-        keep = in_ambient_box(cols) & elementwise(ctilde_holds)(cols, DEFAULT_TOL)
-        cols = cols.take(np.flatnonzero(keep)[: n - len(out)])  # frees the candidates
-        out += cols.points()
-    return out
+    hold by construction, X12 is placed inside the Schur cap, so the sample
+    is the first n rows of one block of max(2 n, 64) candidates (none for
+    n <= 0)."""
+    if n <= 0:
+        return []
+    m = max(2 * n, 64)
+    x = rng.uniform(0.0, XMAX, (m, 2))
+    z = rng.uniform(Z_FLOOR, 1.0, (m, 2))
+    a = rng.uniform(0.0, 3.0, m)
+    b = rng.uniform(0.0, 3.0, m)
+    X11 = x[:, 0] ** 2 / z[:, 0] + a
+    X22 = x[:, 1] ** 2 / z[:, 1] + b
+    cap = np.sqrt(np.maximum((X11 - x[:, 0] ** 2) * (X22 - x[:, 1] ** 2), 0.0))
+    t = rng.uniform(-0.999, 0.999, m)
+    X12 = np.maximum(x[:, 0] * x[:, 1] + t * cap, 0.0)
+    table = np.array([x[:, 0], x[:, 1], X11, X12, X22, z[:, 0], z[:, 1]])
+    return list(HullColumns(table[:, :n]).points())
 
 
 def ctilde_margin_points(
@@ -260,13 +257,9 @@ def _shrunken_rows(rng: np.random.Generator, n: int, tol: Tolerances) -> np.ndar
                 idx = np.flatnonzero(families[cells] == family)
                 hi[idx] = elementwise(x11_root)(family, cols.take(idx))
             cols.X11[:] = lo + rng.uniform(0.1, 0.9, m) * (hi - lo)
+        # X11 above lo keeps every row in the box and the separation input set
         idx = np.flatnonzero(np.isfinite(hi) & (hi - lo > GAP_FLOOR))
-        sub = cols.take(idx)
-        idx = idx[
-            in_ambient_box(sub, tol)
-            & (cell_codes(sub, tol) == targets[cells[idx]])
-            & elementwise(ctilde_holds)(sub, tol)
-        ][: n - have]
+        idx = idx[cell_codes(cols.take(idx), tol) == targets[cells[idx]]][: n - have]
         found.append(cols.table[:, idx].T)
         have += idx.size
     if have < n:
@@ -283,9 +276,9 @@ def shrunken_nonmembers(
     per row uniformly, and places X11 uniformly in the middle 80% of the
     gap between the relaxation bound and the hull bound, which leaves the
     cell unchanged (no cell involves X11).  A candidate is kept, in draw
-    order, when its gap exceeds GAP_FLOOR, it lies in its target cell and
-    inside the separation input set.  Raises :class:`RuntimeError` when
-    MAX_DRAWS candidates give fewer than n points.
+    order, when its gap exceeds GAP_FLOOR and it lies in its target cell,
+    which puts it inside the separation input set too.  Raises
+    :class:`RuntimeError` when MAX_DRAWS candidates give fewer than n points.
     """
     return list(HullColumns(_shrunken_rows(rng, n, tol).T).points())
 

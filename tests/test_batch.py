@@ -401,9 +401,12 @@ def _reference_ctilde_points(rng, n: int) -> list[HullPoint]:
 class TestSamplers:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_ctilde_points_equal_the_row_filter(self, seed):
-        for n in (1, 65, 4000):
-            got = sample_ctilde_points(np.random.default_rng(seed), n)
-            ref = _reference_ctilde_points(np.random.default_rng(seed), n)
+        for n in (0, 1, 65, 4000):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_ctilde_points(rng, n)
+            ref = _reference_ctilde_points(ref_rng, n)
             assert [[c.hex() for c in p.coords()] for p in got] == [
                 [c.hex() for c in p.coords()] for p in ref
             ]
+            # the generator is left where the row filter left it
+            assert rng.bytes(16) == ref_rng.bytes(16)

@@ -2,6 +2,7 @@
 the one-candidate-at-a-time loop of the shrunken non-members, and the
 per-query loop with the dense soundness matrix of the cuts suite."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -22,6 +23,7 @@ from pairhull.verify import (
     GAP_FLOOR,
     SHRUNKEN_REGIONS,
     _sample_s2_array,
+    _shrunken_rows,
     run_cuts_suite,
     shrunken_nonmembers,
 )
@@ -134,9 +136,9 @@ def test_cuts_suite_memory_does_not_grow_with_trials_times_samples():
     assert peak < 32 * 2**20
 
 
-def _gap_ends(p: HullPoint) -> tuple[float, float]:
+def _gap_ends(p: HullPoint, tol: Tolerances = Tolerances()) -> tuple[float, float]:
     """(lo, hi): the relaxation and the hull bound on X11 at p's cell."""
-    family = FAMILY_BY_CELL[classify(p).value]
+    family = FAMILY_BY_CELL[classify(p, tol).value]
     return ctilde_x11_bound(p), x11_root(family, p)
 
 
@@ -170,7 +172,51 @@ def _ks_critical(n: int, m: int, alpha: float) -> float:
     return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((n + m) / (n * m))
 
 
+#: Tolerance sets at which the shrunken non-members are checked: the
+#: default, a middle one and the widest bands the CLI tests use.
+SAMPLER_TOLS = {
+    "default": Tolerances(),
+    "mid": Tolerances(eq_tol=1e-4, mem_tol=1e-3, oracle_tol=1e-3),
+    "loose": Tolerances(eq_tol=0.3, mem_tol=0.3, oracle_tol=0.3),
+}
+
+#: sha256 of ``_shrunken_rows(rng, n, tol).tobytes()`` followed by the
+#: generator's next ``rng.bytes(16)``, keyed by (tolerance set, seed, n).
+#: They are also the digests of a sampler that filters its candidates by
+#: the ambient box and the separation input set, which reject none.
+SHRUNKEN_ROW_DIGESTS = {
+    ("default", 1, 250): "3f4810f0770f76eef67bab4c81a594ac1a712ad907ce1fa0efb53579195805cd",
+    ("default", 1, 2000): "96c3f4e5b7792c7e22f586edd44455c8998d677fe84b13e1460430ea1ce4e619",
+    ("default", 2, 250): "56acc5ccc5faaca67795e517d0f4de6fc976886c74a392ba0371dfa73a33839d",
+    ("default", 2, 2000): "f9bbd812648c4de1864bcf551ca69d10665b0b6632c04ebab241a9620a4859aa",
+    ("default", 3, 250): "827f16557fad077543649d4071f9e2dcd468edee6514515b8a75636666da10bb",
+    ("default", 3, 2000): "e7fe62c678c3a7dd77c919340c848d81f0b59b4d9124d65d4422903b6f3f5b63",
+    ("mid", 1, 250): "3f4810f0770f76eef67bab4c81a594ac1a712ad907ce1fa0efb53579195805cd",
+    ("mid", 1, 2000): "96c3f4e5b7792c7e22f586edd44455c8998d677fe84b13e1460430ea1ce4e619",
+    ("mid", 2, 250): "56acc5ccc5faaca67795e517d0f4de6fc976886c74a392ba0371dfa73a33839d",
+    ("mid", 2, 2000): "f9bbd812648c4de1864bcf551ca69d10665b0b6632c04ebab241a9620a4859aa",
+    ("mid", 3, 250): "827f16557fad077543649d4071f9e2dcd468edee6514515b8a75636666da10bb",
+    ("mid", 3, 2000): "e321c353a9f95f1d1984251509a28690221b4c83565492cd93fac838724a6042",
+    ("loose", 1, 250): "3f47c7c008747546beb15d2be645536f2f70a7a9b9b0256d15d2cbc3b1a800ca",
+    ("loose", 1, 2000): "86ed2cb14ea69ea68930e5bbc6860099adf35b9a20195d7d3d81ab55e6d7c27a",
+    ("loose", 2, 250): "fbe5387d8b81e8dc536da95e90678e208a8c914ad786a7b60072a94224192ed5",
+    ("loose", 2, 2000): "54c5243134022a110da670d0d330c36c361f619afb6ee5efda05e2dad1c63ccb",
+    ("loose", 3, 250): "e7de1b83f2b4690383a8248aeb41263e91d7477f0eca0d15e7ee841ead7ff996",
+    ("loose", 3, 2000): "dab37fd34422b3d97899b9f8c315457c5991b65989c9b33e7456761bee4fd15d",
+}
+
+
 class TestShrunkenSampler:
+    @pytest.mark.parametrize(
+        "key", list(SHRUNKEN_ROW_DIGESTS), ids=lambda k: "-".join(map(str, k))
+    )
+    def test_rows_and_next_draw_are_pinned(self, key):
+        name, seed, n = key
+        rng = np.random.default_rng(seed)
+        rows = _shrunken_rows(rng, n, SAMPLER_TOLS[name])
+        digest = hashlib.sha256(rows.tobytes() + rng.bytes(16)).hexdigest()
+        assert digest == SHRUNKEN_ROW_DIGESTS[key]
+
     @pytest.mark.parametrize("seed", [3, 21])
     def test_draws_from_the_distribution_of_the_loop(self, seed):
         n = 20_000
@@ -193,15 +239,19 @@ class TestShrunkenSampler:
         assert round(_ks_critical(20_000, 20_000, 1e-3), 4) == 0.0195
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300))
-    def test_every_point_lies_strictly_inside_its_gap(self, seed, n):
-        points = shrunken_nonmembers(np.random.default_rng(seed), n)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        tol=st.sampled_from(list(SAMPLER_TOLS.values())),
+    )
+    def test_every_point_lies_strictly_inside_its_gap(self, seed, n, tol):
+        points = shrunken_nonmembers(np.random.default_rng(seed), n, tol)
         assert len(points) == n
         for p in points:
             assert all(type(v) is float for v in p.coords())
-            assert classify(p) in SHRUNKEN_REGIONS
-            assert in_relaxation_ctilde(p)
-            lo, hi = _gap_ends(p)
+            assert classify(p, tol) in SHRUNKEN_REGIONS
+            assert in_relaxation_ctilde(p, tol)
+            lo, hi = _gap_ends(p, tol)
             assert lo < p.X11 < hi
             assert hi - lo > GAP_FLOOR
 
