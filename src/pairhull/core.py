@@ -243,6 +243,28 @@ def _persp_sq_columns(u, v, tol: Tolerances = DEFAULT_TOL):
     )
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e), p = fl(a b) and p + e = a b exactly without over- or underflow:
+    Dekker's product on Veltkamp's halves, as numpy has no fma."""
+    p = a * b
+    t, s = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1 splits off 26 bits
+    a1, b1 = t - (t - a), s - (s - b)
+    a2, b2 = a - a1, b - b1
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def diff_of_products(x: float, y: float, u: float, w: float) -> float:
+    """x y - u w with an exact sign, on floats and columns alike.  With
+    x y = p + e and u w = q + f exactly, and e - f = t + (Knuth's TwoSum
+    error), (p - q) + t is exact where it nearly cancels (Sterbenz), and
+    elsewhere adding the error cannot flip the sign."""
+    p, e = _two_product(x, y)
+    q, f = _two_product(u, w)
+    t = e - f
+    v = t - e
+    return ((p - q) + t) + ((e - (t - v)) - (f + v))
+
+
 def ctilde_slacks(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
     """Slacks of the strengthened relaxation used as the separation input set.
 

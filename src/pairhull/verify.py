@@ -7,7 +7,9 @@ first offending point, so failures reproduce exactly.  The samplers build
 blocks of candidates on columns and keep, in draw order, the rows that
 pass their checks; the cuts suite's non-members are built that way too,
 one cell per row, with their X11 placed between the relaxation bound and
-the column :func:`~pairhull.families.x11_root` of the cell's family.
+the column :func:`~pairhull.families.x11_root` of the cell's family.  The
+cuts suite certifies each cut by its minimum over the whole vertex set in
+closed form, :func:`s2_minimum`, rather than by sampling the set.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
+    diff_of_products,
 )
 from .errors import PairhullError
 from .families import FAMILY_BY_CELL, x11_root
 from .hull import member_batch, member_hull
 from .oracle import oracle_members
 from .regions import CODE_OF, Region, cell_codes, region_partition_audit
-from .separation import row_dots, separate_batch
+from .separation import copositive, row_dots, separate_batch
 
 
 @dataclass
@@ -337,29 +340,44 @@ def run_hull_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     )
 
 
-#: Vertex-set samples on which the cuts suite checks every cut's soundness.
-S2_BATCH = 10_000
-#: Cut values the soundness check of the cuts suite holds at once (2 MiB of
-#: float64), so its memory does not grow with trials x S2_BATCH.
-SOUNDNESS_TILE = 1 << 18
-#: A cut of the cuts suite must be below -VIOLATION_FLOOR at its query and
-#: within VIOLATION_FLOOR of zero at its touch point.
+#: A cut of the cuts suite must be below -VIOLATION_FLOOR at its query, and
+#: within VIOLATION_FLOOR of zero at its touch point and in its minimum over
+#: the vertex set (a supporting cut touches the set).
 VIOLATION_FLOOR = 1e-9
-#: Least value a cut of the cuts suite may take on a vertex-set sample.
+#: Least minimum over the vertex set a cut of the cuts suite may have.
 SOUNDNESS_FLOOR = -1e-8
 
 
-def _cut_minima(samples: np.ndarray, coeffs: np.ndarray, constant: np.ndarray) -> np.ndarray:
-    """Least value of each cut ``coeffs . p + constant`` over the rows of
-    ``samples``, evaluated on tiles of SOUNDNESS_TILE // cuts rows (at
-    least one)."""
-    step = max(1, SOUNDNESS_TILE // len(coeffs))
-    low = np.full(len(coeffs), np.inf)
-    for r in range(0, len(samples), step):
-        vals = samples[r : r + step] @ coeffs.T
-        vals += constant
-        np.minimum(low, vals.min(axis=0), out=low)
-    return low
+def _ray_minimum(a: float, g: float) -> float:
+    """The infimum of a t^2 + g t over t >= 0."""
+    return 0.0 if g >= 0.0 and a >= 0.0 else (-g * g / (4.0 * a) if a > 0.0 else -math.inf)
+
+
+def s2_minimum(c: HullPoint, k: float) -> float:
+    """The infimum of the cut ``c . p + k`` over the vertex set S2, -inf where
+    it is unbounded below; ``c`` holds the coefficients by coordinate name.
+
+    On S2 the cut is k at the origin, a quadratic in one x >= 0 where x1 or
+    x2 alone is free, and where both are free the form [[c_X11, h], [h,
+    c_X22]], h = c_X12 / 2, plus a linear term.  That piece is unbounded
+    where the form is not copositive, or singular with the linear term
+    falling along its null ray (-h, c_X11); else its minimum lies on an axis
+    or at the stationary point (n1, n2) / det.  det, n1 and n2 are
+    compensated: with naive products 233 of the 4000 cuts of
+    ``shrunken_nonmembers`` (rng 6) get spurious minima as low as -1.2.
+    """
+    ray1, ray2 = _ray_minimum(c.X11, c.x1), _ray_minimum(c.X22, c.x2)
+    h, p, r = 0.5 * c.X12, -0.5 * c.x1, -0.5 * c.x2
+    det = diff_of_products(c.X11, c.X22, h, h)
+    n1, n2 = diff_of_products(c.X22, p, h, r), diff_of_products(c.X11, r, h, p)
+    both = k + c.z1 + c.z2
+    # the cut there is both - (c_X22 p^2 - 2 h p r + c_X11 r^2) / det, and c_X11
+    # times that quotient is p^2 + n2^2 / det: two terms that cannot cancel
+    inside = det > 0.0 and n1 > 0.0 and n2 > 0.0
+    inner = both - (p * p + n2 * n2 / det) / c.X11 if inside else math.inf
+    bounded = copositive(c.X11, c.X12, c.X22) and not (det == 0.0 and h < 0.0 and n2 > 0.0)
+    four = min(both + min(ray1, ray2), inner) if bounded else -math.inf
+    return min(min(k, four), min(k + c.z1 + ray1, k + c.z2 + ray2))
 
 
 def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
@@ -371,14 +389,14 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     touch point is not a member; these checks run on columns, and the first
     failing query is the offender.  Any other error of a separation, and the
     error of the membership of a touch point that is asked, is raised.
-    Every kept cut must be at least SOUNDNESS_FLOOR on S2_BATCH vertex-set
-    samples.  That check runs in tiles of SOUNDNESS_TILE values folded into
-    a running minimum per cut, so the suite's memory is O(S2_BATCH + trials).
+    Each kept cut's minimum over the vertex set, :func:`s2_minimum` on
+    columns, must lie in [SOUNDNESS_FLOOR, VIOLATION_FLOOR]: below, the cut
+    cuts off part of the hull; above, it does not support it.  The worst
+    slack is the least of these minima.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     rows = _shrunken_rows(rng, trials, tol)
-    batch = _sample_s2_array(rng, S2_BATCH)
     sep = separate_batch(rows, tol)
     made = np.flatnonzero(sep.cuts())
     touch = member_batch(sep.touch[made], tol)
@@ -408,25 +426,21 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
             offender["error"] = str(sep.errors[i])
         else:
             offender["inside"] = bool(sep.inside[i])
-    worst = math.inf
     kept = np.flatnonzero(~failed)
-    if kept.size:
-        low = _cut_minima(batch, sep.coeffs[kept], sep.constant[kept])
-        worst = float(low.min())
-        unsound = np.flatnonzero(low < SOUNDNESS_FLOOR)
-        failures += unsound.size
-        if offender is None and unsound.size:
-            offender = {
-                "point": _row_dict(rows[kept[unsound[0]]]),
-                "cut_min_on_samples": float(low[unsound[0]]),
-            }
+    with np.errstate(all="ignore"):  # branches a row does not take divide by 0
+        low = elementwise(s2_minimum)(HullColumns(sep.coeffs[kept].T), sep.constant[kept])
+    wrong = np.flatnonzero((low < SOUNDNESS_FLOOR) | (low > VIOLATION_FLOOR))
+    failures += wrong.size
+    if offender is None and wrong.size:
+        i = int(wrong[0])
+        offender = {"point": _row_dict(rows[kept[i]]), "cut_min_on_s2": float(low[i])}
     return SuiteReport(
         "cuts",
         trials,
         failures,
-        worst,
+        float(low.min(initial=math.inf)),
         time.perf_counter() - t0,
-        detail=f"cuts={kept.size} batch={S2_BATCH}",
+        detail=f"cuts={kept.size}",
         offender=offender,
     )
 

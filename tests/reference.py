@@ -6,14 +6,16 @@ test of a symmetric 3x3 by minors, the two relaxations the hull
 strengthens, the eight cell systems of one point evaluated independently,
 the boundary points of one separating family, the one-candidate-at-a-time
 loop that drew the cuts suite's shrunken non-members (with its candidate
-builder and relaxation bound on X11, which the boundary points share), and
-the per-query loop and dense soundness matrix of the cuts suite with the
-masked vertex sampler it drew from.
+builder and relaxation bound on X11, which the boundary points share), the
+masked vertex sampler, the rational copositivity test and minimum over the
+vertex set of a cut, and the per-query loop of the cuts suite with that
+minimum as its exact certificate.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from pairhull.separation import separate_batch
 from pairhull.verify import (
     GAP_FLOOR,
     MAX_DRAWS,
-    S2_BATCH,
     SHRUNKEN_REGIONS,
     SOUNDNESS_FLOOR,
     VIOLATION_FLOOR,
@@ -287,14 +288,51 @@ def sample_s2_masked(rng: np.random.Generator, n: int) -> np.ndarray:
     return out
 
 
+def exact_copositive(a: float, b: float, c: float) -> bool:
+    """Whether a t1^2 + b t1 t2 + c t2^2 >= 0 on t >= 0, in rational
+    arithmetic."""
+    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    return a >= 0 and c >= 0 and (b >= 0 or b * b <= 4 * a * c)
+
+
+def _exact_ray_minimum(a: Fraction, g: Fraction) -> Fraction | None:
+    """The minimum of a t^2 + g t over t >= 0, None where it is unbounded."""
+    if a > 0:
+        return -g * g / (4 * a) if g < 0 else Fraction(0)
+    return Fraction(0) if a == 0 and g >= 0 else None
+
+
+def exact_s2_minimum(coeffs, constant: float) -> float:
+    """The infimum over the vertex set of the cut ``coeffs . p + constant``
+    in rational arithmetic, rounded to float; -inf where it is unbounded.
+
+    Enumerates the candidate minimizers of each piece: the origin, the
+    minimizer of each axis, and where both x are free the stationary point
+    by Cramer's rule, if it lies inside; the piece is unbounded where its
+    quadratic part is not copositive, or singular with a null ray into the
+    orthant along which the linear term falls."""
+    g1, g2, a, b, c, c1, c2 = (Fraction(float(v)) for v in coeffs)
+    k = Fraction(float(constant))
+    ray1, ray2 = _exact_ray_minimum(a, g1), _exact_ray_minimum(c, g2)
+    if ray1 is None or ray2 is None or not exact_copositive(a, b, c):
+        return -math.inf
+    h, p, r = b / 2, -g1 / 2, -g2 / 2
+    det, n1, n2 = a * c - h * h, c * p - h * r, a * r - h * p
+    if det == 0 and h < 0 and -h * g1 + a * g2 < 0:
+        return -math.inf
+    values = [k, k + c1 + ray1, k + c2 + ray2, k + c1 + c2 + min(ray1, ray2)]
+    if det > 0 and n1 > 0 and n2 > 0:
+        values.append(k + c1 + c2 - (p * n1 + r * n2) / det)
+    return float(min(values))
+
+
 def cuts_suite_by_loop(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """:func:`pairhull.verify.run_cuts_suite` checked one query at a time
     through :meth:`SeparationBatch.result`, :meth:`Cut.evaluate` and
-    :meth:`MembershipBatch.report`, with every cut evaluated on all vertex
-    samples as one dense ``S2_BATCH x cuts`` matrix."""
+    :meth:`MembershipBatch.report`, with every kept cut certified by
+    :func:`exact_s2_minimum`."""
     rng = np.random.default_rng(seed)
     queries = shrunken_nonmembers(rng, trials, tol)
-    batch = sample_s2_masked(rng, S2_BATCH)
     failures = 0
     offender = None
     worst = math.inf
@@ -323,26 +361,20 @@ def cuts_suite_by_loop(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) ->
             if offender is None:
                 offender = {"point": _point_dict(p), "inside": res.inside}
             continue
-        cuts.append(res.cut)
-    if cuts:
-        coeffs = np.array([c.coeffs for c in cuts])
-        consts = np.array([c.constant for c in cuts])
-        vals = batch @ coeffs.T + consts
-        per_cut_min = vals.min(axis=0)
-        worst = float(per_cut_min.min())
-        for i in np.nonzero(per_cut_min < SOUNDNESS_FLOOR)[0]:
+        cuts.append((p, res.cut))
+    for p, cut in cuts:
+        low = exact_s2_minimum(cut.coeffs, cut.constant)
+        worst = min(worst, low)
+        if not SOUNDNESS_FLOOR <= low <= VIOLATION_FLOOR:
             failures += 1
-            if offender is None:  # no query failed, so cut i is query i's
-                offender = {
-                    "point": _point_dict(queries[i]),
-                    "cut_min_on_samples": float(per_cut_min[i]),
-                }
+            if offender is None:  # no query failed, so this is the first cut
+                offender = {"point": _point_dict(p), "cut_min_on_s2": low}
     return SuiteReport(
         "cuts",
         trials,
         failures,
         worst,
         0.0,
-        detail=f"cuts={len(cuts)} batch={S2_BATCH}",
+        detail=f"cuts={len(cuts)}",
         offender=offender,
     )

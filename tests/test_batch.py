@@ -16,6 +16,7 @@ from pairhull.core import HullPoint, in_relaxation_ctilde
 from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
 from pairhull.regions import CODE_OF, NOT_COVERED_CODE, Region, classify, classify_batch
+from pairhull.families import FAMILY_BY_CELL, q_gradient
 from pairhull.separation import separate, separate_batch
 from pairhull.verify import (
     _sample_hull_array,
@@ -24,7 +25,7 @@ from pairhull.verify import (
     sample_ctilde_points,
     shrunken_nonmembers,
 )
-from reference import candidate_region_point, family_touch_points
+from reference import candidate_region_point, exact_copositive, family_touch_points
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
@@ -374,6 +375,29 @@ class TestSeparateProperties:
                 cut = batch.result(i).cut
                 assert cut.evaluate(HullPoint.from_coords(rows[i])) < 0.0
                 assert abs(cut.evaluate(cut.touch)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ctilde_rows())
+    def test_cuts_are_copositive_by_the_fewest_ulps(self, rows):
+        # each cut is the normalized gradient of its family at the touch
+        # point with the X12 coefficient moved toward zero, if at all, to
+        # the first value at which the quadratic part is exactly copositive
+        with mock.patch.object(pairhull.core, "COLUMN_MIN_ROWS", 1):
+            batch = separate_batch(rows)
+        for i in np.flatnonzero(batch.cuts()):
+            res = separate(HullPoint.from_coords(rows[i]))
+            for cut in (res.cut, batch.result(i).cut):
+                a, b, c = cut.coeffs[2:5]
+                assert exact_copositive(a, b, c)
+                family = FAMILY_BY_CELL.get(
+                    res.region.value, "II" if cut.touch.z1 == 0.0 else "III"
+                )
+                grad = q_gradient(family, cut.touch)
+                raw = grad / np.max(np.abs(grad))
+                assert np.delete(cut.coeffs, 3).tobytes() == np.delete(raw, 3).tobytes()
+                assert b == raw[3] or (
+                    raw[3] < b and not exact_copositive(a, math.nextafter(b, -math.inf), c)
+                )
 
 
 def _reference_ctilde_points(rng, n: int) -> list[HullPoint]:

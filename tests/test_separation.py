@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pairhull.core
 from pairhull import (
@@ -17,6 +21,7 @@ from pairhull import (
     separate,
     separate_batch,
 )
+from pairhull.columns import elementwise
 from pairhull.errors import (
     InputOutsideCtilde,
     NotOnBoundary,
@@ -24,11 +29,27 @@ from pairhull.errors import (
     StrictDomainViolated,
 )
 from pairhull.families import FAMILY_BY_CELL
-from pairhull.separation import _family_cut
-from pairhull.verify import VIOLATION_FLOOR, shrunken_nonmembers
-from reference import family_touch_points
+from pairhull.separation import _family_cut, copositive_x12
+from pairhull.verify import (
+    SOUNDNESS_FLOOR,
+    VIOLATION_FLOOR,
+    s2_minimum,
+    shrunken_nonmembers,
+)
+from reference import exact_copositive, exact_s2_minimum, family_touch_points
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
+
+
+def assert_supports_s2(cut) -> None:
+    """The cut's minimum over the vertex set, in closed form and in rational
+    arithmetic, is finite and within the floors of the cuts suite, and its
+    quadratic part is copositive in rational arithmetic."""
+    c = cut.coeffs
+    assert exact_copositive(c[2], c[3], c[4])
+    for low in (s2_minimum(HullPoint.from_coords(c), cut.constant),
+                exact_s2_minimum(c, cut.constant)):
+        assert SOUNDNESS_FLOOR <= low <= VIOLATION_FLOOR
 
 
 def fd_gradient(family: str, p: HullPoint, h: float = 1e-6) -> np.ndarray:
@@ -111,7 +132,7 @@ class TestGradients:
 
 
 class TestCutSoundness:
-    def test_cuts_valid_on_vertex_samples(self, s2_batch):
+    def test_cuts_support_the_vertex_set(self):
         rng = np.random.default_rng(63)
         queries = shrunken_nonmembers(rng, 200)
         for p in queries:
@@ -121,11 +142,43 @@ class TestCutSoundness:
             assert cut.evaluate(p) < -1e-9
             assert abs(cut.evaluate(cut.touch)) <= 1e-9
             assert member_hull(cut.touch).member
-            assert float((s2_batch @ cut.coeffs + cut.constant).min()) >= -1e-8
+            assert_supports_s2(cut)
 
     def test_cut_normalization(self):
         cut = separate(WORKED).cut
         assert float(np.max(np.abs(cut.coeffs))) == pytest.approx(1.0)
+
+
+_unit = st.floats(2.0**-40, 1.0)
+
+
+@st.composite
+def _x12_rows(draw):
+    """(a, b, c): b within 8 ulps of the rank-one edge -2 sqrt(a c), or any
+    sign; a and c positive, zero or negative."""
+    a, c = (draw(st.sampled_from([0.0, -0.5]) | _unit) for _ in range(2))
+    b = -2.0 * math.sqrt(max(a, 0.0)) * math.sqrt(max(c, 0.0))
+    for _ in range(draw(st.integers(0, 8))):
+        b = math.nextafter(b, draw(st.sampled_from([-math.inf, 0.0])))
+    return a, draw(st.just(b) | st.floats(-2.0, 2.0)), c
+
+
+class TestCopositiveX12:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_x12_rows(), min_size=1, max_size=16))
+    def test_fewest_ulps_to_an_exactly_copositive_form(self, rows):
+        a, b, c = np.array(rows).T
+        with np.errstate(invalid="ignore"):  # sqrt of a negative a or c
+            columns = elementwise(copositive_x12)(a, b, c)
+        for (ai, bi, ci), col in zip(rows, columns):
+            got = copositive_x12(ai, bi, ci)
+            assert got.hex() == float(col).hex()
+            if ai < 0.0 or ci < 0.0:
+                assert got == bi
+                continue
+            assert exact_copositive(ai, got, ci) and bi <= got <= max(bi, 0.0)
+            # one ulp further from zero the form is not copositive
+            assert got == bi or not exact_copositive(ai, math.nextafter(got, -math.inf), ci)
 
 
 class TestIndicatorEdgeSeparation:
@@ -133,22 +186,22 @@ class TestIndicatorEdgeSeparation:
         res = separate(HullPoint(0.0, 1.0, 4.0, 0.5, 1.5, 0.0, 1.0))
         assert res.inside
 
-    def test_edge_nonmember_gets_sound_cut(self, s2_batch):
+    def test_edge_nonmember_gets_sound_cut(self):
         p = HullPoint(0.0, 1.0, 1.0, 1.2, 2.5, 0.0, 0.5)
         res = separate(p)
         assert not res.inside
         assert res.cut.evaluate(p) < -1e-9
-        assert float((s2_batch @ res.cut.coeffs + res.cut.constant).min()) >= -1e-8
+        assert_supports_s2(res.cut)
         assert res.cut.touch.X11 == pytest.approx(1.44 / 0.5, abs=1e-12)
 
-    def test_second_edge_nonmember_gets_sound_cut(self, s2_batch):
+    def test_second_edge_nonmember_gets_sound_cut(self):
         p = HullPoint(1.0, 0.0, 3.0, 1.2, 1.0, 0.5, 0.0)
         assert in_relaxation_ctilde(p)
         res = separate(p)
         assert not res.inside
         # bound: x1^2/z1 + X12^2 / X22 = 2 + 1.44
         assert res.cut.touch.X11 == pytest.approx(2.0 + 1.44, abs=1e-12)
-        assert float((s2_batch @ res.cut.coeffs + res.cut.constant).min()) >= -1e-8
+        assert_supports_s2(res.cut)
 
 
 class TestPsdSupportCut:
@@ -167,19 +220,26 @@ class TestPsdSupportCut:
                 continue
             return (xi, xj, Xii, Xij, Xjj, zi), m, g
 
-    def test_gram_instance_yields_tight_valid_cut(self, s2_batch):
+    def test_gram_instance_yields_tight_valid_cut(self):
         rng = np.random.default_rng(64)
         for _ in range(30):
             p6, m, g = self._boundary_instance(rng)
             cut = psd_support_cut(p6)
             assert abs(cut.evaluate(cut.touch)) <= 1e-9
-            assert float((s2_batch @ cut.coeffs + cut.constant).min()) >= -1e-8
+            assert_supports_s2(cut)
             # null vector cross-check: the cut coefficients reproduce
             # v^T M v with v the cross product of the two Gram rows
             v = np.cross(g[0], g[1])
             v /= np.linalg.norm(v)
             quad = float(v @ m @ v)
             assert abs(quad) <= 1e-9
+
+    def test_every_cut_is_exactly_copositive(self):
+        # 2 v1 v2 rounded past the copositive edge on 957 of these cuts,
+        # which left them unbounded below on the vertex set
+        rng = np.random.default_rng(64)
+        for _ in range(2000):
+            assert_supports_s2(psd_support_cut(self._boundary_instance(rng)[0]))
 
     def test_interior_point_rejected(self):
         m = np.eye(3)
@@ -209,7 +269,10 @@ class TestPsdSupportCut:
 # both indicator edges, an X22 on the perspective bound in R4 and in R8 (the
 # touch point bumps X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
 # row a neighbouring piece (part IV) rescues and an uncovered non-member: a
-# change to the family formulas that moves a bit shows here.
+# change to the family formulas that moves a bit shows here.  The X12
+# coefficient is the one copositive_x12 leaves; at R5_nonmember and
+# uncovered_nonmember it moved toward zero, by 5 ulps and 1 ulp, to make the
+# quadratic part of the cut copositive.
 CLOSED_FORM_PINS = [
     ("R3_nonmember",
      (0.13244449792131432, 1.9178391154195902, 0.4052292625282925, 0.722464578887599,
@@ -239,7 +302,7 @@ CLOSED_FORM_PINS = [
      (False, "R5", ("III.product",), None, False),
      "III.persp2=0x1.999999999999ap-5 III.product=-0x1.a45134fd32998p-11",
      "cut R5 -0x1.dea498fbd299bp-1 "
-     "0x1.ff5f9625be53cp-2 0x1.df3abe6b299f0p-1 -0x1.0000000000000p+0 "
+     "0x1.ff5f9625be53cp-2 0x1.df3abe6b299f0p-1 -0x1.ffffffffffffbp-1 "
      "0x1.118176c4f3850p-2 0x1.de0ea297390dep-3 0x0.0p+0 "
      "0x1.c15e598131dd1p-54 0x1.12f6bb7298c8dp-1 0x1.d3bfd68adcfebp-3 "
      "0x1.78e7607e4cc22p-2 0x1.7eebdbe14b797p-3 0x1.178cb62c55db8p-3 "
@@ -363,7 +426,7 @@ CLOSED_FORM_PINS = [
      (False, "NotCovered", ("II.product",), None, False),
      "II.persp2=0x1.77dbb7eb5dea0p-14 II.product=-0x1.9e896730be647p-26",
      "cut R3 0x1.d3b597eefcd2dp-6 "
-     "-0x1.0b8c0124914d9p-4 0x1.872ac2f6d7f74p-3 -0x1.bf8615ad3d7d8p-1 "
+     "-0x1.0b8c0124914d9p-4 0x1.872ac2f6d7f74p-3 -0x1.bf8615ad3d7d7p-1 "
      "0x1.0000000000000p+0 0x0.0p+0 0x1.179d56f38717fp-10 "
      "-0x1.7787541567082p-67 0x1.a16843268d798p-9 0x1.8126981ade62bp-7 "
      "0x1.06bd5256c66d4p-11 0x1.52b61949b6f7bp-12 0x1.13469d8092d38p-11 "
