@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import io
 import json
 import math
@@ -387,7 +388,10 @@ def _cmd_verify(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once: ``parse_args`` keeps no state
+    between calls, so each call starts from the defaults."""
     parser = argparse.ArgumentParser(
         prog="pairhull",
         description="Hull membership, separation and verification for the "

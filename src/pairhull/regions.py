@@ -284,9 +284,10 @@ def region_partition_audit(rows, tol: Tolerances = DEFAULT_TOL) -> PartitionAudi
     report = PartitionAuditReport(
         total=n, audited=int(audited.sum()), n_multi=multi.size, n_none=none.size
     )
-    present, first = np.unique(codes, return_index=True)
     tally = np.bincount(codes, minlength=len(CELLS))
-    for code in present[np.argsort(first)]:
+    present = np.flatnonzero(tally).tolist()
+    present.sort(key=lambda code: int(np.argmax(codes == code)))
+    for code in present:
         report.counts[CELLS[code].value] = int(tally[code])
     if multi.size:
         i = int(multi[0])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .columns import elementwise
+from .columns import column_version, elementwise
 from .core import (
     DEFAULT_TOL,
     HullColumns,
@@ -64,20 +64,46 @@ def copositive_x12(a: float, b: float, c: float) -> float:
     copositive; b itself where a or c < 0, which no b repairs.  Rounding tips
     about half of the rank-one tangents of the perspective boundary,
     b = -2 sqrt(a c), past that edge, which leaves them unbounded below on S2."""
-    kept = copositive(a, b, c) or not (a >= 0.0 and c >= 0.0)
-    return b if kept else _copositive_edge(a, b, c)
-
-
-def _copositive_edge(a: float, b: float, c: float) -> float:
-    """Walk toward zero from b, or from 2 ulps outside the rounded edge
-    -2 sqrt(a c), which is under 1.5 ulps off the exact one, until the form
-    is copositive: at most 4 steps, 5 where the walk crosses a power of two
-    (at most 3 on 600000 random rows)."""
-    x = -2.0 * math.sqrt(a * c)
-    x = max(b, math.nextafter(math.nextafter(x, -math.inf), -math.inf))
-    for _ in range(5):
-        x = x if copositive(a, x, c) else math.nextafter(x, 0.0)
+    if copositive(a, b, c) or not (a >= 0.0 and c >= 0.0):
+        return b
+    x = _edge_start(a, b, c)
+    for _ in range(_EDGE_STEPS):
+        x = _edge_step(a, x, c)
     return x
+
+
+#: Most steps of the walk of :func:`copositive_x12`: at most 4 are needed,
+#: 5 where the walk crosses a power of two (at most 3 on 600000 random rows).
+_EDGE_STEPS = 5
+
+
+def _edge_start(a: float, b: float, c: float) -> float:
+    """b, or 2 ulps outside the rounded edge -2 sqrt(a c), which is under
+    1.5 ulps off the exact one, whichever is nearer zero."""
+    x = -2.0 * math.sqrt(a * c)
+    return max(b, math.nextafter(math.nextafter(x, -math.inf), -math.inf))
+
+
+def _edge_step(a: float, x: float, c: float) -> float:
+    """x, or one ulp nearer zero where the form is not copositive."""
+    return x if copositive(a, x, c) else math.nextafter(x, 0.0)
+
+
+@column_version(copositive_x12)
+def _copositive_x12_columns(a, b, c):
+    """copositive_x12 on columns.  The walk toward zero runs on the rows
+    the kept test leaves out only, and stops after the first step that
+    moves none of them: a copositive row takes no further step."""
+    out = np.array(b, float)
+    walk = np.flatnonzero(~elementwise(copositive)(a, b, c) & (a >= 0.0) & (c >= 0.0))
+    a, c = a[walk], c[walk]
+    x = elementwise(_edge_start)(a, b[walk], c)
+    for _ in range(_EDGE_STEPS):
+        x, last = elementwise(_edge_step)(a, x, c), x
+        if (x == last).all():
+            break
+    out[walk] = x
+    return out
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,17 @@ Each campaign is deterministic given its seed: sampling uses PCG64 streams
 and every check reports the worst slack it observed together with the
 first offending point, so failures reproduce exactly.  The samplers build
 blocks of candidates on columns and keep, in draw order, the rows that
-pass their checks; the cuts suite's non-members are built that way too,
-one cell per row, with their X11 placed between the relaxation bound and
-the column :func:`~pairhull.families.x11_root` of the cell's family.  The
-cuts suite certifies each cut by its minimum over the whole vertex set in
-closed form, :func:`s2_minimum`, rather than by sampling the set.
+pass their checks.  The vertex and separable samplers fill each block as
+one ``(7, m)`` table, one coordinate per row, and draw its uniform rows
+with one ``rng.random`` call; that call consumes the stream as one
+``uniform`` call per coordinate would, and ``uniform(0, s)`` is ``s``
+times the same draw, so the samples are those of the column-by-column
+draws bit for bit.  The cuts suite's non-members are built on columns
+too, one cell per row, with their X11 placed between the relaxation
+bound and the column :func:`~pairhull.families.x11_root` of the cell's
+family.  The cuts suite certifies each cut by its minimum over the whole
+vertex set in closed form, :func:`s2_minimum`, rather than by sampling
+the set.
 """
 
 from __future__ import annotations
@@ -102,48 +108,54 @@ def _sample_s2_array(rng: np.random.Generator, n: int) -> np.ndarray:
     """Exact vertex-set samples as rows (x1, x2, X11, X12, X22, z1, z2): a
     uniform piece index, then uniform decision values in [0, XMAX] with the
     piece's zero pattern and binary indicators.  Piece 1 is the origin,
-    piece 2 frees x1, piece 3 frees x2 and piece 4 frees both."""
+    piece 2 frees x1, piece 3 frees x2 and piece 4 frees both.  The rows
+    are the transpose of one ``(7, n)`` table: the two uniform rows, drawn
+    in one call, times the indicator rows, then their three products."""
     piece = rng.integers(1, 5, size=n)
-    u1 = rng.uniform(0.0, XMAX, size=n)
-    u2 = rng.uniform(0.0, XMAX, size=n)
-    on1 = (piece == 2) | (piece == 4)
-    on2 = piece >= 3
-    x1 = np.where(on1, u1, 0.0)
-    x2 = np.where(on2, u2, 0.0)
-    return np.column_stack([x1, x2, x1 * x1, x1 * x2, x2 * x2, on1, on2])
+    table = np.empty((7, n))
+    x = table[:2]
+    rng.random(out=x)
+    x *= XMAX
+    np.logical_or(piece == 2, piece == 4, out=table[5])
+    np.greater_equal(piece, 3, out=table[6])
+    x *= table[5:]
+    np.multiply(x[0], x[0], out=table[2])
+    np.multiply(x[0], x[1], out=table[3])
+    np.multiply(x[1], x[1], out=table[4])
+    return table.T
 
 
 def _sample_hull_array(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Random convex combinations of k vertex samples, Dirichlet(1) weights."""
-    pts = _sample_s2_array(rng, n * k).reshape(n, k, 7)
+    """Random convex combinations of k vertex samples, Dirichlet(1) weights.
+    The vertex rows are copied to C order first: ``einsum`` rounds its sums
+    according to the memory layout of its operands."""
+    pts = np.ascontiguousarray(_sample_s2_array(rng, n * k)).reshape(n, k, 7)
     w = rng.dirichlet(np.ones(k), size=n)
     return np.einsum("nk,nkc->nc", w, pts)
 
 
+#: Upper end of each coordinate in the box :func:`_sample_separable_array`
+#: draws from, as a column that scales a ``(7, m)`` block of uniforms.
+_SEPARABLE_BOX = np.array([XMAX, XMAX, LIFT_MAX, LIFT_MAX, LIFT_MAX, 1.0, 1.0])[:, None]
+
+
 def _sample_separable_array(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform samples of the separable relaxation intersected with the
-    sampling box, by rejection from the ambient box."""
+    sampling box, by rejection from the ambient box.  Each round draws one
+    ``(7, m)`` block of uniforms, one coordinate per row, and keeps in draw
+    order the columns that satisfy both perspective conditions."""
     rows = [np.empty((0, 7))]
     have = 0
     while have < n:
         m = max(2 * (n - have), 256)
-        cand = np.column_stack(
-            [
-                rng.uniform(0.0, XMAX, m),
-                rng.uniform(0.0, XMAX, m),
-                rng.uniform(0.0, LIFT_MAX, m),
-                rng.uniform(0.0, LIFT_MAX, m),
-                rng.uniform(0.0, LIFT_MAX, m),
-                rng.uniform(0.0, 1.0, m),
-                rng.uniform(0.0, 1.0, m),
-            ]
+        cand = rng.random((7, m))
+        cand *= _SEPARABLE_BOX
+        keep = (cand[2] * cand[5] >= cand[0] * cand[0]) & (
+            cand[4] * cand[6] >= cand[1] * cand[1]
         )
-        keep = (cand[:, 2] * cand[:, 5] >= cand[:, 0] ** 2) & (
-            cand[:, 4] * cand[:, 6] >= cand[:, 1] ** 2
-        )
-        rows.append(cand[keep])
+        rows.append(cand.compress(keep, axis=1).T)
         have += int(keep.sum())
-    return np.concatenate(rows, axis=0)[:n]
+    return np.concatenate(rows)[:n]
 
 
 def sample_ctilde_points(rng: np.random.Generator, n: int) -> list[HullPoint]:

@@ -7,9 +7,11 @@ strengthens, the eight cell systems of one point evaluated independently,
 the boundary points of one separating family, the one-candidate-at-a-time
 loop that drew the cuts suite's shrunken non-members (with its candidate
 builder and relaxation bound on X11, which the boundary points share), the
-masked vertex sampler, the rational copositivity test and minimum over the
-vertex set of a cut, and the per-query loop of the cuts suite with that
-minimum as its exact certificate.
+masked vertex sampler and the convex combinations built on it, the
+separable sampler drawn one coordinate per call, the rational
+copositivity test and minimum over the vertex set of a cut, and the
+per-query loop of the cuts suite with that minimum as its exact
+certificate.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from pairhull.regions import _PREDICATES, on_indicator_edge
 from pairhull.separation import separate_batch
 from pairhull.verify import (
     GAP_FLOOR,
+    LIFT_MAX,
     MAX_DRAWS,
     SHRUNKEN_REGIONS,
     SOUNDNESS_FLOOR,
@@ -286,6 +289,42 @@ def sample_s2_masked(rng: np.random.Generator, n: int) -> np.ndarray:
     out[m4, 5] = 1.0
     out[m4, 6] = 1.0
     return out
+
+
+def hull_by_masked(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Convex combinations of k rows of :func:`sample_s2_masked` with
+    Dirichlet(1) weights, the construction
+    :func:`pairhull.verify._sample_hull_array` must equal bit for bit."""
+    pts = sample_s2_masked(rng, n * k).reshape(n, k, 7)
+    w = rng.dirichlet(np.ones(k), size=n)
+    return np.einsum("nk,nkc->nc", w, pts)
+
+
+def separable_by_columns(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Separable-relaxation samples drawn one coordinate per ``uniform``
+    call, the construction :func:`pairhull.verify._sample_separable_array`
+    must equal bit for bit with the same draws from ``rng``."""
+    rows = [np.empty((0, 7))]
+    have = 0
+    while have < n:
+        m = max(2 * (n - have), 256)
+        cand = np.column_stack(
+            [
+                rng.uniform(0.0, XMAX, m),
+                rng.uniform(0.0, XMAX, m),
+                rng.uniform(0.0, LIFT_MAX, m),
+                rng.uniform(0.0, LIFT_MAX, m),
+                rng.uniform(0.0, LIFT_MAX, m),
+                rng.uniform(0.0, 1.0, m),
+                rng.uniform(0.0, 1.0, m),
+            ]
+        )
+        keep = (cand[:, 2] * cand[:, 5] >= cand[:, 0] ** 2) & (
+            cand[:, 4] * cand[:, 6] >= cand[:, 1] ** 2
+        )
+        rows.append(cand[keep])
+        have += int(keep.sum())
+    return np.concatenate(rows, axis=0)[:n]
 
 
 def exact_copositive(a: float, b: float, c: float) -> bool:

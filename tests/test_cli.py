@@ -289,6 +289,38 @@ class TestPipe:
                 proc.kill()
 
 
+def _fresh_run(argv: list[str], text: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``python -m pairhull`` in a new process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairhull", *argv],
+        input=text, capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_equal_fresh_runs(self, capsys):
+        text = "\n".join([R4_LINE, R1_LINE, *_margin_lines(4, 5)]) + "\n"
+        calls = [
+            ["--pretty", "separate"],
+            ["--eq-tol", "1e-6", "classify"],
+            ["member", "--report"],
+            ["member"],
+            ["verify", "--trials", "0"],
+            ["separate"],
+        ]
+        for argv in calls:
+            try:
+                code, out = run_cli(argv, text)
+            except SystemExit as exc:
+                code, out = exc.code, ""
+            err = capsys.readouterr().err
+            assert (code, out, err) == _fresh_run(argv, text), argv
+        assert code == 0 and "\n  " not in out  # --pretty did not carry over
+
+
 class TestSeparate:
     def test_cut_record_for_nonmember(self):
         code, out = run_cli(["separate"], R4_LINE + "\n")

@@ -180,6 +180,38 @@ class TestCopositiveX12:
             # one ulp further from zero the form is not copositive
             assert got == bi or not exact_copositive(ai, math.nextafter(got, -math.inf), ci)
 
+    @staticmethod
+    def _batch(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, b, c, walk) of 64 rows.  A row that needs the walk has a, c > 0
+        and b 4 ulps outside the rank-one edge -2 sqrt(a c); a row that keeps
+        b has, by its index mod 4, b >= 0, b halfway to the edge, a < 0 or
+        c < 0."""
+        rng = np.random.default_rng(17)
+        a, c = rng.uniform(0.01, 1.0, (2, 64))
+        b = -2.0 * np.sqrt(a) * np.sqrt(c)
+        for _ in range(4):
+            b = np.nextafter(b, -np.inf)
+        walk = {"none": np.zeros(64, bool), "all": np.ones(64, bool)}.get(
+            kind, rng.random(64) < 0.5
+        )
+        why = np.where(walk, -1, np.arange(64) % 4)
+        b[why == 0] = rng.uniform(0.0, 2.0, 64)[why == 0]
+        b[why == 1] *= 0.5
+        a[why == 2] *= -1.0
+        c[why == 3] *= -1.0
+        for row, needs in zip(zip(a, b, c), walk):
+            assert needs == (min(row[0], row[2]) >= 0.0 and not exact_copositive(*row))
+        n = 0 if kind == "empty" else 64
+        return a[:n], b[:n], c[:n], walk[:n]
+
+    @pytest.mark.parametrize("kind", ["none", "all", "mix", "empty"])
+    def test_column_version_equals_the_scalar(self, kind):
+        a, b, c, walk = self._batch(kind)
+        got = elementwise(copositive_x12)(a, b, c)
+        want = [copositive_x12(*row) for row in zip(a.tolist(), b.tolist(), c.tolist())]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+        assert ((got != b) == walk).all()
+
 
 class TestIndicatorEdgeSeparation:
     def test_edge_member_is_inside(self):

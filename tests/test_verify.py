@@ -1,7 +1,8 @@
-"""The verify campaigns against their references: the masked vertex sampler,
-the one-candidate-at-a-time loop of the shrunken non-members, and the
-per-query loop of the cuts suite with the rational minimum of each cut
-over the vertex set."""
+"""The verify campaigns against their references: the masked vertex sampler
+and the convex combinations built on it, the separable sampler drawn one
+coordinate per call, the one-candidate-at-a-time loop of the shrunken
+non-members, and the per-query loop of the cuts suite with the rational
+minimum of each cut over the vertex set."""
 
 import hashlib
 import math
@@ -25,7 +26,9 @@ from pairhull.separation import copositive_x12
 from pairhull.verify import (
     GAP_FLOOR,
     SHRUNKEN_REGIONS,
+    _sample_hull_array,
     _sample_s2_array,
+    _sample_separable_array,
     _shrunken_rows,
     run_cuts_suite,
     s2_minimum,
@@ -35,7 +38,9 @@ from reference import (
     ctilde_x11_bound,
     cuts_suite_by_loop,
     exact_s2_minimum,
+    hull_by_masked,
     sample_s2_masked,
+    separable_by_columns,
     shrunken_nonmembers_by_loop,
 )
 
@@ -49,6 +54,28 @@ def test_vertex_sampler_matches_masked_construction(n, seed):
     assert rows.tobytes() == ref.tobytes()
     # the generator is left where the masked construction left it
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 10000])
+def test_separable_sampler_matches_column_calls(n, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows, ref = _sample_separable_array(rng, n), separable_by_columns(ref_rng, n)
+    assert rows.shape == ref.shape == (n, 7)
+    assert rows.flags.c_contiguous
+    assert rows.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_hull_sampler_matches_masked_construction(k, seed):
+    for n in (0, 1, 255, 256, 257, 2000):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows, ref = _sample_hull_array(rng, n, k), hull_by_masked(ref_rng, n, k)
+        assert rows.shape == ref.shape == (n, 7)
+        assert rows.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
 
 
 #: Largest distance between :func:`s2_minimum` on columns and the rational
