@@ -1,11 +1,13 @@
-"""Separation over the hull: touching-point construction and Taylor cuts.
+"""Separation over the hull: touch points and Taylor cuts.
 
 For a relaxation point outside the hull, the violated piece inequality is
 one of three families: the shifted product with denominator z2 (cells R3,
 R4), the shifted product with denominator z1 (cell R5), or the weighted
 form with the W shift (cell R8).  The boundary function q of the family is
-affine in X11, so the touching point solves q = 0 in closed form and the
-first-order Taylor expansion of q there is a violated supporting cut.
+affine in X11, so the touch point (:func:`_touch`) solves q = 0 for X11 in
+closed form, after an X22 bump where X22 sits on its perspective bound, and
+the first-order Taylor expansion of q there is a violated supporting cut.
+The column path of :func:`separate_batch` reads the same guards.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ class Cut:
         return float(np.dot(self.coeffs, p.coords()) + self.constant)
 
     def normalized(self) -> "Cut":
-        """Rescale to unit max-norm coefficients (same hyperplane), the X12
-        coefficient then set by :func:`copositive_x12`."""
+        """Divide by the largest |coefficient| (same hyperplane), then set the
+        X12 coefficient by :func:`copositive_x12`; where that moves the
+        largest one toward zero, the max-norm ends a few ulps below 1."""
         m = float(np.max(np.abs(self.coeffs)))
         coeffs = self.coeffs / m
         coeffs[3] = copositive_x12(*map(float, coeffs[2:5]))
@@ -169,92 +172,65 @@ def _family_cut(family: str, touch: HullPoint, tol: Tolerances) -> Cut:
     return Cut(grad, constant, touch)
 
 
-def _bump_X22(
-    p: HullPoint, region: Region, still_valid, tol: Tolerances
-) -> HullPoint:
-    """Raise X22 by the smallest power-of-two fraction of the base step that
-    keeps the point in the closure of the cell and the caller's side
-    conditions intact."""
+def _out_of_reach(p: HullPoint, family: str, tol: Tolerances) -> bool:
+    """Whether the family has no closed-form touch point at p: family V
+    needs z2 < 1 and x2 > 0, II and III always have one."""
+    return family == "V" and (p.z2 >= 1.0 - 1e-9 or p.x2 <= tol.eq_tol)
+
+
+def _on_bound(p: HullPoint, family: str, tol: Tolerances) -> bool:
+    """Whether X22 sits on its perspective bound within the band: the gap
+    X22 z2 - x2^2 for family V, the X11 coefficient of q for II and III."""
+    gap = p.X22 * p.z2 - p.x2 * p.x2 if family == "V" else x11_slope(family, p)
+    return gap <= tol.eq_tol * (1.0 + abs(p.X22))
+
+
+def _flat(p: HullPoint, family: str, tol: Tolerances) -> bool:
+    """Whether the X11 root of q is out of use: W or the X11 coefficient
+    is within the zero band (family V), the coefficient is <= 0 (II, III)."""
+    if family == "V":
+        return w_shift(p) <= tol.eq_tol or x11_slope(family, p) <= tol.eq_tol
+    return x11_slope(family, p) <= 0.0
+
+
+def _bump_X22(p: HullPoint, region: Region, family: str, tol: Tolerances) -> HullPoint:
+    """p with X22 raised off its perspective bound: by the base step
+    max(1e-6, 1e-6 |X22|), halved up to 40 times until the point stays in
+    the closure of the cell, keeps W > eq_tol (family V) and still
+    violates the family, q < -eq_tol."""
+    e = tol.eq_tol
     eps = max(1e-6, 1e-6 * abs(p.X22))
     for _ in range(41):
         cand = replace(p, X22=p.X22 + eps)
-        if region_closure_contains(cand, region, tol) and still_valid(cand):
+        kept = region_closure_contains(cand, region, tol) and (family != "V" or w_shift(cand) > e)
+        if kept and q_value(family, cand) < -e:
             return cand
         eps *= 0.5
     raise DegenerateGradient("no X22 perturbation preserves the cell constraints")
 
 
-def _shifted_on_bound(p: HullPoint, family: str, tol: Tolerances) -> bool:
-    """Whether the X11 coefficient of the family II/III boundary vanishes
-    within the band, which puts X22 on the perspective bound."""
-    return x11_slope(family, p) <= tol.eq_tol * (1.0 + abs(p.X22))
-
-
-def _touch_shifted(p: HullPoint, region: Region, family: str, tol: Tolerances) -> HullPoint:
-    """Touching point for families II/III: bump X22 off the perspective
-    boundary if needed, then solve the affine-in-X11 equation q = 0."""
-
-    def violated(c: HullPoint) -> bool:
-        return q_value(family, c) < -tol.eq_tol
-
-    base = p
-    if _shifted_on_bound(p, family, tol):
-        base = _bump_X22(p, region, violated, tol)
-    if x11_slope(family, base) <= 0.0:
+def _touch(p: HullPoint, region: Region, family: str, tol: Tolerances) -> HullPoint:
+    """The touch point of family II, III or V for the query p of the cell
+    ``region``: p with X22 bumped off its perspective bound if it sits on
+    it (:func:`_bump_X22`), and X11 the root of q there.  Raises where a
+    guard leaves no closed-form root."""
+    if _out_of_reach(p, family, tol):
+        raise NumericallyDegenerate("family V needs z2 < 1 and x2 > 0; no closed-form cut here")
+    base = _bump_X22(p, region, family, tol) if _on_bound(p, family, tol) else p
+    if _flat(base, family, tol):
+        if family == "V":
+            raise NumericallyDegenerate(
+                f"W = {w_shift(base)} or the X11 coefficient of family V is not positive"
+            )
         raise DegenerateGradient("X11 coefficient of the boundary is not positive")
     return replace(base, X11=x11_root(family, base))
 
 
-def _weighted_out_of_reach(p: HullPoint, tol: Tolerances) -> bool:
-    """Whether family V has no closed-form touch point: it needs z2 < 1 and
-    x2 > 0."""
-    return p.z2 >= 1.0 - 1e-9 or p.x2 <= tol.eq_tol
-
-
-def _weighted_on_bound(p: HullPoint, tol: Tolerances) -> bool:
-    """Whether X22 sits on its perspective bound within the band."""
-    return p.X22 * p.z2 - p.x2 * p.x2 <= tol.eq_tol * (1.0 + abs(p.X22))
-
-
-def _weighted_flat(p: HullPoint, tol: Tolerances) -> bool:
-    """Whether W or the X11 coefficient of family V fails to clear the zero
-    band."""
-    return w_shift(p) <= tol.eq_tol or x11_slope("V", p) <= tol.eq_tol
-
-
-def _touch_weighted(p: HullPoint, tol: Tolerances) -> HullPoint:
-    """Touching point for family V (cell R8)."""
-    e = tol.eq_tol
-    if _weighted_out_of_reach(p, tol):
-        raise NumericallyDegenerate(
-            "family V needs z2 < 1 and x2 > 0; no closed-form cut here"
-        )
-
-    def still_ok(c: HullPoint) -> bool:
-        return w_shift(c) > e and q_value("V", c) < -e
-
-    base = p
-    if _weighted_on_bound(p, tol):
-        base = _bump_X22(p, Region.R8, still_ok, tol)
-    if _weighted_flat(base, tol):
-        raise NumericallyDegenerate(
-            f"W = {w_shift(base)} or the X11 coefficient of family V is not positive"
-        )
-    return replace(base, X11=x11_root("V", base))
-
-
 def _plain_touch(p: HullPoint, family: str, tol: Tolerances) -> bool:
-    """Whether the touch point of family II, III or V is the X11 root at p
-    itself: no X22 bump and no guard of the touch functions.  (Without the
-    bump the II/III X11 coefficient clears the band, so the positive-
-    coefficient guard of :func:`_touch_shifted` cannot fire.)"""
-    if family == "V":
-        return not (
-            _weighted_out_of_reach(p, tol)
-            or _weighted_on_bound(p, tol)
-            or _weighted_flat(p, tol)
-        )
-    return not _shifted_on_bound(p, family, tol)
+    """Whether :func:`_touch` returns the X11 root at p itself: none of its
+    guards fires, so it neither bumps X22 nor raises.  The column path of
+    :func:`separate_batch` builds the touch points of these rows only."""
+    return not (_out_of_reach(p, family, tol) or _on_bound(p, family, tol) or _flat(p, family, tol))
 
 
 def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
@@ -275,7 +251,7 @@ def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
         z2=0.0 if z2e else p.z2,
     )
     family = "II" if z1e else "III"
-    return _touch_shifted(base, Region.R1, family, tol), family
+    return _touch(base, Region.R1, family, tol), family
 
 
 _OUTSIDE_CTILDE = "separation input must satisfy the relaxation"
@@ -285,8 +261,9 @@ _CUT_SYSTEMS = frozenset({"II.product", "III.product", "V.W-ineq", "edge.product
 
 def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     """Decide membership for a relaxation point; emit a violated supporting
-    cut (unit max-norm, with the X12 coefficient of :func:`copositive_x12`,
-    so it is valid on the whole vertex set) when the point is outside."""
+    cut (:meth:`Cut.normalized`: max-norm 1 or a few ulps below, with the X12
+    coefficient of :func:`copositive_x12`, so it is valid on the whole vertex
+    set) when the point is outside."""
     validate_point(p, tol)
     if not in_relaxation_ctilde(p, tol):
         raise InputOutsideCtilde(_OUTSIDE_CTILDE)
@@ -318,10 +295,7 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
             raise SeparationInvariantError(
                 f"unexpected violations {report.violated} in cell {region.value}"
             )
-        if family == "V":
-            touch = _touch_weighted(p, tol)
-        else:
-            touch = _touch_shifted(p, region, family, tol)
+        touch = _touch(p, region, family, tol)
     elif region is Region.R1 and "edge.product" in report.violated:
         touch, family = _touch_edge(p, tol)
     else:
@@ -462,7 +436,7 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
-    """The unit max-norm cuts of family II, III or V at the rows ``p``,
+    """The normalized cuts of family II, III or V at the rows ``p``,
     as (off, coeffs, constant, touch).  ``off`` marks the rows where
     :func:`separate` bumps X22 or a guard of the touch point, of
     :func:`_family_cut` or the final violation check fires; their other

@@ -281,8 +281,11 @@ class TestSeparateBatch:
         assert outcomes[10][:2] == ("cut", "R4")
         assert outcomes[21][:2] == outcomes[32][:2] == ("cut", "R1")
         assert outcomes[43] == ("error", "NumericallyDegenerate")
-        with pytest.raises(NumericallyDegenerate, match="z2 < 1"):
+        message = "^family V needs z2 < 1 and x2 > 0; no closed-form cut here$"
+        with pytest.raises(NumericallyDegenerate, match=message):
             separate_batch(rows).result(43)
+        with pytest.raises(NumericallyDegenerate, match=message):
+            separate(HullPoint.from_coords(rows[43]))
 
     def test_small_batches_go_row_by_row_with_the_same_results(self, gate_rows, monkeypatch):
         rows = np.concatenate([gate_rows["band"][:20], gate_rows["edge"][:20]])

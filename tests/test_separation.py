@@ -1,4 +1,7 @@
+import functools
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairhull.core
+from pairhull import separation
 from pairhull import (
     DEFAULT_TOL,
     HullPoint,
     Region,
+    Tolerances,
     classify,
     classify_batch,
     in_relaxation_ctilde,
@@ -22,17 +27,28 @@ from pairhull import (
     separate_batch,
 )
 from pairhull.columns import elementwise
+from pairhull.core import HullColumns
 from pairhull.errors import (
+    DegenerateGradient,
     InputOutsideCtilde,
     NotOnBoundary,
     NumericallyDegenerate,
     StrictDomainViolated,
 )
-from pairhull.families import FAMILY_BY_CELL
-from pairhull.separation import _family_cut, copositive_x12
+from pairhull.families import FAMILY_BY_CELL, x11_root
+from pairhull.separation import (
+    _family_cut,
+    _flat,
+    _on_bound,
+    _out_of_reach,
+    _plain_touch,
+    _touch,
+    copositive_x12,
+)
 from pairhull.verify import (
     SOUNDNESS_FLOOR,
     VIOLATION_FLOOR,
+    _shrunken_rows,
     s2_minimum,
     shrunken_nonmembers,
 )
@@ -298,8 +314,8 @@ class TestPsdSupportCut:
 # member_hull reports (member, region, violated, W, degenerate), their named
 # slacks and the separate outcome ("inside", or the cut coefficients, constant
 # and touch point) as float.hex, on non-members of each separating family,
-# both indicator edges, an X22 on the perspective bound in R4 and in R8 (the
-# touch point bumps X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
+# both indicator edges, an X22 on the perspective bound in R4, in R8 and on
+# the z1 edge (the touch point bumps X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
 # row a neighbouring piece (part IV) rescues and an uncovered non-member: a
 # change to the family formulas that moves a bit shows here.  The X12
 # coefficient is the one copositive_x12 leaves; at R5_nonmember and
@@ -393,6 +409,18 @@ CLOSED_FORM_PINS = [
      "-0x1.154f598ff21cbp-54 0x1.3333333333333p-2 0x1.999999999999ap-1 "
      "0x1.27695c29d9648p+15 0x1.6666666666666p-1 0x1.47ae29f47029ep+0 "
      "0x1.6666666666666p-1 0x1.0000000000000p-1"),
+    ("R1_edge_X22_on_persp_bound",
+     (0.0, 0.8, 1.0, 0.6,
+      1.0666666666666667, 0.0, 0.6),
+     (False, "R1", ("edge.product",), None, False),
+     "I.persp1=0x1.0000000000000p+0 I.persp2=-0x1.0000000000000p-52 "
+     "edge.product=-0x1.70a3d70a3d70ep-2",
+     "cut R1 0x1.dd37f568aaaaap-20 "
+     "-0x1.0000000000000p+0 0x1.4d9997c947d60p-40 -0x1.65e9f80e7fffep-20 "
+     "0x1.7ffffffffffffp-2 0x0.0p+0 0x1.5555555555556p-1 "
+     "0x1.13a8b2e5ddde4p-59 0x0.0p+0 0x1.999999999999ap-1 "
+     "0x1.499700009bbebp+18 0x1.3333333333333p-1 0x1.111122f65d784p+0 "
+     "0x0.0p+0 0x1.3333333333333p-1"),
     ("R8_small_W",
      (1.2, 0.9, 2.0571639826505126, 0.025585714285714288,
       2.6114999999999995, 0.7, 0.6),
@@ -498,9 +526,11 @@ class TestPinnedClosedForm:
             words += [float(v).hex() for v in values]
         assert " ".join(words) == outcome
 
-    @pytest.mark.parametrize("pin", ["R4_X22_on_persp_bound", "R8_X22_on_persp_bound"])
+    @pytest.mark.parametrize(
+        "pin", ["R4_X22_on_persp_bound", "R8_X22_on_persp_bound", "R1_edge_X22_on_persp_bound"]
+    )
     def test_touch_point_bumps_x22_off_the_perspective_bound(self, pin):
-        # X22 z2 = x2^2 at both pins: the touch point raises X22 by the base
+        # X22 z2 = x2^2 at these pins: the touch point raises X22 by the base
         # step max(1e-6, 1e-6 X22), which keeps the point in the closure of its cell (and in
         # R8 keeps W > 0 and q_V < 0), and is a member; the cut is violated
         coords = dict((name, c) for name, c, *_ in CLOSED_FORM_PINS)[pin]
@@ -540,3 +570,137 @@ class TestPinnedClosedForm:
                     values = (*cut.coeffs, cut.constant, *cut.touch.coords())
                     words += [float(v).hex() for v in values]
                 assert " ".join(words) == outcome
+
+
+#: Tolerance sets of the touch-point tests.
+TOUCH_TOLS = [DEFAULT_TOL, Tolerances(1e-12, 1e-10, 1e-8), Tolerances(1e-6, 1e-5, 1e-4)]
+#: The cell whose closure the touch point of each family keeps.
+TOUCH_REGION = {"II": Region.R4, "III": Region.R5, "V": Region.R8}
+#: Ways to push a row onto the edge of a guard of the touch point, each
+#: by a multiple k of eq_tol (of 1e-9 for z2).
+TOUCH_EDGES = ("none", "bound", "z2", "x2", "W", "slope")
+
+
+@functools.cache
+def _touch_rows() -> tuple[np.ndarray, tuple[str, ...]]:
+    """Shrunken non-members of every family and the family of each."""
+    rows = _shrunken_rows(np.random.default_rng(23), 240, DEFAULT_TOL)
+    return rows, tuple(FAMILY_BY_CELL[classify(HullPoint.from_coords(r)).value] for r in rows)
+
+
+def _pushed(row: np.ndarray, family: str, edge: str, k: float, tol) -> np.ndarray:
+    """row moved onto the edge of one guard, by k in units of the band."""
+    x1, x2, X11, X12, X22, z1, z2 = row
+    e = tol.eq_tol
+    z = z1 if family == "III" else z2
+    if edge == "bound":  # the gap of the perspective bound at k e (1 + X22)
+        gap = k * e * (1.0 + x2 * x2 / z)
+        X22 = (x2 * x2 + gap) / z2 if family == "V" else x2 * x2 / z + gap
+    elif edge == "z2":
+        z2 = min(1.0, 1.0 - k * 1e-9)
+    elif edge == "x2":
+        x2 = max(0.0, k * e)
+    elif edge == "W" and z1 + z2 - 1.0 > 0.0:  # W = k e
+        s = z1 + z2 - 1.0
+        X22 = (((s - k * e) * x2) ** 2 / ((1.0 - z1) * s) + x2 * x2) / z2
+    elif edge == "slope":  # the X11 coefficient at k e
+        if family == "V":
+            x2 = math.sqrt(max(k, 0.0) * e / (z1 * (1.0 - z2)))
+        else:
+            X22 = x2 * x2 / z + k * e
+    return np.array([x1, x2, X11, X12, max(X22, 0.0), z1, z2])
+
+
+@st.composite
+def _touch_batches(draw):
+    """(tol, family, rows): shrunken non-members of one family, some pushed
+    onto a guard edge."""
+    rows, families = _touch_rows()
+    tol = draw(st.sampled_from(TOUCH_TOLS))
+    family = draw(st.sampled_from(("II", "III", "V")))
+    mine = [i for i, f in enumerate(families) if f == family]
+    picks = draw(st.lists(
+        st.tuples(st.sampled_from(mine), st.sampled_from(TOUCH_EDGES),
+                  st.sampled_from((-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 4.0))),
+        min_size=1, max_size=24,
+    ))
+    return tol, family, np.array([_pushed(rows[i], family, edge, k, tol) for i, edge, k in picks])
+
+
+def _bump_forbidden(*args):
+    raise AssertionError("a plain touch point bumped X22")
+
+
+class TestTouch:
+    @settings(max_examples=150, deadline=None)
+    @given(_touch_batches())
+    def test_plain_touch_is_the_x11_root_on_both_paths(self, batch):
+        tol, family, rows = batch
+        with np.errstate(all="ignore"):  # the columns evaluate every guard on every row
+            columns = elementwise(_plain_touch)(HullColumns.of_rows(rows), family, tol)
+        with mock.patch.object(separation, "_bump_X22", _bump_forbidden):
+            for plain, row in zip(columns.tolist(), rows):
+                p = HullPoint.from_coords(row)
+                assert plain == _plain_touch(p, family, tol), row.tolist()
+                if plain:
+                    touch = _touch(p, TOUCH_REGION[family], family, tol)
+                    want = replace(p, X11=x11_root(family, p))
+                    assert [v.hex() for v in touch.coords()] == [v.hex() for v in want.coords()]
+
+    def test_pushed_rows_reach_every_guard(self):
+        # the first guard to fire, in the order of _plain_touch, is each
+        # guard on some pushed row of a family it can stop, and none on
+        # others (a II/III slope <= 0 is on the bound already)
+        rows, families = _touch_rows()
+        first = set()
+        for row, family in zip(rows[::8], families[::8]):
+            for edge in TOUCH_EDGES:
+                for k in (-1.0, 0.5, 1.5):
+                    p = HullPoint.from_coords(_pushed(row, family, edge, k, DEFAULT_TOL))
+                    guards = (_out_of_reach, _on_bound, _flat)
+                    name = next((g.__name__ for g in guards if g(p, family, DEFAULT_TOL)), "plain")
+                    assert (name == "plain") == _plain_touch(p, family, DEFAULT_TOL)
+                    first.add((name, family))
+        assert first == {("_on_bound", f) for f in ("II", "III", "V")} | {
+            ("plain", f) for f in ("II", "III", "V")} | {("_out_of_reach", "V"), ("_flat", "V")}
+
+    @pytest.mark.parametrize("coords, region, family, error, message", [
+        ((0.5, 1.0, 1.0, 0.0, 2.0, 0.7, 1.0 - 5e-10), Region.R8, "V", NumericallyDegenerate,
+         "family V needs z2 < 1 and x2 > 0; no closed-form cut here"),
+        ((0.5, 0.0, 1.0, 0.0, 2.0, 0.7, 0.6), Region.R8, "V", NumericallyDegenerate,
+         "family V needs z2 < 1 and x2 > 0; no closed-form cut here"),
+        ((0.5, 1.0, 1.0, 0.0, 2.0, 0.7, 1.0 - 1e-9), Region.R8, "V", NumericallyDegenerate,
+         "family V needs z2 < 1 and x2 > 0; no closed-form cut here"),
+        ((0.5, 1e-9, 1.0, 0.0, 2.0, 0.7, 0.6), Region.R8, "V", NumericallyDegenerate,
+         "family V needs z2 < 1 and x2 > 0; no closed-form cut here"),
+        ((0.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5), Region.R4, "II", DegenerateGradient,
+         "X11 coefficient of the boundary is not positive"),
+        ((1.0, 1.0, 2.0, 0.5, 3.0, 0.5, 0.5), Region.R8, "V", NumericallyDegenerate,
+         "W = 0.0 or the X11 coefficient of family V is not positive"),
+        ((1.0, 10**-3.5, 2.0, 0.5, (1e-6 + 1e-7) / 0.99, 0.99, 0.99), Region.R8, "V",
+         NumericallyDegenerate,
+         "W = 0.6669504831500292 or the X11 coefficient of family V is not positive"),
+        ((0.0, 1.0, 1.0, 0.5, 2.0, 0.3, 0.5), Region.R4, "II", DegenerateGradient,
+         "no X22 perturbation preserves the cell constraints"),
+        ((1.0, 1.0, 2.0, 0.5, 2.0, 0.5, 0.5), Region.R8, "V", DegenerateGradient,
+         "no X22 perturbation preserves the cell constraints"),
+    ], ids=["V_z2_near_one", "V_x2_zero", "V_z2_at_band", "V_x2_at_band", "II_slope_negative",
+            "V_W_zero", "V_slope_small", "II_no_bump", "V_no_bump"])
+    def test_guard_errors(self, coords, region, family, error, message):
+        # each outcome of _touch other than a touch point, on a point built
+        # for it: separate reaches none of them on sampled relaxation points
+        # (no cell R8 point has z2 >= 1 - 1e-9, and member_hull hands
+        # x2 <= eq_tol and W <= eq_tol to the oracle)
+        with pytest.raises(error) as info:
+            _touch(HullPoint(*coords), region, family, DEFAULT_TOL)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_bump_halves_until_w_clears_the_band(self):
+        # in R8 the bump keeps W > eq_tol: from this point on the perspective
+        # bound, W is below the band after each of the first five steps, so
+        # the sixth, 2^-5 of the base step, is taken (with every step let
+        # through the cell closure)
+        p = HullPoint(0.5, 1e-3, 0.501, 0.3, 1e-6 / 0.51, 0.5, 0.51)
+        with mock.patch.object(separation, "region_closure_contains", lambda *args: True):
+            touch = _touch(p, Region.R8, "V", DEFAULT_TOL)
+        assert touch.X22 == p.X22 + 1e-6 / 32
