@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     COORD_NAMES,
+    DEFAULT_TOL,
     HullColumns,
     HullPoint,
     Tolerances,
@@ -397,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hull membership, separation and verification for the "
         "two-variable indicator-quadratic set (JSON lines on stdin).",
     )
-    parser.add_argument("--eq-tol", type=float, default=1e-9, help="equality band")
-    parser.add_argument("--mem-tol", type=float, default=1e-8, help="membership slack")
+    tol = DEFAULT_TOL
+    parser.add_argument("--eq-tol", type=float, default=tol.eq_tol, help="equality band")
+    parser.add_argument("--mem-tol", type=float, default=tol.mem_tol, help="membership slack")
     parser.add_argument(
-        "--oracle-tol", type=float, default=1e-6, help="oracle objective slack"
+        "--oracle-tol", type=float, default=tol.oracle_tol, help="oracle objective slack"
     )
     parser.add_argument("--pretty", action="store_true", help="indent JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -420,11 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run randomized verification campaigns")
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--suite",
-        choices=["partition", "hull", "cuts", "oracle", "all"],
-        default="all",
-    )
+    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     return parser
 
 

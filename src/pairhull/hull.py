@@ -21,7 +21,6 @@ from .core import (
     Tolerances,
     decide_rows,
     persp_sq,
-    validate_point,
 )
 from .errors import NumericallyDegenerate, PairhullError
 from .families import (
@@ -212,7 +211,6 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
     no violated inequality.  Where W degenerates in R8 the numeric witness
     oracle decides and the report is flagged degenerate.
     """
-    validate_point(p, tol)
     region = classify(p, tol)
     slacks = w_val = None
     if region is not Region.NOT_COVERED:

@@ -27,7 +27,6 @@ from .core import (
     decide_rows,
     diff_of_products,
     in_relaxation_ctilde,
-    validate_point,
 )
 from .errors import (
     DegenerateGradient,
@@ -264,7 +263,6 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     cut (:meth:`Cut.normalized`: max-norm 1 or a few ulps below, with the X12
     coefficient of :func:`copositive_x12`, so it is valid on the whole vertex
     set) when the point is outside."""
-    validate_point(p, tol)
     if not in_relaxation_ctilde(p, tol):
         raise InputOutsideCtilde(_OUTSIDE_CTILDE)
     report: MembershipReport = member_hull(p, tol)
@@ -380,12 +378,13 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     :data:`~pairhull.core.COORD_NAMES` order, bit for bit.
 
     One :func:`~pairhull.hull.member_batch` decides membership; the touch
-    points, gradients, normalization and violation check of the family
-    II, III and V cuts run on columns.  The rows the columns do not settle
-    go through :func:`separate` one by one, which gives their result or
-    error: uncovered corners, rows the oracle decided, indicator edges,
-    touch points that need an X22 bump, rows where a guard of the touch
-    point or the cut fires.  Raises the error of :func:`separate` for the
+    points and gradients of the family II, III and V cuts run on columns,
+    family by family, and one pass over the rows of all families finishes
+    their cuts: normalization, X12 snap and violation check.  The rows the
+    columns do not settle go through :func:`separate` one by one, which
+    gives their result or error: uncovered corners, rows the oracle
+    decided, indicator edges, touch points that need an X22 bump, rows
+    where a guard of the touch point or the cut fires.  Raises the error of :func:`separate` for the
     first row outside the ambient domain.
     """
     cols = HullColumns.of_rows(rows)
@@ -397,7 +396,13 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
 
 def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) -> np.ndarray:
     """The column path of :func:`separate_batch` on validated columns: fill
-    ``out`` and return the mask of the rows left to :func:`separate`."""
+    ``out`` and return the mask of the rows left to :func:`separate`.
+
+    Each family builds the touch points and gradients of its own rows; one
+    pass over the rows of all families then normalizes, snaps and checks
+    their cuts.  A row is left where :func:`separate` bumps X22 or a guard
+    of the touch point, of :func:`_family_cut` or the final violation check
+    fires."""
     with np.errstate(all="ignore"):
         relaxed = elementwise(ctilde_holds)(cols, tol)
         for i in np.flatnonzero(~relaxed):
@@ -413,16 +418,36 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
         family = _FAMILY_OF_CODE[report.cell]
         left = ~report.member & (report.degenerate | (family == ""))
         left[list(report.errors)] = True
+        j = np.flatnonzero(~report.member & ~left)
+        p = sub.take(j)
+        table = p.table.copy()
+        grad = np.empty_like(table)
+        off = np.zeros(j.size, bool)
         for fam in ("II", "III", "V"):
-            j = np.flatnonzero((family == fam) & ~report.member & ~left)
-            if not j.size:
+            k = np.flatnonzero(family[j] == fam)
+            if not k.size:
                 continue
-            off, coeffs, constant, touch = _cut_columns(fam, sub.take(j), tol)
-            left[j[off]] = True
-            rows = idx[j[~off]]
-            out.coeffs[rows] = coeffs[~off]
-            out.constant[rows] = constant[~off]
-            out.touch[rows] = touch[~off]
+            q = p.take(k)
+            off[k] = ~elementwise(_plain_touch)(q, fam, tol)
+            table[2, k] = elementwise(x11_root)(fam, q)
+            touch = HullColumns(table[:, k])
+            off[k] |= elementwise(_off_boundary)(fam, touch, tol)
+            if fam == "V":
+                off[k] |= elementwise(w_root_vanishes)(touch)
+            grad[:, k] = elementwise(q_gradient)(fam, touch)
+        grad = np.ascontiguousarray(grad.T)
+        norm = np.max(np.abs(grad), axis=1)
+        off |= norm <= _FLAT_GRADIENT
+        touch_rows = np.ascontiguousarray(table.T)
+        constant = -row_dots(grad, touch_rows) / norm
+        coeffs = grad / norm[:, None]
+        coeffs[:, 3] = elementwise(copositive_x12)(*coeffs[:, 2:5].T)
+        off |= ~(row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
+        left[j[off]] = True
+        rows = idx[j[~off]]
+        out.coeffs[rows] = coeffs[~off]
+        out.constant[rows] = constant[~off]
+        out.touch[rows] = touch_rows[~off]
     scalar = np.zeros(len(cols), bool)
     scalar[idx[left]] = True
     return scalar
@@ -433,30 +458,6 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rounded as :func:`numpy.dot` rounds one pair of vectors (a sum over an
     axis rounds differently)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _cut_columns(family: str, p: HullColumns, tol: Tolerances):
-    """The normalized cuts of family II, III or V at the rows ``p``,
-    as (off, coeffs, constant, touch).  ``off`` marks the rows where
-    :func:`separate` bumps X22 or a guard of the touch point, of
-    :func:`_family_cut` or the final violation check fires; their other
-    values are not the results."""
-    off = ~elementwise(_plain_touch)(p, family, tol)
-    table = p.table.copy()
-    table[2] = elementwise(x11_root)(family, p)
-    touch = HullColumns(table)
-    off |= elementwise(_off_boundary)(family, touch, tol)
-    if family == "V":
-        off |= elementwise(w_root_vanishes)(touch)
-    grad = np.ascontiguousarray(elementwise(q_gradient)(family, touch).T)
-    norm = np.max(np.abs(grad), axis=1)
-    off |= norm <= _FLAT_GRADIENT
-    touch_rows = np.ascontiguousarray(table.T)
-    constant = -row_dots(grad, touch_rows) / norm
-    coeffs = grad / norm[:, None]
-    coeffs[:, 3] = elementwise(copositive_x12)(*coeffs[:, 2:5].T)
-    off |= ~(row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
-    return off, coeffs, constant, touch_rows
 
 
 def psd_support_cut(

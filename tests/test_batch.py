@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairhull.columns
 import pairhull.core
 from pairhull import hull
-from pairhull.core import HullPoint, in_relaxation_ctilde
+from pairhull.core import DEFAULT_TOL, HullPoint, in_relaxation_ctilde
 from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullError
 from pairhull.hull import member_batch, member_hull
 from pairhull.regions import CODE_OF, NOT_COVERED_CODE, Region, classify, classify_batch
 from pairhull.families import FAMILY_BY_CELL, q_gradient
-from pairhull.separation import separate, separate_batch
+from pairhull.separation import copositive_x12, separate, separate_batch
 from pairhull.verify import (
     _sample_hull_array,
     _sample_separable_array,
+    _shrunken_rows,
     ctilde_margin_points,
     sample_ctilde_points,
     shrunken_nonmembers,
@@ -286,6 +288,34 @@ class TestSeparateBatch:
             separate_batch(rows).result(43)
         with pytest.raises(NumericallyDegenerate, match=message):
             separate(HullPoint.from_coords(rows[43]))
+
+    def test_batches_of_one_family_or_all_finish_their_cuts_once(self, monkeypatch):
+        # a column batch of R8 rows alone and of R5 rows alone skips the
+        # families it lacks; a mixed batch, with the X22-bump pins of R4 and
+        # R8 that go to the scalar path, snaps the cuts of all its families
+        # in one call
+        rows = _shrunken_rows(np.random.default_rng(12), 3000, DEFAULT_TOL)
+        tags = np.array([tag.value for tag in classify_batch(rows)])
+        by_cell = {cell: rows[tags == cell][:64] for cell in ("R3", "R4", "R5", "R8")}
+        pins = [
+            (0.3, 0.8, 0.5, 0.7, 1.28, 0.7, 0.5),
+            (0.4573629335106726, 0.42313868973994073, 0.2637160410334129,
+             0.10703844896112873, 0.3479534118820882, 0.8175239086750108,
+             0.5145698953959609),
+        ]
+        mixed = np.concatenate([*(v[:32] for v in by_cell.values()), pins])
+        registry = pairhull.columns._COLUMN_OF
+        snap, calls = registry[copositive_x12], []
+        monkeypatch.setitem(registry, copositive_x12, lambda *a: calls.append(1) or snap(*a))
+        for block, cells in (
+            (by_cell["R8"], {"R8"}), (by_cell["R5"], {"R5"}), (mixed, set(by_cell))
+        ):
+            assert len(block) >= 64
+            for batch in (block, block[::-1]):
+                calls.clear()
+                outcomes = _assert_separate_batch_equals_scalar(batch)
+                assert len(calls) == 1
+                assert {o[:2] for o in outcomes} == {("cut", cell) for cell in cells}
 
     def test_small_batches_go_row_by_row_with_the_same_results(self, gate_rows, monkeypatch):
         rows = np.concatenate([gate_rows["band"][:20], gate_rows["edge"][:20]])
