@@ -13,8 +13,10 @@ every package function it calls replaced by that function's column
 version.  The scalar function itself is untouched and keeps its
 short-circuits.  A function whose scalar body cannot run on columns (an
 ``if`` on the point or a raise) registers a column body with
-:func:`column_version`; ``max`` and ``min`` of two values, ``math.sqrt``,
-``math.isinf`` and ``math.nextafter`` map to their numpy counterparts.
+:func:`column_version`; ``max`` and ``min`` of two values keep the builtins' choice on ties (the
+first argument, so ``min(-0.0, 0.0)`` is ``-0.0``) and on NaN;
+``math.sqrt``, ``math.isinf`` and ``math.nextafter`` map to their numpy
+counterparts.
 
 A conditional expression whose test is a plain ``bool`` (a flag of the
 caller, such as ``closed``) still picks one branch, so a body may switch
@@ -60,8 +62,16 @@ def _where(test, yes, no):
     return np.where(test, yes, no)
 
 
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)
+
+
 _MATH = types.SimpleNamespace(sqrt=np.sqrt, isinf=np.isinf, inf=math.inf, nextafter=np.nextafter)
-_BUILTINS = {"max": np.maximum, "min": np.minimum}
+_BUILTINS = {"max": _max, "min": _min}
 _HELPERS = {
     "_columns_and": _and,
     "_columns_or": _or,

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairhull.verify
@@ -130,6 +130,7 @@ def _cut_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_cut_rows(), min_size=1, max_size=16))
+@example([((0.0,) * 7, 0.0), ((0.0,) * 7, -0.0)])  # the sign of a tied zero
 def test_s2_minimum_matches_rational_minimum(cuts):
     # -inf exactly where the rational infimum is unbounded, else within a
     # few roundings of the terms it is built from, one by one and on columns
