@@ -5,80 +5,74 @@ The package decides membership in the closed convex hull of
 through an explicit piecewise description, generates violated supporting
 cuts for non-members, and ships an independent numeric oracle for
 verification.
+
+The public names are imported from their submodules on first access, so
+``import pairhull`` loads no submodule and a command of the CLI loads only
+the modules it calls.
 """
 
-from .core import (
-    COORD_NAMES,
-    DEFAULT_TOL,
-    HullColumns,
-    HullPoint,
-    Tolerances,
-    in_relaxation_ctilde,
-    persp_sq,
-    validate_point,
-)
-from .hull import (
-    MembershipBatch,
-    MembershipReport,
-    member_batch,
-    member_hull,
-    piece_slacks,
-)
-from .oracle import (
-    OracleWitness,
-    oracle_member,
-    oracle_members,
-    oracle_objective,
-)
-from .regions import (
-    PartitionAuditReport,
-    Region,
-    classify,
-    classify_batch,
-    region_partition_audit,
-)
-from .separation import (
-    Cut,
-    SeparationBatch,
-    SeparationResult,
-    psd_support_cut,
-    q_gradient,
-    q_value,
-    separate,
-    separate_batch,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COORD_NAMES",
-    "DEFAULT_TOL",
-    "Cut",
-    "HullColumns",
-    "HullPoint",
-    "MembershipBatch",
-    "SeparationBatch",
-    "MembershipReport",
-    "OracleWitness",
-    "PartitionAuditReport",
-    "Region",
-    "SeparationResult",
-    "Tolerances",
-    "classify",
-    "classify_batch",
-    "in_relaxation_ctilde",
-    "member_batch",
-    "member_hull",
-    "oracle_member",
-    "oracle_members",
-    "oracle_objective",
-    "persp_sq",
-    "piece_slacks",
-    "psd_support_cut",
-    "q_gradient",
-    "q_value",
-    "region_partition_audit",
-    "separate",
-    "separate_batch",
-    "validate_point",
-]
+#: The submodule that defines each public name.
+_SUBMODULE_OF = {
+    name: module
+    for module, names in {
+        "core": (
+            "COORD_NAMES",
+            "DEFAULT_TOL",
+            "HullColumns",
+            "HullPoint",
+            "Tolerances",
+            "in_relaxation_ctilde",
+            "persp_sq",
+            "validate_point",
+        ),
+        "hull": (
+            "MembershipBatch",
+            "MembershipReport",
+            "member_batch",
+            "member_hull",
+            "piece_slacks",
+        ),
+        "oracle": (
+            "OracleWitness",
+            "oracle_member",
+            "oracle_members",
+            "oracle_objective",
+        ),
+        "regions": (
+            "PartitionAuditReport",
+            "Region",
+            "classify",
+            "classify_batch",
+            "region_partition_audit",
+        ),
+        "separation": (
+            "Cut",
+            "SeparationBatch",
+            "SeparationResult",
+            "psd_support_cut",
+            "q_gradient",
+            "q_value",
+            "separate",
+            "separate_batch",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_SUBMODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

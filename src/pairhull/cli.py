@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 import numpy as np
 
@@ -28,11 +28,13 @@ from .core import (
     in_ambient_box,
 )
 from .errors import PairhullError
-from .hull import MembershipBatch, MembershipReport, member_batch
-from .oracle import oracle_members
 from .regions import CELLS, classify_batch
-from .separation import SeparationBatch, separate_batch
-from .verify import SUITES
+
+# hull, oracle, separation and verify are imported by the commands that
+# call them, so a process that only classifies never loads them
+if TYPE_CHECKING:
+    from .hull import MembershipBatch, MembershipReport
+    from .separation import SeparationBatch
 
 #: Characters (of a text stream) or bytes (of a binary stdin) asked of one
 #: read.  A chunk is the complete lines one read returns, so a caller that
@@ -285,6 +287,8 @@ def _plain_member_lines(batch: MembershipBatch, n: int) -> str:
 
 
 def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
+    from .hull import member_batch
+
     for rows in _read_rows(stdin, tol):
         batch = member_batch(rows, tol)
         n = min(batch.errors, default=len(batch))
@@ -307,6 +311,8 @@ def _answer_oracle(
 ) -> None:
     """Decide the closed-form records of a chunk of `member --oracle` lines
     in one oracle pass and write them in input order."""
+    from .oracle import oracle_members
+
     points = [HullPoint(*row) for row in rows.tolist()]
     for rec, res in zip(recs, oracle_members(points, tol)):
         if isinstance(res, PairhullError):
@@ -361,6 +367,8 @@ def _separate_lines(batch: SeparationBatch, lo: int, hi: int, formats: np.ndarra
 
 
 def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
+    from .separation import separate_batch
+
     formats = _record_formats(args.pretty)
     for rows in _read_rows(stdin, tol):
         batch = separate_batch(rows, tol)
@@ -377,6 +385,8 @@ def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
 
 
 def _cmd_verify(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
+    from .verify import SUITES
+
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
@@ -422,7 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run randomized verification campaigns")
     verify.add_argument("--trials", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--suite", choices=[*SUITES, "all"], default="all")
+    # the names of verify.SUITES, written out so that building the parser
+    # does not import verify (a test keeps them equal)
+    verify.add_argument(
+        "--suite", choices=("partition", "hull", "cuts", "oracle", "all"), default="all"
+    )
     return parser
 
 

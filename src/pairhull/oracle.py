@@ -413,7 +413,7 @@ def oracle_member(
     X12 = 0 face and the z = 0 edges are decided by the closed-form module.
     This is the batch of one of :func:`oracle_members`, which shares the
     numpy calls among many points: on 16 margin points the search costs
-    about 0.65 ms per point, 0.08 ms of it the coarse pass, against 3.5 ms
+    1.7-2.6 ms per point, 0.2-0.3 ms of it the coarse pass, against 7-12 ms
     for one point alone (2-core x86-64, Python 3.11, numpy 2.4).
     """
     (res,) = oracle_members([p], tol, zoom_rounds)

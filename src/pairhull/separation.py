@@ -174,13 +174,18 @@ def _family_cut(family: str, touch: HullPoint, tol: Tolerances) -> Cut:
 def _out_of_reach(p: HullPoint, family: str, tol: Tolerances) -> bool:
     """Whether the family has no closed-form touch point at p: family V
     needs z2 < 1 and x2 > 0, II and III always have one."""
-    return family == "V" and (p.z2 >= 1.0 - 1e-9 or p.x2 <= tol.eq_tol)
+    if family == "V":
+        return p.z2 >= 1.0 - 1e-9 or p.x2 <= tol.eq_tol
+    return False
 
 
 def _on_bound(p: HullPoint, family: str, tol: Tolerances) -> bool:
     """Whether X22 sits on its perspective bound within the band: the gap
     X22 z2 - x2^2 for family V, the X11 coefficient of q for II and III."""
-    gap = p.X22 * p.z2 - p.x2 * p.x2 if family == "V" else x11_slope(family, p)
+    if family == "V":
+        gap = p.X22 * p.z2 - p.x2 * p.x2
+    else:
+        gap = x11_slope(family, p)
     return gap <= tol.eq_tol * (1.0 + abs(p.X22))
 
 
@@ -229,6 +234,9 @@ def _plain_touch(p: HullPoint, family: str, tol: Tolerances) -> bool:
     """Whether :func:`_touch` returns the X11 root at p itself: none of its
     guards fires, so it neither bumps X22 nor raises.  The column path of
     :func:`separate_batch` builds the touch points of these rows only."""
+    if family != "V":
+        # an X11 coefficient above the band is positive, so not flat
+        return not _on_bound(p, family, tol)
     return not (_out_of_reach(p, family, tol) or _on_bound(p, family, tol) or _flat(p, family, tol))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -385,6 +386,65 @@ class TestPackage:
 
         assert [n for n in pairhull.__all__ if not hasattr(pairhull, n)] == []
         assert len(set(pairhull.__all__)) == len(pairhull.__all__)
+
+    def test_exported_names_listed_and_star_imported(self):
+        import pairhull
+
+        assert set(pairhull.__all__) <= set(dir(pairhull))
+        scope: dict = {}
+        exec("from pairhull import *", scope)
+        assert {n: scope[n] for n in pairhull.__all__} == {
+            n: getattr(pairhull, n) for n in pairhull.__all__
+        }
+
+    def test_unknown_attribute_raises(self):
+        import pairhull
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pairhull.no_such_name
+
+    def test_suite_choices_are_the_verify_suites(self):
+        from pairhull.verify import SUITES
+
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+        assert list(suite.choices) == [*SUITES, "all"]
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The ``pairhull`` modules a fresh interpreter holds after ``code``."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'pairhull'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return set(out.stdout.split())
+
+
+class TestStartup:
+    """Each command imports only the modules it calls, so a process that
+    answers one query pays for no others at start."""
+
+    BASE = {"pairhull", "pairhull.cli", "pairhull.columns", "pairhull.core",
+            "pairhull.errors", "pairhull.regions"}
+    MEMBER = BASE | {"pairhull.families", "pairhull.hull", "pairhull.oracle"}
+
+    @pytest.mark.parametrize("command, modules", [
+        ("classify", BASE),
+        ("member", MEMBER),
+        ("separate", MEMBER | {"pairhull.separation"}),
+    ])
+    def test_command_loads_only_its_modules(self, command, modules):
+        code = (
+            "import io\nfrom pairhull import cli\n"
+            f"out = io.StringIO()\nassert cli.main([{command!r}], io.StringIO({R4_LINE!r}), out) == 0\n"
+            "assert out.getvalue().count(chr(10)) == 1"
+        )
+        assert _loaded_modules(code) == modules
+
+    def test_package_import_loads_no_submodule(self):
+        assert _loaded_modules("import pairhull") == {"pairhull"}
 
 
 class TestVerify:
