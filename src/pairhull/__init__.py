@@ -53,7 +53,6 @@ _SUBMODULE_OF = {
             "Cut",
             "SeparationBatch",
             "SeparationResult",
-            "psd_support_cut",
             "q_gradient",
             "q_value",
             "separate",

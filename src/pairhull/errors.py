@@ -33,13 +33,5 @@ class InfeasibleWitness(PairhullError):
     """Witness triple violates the witness-problem constraints beyond tolerance."""
 
 
-class NotOnBoundary(PairhullError):
-    """PSD support cut requested at a point that is not on the PSD boundary."""
-
-
-class StrictDomainViolated(PairhullError):
-    """PSD support cut requested where the strict side conditions fail."""
-
-
 class SeparationInvariantError(PairhullError):
     """A region that should never carry a violated system did; numeric diagnostic."""

@@ -31,11 +31,9 @@ from .core import (
 from .errors import (
     DegenerateGradient,
     InputOutsideCtilde,
-    NotOnBoundary,
     NumericallyDegenerate,
     PairhullError,
     SeparationInvariantError,
-    StrictDomainViolated,
 )
 from .families import (
     FAMILY_BY_CELL,
@@ -112,9 +110,9 @@ class Cut:
     """Affine inequality coeffs . p + constant >= 0 supporting the hull.
 
     ``coeffs`` follows the canonical coordinate order and is zero at the
-    touching point by construction.  The cuts of :func:`separate` and
-    :func:`psd_support_cut` have a copositive quadratic part
-    (:func:`copositive_x12`), so they are bounded below on the vertex set.
+    touching point by construction.  The cuts of :func:`separate` have a
+    copositive quadratic part (:func:`copositive_x12`), so they are bounded
+    below on the vertex set.
     """
 
     coeffs: np.ndarray
@@ -466,62 +464,3 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rounded as :func:`numpy.dot` rounds one pair of vectors (a sum over an
     axis rounds differently)."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def psd_support_cut(
-    p6: tuple[float, float, float, float, float, float],
-    tol: Tolerances = DEFAULT_TOL,
-) -> Cut:
-    """Support cut of the 3x3 PSD moment block at a singular boundary point.
-
-    ``p6`` is (xi, xj, Xii, Xij, Xjj, zi).  The matrix must be PSD with a
-    zero eigenvalue within the band and the strict side conditions
-    Xij zi > xi xj, Xjj xi > Xij xj, xi, xj > 0, 0 < zi < 1 must hold.  The
-    cut is v^T M(.) v >= 0 for a null vector v, affine in the six
-    coordinates and supporting the hull.
-    """
-    xi, xj, Xii, Xij, Xjj, zi = (float(v) for v in p6)
-    e = tol.eq_tol
-    if not (
-        Xij * zi > xi * xj + e
-        and Xjj * xi > Xij * xj + e
-        and xi > e
-        and xj > e
-        and e < zi < 1.0 - e
-    ):
-        raise StrictDomainViolated(
-            "strict side conditions for the PSD support cut do not hold"
-        )
-    m = np.array([[zi, xi, xj], [xi, Xii, Xij], [xj, Xij, Xjj]])
-    evals, evecs = np.linalg.eigh(m)
-    scale = 1.0 + float(np.abs(m).max())
-    if evals[0] < -e * scale:
-        raise NotOnBoundary(f"matrix has a negative eigenvalue {evals[0]}")
-    if evals[0] > e * scale:
-        raise NotOnBoundary(f"matrix is nonsingular: smallest eigenvalue {evals[0]}")
-    v0, v1, v2 = (float(c) for c in evecs[:, 0])
-    coeffs = np.array(
-        [
-            2.0 * v0 * v1,  # x1
-            2.0 * v0 * v2,  # x2
-            v1 * v1,  # X11
-            copositive_x12(v1 * v1, 2.0 * v1 * v2, v2 * v2),  # X12
-            v2 * v2,  # X22
-            v0 * v0,  # z1
-            0.0,  # z2
-        ]
-    )
-    touch = HullPoint(xi, xj, Xii, Xij, Xjj, zi, 1.0)
-    return Cut(coeffs, 0.0, touch)
-
-
-__all__ = [
-    "Cut",
-    "SeparationResult",
-    "SeparationBatch",
-    "separate_batch",
-    "q_value",
-    "q_gradient",
-    "separate",
-    "psd_support_cut",
-]

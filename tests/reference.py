@@ -2,16 +2,16 @@
 
 None of these is called by the package: the closed-form optimizer of the
 witness problem per cell (the oracle's closed-form cross-check), the PSD
-test of a symmetric 3x3 by minors, the two relaxations the hull
-strengthens, the eight cell systems of one point evaluated independently,
-the boundary points of one separating family, the one-candidate-at-a-time
-loop that drew the cuts suite's shrunken non-members (with its candidate
-builder and relaxation bound on X11, which the boundary points share), the
-masked vertex sampler and the convex combinations built on it, the
-separable sampler drawn one coordinate per call, the rational
-copositivity test and minimum over the vertex set of a cut, and the
-per-query loop of the cuts suite with that minimum as its exact
-certificate.
+test of a symmetric 3x3 by minors, singular PSD moment blocks drawn as
+Gram matrices, the two relaxations the hull strengthens, the eight cell
+systems of one point evaluated independently, the boundary points of one
+separating family, the one-candidate-at-a-time loop that drew the cuts
+suite's shrunken non-members (with its candidate builder and relaxation
+bound on X11, which the boundary points share), the masked vertex
+sampler and the convex combinations built on it, the separable sampler
+drawn one coordinate per call, the rational copositivity test and
+minimum over the vertex set of a cut, and the per-query loop of the cuts
+suite with that minimum as its exact certificate.
 """
 
 from __future__ import annotations
@@ -133,6 +133,24 @@ def psd3_by_minors(
     if m1 < -e or m2 < -e:
         return False
     return m1 * m2 - (a11 * a23 - a12 * a13) ** 2 >= -e
+
+
+def gram_boundary_blocks(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Singular PSD moment blocks [[zi, xi, xj], [xi, Xii, Xij], [xj, Xij, Xjj]]:
+    Gram matrices g^T g of 2x3 normal draws, kept where 0.02 < zi < 0.98,
+    xi, xj > 0.02, and Xij zi > xi xj and Xjj xi > Xij xj by more than 1e-6."""
+    out: list[np.ndarray] = []
+    while len(out) < n:
+        g = rng.normal(size=(2, 3))
+        m = g.T @ g
+        zi, xi, xj = m[0, 0], m[0, 1], m[0, 2]
+        Xii, Xij, Xjj = m[1, 1], m[1, 2], m[2, 2]
+        if not (0.02 < zi < 0.98 and xi > 0.02 and xj > 0.02):
+            continue
+        if Xij * zi <= xi * xj + 1e-6 or Xjj * xi <= Xij * xj + 1e-6:
+            continue
+        out.append(np.array([[zi, xi, xj], [xi, Xii, Xij], [xj, Xij, Xjj]]))
+    return out
 
 
 def persp_relaxation_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -3,8 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every line.
 """
 
-import math
-
 import numpy as np
 
 from pairhull import (
@@ -14,7 +12,6 @@ from pairhull import (
     in_relaxation_ctilde,
     member_hull,
     oracle_member,
-    psd_support_cut,
     q_gradient,
     q_value,
     separate,
@@ -24,7 +21,6 @@ from pairhull.verify import (
     run_hull_suite,
     run_oracle_suite,
     run_partition_suite,
-    s2_minimum,
 )
 from reference import (
     family_touch_points,
@@ -159,36 +155,4 @@ def test_criterion_7_psd_minor_equivalence():
         "7 psd-minor-equivalence",
         disagreements == 0,
         f"checked={checked} disagreements={disagreements}",
-    )
-
-
-def test_criterion_8_psd_support_cuts():
-    rng = np.random.default_rng(20240808)
-    built = 0
-    worst_tight = 0.0
-    worst_sound = math.inf
-    while built < 100:
-        g = rng.normal(size=(2, 3))
-        m = g.T @ g
-        p6 = (m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2], m[0, 0])
-        xi, xj, Xii, Xij, Xjj, zi = p6
-        if not (
-            0.02 < zi < 0.98
-            and xi > 0.02
-            and xj > 0.02
-            and Xij * zi > xi * xj + 1e-6
-            and Xjj * xi > Xij * xj + 1e-6
-        ):
-            continue
-        cut = psd_support_cut(p6)
-        worst_tight = max(worst_tight, abs(cut.evaluate(cut.touch)))
-        low = s2_minimum(HullPoint.from_coords(cut.coeffs), cut.constant)
-        worst_sound = min(worst_sound, low)
-        built += 1
-    ok = worst_tight <= 1e-9 and worst_sound >= -1e-8
-    verdict(
-        "8 psd-support-cuts",
-        ok,
-        f"instances={built} worst_tightness={worst_tight:.2e} (<=1e-9) "
-        f"worst_soundness={worst_sound:.2e} (>=-1e-8)",
     )

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -20,12 +21,19 @@ from pairhull.verify import ctilde_margin_points, shrunken_nonmembers
 R4_LINE = '{"x":[0.1,1],"X":[[1,1.2],[1.2,2.5]],"z":[0.5,0.5]}'
 R1_LINE = '{"x":[0.5,0.5],"X":[[0.5,0.5],[0.5,0.5]],"z":[0.5,0.5]}'
 OUTSIDE_LINE = '{"x":[1,1],"X":[[1,1],[1,1]],"z":[0.5,0.5]}'
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "pairhull"
 
 
 def run_cli(args, text):
     out = io.StringIO()
     code = main(args, stdin=io.StringIO(text), stdout=out)
     return code, out.getvalue()
+
+
+def _nodes(files):
+    """Every AST node of the Python sources ``files``."""
+    for f in files:
+        yield from ast.walk(ast.parse(Path(f).read_text(), str(f)))
 
 
 class TestClassify:
@@ -402,6 +410,36 @@ class TestPackage:
 
         with pytest.raises(AttributeError, match="no_such_name"):
             pairhull.no_such_name
+
+    def test_every_exported_name_has_a_caller(self):
+        # a public name that only tests call should go: each one is read in
+        # a module of the package other than pairhull/__init__.py, or in the
+        # reference formulas the tests compare against
+        import pairhull
+
+        files = [f for f in PACKAGE_DIR.glob("*.py") if f.name != "__init__.py"]
+        used = set()
+        for node in _nodes([*files, Path(__file__).with_name("reference.py")]):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        assert sorted(set(pairhull.__all__) - used) == []
+
+    def test_every_package_error_is_raised(self):
+        from pairhull import errors
+
+        raised = set()
+        for node in _nodes(PACKAGE_DIR.glob("*.py")):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+        defined = {
+            name for name, v in vars(errors).items()
+            if isinstance(v, type) and issubclass(v, errors.PairhullError)
+            and v is not errors.PairhullError
+        }
+        assert sorted(defined - raised) == []
 
     def test_suite_choices_are_the_verify_suites(self):
         from pairhull.verify import SUITES

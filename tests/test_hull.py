@@ -15,7 +15,12 @@ from pairhull import (
 )
 from pairhull.errors import NotInAmbientBox
 from pairhull.verify import _point_dict, _sample_hull_array, run_hull_suite
-from reference import persp_relaxation_member, psd3_by_minors, rankone_member
+from reference import (
+    gram_boundary_blocks,
+    persp_relaxation_member,
+    psd3_by_minors,
+    rankone_member,
+)
 
 
 def psd_by_char_coefficients(m: np.ndarray, band: float = 1e-9) -> bool:
@@ -187,13 +192,17 @@ class TestRelaxationOrdering:
 
     def test_members_pass_all_relaxations(self):
         rng = np.random.default_rng(23)
-        for k in (1, 2, 4, 8):
-            for row in _sample_hull_array(rng, 300, k):
-                p = HullPoint.from_coords(row)
-                assert member_hull(p).member
-                assert persp_relaxation_member(p)
-                assert rankone_member(p)
-                assert in_relaxation_ctilde(p)
+        rows = [row for k in (1, 2, 4, 8) for row in _sample_hull_array(rng, 300, k)]
+        # the completion z2 = 1 of a singular PSD moment block
+        # [[z1, x1, x2], [x1, X11, X12], [x2, X12, X22]]
+        for m in gram_boundary_blocks(np.random.default_rng(66), 50):
+            rows.append((m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2], m[0, 0], 1.0))
+        for row in rows:
+            p = HullPoint.from_coords(row)
+            assert member_hull(p).member
+            assert persp_relaxation_member(p)
+            assert rankone_member(p)
+            assert in_relaxation_ctilde(p)
 
     def test_persp_relaxation_examples(self):
         assert persp_relaxation_member(HullPoint(1, 1, 1, 1, 1, 1, 1))

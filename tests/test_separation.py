@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pairhull.core
@@ -20,7 +20,6 @@ from pairhull import (
     in_relaxation_ctilde,
     member_batch,
     member_hull,
-    psd_support_cut,
     q_gradient,
     q_value,
     separate,
@@ -31,9 +30,7 @@ from pairhull.core import HullColumns
 from pairhull.errors import (
     DegenerateGradient,
     InputOutsideCtilde,
-    NotOnBoundary,
     NumericallyDegenerate,
-    StrictDomainViolated,
 )
 from pairhull.families import FAMILY_BY_CELL, x11_root
 from pairhull.separation import (
@@ -52,7 +49,12 @@ from pairhull.verify import (
     s2_minimum,
     shrunken_nonmembers,
 )
-from reference import exact_copositive, exact_s2_minimum, family_touch_points
+from reference import (
+    exact_copositive,
+    exact_s2_minimum,
+    family_touch_points,
+    gram_boundary_blocks,
+)
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 
@@ -179,9 +181,21 @@ def _x12_rows(draw):
     return a, draw(st.just(b) | st.floats(-2.0, 2.0)), c
 
 
+def _rank_one_rows() -> list[tuple[float, float, float]]:
+    """(v1^2, 2 v1 v2, v2^2) at the least eigenvector v of 2000 singular
+    Gram blocks (rng 64): the X11, X12 and X22 coefficients of the PSD cut
+    v^T M v >= 0, of which 957 round past the copositive edge."""
+    rows = []
+    for m in gram_boundary_blocks(np.random.default_rng(64), 2000):
+        v = np.linalg.eigh(m)[1][:, 0]
+        rows.append((float(v[1] * v[1]), float(2.0 * v[1] * v[2]), float(v[2] * v[2])))
+    return rows
+
+
 class TestCopositiveX12:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_x12_rows(), min_size=1, max_size=16))
+    @example(_rank_one_rows())
     def test_fewest_ulps_to_an_exactly_copositive_form(self, rows):
         a, b, c = np.array(rows).T
         with np.errstate(invalid="ignore"):  # sqrt of a negative a or c
@@ -250,65 +264,6 @@ class TestIndicatorEdgeSeparation:
         # bound: x1^2/z1 + X12^2 / X22 = 2 + 1.44
         assert res.cut.touch.X11 == pytest.approx(2.0 + 1.44, abs=1e-12)
         assert_supports_s2(res.cut)
-
-
-class TestPsdSupportCut:
-    @staticmethod
-    def _boundary_instance(rng):
-        while True:
-            g = rng.normal(size=(2, 3))
-            m = g.T @ g
-            zi, xi, xj = m[0, 0], m[0, 1], m[0, 2]
-            Xii, Xij, Xjj = m[1, 1], m[1, 2], m[2, 2]
-            if not 0.02 < zi < 0.98:
-                continue
-            if xi <= 0.02 or xj <= 0.02:
-                continue
-            if Xij * zi <= xi * xj + 1e-6 or Xjj * xi <= Xij * xj + 1e-6:
-                continue
-            return (xi, xj, Xii, Xij, Xjj, zi), m, g
-
-    def test_gram_instance_yields_tight_valid_cut(self):
-        rng = np.random.default_rng(64)
-        for _ in range(30):
-            p6, m, g = self._boundary_instance(rng)
-            cut = psd_support_cut(p6)
-            assert abs(cut.evaluate(cut.touch)) <= 1e-9
-            assert_supports_s2(cut)
-            # null vector cross-check: the cut coefficients reproduce
-            # v^T M v with v the cross product of the two Gram rows
-            v = np.cross(g[0], g[1])
-            v /= np.linalg.norm(v)
-            quad = float(v @ m @ v)
-            assert abs(quad) <= 1e-9
-
-    def test_every_cut_is_exactly_copositive(self):
-        # 2 v1 v2 rounded past the copositive edge on 957 of these cuts,
-        # which left them unbounded below on the vertex set
-        rng = np.random.default_rng(64)
-        for _ in range(2000):
-            assert_supports_s2(psd_support_cut(self._boundary_instance(rng)[0]))
-
-    def test_interior_point_rejected(self):
-        m = np.eye(3)
-        m[0, 0] = 0.5
-        m[0, 1] = m[1, 0] = 0.2
-        with pytest.raises((NotOnBoundary, StrictDomainViolated)):
-            psd_support_cut((0.2, 0.1, 1.0, 0.9, 1.0, 0.5))
-
-    def test_strict_domain_violation_rejected(self):
-        rng = np.random.default_rng(65)
-        g = rng.normal(size=(2, 3))
-        m = g.T @ g
-        # force the first strict condition to fail by swapping coordinates
-        with pytest.raises(StrictDomainViolated):
-            psd_support_cut((m[0, 1], m[0, 2], m[1, 1], 0.0, m[2, 2], m[0, 0] % 0.9 + 0.05))
-
-    def test_touch_completion_is_member(self):
-        rng = np.random.default_rng(66)
-        p6, _, _ = self._boundary_instance(rng)
-        cut = psd_support_cut(p6)
-        assert member_hull(cut.touch).member
 
 
 # member_hull reports (member, region, violated, W, degenerate), their named
