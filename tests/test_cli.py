@@ -441,6 +441,16 @@ class TestPackage:
         }
         assert sorted(defined - raised) == []
 
+    def test_only_the_package_lists_its_api(self):
+        # pairhull.__all__ is the one API list; a submodule list goes stale
+        assigned = [
+            f.name for f in PACKAGE_DIR.glob("*.py") if f.name != "__init__.py"
+            for node in _nodes([f]) if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for t in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(t, ast.Name) and t.id == "__all__"
+        ]
+        assert assigned == []
+
     def test_suite_choices_are_the_verify_suites(self):
         from pairhull.verify import SUITES
 

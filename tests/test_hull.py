@@ -9,6 +9,7 @@ from pairhull import (
     Region,
     classify,
     in_relaxation_ctilde,
+    member_batch,
     member_hull,
     piece_slacks,
     Tolerances,
@@ -101,6 +102,16 @@ class TestPsdByMinors:
             assert not psd3_by_minors(m6_down)
             assert not psd_by_char_coefficients(as_matrix(m6_down))
 
+    def test_singular_gram_boundary_blocks(self):
+        # rank-two Gram blocks: the least eigenvalue is zero up to rounding,
+        # the minors accept the block and reject it shifted down by 1e-6
+        for m in gram_boundary_blocks(np.random.default_rng(64), 200):
+            assert abs(float(np.linalg.eigvalsh(m)[0])) <= 1e-12 * float(np.abs(m).max())
+            m6 = (m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
+            assert psd3_by_minors(m6)
+            down = m - 1e-6 * np.eye(3)
+            assert not psd3_by_minors((down[0, 0], m[0, 1], m[0, 2], down[1, 1], m[1, 2], down[2, 2]))
+
     def test_agreement_with_char_coefficient_oracle(self):
         rng = np.random.default_rng(11)
         checked = 0
@@ -192,14 +203,28 @@ class TestRelaxationOrdering:
 
     def test_members_pass_all_relaxations(self):
         rng = np.random.default_rng(23)
-        rows = [row for k in (1, 2, 4, 8) for row in _sample_hull_array(rng, 300, k)]
+        for k in (1, 2, 4, 8):
+            for row in _sample_hull_array(rng, 300, k):
+                p = HullPoint.from_coords(row)
+                assert member_hull(p).member
+                assert persp_relaxation_member(p)
+                assert rankone_member(p)
+                assert in_relaxation_ctilde(p)
+
+    def test_singular_block_completions_are_members(self):
         # the completion z2 = 1 of a singular PSD moment block
-        # [[z1, x1, x2], [x1, X11, X12], [x2, X12, X22]]
-        for m in gram_boundary_blocks(np.random.default_rng(66), 50):
-            rows.append((m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2], m[0, 0], 1.0))
-        for row in rows:
+        # [[z1, x1, x2], [x1, X11, X12], [x2, X12, X22]]; the first is the
+        # touch point the retired PSD support cut built from rng 66
+        rows = np.array([
+            (m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2], m[0, 0], 1.0)
+            for m in gram_boundary_blocks(np.random.default_rng(66), 50)
+        ])
+        batch = member_batch(rows)
+        assert batch.member.all() and not batch.errors
+        for i, row in enumerate(rows):
             p = HullPoint.from_coords(row)
-            assert member_hull(p).member
+            rep = member_hull(p)
+            assert rep.member and batch.report(i).region is rep.region
             assert persp_relaxation_member(p)
             assert rankone_member(p)
             assert in_relaxation_ctilde(p)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairhull.core
@@ -195,8 +195,16 @@ def _rank_one_rows() -> list[tuple[float, float, float]]:
 class TestCopositiveX12:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_x12_rows(), min_size=1, max_size=16))
-    @example(_rank_one_rows())
     def test_fewest_ulps_to_an_exactly_copositive_form(self, rows):
+        self._assert_fewest_ulps(rows)
+
+    def test_gram_rank_one_forms(self):
+        # 957 of these rounded past the copositive edge as the cuts of the
+        # retired PSD support cut, which left them unbounded below on S2
+        self._assert_fewest_ulps(_rank_one_rows())
+
+    @staticmethod
+    def _assert_fewest_ulps(rows):
         a, b, c = np.array(rows).T
         with np.errstate(invalid="ignore"):  # sqrt of a negative a or c
             columns = elementwise(copositive_x12)(a, b, c)
