@@ -326,6 +326,7 @@ def _answer_oracle(
                 "lambda4": wit.lambda4,
             }
             rec["objective"] = None if math.isinf(wit.objective) else wit.objective
+            rec["lower"] = None if math.isinf(wit.lower) else wit.lower
         _dump(rec, stdout, pretty)
 
 

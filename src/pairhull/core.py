@@ -25,7 +25,9 @@ class Tolerances:
 
     ``eq_tol`` bounds equality/strictness bands in region tests, ``mem_tol``
     bounds membership slacks, ``oracle_tol`` bounds the numeric oracle's
-    objective gap.  They must be positive and nested.
+    objective gap.  They must be positive and nested, except that
+    ``oracle_tol`` may be 0, which compares the oracle's objective with X11
+    itself.
     """
 
     eq_tol: float = 1e-9
@@ -33,9 +35,13 @@ class Tolerances:
     oracle_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eq_tol <= self.mem_tol <= self.oracle_tol):
+        if not (
+            0.0 < self.eq_tol <= self.mem_tol
+            and (self.oracle_tol == 0.0 or self.mem_tol <= self.oracle_tol)
+        ):
             raise ValueError(
                 "tolerances must satisfy 0 < eq_tol <= mem_tol <= oracle_tol"
+                " or oracle_tol = 0"
             )
 
 

@@ -209,7 +209,11 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
     corner reports its first usable closure piece (part I if none is
     usable), and raises :class:`NumericallyDegenerate` if that piece names
     no violated inequality.  Where W degenerates in R8 the numeric witness
-    oracle decides and the report is flagged degenerate.
+    oracle decides and the report is flagged degenerate; its ``V.W-ineq``
+    slack is X11 less the oracle's objective, an upper bound on the least
+    hull-feasible X11 that the oracle stops lowering once a certificate
+    decides the point, so the slack is not the distance to the boundary,
+    but its sign (beyond oracle_tol) still matches the decision.
     """
     region = classify(p, tol)
     slacks = w_val = None

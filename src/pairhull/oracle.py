@@ -9,6 +9,17 @@ xt41 is minimized exactly from four closed-form candidates.  A coarse pass
 over 64 weights is followed by a shrinking-bracket zoom over the weight,
 entirely independent of the closed-form piece descriptions.  An
 infeasible witness scores +inf, a plain IEEE float.
+
+Each decision comes with a certificate.  The objective f of any witness is
+an upper bound on F, the least hull-feasible X11, so f <= X11 + oracle_tol
+proves membership.  A Lagrangian lower bound L <= F, taken from the tangent
+planes of the convex objective at the sampled witnesses (the
+disjunctive-perspective duality of Ceria and Soares, Math. Program. 1999),
+proves non-membership once L > X11 + oracle_tol.  A point leaves the search
+as soon as either holds: f only falls and L only rises, so the decision is
+that of the full search, and only the witness, its objective and L depend
+on where the search stopped.  A non-member that no L certifies runs the
+whole zoom.
 """
 
 from __future__ import annotations
@@ -25,12 +36,15 @@ from .errors import EmptyFeasibleSet, InfeasibleWitness, PairhullError
 
 @dataclass(frozen=True)
 class OracleWitness:
-    """Feasible witness triple with its objective value."""
+    """Feasible witness triple with its objective value, an upper bound on
+    the least hull-feasible X11, and a lower bound on it (-inf when no
+    certificate was found)."""
 
     xt41: float
     xt42: float
     lambda4: float
     objective: float
+    lower: float
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +288,59 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
     return f_best, a1_best, a2_best
 
 
-def _sweep(pt, lam_ax, e: float, rounds, width: int):
+def _lower_bound(pt, lam_lo, lam_hi, lam, a1, a2):
+    """Lagrangian lower bound on the least objective of the points of `pt`,
+    at the witnesses w = (lam, a1, a2), all broadcast together.
+
+    Where its denominators and g2 are positive, f is jointly convex and g2
+    concave in v = (lam, a1, a2), so for every mu >= 0 the tangent plane of
+    f - mu g2 at w lies below f on the feasible points of the box
+    B = [lam_lo, lam_hi] x [0, x1] x [0, x2]:
+    L(mu) = f(w) - mu g2(w) + min over B of (grad f - mu grad g2)(w).(v - w),
+    whose minimum takes one end of B per coordinate.  L is concave and
+    piecewise linear in mu, with a kink where a partial of f - mu g2 changes
+    sign; g2 does not depend on a1, so the maximum is at mu = 0 or at one of
+    the kinks df/dlam / dg2/dlam and df/da2 / dg2/da2 that are >= 0.  A
+    witness with a denominator or g2 not positive, or f not finite, gives
+    -inf.
+    """
+    x1, x2, X12, X22, z1, z2 = pt
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u1, v1 = a1 / lam, (x1 - a1) / (z1 - lam)
+        u2, v2 = a2 / lam, (x2 - a2) / (z2 - lam)
+        g2 = X22 - a2 * u2 - (x2 - a2) * v2
+        h = X12 - a1 * u2
+        q = h / g2
+        f = a1 * u1 + (x1 - a1) * v1 + h * q
+        dg_lam, dg_a2 = u2 * u2 - v2 * v2, 2.0 * (v2 - u2)
+        df_lam = v1 * v1 - u1 * u1 + 2.0 * q * u1 * u2 - q * q * dg_lam
+        df_a1 = 2.0 * (u1 - v1 - q * u2)
+        df_a2 = -2.0 * q * u1 - q * q * dg_a2
+
+        def box_min(c, lo, hi):
+            return np.minimum(c * lo, c * hi)
+
+        mu = np.stack([np.zeros_like(f), df_lam / dg_lam, df_a2 / dg_a2])
+        low = (
+            f
+            - mu * g2
+            + box_min(df_lam - mu * dg_lam, lam_lo - lam, lam_hi - lam)
+            + box_min(df_a1, -a1, x1 - a1)
+            + box_min(df_a2 - mu * dg_a2, -a2, x2 - a2)
+        )
+        ok = (mu >= 0.0) & np.isfinite(mu) & ~np.isnan(low)
+        low = np.where(ok, low, -np.inf).max(axis=0)
+        interior = (lam > 0.0) & (z1 - lam > 0.0) & (z2 - lam > 0.0) & (g2 > 0.0)
+        return np.where(interior & np.isfinite(f), low, -np.inf)
+
+
+def _sweep(pt, lam_ax, e: float, rounds, width: int, lam_lo, lam_hi):
     """Zoom the second split at each weight of row i of lam_ax, the weights
     of point i of `pt`, for rounds[i] rounds, in one call of
     :func:`_zoom_a2`.  Returns the column k of each row's first least
-    objective and the (4, n) array of its (f, lam, a1, a2)."""
+    objective, the (4, n) array of its (f, lam, a1, a2), and the greatest
+    :func:`_lower_bound` of each row over the best split of every weight,
+    on the box of weights [lam_lo, lam_hi]."""
     n, m = lam_ax.shape
     rows = tuple(np.repeat(c, m) for c in pt)
     f, a1, a2 = (
@@ -287,10 +349,12 @@ def _sweep(pt, lam_ax, e: float, rounds, width: int):
     )
     k = f.argmin(axis=1)
     i = np.arange(n)
-    return k, np.stack([f[i, k], lam_ax[i, k], a1[i, k], a2[i, k]])
+    column = tuple(c[:, None] for c in pt)
+    lower = _lower_bound(column, lam_lo[:, None], lam_hi[:, None], lam_ax, a1, a2)
+    return k, np.stack([f[i, k], lam_ax[i, k], a1[i, k], a2[i, k]]), lower.max(axis=1)
 
 
-def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: int):
+def _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e: float, zoom_rounds: int, width: int, stop):
     """Nested bracket zoom over the weight of every point of `pt`.
 
     Each pass samples `width` weights of every point's weight bracket,
@@ -301,6 +365,11 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: in
     one-point weight interval gets a single 14-round pass, and a point with
     x2 within the band one second-split round per pass.  `best`, the (4, n)
     array of the coarse pass's (f, lam, a1, a2), is improved in place.
+
+    Before each pass a point leaves the zoom once its objective is at most
+    its entry of `stop`, or its entry of `lower`, the greatest lower bound
+    of its sweeps so far, exceeds it; a NaN entry never stops.  `lower` is
+    raised in place.
     """
     lin = np.linspace(0.0, 1.0, width)
     passes = np.where(lam_hi - lam_lo <= e, 1, zoom_rounds)
@@ -308,14 +377,16 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: in
     last = np.where(inner > 1, 14, 1)
     llo, lhi = lam_lo.copy(), lam_hi.copy()
     for r in range(zoom_rounds):
-        act = np.flatnonzero(passes > r)
+        act = np.flatnonzero((passes > r) & ~(best[0] <= stop) & ~(lower > stop))
         if act.size == 0:
             break
+        sub = tuple(c[act] for c in pt)
         lam_ax = llo[act, None] + (lhi[act] - llo[act])[:, None] * lin
         rounds = np.where(passes[act] == r + 1, last[act], inner[act])
-        k, found = _sweep(tuple(c[act] for c in pt), lam_ax, e, rounds, width)
+        k, found, low = _sweep(sub, lam_ax, e, rounds, width, lam_lo[act], lam_hi[act])
         better = found[0] < best[0, act]
         best[:, act[better]] = found[:, better]
+        lower[act] = np.maximum(lower[act], low)
         ai = np.arange(act.size)
         llo[act] = lam_ax[ai, np.maximum(k - 1, 0)]
         lhi[act] = lam_ax[ai, np.minimum(k + 1, width - 1)]
@@ -325,19 +396,22 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, e: float, zoom_rounds: int, width: in
 GRID = 64
 #: Second splits per bracket in each round, of the coarse pass and the zoom.
 ZOOM_WIDTH = 17
-#: Points per pass of :func:`oracle_members`.  The search's cost is
-#: mostly the overhead of its many small numpy calls, which one pass pays
-#: once for all its points; per point it levels off near 64 points.
+#: Points per pass of :func:`oracle_members`.  Most points leave the search
+#: after the coarse pass, so its cost is mostly that pass's many small numpy
+#: calls, which one pass pays once for all its points; per point it levels
+#: off near 32 points and holds to 256.
 ORACLE_CHUNK = 64
 
 OracleResult = Union[tuple[bool, OracleWitness], PairhullError]
 
 
 def _oracle_chunk(
-    points: Sequence[HullPoint], tol: Tolerances, zoom_rounds: int
+    points: Sequence[HullPoint], tol: Tolerances, zoom_rounds: int, stop: bool = True
 ) -> list[OracleResult]:
     """One chunk of :func:`oracle_members`: one coarse pass over the
-    :data:`GRID` weights of every valid point, then one zoom."""
+    :data:`GRID` weights of every valid point, then one zoom, which each
+    point leaves once a certificate decides it at X11 + oracle_tol.  With
+    `stop` false the threshold is NaN, and every point runs the full zoom."""
     e = tol.eq_tol
     out: list = [None] * len(points)
     ok = []
@@ -355,18 +429,28 @@ def _oracle_chunk(
             continue
         lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
         ok.append(j)
-        start.append((p.x1, p.x2, p.X12, p.X22, p.z1, p.z2, lam_lo, lam_hi))
+        start.append((p.x1, p.x2, p.X12, p.X22, p.z1, p.z2, lam_lo, lam_hi, p.X11))
     if not ok:
         return out
 
     cols = np.array(start, dtype=float).T
     pt, lam_lo, lam_hi = cols[:6], cols[6], cols[7]
-    lam_ax = np.linspace(lam_lo, lam_hi, GRID, axis=1)
-    _, best = _sweep(pt, lam_ax, e, np.ones(len(ok), dtype=int), ZOOM_WIDTH)
-    _zoom_lambda(pt, lam_lo, lam_hi, best, e, zoom_rounds, ZOOM_WIDTH)
-    for j, (f_b, lam_b, a1_b, a2_b) in zip(ok, best.T.tolist()):
-        member = f_b <= points[j].X11 + tol.oracle_tol
-        out[j] = (member, OracleWitness(a1_b, a2_b, lam_b, f_b))
+    threshold = cols[8] + tol.oracle_tol
+    # np.linspace(lam_lo, lam_hi, GRID, axis=1) row by row: linspace takes
+    # another formula for every row once one row's step is 0
+    lam_ax = lam_lo[:, None] + np.arange(GRID) * ((lam_hi - lam_lo) / (GRID - 1))[:, None]
+    lam_ax[:, -1] = lam_hi
+    _, best, lower = _sweep(
+        pt, lam_ax, e, np.ones(len(ok), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi
+    )
+    _zoom_lambda(
+        pt, lam_lo, lam_hi, best, lower, e, zoom_rounds, ZOOM_WIDTH,
+        threshold if stop else np.full(len(ok), np.nan),
+    )
+    for j, (f_b, lam_b, a1_b, a2_b), low, thr in zip(
+        ok, best.T.tolist(), lower.tolist(), threshold.tolist()
+    ):
+        out[j] = (f_b <= thr, OracleWitness(a1_b, a2_b, lam_b, f_b, low))
     return out
 
 
@@ -381,9 +465,9 @@ def oracle_members(
     :class:`PairhullError` it raised (``NotInAmbientBox``,
     ``EmptyFeasibleSet``).  The coarse pass and each zoom pass run once
     for every :data:`ORACLE_CHUNK` points, which share their numpy calls.
-    The results are those of single points, bit for bit: the search is
-    elementwise and takes first-index minima, so it does not depend on the
-    other points of its pass.
+    The results are those of single points, bit for bit: the search, its
+    lower bounds and its stop are elementwise and take first-index minima,
+    so they do not depend on the other points of its pass.
     """
     points = list(points)
     out: list[OracleResult] = []
@@ -409,12 +493,21 @@ def oracle_member(
     the splits is convex in the disjunction weight, so shrinking a sampled
     bracket around the argmin converges to the global optimum.  A final
     high-resolution zoom at the located weight polishes the witness.
+
+    The search stops once a certificate decides the point (see the module
+    docstring): ``member`` is true when the objective is at most X11 +
+    oracle_tol, the witness's ``lower`` bounds the least objective from
+    below (-inf where no sampled witness gave a bound), and a non-member is
+    certified when ``lower`` exceeds X11 + oracle_tol.  The objective is
+    therefore an upper bound that decides the point, not always the
+    minimum; ``oracle_tol=0`` with X11 set to a value F asks whether the
+    minimum is at most F.
     Intended for points with X12 and both indicators above eq_tol; the
     X12 = 0 face and the z = 0 edges are decided by the closed-form module.
     This is the batch of one of :func:`oracle_members`, which shares the
-    numpy calls among many points: on 16 margin points the search costs
-    1.7-2.6 ms per point, 0.2-0.3 ms of it the coarse pass, against 7-12 ms
-    for one point alone (2-core x86-64, Python 3.11, numpy 2.4).
+    numpy calls among many points: on 16 margin points, every one certified
+    by the coarse pass, the search costs 0.1-0.3 ms per point, against
+    0.4-0.8 ms for one point alone (2-core x86-64, Python 3.11, numpy 2.4).
     """
     (res,) = oracle_members([p], tol, zoom_rounds)
     if isinstance(res, PairhullError):

@@ -465,14 +465,19 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
     oracle_tol - f where the closed form says member, its negation where it
     says non-member (an infinite objective f gives -inf or +inf).  A point
     the oracle cannot decide (its :class:`PairhullError`) is a failure with
-    no slack, and its error is the offender's.
+    no slack, and its error is the offender's.  The detail counts the
+    decisions a certificate settles: every member (f <= X11 + oracle_tol)
+    and the non-members whose lower bound exceeds X11 + oracle_tol; the
+    other non-members are uncertified, the search having run out.  An
+    offender that disagrees with the closed form carries its lower bound and
+    whether it was certified.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pts = ctilde_margin_points(rng, trials, tol)
     failures = 0
     offender = None
-    n_member = 0
+    n_member = n_certified = n_uncertified = 0
     worst = math.inf
     for p, res in zip(pts, oracle_members(pts, tol)):
         rep = member_hull(p, tol)
@@ -483,6 +488,9 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
                 offender = {"point": _point_dict(p), "error": str(res)}
             continue
         dec, wit = res
+        certified = dec or wit.lower > p.X11 + tol.oracle_tol
+        n_certified += certified
+        n_uncertified += not certified
         margin_in = p.X11 + tol.oracle_tol - wit.objective
         worst = min(worst, margin_in if rep.member else -margin_in)
         if dec != rep.member:
@@ -493,6 +501,8 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
                     "closed_form": rep.member,
                     "oracle": dec,
                     "objective": None if math.isinf(wit.objective) else wit.objective,
+                    "lower": None if math.isinf(wit.lower) else wit.lower,
+                    "certified": certified,
                     "slacks": rep.slacks,
                 }
     return SuiteReport(
@@ -501,7 +511,10 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
         failures,
         worst,
         time.perf_counter() - t0,
-        detail=f"members={n_member} nonmembers={trials - n_member}",
+        detail=(
+            f"members={n_member} nonmembers={trials - n_member}"
+            f" certified={n_certified} uncertified={n_uncertified}"
+        ),
         offender=offender,
     )
 

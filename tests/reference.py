@@ -107,7 +107,7 @@ def analytic_witness(
         raise RegionHasNoClosedWitness(f"no closed-form witness for {region.value}")
 
     objective = oracle_objective(p, triple, tol)
-    return OracleWitness(triple[0], triple[1], triple[2], objective)
+    return OracleWitness(triple[0], triple[1], triple[2], objective, -math.inf)
 
 
 def psd3_by_minors(

@@ -94,14 +94,22 @@ class TestMember:
         _, out = run_cli(["member", "--oracle"], R4_LINE + "\n")
         rec = json.loads(out)
         assert rec["member"] is False
-        assert rec["objective"] == pytest.approx(2.02, abs=1e-3)
         assert set(rec["witness"]) == {"xt41", "xt42", "lambda4"}
+        # a certified non-member: its lower bound exceeds X11 + oracle_tol
+        assert rec["lower"] > 1.0 + 1e-6
+        # the least objective is 2.02 within 1e-3: compared with X11 itself,
+        # the point is a member at X11 = 2.021 and not at 2.019
+        for X11, member in (("2.021", True), ("2.019", False)):
+            line = R4_LINE.replace("[[1,", f"[[{X11},")
+            _, out = run_cli(["--oracle-tol", "0", "member", "--oracle"], line + "\n")
+            assert json.loads(out)["member"] is member
 
     def test_infinite_oracle_objective_is_null(self):
         # X22 < x2^2 / z2: no witness is feasible, the objective is +inf
         line = '{"x":[0.5,1],"X":[[1,0.5],[0.5,0.1]],"z":[0.5,0.5]}'
         _, out = run_cli(["member", "--oracle"], line + "\n")
         assert '"member": false' in out and '"objective": null' in out
+        assert '"lower": null' in out
 
 
 def _margin_lines(n, seed):

@@ -71,6 +71,14 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(eq_tol=0.0)
 
+    def test_oracle_tol_may_be_zero(self):
+        # oracle_tol = 0 compares the oracle's objective with X11 itself;
+        # any other oracle_tol still nests above mem_tol
+        assert Tolerances(oracle_tol=0.0).oracle_tol == 0.0
+        for bad in (1e-9, -1e-6, math.nan):
+            with pytest.raises(ValueError):
+                Tolerances(oracle_tol=bad)
+
 
 class TestDomainValidation:
     def test_negative_coordinate_rejected(self):

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,14 @@ from pairhull.errors import (
     InfeasibleWitness,
     NotInAmbientBox,
 )
-from pairhull.core import Tolerances, separable_holds
+from pairhull.core import DEFAULT_TOL, Tolerances, separable_holds
 from pairhull.columns import elementwise
 from pairhull.oracle import (
     GRID,
+    ORACLE_CHUNK,
     ZOOM_WIDTH,
     _a2_bracket,
+    _oracle_chunk,
     _sweep,
     _witness_g2,
     _witness_objective,
@@ -49,10 +52,23 @@ from reference import RegionHasNoClosedWitness, analytic_witness
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
+#: Compares the oracle's objective with X11 itself.  X11 does not enter the
+#: search, so "member at X11 = F + d" states "objective <= F + d" exactly.
+EXACT = Tolerances(oracle_tol=0.0)
 
 
 def _points(rows):
     return [HullPoint.from_coords(row) for row in rows]
+
+
+def _full_search(points, tol=DEFAULT_TOL, zoom_rounds=10):
+    """oracle_members with the stop threshold at NaN, which never fires:
+    every point runs the whole zoom."""
+    points = list(points)
+    out = []
+    for i in range(0, len(points), ORACLE_CHUNK):
+        out += _oracle_chunk(points[i : i + ORACLE_CHUNK], tol, zoom_rounds, stop=False)
+    return out
 
 
 class TestObjective:
@@ -93,9 +109,11 @@ class TestObjective:
 
 class TestOracleMember:
     def test_worked_nonmember_objective(self):
-        member, wit = oracle_member(WORKED)
+        # the least objective is 2.02 within 1e-3
+        member, _ = oracle_member(WORKED)
         assert not member
-        assert wit.objective == pytest.approx(2.02, abs=1e-3)
+        assert oracle_member(replace(WORKED, X11=2.021), EXACT)[0]
+        assert not oracle_member(replace(WORKED, X11=2.019), EXACT)[0]
 
     def test_convex_combinations_are_members(self):
         for k in (2, 5, 8):
@@ -136,9 +154,9 @@ class TestOracleMember:
             1.687031822085912, 6.806505247396112, 0.9483849477436118,
             0.34891514518086963,
         )
-        member, wit = oracle_member(p)
+        member, _ = oracle_member(p)
         assert member
-        assert wit.objective <= 2.122941640066569 + 1e-9
+        assert oracle_member(replace(p, X11=2.122941640066569 + 1e-9), EXACT)[0]
 
     def test_nonmembers_are_separated_by_margin(self):
         rng = np.random.default_rng(72)
@@ -164,7 +182,7 @@ class TestOracleMember:
             p = HullPoint.from_coords(row)
             if min(p.z1, p.z2) < 0.1 or p.X12 < 0.05:
                 continue
-            _, wit = oracle_member(p)
+            ((_, wit),) = _full_search([p])
             base = np.array([wit.lambda4, wit.xt41, wit.xt42])
             lo = np.array([max(p.z1 + p.z2 - 1.0, 0.0), 0.0, 0.0])
             hi = np.array([min(p.z1, p.z2), p.x1, p.x2])
@@ -191,9 +209,10 @@ class TestOracleMember:
         assert checked >= 5
 
 
-# oracle_member outputs (member, xt41, xt42, lambda4, objective), objective
-# "inf" when infinite, as float.hex: any change to the coarse pass or zoom
-# arithmetic that moves a bit of the witness shows here.
+# outputs (member, xt41, xt42, lambda4, objective) of the full search
+# (_full_search), objective "inf" when infinite, as float.hex: any change to
+# the coarse pass or zoom arithmetic that moves a bit of the witness shows
+# here.
 ORACLE_PINS = [
     ("lam_lo_zero", (0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5), True,
      "0x1.cb977f6984c46p-3", "0x1.11111106bddadp-2", "0x1.3264ff999999ap-2",
@@ -237,8 +256,8 @@ ORACLE_PINS = [
 ]
 
 
-# oracle_members on the 64 rows of _sample_separable_array(default_rng(7), 64),
-# in the format of ORACLE_PINS; z1 + z2 <= 1, and with it a
+# the full search on the 64 rows of _sample_separable_array(default_rng(7),
+# 64), in the format of ORACLE_PINS; z1 + z2 <= 1, and with it a
 # lambda = 0 weight of the coarse pass, on 25 of them
 SEPARABLE_PINS = [
     (True, "0x1.591126e9a1a80p-7", "0x1.0c72876cb8438p-2",
@@ -372,16 +391,180 @@ SEPARABLE_PINS = [
 ]
 
 
+# outputs of the public oracle_member/oracle_members, which stop each point
+# once a certificate decides it, on the points of ORACLE_PINS and of
+# SEPARABLE_PINS: the format of ORACLE_PINS plus the lower bound, "-inf"
+# where no witness gave one.  Every member bit is that of the full search.
+PUBLIC_ORACLE_PINS = [
+    ("lam_lo_zero", True, "0x1.1b07d83cd9b8dp-3", "0x1.10b513fdd1b83p-2",
+     "0x1.7917917917918p-3", "0x1.cccce6314c58ap-3", "0x1.cc8158069b6f3p-3"),
+    ("z1_eq_z2", True, "0x1.75d75d75d75d6p-3", "0x1.999999999999ap-2",
+     "0x1.75d75d75d75d6p-2", "0x1.3333333333332p-3", "0x1.3333333333333p-3"),
+    ("z1_eq_z2_lam_lo_zero", True, "0x1.999999954e16cp-4", "0x1.11111113ee130p-2",
+     "0x1.1111111111111p-3", "0x1.ccccccccccccap-3", "0x1.ccccccbe4df24p-3"),
+    ("x2_zero", True, "0x1.075075075074fp-3", "0x0.0p+0",
+     "0x1.3333333333330p-2", "0x1.4b94b94b94b94p-3", "0x1.4b94b94b94b96p-3"),
+    ("x1_zero", True, "0x0.0p+0", "0x1.999999999999ap-3",
+     "0x1.3333333333330p-2", "0x1.eb851eb851ebcp-4", "0x1.eb851eb851eaep-4"),
+    ("X12_zero", True, "0x1.075075075074fp-3", "0x0.0p+0",
+     "0x1.3333333333330p-2", "0x1.0750750750750p-3", "0x1.075075075074fp-3"),
+    ("g2_nonpositive_everywhere", False, "0x0.0p+0", "0x0.0p+0",
+     "0x1.3333333333330p-2", "inf", "-inf"),
+    ("worked_nonmember", False, "0x1.999999999999ap-4", "0x1.0000000000000p+0",
+     "0x1.0000000000000p-1", "0x1.028f5c28f5c29p+1", "0x1.fdd63e4061811p+0"),
+    ("both_indicators_one", True, "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+     "0x1.0000000000000p+0", "0x1.0000000000000p-2", "-inf"),
+    ("small_indicator", True, "0x1.b4f0f6dc5d589p-9", "0x1.478a6048904eap-8",
+     "0x1.5d867c3ece2a5p-12", "0x1.99999a0d76d94p-4", "0x1.998451a9b5d3dp-4"),
+    ("scaled_member", True, "0x1.9b6db6db6db6ap+3", "0x1.1800000000000p+5",
+     "0x1.3333333333330p-2", "0x1.416db6db6db6ep+10", "0x1.416db6db6db6ep+10"),
+    ("interior_member", True, "0x1.83fab1bdadc30p-2", "0x1.89d89d89d89d9p-2",
+     "0x1.aaaaaaaaaaaacp-2", "0x1.d17475c959ee7p-2", "0x1.d10855cdcb358p-2"),
+]
+
+PUBLIC_SEPARABLE_PINS = [
+    (True, "0x1.591126e9a1a80p-7", "0x1.0c7323ff3b5ecp-2",
+     "0x1.86b66c3576cc0p-3", "0x1.336c42edb9c44p-1", "0x1.333841c7d742dp-1"),
+    (False, "0x1.df2a571c79f0ep-1", "0x1.4cd9b58a3fb80p-3",
+     "0x1.496b14660cb04p-2", "0x1.edb329e9415a9p+3", "0x1.eda17ab4afcf0p+3"),
+    (True, "0x1.4e5bdbc24e27cp-2", "0x1.e27c5c681f174p-2",
+     "0x1.0ab24cf0e4928p-2", "0x1.65f04a1b4526bp-1", "0x1.648c3748f0450p-1"),
+    (True, "0x1.fbcdd5b06b6c2p-3", "0x1.8c863d7740cd0p-3",
+     "0x1.7a0f4694ec800p-3", "0x1.2605fa9593b77p-1", "0x1.2605fa9593b78p-1"),
+    (False, "0x1.244af7ce3b760p-4", "0x1.fc29d6b820ae8p-1",
+     "0x1.4c7d92537d8a2p-1", "0x1.5bca7bc0e474cp+3", "0x1.5b68867303d79p+3"),
+    (False, "0x1.d0bf8d5ba4fbdp-1", "0x1.86d62e1686428p-2",
+     "0x1.10a7e51196da4p-1", "0x1.b92776b7c276ep+1", "0x1.b92776b7c2770p+1"),
+    (False, "0x1.fae91a7b08f64p-2", "0x1.52ef92f88c6bbp-1",
+     "0x1.003d102d8bd94p-1", "0x1.690cb6e78c451p+4", "0x1.0a14c0f29ef28p+4"),
+    (True, "0x1.c5f0e31bba457p-3", "0x1.7962a94f1bc60p-2",
+     "0x1.c9ecb9a8760abp-4", "0x1.e8990cba75828p-1", "0x1.e8990cba7582bp-1"),
+    (False, "0x1.4789022d6a74dp+0", "0x1.0119a95b259fcp+0",
+     "0x1.2dfa84edefcb0p-1", "0x1.aab0877b55a7ap+2", "0x1.8c25a17c93b26p+2"),
+    (False, "0x1.71ef349abe7c4p-1", "0x1.5fb1540a5799cp-1",
+     "0x1.5e2d7efcc8564p-1", "0x1.2fc479f418e70p+1", "0x1.2f4adcbb3de4cp+1"),
+    (True, "0x1.37383f199cf7fp-5", "0x1.111d718f3f270p-4",
+     "0x1.165835d9f0217p-5", "0x1.16a785b2db2a0p-2", "0x1.16a785b2db2a3p-2"),
+    (True, "0x1.339bea61ce224p-2", "0x1.5b3779afdc2b0p-1",
+     "0x1.031e8df326210p-1", "0x1.698d95d282ecap+0", "0x1.695179c825f1bp+0"),
+    (True, "0x1.b8583701814ebp-1", "0x1.28310a5da0614p-1",
+     "0x1.a343e9645f36ap-2", "0x1.57089ae869ee9p+1", "0x1.56f8dc80c2355p+1"),
+    (False, "0x1.eaa082aadd2c8p-2", "0x1.1c23228777026p-2",
+     "0x1.0dabce10e301ep-4", "0x1.19da2c6a81c31p+2", "0x1.19d1528505065p+2"),
+    (True, "0x1.9f95619590b70p-3", "0x1.f95eca341a408p-3",
+     "0x1.ae912f7d17182p-6", "0x1.437524de63146p+1", "0x1.437524de63148p+1"),
+    (False, "0x1.b6ee31cc444aap-2", "0x1.6a1a14e16dae0p-2",
+     "0x1.bff433faa701cp-4", "0x1.b3eadf140ac6fp+1", "0x1.b3eadf140ac70p+1"),
+    (False, "0x1.0d8c97c443a6cp-2", "0x1.ed7549b412e6dp-4",
+     "0x1.29567f6a99df2p-6", "0x1.7d524d1449a8cp+2", "0x1.7c27ba6e12483p+2"),
+    (True, "0x1.b2be0b5e96452p-4", "0x1.0054046f925bap-2",
+     "0x1.608697f17f10dp-5", "0x1.6f9faad198665p-1", "0x1.6f57ba658c36fp-1"),
+    (True, "0x1.296f74f465f34p-2", "0x1.0ab7c284ea340p-4",
+     "0x1.6bc7ffeda0cd4p-1", "0x1.70d197106abbbp+0", "0x1.70d197106abbep+0"),
+    (True, "0x1.20ad9577f564ep+0", "0x1.f9414c3287832p-2",
+     "0x1.63c7de0b7002dp-1", "0x1.0a866705ca18cp+1", "0x1.0a8133d6de44ap+1"),
+    (True, "0x1.f96ff85e47755p-2", "0x1.c431ddb059d04p-1",
+     "0x1.85660fbfcb272p-2", "0x1.f40ae2953928ep-1", "0x1.f400fd4e8400fp-1"),
+    (False, "0x1.ecb11537e02bdp-2", "0x1.d11877b752930p-4",
+     "0x1.8397fd44cac08p-3", "0x1.70ba83b1dde41p+2", "0x1.70ba83b1dde44p+2"),
+    (False, "0x1.9acdbe4497be4p-2", "0x1.d1437c75f4a4cp-2",
+     "0x1.e449d1512f5f8p-3", "0x1.11decdc6d5e90p+1", "0x1.11decdc6d5e92p+1"),
+    (True, "0x1.9992821b44baep-5", "0x1.0e88308d98cd0p-4",
+     "0x1.338bb8d88015dp-1", "0x1.1e900956a6d10p-1", "0x1.1e900956a6d13p-1"),
+    (True, "0x1.90d2eda02824ep-5", "0x1.f85aff1d790f8p-3",
+     "0x1.85218a8961ec2p-1", "0x1.11a74ce134de2p-7", "0x1.11a74ce134de4p-7"),
+    (True, "0x1.f75db57e83e90p-3", "0x1.6912442957f38p-2",
+     "0x1.07e8cb4aaca78p-3", "0x1.171e277bd1434p+1", "0x1.16d124c178ccap+1"),
+    (True, "0x1.d122444b5204fp-1", "0x1.05a548b7ee856p-1",
+     "0x1.e4e6021235c62p-2", "0x1.77da153d1cdd3p+1", "0x1.77ce94d31fae3p+1"),
+    (True, "0x1.5366f34ec2600p-7", "0x1.5cf34930876f7p-3",
+     "0x1.4d21c7f02234ep-2", "0x1.60e8d9c001ee8p-5", "0x1.60e496def4bddp-5"),
+    (True, "0x1.cfb71d69d8620p-2", "0x1.42eb52eb0cefap-1",
+     "0x1.745064ee27b52p-2", "0x1.0320321e1a0cdp+0", "0x1.031013f61bd5fp+0"),
+    (False, "0x1.b359700a1184cp-3", "0x1.0ff7940fbf780p-3",
+     "0x1.23df4d27de7d2p-6", "0x1.80475dc5e2383p+2", "0x1.80475dc5e2386p+2"),
+    (True, "0x1.11f50966a8fd1p-1", "0x1.dc399817a7a9cp-1",
+     "0x1.d27e390beb6dep-3", "0x1.4eda1899812d1p+0", "0x1.4eda1899812d4p+0"),
+    (False, "0x1.a586917d7f628p-1", "0x1.51572d13e2928p-1",
+     "0x1.5c498114b4781p-1", "0x1.03fb7b4523e95p+2", "0x1.fbfffaf57ecfcp+1"),
+    (False, "0x1.197544e18b580p-3", "0x1.1747aaa2937e2p-4",
+     "0x1.fdd5f5e837292p-5", "0x1.06af1f1612182p+1", "0x1.0514e8a547123p+1"),
+    (True, "0x1.a41dd31e6e277p-2", "0x1.2697b0f0c3b27p+0",
+     "0x1.527824755b401p-1", "0x1.515c156bdf1a6p-2", "0x1.515c156bdf1a8p-2"),
+    (True, "0x1.8f4f3ed6cd31ep-1", "0x1.6fd88b9a682cep-2",
+     "0x1.6271bbd9ae194p-2", "0x1.cbd5a36ae568bp+0", "0x1.b641d728cc4eap+0"),
+    (True, "0x1.cc69f6797dfb0p-3", "0x1.915a1114208b2p-2",
+     "0x1.207d505e6b0b0p-2", "0x1.51976f796b4b1p-1", "0x1.5196b68bc0f7bp-1"),
+    (True, "0x1.a00475d831350p-1", "0x1.89d0df911088bp+0",
+     "0x1.4f22e9a7fb247p-1", "0x1.1dc397bec98d7p+0", "0x1.1dc397bec98d9p+0"),
+    (False, "0x1.8e9dfe5c42d44p-1", "0x1.5b2b181f58770p-3",
+     "0x1.3da73dfffb7a0p-5", "0x1.16cb0aa422aadp+4", "0x1.16cb0aa422aafp+4"),
+    (False, "0x1.e08106d0ef932p-4", "0x1.4472ead427b70p-4",
+     "0x1.aa4bcff316e10p-3", "0x1.8fcffeaece6f2p+1", "0x1.8fcffeaece6f5p+1"),
+    (True, "0x1.649b4dc6ddb5bp-8", "0x1.9fabafebcfabcp-3",
+     "0x1.42b695c9dcd76p-6", "0x1.a62d9f938e82ap-6", "0x1.a62884572ea3bp-6"),
+    (False, "0x1.f04093cae4a60p-5", "0x1.f49b1c341d2fep-4",
+     "0x1.21a9d0bdaf61cp-3", "0x1.567c7c10fe8b5p+1", "0x1.566d373527addp+1"),
+    (True, "0x1.4d6d95cfd768bp-2", "0x1.952e3e341bfacp-2",
+     "0x1.a4b36bac45c74p-3", "0x1.5c3a5e053ef1dp+0", "0x1.5c3a5e053ef20p+0"),
+    (False, "0x1.fd122635a75c0p-2", "0x1.648993d69af4ep-1",
+     "0x1.514c2e4720991p-2", "0x1.3825fe8fec165p+2", "0x1.375dcc7b176e0p+2"),
+    (False, "0x1.3f5f3c07ceb90p-4", "0x1.7c9ef70cfc100p-4",
+     "0x1.d34537e870263p-6", "0x1.9df264790ee28p+3", "0x1.8f146352ffdbdp+3"),
+    (True, "0x1.d37d01870f933p-4", "0x1.562a1fff8176cp-2",
+     "0x1.584a2451c74e2p-3", "0x1.ce11767dc453cp-3", "0x1.cda196c87ee61p-3"),
+    (False, "0x1.9f69d5e082d60p-4", "0x1.861b0eeb3357ap-1",
+     "0x1.31482655c1236p-1", "0x1.c69d067315781p+1", "0x1.c62d5e5f05337p+1"),
+    (True, "0x1.3ab42f98f817bp-1", "0x1.119b01761b566p-2",
+     "0x1.82cd11ec4f999p-1", "0x1.055f33384b58cp-1", "0x1.055ba46b38c0bp-1"),
+    (False, "0x1.4f052ec5725d4p-1", "0x1.4cfa71af3e623p-1",
+     "0x1.b3568b9583009p-3", "0x1.021167e333814p+2", "0x1.0209e12d7925ep+2"),
+    (True, "0x1.4ac6f9911b13cp-2", "0x1.8230a8cb6bf58p-1",
+     "0x1.4e4692e3b002cp-2", "0x1.7fd2096294dfap+1", "0x1.7ddd96084de4dp+1"),
+    (False, "0x1.b57dc61634300p-5", "0x1.99f5ccaa02cb3p-3",
+     "0x1.b24553f7dd44ap-3", "0x1.3c8567192008ap+0", "0x1.3c810ed42a243p+0"),
+    (True, "0x1.afa5db61e2ac0p-4", "0x1.a1f8b8aa62e54p-1",
+     "0x1.4f949bd164370p-1", "0x1.b1bc9982a5dd6p-5", "0x1.b1a51fe7c0c96p-5"),
+    (False, "0x1.b87036925e2e4p-2", "0x1.9c588c52699d4p-2",
+     "0x1.5ebccca8dff58p-2", "0x1.1e1b1665abbe6p+2", "0x1.1e0bd5a3b0f0ep+2"),
+    (True, "0x1.fab1e145af9c0p-2", "0x1.4428b452208b4p-1",
+     "0x1.ce88250a0b0b8p-2", "0x1.d591c03f6c110p-1", "0x1.c280686fbecbdp-1"),
+    (True, "0x1.af13be835e902p-9", "0x1.aaba0930c3500p-8",
+     "0x1.49191ecf8a45bp-6", "0x1.92546119b83cep-2", "0x1.92546119b83d2p-2"),
+    (False, "0x1.9e4f5b3be8c40p-5", "0x1.378f0b2520be0p-5",
+     "0x1.18fbe5c13f151p-7", "0x1.136d114dc8508p+1", "0x1.136d114dc850ap+1"),
+    (True, "0x1.849aad2d4fa64p-3", "0x1.ae66d5fa60ef8p-2",
+     "0x1.d4cb7f4852becp-4", "0x1.1121224d1f09ap+1", "0x1.1121224d1f09dp+1"),
+    (False, "0x1.3a345b216c860p-1", "0x1.2c8b37db0ee64p-1",
+     "0x1.6873b17e0a587p-2", "0x1.53f239dacfbf1p+2", "0x1.53cb6bb5f96ecp+2"),
+    (False, "0x1.895fd3863c8e6p-1", "0x1.43da2e353d3f2p-3",
+     "0x1.6f7913d9b36bcp-2", "0x1.610e34dc31389p+4", "0x1.610537ee336c5p+4"),
+    (False, "0x1.2ae7b37fead6ep-1", "0x1.6472c08286288p-3",
+     "0x1.d0a6b7832bb10p-4", "0x1.5f6f250735bddp+6", "0x1.5e8ef052c7b13p+6"),
+    (False, "0x1.67e4788b2a500p-2", "0x1.6f943e519280cp-2",
+     "0x1.68bbdee859498p-2", "0x1.be4685a8b5743p+2", "0x1.bcd1735a84449p+2"),
+    (False, "0x1.ca4f81814779fp-2", "0x1.95031f02caa34p-2",
+     "0x1.85f99e99747fbp-4", "0x1.48acb45d2529ep+1", "0x1.48acb45d252a0p+1"),
+    (False, "0x1.0bf1c7367da67p-1", "0x1.b223408814e98p-3",
+     "0x1.7805b1d19b0f6p-1", "0x1.fce05559ee6a9p+1", "0x1.fce05559ee6adp+1"),
+    (False, "0x1.1656c3b49a3a0p-5", "0x1.60acbaa03116ep-3",
+     "0x1.6ebebce515546p-3", "0x1.79644bda1c04ep+3", "0x1.791ef6a0f3af9p+3"),
+    (False, "0x1.06e7eaf9b1d24p-1", "0x1.b6776bedb4280p-3",
+     "0x1.321cd31e57698p-5", "0x1.d7b5a993b028dp+2", "0x1.d7b5a993b0290p+2"),
+]
+
+
+def _hex(v):
+    return ("inf" if v > 0.0 else "-inf") if math.isinf(v) else float(v).hex()
+
+
 def _hex_result(res):
     member, wit = res
-    obj = "inf" if math.isinf(wit.objective) else float(wit.objective).hex()
-    return (
-        bool(member),
-        float(wit.xt41).hex(),
-        float(wit.xt42).hex(),
-        float(wit.lambda4).hex(),
-        obj,
-    )
+    return (bool(member), *(_hex(v) for v in (wit.xt41, wit.xt42, wit.lambda4, wit.objective)))
+
+
+def _hex_certified(res):
+    return (*_hex_result(res), _hex(res[1].lower))
 
 
 class TestPinnedOracle:
@@ -390,29 +573,29 @@ class TestPinnedOracle:
         ids=[pin[0] for pin in ORACLE_PINS],
     )
     def test_edge_case_outputs_bit_for_bit(self, coords, expected):
-        member, wit = oracle_member(HullPoint(*coords))
-        obj = "inf" if math.isinf(wit.objective) else float(wit.objective).hex()
-        got = (
-            bool(member),
-            float(wit.xt41).hex(),
-            float(wit.xt42).hex(),
-            float(wit.lambda4).hex(),
-            obj,
-        )
-        assert got == expected
+        (res,) = _full_search([HullPoint(*coords)])
+        assert _hex_result(res) == expected
 
     # one batch mixes the one-round zoom (x2_zero), the single 14-round
     # pass (both_indicators_one) and the +inf objective with regular points
     @pytest.mark.parametrize("order", [1, -1], ids=["listed", "reversed"])
     def test_batch_outputs_bit_for_bit(self, order):
         pins = ORACLE_PINS[::order]
-        got = oracle_members([HullPoint(*pin[1]) for pin in pins])
+        got = _full_search([HullPoint(*pin[1]) for pin in pins])
         assert [_hex_result(res) for res in got] == [tuple(pin[2:]) for pin in pins]
 
     def test_separable_batch_bit_for_bit(self):
         rows = _sample_separable_array(np.random.default_rng(7), 64)
-        got = oracle_members([HullPoint.from_coords(row) for row in rows])
+        got = _full_search([HullPoint.from_coords(row) for row in rows])
         assert [_hex_result(res) for res in got] == SEPARABLE_PINS
+
+    def test_one_point_weight_interval_leaves_its_batch_alone(self):
+        # a weight interval of one point has a coarse step of 0, which must
+        # not change how the coarse weights of the other points are spaced
+        pin = next(pin for pin in ORACLE_PINS if pin[0] == "both_indicators_one")
+        row = _sample_separable_array(np.random.default_rng(7), 64)[-1]
+        got = _full_search([HullPoint(*pin[1]), HullPoint.from_coords(row)])
+        assert [_hex_result(res) for res in got] == [pin[2:], SEPARABLE_PINS[-1]]
 
     def test_failing_points_hold_their_error_in_a_batch(self):
         good = [HullPoint(*pin[1]) for pin in ORACLE_PINS[:6]]
@@ -454,7 +637,9 @@ class TestPinnedOracle:
         lam_hi = np.minimum(cols[4], cols[5])
         lam_lo = np.minimum(np.maximum(cols[4] + cols[5] - 1.0, 0.0), lam_hi)
         lam_ax = np.linspace(lam_lo, lam_hi, GRID, axis=1)
-        _, got = _sweep(cols, lam_ax, e, np.ones(len(pts), dtype=int), ZOOM_WIDTH)
+        _, got, _ = _sweep(
+            cols, lam_ax, e, np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi
+        )
         lin = np.linspace(0.0, 1.0, ZOOM_WIDTH)
         for i, p in enumerate(pts):
             lam = lam_ax[i][:, None]
@@ -480,6 +665,66 @@ class TestPinnedOracle:
             else:
                 expected = (f[r, k, c], lam_ax[i, r], a1[r, k, c], a2[r, k])
             assert tuple(got[:, i]) == expected, p
+
+
+class TestEarlyStop:
+    """The public search stops each point once f <= X11 + oracle_tol or its
+    lower bound exceeds X11 + oracle_tol; decisions stay those of the full
+    search."""
+
+    @pytest.mark.parametrize(
+        "coords, expected",
+        [(pin[1], pub[1:]) for pin, pub in zip(ORACLE_PINS, PUBLIC_ORACLE_PINS)],
+        ids=[pin[0] for pin in PUBLIC_ORACLE_PINS],
+    )
+    def test_edge_case_outputs_bit_for_bit(self, coords, expected):
+        assert _hex_certified(oracle_member(HullPoint(*coords))) == expected
+
+    def test_public_pins_keep_the_full_search_decisions(self):
+        assert [pin[0] for pin in PUBLIC_ORACLE_PINS] == [pin[0] for pin in ORACLE_PINS]
+        assert [pub[1] for pub in PUBLIC_ORACLE_PINS] == [pin[2] for pin in ORACLE_PINS]
+        assert [pub[0] for pub in PUBLIC_SEPARABLE_PINS] == [pin[0] for pin in SEPARABLE_PINS]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["listed", "reversed"])
+    def test_batch_outputs_bit_for_bit(self, order):
+        pins = PUBLIC_ORACLE_PINS[::order]
+        by_name = {pin[0]: pin[1] for pin in ORACLE_PINS}
+        got = oracle_members([HullPoint(*by_name[pin[0]]) for pin in pins])
+        assert [_hex_certified(res) for res in got] == [tuple(pin[1:]) for pin in pins]
+
+    def test_separable_batch_bit_for_bit(self):
+        rows = _sample_separable_array(np.random.default_rng(7), 64)
+        got = oracle_members([HullPoint.from_coords(row) for row in rows])
+        assert [_hex_certified(res) for res in got] == PUBLIC_SEPARABLE_PINS
+
+    def test_stop_is_per_point_across_a_chunk_boundary(self):
+        # 6 pins, the 64 separable rows, 6 pins: the first chunk holds 58
+        # separable rows, the second 6 with the last pins
+        pins = [HullPoint(*pin[1]) for pin in ORACLE_PINS]
+        rows = _sample_separable_array(np.random.default_rng(7), 64)
+        pts = pins[:6] + [HullPoint.from_coords(row) for row in rows] + pins[6:]
+        assert len(pts) > ORACLE_CHUNK
+        expected = (
+            [tuple(pin[1:]) for pin in PUBLIC_ORACLE_PINS[:6]]
+            + PUBLIC_SEPARABLE_PINS
+            + [tuple(pin[1:]) for pin in PUBLIC_ORACLE_PINS[6:]]
+        )
+        assert [_hex_certified(res) for res in oracle_members(pts)] == expected
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lambda: ctilde_margin_points(np.random.default_rng(5), 300),
+            lambda: shrunken_nonmembers(np.random.default_rng(6), 200),
+        ],
+        ids=["margin", "shrunken"],
+    )
+    def test_decisions_equal_the_full_search(self, points):
+        pts = points()
+        stopped, full = oracle_members(pts), _full_search(pts)
+        assert [res[0] for res in stopped] == [res[0] for res in full]
+        # a point that stops early keeps an objective at least the full one
+        assert all(a[1].objective >= b[1].objective for a, b in zip(stopped, full))
 
 
 def _bracket_cases():
@@ -585,7 +830,7 @@ class TestOracleSuite:
         assert not report.ok
         assert set(report.offender) == {"point", "error"}
         assert "is empty beyond tolerance" in report.offender["error"]
-        assert report.detail == "members=43 nonmembers=17"
+        assert report.detail == "members=43 nonmembers=17 certified=42 uncertified=0"
 
     def test_relaxation_samples_carry_plain_floats(self):
         pts = sample_ctilde_points(np.random.default_rng(12), 4)
@@ -595,6 +840,22 @@ class TestOracleSuite:
         member, _ = oracle_member(pts[-1])
         assert type(member) is bool
         json.dumps({"member": member})
+
+
+@pytest.fixture(scope="module")
+def analytic_cases():
+    """The relaxation points of sample_ctilde_points(default_rng(11), 6000)
+    with a closed witness, and its objective, the least one."""
+    pts, ref = [], []
+    for p in sample_ctilde_points(np.random.default_rng(11), 6000):
+        try:
+            w = analytic_witness(p, classify(p))
+        except RegionHasNoClosedWitness:
+            continue
+        pts.append(p)
+        ref.append(w.objective)
+    assert len(pts) > 3000
+    return pts, ref
 
 
 class TestAnalyticWitness:
@@ -631,32 +892,39 @@ class TestAnalyticWitness:
                 w = analytic_witness(p, region)
             except RegionHasNoClosedWitness:
                 continue
-            _, nw = oracle_member(p)
-            assert not math.isinf(w.objective) and not math.isinf(nw.objective)
-            assert abs(w.objective - nw.objective) <= 1e-4 * (
-                1.0 + abs(w.objective)
-            )
+            assert not math.isinf(w.objective)
+            # the oracle's objective lies within d of the closed form's
+            d = 1e-4 * (1.0 + abs(w.objective))
+            assert oracle_member(replace(p, X11=w.objective + d), EXACT)[0]
+            assert not oracle_member(replace(p, X11=w.objective - d), EXACT)[0]
             checked += 1
 
-    def test_oracle_is_never_above_the_closed_form_optimum(self):
+    def test_oracle_is_never_above_the_closed_form_optimum(self, analytic_cases):
         # on every relaxation point with a closed witness the oracle's
-        # minimum is at most the analytic one; a miss shows an optimum the
-        # search brackets away from
-        pts, ref = [], []
-        for p in sample_ctilde_points(np.random.default_rng(11), 6000):
-            try:
-                w = analytic_witness(p, classify(p))
-            except RegionHasNoClosedWitness:
-                continue
-            pts.append(p)
-            ref.append(w.objective)
-        assert len(pts) > 3000
+        # minimum is at most the analytic one: each is a member at that X11
+        # plus 1e-9 relative; a miss shows an optimum the search brackets
+        # away from
+        pts, ref = analytic_cases
+        lifted = [replace(p, X11=f + 1e-9 * max(1.0, abs(f))) for p, f in zip(pts, ref)]
         above = [
-            (p, f, res[1].objective)
-            for p, f, res in zip(pts, ref, oracle_members(pts))
-            if not res[1].objective <= f + 1e-9 * max(1.0, abs(f))
+            (p, res[1].objective)
+            for p, res in zip(lifted, oracle_members(lifted, EXACT))
+            if not res[0]
         ]
         assert not above
+
+    def test_lower_bound_is_never_above_the_closed_form_optimum(self, analytic_cases):
+        # the full search takes the lower bound at every weight it samples,
+        # so it tries the bound at more witnesses than the stopped one
+        pts, ref = analytic_cases
+        res = _full_search(pts)
+        above = [
+            (p, f, r[1].lower)
+            for p, f, r in zip(pts, ref, res)
+            if not r[1].lower <= f + 1e-9 * max(1.0, abs(f))
+        ]
+        assert not above
+        assert sum(math.isfinite(r[1].lower) for r in res) > 3000
 
     def test_epsilon_interior_regions_refuse(self):
         rng = np.random.default_rng(76)
