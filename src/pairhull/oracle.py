@@ -16,10 +16,20 @@ proves membership.  A Lagrangian lower bound L <= F, taken from the tangent
 planes of the convex objective at the sampled witnesses (the
 disjunctive-perspective duality of Ceria and Soares, Math. Program. 1999),
 proves non-membership once L > X11 + oracle_tol.  A point leaves the search
-as soon as either holds: f only falls and L only rises, so the decision is
-that of the full search, and only the witness, its objective and L depend
-on where the search stopped.  A non-member that no L certifies runs the
-whole zoom.
+as soon as either holds: after 17 of the coarse weights (every fourth and
+the last), after all 64, or before a zoom pass.  f only falls and L only
+rises, so the decision is that of the full search, and only the witness,
+its objective and L depend on where the search stopped.  A non-member that
+no L certifies runs the whole zoom.
+
+The member certificate holds only up to the closure's band.  At lam = z1
+the band |x1 - a1| <= eq_tol scores (x1 - a1)^2/(z1 - lam) as 0, so a
+split a1 just below x1 gives a1^2/lam under x1^2/z1, and f can fall below
+F.  On the 882 valid hull combinations of ``_sample_hull_array`` (k = 4,
+rng 4, eq_tol = 1e-9) the full search's f lies up to 3.4e-9 below its own
+L, by 1e-9 or more on 4 of them; the gap grows like eq_tol x1/z1.  A point
+whose F lies that close above X11 + oracle_tol is a member to the full
+search, and may be a certified non-member to a search that L stops first.
 """
 
 from __future__ import annotations
@@ -354,6 +364,12 @@ def _sweep(pt, lam_ax, e: float, rounds, width: int, lam_lo, lam_hi):
     return k, np.stack([f[i, k], lam_ax[i, k], a1[i, k], a2[i, k]]), lower.max(axis=1)
 
 
+def _decided(f, lower, stop):
+    """Points a certificate decides at threshold `stop`: objective at most
+    it, or lower bound above it.  A NaN threshold decides none."""
+    return (f <= stop) | (lower > stop)
+
+
 def _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e: float, zoom_rounds: int, width: int, stop):
     """Nested bracket zoom over the weight of every point of `pt`.
 
@@ -377,7 +393,7 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e: float, zoom_rounds: int, wi
     last = np.where(inner > 1, 14, 1)
     llo, lhi = lam_lo.copy(), lam_hi.copy()
     for r in range(zoom_rounds):
-        act = np.flatnonzero((passes > r) & ~(best[0] <= stop) & ~(lower > stop))
+        act = np.flatnonzero((passes > r) & ~_decided(best[0], lower, stop))
         if act.size == 0:
             break
         sub = tuple(c[act] for c in pt)
@@ -394,12 +410,18 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e: float, zoom_rounds: int, wi
 
 #: Weights per point of the coarse pass of :func:`oracle_members`.
 GRID = 64
+#: Columns of the coarse weights swept first (every fourth and the last),
+#: and the rest, swept only for the points no certificate decides on the
+#: first.
+COARSE_FIRST = np.r_[0:GRID:4, GRID - 1]
+COARSE_REST = np.delete(np.arange(GRID), COARSE_FIRST)
 #: Second splits per bracket in each round, of the coarse pass and the zoom.
 ZOOM_WIDTH = 17
 #: Points per pass of :func:`oracle_members`.  Most points leave the search
-#: after the coarse pass, so its cost is mostly that pass's many small numpy
-#: calls, which one pass pays once for all its points; per point it levels
-#: off near 32 points and holds to 256.
+#: after the first coarse stage, so its cost is mostly that stage's many
+#: small numpy calls, which one pass pays once for all its points; per point
+#: it levels off near 64 points and holds to 256, on margin points (0.08
+#: ms) and on non-members, which zoom more (0.28 ms).
 ORACLE_CHUNK = 64
 
 OracleResult = Union[tuple[bool, OracleWitness], PairhullError]
@@ -410,8 +432,12 @@ def _oracle_chunk(
 ) -> list[OracleResult]:
     """One chunk of :func:`oracle_members`: one coarse pass over the
     :data:`GRID` weights of every valid point, then one zoom, which each
-    point leaves once a certificate decides it at X11 + oracle_tol.  With
-    `stop` false the threshold is NaN, and every point runs the full zoom."""
+    point leaves once a certificate decides it at X11 + oracle_tol.  The
+    coarse pass sweeps the weights :data:`COARSE_FIRST` of every point and
+    :data:`COARSE_REST` of the points no certificate decides on those; a
+    point that sweeps both gets the result of one sweep over all of them.
+    With `stop` false the threshold is NaN, and every point runs the whole
+    coarse pass and the full zoom."""
     e = tol.eq_tol
     out: list = [None] * len(points)
     ok = []
@@ -440,13 +466,25 @@ def _oracle_chunk(
     # another formula for every row once one row's step is 0
     lam_ax = lam_lo[:, None] + np.arange(GRID) * ((lam_hi - lam_lo) / (GRID - 1))[:, None]
     lam_ax[:, -1] = lam_hi
-    _, best, lower = _sweep(
-        pt, lam_ax, e, np.ones(len(ok), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi
+    stop_at = threshold if stop else np.full(len(ok), np.nan)
+    k, best, lower = _sweep(
+        pt, lam_ax[:, COARSE_FIRST], e, np.ones(len(ok), dtype=int), ZOOM_WIDTH,
+        lam_lo, lam_hi,
     )
-    _zoom_lambda(
-        pt, lam_lo, lam_hi, best, lower, e, zoom_rounds, ZOOM_WIDTH,
-        threshold if stop else np.full(len(ok), np.nan),
-    )
+    act = np.flatnonzero(~_decided(best[0], lower, stop_at))
+    if act.size:
+        k_rest, found, low_rest = _sweep(
+            tuple(c[act] for c in pt), lam_ax[act][:, COARSE_REST], e,
+            np.ones(act.size, dtype=int), ZOOM_WIDTH, lam_lo[act], lam_hi[act],
+        )
+        # the first least objective over all GRID columns, in column order
+        f_first = best[0, act]
+        take = (found[0] < f_first) | (
+            (found[0] == f_first) & (COARSE_REST[k_rest] < COARSE_FIRST[k[act]])
+        )
+        best[:, act[take]] = found[:, take]
+        lower[act] = np.maximum(lower[act], low_rest)
+    _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e, zoom_rounds, ZOOM_WIDTH, stop_at)
     for j, (f_b, lam_b, a1_b, a2_b), low, thr in zip(
         ok, best.T.tolist(), lower.tolist(), threshold.tolist()
     ):
@@ -505,9 +543,11 @@ def oracle_member(
     Intended for points with X12 and both indicators above eq_tol; the
     X12 = 0 face and the z = 0 edges are decided by the closed-form module.
     This is the batch of one of :func:`oracle_members`, which shares the
-    numpy calls among many points: on 16 margin points, every one certified
-    by the coarse pass, the search costs 0.1-0.3 ms per point, against
-    0.4-0.8 ms for one point alone (2-core x86-64, Python 3.11, numpy 2.4).
+    numpy calls among many points: on the 16 margin points of each
+    perfbench oracle-check stream (seeds 1-10), every one certified on the
+    first 17 coarse weights, the search costs 0.08-0.09 ms per point,
+    against 0.4-0.9 ms for one point alone (fastest of 15 calls; 2-core
+    x86-64, Python 3.11, numpy 2.4).
     """
     (res,) = oracle_members([p], tol, zoom_rounds)
     if isinstance(res, PairhullError):

@@ -25,6 +25,8 @@ from pairhull.errors import (
 from pairhull.core import DEFAULT_TOL, Tolerances, separable_holds
 from pairhull.columns import elementwise
 from pairhull.oracle import (
+    COARSE_FIRST,
+    COARSE_REST,
     GRID,
     ORACLE_CHUNK,
     ZOOM_WIDTH,
@@ -146,9 +148,10 @@ class TestOracleMember:
     def test_r8_optimum_on_a_narrow_a2_interval(self):
         # point 156 of ctilde_margin_points(default_rng(7), 200): the optimum
         # sits at lambda = z1 + z2 - 1 with g2 = 0, where the feasible a2
-        # interval [1.30908, 1.31704] is narrower than x2 / 63, the step of a
-        # 64-sample grid over [0, x2]; 2.122941640066569 is its closed-form
-        # optimum (analytic_witness)
+        # interval [1.30908, 1.31704] is about a third of x2 / 63 wide, so
+        # the search must reach it by sampling a2 inside that interval
+        # (_a2_bracket), not across [0, x2]; 2.122941640066569 is its
+        # closed-form optimum (analytic_witness)
         p = HullPoint(
             1.4130575426467569, 1.5410279630693609, 2.1326427688477576,
             1.687031822085912, 6.806505247396112, 0.9483849477436118,
@@ -396,12 +399,12 @@ SEPARABLE_PINS = [
 # SEPARABLE_PINS: the format of ORACLE_PINS plus the lower bound, "-inf"
 # where no witness gave one.  Every member bit is that of the full search.
 PUBLIC_ORACLE_PINS = [
-    ("lam_lo_zero", True, "0x1.1b07d83cd9b8dp-3", "0x1.10b513fdd1b83p-2",
-     "0x1.7917917917918p-3", "0x1.cccce6314c58ap-3", "0x1.cc8158069b6f3p-3"),
-    ("z1_eq_z2", True, "0x1.75d75d75d75d6p-3", "0x1.999999999999ap-2",
-     "0x1.75d75d75d75d6p-2", "0x1.3333333333332p-3", "0x1.3333333333333p-3"),
-    ("z1_eq_z2_lam_lo_zero", True, "0x1.999999954e16cp-4", "0x1.11111113ee130p-2",
-     "0x1.1111111111111p-3", "0x1.ccccccccccccap-3", "0x1.ccccccbe4df24p-3"),
+    ("lam_lo_zero", True, "0x1.895becc72593fp-4", "0x1.0ecd09f2e5866p-2",
+     "0x1.0410410410410p-3", "0x1.ccd0a41111ecdp-3", "0x1.ca806b7bb35abp-3"),
+    ("z1_eq_z2", True, "0x1.1ad1ad1ad1ad1p-3", "0x1.999999999999ap-2",
+     "0x1.1ad1ad1ad1ad1p-2", "0x1.3333333333333p-3", "0x1.3333333333333p-3"),
+    ("z1_eq_z2_lam_lo_zero", True, "0x1.11111112f9bd0p-2", "0x1.1111110f28652p-2",
+     "0x1.6c16c16c16c17p-2", "0x1.ccccccccccccdp-3", "0x1.cbdb42354f500p-3"),
     ("x2_zero", True, "0x1.075075075074fp-3", "0x0.0p+0",
      "0x1.3333333333330p-2", "0x1.4b94b94b94b94p-3", "0x1.4b94b94b94b96p-3"),
     ("x1_zero", True, "0x0.0p+0", "0x1.999999999999ap-3",
@@ -411,147 +414,191 @@ PUBLIC_ORACLE_PINS = [
     ("g2_nonpositive_everywhere", False, "0x0.0p+0", "0x0.0p+0",
      "0x1.3333333333330p-2", "inf", "-inf"),
     ("worked_nonmember", False, "0x1.999999999999ap-4", "0x1.0000000000000p+0",
-     "0x1.0000000000000p-1", "0x1.028f5c28f5c29p+1", "0x1.fdd63e4061811p+0"),
+     "0x1.0000000000000p-1", "0x1.028f5c28f5c29p+1", "0x1.fb3d1520667eep+0"),
     ("both_indicators_one", True, "0x1.0000000000000p-1", "0x1.0000000000000p-1",
      "0x1.0000000000000p+0", "0x1.0000000000000p-2", "-inf"),
-    ("small_indicator", True, "0x1.b4f0f6dc5d589p-9", "0x1.478a6048904eap-8",
-     "0x1.5d867c3ece2a5p-12", "0x1.99999a0d76d94p-4", "0x1.998451a9b5d3dp-4"),
+    ("small_indicator", True, "0x1.4e02353a9fc0ap-10", "0x1.45ef3a7207597p-8",
+     "0x1.0a4e15852f5d3p-13", "0x1.9999e06a8123dp-4", "0x1.9896ecd389fd2p-4"),
     ("scaled_member", True, "0x1.9b6db6db6db6ap+3", "0x1.1800000000000p+5",
-     "0x1.3333333333330p-2", "0x1.416db6db6db6ep+10", "0x1.416db6db6db6ep+10"),
-    ("interior_member", True, "0x1.83fab1bdadc30p-2", "0x1.89d89d89d89d9p-2",
-     "0x1.aaaaaaaaaaaacp-2", "0x1.d17475c959ee7p-2", "0x1.d10855cdcb358p-2"),
+     "0x1.3333333333330p-2", "0x1.416db6db6db6ep+10", "0x1.416db6db6db6ap+10"),
+    ("interior_member", True, "0x1.20c9481c96e33p-2", "0x1.8c60d4c366dc8p-2",
+     "0x1.3e93e93e93e96p-2", "0x1.d176c32db3f41p-2", "0x1.cf3c554dfa208p-2"),
 ]
 
 PUBLIC_SEPARABLE_PINS = [
     (True, "0x1.591126e9a1a80p-7", "0x1.0c7323ff3b5ecp-2",
-     "0x1.86b66c3576cc0p-3", "0x1.336c42edb9c44p-1", "0x1.333841c7d742dp-1"),
+     "0x1.86b66c3576cc0p-3", "0x1.336c42edb9c44p-1", "0x1.2ea7d45d82c7fp-1"),
     (False, "0x1.df2a571c79f0ep-1", "0x1.4cd9b58a3fb80p-3",
-     "0x1.496b14660cb04p-2", "0x1.edb329e9415a9p+3", "0x1.eda17ab4afcf0p+3"),
+     "0x1.496b14660cb04p-2", "0x1.edb329e9415a9p+3", "0x1.ed5c97659cad1p+3"),
     (True, "0x1.4e5bdbc24e27cp-2", "0x1.e27c5c681f174p-2",
      "0x1.0ab24cf0e4928p-2", "0x1.65f04a1b4526bp-1", "0x1.648c3748f0450p-1"),
     (True, "0x1.fbcdd5b06b6c2p-3", "0x1.8c863d7740cd0p-3",
      "0x1.7a0f4694ec800p-3", "0x1.2605fa9593b77p-1", "0x1.2605fa9593b78p-1"),
-    (False, "0x1.244af7ce3b760p-4", "0x1.fc29d6b820ae8p-1",
-     "0x1.4c7d92537d8a2p-1", "0x1.5bca7bc0e474cp+3", "0x1.5b68867303d79p+3"),
-    (False, "0x1.d0bf8d5ba4fbdp-1", "0x1.86d62e1686428p-2",
-     "0x1.10a7e51196da4p-1", "0x1.b92776b7c276ep+1", "0x1.b92776b7c2770p+1"),
+    (False, "0x1.244af7ce3b760p-4", "0x1.fb5186816750ep-1",
+     "0x1.4b93dd0ba74efp-1", "0x1.5bcab8662a660p+3", "0x1.590d0b5070504p+3"),
+    (False, "0x1.eb0cd45166a8cp-1", "0x1.86d62e1686428p-2",
+     "0x1.2db5a7af5bf46p-1", "0x1.b92776b7c276ep+1", "0x1.b92776b7c2770p+1"),
     (False, "0x1.fae91a7b08f64p-2", "0x1.52ef92f88c6bbp-1",
      "0x1.003d102d8bd94p-1", "0x1.690cb6e78c451p+4", "0x1.0a14c0f29ef28p+4"),
-    (True, "0x1.c5f0e31bba457p-3", "0x1.7962a94f1bc60p-2",
-     "0x1.c9ecb9a8760abp-4", "0x1.e8990cba75828p-1", "0x1.e8990cba7582bp-1"),
+    (True, "0x1.07c526e2e014ep-2", "0x1.7962a94f1bc60p-2",
+     "0x1.b41e67aca12ecp-3", "0x1.e8990cba75828p-1", "0x1.e8990cba75829p-1"),
     (False, "0x1.4789022d6a74dp+0", "0x1.0119a95b259fcp+0",
-     "0x1.2dfa84edefcb0p-1", "0x1.aab0877b55a7ap+2", "0x1.8c25a17c93b26p+2"),
-    (False, "0x1.71ef349abe7c4p-1", "0x1.5fb1540a5799cp-1",
-     "0x1.5e2d7efcc8564p-1", "0x1.2fc479f418e70p+1", "0x1.2f4adcbb3de4cp+1"),
-    (True, "0x1.37383f199cf7fp-5", "0x1.111d718f3f270p-4",
-     "0x1.165835d9f0217p-5", "0x1.16a785b2db2a0p-2", "0x1.16a785b2db2a3p-2"),
+     "0x1.2dfa84edefcb0p-1", "0x1.aab0877b55a7ap+2", "0x1.8ba4897afafd5p+2"),
+    (False, "0x1.71ef349abe7c4p-1", "0x1.607978be29b95p-1",
+     "0x1.60e4926cf226cp-1", "0x1.2fc54b726d074p+1", "0x1.2eb377fdfd2dap+1"),
+    (True, "0x1.459fe2b74ca14p-5", "0x1.111d718f3f270p-4",
+     "0x1.49e3ce0bc7441p-5", "0x1.16a785b2db2a0p-2", "0x1.16a785b2db2a2p-2"),
     (True, "0x1.339bea61ce224p-2", "0x1.5b3779afdc2b0p-1",
-     "0x1.031e8df326210p-1", "0x1.698d95d282ecap+0", "0x1.695179c825f1bp+0"),
-    (True, "0x1.b8583701814ebp-1", "0x1.28310a5da0614p-1",
-     "0x1.a343e9645f36ap-2", "0x1.57089ae869ee9p+1", "0x1.56f8dc80c2355p+1"),
+     "0x1.031e8df326210p-1", "0x1.698d95d282ecap+0", "0x1.690e838798385p+0"),
+    (True, "0x1.f4dfec98a0ec8p-1", "0x1.274b7c4c68088p-1",
+     "0x1.dcad74864e362p-2", "0x1.5709342afac62p+1", "0x1.56937c0f9b9bep+1"),
     (False, "0x1.eaa082aadd2c8p-2", "0x1.1c23228777026p-2",
-     "0x1.0dabce10e301ep-4", "0x1.19da2c6a81c31p+2", "0x1.19d1528505065p+2"),
-    (True, "0x1.9f95619590b70p-3", "0x1.f95eca341a408p-3",
-     "0x1.ae912f7d17182p-6", "0x1.437524de63146p+1", "0x1.437524de63148p+1"),
+     "0x1.2d5695af75c07p-4", "0x1.19da6a55d395dp+2", "0x1.19bd1b3c94199p+2"),
+    (True, "0x1.d9b9e4c02f9a2p-3", "0x1.f95eca341a408p-3",
+     "0x1.ae912f7d17182p-4", "0x1.437524de63146p+1", "0x1.437524de63148p+1"),
     (False, "0x1.b6ee31cc444aap-2", "0x1.6a1a14e16dae0p-2",
      "0x1.bff433faa701cp-4", "0x1.b3eadf140ac6fp+1", "0x1.b3eadf140ac70p+1"),
-    (False, "0x1.0d8c97c443a6cp-2", "0x1.ed7549b412e6dp-4",
-     "0x1.29567f6a99df2p-6", "0x1.7d524d1449a8cp+2", "0x1.7c27ba6e12483p+2"),
-    (True, "0x1.b2be0b5e96452p-4", "0x1.0054046f925bap-2",
-     "0x1.608697f17f10dp-5", "0x1.6f9faad198665p-1", "0x1.6f57ba658c36fp-1"),
-    (True, "0x1.296f74f465f34p-2", "0x1.0ab7c284ea340p-4",
-     "0x1.6bc7ffeda0cd4p-1", "0x1.70d197106abbbp+0", "0x1.70d197106abbep+0"),
-    (True, "0x1.20ad9577f564ep+0", "0x1.f9414c3287832p-2",
-     "0x1.63c7de0b7002dp-1", "0x1.0a866705ca18cp+1", "0x1.0a8133d6de44ap+1"),
-    (True, "0x1.f96ff85e47755p-2", "0x1.c431ddb059d04p-1",
-     "0x1.85660fbfcb272p-2", "0x1.f40ae2953928ep-1", "0x1.f400fd4e8400fp-1"),
+    (False, "0x1.0d8c97c443a6cp-2", "0x1.b49408497c10dp-2",
+     "0x1.042baf7d46a34p-3", "0x1.7d527e137804fp+2", "0x1.6da3f9d234a05p+2"),
+    (True, "0x1.0821b7d845ba8p-3", "0x1.022a4fce4fe1fp-2",
+     "0x1.ad296b0fbc147p-5", "0x1.6fa14873ccbf2p-1", "0x1.6e23e1cb36dfcp-1"),
+    (True, "0x1.274378021b6a7p-2", "0x1.0ab7c284ea340p-4",
+     "0x1.678ac88b8f88ap-1", "0x1.70d197106abbcp+0", "0x1.70d197106abbdp+0"),
+    (True, "0x1.21a7896370890p+0", "0x1.fa58c5ec470adp-2",
+     "0x1.6501e67817161p-1", "0x1.0a866e6e13b6ap+1", "0x1.0a5f7b6f4923ap+1"),
+    (True, "0x1.76d30693cba1ap-1", "0x1.c4c7451a52b8ep-1",
+     "0x1.20d89b2f603d0p-1", "0x1.f40b2b60c98bdp-1", "0x1.f3e707779a57ap-1"),
     (False, "0x1.ecb11537e02bdp-2", "0x1.d11877b752930p-4",
      "0x1.8397fd44cac08p-3", "0x1.70ba83b1dde41p+2", "0x1.70ba83b1dde44p+2"),
-    (False, "0x1.9acdbe4497be4p-2", "0x1.d1437c75f4a4cp-2",
-     "0x1.e449d1512f5f8p-3", "0x1.11decdc6d5e90p+1", "0x1.11decdc6d5e92p+1"),
-    (True, "0x1.9992821b44baep-5", "0x1.0e88308d98cd0p-4",
-     "0x1.338bb8d88015dp-1", "0x1.1e900956a6d10p-1", "0x1.1e900956a6d13p-1"),
-    (True, "0x1.90d2eda02824ep-5", "0x1.f85aff1d790f8p-3",
-     "0x1.85218a8961ec2p-1", "0x1.11a74ce134de2p-7", "0x1.11a74ce134de4p-7"),
+    (False, "0x1.b47f4ebfbd262p-2", "0x1.d1437c75f4a4cp-2",
+     "0x1.2fc0d01c769c7p-2", "0x1.11decdc6d5e90p+1", "0x1.11decdc6d5e92p+1"),
+    (True, "0x1.365942ef67d67p-5", "0x1.0e88308d98cd0p-4",
+     "0x1.12fd508e47f10p-2", "0x1.1e900956a6d11p-1", "0x1.1e900956a6d13p-1"),
+    (True, "0x1.934d39a79d8e4p-5", "0x1.f85aff1d790f8p-3",
+     "0x1.88149158b53f8p-1", "0x1.11a74ce134de2p-7", "0x1.11a74ce134de4p-7"),
     (True, "0x1.f75db57e83e90p-3", "0x1.6912442957f38p-2",
-     "0x1.07e8cb4aaca78p-3", "0x1.171e277bd1434p+1", "0x1.16d124c178ccap+1"),
-    (True, "0x1.d122444b5204fp-1", "0x1.05a548b7ee856p-1",
-     "0x1.e4e6021235c62p-2", "0x1.77da153d1cdd3p+1", "0x1.77ce94d31fae3p+1"),
-    (True, "0x1.5366f34ec2600p-7", "0x1.5cf34930876f7p-3",
-     "0x1.4d21c7f02234ep-2", "0x1.60e8d9c001ee8p-5", "0x1.60e496def4bddp-5"),
+     "0x1.07e8cb4aaca78p-3", "0x1.171e277bd1434p+1", "0x1.1666cb516f9f3p+1"),
+    (True, "0x1.75c036c4100d3p-1", "0x1.0539715028babp-1",
+     "0x1.858e6c055535dp-2", "0x1.77da18fbe31b3p+1", "0x1.77cb300b45f42p+1"),
+    (True, "0x1.5366f34ec2600p-7", "0x1.a2bd8b0708ec2p-3",
+     "0x1.db77c924e6124p-2", "0x1.60e8e8bd2bafap-5", "0x1.609b12c681814p-5"),
     (True, "0x1.cfb71d69d8620p-2", "0x1.42eb52eb0cefap-1",
-     "0x1.745064ee27b52p-2", "0x1.0320321e1a0cdp+0", "0x1.031013f61bd5fp+0"),
-    (False, "0x1.b359700a1184cp-3", "0x1.0ff7940fbf780p-3",
-     "0x1.23df4d27de7d2p-6", "0x1.80475dc5e2383p+2", "0x1.80475dc5e2386p+2"),
-    (True, "0x1.11f50966a8fd1p-1", "0x1.dc399817a7a9cp-1",
-     "0x1.d27e390beb6dep-3", "0x1.4eda1899812d1p+0", "0x1.4eda1899812d4p+0"),
+     "0x1.745064ee27b52p-2", "0x1.0320321e1a0cdp+0", "0x1.02d03dd540e30p+0"),
+    (False, "0x1.8e6fb9fc6fea1p-3", "0x1.0ff7940fbf780p-3",
+     "0x1.8529bc3528a6ep-7", "0x1.80475dc5e2384p+2", "0x1.80475dc5e2384p+2"),
+    (True, "0x1.12a69cbcb2c35p-1", "0x1.dc399817a7a9cp-1",
+     "0x1.db5507b4d48bap-3", "0x1.4eda1899812d2p+0", "0x1.4eda1899812d4p+0"),
     (False, "0x1.a586917d7f628p-1", "0x1.51572d13e2928p-1",
-     "0x1.5c498114b4781p-1", "0x1.03fb7b4523e95p+2", "0x1.fbfffaf57ecfcp+1"),
-    (False, "0x1.197544e18b580p-3", "0x1.1747aaa2937e2p-4",
-     "0x1.fdd5f5e837292p-5", "0x1.06af1f1612182p+1", "0x1.0514e8a547123p+1"),
-    (True, "0x1.a41dd31e6e277p-2", "0x1.2697b0f0c3b27p+0",
-     "0x1.527824755b401p-1", "0x1.515c156bdf1a6p-2", "0x1.515c156bdf1a8p-2"),
+     "0x1.5c498114b4781p-1", "0x1.03fb7b4523e95p+2", "0x1.fbd45d5121ae8p+1"),
+    (False, "0x1.197544e18b580p-3", "0x1.bb29aa7b2ec56p-5",
+     "0x1.c52ff7074d79ep-6", "0x1.06b59d1ac3e75p+1", "0x1.fd878de82d279p+0"),
+    (True, "0x1.a8b8f6cb6f3eep-2", "0x1.2697b0f0c3b27p+0",
+     "0x1.59bb6f09e8646p-1", "0x1.515c156bdf1a6p-2", "0x1.515c156bdf1a8p-2"),
     (True, "0x1.8f4f3ed6cd31ep-1", "0x1.6fd88b9a682cep-2",
      "0x1.6271bbd9ae194p-2", "0x1.cbd5a36ae568bp+0", "0x1.b641d728cc4eap+0"),
     (True, "0x1.cc69f6797dfb0p-3", "0x1.915a1114208b2p-2",
-     "0x1.207d505e6b0b0p-2", "0x1.51976f796b4b1p-1", "0x1.5196b68bc0f7bp-1"),
-    (True, "0x1.a00475d831350p-1", "0x1.89d0df911088bp+0",
-     "0x1.4f22e9a7fb247p-1", "0x1.1dc397bec98d7p+0", "0x1.1dc397bec98d9p+0"),
-    (False, "0x1.8e9dfe5c42d44p-1", "0x1.5b2b181f58770p-3",
-     "0x1.3da73dfffb7a0p-5", "0x1.16cb0aa422aadp+4", "0x1.16cb0aa422aafp+4"),
+     "0x1.1b473fc7a4c70p-2", "0x1.519772935bf47p-1", "0x1.51923a268f5a0p-1"),
+    (True, "0x1.9d437c6139f59p-1", "0x1.89d0df911088bp+0",
+     "0x1.49c072a56114cp-1", "0x1.1dc397bec98d8p+0", "0x1.1dc397bec98d8p+0"),
+    (False, "0x1.95cf423508d78p-1", "0x1.5b2b181f58770p-3",
+     "0x1.3da73dfffb7a0p-3", "0x1.16cb0aa422aadp+4", "0x1.16cb0aa422aafp+4"),
     (False, "0x1.e08106d0ef932p-4", "0x1.4472ead427b70p-4",
-     "0x1.aa4bcff316e10p-3", "0x1.8fcffeaece6f2p+1", "0x1.8fcffeaece6f5p+1"),
-    (True, "0x1.649b4dc6ddb5bp-8", "0x1.9fabafebcfabcp-3",
-     "0x1.42b695c9dcd76p-6", "0x1.a62d9f938e82ap-6", "0x1.a62884572ea3bp-6"),
-    (False, "0x1.f04093cae4a60p-5", "0x1.f49b1c341d2fep-4",
-     "0x1.21a9d0bdaf61cp-3", "0x1.567c7c10fe8b5p+1", "0x1.566d373527addp+1"),
+     "0x1.aa4bcff316e10p-3", "0x1.8fcffeaece6f2p+1", "0x1.8fcffeaece6f4p+1"),
+    (True, "0x1.f32ea19ae3ecfp-5", "0x1.9dfc5209f2c0ap-3",
+     "0x1.c3cc6b4dcec72p-3", "0x1.a62dcc3a41c6fp-6", "0x1.a5d0bc41f964ep-6"),
+    (False, "0x1.f04093cae4a60p-5", "0x1.907c169017598p-4",
+     "0x1.59217b6f9ff1cp-4", "0x1.567c802dfa6aep+1", "0x1.56374cd3cadbep+1"),
     (True, "0x1.4d6d95cfd768bp-2", "0x1.952e3e341bfacp-2",
-     "0x1.a4b36bac45c74p-3", "0x1.5c3a5e053ef1dp+0", "0x1.5c3a5e053ef20p+0"),
-    (False, "0x1.fd122635a75c0p-2", "0x1.648993d69af4ep-1",
-     "0x1.514c2e4720991p-2", "0x1.3825fe8fec165p+2", "0x1.375dcc7b176e0p+2"),
-    (False, "0x1.3f5f3c07ceb90p-4", "0x1.7c9ef70cfc100p-4",
-     "0x1.d34537e870263p-6", "0x1.9df264790ee28p+3", "0x1.8f146352ffdbdp+3"),
-    (True, "0x1.d37d01870f933p-4", "0x1.562a1fff8176cp-2",
-     "0x1.584a2451c74e2p-3", "0x1.ce11767dc453cp-3", "0x1.cda196c87ee61p-3"),
+     "0x1.a4b36bac45c74p-3", "0x1.5c3a5e053ef1dp+0", "0x1.5c3a5e053ef1ep+0"),
+    (False, "0x1.fd122635a75c0p-2", "0x1.3fd218b38b1a1p-1",
+     "0x1.0dd68b6c1a141p-2", "0x1.382695e7d8fe2p+2", "0x1.362db3edb3ec7p+2"),
+    (False, "0x1.3f5f3c07ceb90p-4", "0x1.b03eea321c7a7p-4",
+     "0x1.0b02fb604015dp-5", "0x1.9dfd56bc8ee60p+3", "0x1.69d088662c9dap+3"),
+    (True, "0x1.1ac12096dee78p-3", "0x1.586f6a9ba3d53p-2",
+     "0x1.a2657f33bd53dp-3", "0x1.ce14f49b5b5a7p-3", "0x1.ca739b942bc9cp-3"),
     (False, "0x1.9f69d5e082d60p-4", "0x1.861b0eeb3357ap-1",
-     "0x1.31482655c1236p-1", "0x1.c69d067315781p+1", "0x1.c62d5e5f05337p+1"),
-    (True, "0x1.3ab42f98f817bp-1", "0x1.119b01761b566p-2",
-     "0x1.82cd11ec4f999p-1", "0x1.055f33384b58cp-1", "0x1.055ba46b38c0bp-1"),
+     "0x1.31482655c1236p-1", "0x1.c69d067315781p+1", "0x1.c52faaf9b56acp+1"),
+    (True, "0x1.3a5792f4ef761p-1", "0x1.10627801efed8p-2",
+     "0x1.825aa12e53f3bp-1", "0x1.055f44d9bc281p-1", "0x1.051cf7aa5fc28p-1"),
     (False, "0x1.4f052ec5725d4p-1", "0x1.4cfa71af3e623p-1",
-     "0x1.b3568b9583009p-3", "0x1.021167e333814p+2", "0x1.0209e12d7925ep+2"),
+     "0x1.a9a9f49230725p-3", "0x1.0211898ecbd4ep+2", "0x1.018588d6b89f5p+2"),
     (True, "0x1.4ac6f9911b13cp-2", "0x1.8230a8cb6bf58p-1",
-     "0x1.4e4692e3b002cp-2", "0x1.7fd2096294dfap+1", "0x1.7ddd96084de4dp+1"),
+     "0x1.4e4692e3b002cp-2", "0x1.7fd2096294dfap+1", "0x1.760b9ee639bcdp+1"),
     (False, "0x1.b57dc61634300p-5", "0x1.99f5ccaa02cb3p-3",
      "0x1.b24553f7dd44ap-3", "0x1.3c8567192008ap+0", "0x1.3c810ed42a243p+0"),
     (True, "0x1.afa5db61e2ac0p-4", "0x1.a1f8b8aa62e54p-1",
-     "0x1.4f949bd164370p-1", "0x1.b1bc9982a5dd6p-5", "0x1.b1a51fe7c0c96p-5"),
+     "0x1.4f949bd164370p-1", "0x1.b1bc9982a5dd6p-5", "0x1.b186765200ee8p-5"),
     (False, "0x1.b87036925e2e4p-2", "0x1.9c588c52699d4p-2",
-     "0x1.5ebccca8dff58p-2", "0x1.1e1b1665abbe6p+2", "0x1.1e0bd5a3b0f0ep+2"),
+     "0x1.5ebccca8dff58p-2", "0x1.1e1b1665abbe6p+2", "0x1.1da25eea9176dp+2"),
     (True, "0x1.fab1e145af9c0p-2", "0x1.4428b452208b4p-1",
-     "0x1.ce88250a0b0b8p-2", "0x1.d591c03f6c110p-1", "0x1.c280686fbecbdp-1"),
-    (True, "0x1.af13be835e902p-9", "0x1.aaba0930c3500p-8",
-     "0x1.49191ecf8a45bp-6", "0x1.92546119b83cep-2", "0x1.92546119b83d2p-2"),
+     "0x1.ce88250a0b0b8p-2", "0x1.d591c03f6c110p-1", "0x1.c276feb73546fp-1"),
+    (True, "0x1.a6d5b92892c37p-7", "0x1.aaba0930c3500p-8",
+     "0x1.eda5ae374f688p-3", "0x1.92546119b83cep-2", "0x1.92546119b83d1p-2"),
     (False, "0x1.9e4f5b3be8c40p-5", "0x1.378f0b2520be0p-5",
-     "0x1.18fbe5c13f151p-7", "0x1.136d114dc8508p+1", "0x1.136d114dc850ap+1"),
+     "0x1.18fbe5c13f151p-7", "0x1.136d114dc8508p+1", "0x1.136d114dc8509p+1"),
     (True, "0x1.849aad2d4fa64p-3", "0x1.ae66d5fa60ef8p-2",
-     "0x1.d4cb7f4852becp-4", "0x1.1121224d1f09ap+1", "0x1.1121224d1f09dp+1"),
+     "0x1.d4cb7f4852becp-4", "0x1.1121224d1f09ap+1", "0x1.1121224d1f09cp+1"),
     (False, "0x1.3a345b216c860p-1", "0x1.2c8b37db0ee64p-1",
      "0x1.6873b17e0a587p-2", "0x1.53f239dacfbf1p+2", "0x1.53cb6bb5f96ecp+2"),
     (False, "0x1.895fd3863c8e6p-1", "0x1.43da2e353d3f2p-3",
      "0x1.6f7913d9b36bcp-2", "0x1.610e34dc31389p+4", "0x1.610537ee336c5p+4"),
     (False, "0x1.2ae7b37fead6ep-1", "0x1.6472c08286288p-3",
-     "0x1.d0a6b7832bb10p-4", "0x1.5f6f250735bddp+6", "0x1.5e8ef052c7b13p+6"),
+     "0x1.d0a6b7832bb10p-4", "0x1.5f6f250735bddp+6", "0x1.5c4fa31cb3627p+6"),
     (False, "0x1.67e4788b2a500p-2", "0x1.6f943e519280cp-2",
      "0x1.68bbdee859498p-2", "0x1.be4685a8b5743p+2", "0x1.bcd1735a84449p+2"),
-    (False, "0x1.ca4f81814779fp-2", "0x1.95031f02caa34p-2",
-     "0x1.85f99e99747fbp-4", "0x1.48acb45d2529ep+1", "0x1.48acb45d252a0p+1"),
-    (False, "0x1.0bf1c7367da67p-1", "0x1.b223408814e98p-3",
-     "0x1.7805b1d19b0f6p-1", "0x1.fce05559ee6a9p+1", "0x1.fce05559ee6adp+1"),
-    (False, "0x1.1656c3b49a3a0p-5", "0x1.60acbaa03116ep-3",
-     "0x1.6ebebce515546p-3", "0x1.79644bda1c04ep+3", "0x1.791ef6a0f3af9p+3"),
-    (False, "0x1.06e7eaf9b1d24p-1", "0x1.b6776bedb4280p-3",
-     "0x1.321cd31e57698p-5", "0x1.d7b5a993b028dp+2", "0x1.d7b5a993b0290p+2"),
+    (False, "0x1.0733c6b45a983p-1", "0x1.95031f02caa34p-2",
+     "0x1.5aa4fec14b1c3p-3", "0x1.48acb45d2529ep+1", "0x1.48acb45d252a0p+1"),
+    (False, "0x1.0f7f37a515069p-1", "0x1.b223408814e98p-3",
+     "0x1.81d5e1f087023p-1", "0x1.fce05559ee6a9p+1", "0x1.fce05559ee6acp+1"),
+    (False, "0x1.1656c3b49a3a0p-5", "0x1.5eb257634fbfep-5",
+     "0x1.1e3d7435eb2f2p-5", "0x1.7965516e9043bp+3", "0x1.77c51898b555ep+3"),
+    (False, "0x1.0b71beacc2215p-1", "0x1.b6776bedb4280p-3",
+     "0x1.74a8a7f86a6a3p-5", "0x1.d7b5a993b028dp+2", "0x1.d7b5a993b028fp+2"),
 ]
+
+
+def _coarse_cases():
+    """Points of the coarse-pass tests: margin points, non-members, hull
+    combinations, and the edge cases of the weight interval and of x."""
+    pts = ctilde_margin_points(np.random.default_rng(91), 6)
+    pts += shrunken_nonmembers(np.random.default_rng(92), 4)
+    hull = _points(_sample_hull_array(np.random.default_rng(93), 6, 3))
+    pts += [p for p in hull if min(p.z1, p.z2) > 1e-9]
+    return pts + [
+        HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5),  # z1 + z2 <= 1: lambda = 0
+        HullPoint(0.5, 0.6, 0.3, 0.25, 0.8, 1.0, 0.7),  # one-point weight interval
+        HullPoint(0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6),  # x1 = 0
+        HullPoint(0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # x2 = 0
+        HullPoint(0.0, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # ties across lambda
+        # X22 below every split cost x2^2 / z2 of x2: every sample +inf
+        HullPoint(0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6),
+        # X22 = x2^2 / z2: g2 = 0 at lambda = 0, a2 = 0, in the band
+        HullPoint(0.3, 0.4, 0.5, 0.2, 0.4 * 0.4 / 0.5, 0.4, 0.5),
+        HullPoint(0.3, 0.4, 0.5, 0.0, 0.4 * 0.4 / 0.5, 0.4, 0.5),
+    ]
+
+
+def _weight_columns(pts):
+    """The (x1, x2, X12, X22, z1, z2) columns of `pts` and the ends of
+    their weight intervals."""
+    cols = np.array([(p.x1, p.x2, p.X12, p.X22, p.z1, p.z2) for p in pts]).T
+    lam_hi = np.minimum(cols[4], cols[5])
+    lam_lo = np.minimum(np.maximum(cols[4] + cols[5] - 1.0, 0.0), lam_hi)
+    return cols, lam_lo, lam_hi
+
+
+def _coarse_weights(lam_lo, lam_hi):
+    """The GRID coarse weights of each point, np.linspace row by row."""
+    return np.stack([np.linspace(lo, hi, GRID) for lo, hi in zip(lam_lo, lam_hi)])
+
+
+def _oracle_check_points():
+    """The member --oracle lines of the perfbench oracle-check streams of
+    seeds 1-10: the first 16 of their 4000 margin points."""
+    return [
+        p for seed in range(1, 11)
+        for p in ctilde_margin_points(np.random.default_rng(seed), 4000)[:16]
+    ]
 
 
 def _hex(v):
@@ -617,25 +664,8 @@ class TestPinnedOracle:
         e = 1e-9
         objective = elementwise(_witness_objective)
         g2_of = elementwise(_witness_g2)
-        pts = ctilde_margin_points(np.random.default_rng(91), 6)
-        pts += shrunken_nonmembers(np.random.default_rng(92), 4)
-        hull = _points(_sample_hull_array(np.random.default_rng(93), 6, 3))
-        pts += [p for p in hull if min(p.z1, p.z2) > e]
-        pts += [
-            HullPoint(0.3, 0.4, 0.5, 0.2, 0.6, 0.4, 0.5),  # z1 + z2 <= 1: lambda = 0
-            HullPoint(0.5, 0.6, 0.3, 0.25, 0.8, 1.0, 0.7),  # one-point weight interval
-            HullPoint(0.0, 0.4, 0.5, 0.2, 0.6, 0.7, 0.6),  # x1 = 0
-            HullPoint(0.3, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # x2 = 0
-            HullPoint(0.0, 0.0, 0.5, 0.1, 0.3, 0.7, 0.6),  # ties across lambda
-            # X22 below every split cost x2^2 / z2 of x2: every sample +inf
-            HullPoint(0.3, 0.4, 0.5, 0.2, 0.2, 0.7, 0.6),
-            # X22 = x2^2 / z2: g2 = 0 at lambda = 0, a2 = 0, in the band
-            HullPoint(0.3, 0.4, 0.5, 0.2, 0.4 * 0.4 / 0.5, 0.4, 0.5),
-            HullPoint(0.3, 0.4, 0.5, 0.0, 0.4 * 0.4 / 0.5, 0.4, 0.5),
-        ]
-        cols = np.array([(p.x1, p.x2, p.X12, p.X22, p.z1, p.z2) for p in pts]).T
-        lam_hi = np.minimum(cols[4], cols[5])
-        lam_lo = np.minimum(np.maximum(cols[4] + cols[5] - 1.0, 0.0), lam_hi)
+        pts = _coarse_cases()
+        cols, lam_lo, lam_hi = _weight_columns(pts)
         lam_ax = np.linspace(lam_lo, lam_hi, GRID, axis=1)
         _, got, _ = _sweep(
             cols, lam_ax, e, np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi
@@ -665,6 +695,29 @@ class TestPinnedOracle:
             else:
                 expected = (f[r, k, c], lam_ax[i, r], a1[r, k, c], a2[r, k])
             assert tuple(got[:, i]) == expected, p
+
+    def test_staged_coarse_pass_is_one_sweep_of_every_weight(self):
+        # the coarse pass sweeps the weights COARSE_FIRST, then COARSE_REST
+        # of the points no certificate decides; with no stop every point
+        # sweeps both, and the merge must be one sweep of all GRID weights:
+        # its first least objective in weight order and its greatest lower
+        # bound, on ties across lambda, +inf rows, one-point weight
+        # intervals and lambda = 0 alike
+        assert sorted(np.r_[COARSE_FIRST, COARSE_REST].tolist()) == list(range(GRID))
+        pts = _coarse_cases()
+        cols, lam_lo, lam_hi = _weight_columns(pts)
+        _, best, lower = _sweep(
+            cols, _coarse_weights(lam_lo, lam_hi), DEFAULT_TOL.eq_tol,
+            np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi,
+        )
+        got = _oracle_chunk(pts, DEFAULT_TOL, zoom_rounds=0, stop=False)
+        for i, (p, (member, wit)) in enumerate(zip(pts, got)):
+            f, lam, a1, a2 = best[:, i]
+            assert member == (f <= p.X11 + DEFAULT_TOL.oracle_tol)
+            assert [_hex(v) for v in (wit.objective, wit.lambda4, wit.xt41, wit.xt42)] == [
+                _hex(v) for v in (f, lam, a1, a2)
+            ], p
+            assert _hex(wit.lower) == _hex(lower[i]), p
 
 
 class TestEarlyStop:
@@ -715,9 +768,12 @@ class TestEarlyStop:
         "points",
         [
             lambda: ctilde_margin_points(np.random.default_rng(5), 300),
+            _oracle_check_points,
             lambda: shrunken_nonmembers(np.random.default_rng(6), 200),
+            # holds R8 non-members that no lower bound certifies
+            lambda: shrunken_nonmembers(np.random.default_rng(8), 500),
         ],
-        ids=["margin", "shrunken"],
+        ids=["margin", "oracle-check", "shrunken", "shrunken-uncertified"],
     )
     def test_decisions_equal_the_full_search(self, points):
         pts = points()
@@ -725,6 +781,31 @@ class TestEarlyStop:
         assert [res[0] for res in stopped] == [res[0] for res in full]
         # a point that stops early keeps an objective at least the full one
         assert all(a[1].objective >= b[1].objective for a, b in zip(stopped, full))
+
+    def test_first_stage_members_pass_the_witness_checks(self):
+        # a point whose objective on the COARSE_FIRST weights is at most
+        # X11 + oracle_tol leaves the search with that stage's witness; its
+        # certificate is then checked by the public witness functions: the
+        # witness is feasible and its objective recomputes
+        pts = [HullPoint(*pin[1]) for pin in ORACLE_PINS] + _oracle_check_points()
+        pts += ctilde_margin_points(np.random.default_rng(5), 300)
+        cols, lam_lo, lam_hi = _weight_columns(pts)
+        _, first, _ = _sweep(
+            cols, _coarse_weights(lam_lo, lam_hi)[:, COARSE_FIRST], DEFAULT_TOL.eq_tol,
+            np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi,
+        )
+        checked = 0
+        for i, (p, (member, wit)) in enumerate(zip(pts, oracle_members(pts))):
+            if not first[0, i] <= p.X11 + DEFAULT_TOL.oracle_tol:
+                continue
+            assert member
+            assert (wit.objective, wit.lambda4, wit.xt41, wit.xt42) == tuple(first[:, i])
+            w = (wit.xt41, wit.xt42, wit.lambda4)
+            assert min(witness_slacks(p, w).values()) >= -DEFAULT_TOL.eq_tol, p
+            f = oracle_objective(p, w)
+            assert abs(f - wit.objective) <= 1e-12 * max(1.0, abs(wit.objective)), p
+            checked += 1
+        assert checked >= 400
 
 
 def _bracket_cases():
