@@ -16,8 +16,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Iterator, TextIO
 
-import numpy as np
-
+from .columns import np
 from .core import (
     COORD_NAMES,
     DEFAULT_TOL,
@@ -25,10 +24,12 @@ from .core import (
     HullPoint,
     Tolerances,
     _box_faults,
+    _in_ambient_box,
+    by_rows,
     in_ambient_box,
 )
 from .errors import PairhullError
-from .regions import CELLS, classify_batch
+from .regions import CELLS, classify, classify_batch
 
 # hull, oracle, separation and verify are imported by the commands that
 # call them, so a process that only classifies never loads them
@@ -144,29 +145,85 @@ def _coord(v) -> float:
         raise InputError("all coordinates must be finite") from exc
 
 
-def _coords(flat: list) -> tuple[np.ndarray, InputError | None]:
+def _floats(flat: list) -> tuple[list[float], InputError | None]:
     """The values as floats, up to the first that is no coordinate, and the
-    error of that value.  They are converted together; :func:`_coord` goes
-    through them one by one only to find the one that fails."""
-    if set(map(type, flat)) <= {float, int}:
-        try:
-            return np.array(flat, float), None
-        except OverflowError:
-            pass
+    error of that value."""
     vals = []
     for v in flat:
         try:
             vals.append(_coord(v))
         except InputError as exc:
-            return np.array(vals), exc
-    return np.array(vals), None
+            return vals, exc
+    return vals, None
+
+
+def _point_rows(flat: list, tol: Tolerances) -> tuple[list[HullPoint], int | None, str]:
+    """Passes two and three of a chunk decided row by row, on Python
+    floats: the records as points up to the first bad one, its index and
+    its fault."""
+    e = tol.eq_tol
+    vals, error = _floats(flat)
+    points: list[HullPoint] = []
+    for i in range(len(vals) // 8):
+        x1, x2, X11, X12, X21, X22, z1, z2 = rec = vals[8 * i : 8 * i + 8]
+        if not all(map(math.isfinite, rec)):
+            return points, i, "all coordinates must be finite"
+        if abs(X12 - X21) > e:
+            return points, i, '"X" must be symmetric'
+        p = HullPoint(x1, x2, X11, X12, X22, z1, z2)
+        if not _in_ambient_box(p, e):
+            return points, i, _box_faults(p, e)
+        points.append(p)
+    if error is None:
+        return points, None, ""
+    return points, len(points), str(error)
+
+
+def _coords(flat: list) -> tuple[np.ndarray, InputError | None]:
+    """:func:`_floats` as an array.  The values are converted together;
+    :func:`_floats` goes through them one by one only to find the one that
+    fails."""
+    if set(map(type, flat)) <= {float, int}:
+        try:
+            return np.array(flat, float), None
+        except OverflowError:
+            pass
+    vals, error = _floats(flat)
+    return np.array(vals), error
+
+
+def _column_rows(flat: list, tol: Tolerances) -> tuple[np.ndarray, int | None, str]:
+    """Passes two and three of a chunk decided on columns, with numpy: the
+    records as ``(m, 7)`` rows up to the first bad one, its index and its
+    fault."""
+    vals, error = _coords(flat)
+    m = len(vals) // 8
+    k, fault = (None, "") if error is None else (m, str(error))
+    vals = vals[: 8 * m].reshape(m, 8)
+    rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(vals).all(axis=1)
+        symmetric = ~(np.abs(vals[:, 3] - vals[:, 4]) > tol.eq_tol)
+        ok = finite & symmetric & in_ambient_box(HullColumns.of_rows(rows), tol)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if not finite[k]:
+            fault = "all coordinates must be finite"
+        elif not symmetric[k]:
+            fault = '"X" must be symmetric'
+        else:
+            fault = _box_faults(HullPoint(*rows[k].tolist()), tol.eq_tol)
+        rows = rows[:k]
+    return rows, k, fault
 
 
 def _parse_chunk(
     lines: list[str], lineno: int, tol: Tolerances
-) -> tuple[np.ndarray, InputError | None]:
-    """The points of the lines up to the first bad one, as ``(m, 7)`` rows,
-    and the error of that line.
+) -> tuple[list[HullPoint] | np.ndarray, InputError | None]:
+    """The points of the lines up to the first bad one, and the error of
+    that line.  A chunk of records that :func:`~pairhull.core.by_rows`
+    leaves to the scalar functions gives a list of points, parsed on
+    Python floats without numpy; a larger one gives ``(m, 7)`` rows.
 
     The lines are checked in three passes: their shape (an object with
     "x", "X" and "z" holding eight values), their coordinates (JSON
@@ -205,33 +262,19 @@ def _parse_chunk(
         flat += X1
         flat += z
         starts.append(i)
-    vals, error = _coords(flat)
-    m = len(vals) // 8
-    if error is not None:
-        bad, fault = starts[m], str(error)
-    vals = vals[: 8 * m].reshape(m, 8)
-    rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
-    with np.errstate(invalid="ignore"):
-        finite = np.isfinite(vals).all(axis=1)
-        symmetric = ~(np.abs(vals[:, 3] - vals[:, 4]) > tol.eq_tol)
-        ok = finite & symmetric & in_ambient_box(HullColumns.of_rows(rows), tol)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        if not finite[k]:
-            fault = "all coordinates must be finite"
-        elif not symmetric[k]:
-            fault = '"X" must be symmetric'
-        else:
-            fault = _box_faults(HullPoint(*rows[k].tolist()), tol.eq_tol)
-        rows, bad = rows[:k], starts[k]
+    values = _point_rows if by_rows(len(starts)) else _column_rows
+    rows, k, value_fault = values(flat, tol)
+    if k is not None:
+        bad, fault = starts[k], value_fault
     if bad is None:
         return rows, None
     return rows, InputError(f"line {lineno + bad}: {fault}")
 
 
-def _read_rows(stream, tol: Tolerances) -> Iterator[np.ndarray]:
-    """The points of each chunk as ``(m, 7)`` rows.  A bad line raises its
-    :class:`InputError` once the rows before it have been handed out."""
+def _read_rows(stream, tol: Tolerances) -> Iterator[list[HullPoint] | np.ndarray]:
+    """The points of each chunk, as :func:`_parse_chunk` gives them.  A bad
+    line raises its :class:`InputError` once the points before it have
+    been handed out."""
     for lineno, lines in _chunks(stream):
         rows, error = _parse_chunk(lines, lineno, tol)
         if len(rows):
@@ -246,7 +289,11 @@ def _slack_json(slacks: dict[str, float]) -> dict:
 
 def _cmd_classify(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
     for rows in _read_rows(stdin, tol):
-        stdout.write("".join(tag.value + "\n" for tag in classify_batch(rows, tol)))
+        if type(rows) is list:
+            tags = [classify(p, tol) for p in rows]
+        else:
+            tags = classify_batch(rows, tol)
+        stdout.write("".join(tag.value + "\n" for tag in tags))
         stdout.flush()
     return 0
 
@@ -286,34 +333,59 @@ def _plain_member_lines(batch: MembershipBatch, n: int) -> str:
     return "".join(out)
 
 
+def _member_reports(
+    points: list[HullPoint], tol: Tolerances
+) -> tuple[list[MembershipReport], PairhullError | ArithmeticError | None]:
+    """:func:`~pairhull.hull.member_hull` on the points up to the first
+    whose decision raises an error that :func:`~pairhull.hull.member_batch`
+    reports, and that error."""
+    from .hull import member_hull
+
+    reps = []
+    for p in points:
+        try:
+            reps.append(member_hull(p, tol))
+        except (PairhullError, ArithmeticError) as exc:
+            return reps, exc
+    return reps, None
+
+
 def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
     from .hull import member_batch
 
     for rows in _read_rows(stdin, tol):
-        batch = member_batch(rows, tol)
-        n = min(batch.errors, default=len(batch))
+        if type(rows) is list:
+            reps, error = _member_reports(rows, tol)
+            n = len(reps)
+        else:
+            batch = member_batch(rows, tol)
+            n = min(batch.errors, default=len(batch))
+            reps, error = map(batch.report, range(n)), batch.errors.get(n)
         if args.oracle:
-            recs = [_member_record(batch.report(i), args.report) for i in range(n)]
+            recs = [_member_record(rep, args.report) for rep in reps]
             _answer_oracle(recs, rows[:n], tol, stdout, args.pretty)
         elif args.report or args.pretty:
-            for i in range(n):
-                _dump(_member_record(batch.report(i), args.report), stdout, args.pretty)
+            for rep in reps:
+                _dump(_member_record(rep, args.report), stdout, args.pretty)
+        elif type(rows) is list:
+            stdout.write("".join(_dumps(_member_record(rep, False), False) for rep in reps))
         else:
             stdout.write(_plain_member_lines(batch, n))
         stdout.flush()
-        if n < len(batch):
-            raise batch.errors[n]
+        if error is not None:
+            raise error
     return 0
 
 
 def _answer_oracle(
-    recs: list[dict], rows: np.ndarray, tol: Tolerances, stdout: TextIO, pretty: bool
+    recs: list[dict], rows: list[HullPoint] | np.ndarray, tol: Tolerances, stdout: TextIO,
+    pretty: bool,
 ) -> None:
     """Decide the closed-form records of a chunk of `member --oracle` lines
     in one oracle pass and write them in input order."""
     from .oracle import oracle_members
 
-    points = [HullPoint(*row) for row in rows.tolist()]
+    points = rows if type(rows) is list else [HullPoint(*row) for row in rows.tolist()]
     for rec, res in zip(recs, oracle_members(points, tol)):
         if isinstance(res, PairhullError):
             rec["oracle_error"] = type(res).__name__
@@ -372,6 +444,8 @@ def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
 
     formats = _record_formats(args.pretty)
     for rows in _read_rows(stdin, tol):
+        if type(rows) is list:
+            rows = np.array([p.coords() for p in rows])
         batch = separate_batch(rows, tol)
         n = min(
             (i for i, exc in batch.errors.items() if not isinstance(exc, PairhullError)),

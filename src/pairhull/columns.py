@@ -21,6 +21,12 @@ counterparts.
 A conditional expression whose test is a plain ``bool`` (a flag of the
 caller, such as ``closed``) still picks one branch, so a body may switch
 on its arguments; an ``if`` statement must test such a flag only.
+
+The modules of the scalar functions import numpy as ``np`` from here.
+Until a column path first reads a name of it, that ``np`` is a stand-in,
+so a process that only decides short streams row by row never imports
+numpy, which is most of its start; :func:`bind_numpy` then puts numpy in
+the stand-in's place.
 """
 
 from __future__ import annotations
@@ -30,12 +36,35 @@ import ast
 import functools
 import inspect
 import math
-import textwrap
+import sys
 import types
 
-import numpy as np
-
 _COLUMN_OF: dict = {}
+
+
+class _NumpyOnFirstUse:
+    """The ``np`` of the package's modules until numpy is bound: any name
+    read of it binds numpy and is read of numpy."""
+
+    def __getattr__(self, name: str):
+        return getattr(bind_numpy(), name)
+
+
+_STAND_IN = np = _NumpyOnFirstUse()
+
+
+def bind_numpy():
+    """Import numpy and bind it as ``np`` in every loaded module of the
+    package that holds the stand-in; return it.  Modules loaded later
+    import the bound numpy from here."""
+    if np is not _STAND_IN:
+        return np
+    import numpy
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pairhull.") and getattr(module, "np", None) is _STAND_IN:
+            module.np = numpy
+    return numpy
 
 
 def column_version(scalar):
@@ -70,12 +99,23 @@ def _max(a, b):
     return np.where(b > a, b, a)
 
 
-_MATH = types.SimpleNamespace(sqrt=np.sqrt, isinf=np.isinf, inf=math.inf, nextafter=np.nextafter)
+def _not(mask):
+    return np.logical_not(mask)
+
+
+@functools.cache
+def _math() -> types.SimpleNamespace:
+    """``math`` as the column versions see it, built once numpy is bound."""
+    return types.SimpleNamespace(
+        sqrt=np.sqrt, isinf=np.isinf, inf=math.inf, nextafter=np.nextafter
+    )
+
+
 _BUILTINS = {"max": _max, "min": _min}
 _HELPERS = {
     "_columns_and": _and,
     "_columns_or": _or,
-    "_columns_not": np.logical_not,
+    "_columns_not": _not,
     "_columns_where": _where,
 }
 
@@ -119,6 +159,9 @@ def elementwise(fn):
 
 
 def _compile(fn):
+    import textwrap  # the one compiler import no other module of a start loads
+
+    bind_numpy()  # before the scope below copies the module's ``np``
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     (node,) = tree.body
     node.decorator_list = []
@@ -128,7 +171,7 @@ def _compile(fn):
     for name in used:
         value = inspect.unwrap(scope[name]) if name in scope else None
         if value is math:
-            scope[name] = _MATH
+            scope[name] = _math()
         elif (
             isinstance(value, types.FunctionType)
             and value.__module__.startswith("pairhull.")

@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .columns import column_version, elementwise
+from .columns import column_version, elementwise, np
 from .errors import NegativeDenominator, NotInAmbientBox
 
 #: Canonical coordinate order used by arrays, cut coefficients and JSON records.
@@ -152,18 +150,25 @@ def validate_point(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> None:
 
 
 #: Fewest rows a batch decides on columns.  The column path has a fixed
-#: cost of about 0.3 ms (and the first call of a process compiles the
-#: column versions), so smaller batches, such as the single lines of an
-#: interactive stream, go through the scalar functions row by row.  Only
-#: :func:`row_mask` and :func:`decide_rows` make that choice.
+#: cost of about 0.3 ms (and the first call of a process imports numpy
+#: and compiles the column versions), so smaller batches, such as the
+#: single lines of an interactive stream, go through the scalar functions
+#: row by row.  Only :func:`by_rows` reads it; :func:`row_mask`,
+#: :func:`decide_rows` and the CLI, which parses and answers such a chunk
+#: on Python floats, ask it.
 COLUMN_MIN_ROWS = 64
+
+
+def by_rows(n: int) -> bool:
+    """Whether a batch of n rows goes row by row rather than on columns."""
+    return n < COLUMN_MIN_ROWS
 
 
 def row_mask(pred, cols: HullColumns, *args) -> np.ndarray:
     """Mask of the rows p of ``cols`` where ``pred(p, *args)`` holds: row by
     row below :data:`COLUMN_MIN_ROWS` rows, else ``elementwise(pred)`` on
     the columns."""
-    if len(cols) < COLUMN_MIN_ROWS:
+    if by_rows(len(cols)):
         return np.array([pred(p, *args) for p in cols.points()], bool)
     return elementwise(pred)(cols, *args)
 
@@ -179,7 +184,7 @@ def decide_rows(out, cols: HullColumns, columns, decide, catch, tol: Tolerances)
     decision raises one of ``catch`` has its error in ``out.errors``.
     """
     validate_columns(cols, tol)
-    if len(cols) < COLUMN_MIN_ROWS:
+    if by_rows(len(cols)):
         rows = enumerate(cols.points())
     else:
         rows = ((int(i), cols.point(i)) for i in np.flatnonzero(columns(cols, tol, out)))

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .columns import column_version
+from .columns import column_version, np
 from .core import HullPoint
 
 #: Separating family of each cell that carries one, keyed by the cell tag.

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .columns import elementwise
+from .columns import elementwise, np
 from .core import (
     DEFAULT_TOL,
     HullColumns,
@@ -30,7 +28,6 @@ from .families import (
     w_shift,
     w_sqrt_arg,
 )
-from .oracle import oracle_member
 from .regions import (
     CELLS,
     CODE_OF,
@@ -41,6 +38,7 @@ from .regions import (
     closure_columns,
     on_indicator_edge,
     region_closure_contains,
+    regions_of,
 )
 
 _NEG_INF = -math.inf
@@ -221,6 +219,8 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
         try:
             slacks = piece_slacks(p, region, tol)
         except NumericallyDegenerate:
+            from .oracle import oracle_member  # array code: loaded only here
+
             is_member, wit = oracle_member(p, tol)
             slacks = {**_part1_slacks(p, tol), "V.W-ineq": p.X11 - wit.objective}
             violated = () if is_member else ("V.W-ineq",)
@@ -300,7 +300,7 @@ class MembershipBatch:
     @property
     def region(self) -> np.ndarray:
         """The :class:`Region` of every row."""
-        return CELLS[self.cell]
+        return regions_of(self.cell)
 
     def report(self, i: int) -> MembershipReport:
         """Row i as the :class:`MembershipReport` of :func:`member_hull`;

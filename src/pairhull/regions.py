@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-from .columns import elementwise
+from .columns import elementwise, np
 from .core import (
     DEFAULT_TOL,
     HullColumns,
@@ -202,10 +200,15 @@ def classify(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Region:
 
 #: Region of each cell code of the batch functions: the index of R1..R8
 #: in :data:`_PREDICATES`, then NotCovered.
-CELLS = np.array(list(Region), dtype=object)
+CELLS = tuple(Region)
 NOT_COVERED_CODE = len(_PREDICATES)
 #: Cell code of each :class:`Region`.
 CODE_OF = {tag: code for code, tag in enumerate(CELLS)}
+
+
+def regions_of(codes: np.ndarray) -> np.ndarray:
+    """The :class:`Region` of every cell code of an array, as an object array."""
+    return np.array(CELLS, object)[codes]
 
 
 def cell_masks(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -239,7 +242,7 @@ def classify_batch(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     cols = HullColumns.of_rows(rows)
     with np.errstate(all="ignore"):
         validate_columns(cols, tol)
-        return CELLS[cell_codes(cols, tol)]
+        return regions_of(cell_codes(cols, tol))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import pytest
 
 from pairhull import cli
 from pairhull.cli import _point_record, main
+from pairhull.core import COLUMN_MIN_ROWS, HullPoint
 from pairhull.oracle import ORACLE_CHUNK
 from pairhull.verify import ctilde_margin_points, shrunken_nonmembers
 
@@ -166,6 +167,16 @@ LARGE_LINE = (
 )
 
 
+#: An uncovered corner (the "uncovered" pin of test_separation): the column
+#: path of ``member`` hands it to the scalar ``member_hull``.
+CORNER_LINE = json.dumps(
+    {"x": [0.0023614562234584202, 0.0018389504695006781],
+     "X": [[3.303684937974451e-05, 3.261422087943452e-05],
+           [3.261422087943452e-05, 1.785549495622005e-05]],
+     "z": [0.28771104292453, 0.4770477567323037]}
+)
+
+
 def _integer_line(line: str) -> str:
     """The record of a line with x and X rounded to JSON integers."""
     rec = json.loads(line)
@@ -233,12 +244,8 @@ class TestStreamChunks:
         from pairhull import hull
         from pairhull.errors import NumericallyDegenerate
 
-        corner = {"x": [0.0023614562234584202, 0.0018389504695006781],
-                  "X": [[3.303684937974451e-05, 3.261422087943452e-05],
-                        [3.261422087943452e-05, 1.785549495622005e-05]],
-                  "z": [0.28771104292453, 0.4770477567323037]}
         lines = _margin_lines(100, seed=37)
-        lines.insert(70, json.dumps(corner))
+        lines.insert(70, CORNER_LINE)
 
         def fail(p, tol):
             raise NumericallyDegenerate("forced")
@@ -261,6 +268,77 @@ class TestStreamChunks:
         for stdin in (io.StringIO(text), io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")):
             out = io.StringIO()
             assert (main(argv, stdin=stdin, stdout=out), out.getvalue()) == expected
+
+
+#: The lines a short chunk is checked on, each with whether ``member_hull``
+#: raises on the corner: the bad lines, two lines with two faults (the
+#: message names the first checked), an integer -0 (JSON's int gives +0.0,
+#: as does numpy's conversion) and the corner.
+SHORT_CASES = [pytest.param(bad, False, id=bad) for bad in BAD_LINES] + [
+    pytest.param('{"x":[0.1,1],"X":[[1,1e999],[1.2,2.5]],"z":[0.5,0.5]}', False,
+                 id="infinite and asymmetric"),
+    pytest.param('{"x":[-1,1],"X":[[1,1.3],[1.2,2.5]],"z":[0.5,0.5]}', False,
+                 id="outside and asymmetric"),
+    pytest.param('{"x":[-0,0.5],"X":[[0,-0],[-0,1]],"z":[0.5,0.5]}', False, id="integer -0"),
+    pytest.param(CORNER_LINE, False, id="corner"),
+    pytest.param(CORNER_LINE, True, id="corner raises"),
+]
+
+
+def _records(argv: list[str], out: str) -> list[str]:
+    """The records of a stream's output: its lines, or with --pretty its
+    indented objects."""
+    if "--pretty" in argv:
+        return re.findall(r"(?ms)^\{$.*?^\}\n", out)
+    return out.splitlines(keepends=True)
+
+
+class TestShortChunks:
+    """A chunk of fewer than COLUMN_MIN_ROWS records is parsed and answered
+    row by row on Python floats; its answers are those of a column chunk."""
+
+    @staticmethod
+    def _outcome(argv: list[str], lines: list[str], capsys) -> tuple:
+        from pairhull.errors import NumericallyDegenerate
+
+        out = io.StringIO()
+        try:
+            code = main(argv, stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+        except NumericallyDegenerate as exc:
+            code = repr(exc)
+        return code, out.getvalue(), capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [1, COLUMN_MIN_ROWS - 1])
+    @pytest.mark.parametrize("extra, raises", SHORT_CASES)
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["member"], ["member", "--report"], ["--pretty", "member"],
+        ["member", "--oracle"],
+    ], ids=" ".join)
+    def test_first_lines_answer_as_in_a_column_chunk(self, argv, extra, raises, k, capsys,
+                                                     monkeypatch):
+        from pairhull import hull
+        from pairhull.errors import NumericallyDegenerate
+
+        rec = json.loads(CORNER_LINE)
+        (X11, X12), (_, X22) = rec["X"]
+        corner = HullPoint(*rec["x"], X11, X12, X22, *rec["z"])
+        member_hull = hull.member_hull
+
+        def fail_on_corner(p, tol):
+            if p == corner:
+                raise NumericallyDegenerate("forced")
+            return member_hull(p, tol)
+
+        if raises:
+            monkeypatch.setattr(hull, "member_hull", fail_on_corner)
+        lines = _margin_lines(COLUMN_MIN_ROWS + 16, seed=41)
+        lines.insert(k // 2, extra)
+        code, out, err = self._outcome(argv, lines, capsys)
+        assert self._outcome(argv, lines[:k], capsys) == (
+            code, "".join(_records(argv, out)[:k]), err
+        )
+        if raises and "member" in argv:
+            assert code == repr(NumericallyDegenerate("forced"))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -469,38 +547,86 @@ class TestPackage:
 
 
 def _loaded_modules(code: str) -> set[str]:
-    """The ``pairhull`` modules a fresh interpreter holds after ``code``."""
+    """The ``pairhull`` modules, and ``numpy`` if it is loaded, that a fresh
+    interpreter holds after ``code``."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'pairhull'))"
+    probe = code + (
+        "\nimport sys\nprint(' '.join(m for m in sys.modules"
+        " if m == 'numpy' or m.split('.')[0] == 'pairhull'))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     return set(out.stdout.split())
 
 
 class TestStartup:
-    """Each command imports only the modules it calls, so a process that
+    """Each command imports only the modules it calls, and a short stream of
+    ``classify`` or ``member`` is answered without numpy, so a process that
     answers one query pays for no others at start."""
 
     BASE = {"pairhull", "pairhull.cli", "pairhull.columns", "pairhull.core",
             "pairhull.errors", "pairhull.regions"}
-    MEMBER = BASE | {"pairhull.families", "pairhull.hull", "pairhull.oracle"}
+    MEMBER = BASE | {"pairhull.families", "pairhull.hull"}
+    EVERY = {"pairhull", *(f"pairhull.{f.stem}" for f in PACKAGE_DIR.glob("*.py")
+                           if f.stem not in ("__init__", "__main__"))}
 
-    @pytest.mark.parametrize("command, modules", [
-        ("classify", BASE),
-        ("member", MEMBER),
-        ("separate", MEMBER | {"pairhull.separation"}),
+    @pytest.mark.parametrize("argv, modules", [
+        pytest.param(argv, modules, id=" ".join(argv)) for argv, modules in (
+            (["classify"], BASE),
+            (["member"], MEMBER),
+            (["member", "--report"], MEMBER),
+            (["member", "--oracle"], MEMBER | {"pairhull.oracle", "numpy"}),
+            (["separate"], MEMBER | {"pairhull.separation", "numpy"}),
+        )
     ])
-    def test_command_loads_only_its_modules(self, command, modules):
+    def test_command_loads_only_its_modules(self, argv, modules):
         code = (
             "import io\nfrom pairhull import cli\n"
-            f"out = io.StringIO()\nassert cli.main([{command!r}], io.StringIO({R4_LINE!r}), out) == 0\n"
+            f"out = io.StringIO()\nassert cli.main({argv!r}, io.StringIO({R4_LINE!r}), out) == 0\n"
             "assert out.getvalue().count(chr(10)) == 1"
         )
         assert _loaded_modules(code) == modules
 
+    def test_verify_loads_every_module(self):
+        code = (
+            "import io\nfrom pairhull import cli\n"
+            "assert cli.main(['verify', '--trials', '1'], io.StringIO(), io.StringIO()) == 0"
+        )
+        assert _loaded_modules(code) == self.EVERY | {"numpy"}
+
+    def test_compiling_first_binds_numpy(self):
+        # a column version compiled before any column operation still
+        # copies numpy, not the stand-in, into its scope
+        code = (
+            "import sys\nfrom pairhull import columns, core\n"
+            "holds = columns.elementwise(core.ctilde_holds)\n"
+            "numpy = sys.modules['numpy']\n"
+            "assert holds.__globals__['np'] is numpy and core.np is numpy"
+        )
+        assert "numpy" in _loaded_modules(code)
+
     def test_package_import_loads_no_submodule(self):
         assert _loaded_modules("import pairhull") == {"pairhull"}
+
+    @pytest.mark.parametrize("argv", [*STREAM_COMMANDS, ["member", "--oracle"]], ids=" ".join)
+    def test_column_chunk_leaves_no_numpy_stand_in(self, argv):
+        # columns._compile copies a module's globals, so numpy must be bound
+        # before it: a stand-in left in a module or a compiled scope would
+        # put a Python attribute hook on every column operation
+        lines = "".join(line + "\n" for line in _margin_lines(COLUMN_MIN_ROWS, seed=40))
+        code = (
+            "import io, sys\nfrom pairhull import cli, columns\n"
+            f"assert cli.main({argv!r}, io.StringIO({lines!r}), io.StringIO()) == 0\n"
+            "numpy = sys.modules['numpy']\n"
+            "scopes = [vars(m) for n, m in list(sys.modules.items()) if n.startswith('pairhull.')]\n"
+            "compiled = [f.__globals__ for f in columns._COLUMN_OF.values()]\n"
+            "assert compiled and all(s.get('np', numpy) is numpy for s in scopes + compiled)\n"
+            "left = [k for s in scopes + compiled for k, v in s.items()\n"
+            "        if v is columns._STAND_IN and k != '_STAND_IN']\n"
+            "assert not left, left"
+        )
+        assert "numpy" in _loaded_modules(code)
 
 
 class TestVerify:
