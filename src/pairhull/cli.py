@@ -75,10 +75,6 @@ def _dumps(obj, pretty: bool) -> str:
     return json.dumps(obj, indent=2 if pretty else None) + "\n"
 
 
-def _dump(obj, out: TextIO, pretty: bool) -> None:
-    out.write(_dumps(obj, pretty))
-
-
 def _reads(stream) -> Iterator[str]:
     """The text each read of the stream returns.  A binary stdin buffer is
     read with ``read1``, which returns what has arrived, and decoded with
@@ -195,24 +191,21 @@ def _coords(flat: list) -> tuple[np.ndarray, InputError | None]:
 def _column_rows(flat: list, tol: Tolerances) -> tuple[np.ndarray, int | None, str]:
     """Passes two and three of a chunk decided on columns, with numpy: the
     records as ``(m, 7)`` rows up to the first bad one, its index and its
-    fault."""
+    fault, which :func:`_point_rows` names."""
     vals, error = _coords(flat)
     m = len(vals) // 8
     k, fault = (None, "") if error is None else (m, str(error))
     vals = vals[: 8 * m].reshape(m, 8)
     rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
     with np.errstate(invalid="ignore"):
-        finite = np.isfinite(vals).all(axis=1)
-        symmetric = ~(np.abs(vals[:, 3] - vals[:, 4]) > tol.eq_tol)
-        ok = finite & symmetric & in_ambient_box(HullColumns.of_rows(rows), tol)
+        ok = (
+            np.isfinite(vals).all(axis=1)
+            & ~(np.abs(vals[:, 3] - vals[:, 4]) > tol.eq_tol)
+            & in_ambient_box(HullColumns.of_rows(rows), tol)
+        )
     if not ok.all():
         k = int(np.argmin(ok))
-        if not finite[k]:
-            fault = "all coordinates must be finite"
-        elif not symmetric[k]:
-            fault = '"X" must be symmetric'
-        else:
-            fault = _box_faults(HullPoint(*rows[k].tolist()), tol.eq_tol)
+        _, _, fault = _point_rows(vals[k].tolist(), tol)
         rows = rows[:k]
     return rows, k, fault
 
@@ -364,11 +357,10 @@ def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
         if args.oracle:
             recs = [_member_record(rep, args.report) for rep in reps]
             _answer_oracle(recs, rows[:n], tol, stdout, args.pretty)
-        elif args.report or args.pretty:
-            for rep in reps:
-                _dump(_member_record(rep, args.report), stdout, args.pretty)
-        elif type(rows) is list:
-            stdout.write("".join(_dumps(_member_record(rep, False), False) for rep in reps))
+        elif args.report or args.pretty or type(rows) is list:
+            stdout.write(
+                "".join(_dumps(_member_record(rep, args.report), args.pretty) for rep in reps)
+            )
         else:
             stdout.write(_plain_member_lines(batch, n))
         stdout.flush()
@@ -399,7 +391,7 @@ def _answer_oracle(
             }
             rec["objective"] = None if math.isinf(wit.objective) else wit.objective
             rec["lower"] = None if math.isinf(wit.lower) else wit.lower
-        _dump(rec, stdout, pretty)
+        stdout.write(_dumps(rec, pretty))
 
 
 #: Columns of the numbers of a cut record, in the order the record writes

@@ -23,10 +23,10 @@ caller, such as ``closed``) still picks one branch, so a body may switch
 on its arguments; an ``if`` statement must test such a flag only.
 
 The modules of the scalar functions import numpy as ``np`` from here.
-Until a column path first reads a name of it, that ``np`` is a stand-in,
-so a process that only decides short streams row by row never imports
-numpy, which is most of its start; :func:`bind_numpy` then puts numpy in
-the stand-in's place.
+That ``np`` is a stand-in that imports numpy when a column path first
+reads a name of it, so a process that only decides short streams row by
+row never imports numpy, which is most of its start.  Each name read is
+kept on the stand-in, so a later read of it is a plain attribute read.
 """
 
 from __future__ import annotations
@@ -36,35 +36,24 @@ import ast
 import functools
 import inspect
 import math
-import sys
 import types
 
 _COLUMN_OF: dict = {}
 
 
 class _NumpyOnFirstUse:
-    """The ``np`` of the package's modules until numpy is bound: any name
-    read of it binds numpy and is read of numpy."""
+    """The ``np`` of the package's modules: a name read of it is read of
+    numpy, imported then, and kept."""
 
     def __getattr__(self, name: str):
-        return getattr(bind_numpy(), name)
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
 
 
-_STAND_IN = np = _NumpyOnFirstUse()
-
-
-def bind_numpy():
-    """Import numpy and bind it as ``np`` in every loaded module of the
-    package that holds the stand-in; return it.  Modules loaded later
-    import the bound numpy from here."""
-    if np is not _STAND_IN:
-        return np
-    import numpy
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("pairhull.") and getattr(module, "np", None) is _STAND_IN:
-            module.np = numpy
-    return numpy
+np = _NumpyOnFirstUse()
 
 
 def column_version(scalar):
@@ -105,7 +94,7 @@ def _not(mask):
 
 @functools.cache
 def _math() -> types.SimpleNamespace:
-    """``math`` as the column versions see it, built once numpy is bound."""
+    """``math`` as the column versions see it, built on first use."""
     return types.SimpleNamespace(
         sqrt=np.sqrt, isinf=np.isinf, inf=math.inf, nextafter=np.nextafter
     )
@@ -161,7 +150,6 @@ def elementwise(fn):
 def _compile(fn):
     import textwrap  # the one compiler import no other module of a start loads
 
-    bind_numpy()  # before the scope below copies the module's ``np``
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     (node,) = tree.body
     node.decorator_list = []

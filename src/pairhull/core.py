@@ -23,7 +23,7 @@ class Tolerances:
 
     ``eq_tol`` bounds equality/strictness bands in region tests, ``mem_tol``
     bounds membership slacks, ``oracle_tol`` bounds the numeric oracle's
-    objective gap.  They must be positive and nested, except that
+    objective gap.  They must be finite, positive and nested, except that
     ``oracle_tol`` may be 0, which compares the oracle's objective with X11
     itself.
     """
@@ -34,11 +34,11 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         if not (
-            0.0 < self.eq_tol <= self.mem_tol
-            and (self.oracle_tol == 0.0 or self.mem_tol <= self.oracle_tol)
+            0.0 < self.eq_tol <= self.mem_tol < math.inf
+            and (self.oracle_tol == 0.0 or self.mem_tol <= self.oracle_tol < math.inf)
         ):
             raise ValueError(
-                "tolerances must satisfy 0 < eq_tol <= mem_tol <= oracle_tol"
+                "tolerances must be finite and satisfy 0 < eq_tol <= mem_tol <= oracle_tol"
                 " or oracle_tol = 0"
             )
 

@@ -17,10 +17,10 @@ planes of the convex objective at the sampled witnesses (the
 disjunctive-perspective duality of Ceria and Soares, Math. Program. 1999),
 proves non-membership once L > X11 + oracle_tol.  A point leaves the search
 as soon as either holds: after 17 of the coarse weights (every fourth and
-the last), after all 64, or before a zoom pass.  f only falls and L only
-rises, so the decision is that of the full search, and only the witness,
-its objective and L depend on where the search stopped.  A non-member that
-no L certifies runs the whole zoom.
+the last), after a sweep of all 64, which repeats those 17, or before a
+zoom pass.  f only falls and L only rises, so the decision is that of the
+full search, and only the witness, its objective and L depend on where the
+search stopped.  A non-member that no L certifies runs the whole zoom.
 
 The member certificate holds only up to the closure's band.  At lam = z1
 the band |x1 - a1| <= eq_tol scores (x1 - a1)^2/(z1 - lam) as 0, so a
@@ -410,11 +410,9 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e: float, zoom_rounds: int, wi
 
 #: Weights per point of the coarse pass of :func:`oracle_members`.
 GRID = 64
-#: Columns of the coarse weights swept first (every fourth and the last),
-#: and the rest, swept only for the points no certificate decides on the
-#: first.
+#: Columns of the coarse weights swept first (every fourth and the last).
+#: The points no certificate decides on them sweep all :data:`GRID` again.
 COARSE_FIRST = np.r_[0:GRID:4, GRID - 1]
-COARSE_REST = np.delete(np.arange(GRID), COARSE_FIRST)
 #: Second splits per bracket in each round, of the coarse pass and the zoom.
 ZOOM_WIDTH = 17
 #: Points per pass of :func:`oracle_members`.  Most points leave the search
@@ -433,10 +431,10 @@ def _oracle_chunk(
     """One chunk of :func:`oracle_members`: one coarse pass over the
     :data:`GRID` weights of every valid point, then one zoom, which each
     point leaves once a certificate decides it at X11 + oracle_tol.  The
-    coarse pass sweeps the weights :data:`COARSE_FIRST` of every point and
-    :data:`COARSE_REST` of the points no certificate decides on those; a
-    point that sweeps both gets the result of one sweep over all of them.
-    With `stop` false the threshold is NaN, and every point runs the whole
+    coarse pass sweeps the weights :data:`COARSE_FIRST` of every point,
+    then all :data:`GRID` weights of the points no certificate decides on
+    those, whose result is thus that of one sweep over all of them.  With
+    `stop` false the threshold is NaN, and every point runs the whole
     coarse pass and the full zoom."""
     e = tol.eq_tol
     out: list = [None] * len(points)
@@ -467,23 +465,16 @@ def _oracle_chunk(
     lam_ax = lam_lo[:, None] + np.arange(GRID) * ((lam_hi - lam_lo) / (GRID - 1))[:, None]
     lam_ax[:, -1] = lam_hi
     stop_at = threshold if stop else np.full(len(ok), np.nan)
-    k, best, lower = _sweep(
+    _, best, lower = _sweep(
         pt, lam_ax[:, COARSE_FIRST], e, np.ones(len(ok), dtype=int), ZOOM_WIDTH,
         lam_lo, lam_hi,
     )
     act = np.flatnonzero(~_decided(best[0], lower, stop_at))
     if act.size:
-        k_rest, found, low_rest = _sweep(
-            tuple(c[act] for c in pt), lam_ax[act][:, COARSE_REST], e,
-            np.ones(act.size, dtype=int), ZOOM_WIDTH, lam_lo[act], lam_hi[act],
+        _, best[:, act], lower[act] = _sweep(
+            tuple(c[act] for c in pt), lam_ax[act], e, np.ones(act.size, dtype=int),
+            ZOOM_WIDTH, lam_lo[act], lam_hi[act],
         )
-        # the first least objective over all GRID columns, in column order
-        f_first = best[0, act]
-        take = (found[0] < f_first) | (
-            (found[0] == f_first) & (COARSE_REST[k_rest] < COARSE_FIRST[k[act]])
-        )
-        best[:, act[take]] = found[:, take]
-        lower[act] = np.maximum(lower[act], low_rest)
     _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e, zoom_rounds, ZOOM_WIDTH, stop_at)
     for j, (f_b, lam_b, a1_b, a2_b), low, thr in zip(
         ok, best.T.tolist(), lower.tolist(), threshold.tolist()

@@ -61,37 +61,34 @@ def _in_r1(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     )
 
 
+def _r3_sides(p: HullPoint):
+    """The two sides of the R2/R3 boundary, x1^2 (z2 - z1)(X22 z2 - x2^2)
+    and z1 (X12 z2 - x1 x2)^2: R2 holds the first at least the second, R3
+    the second beyond the first."""
+    d = p.X12 * p.z2 - p.x1 * p.x2
+    return p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2), p.z1 * (d * d)
+
+
 def _in_r2(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
     strict = ge if closed else gt
     xx = p.x1 * p.x2
-    d = p.X12 * p.z2 - xx
     return (
         ge(p.z2, p.z1, e)
         and strict(p.X12 * p.z2, xx, e)
         and ge(xx, p.X12 * p.z1, e)
         and (closed or (gt(p.X12, 0.0, e) and gt(p.z1, 0.0, e)))
-        and ge(
-            p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
-            p.z1 * (d * d),
-            e,
-        )
+        and ge(*_r3_sides(p), e)
     )
 
 
 def _in_r3(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     e = tol.eq_tol
     strict = ge if closed else gt
-    xx = p.x1 * p.x2
-    d = p.X12 * p.z2 - xx
     return (
         strict(p.z2, p.z1, e)
         and strict(p.X12 * p.x2, p.X22 * p.x1, e)
-        and strict(
-            p.z1 * (d * d),
-            p.x1 * p.x1 * (p.z2 - p.z1) * (p.X22 * p.z2 - p.x2 * p.x2),
-            e,
-        )
+        and strict(*reversed(_r3_sides(p)), e)
         and (closed or (ge(p.x1, 0.0, e) and gt(p.X12, 0.0, e) and gt(p.z1, 0.0, e)))
     )
 

@@ -595,36 +595,27 @@ class TestStartup:
         )
         assert _loaded_modules(code) == self.EVERY | {"numpy"}
 
-    def test_compiling_first_binds_numpy(self):
-        # a column version compiled before any column operation still
-        # copies numpy, not the stand-in, into its scope
-        code = (
-            "import sys\nfrom pairhull import columns, core\n"
-            "holds = columns.elementwise(core.ctilde_holds)\n"
-            "numpy = sys.modules['numpy']\n"
-            "assert holds.__globals__['np'] is numpy and core.np is numpy"
-        )
-        assert "numpy" in _loaded_modules(code)
-
     def test_package_import_loads_no_submodule(self):
         assert _loaded_modules("import pairhull") == {"pairhull"}
 
-    @pytest.mark.parametrize("argv", [*STREAM_COMMANDS, ["member", "--oracle"]], ids=" ".join)
-    def test_column_chunk_leaves_no_numpy_stand_in(self, argv):
-        # columns._compile copies a module's globals, so numpy must be bound
-        # before it: a stand-in left in a module or a compiled scope would
-        # put a Python attribute hook on every column operation
-        lines = "".join(line + "\n" for line in _margin_lines(COLUMN_MIN_ROWS, seed=40))
+    def test_column_chunks_read_numpy_names_from_the_stand_in(self):
+        # the stand-in keeps each numpy name read of it, so once a command
+        # has answered one column chunk, its next chunk reads numpy through
+        # no Python attribute hook, and what it reads is numpy's own object
+        first, second = ("".join(line + "\n" for line in _margin_lines(COLUMN_MIN_ROWS, seed))
+                         for seed in (40, 41))
         code = (
             "import io, sys\nfrom pairhull import cli, columns\n"
-            f"assert cli.main({argv!r}, io.StringIO({lines!r}), io.StringIO()) == 0\n"
+            "hook = columns._NumpyOnFirstUse.__getattr__\nreads = []\n"
+            "columns._NumpyOnFirstUse.__getattr__ = lambda s, n: reads.append(n) or hook(s, n)\n"
+            f"for argv in {[*STREAM_COMMANDS, ['member', '--oracle']]!r}:\n"
+            f"    assert cli.main(argv, io.StringIO({first!r}), io.StringIO()) == 0\n"
+            "    del reads[:]\n"
+            f"    assert cli.main(argv, io.StringIO({second!r}), io.StringIO()) == 0\n"
+            "    assert not reads, (argv, reads)\n"
             "numpy = sys.modules['numpy']\n"
-            "scopes = [vars(m) for n, m in list(sys.modules.items()) if n.startswith('pairhull.')]\n"
-            "compiled = [f.__globals__ for f in columns._COLUMN_OF.values()]\n"
-            "assert compiled and all(s.get('np', numpy) is numpy for s in scopes + compiled)\n"
-            "left = [k for s in scopes + compiled for k, v in s.items()\n"
-            "        if v is columns._STAND_IN and k != '_STAND_IN']\n"
-            "assert not left, left"
+            "kept = vars(columns.np)\n"
+            "assert kept and all(v is getattr(numpy, k) for k, v in kept.items())"
         )
         assert "numpy" in _loaded_modules(code)
 
@@ -716,6 +707,14 @@ class TestTolerancesFlags:
         _, loose = run_cli(["--mem-tol", "0.001", "--oracle-tol", "0.01", "member"], line + "\n")
         assert json.loads(strict)["member"] is False
         assert json.loads(loose)["member"] is True
+
+    def test_infinite_tolerances_are_usage_errors(self, capsys):
+        # with every band infinite the R4 non-member would read as a member
+        inf = ["--eq-tol", "inf", "--mem-tol", "inf", "--oracle-tol", "inf"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*inf, "member"], R4_LINE + "\n")
+        assert exc.value.code == 2
+        assert "tolerances must be finite" in capsys.readouterr().err
 
     def test_pretty_output_parses(self):
         _, out = run_cli(["--pretty", "member"], R1_LINE + "\n")

@@ -75,7 +75,7 @@ class TestTolerances:
         # oracle_tol = 0 compares the oracle's objective with X11 itself;
         # any other oracle_tol still nests above mem_tol
         assert Tolerances(oracle_tol=0.0).oracle_tol == 0.0
-        for bad in (1e-9, -1e-6, math.nan):
+        for bad in (1e-9, -1e-6, math.nan, math.inf):
             with pytest.raises(ValueError):
                 Tolerances(oracle_tol=bad)
 

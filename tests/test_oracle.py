@@ -26,7 +26,6 @@ from pairhull.core import DEFAULT_TOL, Tolerances, separable_holds
 from pairhull.columns import elementwise
 from pairhull.oracle import (
     COARSE_FIRST,
-    COARSE_REST,
     GRID,
     ORACLE_CHUNK,
     ZOOM_WIDTH,
@@ -697,13 +696,12 @@ class TestPinnedOracle:
             assert tuple(got[:, i]) == expected, p
 
     def test_staged_coarse_pass_is_one_sweep_of_every_weight(self):
-        # the coarse pass sweeps the weights COARSE_FIRST, then COARSE_REST
-        # of the points no certificate decides; with no stop every point
-        # sweeps both, and the merge must be one sweep of all GRID weights:
-        # its first least objective in weight order and its greatest lower
-        # bound, on ties across lambda, +inf rows, one-point weight
-        # intervals and lambda = 0 alike
-        assert sorted(np.r_[COARSE_FIRST, COARSE_REST].tolist()) == list(range(GRID))
+        # the coarse pass sweeps the weights COARSE_FIRST, then all GRID
+        # weights of the points no certificate decides; with no stop every
+        # point sweeps both, and the result must be one sweep of all GRID
+        # weights: its first least objective in weight order and its
+        # greatest lower bound, on ties across lambda, +inf rows, one-point
+        # weight intervals and lambda = 0 alike
         pts = _coarse_cases()
         cols, lam_lo, lam_hi = _weight_columns(pts)
         _, best, lower = _sweep(
