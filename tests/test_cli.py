@@ -598,7 +598,8 @@ class TestStartup:
     def test_package_import_loads_no_submodule(self):
         assert _loaded_modules("import pairhull") == {"pairhull"}
 
-    def test_column_chunks_read_numpy_names_from_the_stand_in(self):
+    @pytest.mark.parametrize("argv", [*STREAM_COMMANDS, ["member", "--oracle"]], ids=" ".join)
+    def test_column_chunks_read_numpy_names_from_the_stand_in(self, argv):
         # the stand-in keeps each numpy name read of it, so once a command
         # has answered one column chunk, its next chunk reads numpy through
         # no Python attribute hook, and what it reads is numpy's own object
@@ -608,11 +609,10 @@ class TestStartup:
             "import io, sys\nfrom pairhull import cli, columns\n"
             "hook = columns._NumpyOnFirstUse.__getattr__\nreads = []\n"
             "columns._NumpyOnFirstUse.__getattr__ = lambda s, n: reads.append(n) or hook(s, n)\n"
-            f"for argv in {[*STREAM_COMMANDS, ['member', '--oracle']]!r}:\n"
-            f"    assert cli.main(argv, io.StringIO({first!r}), io.StringIO()) == 0\n"
-            "    del reads[:]\n"
-            f"    assert cli.main(argv, io.StringIO({second!r}), io.StringIO()) == 0\n"
-            "    assert not reads, (argv, reads)\n"
+            f"assert cli.main({argv!r}, io.StringIO({first!r}), io.StringIO()) == 0\n"
+            "del reads[:]\n"
+            f"assert cli.main({argv!r}, io.StringIO({second!r}), io.StringIO()) == 0\n"
+            "assert not reads, reads\n"
             "numpy = sys.modules['numpy']\n"
             "kept = vars(columns.np)\n"
             "assert kept and all(v is getattr(numpy, k) for k, v in kept.items())"
