@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from typing import TYPE_CHECKING, Iterator, TextIO
 
@@ -48,6 +49,12 @@ READ_SIZE = 1 << 20
 #: stream of cuts returned heap to the system on each call, and the next
 #: command faulted about 4 MB back in.
 WRITE_ROWS = 128
+#: Lines of a chunk whose numbers one ``json.loads`` decodes.  The text
+#: of a slice stays small: decoding a 4000-line chunk at once raised the
+#: peak resident memory of cut-heavy benchmark runs from 57.7-57.9 to
+#: 60.0-60.3 MiB; slices of 512 lines left it at 57.3-58.0 MiB, at the
+#: same speed.
+BULK_ROWS = 512
 
 
 class InputError(Exception):
@@ -210,26 +217,14 @@ def _column_rows(flat: list, tol: Tolerances) -> tuple[np.ndarray, int | None, s
     return rows, k, fault
 
 
-def _parse_chunk(
-    lines: list[str], lineno: int, tol: Tolerances
-) -> tuple[list[HullPoint] | np.ndarray, InputError | None]:
-    """The points of the lines up to the first bad one, and the error of
-    that line.  A chunk of records that :func:`~pairhull.core.by_rows`
-    leaves to the scalar functions gives a list of points, parsed on
-    Python floats without numpy; a larger one gives ``(m, 7)`` rows.
-
-    The lines are checked in three passes: their shape (an object with
-    "x", "X" and "z" holding eight values), their coordinates (JSON
-    numbers), then the values of all records at once (finite, X
-    symmetric, inside the ambient box).  Each pass stops at the first
-    line it rejects and the next pass looks only at the lines before it,
-    so the first bad line gives the error, and its first fault in that
-    order the message.
-    """
+def _scan_records(lines: list[str], first: int = 0) -> tuple[list, list[int], int | None, str]:
+    """Pass one of :func:`_parse_chunk`, line by line from ``lines[first]``:
+    the values of the records up to the first line that is no record of
+    the usual shape, the index in ``lines`` of each record, and the index
+    and fault of that line.  Blank lines are skipped."""
     flat: list = []
-    starts: list[int] = []  # index in ``lines`` of each record
-    bad, fault = None, ""
-    for i, line in enumerate(lines):
+    starts: list[int] = []
+    for i, line in enumerate(lines[first:], first):
         line = line.strip()
         if not line:
             continue
@@ -248,17 +243,85 @@ def _parse_chunk(
         except (StopIteration, ValueError, KeyError, TypeError):
             usual = False
         if not usual:
-            bad, fault = i, _shape_fault(line)
-            break
+            return flat, starts, i, _shape_fault(line)
         flat += x
         flat += X0
         flat += X1
         flat += z
         starts.append(i)
-    values = _point_rows if by_rows(len(starts)) else _column_rows
+    return flat, starts, None, ""
+
+
+@functools.cache
+def _record_lines() -> re.Pattern:
+    """Lines, each ended by a line end, that are each a record as
+    ``json.dumps`` writes it, in its default spacing or in its compact one,
+    with each number a run of the characters of JSON numbers.  The pattern
+    fixes where each number sits: the other characters of a record alone
+    would pass '{"x": 5[, 1], ...}'.  Compiled on first use (about 1 ms),
+    so ``verify`` does not pay for it."""
+    rec = {"x": [0, 0], "X": [[0, 0], [0, 0]], "z": [0, 0]}
+    one = "|".join(re.escape(json.dumps(rec, separators=sep)).replace("0", "[-+.0-9eE]+")
+                   for sep in ((", ", ": "), (",", ":")))
+    return re.compile(f"(?:(?:{one})\n)*")
+
+
+#: Turns lines of :func:`_record_lines` into a JSON list body of their
+#: numbers: the rest of each record to spaces, line ends to commas.
+_NUMBERS_ONLY = str.maketrans({**dict.fromkeys('{}[]":xXz', " "), "\n": ","})
+
+
+def _bulk_values(lines: list[str]) -> tuple[list, int]:
+    """The values of the first lines of the chunk, read in slices of
+    :data:`BULK_ROWS` lines while every line of a slice is a record as
+    ``json.dumps`` writes it, and the number of lines read.  They are the
+    values :func:`_scan_records` gives for those lines: the pattern puts a
+    run of number characters, and nothing else, in each slot, and
+    ``json.loads`` reads a run only if it is one JSON number."""
+    records = _record_lines()
+    flat: list = []
+    for lo in range(0, len(lines), BULK_ROWS):
+        text = "\n".join(lines[lo : lo + BULK_ROWS])
+        if not records.fullmatch(text + "\n"):
+            return flat, lo
+        try:
+            flat += json.loads("[" + text.translate(_NUMBERS_ONLY) + "]")
+        except ValueError:
+            return flat, lo
+    return flat, len(lines)
+
+
+def _parse_chunk(
+    lines: list[str], lineno: int, tol: Tolerances
+) -> tuple[list[HullPoint] | np.ndarray, InputError | None]:
+    """The points of the lines up to the first bad one, and the error of
+    that line.  A chunk of records that :func:`~pairhull.core.by_rows`
+    leaves to the scalar functions gives a list of points, parsed on
+    Python floats without numpy; a larger one gives ``(m, 7)`` rows.
+
+    The lines are checked in three passes: their shape (an object with
+    "x", "X" and "z" holding eight values), their coordinates (JSON
+    numbers), then the values of all records at once (finite, X
+    symmetric, inside the ambient box).  Each pass stops at the first
+    line it rejects and the next pass looks only at the lines before it,
+    so the first bad line gives the error, and its first fault in that
+    order the message.
+
+    The first pass reads the chunk in slices with :func:`_bulk_values`
+    (one pattern match, one ``str.translate`` and one ``json.loads`` a
+    slice) while every line of a slice is a record spelled as
+    ``json.dumps`` spells it.  From the first slice that is not,
+    :func:`_scan_records` reads line by line and names the fault of a bad
+    line.  Both give the same values for the same lines, so the rows and
+    errors do not depend on which of them read a line.
+    """
+    flat, n = _bulk_values(lines)
+    more, starts, bad, fault = _scan_records(lines, n)
+    flat += more
+    values = _point_rows if by_rows(n + len(starts)) else _column_rows
     rows, k, value_fault = values(flat, tol)
     if k is not None:
-        bad, fault = starts[k], value_fault
+        bad, fault = (k if k < n else starts[k - n]), value_fault
     if bad is None:
         return rows, None
     return rows, InputError(f"line {lineno + bad}: {fault}")

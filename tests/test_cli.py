@@ -9,13 +9,16 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairhull import cli
 from pairhull.cli import _point_record, main
-from pairhull.core import COLUMN_MIN_ROWS, HullPoint
+from pairhull.core import COLUMN_MIN_ROWS, DEFAULT_TOL, HullPoint
 from pairhull.oracle import ORACLE_CHUNK
 from pairhull.verify import ctilde_margin_points, shrunken_nonmembers
 
@@ -339,6 +342,167 @@ class TestShortChunks:
         )
         if raises and "member" in argv:
             assert code == repr(NumericallyDegenerate("forced"))
+
+
+def _record_line(tokens: list[str], compact: bool) -> str:
+    """A record line with these eight number tokens, spaced as ``json.dumps``
+    spaces it by default or with its compact separators."""
+    c, k = (",", ":") if compact else (", ", ": ")
+    x1, x2, X11, X12, X21, X22, z1, z2 = tokens
+    return (f'{{"x"{k}[{x1}{c}{x2}]{c}"X"{k}[[{X11}{c}{X12}]{c}[{X21}{c}{X22}]]'
+            f'{c}"z"{k}[{z1}{c}{z2}]}}')
+
+
+def _compact(line: str) -> str:
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def _reordered(line: str) -> str:
+    rec = json.loads(line)
+    return json.dumps({"z": rec["z"], "x": rec["x"], "X": rec["X"]})
+
+
+#: Tokens that a number slot can hold that are no JSON number (``+1``,
+#: ``.5``, ``1.``, ``01``, ``-``, an empty slot, ``NaN``, ``Infinity``),
+#: JSON numbers no float holds (``1e400``, 400 digits) and JSON values that
+#: are no numbers.
+NEAR_MISS_TOKENS = ["+1", ".5", "1.", "01", "-", "", "1e400", "NaN", "Infinity", "9" * 400,
+                    "true", '"0.5"']
+#: Tokens of usual records: margin points, and the same with x and X
+#: rounded to integers.
+_MARGIN_TOKENS = [
+    [repr(v) for v in (p.x1, p.x2, p.X11, p.X12, p.X12, p.X22, p.z1, p.z2)]
+    for p in ctilde_margin_points(np.random.default_rng(43), 40)
+]
+_MARGIN_TOKENS += [[str(round(float(t))) for t in tokens[:6]] + tokens[6:]
+                   for tokens in _MARGIN_TOKENS[:10]]
+
+
+@st.composite
+def _odd_line(draw, tokens: list[str], compact: bool) -> str:
+    """A line that the bulk pass leaves to the scan, or whose values the
+    value passes reject."""
+    kind = draw(st.sampled_from([
+        "token", "asymmetric", "outside", "reordered", "extra key", "duplicate key",
+        "blank", "spaces", "carriage return",
+    ]))
+    tokens = list(tokens)
+    if kind == "token":
+        tokens[draw(st.integers(0, 7))] = draw(st.sampled_from(NEAR_MISS_TOKENS))
+    elif kind == "asymmetric":
+        tokens[4] = repr(float(tokens[3]) + 0.25)
+    elif kind == "outside":
+        tokens[draw(st.sampled_from([0, 6]))] = "-1"
+    line = _record_line(tokens, compact)
+    if kind == "reordered":
+        return _reordered(line)
+    if kind == "extra key":
+        return line[:-1] + ', "note": 1}'
+    if kind == "duplicate key":
+        return line[:-1] + ', "x": [0.5, 0.5]}'
+    if kind == "carriage return":
+        return line + "\r"
+    return {"blank": "", "spaces": " \t "}.get(kind, line)
+
+
+@st.composite
+def _chunks(draw) -> list[str]:
+    """Chunks of usual records in either spelling, a few of their lines
+    replaced by odd ones.  The sizes cross the row and column paths and a
+    slice of the bulk pass."""
+    size = draw(st.sampled_from([1, COLUMN_MIN_ROWS - 1, COLUMN_MIN_ROWS, cli.BULK_ROWS + 2]))
+    first = draw(st.integers(0, len(_MARGIN_TOKENS) - 1))
+    spelling = draw(st.sampled_from(["default", "compact", "mixed"]))
+    compact = [spelling == "compact" or (spelling == "mixed" and i % 3 == 1)
+               for i in range(size)]
+    tokens = [_MARGIN_TOKENS[(first + i) % len(_MARGIN_TOKENS)] for i in range(size)]
+    lines = [_record_line(t, c) for t, c in zip(tokens, compact)]
+    for at in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        lines[at] = draw(_odd_line(tokens[at], compact[at]))
+    return lines
+
+
+def _scan_only(lines: list[str]) -> tuple:
+    """What :func:`cli._parse_chunk` gives when the per-line scan reads
+    every line."""
+    with mock.patch.object(cli, "_bulk_values", lambda lines: ([], 0)):
+        return _parsed(lines)
+
+
+def _parsed(lines: list[str]) -> tuple:
+    """The rows of a chunk bit for bit, with their type, and its error."""
+    rows, error = cli._parse_chunk(lines, 5, DEFAULT_TOL)
+    if type(rows) is list:
+        bits = [tuple(map(float.hex, p.coords())) for p in rows]
+    else:
+        bits = (rows.dtype.str, rows.shape, rows.tobytes())
+    return type(rows), bits, str(error)
+
+
+def _typed(values: list) -> list[tuple]:
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestBulkParse:
+    """Chunks spelled as ``json.dumps`` spells records are decoded in bulk,
+    with the rows and errors of the per-line scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chunks())
+    def test_chunk_parses_as_by_the_scan(self, lines):
+        assert _parsed(lines) == _scan_only(lines)
+        # the lines the bulk pass reads are records to the scan, with the
+        # same values of the same types
+        flat, n = cli._bulk_values(lines)
+        scanned, starts, bad, _ = cli._scan_records(lines[:n])
+        assert bad is None and starts == list(range(n))
+        assert _typed(flat) == _typed(scanned)
+
+    @pytest.mark.parametrize("line", [
+        '{"x": 5[, 0.5], "X": [[1, 0.5], [0.5, 1]], "z": [0.5, 0.5]}',
+        '{"x": [0.5, ]5, "X": [[1, 0.5], [0.5, 1]], "z": [0.5, 0.5]}',
+        '{"x"5:[0.5,0.5],"X":[[1,0.5],[0.5,1]],"z":[0.5,0.5]}',
+        '{"x": [0.5 1, 0.5], "X": [[1, 0.5], [0.5, 1]], "z": [0.5, 0.5]}',
+        '{"x": [0.5, 0.5], "X": [[1, 0.5], [0.5, 1]], "z": [0.5, 0.5]}1',
+    ])
+    def test_number_characters_out_of_their_slot_are_invalid_json(self, line):
+        # each line keeps the other characters of a record, so only where
+        # its numbers sit tells it from one
+        assert cli._bulk_values([line]) == ([], 0)
+        _, _, error = _parsed([line])
+        assert error.startswith("line 5: invalid JSON")
+
+    @pytest.mark.parametrize("argv", [["classify"], ["member", "--report"], ["separate"]],
+                             ids=" ".join)
+    def test_usual_chunks_are_not_scanned(self, argv, monkeypatch):
+        # both spellings, integer and float coordinates, and a last line
+        # without a line end, in row and column chunks
+        lines = _margin_lines(COLUMN_MIN_ROWS + 16, seed=42)
+        lines[::3] = map(_integer_line, lines[::3])
+        lines[1::2] = map(_compact, lines[1::2])
+        with mock.patch.object(cli, "_bulk_values", lambda lines: ([], 0)):
+            singles = [run_cli(argv, line + "\n") for line in lines]
+        assert all(code == 0 for code, _ in singles)
+
+        def fail(s, idx):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(cli, "_scan", fail)
+        for k in (1, COLUMN_MIN_ROWS - 1, len(lines)):
+            expected = "".join(out for _, out in singles[:k])
+            assert run_cli(argv, "\n".join(lines[:k])) == (0, expected)
+
+    @pytest.mark.parametrize("argv", [["classify"], ["member", "--report"], ["separate"]],
+                             ids=" ".join)
+    def test_a_reordered_line_is_read_by_the_scan(self, argv, monkeypatch):
+        lines = _margin_lines(COLUMN_MIN_ROWS + 16, seed=44)
+        lines[1::2] = map(_compact, lines[1::2])
+        lines[40] = _reordered(lines[40])
+        expected = "".join(run_cli(argv, line + "\n")[1] for line in lines)
+        scan, scanned = cli._scan, []
+        monkeypatch.setattr(cli, "_scan", lambda s, idx: scanned.append(s) or scan(s, idx))
+        assert run_cli(argv, "\n".join(lines) + "\n") == (0, expected)
+        assert lines[40] in scanned
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
