@@ -113,62 +113,54 @@ def _chunks(stream) -> Iterator[tuple[int, list[str]]]:
         yield lineno, [tail]
 
 
-_scan = json.JSONDecoder().scan_once
+#: The decoder of every line and every bulk slice.  It gives each number as
+#: a float, an integer as ``float(int(s))`` would (``float`` of the digits
+#: rounds the same, with no limit on their number, and inf past the floats;
+#: ``or`` turns -0.0 into the +0.0 of the integer -0).
+_DECODER = json.JSONDecoder(parse_int=lambda s: float(s) or 0.0)
 
 
-def _shape_fault(line: str) -> str:
-    """What makes a line no record of the usual shape (an object with "x",
-    "X" and "z" holding two, two by two and two values): its first fault
-    in the order the fields are read."""
+def _line_values(line: str) -> list[float] | str:
+    """The eight values of a stripped line that is a record (an object with
+    "x", "X" and "z" holding two, two by two and two numbers), or the first
+    fault that makes it none, in the order the fields are read; invalid
+    JSON is named as ``json.loads`` names it."""
     try:
-        obj = json.loads(line)
+        rec, end = _DECODER.raw_decode(line)
     except json.JSONDecodeError as exc:
+        if line.startswith("\ufeff"):
+            return "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"
         return f"invalid JSON ({exc.msg})"
-    if type(obj) is not dict:
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    if end < len(line):
+        return "invalid JSON (Extra data)"
+    if type(rec) is not dict:
         return "record must be a JSON object"
-    for key in ("x", "X", "z"):
-        if key not in obj:
-            return f"missing field {key!r}"
-    for key in ("x", "z"):
-        if not (type(obj[key]) is list and len(obj[key]) == 2):
-            return f'"{key}" must be a list of two numbers'
-    return '"X" must be a 2x2 matrix'
-
-
-def _coord(v) -> float:
-    """A coordinate: a JSON float or integer (bool is excluded, though
-    Python makes it an int)."""
-    if type(v) is float:
-        return v
-    if type(v) is not int:
-        raise InputError("all coordinates must be numbers")
     try:
-        return float(v)
-    except OverflowError as exc:
-        raise InputError("all coordinates must be finite") from exc
+        x, X, z = rec["x"], rec["X"], rec["z"]
+    except KeyError as exc:
+        return f"missing field {exc.args[0]!r}"
+    if not (type(x) is list and len(x) == 2):
+        return '"x" must be a list of two numbers'
+    if not (type(z) is list and len(z) == 2):
+        return '"z" must be a list of two numbers'
+    if not (type(X) is list and len(X) == 2 and type(X[0]) is list and len(X[0]) == 2
+            and type(X[1]) is list and len(X[1]) == 2):
+        return '"X" must be a 2x2 matrix'
+    vals = [*x, *X[0], *X[1], *z]
+    if {*map(type, vals)} != {float}:
+        return "all coordinates must be numbers"
+    return vals
 
 
-def _floats(flat: list) -> tuple[list[float], InputError | None]:
-    """The values as floats, up to the first that is no coordinate, and the
-    error of that value."""
-    vals = []
-    for v in flat:
-        try:
-            vals.append(_coord(v))
-        except InputError as exc:
-            return vals, exc
-    return vals, None
-
-
-def _point_rows(flat: list, tol: Tolerances) -> tuple[list[HullPoint], int | None, str]:
-    """Passes two and three of a chunk decided row by row, on Python
-    floats: the records as points up to the first bad one, its index and
-    its fault."""
+def _point_rows(flat: list[float], tol: Tolerances) -> tuple[list[HullPoint], int | None, str]:
+    """The value pass of a chunk decided row by row, on Python floats: the
+    records as points up to the first bad one, its index and its fault."""
     e = tol.eq_tol
-    vals, error = _floats(flat)
     points: list[HullPoint] = []
-    for i in range(len(vals) // 8):
-        x1, x2, X11, X12, X21, X22, z1, z2 = rec = vals[8 * i : 8 * i + 8]
+    for i in range(len(flat) // 8):
+        x1, x2, X11, X12, X21, X22, z1, z2 = rec = flat[8 * i : 8 * i + 8]
         if not all(map(math.isfinite, rec)):
             return points, i, "all coordinates must be finite"
         if abs(X12 - X21) > e:
@@ -177,32 +169,14 @@ def _point_rows(flat: list, tol: Tolerances) -> tuple[list[HullPoint], int | Non
         if not _in_ambient_box(p, e):
             return points, i, _box_faults(p, e)
         points.append(p)
-    if error is None:
-        return points, None, ""
-    return points, len(points), str(error)
+    return points, None, ""
 
 
-def _coords(flat: list) -> tuple[np.ndarray, InputError | None]:
-    """:func:`_floats` as an array.  The values are converted together;
-    :func:`_floats` goes through them one by one only to find the one that
-    fails."""
-    if set(map(type, flat)) <= {float, int}:
-        try:
-            return np.array(flat, float), None
-        except OverflowError:
-            pass
-    vals, error = _floats(flat)
-    return np.array(vals), error
-
-
-def _column_rows(flat: list, tol: Tolerances) -> tuple[np.ndarray, int | None, str]:
-    """Passes two and three of a chunk decided on columns, with numpy: the
+def _column_rows(flat: list[float], tol: Tolerances) -> tuple[np.ndarray, int | None, str]:
+    """The value pass of a chunk decided on columns, with numpy: the
     records as ``(m, 7)`` rows up to the first bad one, its index and its
     fault, which :func:`_point_rows` names."""
-    vals, error = _coords(flat)
-    m = len(vals) // 8
-    k, fault = (None, "") if error is None else (m, str(error))
-    vals = vals[: 8 * m].reshape(m, 8)
+    vals = np.array(flat).reshape(-1, 8)
     rows = vals[:, [0, 1, 2, 3, 5, 6, 7]]
     with np.errstate(invalid="ignore"):
         ok = (
@@ -210,44 +184,28 @@ def _column_rows(flat: list, tol: Tolerances) -> tuple[np.ndarray, int | None, s
             & ~(np.abs(vals[:, 3] - vals[:, 4]) > tol.eq_tol)
             & in_ambient_box(HullColumns.of_rows(rows), tol)
         )
-    if not ok.all():
-        k = int(np.argmin(ok))
-        _, _, fault = _point_rows(vals[k].tolist(), tol)
-        rows = rows[:k]
-    return rows, k, fault
+    if ok.all():
+        return rows, None, ""
+    k = int(np.argmin(ok))
+    _, _, fault = _point_rows(vals[k].tolist(), tol)
+    return rows[:k], k, fault
 
 
-def _scan_records(lines: list[str], first: int = 0) -> tuple[list, list[int], int | None, str]:
-    """Pass one of :func:`_parse_chunk`, line by line from ``lines[first]``:
-    the values of the records up to the first line that is no record of
-    the usual shape, the index in ``lines`` of each record, and the index
-    and fault of that line.  Blank lines are skipped."""
-    flat: list = []
+def _scan_records(lines: list[str], first: int = 0) -> tuple[list[float], list[int], int | None, str]:
+    """The shape and type pass of :func:`_parse_chunk`, line by line from
+    ``lines[first]``: the values of the records up to the first line that
+    is no record, the index in ``lines`` of each record, and the index and
+    fault of that line.  Blank lines are skipped."""
+    flat: list[float] = []
     starts: list[int] = []
     for i, line in enumerate(lines[first:], first):
         line = line.strip()
         if not line:
             continue
-        try:
-            obj, end = _scan(line, 0)
-            x, X, z = obj["x"], obj["X"], obj["z"]
-            X0, X1 = X
-            usual = (
-                end == len(line)
-                and type(x) is list and len(x) == 2
-                and type(z) is list and len(z) == 2
-                and type(X) is list
-                and type(X0) is list and len(X0) == 2
-                and type(X1) is list and len(X1) == 2
-            )
-        except (StopIteration, ValueError, KeyError, TypeError):
-            usual = False
-        if not usual:
-            return flat, starts, i, _shape_fault(line)
-        flat += x
-        flat += X0
-        flat += X1
-        flat += z
+        vals = _line_values(line)
+        if type(vals) is str:
+            return flat, starts, i, vals
+        flat += vals
         starts.append(i)
     return flat, starts, None, ""
 
@@ -271,22 +229,23 @@ def _record_lines() -> re.Pattern:
 _NUMBERS_ONLY = str.maketrans({**dict.fromkeys('{}[]":xXz', " "), "\n": ","})
 
 
-def _bulk_values(lines: list[str]) -> tuple[list, int]:
-    """The values of the first lines of the chunk, read in slices of
-    :data:`BULK_ROWS` lines while every line of a slice is a record as
-    ``json.dumps`` writes it, and the number of lines read.  They are the
-    values :func:`_scan_records` gives for those lines: the pattern puts a
-    run of number characters, and nothing else, in each slot, and
-    ``json.loads`` reads a run only if it is one JSON number."""
+def _bulk_values(lines: list[str]) -> tuple[list[float], int]:
+    """The shape and type pass of :func:`_parse_chunk` on the first lines
+    of the chunk, in slices of :data:`BULK_ROWS` lines while every line of
+    a slice is a record as ``json.dumps`` writes it: their values and
+    number.  Each slice takes one pattern match, one ``str.translate`` and
+    one decode; its values are those :func:`_scan_records` gives, since
+    the pattern puts a run of number characters, and nothing else, in each
+    slot, and :data:`_DECODER` reads a run only if it is one JSON number."""
     records = _record_lines()
-    flat: list = []
+    flat: list[float] = []
     for lo in range(0, len(lines), BULK_ROWS):
         text = "\n".join(lines[lo : lo + BULK_ROWS])
         if not records.fullmatch(text + "\n"):
             return flat, lo
         try:
-            flat += json.loads("[" + text.translate(_NUMBERS_ONLY) + "]")
-        except ValueError:
+            flat += _DECODER.decode("[" + text.translate(_NUMBERS_ONLY) + "]")
+        except json.JSONDecodeError:
             return flat, lo
     return flat, len(lines)
 
@@ -299,21 +258,21 @@ def _parse_chunk(
     leaves to the scalar functions gives a list of points, parsed on
     Python floats without numpy; a larger one gives ``(m, 7)`` rows.
 
-    The lines are checked in three passes: their shape (an object with
-    "x", "X" and "z" holding eight values), their coordinates (JSON
-    numbers), then the values of all records at once (finite, X
-    symmetric, inside the ambient box).  Each pass stops at the first
-    line it rejects and the next pass looks only at the lines before it,
-    so the first bad line gives the error, and its first fault in that
-    order the message.
+    The lines are checked in two passes.  The first decodes each line
+    once and checks its shape and types: an object with "x", "X" and "z"
+    holding two, two by two and two JSON numbers, each decoded as a float.
+    The second checks the values of all records at once: finite, X
+    symmetric, inside the ambient box.  The first pass stops at the first
+    line it rejects and the second looks only at the lines before it, so
+    the first bad line gives the error, and its first fault in that order
+    the message.
 
     The first pass reads the chunk in slices with :func:`_bulk_values`
-    (one pattern match, one ``str.translate`` and one ``json.loads`` a
-    slice) while every line of a slice is a record spelled as
-    ``json.dumps`` spells it.  From the first slice that is not,
-    :func:`_scan_records` reads line by line and names the fault of a bad
-    line.  Both give the same values for the same lines, so the rows and
-    errors do not depend on which of them read a line.
+    while every line of a slice is a record spelled as ``json.dumps``
+    spells it.  From the first slice that is not, :func:`_scan_records`
+    reads line by line and names the fault of a bad line.  Both give the
+    same values for the same lines, so the rows and errors do not depend
+    on which of them read a line.
     """
     flat, n = _bulk_values(lines)
     more, starts, bad, fault = _scan_records(lines, n)
@@ -395,13 +354,13 @@ def _member_reports(
     """:func:`~pairhull.hull.member_hull` on the points up to the first
     whose decision raises an error that :func:`~pairhull.hull.member_batch`
     reports, and that error."""
-    from .hull import member_hull
+    from .hull import ROW_ERRORS, member_hull
 
     reps = []
     for p in points:
         try:
             reps.append(member_hull(p, tol))
-        except (PairhullError, ArithmeticError) as exc:
+        except ROW_ERRORS as exc:
             return reps, exc
     return reps, None
 

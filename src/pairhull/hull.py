@@ -42,6 +42,9 @@ from .regions import (
 )
 
 _NEG_INF = -math.inf
+#: The errors of one row's membership decision that a batch reports in
+#: ``errors`` instead of raising.
+ROW_ERRORS = (PairhullError, ArithmeticError)
 
 
 @dataclass
@@ -362,8 +365,7 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
 def member_columns(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     """:func:`member_batch` on a column view."""
     return decide_rows(
-        MembershipBatch.empty(len(cols)), cols, _decide_columns, member_hull,
-        (PairhullError, ArithmeticError), tol,
+        MembershipBatch.empty(len(cols)), cols, _decide_columns, member_hull, ROW_ERRORS, tol,
     )
 
 

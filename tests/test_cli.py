@@ -2,6 +2,7 @@ import argparse
 import ast
 import io
 import json
+import math
 import os
 import re
 import select
@@ -70,6 +71,13 @@ class TestClassify:
         code, out = run_cli(["member"], bad + "\n")
         assert code == 2 and out == ""
         assert "all coordinates must be numbers" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_named(self, capsys):
+        code, _ = run_cli(["classify"], "\ufeff" + R4_LINE + "\n")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"
+        )
 
     def test_integer_too_large_for_float_exits_2(self, capsys):
         bad = '{"x":[1%s,0.5],"X":[[1,0],[0,1]],"z":[0.5,0.5]}' % ("0" * 400)
@@ -275,8 +283,8 @@ class TestStreamChunks:
 
 #: The lines a short chunk is checked on, each with whether ``member_hull``
 #: raises on the corner: the bad lines, two lines with two faults (the
-#: message names the first checked), an integer -0 (JSON's int gives +0.0,
-#: as does numpy's conversion) and the corner.
+#: message names the first checked), an integer -0 (decoded as +0.0) and
+#: the corner.
 SHORT_CASES = [pytest.param(bad, False, id=bad) for bad in BAD_LINES] + [
     pytest.param('{"x":[0.1,1],"X":[[1,1e999],[1.2,2.5]],"z":[0.5,0.5]}', False,
                  id="infinite and asymmetric"),
@@ -364,10 +372,11 @@ def _reordered(line: str) -> str:
 
 #: Tokens that a number slot can hold that are no JSON number (``+1``,
 #: ``.5``, ``1.``, ``01``, ``-``, an empty slot, ``NaN``, ``Infinity``),
-#: JSON numbers no float holds (``1e400``, 400 digits) and JSON values that
-#: are no numbers.
+#: JSON numbers no float holds (``1e400``, 400 digits, and 5000 digits,
+#: past Python's limit on the digits of an int) and JSON values that are
+#: no numbers.
 NEAR_MISS_TOKENS = ["+1", ".5", "1.", "01", "-", "", "1e400", "NaN", "Infinity", "9" * 400,
-                    "true", '"0.5"']
+                    "9" * 5000, "true", '"0.5"']
 #: Tokens of usual records: margin points, and the same with x and X
 #: rounded to integers.
 _MARGIN_TOKENS = [
@@ -484,10 +493,10 @@ class TestBulkParse:
             singles = [run_cli(argv, line + "\n") for line in lines]
         assert all(code == 0 for code, _ in singles)
 
-        def fail(s, idx):
+        def fail(line):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(cli, "_scan", fail)
+        monkeypatch.setattr(cli, "_line_values", fail)
         for k in (1, COLUMN_MIN_ROWS - 1, len(lines)):
             expected = "".join(out for _, out in singles[:k])
             assert run_cli(argv, "\n".join(lines[:k])) == (0, expected)
@@ -499,10 +508,61 @@ class TestBulkParse:
         lines[1::2] = map(_compact, lines[1::2])
         lines[40] = _reordered(lines[40])
         expected = "".join(run_cli(argv, line + "\n")[1] for line in lines)
-        scan, scanned = cli._scan, []
-        monkeypatch.setattr(cli, "_scan", lambda s, idx: scanned.append(s) or scan(s, idx))
+        line_values, scanned = cli._line_values, []
+        monkeypatch.setattr(cli, "_line_values", lambda s: scanned.append(s) or line_values(s))
         assert run_cli(argv, "\n".join(lines) + "\n") == (0, expected)
         assert lines[40] in scanned
+
+    @pytest.mark.parametrize("token", ["-0", str(2**53 + 1), str(10**308), str(10**309), "9" * 400],
+                             ids=["-0", "2**53+1", "10**308", "10**309", "400 digits"])
+    @pytest.mark.parametrize("spelling", ["bulk", "scan"])
+    def test_integers_decode_as_their_float(self, token, spelling):
+        tokens = ["0.5", "0.5", "1", "0.5", "0.5", "1", "0.5", "0.5"]
+        tokens[0] = tokens[3] = tokens[4] = token
+        line = _record_line(tokens, compact=False)
+        if spelling == "bulk":
+            flat, n = cli._bulk_values([line])
+            assert n == 1
+        else:
+            line = _reordered(line)
+            assert cli._bulk_values([line]) == ([], 0)
+            flat, _, bad, _ = cli._scan_records([line])
+            assert bad is None
+        try:
+            value = float(int(token))
+        except OverflowError:
+            assert flat[0] == math.inf
+            assert _parsed([line])[2] == "line 5: all coordinates must be finite"
+            return
+        # the bits of the integer's float, with -0 as +0.0
+        assert [v.hex() for v in flat[:1] + flat[3:5]] == [value.hex()] * 3
+        assert all(type(v) is float for v in flat)
+
+
+#: A 5000-digit integer (past Python's limit on the digits of an int) and
+#: a line nested 100000 lists deep (past the decoder's recursion limit).
+HUGE_INTEGER_LINE = '{"x": [%s, 0.5], "X": [[1, 0.5], [0.5, 1]], "z": [0.5, 0.5]}' % ("9" * 5000)
+DEEP_LINE = "[" * 100000 + "]" * 100000
+
+
+class TestUndecodableLines:
+    """An integer past Python's limit on the digits of an int and a line
+    past the decoder's recursion limit are parse errors of their line."""
+
+    @pytest.mark.parametrize("k", [3, 80])
+    @pytest.mark.parametrize("bad, fault", [
+        (HUGE_INTEGER_LINE, "all coordinates must be finite"),
+        (DEEP_LINE, "invalid JSON (nested too deeply)"),
+    ], ids=["5000 digits", "nested"])
+    @pytest.mark.parametrize("argv", [["classify"], ["member"], ["separate"], ["member", "--oracle"]],
+                             ids=" ".join)
+    def test_exit_2_after_answering_the_lines_before(self, argv, bad, fault, k, capsys):
+        lines = _margin_lines(k, seed=45)
+        code, out = run_cli(argv, "\n".join(lines + [bad] + lines[:2]) + "\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line {k + 1}: {fault}\n"
+        assert out == run_cli(argv, "\n".join(lines) + "\n")[1]
+        assert len(_records(argv, out)) == k
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
