@@ -11,16 +11,17 @@ conditional expressions ask one point a yes-or-no question.
 source with those four constructs made elementwise, and runs it with
 every package function it calls replaced by that function's column
 version.  The scalar function itself is untouched and keeps its
-short-circuits.  A function whose scalar body cannot run on columns (an
-``if`` on the point or a raise) registers a column body with
-:func:`column_version`; ``max`` and ``min`` of two values keep the builtins' choice on ties (the
-first argument, so ``min(-0.0, 0.0)`` is ``-0.0``) and on NaN;
-``math.sqrt``, ``math.isinf`` and ``math.nextafter`` map to their numpy
-counterparts.
+short-circuits.  Every column version is compiled so: no formula has a
+second, hand-written body.  ``max`` and ``min`` of two values keep the
+builtins' choice on ties (the first argument, so ``min(-0.0, 0.0)`` is
+``-0.0``) and on NaN; ``math.sqrt``, ``math.isinf`` and
+``math.nextafter`` map to their numpy counterparts.
 
-A conditional expression whose test is a plain ``bool`` (a flag of the
-caller, such as ``closed``) still picks one branch, so a body may switch
-on its arguments; an ``if`` statement must test such a flag only.
+A conditional expression computes both branches on every row and picks
+one per row, unless its test is a plain ``bool`` (a flag of the caller,
+such as ``closed``): then it picks one branch, so a body may switch on
+its arguments.  An ``if`` statement tests such a flag, or guards a
+single ``raise``: that guard raises when any row trips it.
 
 The modules of the scalar functions import numpy as ``np`` from here.
 That ``np`` is a stand-in that imports numpy when a column path first
@@ -38,6 +39,7 @@ import inspect
 import math
 import types
 
+#: The compiled column version of each function, by function.
 _COLUMN_OF: dict = {}
 
 
@@ -54,16 +56,6 @@ class _NumpyOnFirstUse:
 
 
 np = _NumpyOnFirstUse()
-
-
-def column_version(scalar):
-    """Register the decorated function as the column body of ``scalar``."""
-
-    def register(fn):
-        _COLUMN_OF[scalar] = fn
-        return fn
-
-    return register
 
 
 def _and(*masks):
@@ -92,6 +84,10 @@ def _not(mask):
     return np.logical_not(mask)
 
 
+def _any(test):
+    return np.any(test)
+
+
 @functools.cache
 def _math() -> types.SimpleNamespace:
     """``math`` as the column versions see it, built on first use."""
@@ -106,11 +102,12 @@ _HELPERS = {
     "_columns_or": _or,
     "_columns_not": _not,
     "_columns_where": _where,
+    "_columns_any": _any,
 }
 
 
 class _Elementwise(ast.NodeTransformer):
-    """and/or/not and conditional expressions as calls of the helpers."""
+    """and/or/not, conditional expressions and raise guards as helper calls."""
 
     @staticmethod
     def _call(name: str, args: list, node):
@@ -130,6 +127,12 @@ class _Elementwise(ast.NodeTransformer):
     def visit_IfExp(self, node):
         self.generic_visit(node)
         return self._call("_columns_where", [node.test, node.body, node.orelse], node)
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        if not node.orelse and [type(n) for n in node.body] == [ast.Raise]:
+            node.test = self._call("_columns_any", [node.test], node.test)
+        return node
 
     def visit_Compare(self, node):
         if len(node.ops) > 1:

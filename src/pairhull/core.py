@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .columns import column_version, elementwise, np
+from .columns import elementwise, np
 from .errors import NegativeDenominator, NotInAmbientBox
 
 #: Canonical coordinate order used by arrays, cut coefficients and JSON records.
@@ -231,27 +231,14 @@ def persp_sq(u: float, v: float, tol: Tolerances = DEFAULT_TOL) -> float:
     """Closure of u^2/v on v >= 0.
 
     Returns u^2/v for v > 0, zero at u = v = 0 and +inf when v = 0 with u
-    nonzero.  Negative v beyond the band is a caller error.
+    nonzero.  Negative v beyond the band is a caller error, raised on
+    columns too when any row holds one.  Columns divide on every row, so
+    their callers ignore the floating-point errors of the rows v <= 0.
     """
     e = tol.eq_tol
     if v < -e:
         raise NegativeDenominator(f"persp_sq denominator {v} < 0")
-    if v > e:
-        return u * u / v
-    if abs(u) <= e:
-        return 0.0
-    return math.inf
-
-
-@column_version(persp_sq)
-def _persp_sq_columns(u, v, tol: Tolerances = DEFAULT_TOL):
-    """persp_sq on columns, without its raise: the rows are validated, so
-    no denominator lies below the band."""
-    e = tol.eq_tol
-    pos = v > e
-    return np.where(
-        pos, u * u / np.where(pos, v, 1.0), np.where(np.abs(u) <= e, 0.0, math.inf)
-    )
+    return u * u / v if v > e else (0.0 if abs(u) <= e else math.inf)
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:

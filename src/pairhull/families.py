@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .columns import column_version, np
+from .columns import np
 from .core import HullPoint
 
 #: Separating family of each cell that carries one, keyed by the cell tag.
@@ -74,23 +74,18 @@ def q_value(family: str, p: HullPoint) -> float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _gradient(*components: float) -> np.ndarray:
-    """The gradient vector of its seven components."""
-    return np.array(components)
-
-
-@column_version(_gradient)
-def _gradient_columns(*components) -> np.ndarray:
-    """The gradients of a batch as a (7, m) array; a constant component is
-    broadcast over the batch."""
-    return np.stack(np.broadcast_arrays(*components))
-
-
 def q_gradient(family: str, p: HullPoint) -> np.ndarray:
     """Analytic gradient of the family boundary function at p, in the
     canonical coordinate order (x1, x2, X11, X12, X22, z1, z2).  Family V
     needs a W shift whose square-root term does not vanish (see
-    :func:`w_root_vanishes`)."""
+    :func:`w_root_vanishes`).  Columns compile :func:`_gradient_terms`."""
+    return np.array(_gradient_terms(family, p))
+
+
+def _gradient_terms(family: str, p: HullPoint) -> tuple:
+    """The seven terms of :func:`q_gradient`, as a tuple.  On columns a term
+    that does not depend on the point, such as family II's 0.0 for z1, stays
+    a float, which broadcasts where the terms are written."""
     if family in ("II", "III"):
         z = shift_z(family, p)
         a, b, c = shifted_terms(family, p)
@@ -102,7 +97,7 @@ def q_gradient(family: str, p: HullPoint) -> np.ndarray:
             - 2.0 * c * _div0(p.x1 * p.x2, z * z)
         )
         gz1, gz2 = (0.0, gz) if family == "II" else (gz, 0.0)
-        return _gradient(gx1, gx2, b, -2.0 * c, a, gz1, gz2)
+        return gx1, gx2, b, -2.0 * c, a, gz1, gz2
 
     if family != "V":
         raise ValueError(f"unknown family {family!r}")
@@ -141,7 +136,7 @@ def q_gradient(family: str, p: HullPoint) -> np.ndarray:
         - 2.0 * s * g * dg_dz1
     )
     gz2 = -p.z1 * a1 * x2sq - g * g - 2.0 * s * g * dg_dz2
-    return _gradient(gx1, gx2, gX11, gX12, gX22, gz1, gz2)
+    return gx1, gx2, gX11, gX12, gX22, gz1, gz2
 
 
 def x11_slope(family: str, p: HullPoint) -> float:

@@ -193,47 +193,48 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray, width: int):
     denominators the objective is a convex quadratic in the first split, so
     the clipped stationary point is the box minimizer; the closure cases
     are covered by the box ends and the h = 0 root.  These four candidates
-    lie on axis 0 of (4, n, width) buffers.  Terms that depend on lambda alone are computed once per call,
-    and the closure cases only where a denominator is not positive.
+    lie on axis 0 of (4, n, width) buffers.  Terms that depend on lambda
+    alone are computed once per call, and the closure cases only where a
+    denominator is not positive.  It ignores the float errors of huge points.
     """
-    x1, x2, X12, X22, z1, z2 = pt
-    n = lam.size
-    lin = np.linspace(0.0, 1.0, width)
-    lo, hi = _a2_bracket(x2, X22, z2, lam, e)
-    idx = np.arange(n)
-    f_best = np.full(n, np.inf)
-    a1_best = np.zeros(n)
-    a2_best = np.zeros(n)
-    all_live = int(rounds.min())
-
-    lam_s, lam_rows = _den_rows(lam)
-    rest1_s, rest1_rows = _den_rows(z1 - lam)
-    rest2_s, rest2_rows = _den_rows(z2 - lam)
-    no_quad_rows = np.union1d(lam_rows, rest1_rows)
-    # the per-row terms at the full (n, width) shape, which costs less in
-    # the rounds than (n, 1) columns broadcast along rows of `width`
-    x1, x2, X12, X22, lam_s, rest1_s, rest2_s, inv_sum, x1_rest, lam_X12 = np.repeat(
-        np.stack([
-            x1, x2, X12, X22, lam_s, rest1_s, rest2_s,
-            1.0 / lam_s + 1.0 / rest1_s, x1 / rest1_s, lam * X12,
-        ]),
-        width,
-        axis=1,
-    ).reshape(10, n, width)
-
-    a1 = np.empty((4, n, width))
-    a1[0] = 0.0
-    a1[1] = x1
-    # t1 + t2 of the candidates a1 = 0 and a1 = x1: one term is 0 exactly
-    t12 = np.empty((4, n, width))
-    t12[0] = _sq_over_rows(x1, rest1_s, rest1_rows, e)
-    t12[1] = _sq_over_rows(x1, lam_s, lam_rows, e)
-    h = np.empty((4, n, width))
-    f = np.empty((4, n, width))
-    h_flat = h.reshape(4, -1)
-    f_flat = f.reshape(4, -1)
-
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x1, x2, X12, X22, z1, z2 = pt
+        n = lam.size
+        lin = np.linspace(0.0, 1.0, width)
+        lo, hi = _a2_bracket(x2, X22, z2, lam, e)
+        idx = np.arange(n)
+        f_best = np.full(n, np.inf)
+        a1_best = np.zeros(n)
+        a2_best = np.zeros(n)
+        all_live = int(rounds.min())
+
+        lam_s, lam_rows = _den_rows(lam)
+        rest1_s, rest1_rows = _den_rows(z1 - lam)
+        rest2_s, rest2_rows = _den_rows(z2 - lam)
+        no_quad_rows = np.union1d(lam_rows, rest1_rows)
+        # the per-row terms at the full (n, width) shape, which costs less in
+        # the rounds than (n, 1) columns broadcast along rows of `width`
+        x1, x2, X12, X22, lam_s, rest1_s, rest2_s, inv_sum, x1_rest, lam_X12 = np.repeat(
+            np.stack([
+                x1, x2, X12, X22, lam_s, rest1_s, rest2_s,
+                1.0 / lam_s + 1.0 / rest1_s, x1 / rest1_s, lam * X12,
+            ]),
+            width,
+            axis=1,
+        ).reshape(10, n, width)
+
+        a1 = np.empty((4, n, width))
+        a1[0] = 0.0
+        a1[1] = x1
+        # t1 + t2 of the candidates a1 = 0 and a1 = x1: one term is 0 exactly
+        t12 = np.empty((4, n, width))
+        t12[0] = _sq_over_rows(x1, rest1_s, rest1_rows, e)
+        t12[1] = _sq_over_rows(x1, lam_s, lam_rows, e)
+        h = np.empty((4, n, width))
+        f = np.empty((4, n, width))
+        h_flat = h.reshape(4, -1)
+        f_flat = f.reshape(4, -1)
+
         for r in range(int(rounds.max())):
             ts = lo[:, None] + (hi - lo)[:, None] * lin[None, :]
             g2 = (

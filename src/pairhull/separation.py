@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .columns import column_version, elementwise
+from .columns import elementwise
 from .core import (
     DEFAULT_TOL,
     HullColumns,
@@ -37,6 +37,7 @@ from .errors import (
 )
 from .families import (
     FAMILY_BY_CELL,
+    _gradient_terms,
     q_gradient,
     q_value,
     w_root_vanishes,
@@ -62,13 +63,9 @@ def copositive_x12(a: float, b: float, c: float) -> float:
     moved toward zero by the fewest ulps that make [[a, b/2], [b/2, c]]
     copositive; b itself where a or c < 0, which no b repairs.  Rounding tips
     about half of the rank-one tangents of the perspective boundary,
-    b = -2 sqrt(a c), past that edge, which leaves them unbounded below on S2."""
-    if copositive(a, b, c) or not (a >= 0.0 and c >= 0.0):
-        return b
-    x = _edge_start(a, b, c)
-    for _ in range(_EDGE_STEPS):
-        x = _edge_step(a, x, c)
-    return x
+    b = -2 sqrt(a c), past that edge, which leaves them unbounded below on S2.
+    On columns every row walks and the test picks b or the walk's end."""
+    return b if copositive(a, b, c) or not (a >= 0.0 and c >= 0.0) else _edge_walk(a, b, c)
 
 
 #: Most steps of the walk of :func:`copositive_x12`: at most 4 are needed,
@@ -76,33 +73,25 @@ def copositive_x12(a: float, b: float, c: float) -> float:
 _EDGE_STEPS = 5
 
 
+def _edge_walk(a: float, b: float, c: float) -> float:
+    """The end of the walk of :func:`copositive_x12` from b toward zero."""
+    x = _edge_start(a, b, c)
+    for _ in range(_EDGE_STEPS):
+        x = _edge_step(a, x, c)
+    return x
+
+
 def _edge_start(a: float, b: float, c: float) -> float:
     """b, or 2 ulps outside the rounded edge -2 sqrt(a c), which is under
-    1.5 ulps off the exact one, whichever is nearer zero."""
-    x = -2.0 * math.sqrt(a * c)
+    1.5 ulps off the exact one, whichever is nearer zero.  The product is
+    clamped at zero for the rows a column walk takes with a or c < 0."""
+    x = -2.0 * math.sqrt(max(a * c, 0.0))
     return max(b, math.nextafter(math.nextafter(x, -math.inf), -math.inf))
 
 
 def _edge_step(a: float, x: float, c: float) -> float:
     """x, or one ulp nearer zero where the form is not copositive."""
     return x if copositive(a, x, c) else math.nextafter(x, 0.0)
-
-
-@column_version(copositive_x12)
-def _copositive_x12_columns(a, b, c):
-    """copositive_x12 on columns.  The walk toward zero runs on the rows
-    the kept test leaves out only, and stops after the first step that
-    moves none of them: a copositive row takes no further step."""
-    out = np.array(b, float)
-    walk = np.flatnonzero(~elementwise(copositive)(a, b, c) & (a >= 0.0) & (c >= 0.0))
-    a, c = a[walk], c[walk]
-    x = elementwise(_edge_start)(a, b[walk], c)
-    for _ in range(_EDGE_STEPS):
-        x, last = elementwise(_edge_step)(a, x, c), x
-        if (x == last).all():
-            break
-    out[walk] = x
-    return out
 
 
 @dataclass(frozen=True)
@@ -440,7 +429,7 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
             off[k] |= elementwise(_off_boundary)(fam, touch, tol)
             if fam == "V":
                 off[k] |= elementwise(w_root_vanishes)(touch)
-            grad[:, k] = elementwise(q_gradient)(fam, touch)
+            grad[:, k] = np.broadcast_arrays(*elementwise(_gradient_terms)(fam, touch))
         grad = np.ascontiguousarray(grad.T)
         norm = np.max(np.abs(grad), axis=1)
         off |= norm <= _FLAT_GRADIENT

@@ -305,6 +305,7 @@ class TestSeparateBatch:
         ]
         mixed = np.concatenate([*(v[:32] for v in by_cell.values()), pins])
         registry = pairhull.columns._COLUMN_OF
+        pairhull.columns.elementwise(copositive_x12)  # compiled on first use
         snap, calls = registry[copositive_x12], []
         monkeypatch.setitem(registry, copositive_x12, lambda *a: calls.append(1) or snap(*a))
         for block, cells in (

@@ -9,6 +9,7 @@ import select
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -563,6 +564,29 @@ class TestUndecodableLines:
         assert capsys.readouterr().err == f"error: line {k + 1}: {fault}\n"
         assert out == run_cli(argv, "\n".join(lines) + "\n")[1]
         assert len(_records(argv, out)) == k
+
+
+HUGE_COORDINATE_LINES = [
+    pytest.param(json.dumps({"x": x, "X": [[1, 0.5], [0.5, 1]], "z": [0.5, 0.5]}), id=f"x{i}={big}")
+    for big in (1e200, 1e300, 1e308)
+    for i, x in ((1, [big, 0.5]), (2, [0.6, big]))
+]
+
+
+class TestOracleOverflow:
+    """In-box points whose squares overflow are answered by the oracle
+    without a floating-point warning."""
+
+    @pytest.mark.parametrize("k", [0, 80])
+    @pytest.mark.parametrize("line", HUGE_COORDINATE_LINES)
+    def test_no_warning(self, line, k, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lines = _margin_lines(k, seed=46) + [line]
+            code, out = run_cli(["member", "--oracle"], "\n".join(lines) + "\n")
+        assert code == 0 and len(out.splitlines()) == k + 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -12,8 +12,10 @@ from pairhull import (
     persp_sq,
     validate_point,
 )
-from pairhull.core import _persp_sq_columns, ctilde_slacks, separable_holds
+from pairhull.columns import elementwise
+from pairhull.core import HullColumns, ctilde_slacks, separable_holds
 from pairhull.errors import NegativeDenominator, NotInAmbientBox
+from pairhull.families import _gradient_terms
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
 pos_floats = st.floats(1e-6, 10.0, allow_nan=False)
@@ -55,9 +57,38 @@ class TestPerspSq:
         e = Tolerances().eq_tol
         u = np.array([0.0, 1.0, -1.0, 0.5 * e, 2.0 * e, 3.0, 3.0, 1e-300])
         v = np.array([0.0, 0.0, 0.0, 0.0, 0.5 * e, 2.0, -0.5 * e, 1e-300])
-        cols = _persp_sq_columns(u, v)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows v <= 0 divide too
+            cols = elementwise(persp_sq)(u, v)
         assert [c.hex() for c in cols] == [persp_sq(a, b).hex() for a, b in zip(u, v)]
         assert math.isinf(cols[1]) and cols[1] > 0.0 and cols[0] == 0.0
+
+
+class TestRaiseGuard:
+    """An ``if`` whose body is one ``raise`` raises on columns when any row
+    trips it, and tests a caller flag as on a point."""
+
+    def test_negative_denominator_raises_on_columns(self):
+        e = Tolerances().eq_tol
+        v = np.array([1.0, 0.0, -0.5 * e, -2.0 * e, 2.0])
+        with pytest.raises(NegativeDenominator):
+            elementwise(persp_sq)(np.ones(5), v)
+
+    def test_rows_down_to_the_band_edge_equal_the_scalar(self):
+        e = Tolerances().eq_tol
+        rng = np.random.default_rng(8)
+        u = rng.choice([0.0, 0.5 * e, -2.0 * e, 1e-300, 1.0, -3.0, 1e200], 400)
+        v = rng.choice([-e, -0.5 * e, 0.0, 0.5 * e, 2.0 * e, 1e-300, 0.3, 7.0], 400)
+        u *= rng.uniform(0.5, 2.0, 400)
+        with np.errstate(all="ignore"):  # rows v <= 0 divide too
+            cols = elementwise(persp_sq)(u, v)
+        want = [persp_sq(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert [c.hex() for c in cols.tolist()] == [w.hex() for w in want]
+
+    def test_a_flag_guard_raises_on_columns(self):
+        p = HullPoint(0.3, 0.8, 0.5, 0.7, 1.28, 0.7, 0.5)
+        cols = HullColumns.of_rows(np.array([p.coords()] * 3))
+        with pytest.raises(ValueError, match="unknown family 'IV'"):
+            elementwise(_gradient_terms)("IV", cols)
 
 
 class TestTolerances:
