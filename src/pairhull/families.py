@@ -2,8 +2,9 @@
 
 Family II is the product shifted by z2 (cells R3, R4), family III the product
 shifted by z1 (cell R5) and family V the form weighted by the W shift (cell
-R8).  Each boundary function q is affine in X11, so the X11 at which it
-vanishes has a closed form.  The hull pieces, the touch points of the cuts
+R8).  Each boundary function q is affine in X11: :func:`x11_terms` writes it
+once, and the X11 at which it vanishes, F, is the least X11 of the family's
+hull piece.  The hull pieces, the touch points of the cuts
 and the verify samplers all take these formulas from here; the functions
 shared by the families are keyed by the family string.
 """
@@ -139,19 +140,25 @@ def _gradient_terms(family: str, p: HullPoint) -> tuple:
     return gx1, gx2, gX11, gX12, gX22, gz1, gz2
 
 
+def x11_terms(family: str, p: HullPoint) -> tuple[float, float, float]:
+    """(base, slope, cc) of the family boundary, each free of X11, with
+    q = slope (X11 - base) - cc: the boundary is X11 = F = base + cc/slope,
+    the least X11 of the family's piece where the slope is positive."""
+    if family == "V":
+        s = p.z1 + p.z2 - 1.0
+        g = p.X12 * p.z1 * p.z2 / w_shift(p) - p.x1 * p.x2
+        return p.x1 * p.x1 / p.z1, p.z1 * (1.0 - p.z2) * p.x2 * p.x2, s * g * g
+    _, b, c = shifted_terms(family, p)
+    return _div0(p.x1 * p.x1, shift_z(family, p)), b, c * c
+
+
 def x11_slope(family: str, p: HullPoint) -> float:
     """The coefficient of X11 in q, which does not depend on X11."""
-    if family == "V":
-        return p.z1 * (1.0 - p.z2) * p.x2 * p.x2
-    return shifted_terms(family, p)[1]
+    return x11_terms(family, p)[1]
 
 
 def x11_root(family: str, p: HullPoint) -> float:
     """The X11 at which q vanishes, the other six coordinates of p held
     fixed.  Divides by :func:`x11_slope`, which callers keep positive."""
-    if family == "V":
-        s = p.z1 + p.z2 - 1.0
-        g = p.X12 * p.z1 * p.z2 / w_shift(p) - p.x1 * p.x2
-        return p.x1 * p.x1 / p.z1 + s * g * g / x11_slope(family, p)
-    _, b, c = shifted_terms(family, p)
-    return _div0(p.x1 * p.x1, shift_z(family, p)) + c * c / b
+    base, slope, cc = x11_terms(family, p)
+    return base + cc / slope

@@ -3,7 +3,8 @@
 The hull is the union of the closures of eight pieces, one per partition
 cell.  Membership of a point is decided by the inequality system of the
 cell that contains it; each inequality carries a stable name so violated
-sets can be asserted in tests and reported by the CLI.
+sets can be asserted in tests and reported by the CLI.  Every piece bounds
+X11 from below, X11 >= F(x, X12, X22, z); its product slack is X11 - F.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from .core import (
     persp_sq,
 )
 from .errors import NumericallyDegenerate, PairhullError
-from .families import (
-    q_value,
-    shift_z,
-    shifted_terms,
-    w_shift,
-    w_sqrt_arg,
-)
+from .families import shift_z, w_shift, w_sqrt_arg, x11_terms
 from .regions import (
     CELLS,
     CODE_OF,
@@ -41,7 +36,6 @@ from .regions import (
     regions_of,
 )
 
-_NEG_INF = -math.inf
 #: The errors of one row's membership decision that a batch reports in
 #: ``errors`` instead of raising.
 ROW_ERRORS = (PairhullError, ArithmeticError)
@@ -49,7 +43,8 @@ ROW_ERRORS = (PairhullError, ArithmeticError)
 
 @dataclass
 class MembershipReport:
-    """Decision record for one point: member iff no inequality is violated."""
+    """Decision record for one point: member iff no inequality is violated;
+    the slack of a product system is its X11 gap (:func:`_x11_gap`)."""
 
     member: bool
     region: Region
@@ -59,20 +54,12 @@ class MembershipReport:
     degenerate: bool = False
 
 
-def _product_slack(a: float, b: float, c: float, mem_tol: float) -> float:
-    """Slack of a*b >= c^2 guarding against a spuriously positive product
-    when both factors sit below the band."""
-    return _NEG_INF if (a < -mem_tol and b < -mem_tol) else a * b - c * c
-
-
-def _sentinel_product(a: float, b: float, c: float, mem_tol: float) -> float:
-    """:func:`_product_slack` of factors that may carry the -inf sentinel
-    of a closed fraction, which makes the product -inf."""
-    return (
-        _NEG_INF
-        if (math.isinf(a) or math.isinf(b) or math.isinf(c))
-        else _product_slack(a, b, c, mem_tol)
-    )
+def _x11_gap(a: float, slope: float, cc: float, tol: Tolerances) -> float:
+    """X11 - F of the product system slope (X11 - base) >= cc, given
+    a = X11 - base: F = base + cc/slope wherever the slope is positive (the
+    oracle's closure rule); elsewhere the system holds only where cc
+    vanishes, so the gap is a there and -inf otherwise."""
+    return a - cc / slope if slope > 0.0 else (a if cc <= tol.mem_tol * tol.eq_tol else -math.inf)
 
 
 def _part1_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
@@ -82,37 +69,35 @@ def _part1_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     }
 
 
-def _closed_shifted_terms(p: HullPoint, z: float, tol: Tolerances) -> tuple[float, float, float]:
-    """The shifted terms with the shifting indicator z in the zero band:
-    closed perspectives replace the fractions over z, and x1 x2 / z has a
-    finite closure only when x1 x2 vanishes."""
+def _closed_terms(p: HullPoint, z: float, tol: Tolerances) -> tuple[float, float, float]:
+    """The terms of :func:`~pairhull.families.x11_terms` of family II or III
+    with z in the zero band: closed perspectives replace the fractions over
+    z, and x1 x2 / z has a finite closure only when x1 x2 vanishes."""
     return (
-        p.X11 - persp_sq(p.x1, z, tol),
+        persp_sq(p.x1, z, tol),
         p.X22 - persp_sq(p.x2, z, tol),
-        p.X12 if p.x1 * p.x2 <= tol.eq_tol else _NEG_INF,
+        p.X12 * p.X12 if p.x1 * p.x2 <= tol.eq_tol else math.inf,
     )
 
 
-def _shifted_product_slacks(p: HullPoint, family: str, tol: Tolerances) -> dict[str, float]:
-    """Parts II and III share one shape: X22 >= x2^2/z2 plus the family's
-    shifted product q >= 0."""
+def _shifted_slacks(p: HullPoint, family: str, tol: Tolerances) -> dict[str, float]:
+    """Parts II and III share one shape: X22 >= x2^2/z2 plus the X11 gap
+    of the family's shifted product q >= 0."""
     z = shift_z(family, p)
-    a, b, c = (
-        shifted_terms(family, p) if z > tol.eq_tol else _closed_shifted_terms(p, z, tol)
-    )
+    base, slope, cc = x11_terms(family, p) if z > tol.eq_tol else _closed_terms(p, z, tol)
     return {
         f"{family}.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
-        f"{family}.product": _sentinel_product(a, b, c, tol.mem_tol),
+        f"{family}.product": _x11_gap(p.X11 - base, slope, cc, tol),
     }
 
 
 def _part4_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     a = p.X11 - p.x1 * p.x1
-    b = p.X22 - p.x2 * p.x2
+    c = p.X12 - p.x1 * p.x2
     return {
         "IV.diag1": a,
         "IV.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
-        "IV.shor": _product_slack(a, b, p.X12 - p.x1 * p.x2, tol.mem_tol),
+        "IV.shor": _x11_gap(a, p.X22 - p.x2 * p.x2, c * c, tol),
     }
 
 
@@ -130,12 +115,13 @@ def _w_degenerate(p: HullPoint, tol: Tolerances) -> bool:
 
 
 def _part5_piece(p: HullPoint, tol: Tolerances) -> dict[str, float]:
-    """Part V: the two perspective bounds and q_V >= 0, at a point where
-    :func:`_w_degenerate` is false."""
+    """Part V: the two perspective bounds and the X11 gap of q_V >= 0, at a
+    point where :func:`_w_degenerate` is false."""
+    base, slope, cc = x11_terms("V", p)
     return {
         "V.persp1": p.X11 - persp_sq(p.x1, p.z1, tol),
         "V.persp2": p.X22 - persp_sq(p.x2, p.z2, tol),
-        "V.W-ineq": q_value("V", p),
+        "V.W-ineq": _x11_gap(p.X11 - base, slope, cc, tol),
     }
 
 
@@ -147,9 +133,7 @@ def _edge_slacks(p: HullPoint, tol: Tolerances) -> dict[str, float]:
     the part II/III products as the vanishing indicator goes to zero.
     """
     out = _part1_slacks(p, tol)
-    out["edge.product"] = _sentinel_product(
-        out["I.persp1"], out["I.persp2"], p.X12, tol.mem_tol
-    )
+    out["edge.product"] = _x11_gap(out["I.persp1"], out["I.persp2"], p.X12 * p.X12, tol)
     return out
 
 
@@ -171,9 +155,9 @@ def _rescuable(p: HullPoint, tol: Tolerances) -> bool:
 _PIECES = {
     Region.R1: (_part1_slacks, (), _on_edge_face, _edge_slacks),
     Region.R2: (_part1_slacks, (), None, None),
-    Region.R3: (_shifted_product_slacks, ("II",), None, None),
-    Region.R4: (_shifted_product_slacks, ("II",), None, None),
-    Region.R5: (_shifted_product_slacks, ("III",), None, None),
+    Region.R3: (_shifted_slacks, ("II",), None, None),
+    Region.R4: (_shifted_slacks, ("II",), None, None),
+    Region.R5: (_shifted_slacks, ("III",), None, None),
     Region.R6: (_part1_slacks, (), None, None),
     Region.R7: (_part4_slacks, (), None, None),
     Region.R8: (_part5_piece, (), _w_degenerate, None),
@@ -210,11 +194,12 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
     corner reports its first usable closure piece (part I if none is
     usable), and raises :class:`NumericallyDegenerate` if that piece names
     no violated inequality.  Where W degenerates in R8 the numeric witness
-    oracle decides and the report is flagged degenerate; its ``V.W-ineq``
-    slack is X11 less the oracle's objective, an upper bound on the least
-    hull-feasible X11 that the oracle stops lowering once a certificate
-    decides the point, so the slack is not the distance to the boundary,
-    but its sign (beyond oracle_tol) still matches the decision.
+    oracle decides and the report is flagged degenerate.  Its ``V.W-ineq``
+    slack is X11 less the oracle's objective, where the closed form's is X11
+    less F; the objective is an upper bound on the least hull-feasible X11,
+    which the oracle stops lowering once a certificate decides the point, so
+    that slack is not the distance to the boundary, but its sign (beyond
+    oracle_tol) still matches the decision.
     """
     region = classify(p, tol)
     slacks = w_val = None

@@ -45,7 +45,7 @@ from .families import (
     x11_root,
     x11_slope,
 )
-from .hull import MembershipReport, member_columns, member_hull
+from .hull import MembershipReport, member_columns, member_hull, piece_slacks
 from .regions import CELLS, CODE_OF, Region, region_closure_contains
 
 
@@ -248,6 +248,14 @@ def _touch_edge(p: HullPoint, tol: Tolerances) -> tuple[HullPoint, str]:
     return _touch(base, Region.R1, family, tol), family
 
 
+def _rejects(p: HullPoint, region: Region, tol: Tolerances) -> bool:
+    """Whether the piece of ``region``, if usable, names a violated inequality at p."""
+    try:
+        return any(v < -tol.mem_tol for v in piece_slacks(p, region, tol).values())
+    except NumericallyDegenerate:
+        return False
+
+
 _OUTSIDE_CTILDE = "separation input must satisfy the relaxation"
 #: The violated systems a family cell may report for a cut.
 _CUT_SYSTEMS = frozenset({"II.product", "III.product", "V.W-ineq", "edge.product"})
@@ -270,14 +278,14 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
         )
 
     if region is Region.NOT_COVERED:
-        # Tolerance-band corner: cut through any surrounding cell whose
-        # separating form is violated here.
+        # Tolerance-band corner: cut through the first surrounding family
+        # cell whose piece names a violated inequality here.
         region = next(
             (
                 Region(tag)
-                for tag, family in FAMILY_BY_CELL.items()
+                for tag in FAMILY_BY_CELL
                 if region_closure_contains(p, Region(tag), tol)
-                and q_value(family, p) < -tol.eq_tol
+                and _rejects(p, Region(tag), tol)
             ),
             Region.NOT_COVERED,
         )

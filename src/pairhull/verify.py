@@ -91,8 +91,8 @@ XMAX = 2.0
 LIFT_MAX = 4.0
 #: Lower end of the sampled indicators of :func:`sample_ctilde_points`.
 Z_FLOOR = 0.02
-#: Least slack of the deciding piece at the points of
-#: :func:`ctilde_margin_points`, which the oracle suite draws.
+#: Least |slack| of the deciding piece (on a product system an X11 gap) at
+#: the points of :func:`ctilde_margin_points`, which the oracle suite draws.
 ORACLE_MARGIN = 1e-4
 #: Cells of the non-members :func:`shrunken_nonmembers` builds: the cells
 #: of the separating families.

@@ -10,8 +10,9 @@ suite's shrunken non-members (with its candidate builder and relaxation
 bound on X11, which the boundary points share), the masked vertex
 sampler and the convex combinations built on it, the separable sampler
 drawn one coordinate per call, the rational copositivity test and
-minimum over the vertex set of a cut, and the per-query loop of the cuts
-suite with that minimum as its exact certificate.
+minimum over the vertex set of a cut, the per-query loop of the cuts
+suite with that minimum as its exact certificate, and exact boundary
+members of the hull with non-members just below them.
 """
 
 from __future__ import annotations
@@ -435,3 +436,83 @@ def cuts_suite_by_loop(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) ->
         detail=f"cuts={len(cuts)}",
         offender=offender,
     )
+
+
+#: The face kinds of :func:`face_pairs`: the three z-patterns on which the
+#: face's cut attains its minimum 0 over the vertex set.
+FACE_KINDS = ("00,10,11", "00,01,11", "10,01,11")
+
+
+def _rational(rng: np.random.Generator, lo: int, hi: int, den: int) -> Fraction:
+    return Fraction(int(rng.integers(lo, hi + 1)), den)
+
+
+def face_pairs(
+    rng: np.random.Generator, n: int, kind: str, deltas=("1e-2", "1e-3", "1e-4")
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact boundary members of the hull and exact non-members below them,
+    built in rational arithmetic: (members, nonmembers, delta of each
+    non-member), the points as float rows.
+
+    Each face has the cut g1 x1 + g2 x2 + a X11 + b X12 + c X22 + c1 z1
+    + c2 z2 + k with a, c in [1/4, 4], g1, g2 in [-4, -1/10] and
+    b^2 < 3.24 a c, so its quadratic part is copositive.  Its minimum over
+    the vertex set on each z-pattern is rational: k at 00, k + c1 + r1 at
+    10, k + c2 + r2 at 01 and k + c1 + c2 + r12 at 11, with r1 = -g1^2/(4a),
+    r2 = -g2^2/(4c) and r12 the value at the interior stationary point of
+    the full quadratic (drawn again where that point leaves the orthant).
+    k, c1 and c2 make the minimum 0 on the three patterns of ``kind`` (b < 0
+    for the first two kinds, b > 0 for the third) and positive on the
+    fourth, so the cut is valid.  A convex combination q of the three
+    minimizers, with positive rational weights, is on the cut and so on the
+    hull boundary; q with X11 lowered by delta max|coef| / a is outside, as
+    the cut divided by its largest |coefficient| is exactly -delta there.
+    Non-members whose X11 would be negative are dropped.
+    """
+    members, nonmembers, depth = [], [], []
+    steps = [Fraction(d) for d in deltas]
+    while len(members) < n:
+        a, c = _rational(rng, 25, 400, 100), _rational(rng, 25, 400, 100)
+        g1, g2 = -_rational(rng, 10, 400, 100), -_rational(rng, 10, 400, 100)
+        b = _rational(rng, -800, 800, 100)
+        if b == 0 or b * b >= Fraction(324, 100) * a * c or (b > 0) != (kind == FACE_KINDS[2]):
+            continue
+        det = 4 * a * c - b * b
+        t1, t2 = (b * g2 - 2 * c * g1) / det, (b * g1 - 2 * a * g2) / det
+        if t1 <= 0 or t2 <= 0:
+            continue
+        u1, u2 = -g1 / (2 * a), -g2 / (2 * c)
+        r1, r2 = g1 * u1 / 2, g2 * u2 / 2
+        r12 = (g1 * t1 + g2 * t2) / 2
+        if kind == FACE_KINDS[0]:
+            k, c1 = Fraction(0), -r1
+            c2 = -r12 - c1
+        elif kind == FACE_KINDS[1]:
+            k, c2 = Fraction(0), -r2
+            c1 = -r12 - c2
+        else:
+            k = r12 - r1 - r2
+            c1, c2 = -k - r1, -k - r2
+        minima = {"00": k, "10": k + c1 + r1, "01": k + c2 + r2, "11": k + c1 + c2 + r12}
+        face = kind.split(",")
+        assert all(minima[z] == 0 for z in face)
+        assert all(v > 0 for z, v in minima.items() if z not in face)
+        vertex = {
+            "00": (0, 0, 0, 0, 0, 0, 0),
+            "10": (u1, 0, u1 * u1, 0, 0, 1, 0),
+            "01": (0, u2, 0, 0, u2 * u2, 0, 1),
+            "11": (t1, t2, t1 * t1, t1 * t2, t2 * t2, 1, 1),
+        }
+        w = [int(v) for v in rng.integers(1, 100, size=3)]
+        q = [sum(Fraction(wi, sum(w)) * vertex[z][j] for wi, z in zip(w, face)) for j in range(7)]
+        coeffs = (g1, g2, a, b, c, c1, c2)
+        assert sum(ci * qi for ci, qi in zip(coeffs, q)) + k == 0
+        members.append([float(v) for v in q])
+        scale = max(abs(ci) for ci in coeffs) / a
+        for delta in steps:
+            p = list(q)
+            p[2] -= delta * scale
+            if p[2] >= 0:
+                nonmembers.append([float(v) for v in p])
+                depth.append(float(delta))
+    return np.array(members), np.array(nonmembers).reshape(-1, 7), np.array(depth)

@@ -27,6 +27,14 @@ from pairhull.verify import ctilde_margin_points, shrunken_nonmembers
 R4_LINE = '{"x":[0.1,1],"X":[[1,1.2],[1.2,2.5]],"z":[0.5,0.5]}'
 R1_LINE = '{"x":[0.5,0.5],"X":[[0.5,0.5],[0.5,0.5]],"z":[0.5,0.5]}'
 OUTSIDE_LINE = '{"x":[1,1],"X":[[1,1],[1,1]],"z":[0.5,0.5]}'
+#: An R2 point that X11 >= x1^2/z1 cuts off by 0.01, with X22 2.2e-8 above
+#: its z2 perspective bound, where the family II product of R3's piece is
+#: near zero whatever X11 is.
+BELOW_PERSP1_LINE = (
+    '{"x": [0.18184726241260174, 0.5359013499219171], "X": [[0.034833497167213165, '
+    '0.1090093319319929], [0.1090093319319929, 0.32121024495627665]], '
+    '"z": [0.7375830335881237, 0.8940881589731905]}'
+)
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "pairhull"
 
 
@@ -99,9 +107,19 @@ class TestMember:
         assert json.loads(out)["member"] is True
 
     def test_report_includes_slacks(self):
+        # the X11 gap X11 - F: the oracle's least X11 at this point is 2.02
         _, out = run_cli(["member", "--report"], R4_LINE + "\n")
         rec = json.loads(out)
-        assert rec["slacks"]["II.product"] == pytest.approx(-0.51)
+        assert rec["slacks"]["II.product"] == pytest.approx(-1.02)
+
+    def test_point_below_the_perspective_bound_is_a_nonmember(self):
+        # the neighbouring family II piece rescued it while it compared a
+        # product near zero against mem_tol; its X11 gap rejects it
+        _, out = run_cli(["member"], BELOW_PERSP1_LINE + "\n")
+        assert json.loads(out) == {"member": False, "region": "R2", "violated": ["I.persp1"]}
+        _, out = run_cli(["member", "--oracle"], BELOW_PERSP1_LINE + "\n")
+        rec = json.loads(out)
+        assert rec["member"] is False and rec["objective"] > 0.0448
 
     def test_oracle_objective(self):
         _, out = run_cli(["member", "--oracle"], R4_LINE + "\n")
@@ -899,7 +917,7 @@ class TestVerify:
         [
             (
                 "hull",
-                "suite=hull trials=5000 failures=271 worst_slack=-2.285e-01 [FAIL]",
+                "suite=hull trials=5000 failures=302 worst_slack=-6.005e+01 [FAIL]",
                 '{"offender": {"point": {"x1": 0.5372649752609931, "x2": 0.8006160446469472, '
                 '"X11": 1.0160338917375906, "X12": 0.0, "X22": 0.8953550258632214, '
                 '"z1": 0.28409844985441257, "z2": 0.7159015501455873}, "violated": ["I.persp1"]}}',

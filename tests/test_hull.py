@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -15,8 +16,11 @@ from pairhull import (
     Tolerances,
 )
 from pairhull.errors import NotInAmbientBox
+from pairhull.separation import separate_batch
 from pairhull.verify import _point_dict, _sample_hull_array, run_hull_suite
 from reference import (
+    FACE_KINDS,
+    face_pairs,
     gram_boundary_blocks,
     persp_relaxation_member,
     psd3_by_minors,
@@ -319,3 +323,47 @@ class TestHullSuite:
         assert report.offender == offender
         if trials == 3000 and tol is not DEFAULT_TOL:
             assert failures > 1
+
+
+class TestExactFaces:
+    """Exact boundary members of the hull and exact non-members below them
+    (:func:`reference.face_pairs`, 100 faces per kind)."""
+
+    @staticmethod
+    @functools.cache
+    def _pairs(kind: str):
+        return face_pairs(np.random.default_rng(0), 100, kind)
+
+    @pytest.mark.parametrize("kind", FACE_KINDS)
+    def test_boundary_members_are_members(self, kind):
+        members, _, _ = self._pairs(kind)
+        assert member_batch(members).member.all()
+        assert all(member_hull(HullPoint.from_coords(r)).member for r in members)
+
+    @pytest.mark.parametrize("kind", FACE_KINDS[:2])
+    def test_nonmembers_below_a_face_with_negative_cross_coefficient_are_rejected(self, kind):
+        # an X11 gap of delta in the normalized cut, delta >= 1e-4; the
+        # faces with b > 0 keep false members (see CHANGES.md), so only
+        # their members are asserted
+        _, rows, delta = self._pairs(kind)
+        assert set(delta) == {1e-2, 1e-3, 1e-4} and len(rows) > 250
+        batch = member_batch(rows)
+        assert not batch.member.any() and not batch.errors
+        assert not any(member_hull(HullPoint.from_coords(r)).member for r in rows)
+        sep = separate_batch(rows)
+        assert not sep.inside[[i for i in range(len(rows)) if i not in sep.errors]].any()
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 1e2])
+    def test_hull_members_stay_members_under_scaling(self, t):
+        # the hull is invariant under (x, X) -> (t x, t^2 X); the X11 gap of
+        # every piece scales with t^2, so no member flips
+        rows = np.concatenate([
+            _sample_hull_array(np.random.default_rng(100 + k), 1000, k) for k in range(1, 9)
+        ])
+        rows = rows[rows[:, 5:].min(axis=1) > 1e-9]
+        assert len(rows) == 6349
+        assert member_batch(rows).member.all()
+        scaled = rows * np.array([t, t, t * t, t * t, t * t, 1.0, 1.0])
+        assert member_batch(scaled).member.all()

@@ -904,12 +904,21 @@ class TestOracleSuite:
 
     def test_oracle_errors_count_as_failures(self):
         # at these bands the oracle finds some weight intervals empty; each
-        # such point is a failure and the first one the offender
+        # such point is a failure and the first one the offender.  The tenth
+        # point is a non-member: its X11 gap, -0.583, is X11 less the
+        # oracle's least X11 at eq_tol = 1e-9, 3.583; at eq_tol = 0.3 the
+        # oracle's own band lets its search reach 1.002
         report = run_oracle_suite(60, seed=1, tol=Tolerances(0.3, 0.3, 0.3))
         assert not report.ok
         assert set(report.offender) == {"point", "error"}
         assert "is empty beyond tolerance" in report.offender["error"]
-        assert report.detail == "members=43 nonmembers=17 certified=42 uncertified=0"
+        assert report.detail == "members=42 nonmembers=18 certified=42 uncertified=0"
+        p = ctilde_margin_points(np.random.default_rng(1), 60, Tolerances(0.3, 0.3, 0.3))[9]
+        rep = member_hull(p, Tolerances(0.3, 0.3, 0.3))
+        assert (rep.member, rep.violated) == (False, ("II.product",))
+        member, wit = oracle_member(p, Tolerances(1e-9, 0.3, 0.3))
+        assert not member
+        assert rep.slacks["II.product"] == pytest.approx(p.X11 - wit.objective, abs=1e-12)
 
     def test_relaxation_samples_carry_plain_floats(self):
         pts = sample_ctilde_points(np.random.default_rng(12), 4)

@@ -20,6 +20,7 @@ from pairhull import (
     in_relaxation_ctilde,
     member_batch,
     member_hull,
+    piece_slacks,
     q_gradient,
     q_value,
     separate,
@@ -33,6 +34,7 @@ from pairhull.errors import (
     NumericallyDegenerate,
 )
 from pairhull.families import FAMILY_BY_CELL, x11_root
+from pairhull.regions import CELLS, region_closure_contains
 from pairhull.separation import (
     _family_cut,
     _flat,
@@ -278,18 +280,18 @@ class TestIndicatorEdgeSeparation:
 # slacks and the separate outcome ("inside", or the cut coefficients, constant
 # and touch point) as float.hex, on non-members of each separating family,
 # both indicator edges, an X22 on the perspective bound in R4, in R8 and on
-# the z1 edge (the touch point bumps X22), an R8 point with small W, scaled copies, an uncovered corner, an R8
-# row a neighbouring piece (part IV) rescues and an uncovered non-member: a
-# change to the family formulas that moves a bit shows here.  The X12
-# coefficient is the one copositive_x12 leaves; at R5_nonmember and
-# uncovered_nonmember it moved toward zero, by 5 ulps and 1 ulp, to make the
-# quadratic part of the cut copositive.
+# the z1 edge (the touch point bumps X22), an R8 point with small W, scaled
+# copies, two uncovered corners outside the hull, and an R8 row a neighbouring
+# piece (part IV) rescues: a change to the family formulas that moves a bit
+# shows here.  The X12 coefficient is the one copositive_x12 leaves; at
+# R5_nonmember, R5_scaled_1e-2 and uncovered_nonmember it moved toward zero,
+# by 5, 6 and 1 ulps, to make the quadratic part of the cut copositive.
 CLOSED_FORM_PINS = [
     ("R3_nonmember",
      (0.13244449792131432, 1.9178391154195902, 0.4052292625282925, 0.722464578887599,
       4.286616169951484, 0.3826840560551668, 0.9718972651216101),
      (False, "R3", ("II.product",), None, False),
-     "II.persp2=0x1.011a8a1d85d38p-1 II.product=-0x1.2a305b2f96ac8p-6",
+     "II.persp2=0x1.011a8a1d85d38p-1 II.product=-0x1.28e8aab3e2ee0p-5",
      "cut R3 0x1.0000000000000p+0 "
      "-0x1.d6270487a2462p-1 0x1.318997cfd869ep-2 -0x1.1890970adfcbcp-1 "
      "0x1.01a21c25f0fe4p-2 0x0.0p+0 0x1.acfd01034cb8dp-1 "
@@ -300,7 +302,7 @@ CLOSED_FORM_PINS = [
      (0.6550960776635387, 0.5470655074161551, 19.494047315370736, 5.869960908938073,
       1.968594541656306, 0.498737492493023, 0.2854509208243847),
      (False, "R4", ("II.product",), None, False),
-     "II.persp2=0x1.d71d586c456acp-1 II.product=-0x1.2f51746878838p+2",
+     "II.persp2=0x1.d71d586c456acp-1 II.product=-0x1.49a4360085914p+2",
      "cut R4 0x1.98614e1531988p-3 "
      "-0x1.0000000000000p+0 0x1.be8d41bdd3fbep-7 -0x1.17edb6c50093ap-3 "
      "0x1.5ef4b9941f020p-2 0x0.0p+0 0x1.7578ab569a119p-1 "
@@ -311,7 +313,7 @@ CLOSED_FORM_PINS = [
      (0.537038667429799, 0.22839324580456774, 0.3571972656091969, 0.18697330266280396,
       0.1364988548545918, 0.8310832954254374, 0.6030539342611494),
      (False, "R5", ("III.product",), None, False),
-     "III.persp2=0x1.999999999999ap-5 III.product=-0x1.a45134fd32998p-11",
+     "III.persp2=0x1.999999999999ap-5 III.product=-0x1.644838c80aeacp-7",
      "cut R5 -0x1.dea498fbd299bp-1 "
      "0x1.ff5f9625be53cp-2 0x1.df3abe6b299f0p-1 -0x1.ffffffffffffbp-1 "
      "0x1.118176c4f3850p-2 0x1.de0ea297390dep-3 0x0.0p+0 "
@@ -323,7 +325,7 @@ CLOSED_FORM_PINS = [
       2.6680136439576807, 0.7597095977173154, 0.5546443248526949),
      (False, "R8", ("V.W-ineq",), "0x1.0d0a3471240c4p-2", False),
      "V.persp1=0x1.4b6eaa5d3ad70p-3 V.persp2=0x1.745d1a74770e0p-4 "
-     "V.W-ineq=-0x1.a18a0a30da828p-7",
+     "V.W-ineq=-0x1.afaf21e8f5f90p-6",
      "cut R8 -0x1.0000000000000p+0 "
      "-0x1.e04868e3cdab0p-1 0x1.e4955f9ee2009p-3 0x1.0fce747bfdf24p-2 "
      "0x1.6ed27efc59f79p-3 0x1.5849fe5e8ee4fp-3 0x1.5be2649fcc967p-2 "
@@ -335,14 +337,14 @@ CLOSED_FORM_PINS = [
       2.6680136439576807, 0.7597095977173154, 0.5546443248526949),
      (True, "R8", (), "0x1.0d0a3471240c4p-2", False),
      "V.persp1=0x1.296dd54ba75aep+0 V.persp2=0x1.745d1a74770e0p-4 "
-     "V.W-ineq=0x1.e22ce163748fep-2",
+     "V.W-ineq=0x1.f28286f0b8504p-1",
      "inside R8"),
     ("edge_z1",
      (0.0, 0.8, 0.5, 0.6,
       1.5, 0.0, 0.6),
      (False, "R1", ("edge.product",), None, False),
      "I.persp1=0x1.0000000000000p-1 I.persp2=0x1.bbbbbbbbbbbb8p-2 "
-     "edge.product=-0x1.258bf258bf25cp-3",
+     "edge.product=-0x1.52b52b52b52bcp-2",
      "cut R1 0x1.71c71c71c71c3p-1 "
      "-0x1.0000000000000p+0 0x1.9097b425ed090p-3 -0x1.1555555555552p-1 "
      "0x1.7ffffffffffffp-2 0x0.0p+0 0x1.5555555555555p-1 "
@@ -354,7 +356,7 @@ CLOSED_FORM_PINS = [
       0.5, 0.6, 0.0),
      (False, "R1", ("edge.product",), None, False),
      "I.persp1=0x1.bbbbbbbbbbbb8p-2 I.persp2=0x1.0000000000000p-1 "
-     "edge.product=-0x1.258bf258bf25cp-3",
+     "edge.product=-0x1.258bf258bf25cp-2",
      "cut R1 -0x1.aaaaaaaaaaaabp-1 "
      "0x1.0000000000000p+0 0x1.4000000000000p-2 -0x1.7ffffffffffffp-1 "
      "0x1.cccccccccccccp-2 0x1.1c71c71c71c72p-1 0x0.0p+0 "
@@ -365,7 +367,7 @@ CLOSED_FORM_PINS = [
      (0.3, 0.8, 0.5, 0.7,
       1.28, 0.7, 0.5),
      (False, "R4", ("II.product",), None, False),
-     "II.persp2=-0x1.0000000000000p-52 II.product=-0x1.8c7e28240b789p-5",
+     "II.persp2=-0x1.0000000000000p-52 II.product=-inf",
      "cut R4 0x1.86739a3de8ba3p-18 "
      "-0x1.0000000000000p+0 0x1.7432fa11a4a9ep-37 -0x1.e810c696f1cc0p-19 "
      "0x1.40002dc1929e2p-2 0x0.0p+0 0x1.99995f084276dp-1 "
@@ -377,7 +379,7 @@ CLOSED_FORM_PINS = [
       1.0666666666666667, 0.0, 0.6),
      (False, "R1", ("edge.product",), None, False),
      "I.persp1=0x1.0000000000000p+0 I.persp2=-0x1.0000000000000p-52 "
-     "edge.product=-0x1.70a3d70a3d70ep-2",
+     "edge.product=-inf",
      "cut R1 0x1.dd37f568aaaaap-20 "
      "-0x1.0000000000000p+0 0x1.4d9997c947d60p-40 -0x1.65e9f80e7fffep-20 "
      "0x1.7ffffffffffffp-2 0x0.0p+0 0x1.5555555555556p-1 "
@@ -389,7 +391,7 @@ CLOSED_FORM_PINS = [
       2.6114999999999995, 0.7, 0.6),
      (False, "R8", ("V.W-ineq",), "0x1.47ae147ae1460p-7", False),
      "V.persp1=0x1.626d5d4f40000p-16 V.persp2=0x1.42f1a9fbe76c6p+0 "
-     "V.W-ineq=-0x1.09882ff688efcp-18",
+     "V.W-ineq=-0x1.24b1a8e791fa4p-16",
      "cut R8 -0x1.0000000000000p+0 "
      "-0x1.35c5bd792270bp-2 0x1.298d0491ccc87p-2 0x1.650f9f155ac75p-3 "
      "0x1.a407c88189d19p-5 0x1.a827dc1347dc5p-2 0x1.076a826025a88p-14 "
@@ -400,7 +402,7 @@ CLOSED_FORM_PINS = [
      (0.4573629335106726, 0.42313868973994073, 0.2637160410334129, 0.10703844896112873,
       0.3479534118820882, 0.8175239086750108, 0.5145698953959609),
      (False, "R8", ("V.W-ineq",), "0x1.541065eec1978p-2", False),
-     "V.persp1=0x1.010efe973a2c0p-7 V.persp2=0x0.0p+0 V.W-ineq=-0x1.243e4fa84e800p-11",
+     "V.persp1=0x1.010efe973a2c0p-7 V.persp2=0x0.0p+0 V.W-ineq=-0x1.010efe973a2cap-7",
      "cut R8 -0x1.22610f5c99366p-6 "
      "-0x1.0000000000000p+0 0x1.af064101b1562p-7 0x1.2734196902a92p-7 "
      "0x1.369b130636ae9p-1 0x1.08de3efa04147p-9 0x1.a1f1ba482d0bap-2 "
@@ -411,7 +413,7 @@ CLOSED_FORM_PINS = [
      (132.44449792131434, 1917.8391154195901, 405229.2625282925, 722464.5788875989,
       4286616.169951485, 0.3826840560551668, 0.9718972651216101),
      (False, "R3", ("II.product",), None, False),
-     "II.persp2=0x1.ea62e6bf1f690p+18 II.product=-0x1.0f3382f271bf0p+34",
+     "II.persp2=0x1.ea62e6bf1f690p+18 II.product=-0x1.1b27836b75958p+15",
      "cut R3 0x1.38ded0b410ceep-10 "
      "-0x1.1f4c6152d0affp-10 0x1.7e5fdea58b6a9p-22 -0x1.5f1f251177cc1p-21 "
      "0x1.426c59019e165p-22 0x0.0p+0 0x1.0000000000000p+0 "
@@ -421,9 +423,14 @@ CLOSED_FORM_PINS = [
     ("R5_scaled_1e-2",
      (0.00537038667429799, 0.0022839324580456776, 3.571972656091969e-05, 1.8697330266280396e-05,
       1.364988548545918e-05, 0.8310832954254374, 0.6030539342611494),
-     (True, "R5", (), None, False),
-     "III.persp2=0x1.4f8b588e368f0p-18 III.product=-0x1.1a11f299dcf03p-37",
-     "inside R5"),
+     (False, "R5", ("III.product",), None, False),
+     "III.persp2=0x1.4f8b588e368f0p-18 III.product=-0x1.23ddc67a1880ap-20",
+     "cut R5 -0x1.3254dcca2062ap-7 "
+     "0x1.47476a559887bp-8 0x1.df3abe6b299f4p-1 -0x1.ffffffffffffap-1 "
+     "0x1.118176c4f384dp-2 0x1.879fdaccfb8a7p-16 0x0.0p+0 "
+     "0x1.8c8e6708a9acfp-67 0x1.5ff423220b3e8p-8 0x1.2b5c0e6d5a3cap-9 "
+     "0x1.34c2758cbd098p-15 0x1.39b06c0940b22p-16 0x1.ca039f9e3ed85p-17 "
+     "0x1.a983bfec35547p-1 0x1.34c37c3ac0650p-1"),
     ("R8_scaled_1e-3",
      (0.001287721136902277, 0.0011955653091008096, 2.3445421587638382e-06, 6.24459984648067e-07,
       2.6680136439576806e-06, 0.7597095977173154, 0.5546443248526949),
@@ -433,21 +440,26 @@ CLOSED_FORM_PINS = [
     ("uncovered",
      (0.0023614562234584202, 0.0018389504695006781, 3.303684937974451e-05, 3.261422087943452e-05,
       1.785549495622005e-05, 0.28771104292453, 0.4770477567323037),
-     (True, "NotCovered", (), None, False),
-     "II.persp2=0x1.69446fcd4d63ep-17 II.product=-0x1.63126fd7b47fep-32",
-     "inside NotCovered"),
+     (False, "NotCovered", ("II.product",), None, False),
+     "II.persp2=0x1.69446fcd4d63ep-17 II.product=-0x1.f73844c3da65cp-16",
+     "cut R3 0x1.7d43cb129b537p-10 "
+     "-0x1.a04933e03d680p-9 0x1.ad7a1d538c90ep-3 -0x1.d4ed3ac0e43d0p-1 "
+     "0x1.0000000000000p+0 0x0.0p+0 0x1.5276fec3b3fc4p-19 "
+     "-0x1.667ae296f6f07p-69 0x1.358552805a629p-9 0x1.e211e0807b036p-10 "
+     "0x1.085f1d33670ccp-14 0x1.1196818b3ccd8p-15 0x1.2b90c452f5930p-16 "
+     "0x1.269db9403c528p-2 0x1.e87f35072e7f8p-2"),
     ("R8_rescued",
      (0.01265912918967138, 0.028927739041855843, 0.0004894393558082376, 3.635929138912215e-05,
       0.0012608296600780254, 0.7456665702742226, 0.771481629446558),
      (True, "R8", (), "0x1.7be776b39135cp-2", False),
      "IV.diag1=0x1.592d243293746p-12 IV.persp2=0x1.7167449bf51b0p-13 "
-     "IV.shor=0x1.0870fbd40ada8p-25",
+     "IV.shor=0x1.30857021362acp-14",
      "inside R8"),
     ("uncovered_nonmember",
      (0.0031845647784178414, 0.011753868360517469, 0.00023187148831582037, 0.0003230202897677098,
       0.000525046998583723, 0.17677624583023097, 0.3172765020608486),
      (False, "NotCovered", ("II.product",), None, False),
-     "II.persp2=0x1.77dbb7eb5dea0p-14 II.product=-0x1.9e896730be647p-26",
+     "II.persp2=0x1.77dbb7eb5dea0p-14 II.product=-0x1.1a581d54b3e20p-12",
      "cut R3 0x1.d3b597eefcd2dp-6 "
      "-0x1.0b8c0124914d9p-4 0x1.872ac2f6d7f74p-3 -0x1.bf8615ad3d7d7p-1 "
      "0x1.0000000000000p+0 0x0.0p+0 0x1.179d56f38717fp-10 "
@@ -504,16 +516,19 @@ class TestPinnedClosedForm:
         assert cut.evaluate(p) < -VIOLATION_FLOOR
 
     def test_uncovered_point_no_piece_names_raises(self, monkeypatch):
-        # at this scale the product of the corner's one closure piece (R3)
-        # overflows to NaN, which neither holds nor counts as violated; one
-        # by one and on columns alike
+        # at this scale the cells' polynomials of degree 4 and 6 overflow:
+        # the point lies in no cell and in no cell's closure, and the
+        # perspective bounds of part I, its fallback report, hold; one by
+        # one and on columns alike
         monkeypatch.setattr(pairhull.core, "COLUMN_MIN_ROWS", 1)
-        coords = (8.402357813737216e+98, 5.922999995674674e+99, 1.1670788988859778e+200,
-                  4.265558779227307e+199, 7.966236754103545e+199,
-                  0.4528926937260271, 0.7567709337848311)
+        coords = (2.19044181155165e+77, 5.92090365280478e+76, 3.3679468820433176e+155,
+                  6.895179802837099e+154, 1.8638109931093842e+154,
+                  0.1880936435904989, 0.45756630567175277)
+        p = HullPoint(*coords)
+        assert not any(region_closure_contains(p, r) for r in CELLS if r is not Region.NOT_COVERED)
         message = "uncovered point rejected by every piece"
         with pytest.raises(NumericallyDegenerate, match=message):
-            member_hull(HullPoint(*coords))
+            member_hull(p)
         rows = np.array([pin[1] for pin in CLOSED_FORM_PINS] + [coords])
         with pytest.raises(NumericallyDegenerate, match=message):
             member_batch(rows).report(len(rows) - 1)
@@ -609,6 +624,20 @@ class TestTouch:
                     touch = _touch(p, TOUCH_REGION[family], family, tol)
                     want = replace(p, X11=x11_root(family, p))
                     assert [v.hex() for v in touch.coords()] == [v.hex() for v in want.coords()]
+
+    def test_touch_point_lies_on_its_piece_boundary(self):
+        # the touch point's X11 is the F of the X11 gap its piece reports,
+        # so that gap vanishes there up to the rounding of base + cc/slope
+        # and back: measured at most 1 ulp of touch.X11 on these rows
+        rows = _shrunken_rows(np.random.default_rng(6), 4000, DEFAULT_TOL)
+        batch = separate_batch(rows)
+        assert not batch.errors
+        slack = {"II": "II.product", "III": "III.product", "V": "V.W-ineq"}
+        for i in np.flatnonzero(batch.cuts()):
+            res = batch.result(int(i))
+            name = slack[FAMILY_BY_CELL[res.region.value]]
+            touch = res.cut.touch
+            assert abs(piece_slacks(touch, res.region)[name]) <= 2.0 * math.ulp(touch.X11)
 
     def test_pushed_rows_reach_every_guard(self):
         # the first guard to fire, in the order of _plain_touch, is each
