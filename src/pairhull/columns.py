@@ -12,8 +12,8 @@ source with those four constructs made elementwise, and runs it with
 every package function it calls replaced by that function's column
 version.  The scalar function itself is untouched and keeps its
 short-circuits.  Every column version is compiled so: no formula has a
-second, hand-written body.  ``max`` and ``min`` of two values keep the
-builtins' choice on ties (the first argument, so ``min(-0.0, 0.0)`` is
+second, hand-written body.  ``max`` and ``min`` of two or more values keep
+the builtins' choice on ties (the first argument, so ``min(-0.0, 0.0)`` is
 ``-0.0``) and on NaN; ``math.sqrt``, ``math.isinf`` and
 ``math.nextafter`` map to their numpy counterparts.
 
@@ -72,12 +72,12 @@ def _where(test, yes, no):
     return np.where(test, yes, no)
 
 
-def _min(a, b):
-    return np.where(b < a, b, a)
+def _min(*values):
+    return functools.reduce(lambda a, b: np.where(b < a, b, a), values)
 
 
-def _max(a, b):
-    return np.where(b > a, b, a)
+def _max(*values):
+    return functools.reduce(lambda a, b: np.where(b > a, b, a), values)
 
 
 def _not(mask):

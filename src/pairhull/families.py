@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 
-from .columns import np
 from .core import HullPoint
 
 #: Separating family of each cell that carries one, keyed by the cell tag.
@@ -63,30 +62,21 @@ def w_root_vanishes(p: HullPoint) -> bool:
 
 
 def q_value(family: str, p: HullPoint) -> float:
-    """Boundary function of the given family ('II', 'III' or 'V') at p."""
-    if family in ("II", "III"):
-        a, b, c = shifted_terms(family, p)
-        return a * b - c * c
-    if family == "V":
-        s = p.z1 + p.z2 - 1.0
-        a1 = p.X11 - p.x1 * p.x1 / p.z1
-        g = p.X12 * p.z1 * p.z2 / w_shift(p) - p.x1 * p.x2
-        return p.z1 * (1.0 - p.z2) * a1 * p.x2 * p.x2 - s * g * g
-    raise ValueError(f"unknown family {family!r}")
+    """Boundary function of the given family ('II', 'III' or 'V') at p,
+    slope (X11 - base) - cc from :func:`x11_terms`."""
+    if family not in ("II", "III", "V"):
+        raise ValueError(f"unknown family {family!r}")
+    base, slope, cc = x11_terms(family, p)
+    return slope * (p.X11 - base) - cc
 
 
-def q_gradient(family: str, p: HullPoint) -> np.ndarray:
-    """Analytic gradient of the family boundary function at p, in the
-    canonical coordinate order (x1, x2, X11, X12, X22, z1, z2).  Family V
-    needs a W shift whose square-root term does not vanish (see
-    :func:`w_root_vanishes`).  Columns compile :func:`_gradient_terms`."""
-    return np.array(_gradient_terms(family, p))
-
-
-def _gradient_terms(family: str, p: HullPoint) -> tuple:
-    """The seven terms of :func:`q_gradient`, as a tuple.  On columns a term
-    that does not depend on the point, such as family II's 0.0 for z1, stays
-    a float, which broadcasts where the terms are written."""
+def q_gradient(family: str, p: HullPoint) -> tuple:
+    """Analytic gradient of the family boundary function at p, as the tuple
+    of its seven terms in the canonical coordinate order (x1, x2, X11, X12,
+    X22, z1, z2).  Family V needs a W shift whose square-root term does not
+    vanish (see :func:`w_root_vanishes`).  On columns a term that does not
+    depend on the point, such as family II's 0.0 for z1, stays a float,
+    which broadcasts where the terms are written."""
     if family in ("II", "III"):
         z = shift_z(family, p)
         a, b, c = shifted_terms(family, p)

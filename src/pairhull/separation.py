@@ -7,7 +7,8 @@ form with the W shift (cell R8).  The boundary function q of the family is
 affine in X11, so the touch point (:func:`_touch`) solves q = 0 for X11 in
 closed form, after an X22 bump where X22 sits on its perspective bound, and
 the first-order Taylor expansion of q there is a violated supporting cut.
-The column path of :func:`separate_batch` reads the same guards.
+The column path of :func:`separate_batch` reads the same guards and
+finishes its cuts with the same scalar bodies.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .columns import elementwise
+from .columns import elementwise, np
 from .core import (
     DEFAULT_TOL,
     HullColumns,
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .families import (
     FAMILY_BY_CELL,
-    _gradient_terms,
     q_gradient,
     q_value,
     w_root_vanishes,
@@ -94,35 +92,52 @@ def _edge_step(a: float, x: float, c: float) -> float:
     return x if copositive(a, x, c) else math.nextafter(x, 0.0)
 
 
+def cut_value(coeffs, constant: float, p: HullPoint) -> float:
+    """coeffs . p + constant, summed left to right in
+    :data:`~pairhull.core.COORD_NAMES` order and the constant last, so a
+    cut's value is the same on every CPU, one point or a column of them."""
+    c1, c2, c11, c12, c22, cz1, cz2 = coeffs
+    return (
+        c1 * p.x1 + c2 * p.x2 + c11 * p.X11 + c12 * p.X12 + c22 * p.X22
+        + cz1 * p.z1 + cz2 * p.z2 + constant
+    )
+
+
+def _max_norm(grad) -> float:
+    """The largest |term| of a gradient (NaN only where the first term is)."""
+    return max(*map(abs, grad))
+
+
+def _normalized(grad, touch: HullPoint) -> tuple[tuple, float]:
+    """(coeffs, constant) of the Taylor cut grad . (p - touch) >= 0 divided
+    by the max-norm m of grad (same hyperplane), with the X12 coefficient
+    set by :func:`copositive_x12`; where that moves the largest one toward
+    zero, the max-norm ends a few ulps below 1.  The constant is
+    -(grad . touch) / m; adding -0.0 in :func:`cut_value` changes no sum."""
+    m = _max_norm(grad)
+    g1, g2, g11, g12, g22, gz1, gz2 = grad
+    c11, c22 = g11 / m, g22 / m
+    coeffs = (g1 / m, g2 / m, c11, copositive_x12(c11, g12 / m, c22), c22, gz1 / m, gz2 / m)
+    return coeffs, -cut_value(grad, -0.0, touch) / m
+
+
 @dataclass(frozen=True)
 class Cut:
     """Affine inequality coeffs . p + constant >= 0 supporting the hull.
 
-    ``coeffs`` follows the canonical coordinate order and is zero at the
-    touching point by construction.  The cuts of :func:`separate` have a
+    ``coeffs`` is a tuple of floats in the canonical coordinate order, and
+    the cut is zero at the touching point by construction.  The cuts of
+    :func:`separate` are normalized (:func:`_normalized`) and have a
     copositive quadratic part (:func:`copositive_x12`), so they are bounded
-    below on the vertex set.
+    below on the vertex set.  :meth:`evaluate` is :func:`cut_value`.
     """
 
-    coeffs: np.ndarray
+    coeffs: tuple[float, ...]
     constant: float
     touch: HullPoint
 
-    def __post_init__(self) -> None:
-        if float(np.max(np.abs(self.coeffs))) <= 0.0:
-            raise DegenerateGradient("cut coefficients are all zero")
-
     def evaluate(self, p: HullPoint) -> float:
-        return float(np.dot(self.coeffs, p.coords()) + self.constant)
-
-    def normalized(self) -> "Cut":
-        """Divide by the largest |coefficient| (same hyperplane), then set the
-        X12 coefficient by :func:`copositive_x12`; where that moves the
-        largest one toward zero, the max-norm ends a few ulps below 1."""
-        m = float(np.max(np.abs(self.coeffs)))
-        coeffs = self.coeffs / m
-        coeffs[3] = copositive_x12(*map(float, coeffs[2:5]))
-        return Cut(coeffs, self.constant / m, self.touch)
+        return cut_value(self.coeffs, self.constant, p)
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,7 @@ def _off_boundary(family: str, touch: HullPoint, tol: Tolerances) -> bool:
 
 
 def _family_cut(family: str, touch: HullPoint, tol: Tolerances) -> Cut:
+    """The normalized Taylor cut of the family boundary at the touch point."""
     if _off_boundary(family, touch, tol):
         q0 = q_value(family, touch)
         raise ValueError(f"q(touch) = {q0} is not zero within tolerance")
@@ -152,10 +168,9 @@ def _family_cut(family: str, touch: HullPoint, tol: Tolerances) -> Cut:
             "square-root term of the W shift is nondifferentiable here"
         )
     grad = q_gradient(family, touch)
-    if float(np.max(np.abs(grad))) <= _FLAT_GRADIENT:
+    if _max_norm(grad) <= _FLAT_GRADIENT:
         raise DegenerateGradient("boundary gradient vanished at the touch point")
-    constant = -float(np.dot(grad, touch.coords()))
-    return Cut(grad, constant, touch)
+    return Cut(*_normalized(grad, touch), touch)
 
 
 def _out_of_reach(p: HullPoint, family: str, tol: Tolerances) -> bool:
@@ -263,9 +278,10 @@ _CUT_SYSTEMS = frozenset({"II.product", "III.product", "V.W-ineq", "edge.product
 
 def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     """Decide membership for a relaxation point; emit a violated supporting
-    cut (:meth:`Cut.normalized`: max-norm 1 or a few ulps below, with the X12
+    cut (:func:`_normalized`: max-norm 1 or a few ulps below, with the X12
     coefficient of :func:`copositive_x12`, so it is valid on the whole vertex
-    set) when the point is outside."""
+    set) when the point is outside.  The cut is plain float arithmetic and
+    needs no numpy."""
     if not in_relaxation_ctilde(p, tol):
         raise InputOutsideCtilde(_OUTSIDE_CTILDE)
     report: MembershipReport = member_hull(p, tol)
@@ -305,15 +321,14 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
             f"relaxation; got {report.violated}"
         )
 
-    with np.errstate(all="ignore"):  # as on the column path of separate_batch
-        cut = _family_cut(family, touch, tol).normalized()
-        if not cut.evaluate(p) < 0.0:  # a NaN cut separates nothing
-            raise SeparationInvariantError("constructed cut fails to separate the query")
+    cut = _family_cut(family, touch, tol)
+    if not cut.evaluate(p) < 0.0:  # a NaN cut separates nothing
+        raise SeparationInvariantError("constructed cut fails to separate the query")
     return SeparationResult(False, cut, region)
 
 
 #: Separating family of each cell code, "" for the cells without one.
-_FAMILY_OF_CODE = np.array([FAMILY_BY_CELL.get(r.value, "") for r in CELLS])
+_FAMILY_OF_CODE = tuple(FAMILY_BY_CELL.get(r.value, "") for r in CELLS)
 
 
 @dataclass(eq=False)  # numpy columns have no truth value; batches compare by identity
@@ -364,7 +379,7 @@ class SeparationBatch:
             return SeparationResult(True, None, region)
         touch = HullPoint.from_coords(self.touch[i])
         return SeparationResult(
-            False, Cut(self.coeffs[i].copy(), float(self.constant[i]), touch), region
+            False, Cut(tuple(self.coeffs[i].tolist()), float(self.constant[i]), touch), region
         )
 
     def _store(self, i: int, res: SeparationResult) -> None:
@@ -383,7 +398,9 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     One :func:`~pairhull.hull.member_batch` decides membership; the touch
     points and gradients of the family II, III and V cuts run on columns,
     family by family, and one pass over the rows of all families finishes
-    their cuts: normalization, X12 snap and violation check.  The rows the
+    their cuts with the column versions of the scalar bodies
+    (:func:`_normalized`, then :func:`cut_value` for the violation check),
+    so no cut depends on numpy's BLAS kernel.  The rows the
     columns do not settle go through :func:`separate` one by one, which
     gives their result or error: uncovered corners, rows the oracle
     decided, indicator edges, touch points that need an X22 bump, rows
@@ -418,7 +435,7 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
         # inside the relaxation no perspective bound is violated, so a
         # family cell's non-member violates its product system alone and the
         # invariant check of separate holds
-        family = _FAMILY_OF_CODE[report.cell]
+        family = np.take(_FAMILY_OF_CODE, report.cell)
         left = ~report.member & (report.degenerate | (family == ""))
         left[list(report.errors)] = True
         j = np.flatnonzero(~report.member & ~left)
@@ -437,27 +454,15 @@ def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) 
             off[k] |= elementwise(_off_boundary)(fam, touch, tol)
             if fam == "V":
                 off[k] |= elementwise(w_root_vanishes)(touch)
-            grad[:, k] = np.broadcast_arrays(*elementwise(_gradient_terms)(fam, touch))
-        grad = np.ascontiguousarray(grad.T)
-        norm = np.max(np.abs(grad), axis=1)
-        off |= norm <= _FLAT_GRADIENT
-        touch_rows = np.ascontiguousarray(table.T)
-        constant = -row_dots(grad, touch_rows) / norm
-        coeffs = grad / norm[:, None]
-        coeffs[:, 3] = elementwise(copositive_x12)(*coeffs[:, 2:5].T)
-        off |= ~(row_dots(coeffs, np.ascontiguousarray(p.table.T)) + constant < 0.0)
+            grad[:, k] = np.broadcast_arrays(*elementwise(q_gradient)(fam, touch))
+        off |= elementwise(_max_norm)(grad) <= _FLAT_GRADIENT
+        coeffs, constant = elementwise(_normalized)(grad, HullColumns(table))
+        off |= ~(elementwise(cut_value)(coeffs, constant, p) < 0.0)
         left[j[off]] = True
         rows = idx[j[~off]]
-        out.coeffs[rows] = coeffs[~off]
+        out.coeffs[rows] = np.transpose(coeffs)[~off]
         out.constant[rows] = constant[~off]
-        out.touch[rows] = touch_rows[~off]
+        out.touch[rows] = table.T[~off]
     scalar = np.zeros(len(cols), bool)
     scalar[idx[left]] = True
     return scalar
-
-
-def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a with the same row of b, each
-    rounded as :func:`numpy.dot` rounds one pair of vectors (a sum over an
-    axis rounds differently)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]

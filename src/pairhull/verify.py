@@ -41,7 +41,7 @@ from .families import FAMILY_BY_CELL, x11_root
 from .hull import member_batch, member_hull
 from .oracle import oracle_members
 from .regions import CODE_OF, Region, cell_codes, region_partition_audit
-from .separation import copositive, row_dots, separate_batch
+from .separation import copositive, cut_value, separate_batch
 
 
 @dataclass
@@ -412,9 +412,10 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     sep = separate_batch(rows, tol)
     made = np.flatnonzero(sep.cuts())
     touch = member_batch(sep.touch[made], tol)
+    value = elementwise(cut_value)
     with np.errstate(all="ignore"):  # the rows without a cut hold NaN
-        at_query = row_dots(sep.coeffs, rows) + sep.constant
-        at_touch = row_dots(sep.coeffs, sep.touch) + sep.constant
+        at_query = value(sep.coeffs.T, sep.constant, HullColumns(rows.T))
+        at_touch = value(sep.coeffs.T, sep.constant, HullColumns(sep.touch.T))
     failed = (
         sep.inside
         | (at_query >= -VIOLATION_FLOOR)

@@ -18,7 +18,7 @@ from pairhull.errors import NotInAmbientBox, NumericallyDegenerate, PairhullErro
 from pairhull.hull import member_batch, member_hull
 from pairhull.regions import CODE_OF, NOT_COVERED_CODE, Region, classify, classify_batch
 from pairhull.families import FAMILY_BY_CELL, q_gradient
-from pairhull.separation import copositive_x12, separate, separate_batch
+from pairhull.separation import _normalized, separate, separate_batch
 from pairhull.verify import (
     _sample_hull_array,
     _sample_separable_array,
@@ -245,6 +245,17 @@ def _assert_separate_batch_equals_scalar(rows: np.ndarray) -> list:
     return outcomes
 
 
+#: Scaled R4 rows (rows 746 and 706 of ``_gate_rows(300, seed)["scaled"]``
+#: for seeds 42 and 55) whose rounded cut, built at the touch point, is not
+#: below zero at the query: separate raises SeparationInvariantError.
+UNSEPARATED = [
+    (104.93276122572489, 1164.196840195188, 10933449.025131593, 1101971.0457196212,
+     5138019.308102034, 0.7548222521712609, 0.265748159359851),
+    (133.4261785198761, 341.7279780930445, 24247802.398669634, 1007389.9145341543,
+     908796.4923060779, 0.9182364697981921, 0.13110036879016773),
+]
+
+
 class TestSeparateBatch:
     def test_every_sampler_listed_reversed_and_shuffled(self, gate_rows):
         order = np.random.default_rng(4)
@@ -255,7 +266,12 @@ class TestSeparateBatch:
         # cuts of every family, member rows and the errors of scaled rows
         assert {("cut", r) for r in ("R3", "R4", "R5", "R8")} <= seen
         assert ("inside", "NotCovered") in seen
-        assert {("error", "InputOutsideCtilde"), ("error", "SeparationInvariantError")} <= seen
+        assert ("error", "InputOutsideCtilde") in seen
+        # the invariant check raises alike after the shrunken rows of a
+        # column batch and one row at a time
+        rows = np.concatenate([gate_rows["shrunken"][:64], UNSEPARATED])
+        outcomes = _assert_separate_batch_equals_scalar(rows)
+        assert outcomes[-2:] == [("error", "SeparationInvariantError")] * 2
 
     def test_bumped_edge_and_out_of_reach_rows_in_a_column_batch(self, monkeypatch):
         # the R4 pin whose X22 sits on the perspective bound needs a bump;
@@ -292,8 +308,8 @@ class TestSeparateBatch:
     def test_batches_of_one_family_or_all_finish_their_cuts_once(self, monkeypatch):
         # a column batch of R8 rows alone and of R5 rows alone skips the
         # families it lacks; a mixed batch, with the X22-bump pins of R4 and
-        # R8 that go to the scalar path, snaps the cuts of all its families
-        # in one call
+        # R8 that go to the scalar path, finishes the cuts of all its
+        # families (normalization, X12 snap and constant) in one call
         rows = _shrunken_rows(np.random.default_rng(12), 3000, DEFAULT_TOL)
         tags = np.array([tag.value for tag in classify_batch(rows)])
         by_cell = {cell: rows[tags == cell][:64] for cell in ("R3", "R4", "R5", "R8")}
@@ -305,9 +321,9 @@ class TestSeparateBatch:
         ]
         mixed = np.concatenate([*(v[:32] for v in by_cell.values()), pins])
         registry = pairhull.columns._COLUMN_OF
-        pairhull.columns.elementwise(copositive_x12)  # compiled on first use
-        snap, calls = registry[copositive_x12], []
-        monkeypatch.setitem(registry, copositive_x12, lambda *a: calls.append(1) or snap(*a))
+        pairhull.columns.elementwise(_normalized)  # compiled on first use
+        finish, calls = registry[_normalized], []
+        monkeypatch.setitem(registry, _normalized, lambda *a: calls.append(1) or finish(*a))
         for block, cells in (
             (by_cell["R8"], {"R8"}), (by_cell["R5"], {"R5"}), (mixed, set(by_cell))
         ):
@@ -426,7 +442,7 @@ class TestSeparateProperties:
                 family = FAMILY_BY_CELL.get(
                     res.region.value, "II" if cut.touch.z1 == 0.0 else "III"
                 )
-                grad = q_gradient(family, cut.touch)
+                grad = np.array(q_gradient(family, cut.touch))
                 raw = grad / np.max(np.abs(grad))
                 assert np.delete(cut.coeffs, 3).tobytes() == np.delete(raw, 3).tobytes()
                 assert b == raw[3] or (

@@ -965,6 +965,41 @@ class TestDeterminism:
         assert v1.split("elapsed")[0] == v2.split("elapsed")[0]
 
 
+#: OpenBLAS kernels a numpy build may pick at run time: the CPU's own
+#: (unset) and two that round dot products differently.
+BLAS_KERNELS = (None, "Haswell", "Prescott")
+
+
+def _kernel_run(argv: list[str], text: str, kernel: str | None) -> str:
+    """Stdout of ``python -m pairhull`` in a new process on the OpenBLAS
+    kernel ``kernel``, with the elapsed time of a verify line cut out."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    proc = subprocess.run([sys.executable, "-m", "pairhull", *argv], input=text,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and not proc.stderr, (kernel, proc.stderr)
+    return re.sub(r"elapsed=\S+", "elapsed=", proc.stdout)
+
+
+class TestBlasKernels:
+    """No answer depends on the BLAS kernel numpy picks: every cut is plain
+    float arithmetic, on one point and on columns alike."""
+
+    @pytest.mark.parametrize("argv, n", [
+        (["separate"], 400),
+        (["separate"], COLUMN_MIN_ROWS - 1),
+        (["verify", "--suite", "cuts", "--trials", "2000", "--seed", "3"], 0),
+    ], ids=["separate-columns", "separate-rows", "verify-cuts"])
+    def test_stdout_is_the_same_on_every_kernel(self, argv, n):
+        points = shrunken_nonmembers(np.random.default_rng(8), n)
+        text = "".join(json.dumps(_point_record(p)) + "\n" for p in points)
+        outs = [_kernel_run(argv, text, kernel) for kernel in BLAS_KERNELS]
+        assert outs[0].count("\n") == max(n, 1)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 class TestTolerancesFlags:
     def test_overridden_tolerances_flow_through(self):
         # loose membership tolerance flips a slightly-violated point

@@ -15,7 +15,7 @@ from pairhull import (
 from pairhull.columns import elementwise
 from pairhull.core import HullColumns, ctilde_slacks, separable_holds
 from pairhull.errors import NegativeDenominator, NotInAmbientBox
-from pairhull.families import _gradient_terms
+from pairhull.families import q_gradient
 
 finite_floats = st.floats(-10.0, 10.0, allow_nan=False)
 pos_floats = st.floats(1e-6, 10.0, allow_nan=False)
@@ -88,7 +88,7 @@ class TestRaiseGuard:
         p = HullPoint(0.3, 0.8, 0.5, 0.7, 1.28, 0.7, 0.5)
         cols = HullColumns.of_rows(np.array([p.coords()] * 3))
         with pytest.raises(ValueError, match="unknown family 'IV'"):
-            elementwise(_gradient_terms)("IV", cols)
+            elementwise(q_gradient)("IV", cols)
 
 
 class TestTolerances:

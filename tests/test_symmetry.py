@@ -13,7 +13,7 @@ import pytest
 from pairhull.columns import elementwise
 from pairhull.core import DEFAULT_TOL, HullColumns, HullPoint
 from pairhull.hull import member_batch, member_hull
-from pairhull.separation import row_dots, separate_batch
+from pairhull.separation import cut_value, separate_batch
 from pairhull.verify import (
     SOUNDNESS_FLOOR,
     VIOLATION_FLOOR,
@@ -69,6 +69,7 @@ def test_mirrored_cut_separates_and_supports(row_sets, name, cuts):
     made = np.flatnonzero(sep.cuts())
     assert made.size == cuts
     coeffs, constant = sep.coeffs[made][:, SWAP], sep.constant[made]
-    assert (row_dots(coeffs, rows[made]) + constant < -VIOLATION_FLOOR).all()
+    at_point = elementwise(cut_value)(coeffs.T, constant, HullColumns.of_rows(rows[made]))
+    assert (at_point < -VIOLATION_FLOOR).all()
     low = elementwise(s2_minimum)(HullColumns(coeffs.T), constant)
     assert (low >= SOUNDNESS_FLOOR).all() and (low <= VIOLATION_FLOOR).all()
