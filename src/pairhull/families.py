@@ -4,9 +4,9 @@ Family II is the product shifted by z2 (cells R3, R4), family III the product
 shifted by z1 (cell R5) and family V the form weighted by the W shift (cell
 R8).  Each boundary function q is affine in X11: :func:`x11_terms` writes it
 once, and the X11 at which it vanishes, F, is the least X11 of the family's
-hull piece.  The hull pieces, the touch points of the cuts
-and the verify samplers all take these formulas from here; the functions
-shared by the families are keyed by the family string.
+hull piece.  The hull pieces, the cuts' touch points, the verify samplers
+and cells R6 and R7, which bound X12 by the W shift, take these formulas
+from here; the functions shared by the families are keyed by the family string.
 """
 
 from __future__ import annotations

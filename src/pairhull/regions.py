@@ -3,11 +3,15 @@
 Each cell is an inequality system over (x, X, z); the cells are pairwise
 disjoint and jointly cover the separable relaxation, so every relevant
 point classifies to exactly one tag.  Points on a shared boundary are
-resolved to the lowest-index cell by the tolerance band.
+resolved to the lowest-index cell by the tolerance band.  R6 and R7 bound
+X12 by the W shift of family V, x2 W = x2 s - r with r = sqrt(d (1 - z1) s)
+= q w, q = sqrt(d s) and w = sqrt(1 - z1) (:func:`w_sqrt_arg`), in sides of
+degree 3 under (x, X) -> (t x, t^2 X) where the paper's have degree 4 and 6.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -24,6 +28,7 @@ from .core import (
     validate_columns,
     validate_point,
 )
+from .families import w_sqrt_arg
 
 
 class Region(Enum):
@@ -129,38 +134,37 @@ def _in_u2(p: HullPoint, tol: Tolerances, closed: bool) -> bool:
     )
 
 
-def _r6_extra(p: HullPoint, tol: Tolerances) -> bool:
-    e = tol.eq_tol
-    s = p.z1 + p.z2 - 1.0
-    lhs = (1.0 - p.z1) * s * p.x1 * p.x1 * (p.X22 * p.z2 - p.x2 * p.x2)
-    d = p.X12 * p.z1 * p.z2 - p.x1 * p.x2 * s
-    return ge(lhs, d * d, e)
+def _r6_sides(p: HullPoint):
+    """X12 z1 z2 and x1 x2 W, R6 holding the first at least the second: on U2,
+    where x1 x2 s > X12 z1 z2, the paper's (x1 r)^2 >= (x1 x2 s - X12 z1 z2)^2."""
+    s, _, arg = w_sqrt_arg(p)
+    return p.X12 * p.z1 * p.z2, p.x1 * (p.x2 * s - math.sqrt(max(arg, 0.0)))
 
 
-def _r7_extra(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    e = tol.eq_tol
-    d = p.X22 * p.z2 - p.x2 * p.x2
-    x2sq = p.x2 * p.x2
-    lhs = p.x1 * p.x1 * (x2sq - p.X22 * (1.0 - p.z1)) * d
-    rhs = 2.0 * p.x1 * p.x2 * p.X12 * p.z1 * d - p.X12 * p.X12 * (
-        p.X22 * (p.z1 + p.z2 - 1.0)
-        + x2sq * (1.0 - 2.0 * p.z1 - p.z2 * (1.0 - p.z1))
-    )
-    return (ge if closed else gt)(lhs, rhs, e)
+def _r7_sides(p: HullPoint):
+    """x1 (x2 s - q w) q and X12 s (q + x2 (1 - z2) w), R7 holding the first
+    beyond the second: X12 below x1 x2 W (s - W) / (s (z1 z2 - W)), the root
+    of the paper's quadratic form in (x1, X12), with discriminant / 4 equal to
+    (1 - z1) s d (X22 - x2^2)^2, that alone bounds R7 outside R6."""
+    s, d, _ = w_sqrt_arg(p)
+    q = math.sqrt(max(d * s, 0.0))
+    w = math.sqrt(max(1.0 - p.z1, 0.0))
+    return p.x1 * (p.x2 * s - q * w) * q, p.X12 * s * (q + p.x2 * (1.0 - p.z2) * w)
 
 
 def _in_r6(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    return _in_u2(p, tol, closed) and _r6_extra(p, tol)
+    return _in_u2(p, tol, closed) and ge(*_r6_sides(p), tol.eq_tol)
 
 
 def _in_r7(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    return _in_u2(p, tol, closed) and _r7_extra(p, tol, closed)
+    return _in_u2(p, tol, closed) and (ge if closed else gt)(*_r7_sides(p), tol.eq_tol)
 
 
 def _in_r8(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
     # the subtracted cells R6 and R7 are excluded through their open
     # versions in the closure too
-    return _in_u2(p, tol, closed) and not _r6_extra(p, tol) and not _r7_extra(p, tol)
+    e = tol.eq_tol
+    return _in_u2(p, tol, closed) and not ge(*_r6_sides(p), e) and not gt(*_r7_sides(p), e)
 
 
 _PREDICATES = (

@@ -4,7 +4,8 @@ None of these is called by the package: the closed-form optimizer of the
 witness problem per cell (the oracle's closed-form cross-check), the PSD
 test of a symmetric 3x3 by minors, singular PSD moment blocks drawn as
 Gram matrices, the two relaxations the hull strengthens, the eight cell
-systems of one point evaluated independently, the boundary points of one
+systems of one point evaluated independently, the paper's polynomial
+sides of cells R6 and R7, the boundary points of one
 separating family, the one-candidate-at-a-time loop that drew the cuts
 suite's shrunken non-members (with its candidate builder and relaxation
 bound on X11, which the boundary points share), the masked vertex
@@ -180,6 +181,27 @@ def rankone_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
 def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:
     """Evaluate all eight cell systems independently (no short-circuit)."""
     return [tag for tag, pred in _PREDICATES if pred(p, tol)]
+
+
+def r6_polynomial_sides(p: HullPoint):
+    """The paper's side of cell R6, degree 4 under (x, X) -> (t x, t^2 X):
+    (1 - z1) s x1^2 (X22 z2 - x2^2) and (X12 z1 z2 - x1 x2 s)^2, s = z1 + z2 - 1;
+    R6 holds the first at least the second.  On points and columns alike."""
+    s = p.z1 + p.z2 - 1.0
+    d = p.X12 * p.z1 * p.z2 - p.x1 * p.x2 * s
+    return (1.0 - p.z1) * s * p.x1 * p.x1 * (p.X22 * p.z2 - p.x2 * p.x2), d * d
+
+
+def r7_polynomial_sides(p: HullPoint):
+    """The paper's side of cell R7, degree 6: a quadratic form in (x1, X12)
+    whose first side R7 holds beyond the second.  On points and columns alike."""
+    d = p.X22 * p.z2 - p.x2 * p.x2
+    x2sq = p.x2 * p.x2
+    lhs = p.x1 * p.x1 * (x2sq - p.X22 * (1.0 - p.z1)) * d
+    rhs = 2.0 * p.x1 * p.x2 * p.X12 * p.z1 * d - p.X12 * p.X12 * (
+        p.X22 * (p.z1 + p.z2 - 1.0) + x2sq * (1.0 - 2.0 * p.z1 - p.z2 * (1.0 - p.z1))
+    )
+    return lhs, rhs
 
 
 def ctilde_x11_bound(p: HullPoint) -> float:

@@ -832,8 +832,8 @@ class TestStartup:
     answers one query pays for no others at start."""
 
     BASE = {"pairhull", "pairhull.cli", "pairhull.columns", "pairhull.core",
-            "pairhull.errors", "pairhull.regions"}
-    MEMBER = BASE | {"pairhull.families", "pairhull.hull"}
+            "pairhull.errors", "pairhull.families", "pairhull.regions"}
+    MEMBER = BASE | {"pairhull.hull"}
     EVERY = {"pairhull", *(f"pairhull.{f.stem}" for f in PACKAGE_DIR.glob("*.py")
                            if f.stem not in ("__init__", "__main__"))}
 
@@ -924,9 +924,9 @@ class TestVerify:
             ),
             (
                 "partition",
-                "suite=partition trials=5000 failures=94 worst_slack=0.000e+00 [FAIL] "
+                "suite=partition trials=5000 failures=93 worst_slack=0.000e+00 [FAIL] "
                 "counts={'R3': 231, 'R4': 866, 'R1': 2227, 'R5': 1458, 'R2': 169, "
-                "'R7': 10, 'R8': 6, 'R6': 25, 'NotCovered': 8}",
+                "'R7': 8, 'R8': 12, 'R6': 21, 'NotCovered': 8}",
                 '{"offender": {"point": {"x1": 0.31947782927415713, "x2": 0.23907748636410653, '
                 '"X11": 2.098331747765032, "X12": 3.8745450812025974, "X22": 1.6994248037252189, '
                 '"z1": 0.24964702186903032, "z2": 0.4648605134033179}, "matches": ["R1", "R4"]}}',

@@ -14,10 +14,16 @@ from pairhull import (
     member_hull,
     piece_slacks,
     Tolerances,
+    classify_batch,
 )
 from pairhull.errors import NotInAmbientBox
 from pairhull.separation import separate_batch
-from pairhull.verify import _point_dict, _sample_hull_array, run_hull_suite
+from pairhull.verify import (
+    _point_dict,
+    _sample_hull_array,
+    _sample_separable_array,
+    run_hull_suite,
+)
 from reference import (
     FACE_KINDS,
     face_pairs,
@@ -340,11 +346,9 @@ class TestExactFaces:
         assert member_batch(members).member.all()
         assert all(member_hull(HullPoint.from_coords(r)).member for r in members)
 
-    @pytest.mark.parametrize("kind", FACE_KINDS[:2])
-    def test_nonmembers_below_a_face_with_negative_cross_coefficient_are_rejected(self, kind):
-        # an X11 gap of delta in the normalized cut, delta >= 1e-4; the
-        # faces with b > 0 keep false members (see CHANGES.md), so only
-        # their members are asserted
+    @pytest.mark.parametrize("kind", FACE_KINDS)
+    def test_nonmembers_below_a_face_are_rejected(self, kind):
+        # an X11 gap of delta in the normalized cut, delta >= 1e-4
         _, rows, delta = self._pairs(kind)
         assert set(delta) == {1e-2, 1e-3, 1e-4} and len(rows) > 250
         batch = member_batch(rows)
@@ -367,3 +371,16 @@ class TestScaleInvariance:
         assert member_batch(rows).member.all()
         scaled = rows * np.array([t, t, t * t, t * t, t * t, 1.0, 1.0])
         assert member_batch(scaled).member.all()
+
+    @pytest.mark.parametrize("t", [1e-2, 1e2])
+    def test_u2_decisions_stay_under_scaling(self, t):
+        # rows of R6, R7 and R8 at unit scale, members and non-members: the
+        # sides of those cells scale as t^3 against the absolute band, so a
+        # row that crosses between them is decided the same by its new piece
+        rows = _sample_separable_array(np.random.default_rng(3), 20000)
+        rows = rows[np.isin(classify_batch(rows), [Region.R6, Region.R7, Region.R8])]
+        assert len(rows) == 985
+        member = member_batch(rows).member
+        assert 0 < member.sum() < len(rows)
+        scaled = rows * np.array([t, t, t * t, t * t, t * t, 1.0, 1.0])
+        assert (member_batch(scaled).member == member).all()

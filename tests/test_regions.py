@@ -17,10 +17,11 @@ from pairhull import (
 )
 from pairhull.errors import NotInAmbientBox
 from pairhull import regions
-from pairhull.core import separable_holds
+from pairhull.columns import elementwise
+from pairhull.core import HullColumns, separable_holds
 from pairhull.regions import region_closure_contains
-from pairhull.verify import _sample_separable_array, run_partition_suite
-from reference import region_matches
+from pairhull.verify import _sample_hull_array, _sample_separable_array, run_partition_suite
+from reference import r6_polynomial_sides, r7_polynomial_sides, region_matches
 
 
 class TestClassifyExamples:
@@ -205,3 +206,28 @@ class TestClosures:
             tag = classify(p)
             assert tag is Region.R1, p
             assert region_closure_contains(p, tag), p
+
+
+class TestU2Sides:
+    """The square-root sides of cells R6 and R7 decide as the paper's
+    polynomials wherever both clear the band."""
+
+    def test_verdicts_agree_with_the_polynomials(self):
+        e = DEFAULT_TOL.eq_tol
+        rows = np.concatenate([_sample_separable_array(np.random.default_rng(3), 300000)] + [
+            _sample_hull_array(np.random.default_rng(200 + k), 5000, k) for k in range(1, 9)
+        ])
+        cols = HullColumns.of_rows(rows)
+        with np.errstate(all="ignore"):
+            u2 = cols.take(elementwise(regions._in_u2)(cols, DEFAULT_TOL, False))
+            old6, new6, old7, new7 = (np.subtract(*sides(u2)) for sides in (
+                r6_polynomial_sides, elementwise(regions._r6_sides),
+                r7_polynomial_sides, elementwise(regions._r7_sides),
+            ))
+        clear6 = (abs(old6) > e) & (abs(new6) > e)
+        assert clear6.sum() > 20000
+        assert ((old6 >= 0) == (new6 >= 0))[clear6].all()
+        # outside R6 only the root of the square-root form bounds R7
+        clear7 = clear6 & (new6 < 0) & (abs(old7) > e) & (abs(new7) > e)
+        assert clear7.sum() > 8000
+        assert ((old7 > 0) == (new7 > 0))[clear7].all()

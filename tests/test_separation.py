@@ -438,9 +438,10 @@ CLOSED_FORM_PINS = [
     ("R8_scaled_1e-3",
      (0.001287721136902277, 0.0011955653091008096, 2.3445421587638382e-06, 6.24459984648067e-07,
       2.6680136439576806e-06, 0.7597095977173154, 0.5546443248526949),
-     (True, "R6", (), None, False),
-     "I.persp1=0x1.5b882d56edc20p-23 I.persp2=0x1.86739d954db20p-24",
-     "inside R6"),
+     (True, "R8", (), "0x1.0d0a3471240c5p-2", False),
+     "IV.diag1=0x1.70769cb9e13dap-21 IV.persp2=0x1.86739d954db20p-24 "
+     "IV.shor=0x1.60430349bccc0p-27",
+     "inside R8"),
     ("uncovered",
      (0.0023614562234584202, 0.0018389504695006781, 3.303684937974451e-05, 3.261422087943452e-05,
       1.785549495622005e-05, 0.28771104292453, 0.4770477567323037),
@@ -455,10 +456,10 @@ CLOSED_FORM_PINS = [
     ("R8_rescued",
      (0.01265912918967138, 0.028927739041855843, 0.0004894393558082376, 3.635929138912215e-05,
       0.0012608296600780254, 0.7456665702742226, 0.771481629446558),
-     (True, "R8", (), "0x1.7be776b39135cp-2", False),
+     (True, "R7", (), None, False),
      "IV.diag1=0x1.592d243293746p-12 IV.persp2=0x1.7167449bf51b0p-13 "
      "IV.shor=0x1.30857021362acp-14",
-     "inside R8"),
+     "inside R7"),
     ("uncovered_nonmember",
      (0.0031845647784178414, 0.011753868360517469, 0.00023187148831582037, 0.0003230202897677098,
       0.000525046998583723, 0.17677624583023097, 0.3172765020608486),

@@ -283,12 +283,12 @@ SHRUNKEN_ROW_DIGESTS = {
     ("mid", 2, 2000): "f9bbd812648c4de1864bcf551ca69d10665b0b6632c04ebab241a9620a4859aa",
     ("mid", 3, 250): "827f16557fad077543649d4071f9e2dcd468edee6514515b8a75636666da10bb",
     ("mid", 3, 2000): "e321c353a9f95f1d1984251509a28690221b4c83565492cd93fac838724a6042",
-    ("loose", 1, 250): "3f47c7c008747546beb15d2be645536f2f70a7a9b9b0256d15d2cbc3b1a800ca",
-    ("loose", 1, 2000): "86ed2cb14ea69ea68930e5bbc6860099adf35b9a20195d7d3d81ab55e6d7c27a",
-    ("loose", 2, 250): "fbe5387d8b81e8dc536da95e90678e208a8c914ad786a7b60072a94224192ed5",
-    ("loose", 2, 2000): "54c5243134022a110da670d0d330c36c361f619afb6ee5efda05e2dad1c63ccb",
-    ("loose", 3, 250): "e7de1b83f2b4690383a8248aeb41263e91d7477f0eca0d15e7ee841ead7ff996",
-    ("loose", 3, 2000): "dab37fd34422b3d97899b9f8c315457c5991b65989c9b33e7456761bee4fd15d",
+    ("loose", 1, 250): "3b083b2fb804e981f3c44fc4b9c16d26a775910357ce9e14fc2f25d1f027a96a",
+    ("loose", 1, 2000): "e6c6357da7f5e3f91b1b3afb0fcefee4b612cfa2e819878fda7993e762920a9b",
+    ("loose", 2, 250): "0b7d1fc550ddfb327b3a48f7038f3bb4bff4b36c07449c916919948fcbe88772",
+    ("loose", 2, 2000): "3f58539954be9b88ff7e9015f164081575b5b05c52c3c5ea7cf8158b8756f242",
+    ("loose", 3, 250): "d62fbac3fa56137e47b1bf5f447fb254e9bdb96988c1e24630d4233ea540e090",
+    ("loose", 3, 2000): "dd9a1621f497c8586c38aa2ec9ec6498920e14e46e0c5126b4482d64ac0d886a",
 }
 
 
