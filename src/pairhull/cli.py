@@ -377,8 +377,8 @@ def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
             n = min(batch.errors, default=len(batch))
             reps, error = map(batch.report, range(n)), batch.errors.get(n)
         if args.oracle:
-            recs = [_member_record(rep, args.report) for rep in reps]
-            _answer_oracle(recs, rows[:n], tol, stdout, args.pretty)
+            reps = list(reps)
+            _answer_oracle(reps, rows[:n], tol, stdout, args.pretty, args.report)
         elif args.report or args.pretty or type(rows) is list:
             stdout.write(
                 "".join(_dumps(_member_record(rep, args.report), args.pretty) for rep in reps)
@@ -392,15 +392,20 @@ def _cmd_member(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
 
 
 def _answer_oracle(
-    recs: list[dict], rows: list[HullPoint] | np.ndarray, tol: Tolerances, stdout: TextIO,
-    pretty: bool,
+    reps: list[MembershipReport], rows: list[HullPoint] | np.ndarray, tol: Tolerances,
+    stdout: TextIO, pretty: bool, report: bool,
 ) -> None:
-    """Decide the closed-form records of a chunk of `member --oracle` lines
-    in one oracle pass and write them in input order."""
+    """Decide the points of a chunk of `member --oracle` lines, whose
+    closed-form reports are ``reps``, in one oracle call, which checks the
+    certificates the closed form proposes and searches the rest, and write
+    their records in input order."""
     from .oracle import oracle_members
+    from .separation import oracle_proposal
 
     points = rows if type(rows) is list else [HullPoint(*row) for row in rows.tolist()]
-    for rec, res in zip(recs, oracle_members(points, tol)):
+    proposals = [oracle_proposal(p, rep, tol) for p, rep in zip(points, reps)]
+    for rep, res in zip(reps, oracle_members(points, tol, proposals=proposals)):
+        rec = _member_record(rep, report)
         if isinstance(res, PairhullError):
             rec["oracle_error"] = type(res).__name__
         else:

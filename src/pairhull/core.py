@@ -263,6 +263,26 @@ def diff_of_products(x: float, y: float, u: float, w: float) -> float:
     return ((p - q) + t) + ((e - (t - v)) - (f + v))
 
 
+def copositive(a: float, b: float, c: float) -> bool:
+    """Whether a t1^2 + b t1 t2 + c t2^2 >= 0 for all t >= 0, decided exactly
+    where no product underflows."""
+    h = 0.5 * b
+    return a >= 0.0 and c >= 0.0 and (
+        b >= 0.0 or (min(a, c) > 0.0 and diff_of_products(a, c, h, h) >= 0.0)
+    )
+
+
+def cut_value(coeffs, constant: float, p: HullPoint) -> float:
+    """coeffs . p + constant, summed left to right in :data:`COORD_NAMES`
+    order and the constant last, so a cut's value is the same on every CPU,
+    one point or a column of them."""
+    c1, c2, c11, c12, c22, cz1, cz2 = coeffs
+    return (
+        c1 * p.x1 + c2 * p.x2 + c11 * p.X11 + c12 * p.X12 + c22 * p.X22
+        + cz1 * p.z1 + cz2 * p.z2 + constant
+    )
+
+
 def ctilde_slacks(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
     """Slacks of the strengthened relaxation used as the separation input set.
 

@@ -40,11 +40,16 @@ def shifted_terms(family: str, p: HullPoint) -> tuple[float, float, float]:
     )
 
 
+def w_factors(p: HullPoint) -> tuple[float, float]:
+    """(s, d) with s = z1 + z2 - 1 and d = X22 z2 - x2^2, the factors of the
+    square-root argument d (1 - z1) s of the W shift."""
+    return p.z1 + p.z2 - 1.0, p.X22 * p.z2 - p.x2 * p.x2
+
+
 def w_sqrt_arg(p: HullPoint) -> tuple[float, float, float]:
-    """(s, d, d (1 - z1) s) with s = z1 + z2 - 1 and d = X22 z2 - x2^2: the
-    square-root argument of the W shift, not clamped."""
-    s = p.z1 + p.z2 - 1.0
-    d = p.X22 * p.z2 - p.x2 * p.x2
+    """(s, d, d (1 - z1) s) of :func:`w_factors`: the square-root argument of
+    the W shift, not clamped."""
+    s, d = w_factors(p)
     return s, d, d * (1.0 - p.z1) * s
 
 

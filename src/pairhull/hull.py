@@ -207,7 +207,7 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
         try:
             slacks = piece_slacks(p, region, tol)
         except NumericallyDegenerate:
-            from .oracle import oracle_member  # array code: loaded only here
+            from .oracle import oracle_member  # loaded only where W degenerates
 
             is_member, wit = oracle_member(p, tol)
             slacks = {**_part1_slacks(p, tol), "V.W-ineq": p.X11 - wit.objective}
@@ -236,6 +236,58 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
             "uncovered point rejected by every piece yet no inequality names it"
         )
     return MembershipReport(False, region, violated, slacks, w_val)
+
+
+def closed_witness(
+    p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL
+) -> tuple[float, float, float] | None:
+    """The closed form's witness (xt41, xt42, lambda4) of the oracle's
+    problem at a point p of the cell ``region``, or None where the cell has
+    none at p.
+
+    Its objective is the least X11 of the cell's piece, F: x1^2/z1 on R1,
+    R2 and R6 (part I), x11_root of family II on R3 and R4, of family III on
+    R5, x1^2 + (X12 - x1 x2)^2/(X22 - x2^2) on R7 (part IV) and x11_root of
+    family V on R8.  R4 and the z1 <= z2 part of R5 put the whole of x1 and
+    x2 at the smaller indicator.  None for NotCovered, for R1 on its
+    X12 = 0 face, its indicator edges or with x1 or x2 in the zero band,
+    for R8 where W degenerates, and where a formula divides by zero.  The
+    oracle checks the triple with its own objective, so nothing here is
+    trusted.
+    """
+    e = tol.eq_tol
+    x1, x2, X12, X22, z1, z2 = p.x1, p.x2, p.X12, p.X22, p.z1, p.z2
+    s = z1 + z2 - 1.0
+    try:
+        if region is Region.R1:
+            if X12 <= e or x1 <= e or x2 <= e or on_indicator_edge(p, tol):
+                return None
+            lam = X12 * z1 * z2 / (x1 * x2)
+            return lam * x1 / z1, lam * x2 / z2, lam
+        if region is Region.R2:
+            return x1, X12 * z1 / x1, z1
+        if region is Region.R3:
+            a2 = (X12 * x2 * z1 + x1 * (X22 * (z2 - z1) - x2 * x2)) / (X12 * z2 - x1 * x2)
+            return x1, a2, z1
+        if region is Region.R4:
+            return x1, x2, z2
+        if region is Region.R5:
+            if not z2 < z1 - e:
+                return x1, x2, z1
+            a1 = (x1 * (X22 * z2 - x2 * x2) + X12 * x2 * (z1 - z2)) / (X22 * z1 - x2 * x2)
+            return a1, x2, z2
+        if region is Region.R6:
+            return s * x1 / z1, X12 * z1 / x1, s
+        if region is Region.R7:
+            a1 = (X12 * x2 * (1.0 - z2) + x1 * (X22 * z2 - x2 * x2)) / (X22 - x2 * x2)
+            a2 = (x1 * (x2 * x2 - X22 * (1.0 - z1)) - X12 * x2 * z1) / (x1 * x2 - X12)
+            return a1, a2, s
+        if region is Region.R8 and not _w_degenerate(p, tol):
+            w = w_shift(p)
+            return s * X12 * z2 / (x2 * w), x2 * w / z2, s
+    except ZeroDivisionError:
+        pass
+    return None
 
 
 #: Most slacks of one piece.

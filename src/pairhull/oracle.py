@@ -2,7 +2,22 @@
 
 A point is in the hull iff the three-variable convex program over the
 disjunction witness (xt41, xt42, lambda4) attains an objective no larger
-than X11.  The minimizer is searched weight by weight: at each weight the
+than X11.  The oracle decides each point in two stages: it checks the
+certificates the closed form proposes, then searches the points they leave
+undecided.
+
+Certify.  The objective f of any feasible witness is an upper bound on F,
+the least hull-feasible X11, so f <= X11 + oracle_tol proves membership.
+A valid cut c . q + k >= 0 with c_X11 > 0 proves non-membership where its
+value at p + oracle_tol e_X11 lies below its minimum over the vertex set,
+:func:`s2_minimum`: every hull point that shares the other six
+coordinates of p then has X11 above X11 + oracle_tol.  The closed form
+proposes one witness triple per point and, for its non-members, the cut of
+``separate``; the oracle scores the witness with its own objective and
+slacks and bounds the cut with its own minimum, and reads no cell or piece
+formula, so a wrong closed form can only leave a point uncertified.
+
+Search.  The minimizer is searched weight by weight: at each weight the
 second split xt42 is sampled only inside the interval where the quadratic
 constraint holds, whose ends are closed-form roots, and the first split
 xt41 is minimized exactly from four closed-form candidates.  A coarse pass
@@ -10,10 +25,9 @@ over 64 weights is followed by a shrinking-bracket zoom over the weight,
 entirely independent of the closed-form piece descriptions.  An
 infeasible witness scores +inf, a plain IEEE float.
 
-Each decision comes with a certificate.  The objective f of any witness is
-an upper bound on F, the least hull-feasible X11, so f <= X11 + oracle_tol
-proves membership.  A Lagrangian lower bound L <= F, taken from the tangent
-planes of the convex objective at the sampled witnesses (the
+The search's decisions come with certificates too.  Besides the objective
+f of its best witness, a Lagrangian lower bound L <= F, taken from the
+tangent planes of the convex objective at the sampled witnesses (the
 disjunctive-perspective duality of Ceria and Soares, Math. Program. 1999),
 proves non-membership once L > X11 + oracle_tol.  A point leaves the search
 as soon as either holds: after 17 of the coarse weights (every fourth and
@@ -30,31 +44,44 @@ rng 4, eq_tol = 1e-9) the full search's f lies up to 3.4e-9 below its own
 L, by 1e-9 or more on 4 of them; the gap grows like eq_tol x1/z1.  A point
 whose F lies that close above X11 + oracle_tol is a member to the full
 search, and may be a certified non-member to a search that L stops first.
+
+The search runs on numpy, read through the package's ``np`` stand-in, so
+a process whose points are all certified never imports it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
-from .core import DEFAULT_TOL, HullPoint, Tolerances, validate_point
+from .core import (
+    DEFAULT_TOL,
+    HullPoint,
+    Tolerances,
+    copositive,
+    cut_value,
+    diff_of_products,
+    np,
+    validate_point,
+)
 from .errors import EmptyFeasibleSet, InfeasibleWitness, PairhullError
 
 
 @dataclass(frozen=True)
 class OracleWitness:
     """Feasible witness triple with its objective value, an upper bound on
-    the least hull-feasible X11, and a lower bound on it (-inf when no
-    certificate was found)."""
+    the least hull-feasible X11, a lower bound on it (-inf when no
+    certificate was found), and what decided the point: ``"witness"`` or
+    ``"cut"``, a certificate of the closed form that the oracle checked, or
+    ``"search"``."""
 
     xt41: float
     xt42: float
     lambda4: float
     objective: float
     lower: float
+    decided_by: str = "search"
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +163,104 @@ def oracle_objective(
     if bad:
         raise InfeasibleWitness(f"witness constraint(s) violated: {bad}")
     return float(_witness_objective(p, float(w[2]), float(w[0]), float(w[1]), tol.eq_tol))
+
+
+# ---------------------------------------------------------------------------
+# certificates proposed by the closed form
+# ---------------------------------------------------------------------------
+
+
+def _ray_minimum(a: float, g: float) -> float:
+    """The infimum of a t^2 + g t over t >= 0."""
+    return 0.0 if g >= 0.0 and a >= 0.0 else (-g * g / (4.0 * a) if a > 0.0 else -math.inf)
+
+
+def s2_minimum(c: HullPoint, k: float) -> float:
+    """The infimum of the cut ``c . p + k`` over the vertex set S2, -inf where
+    it is unbounded below; ``c`` holds the coefficients by coordinate name.
+
+    On S2 the cut is k at the origin, a quadratic in one x >= 0 where x1 or
+    x2 alone is free, and where both are free the form [[c_X11, h], [h,
+    c_X22]], h = c_X12 / 2, plus a linear term.  That piece is unbounded
+    where the form is not copositive, or singular with the linear term
+    falling along its null ray (-h, c_X11); else its minimum lies on an axis
+    or at the stationary point (n1, n2) / det.  det, n1 and n2 are
+    compensated: with naive products 233 of the 4000 cuts of
+    ``shrunken_nonmembers`` (rng 6) get spurious minima as low as -1.2.
+    """
+    ray1, ray2 = _ray_minimum(c.X11, c.x1), _ray_minimum(c.X22, c.x2)
+    h, p, r = 0.5 * c.X12, -0.5 * c.x1, -0.5 * c.x2
+    det = diff_of_products(c.X11, c.X22, h, h)
+    n1, n2 = diff_of_products(c.X22, p, h, r), diff_of_products(c.X11, r, h, p)
+    both = k + c.z1 + c.z2
+    # the cut there is both - (c_X22 p^2 - 2 h p r + c_X11 r^2) / det, and c_X11
+    # times that quotient is p^2 + n2^2 / det: two terms that cannot cancel
+    inside = det > 0.0 and n1 > 0.0 and n2 > 0.0
+    inner = both - (p * p + n2 * n2 / det) / c.X11 if inside else math.inf
+    # the linear term falls along the null ray where c_X11 c_x2 - h c_x1 =
+    # -2 n2 < 0, tested unhalved and with c_x1, c_x2 scaled by 2^1000 where
+    # both lie below 2^-900, so that no tiny c_x rounds to 0 in a product
+    up = 2.0 ** 1000 if max(abs(c.x1), abs(c.x2)) < 2.0 ** -900 else 1.0
+    falls = diff_of_products(c.X11, c.x2 * up, h, c.x1 * up) < 0.0
+    bounded = copositive(c.X11, c.X12, c.X22) and not (det == 0.0 and h < 0.0 and falls)
+    four = min(both + min(ray1, ray2), inner) if bounded else -math.inf
+    return min(min(k, four), min(k + c.z1 + ray1, k + c.z2 + ray2))
+
+
+#: What the closed form proposes for one point: a witness triple
+#: (xt41, xt42, lambda4) or None, and a cut (coeffs, constant) in
+#: :data:`~pairhull.core.COORD_NAMES` order or None.
+Proposal = tuple[Optional[tuple], Optional[tuple]]
+
+
+def _weight_interval(p: HullPoint, tol: Tolerances) -> tuple[float, float]:
+    """(lam_lo, lam_hi), the weights of the witnesses of p.  Raises
+    :class:`NotInAmbientBox` outside the ambient domain and
+    :class:`EmptyFeasibleSet` where min(z1, z2) lies in the zero band."""
+    validate_point(p, tol)
+    lam_hi = min(p.z1, p.z2)
+    if lam_hi <= tol.eq_tol:
+        raise EmptyFeasibleSet(f"weight interval (0, {lam_hi}] is empty beyond tolerance")
+    return min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi), lam_hi
+
+
+def _certified(
+    p: HullPoint, proposal: Proposal, tol: Tolerances
+) -> Optional[tuple[bool, OracleWitness]]:
+    """The decision of p from its proposal, or None where neither of its
+    certificates decides p; raises the error the search would raise at p.
+
+    The witness is scored by :func:`oracle_objective`.  A feasible witness
+    whose objective f is at most X11 + oracle_tol makes p a member, with no
+    lower bound.  Otherwise a cut with c_X11 > 0 whose value at p +
+    oracle_tol e_X11 lies below its :func:`s2_minimum` m makes p a
+    non-member, with lower = X11 + (m - cut(p)) / c_X11 and the witness's
+    objective as the upper bound.  Where that objective is not finite, the
+    witness is reported as the search reports a point with no finite
+    objective: +inf at (0, 0, lam_lo).
+    """
+    lam_lo, _ = _weight_interval(p, tol)
+    triple, cut = proposal
+    threshold = p.X11 + tol.oracle_tol
+    f = math.inf
+    if triple is not None:
+        try:
+            f = oracle_objective(p, triple, tol)
+        except InfeasibleWitness:
+            pass
+        if f <= threshold:
+            return True, OracleWitness(*triple, f, -math.inf, "witness")
+    if cut is None:
+        return None
+    coeffs, constant = cut
+    c = HullPoint(*coeffs)
+    m = s2_minimum(c, constant)
+    if not (c.X11 > 0.0 and cut_value(coeffs, constant, replace(p, X11=threshold)) < m):
+        return None
+    if not f < math.inf:  # no witness, an infeasible one, or a NaN objective
+        f, triple = math.inf, (0.0, 0.0, lam_lo)
+    lower = p.X11 + (m - cut_value(coeffs, constant, p)) / c.X11
+    return False, OracleWitness(*triple, f, lower, "cut")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +538,7 @@ def _zoom_lambda(pt, lam_lo, lam_hi, best, lower, e: float, zoom_rounds: int, wi
 GRID = 64
 #: Columns of the coarse weights swept first (every fourth and the last).
 #: The points no certificate decides on them sweep all :data:`GRID` again.
-COARSE_FIRST = np.r_[0:GRID:4, GRID - 1]
+COARSE_FIRST = (*range(0, GRID, 4), GRID - 1)
 #: Second splits per bracket in each round, of the coarse pass and the zoom.
 ZOOM_WIDTH = 17
 #: Points per pass of :func:`oracle_members`.  Most points leave the search
@@ -443,16 +568,10 @@ def _oracle_chunk(
     start = []
     for j, p in enumerate(points):
         try:
-            validate_point(p, tol)
-            lam_hi = min(p.z1, p.z2)
-            if lam_hi <= e:
-                raise EmptyFeasibleSet(
-                    f"weight interval (0, {lam_hi}] is empty beyond tolerance"
-                )
+            lam_lo, lam_hi = _weight_interval(p, tol)
         except PairhullError as exc:
             out[j] = exc
             continue
-        lam_lo = min(max(p.z1 + p.z2 - 1.0, 0.0), lam_hi)
         ok.append(j)
         start.append((p.x1, p.x2, p.X12, p.X22, p.z1, p.z2, lam_lo, lam_hi, p.X11))
     if not ok:
@@ -488,21 +607,34 @@ def oracle_members(
     points: Iterable[HullPoint],
     tol: Tolerances = DEFAULT_TOL,
     zoom_rounds: int = 10,
+    proposals: Optional[Sequence[Optional[Proposal]]] = None,
 ) -> list[OracleResult]:
     """:func:`oracle_member` for many points, in input order.
 
     Each entry is the point's ``(member, witness)``, or the
     :class:`PairhullError` it raised (``NotInAmbientBox``,
-    ``EmptyFeasibleSet``).  The coarse pass and each zoom pass run once
-    for every :data:`ORACLE_CHUNK` points, which share their numpy calls.
-    The results are those of single points, bit for bit: the search, its
-    lower bounds and its stop are elementwise and take first-index minima,
-    so they do not depend on the other points of its pass.
+    ``EmptyFeasibleSet``).  ``proposals``, if given, holds one
+    :data:`Proposal` or None per point; a point its proposal certifies
+    (:func:`_certified`) is decided without the search.  The search runs
+    on the other points, its coarse pass and each zoom pass once for every
+    :data:`ORACLE_CHUNK` of them, which share their numpy calls.  Its
+    results are those of single points, bit for bit: the search, its lower
+    bounds and its stop are elementwise and take first-index minima, so
+    they do not depend on the other points of its pass.
     """
     points = list(points)
-    out: list[OracleResult] = []
-    for i in range(0, len(points), ORACLE_CHUNK):
-        out += _oracle_chunk(points[i : i + ORACLE_CHUNK], tol, zoom_rounds)
+    out: list = [None] * len(points)
+    for j, (p, proposal) in enumerate(zip(points, proposals or ())):
+        if proposal is not None:
+            try:
+                out[j] = _certified(p, proposal, tol)
+            except PairhullError as exc:
+                out[j] = exc
+    todo = [j for j, res in enumerate(out) if res is None]
+    for i in range(0, len(todo), ORACLE_CHUNK):
+        chunk = todo[i : i + ORACLE_CHUNK]
+        for j, res in zip(chunk, _oracle_chunk([points[j] for j in chunk], tol, zoom_rounds)):
+            out[j] = res
     return out
 
 

@@ -5,8 +5,9 @@ disjoint and jointly cover the separable relaxation, so every relevant
 point classifies to exactly one tag.  Points on a shared boundary are
 resolved to the lowest-index cell by the tolerance band.  R6 and R7 bound
 X12 by the W shift of family V, x2 W = x2 s - r with r = sqrt(d (1 - z1) s)
-= q w, q = sqrt(d s) and w = sqrt(1 - z1) (:func:`w_sqrt_arg`), in sides of
-degree 3 under (x, X) -> (t x, t^2 X) where the paper's have degree 4 and 6.
+= q w, q = sqrt(d s) and w = sqrt(1 - z1), s and d from
+:func:`~pairhull.families.w_factors`, in sides of degree 3 under
+(x, X) -> (t x, t^2 X) where the paper's have degree 4 and 6.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
     validate_columns,
     validate_point,
 )
-from .families import w_sqrt_arg
+from .families import w_factors, w_sqrt_arg
 
 
 class Region(Enum):
@@ -146,7 +147,7 @@ def _r7_sides(p: HullPoint):
     beyond the second: X12 below x1 x2 W (s - W) / (s (z1 z2 - W)), the root
     of the paper's quadratic form in (x1, X12), with discriminant / 4 equal to
     (1 - z1) s d (X22 - x2^2)^2, that alone bounds R7 outside R6."""
-    s, d, _ = w_sqrt_arg(p)
+    s, d = w_factors(p)
     q = math.sqrt(max(d * s, 0.0))
     w = math.sqrt(max(1.0 - p.z1, 0.0))
     return p.x1 * (p.x2 * s - q * w) * q, p.X12 * s * (q + p.x2 * (1.0 - p.z2) * w)

@@ -22,9 +22,10 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
+    copositive,
     ctilde_holds,
+    cut_value,
     decide_rows,
-    diff_of_products,
     in_relaxation_ctilde,
 )
 from .errors import (
@@ -43,17 +44,14 @@ from .families import (
     x11_root,
     x11_slope,
 )
-from .hull import MembershipReport, member_columns, member_hull, piece_slacks
+from .hull import (
+    MembershipReport,
+    closed_witness,
+    member_columns,
+    member_hull,
+    piece_slacks,
+)
 from .regions import CELLS, CODE_OF, Region, region_closure_contains
-
-
-def copositive(a: float, b: float, c: float) -> bool:
-    """Whether a t1^2 + b t1 t2 + c t2^2 >= 0 for all t >= 0, decided exactly
-    where no product underflows."""
-    h = 0.5 * b
-    return a >= 0.0 and c >= 0.0 and (
-        b >= 0.0 or (min(a, c) > 0.0 and diff_of_products(a, c, h, h) >= 0.0)
-    )
 
 
 def copositive_x12(a: float, b: float, c: float) -> float:
@@ -92,17 +90,6 @@ def _edge_step(a: float, x: float, c: float) -> float:
     return x if copositive(a, x, c) else math.nextafter(x, 0.0)
 
 
-def cut_value(coeffs, constant: float, p: HullPoint) -> float:
-    """coeffs . p + constant, summed left to right in
-    :data:`~pairhull.core.COORD_NAMES` order and the constant last, so a
-    cut's value is the same on every CPU, one point or a column of them."""
-    c1, c2, c11, c12, c22, cz1, cz2 = coeffs
-    return (
-        c1 * p.x1 + c2 * p.x2 + c11 * p.X11 + c12 * p.X12 + c22 * p.X22
-        + cz1 * p.z1 + cz2 * p.z2 + constant
-    )
-
-
 def _max_norm(grad) -> float:
     """The largest |term| of a gradient (NaN only where the first term is)."""
     return max(*map(abs, grad))
@@ -113,7 +100,8 @@ def _normalized(grad, touch: HullPoint) -> tuple[tuple, float]:
     by the max-norm m of grad (same hyperplane), with the X12 coefficient
     set by :func:`copositive_x12`; where that moves the largest one toward
     zero, the max-norm ends a few ulps below 1.  The constant is
-    -(grad . touch) / m; adding -0.0 in :func:`cut_value` changes no sum."""
+    -(grad . touch) / m; adding -0.0 in :func:`~pairhull.core.cut_value`
+    changes no sum."""
     m = _max_norm(grad)
     g1, g2, g11, g12, g22, gz1, gz2 = grad
     c11, c22 = g11 / m, g22 / m
@@ -129,7 +117,8 @@ class Cut:
     the cut is zero at the touching point by construction.  The cuts of
     :func:`separate` are normalized (:func:`_normalized`) and have a
     copositive quadratic part (:func:`copositive_x12`), so they are bounded
-    below on the vertex set.  :meth:`evaluate` is :func:`cut_value`.
+    below on the vertex set.  :meth:`evaluate` is
+    :func:`~pairhull.core.cut_value`.
     """
 
     coeffs: tuple[float, ...]
@@ -284,7 +273,12 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     needs no numpy."""
     if not in_relaxation_ctilde(p, tol):
         raise InputOutsideCtilde(_OUTSIDE_CTILDE)
-    report: MembershipReport = member_hull(p, tol)
+    return _separated(p, member_hull(p, tol), tol)
+
+
+def _separated(p: HullPoint, report: MembershipReport, tol: Tolerances) -> SeparationResult:
+    """:func:`separate` at a relaxation point p whose membership report is
+    ``report``."""
     region = report.region
     if report.member:
         return SeparationResult(True, None, region)
@@ -325,6 +319,30 @@ def separate(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> SeparationResult:
     if not cut.evaluate(p) < 0.0:  # a NaN cut separates nothing
         raise SeparationInvariantError("constructed cut fails to separate the query")
     return SeparationResult(False, cut, region)
+
+
+#: The errors of one row's separation that a batch reports in ``errors``.
+_SEPARATION_ERRORS = (PairhullError, ArithmeticError, ValueError)
+
+
+def oracle_proposal(p: HullPoint, report: MembershipReport, tol: Tolerances = DEFAULT_TOL):
+    """The certificates the closed form proposes to the oracle at p, whose
+    membership report is ``report``: a :data:`~pairhull.oracle.Proposal`.
+
+    The witness is the :func:`~pairhull.hull.closed_witness` of the
+    report's cell, or of the cut's cell where the report is a non-member
+    that :func:`separate` cuts off; the cut is that cut, and None where the
+    report is a member or separation raises (outside the relaxation, at
+    degenerate points)."""
+    region, cut = report.region, None
+    if not report.member and ctilde_holds(p, tol):
+        try:
+            res = _separated(p, report, tol)
+        except _SEPARATION_ERRORS:
+            pass
+        else:
+            region, cut = res.region, (res.cut.coeffs, res.cut.constant)
+    return closed_witness(p, region, tol), cut
 
 
 #: Separating family of each cell code, "" for the cells without one.
@@ -399,9 +417,9 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     points and gradients of the family II, III and V cuts run on columns,
     family by family, and one pass over the rows of all families finishes
     their cuts with the column versions of the scalar bodies
-    (:func:`_normalized`, then :func:`cut_value` for the violation check),
-    so no cut depends on numpy's BLAS kernel.  The rows the
-    columns do not settle go through :func:`separate` one by one, which
+    (:func:`_normalized`, then :func:`~pairhull.core.cut_value` for the
+    violation check), so no cut depends on numpy's BLAS kernel.  The rows
+    the columns do not settle go through :func:`separate` one by one, which
     gives their result or error: uncovered corners, rows the oracle
     decided, indicator edges, touch points that need an X22 bump, rows
     where a guard of the touch point or the cut fires.  Raises the error of :func:`separate` for the
@@ -410,7 +428,7 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     cols = HullColumns.of_rows(rows)
     return decide_rows(
         SeparationBatch.empty(len(cols)), cols, _separate_columns, separate,
-        (PairhullError, ArithmeticError, ValueError), tol,
+        _SEPARATION_ERRORS, tol,
     )
 
 

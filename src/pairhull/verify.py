@@ -14,8 +14,8 @@ draws bit for bit.  The cuts suite's non-members are built on columns
 too, one cell per row, with their X11 placed between the relaxation
 bound and the column :func:`~pairhull.families.x11_root` of the cell's
 family.  The cuts suite certifies each cut by its minimum over the whole
-vertex set in closed form, :func:`s2_minimum`, rather than by sampling
-the set.
+vertex set in closed form, :func:`~pairhull.oracle.s2_minimum`, rather
+than by sampling the set.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
-    diff_of_products,
+    cut_value,
 )
 from .errors import PairhullError
 from .families import FAMILY_BY_CELL, x11_root
 from .hull import member_batch, member_hull
-from .oracle import oracle_members
+from .oracle import oracle_members, s2_minimum
 from .regions import CODE_OF, Region, cell_codes, region_partition_audit
-from .separation import copositive, cut_value, separate_batch
+from .separation import oracle_proposal, separate_batch
 
 
 @dataclass
@@ -360,38 +360,6 @@ VIOLATION_FLOOR = 1e-9
 SOUNDNESS_FLOOR = -1e-8
 
 
-def _ray_minimum(a: float, g: float) -> float:
-    """The infimum of a t^2 + g t over t >= 0."""
-    return 0.0 if g >= 0.0 and a >= 0.0 else (-g * g / (4.0 * a) if a > 0.0 else -math.inf)
-
-
-def s2_minimum(c: HullPoint, k: float) -> float:
-    """The infimum of the cut ``c . p + k`` over the vertex set S2, -inf where
-    it is unbounded below; ``c`` holds the coefficients by coordinate name.
-
-    On S2 the cut is k at the origin, a quadratic in one x >= 0 where x1 or
-    x2 alone is free, and where both are free the form [[c_X11, h], [h,
-    c_X22]], h = c_X12 / 2, plus a linear term.  That piece is unbounded
-    where the form is not copositive, or singular with the linear term
-    falling along its null ray (-h, c_X11); else its minimum lies on an axis
-    or at the stationary point (n1, n2) / det.  det, n1 and n2 are
-    compensated: with naive products 233 of the 4000 cuts of
-    ``shrunken_nonmembers`` (rng 6) get spurious minima as low as -1.2.
-    """
-    ray1, ray2 = _ray_minimum(c.X11, c.x1), _ray_minimum(c.X22, c.x2)
-    h, p, r = 0.5 * c.X12, -0.5 * c.x1, -0.5 * c.x2
-    det = diff_of_products(c.X11, c.X22, h, h)
-    n1, n2 = diff_of_products(c.X22, p, h, r), diff_of_products(c.X11, r, h, p)
-    both = k + c.z1 + c.z2
-    # the cut there is both - (c_X22 p^2 - 2 h p r + c_X11 r^2) / det, and c_X11
-    # times that quotient is p^2 + n2^2 / det: two terms that cannot cancel
-    inside = det > 0.0 and n1 > 0.0 and n2 > 0.0
-    inner = both - (p * p + n2 * n2 / det) / c.X11 if inside else math.inf
-    bounded = copositive(c.X11, c.X12, c.X22) and not (det == 0.0 and h < 0.0 and n2 > 0.0)
-    four = min(both + min(ray1, ray2), inner) if bounded else -math.inf
-    return min(min(k, four), min(k + c.z1 + ray1, k + c.z2 + ray2))
-
-
 def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Soundness and violation of cuts on constructed non-members.
 
@@ -401,9 +369,10 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
     touch point is not a member; these checks run on columns, and the first
     failing query is the offender.  Any other error of a separation, and the
     error of the membership of a touch point that is asked, is raised.
-    Each kept cut's minimum over the vertex set, :func:`s2_minimum` on
-    columns, must lie in [SOUNDNESS_FLOOR, VIOLATION_FLOOR]: below, the cut
-    cuts off part of the hull; above, it does not support it.  The worst
+    Each kept cut's minimum over the vertex set,
+    :func:`~pairhull.oracle.s2_minimum` on columns, must lie in
+    [SOUNDNESS_FLOOR, VIOLATION_FLOOR]: below, the cut cuts off part of the
+    hull; above, it does not support it.  The worst
     slack is the least of these minima.
     """
     t0 = time.perf_counter()
@@ -461,27 +430,32 @@ def run_cuts_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> Sui
 def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Agreement of the closed-form decision with the numeric oracle.
 
-    The slack of a point is its oracle decision margin, signed so that it is
-    negative when the oracle disagrees with the closed form: X11 +
-    oracle_tol - f where the closed form says member, its negation where it
-    says non-member (an infinite objective f gives -inf or +inf).  A point
-    the oracle cannot decide (its :class:`PairhullError`) is a failure with
-    no slack, and its error is the offender's.  The detail counts the
-    decisions a certificate settles: every member (f <= X11 + oracle_tol)
-    and the non-members whose lower bound exceeds X11 + oracle_tol; the
-    other non-members are uncertified, the search having run out.  An
-    offender that disagrees with the closed form carries its lower bound and
-    whether it was certified.
+    The oracle gets the closed form's proposals
+    (:func:`~pairhull.separation.oracle_proposal`), checks them and searches
+    the points they leave undecided.  The slack of a point is its oracle
+    decision margin, signed so that it is negative when the oracle
+    disagrees with the closed form: X11 + oracle_tol - f where the closed
+    form says member, its negation where it says non-member (an infinite
+    objective f gives -inf or +inf).  A point the oracle cannot decide (its
+    :class:`PairhullError`) is a failure with no slack, and its error is
+    the offender's.  The detail counts the points each way decided them, a
+    checked witness, a checked cut or the search, and the search's
+    uncertified non-members, whose lower bound never exceeded X11 +
+    oracle_tol before the search ran out.  An offender that disagrees with
+    the closed form carries its lower bound, whether it was certified and
+    what decided it.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     pts = ctilde_margin_points(rng, trials, tol)
+    reps = [member_hull(p, tol) for p in pts]
+    proposals = [oracle_proposal(p, rep, tol) for p, rep in zip(pts, reps)]
     failures = 0
     offender = None
-    n_member = n_certified = n_uncertified = 0
+    n_member = n_uncertified = 0
+    decided = dict.fromkeys(("witness", "cut", "search"), 0)
     worst = math.inf
-    for p, res in zip(pts, oracle_members(pts, tol)):
-        rep = member_hull(p, tol)
+    for p, rep, res in zip(pts, reps, oracle_members(pts, tol, proposals=proposals)):
         n_member += int(rep.member)
         if isinstance(res, PairhullError):
             failures += 1
@@ -489,8 +463,8 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
                 offender = {"point": _point_dict(p), "error": str(res)}
             continue
         dec, wit = res
+        decided[wit.decided_by] += 1
         certified = dec or wit.lower > p.X11 + tol.oracle_tol
-        n_certified += certified
         n_uncertified += not certified
         margin_in = p.X11 + tol.oracle_tol - wit.objective
         worst = min(worst, margin_in if rep.member else -margin_in)
@@ -504,8 +478,10 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
                     "objective": None if math.isinf(wit.objective) else wit.objective,
                     "lower": None if math.isinf(wit.lower) else wit.lower,
                     "certified": certified,
+                    "decided_by": wit.decided_by,
                     "slacks": rep.slacks,
                 }
+    counts = " ".join(f"{k}={v}" for k, v in decided.items())
     return SuiteReport(
         "oracle",
         trials,
@@ -513,8 +489,8 @@ def run_oracle_suite(trials: int, seed: int, tol: Tolerances = DEFAULT_TOL) -> S
         worst,
         time.perf_counter() - t0,
         detail=(
-            f"members={n_member} nonmembers={trials - n_member}"
-            f" certified={n_certified} uncertified={n_uncertified}"
+            f"members={n_member} nonmembers={trials - n_member} {counts}"
+            f" uncertified={n_uncertified}"
         ),
         offender=offender,
     )

@@ -1,9 +1,8 @@
 """Reference formulas the tests compare the package against.
 
-None of these is called by the package: the closed-form optimizer of the
-witness problem per cell (the oracle's closed-form cross-check), the PSD
-test of a symmetric 3x3 by minors, singular PSD moment blocks drawn as
-Gram matrices, the two relaxations the hull strengthens, the eight cell
+None of these is called by the package: the PSD test of a symmetric 3x3
+by minors, singular PSD moment blocks drawn as Gram matrices, the two
+relaxations the hull strengthens, the eight cell
 systems of one point evaluated independently, the paper's polynomial
 sides of cells R6 and R7, the boundary points of one
 separating family, the one-candidate-at-a-time loop that drew the cuts
@@ -26,18 +25,16 @@ import numpy as np
 from pairhull import (
     DEFAULT_TOL,
     HullPoint,
-    OracleWitness,
     Region,
     Tolerances,
     classify,
     in_relaxation_ctilde,
-    oracle_objective,
     validate_point,
 )
 from pairhull.errors import PairhullError
-from pairhull.families import FAMILY_BY_CELL, q_value, w_shift, x11_root
+from pairhull.families import FAMILY_BY_CELL, q_value, x11_root
 from pairhull.hull import member_batch
-from pairhull.regions import _PREDICATES, on_indicator_edge
+from pairhull.regions import _PREDICATES
 from pairhull.separation import separate_batch
 from pairhull.verify import (
     GAP_FLOOR,
@@ -51,65 +48,6 @@ from pairhull.verify import (
     _point_dict,
     shrunken_nonmembers,
 )
-
-
-class RegionHasNoClosedWitness(PairhullError):
-    """No closed-form optimizer exists for this region (epsilon-interior cases)."""
-
-
-def analytic_witness(
-    p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL
-) -> OracleWitness:
-    """Closed-form optimizer of the witness problem for the given cell.
-
-    Available for R1, R2, R3, R6, R7, R8 and the z2 < z1 part of R5; the
-    remaining cases only admit epsilon-interior optimizers and raise
-    :class:`RegionHasNoClosedWitness`.  The returned triple is validated
-    and scored by :func:`~pairhull.oracle.oracle_objective`.
-    """
-    validate_point(p, tol)
-    actual = classify(p, tol)
-    if actual is not region:
-        raise ValueError(f"point classifies to {actual.value}, not {region.value}")
-    e = tol.eq_tol
-    x1, x2, X12, X22, z1, z2 = p.x1, p.x2, p.X12, p.X22, p.z1, p.z2
-    s = z1 + z2 - 1.0
-
-    if region is Region.R1:
-        if X12 <= e or x1 <= e or x2 <= e or on_indicator_edge(p, tol):
-            raise RegionHasNoClosedWitness(
-                "R1 face/edge points have no interior closed-form witness"
-            )
-        lam = X12 * z1 * z2 / (x1 * x2)
-        triple = (lam * x1 / z1, lam * x2 / z2, lam)
-    elif region is Region.R2:
-        triple = (x1, X12 * z1 / x1, z1)
-    elif region is Region.R3:
-        den = X12 * z2 - x1 * x2
-        triple = (x1, (X12 * x2 * z1 + x1 * (X22 * (z2 - z1) - x2 * x2)) / den, z1)
-    elif region is Region.R4:
-        raise RegionHasNoClosedWitness("R4 optimizers are epsilon-interior only")
-    elif region is Region.R5:
-        if not z2 < z1 - e:
-            raise RegionHasNoClosedWitness(
-                "the z1 <= z2 part of R5 has epsilon-interior optimizers only"
-            )
-        den = X22 * z1 - x2 * x2
-        triple = ((x1 * (X22 * z2 - x2 * x2) + X12 * x2 * (z1 - z2)) / den, x2, z2)
-    elif region is Region.R6:
-        triple = (s * x1 / z1, X12 * z1 / x1, s)
-    elif region is Region.R7:
-        a1 = (X12 * x2 * (1.0 - z2) + x1 * (X22 * z2 - x2 * x2)) / (X22 - x2 * x2)
-        a2 = (x1 * (x2 * x2 - X22 * (1.0 - z1)) - X12 * x2 * z1) / (x1 * x2 - X12)
-        triple = (a1, a2, s)
-    elif region is Region.R8:
-        w = w_shift(p)
-        triple = (s * X12 * z2 / (x2 * w), x2 * w / z2, s)
-    else:
-        raise RegionHasNoClosedWitness(f"no closed-form witness for {region.value}")
-
-    objective = oracle_objective(p, triple, tol)
-    return OracleWitness(triple[0], triple[1], triple[2], objective, -math.inf)
 
 
 def psd3_by_minors(

@@ -17,6 +17,7 @@ from pairhull import (
     oracle_members,
     oracle_objective,
 )
+from pairhull import hull
 from pairhull.errors import (
     EmptyFeasibleSet,
     InfeasibleWitness,
@@ -24,6 +25,8 @@ from pairhull.errors import (
 )
 from pairhull.core import DEFAULT_TOL, Tolerances, separable_holds
 from pairhull.columns import elementwise
+from pairhull.families import x11_root
+from pairhull.hull import closed_witness
 from pairhull.oracle import (
     COARSE_FIRST,
     GRID,
@@ -36,6 +39,7 @@ from pairhull.oracle import (
     _witness_objective,
     witness_slacks,
 )
+from pairhull.separation import oracle_proposal
 from pairhull.verify import (
     LIFT_MAX,
     ORACLE_MARGIN,
@@ -49,7 +53,6 @@ from pairhull.verify import (
     sample_ctilde_points,
     shrunken_nonmembers,
 )
-from reference import RegionHasNoClosedWitness, analytic_witness
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
@@ -150,7 +153,7 @@ class TestOracleMember:
         # interval [1.30908, 1.31704] is about a third of x2 / 63 wide, so
         # the search must reach it by sampling a2 inside that interval
         # (_a2_bracket), not across [0, x2]; 2.122941640066569 is its
-        # closed-form optimum (analytic_witness)
+        # closed-form optimum (closed_witness)
         p = HullPoint(
             1.4130575426467569, 1.5410279630693609, 2.1326427688477576,
             1.687031822085912, 6.806505247396112, 0.9483849477436118,
@@ -806,6 +809,91 @@ class TestEarlyStop:
         assert checked >= 400
 
 
+def _hull_points():
+    """1000 convex combinations of k = 1..8 vertex samples, indicator edges
+    included (the oracle raises EmptyFeasibleSet on those)."""
+    return [
+        p for k in range(1, 9)
+        for p in _points(_sample_hull_array(np.random.default_rng(100 + k), 125, k))
+    ]
+
+
+def _decision(res):
+    return type(res).__name__ if isinstance(res, Exception) else res[0]
+
+
+class TestCertificates:
+    """The oracle checks the closed form's witness and cut with its own code
+    and searches only the points they leave undecided."""
+
+    @pytest.mark.parametrize(
+        "points, decided",
+        [
+            (lambda: ctilde_margin_points(np.random.default_rng(5), 1000), 1000),
+            (lambda: shrunken_nonmembers(np.random.default_rng(6), 1000), 1000),
+            # the search keeps the X12 = 0 face of R1 and the indicator edges
+            (_hull_points, 672),
+        ],
+        ids=["margin", "shrunken", "hull"],
+    )
+    def test_certified_decisions_equal_the_search(self, points, decided):
+        pts = points()
+        certified = oracle_members(pts, proposals=_proposals(pts))
+        searched = oracle_members(pts)
+        assert [_decision(r) for r in certified] == [_decision(r) for r in searched]
+        by = [r[1].decided_by for r in certified if not isinstance(r, Exception)]
+        assert len(by) - by.count("search") == decided
+        for p, res, full in zip(pts, certified, searched):
+            if isinstance(res, Exception):
+                assert str(res) == str(full)
+                continue
+            if res[1].decided_by == "search":
+                assert res == full  # the same search, bit for bit
+                continue
+            member, wit = res
+            threshold = p.X11 + DEFAULT_TOL.oracle_tol
+            if wit.decided_by == "witness":
+                assert member and wit.objective <= threshold and wit.lower == -math.inf
+                w = (wit.xt41, wit.xt42, wit.lambda4)
+                assert oracle_objective(p, w) == wit.objective
+            else:
+                assert not member and wit.lower > threshold
+
+    def test_a_wrong_proposal_leaves_the_point_to_the_search(self):
+        # a witness of another cell scores above X11, an infeasible one
+        # scores nothing, and a cut that p violates but that also cuts off
+        # the origin of S2 proves nothing: each point goes to the search
+        def off(p):  # X11 >= X11(p) + 1, which the origin of S2 violates too
+            return (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0), -1.0 - p.X11
+
+        member = HullPoint(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+        pts = [WORKED, WORKED, WORKED, member]
+        proposals = [
+            (closed_witness(WORKED, Region.R5), None),
+            ((0.2, 0.5, 0.4), None),  # xt41 > x1
+            (None, off(WORKED)),
+            (None, off(member)),
+        ]
+        got = oracle_members(pts, proposals=proposals)
+        assert [r[1].decided_by for r in got] == ["search"] * 4
+        assert [_hex_certified(r) for r in got] == [
+            _hex_certified(r) for r in oracle_members(pts)
+        ]
+
+    @pytest.mark.parametrize("shift", [0.05, -0.05])
+    def test_a_wrong_piece_shows_as_disagreements(self, monkeypatch, shift):
+        # a closed form whose product pieces misplace F by 0.05 calls some
+        # non-members members (shift > 0) or some members non-members: the
+        # oracle reads none of its formulas, so the suite finds them
+        assert run_oracle_suite(200, seed=3).ok
+        gap = hull._x11_gap
+        monkeypatch.setattr(hull, "_x11_gap", lambda *args: gap(*args) + shift)
+        report = run_oracle_suite(200, seed=3)
+        assert report.failures > 0
+        assert report.offender["oracle"] is (shift < 0.0)
+        assert report.offender["decided_by"] == ("witness" if shift < 0.0 else "search")
+
+
 def _bracket_cases():
     """Relaxation points, margin points and non-members, each with nine
     weights strictly inside (0, z2) across its weight interval."""
@@ -887,9 +975,9 @@ class TestA2Bracket:
 class TestOracleSuite:
     def test_worst_slack_is_smallest_signed_margin(self):
         report = run_oracle_suite(5, seed=11)
+        pts = ctilde_margin_points(np.random.default_rng(11), 5)
         margins = []
-        for p in ctilde_margin_points(np.random.default_rng(11), 5):
-            _, wit = oracle_member(p)
+        for p, (_, wit) in zip(pts, oracle_members(pts, proposals=_proposals(pts))):
             m = p.X11 + 1e-6 - wit.objective
             margins.append(m if member_hull(p).member else -m)
         assert report.ok
@@ -912,7 +1000,9 @@ class TestOracleSuite:
         assert not report.ok
         assert set(report.offender) == {"point", "error"}
         assert "is empty beyond tolerance" in report.offender["error"]
-        assert report.detail == "members=42 nonmembers=18 certified=42 uncertified=0"
+        assert report.detail == (
+            "members=42 nonmembers=18 witness=35 cut=0 search=7 uncertified=0"
+        )
         p = ctilde_margin_points(np.random.default_rng(1), 60, Tolerances(0.3, 0.3, 0.3))[9]
         rep = member_hull(p, Tolerances(0.3, 0.3, 0.3))
         assert (rep.member, rep.violated) == (False, ("II.product",))
@@ -930,18 +1020,32 @@ class TestOracleSuite:
         json.dumps({"member": member})
 
 
+def _proposals(pts, tol=DEFAULT_TOL):
+    """The closed form's proposal of each point, as the CLI and the oracle
+    suite build them."""
+    return [oracle_proposal(p, member_hull(p, tol), tol) for p in pts]
+
+
+def _piece_f(p, region):
+    """F, the least X11 of the piece of the cell ``region`` at p."""
+    if region in (Region.R1, Region.R2, Region.R6):
+        return p.x1 * p.x1 / p.z1
+    if region is Region.R7:
+        return p.x1 * p.x1 + (p.X12 - p.x1 * p.x2) ** 2 / (p.X22 - p.x2 * p.x2)
+    return x11_root({"R3": "II", "R4": "II", "R5": "III", "R8": "V"}[region.value], p)
+
+
 @pytest.fixture(scope="module")
 def analytic_cases():
     """The relaxation points of sample_ctilde_points(default_rng(11), 6000)
     with a closed witness, and its objective, the least one."""
     pts, ref = [], []
     for p in sample_ctilde_points(np.random.default_rng(11), 6000):
-        try:
-            w = analytic_witness(p, classify(p))
-        except RegionHasNoClosedWitness:
+        triple = closed_witness(p, classify(p))
+        if triple is None:
             continue
         pts.append(p)
-        ref.append(w.objective)
+        ref.append(oracle_objective(p, triple))
     assert len(pts) > 3000
     return pts, ref
 
@@ -950,41 +1054,38 @@ class TestAnalyticWitness:
     def test_r2_formula(self):
         rng = np.random.default_rng(73)
         p = _find_region_point(rng, Region.R2)
-        w = analytic_witness(p, Region.R2)
-        assert w.xt41 == pytest.approx(p.x1)
-        assert w.xt42 == pytest.approx(p.X12 * p.z1 / p.x1)
-        assert w.lambda4 == pytest.approx(p.z1)
+        a1, a2, lam = closed_witness(p, Region.R2)
+        assert a1 == pytest.approx(p.x1)
+        assert a2 == pytest.approx(p.X12 * p.z1 / p.x1)
+        assert lam == pytest.approx(p.z1)
         # part I bound: the lower envelope value is x1^2/z1
-        assert w.objective == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
+        assert oracle_objective(p, (a1, a2, lam)) == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
 
     def test_r6_formula_zeroes_the_coupling(self):
         rng = np.random.default_rng(74)
         p = _find_region_point(rng, Region.R6)
-        w = analytic_witness(p, Region.R6)
+        a1, a2, lam = closed_witness(p, Region.R6)
         s = p.z1 + p.z2 - 1.0
-        assert w.lambda4 == pytest.approx(s)
-        assert w.xt41 == pytest.approx(s * p.x1 / p.z1)
-        assert w.xt42 == pytest.approx(p.X12 * p.z1 / p.x1)
-        assert w.objective == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
+        assert lam == pytest.approx(s)
+        assert a1 == pytest.approx(s * p.x1 / p.z1)
+        assert a2 == pytest.approx(p.X12 * p.z1 / p.x1)
+        assert oracle_objective(p, (a1, a2, lam)) == pytest.approx(p.x1 ** 2 / p.z1, rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "region",
-        [Region.R1, Region.R2, Region.R3, Region.R5, Region.R6, Region.R7, Region.R8],
-    )
+    @pytest.mark.parametrize("region", [r for r in Region if r is not Region.NOT_COVERED])
     def test_matches_numeric_minimum(self, region):
         rng = np.random.default_rng(75)
         checked = 0
         while checked < 8:
             p = _find_region_point(rng, region)
-            try:
-                w = analytic_witness(p, region)
-            except RegionHasNoClosedWitness:
+            triple = closed_witness(p, region)
+            if triple is None:
                 continue
-            assert not math.isinf(w.objective)
+            f = oracle_objective(p, triple)
+            assert not math.isinf(f)
             # the oracle's objective lies within d of the closed form's
-            d = 1e-4 * (1.0 + abs(w.objective))
-            assert oracle_member(replace(p, X11=w.objective + d), EXACT)[0]
-            assert not oracle_member(replace(p, X11=w.objective - d), EXACT)[0]
+            d = 1e-4 * (1.0 + abs(f))
+            assert oracle_member(replace(p, X11=f + d), EXACT)[0]
+            assert not oracle_member(replace(p, X11=f - d), EXACT)[0]
             checked += 1
 
     def test_oracle_is_never_above_the_closed_form_optimum(self, analytic_cases):
@@ -1014,15 +1115,40 @@ class TestAnalyticWitness:
         assert not above
         assert sum(math.isfinite(r[1].lower) for r in res) > 3000
 
-    def test_epsilon_interior_regions_refuse(self):
+    def test_r4_and_r5_put_x_at_the_smaller_indicator(self):
+        # the optimizers of R4 and of the z1 <= z2 part of R5 sit on the
+        # weight bound min(z1, z2), where the split of the other indicator
+        # is the 0/0 closure; their witnesses attain the family's F
         rng = np.random.default_rng(76)
         p = _find_region_point(rng, Region.R4)
-        with pytest.raises(RegionHasNoClosedWitness):
-            analytic_witness(p, Region.R4)
+        assert closed_witness(p, Region.R4) == (p.x1, p.x2, p.z2)
+        f = oracle_objective(p, (p.x1, p.x2, p.z2))
+        assert f == pytest.approx(x11_root("II", p), rel=1e-14)
+        p = _find_region_point(rng, Region.R5)
+        while p.z1 > p.z2:
+            p = _find_region_point(rng, Region.R5)
+        assert closed_witness(p, Region.R5) == (p.x1, p.x2, p.z1)
+        f = oracle_objective(p, (p.x1, p.x2, p.z1))
+        assert f == pytest.approx(x11_root("III", p), rel=1e-14)
 
-    def test_region_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_witness(WORKED, Region.R5)
+    def test_every_closed_witness_attains_its_piece_bound(self):
+        # on 8000 relaxation points and 8000 separable rows, members and
+        # non-members alike, every closed witness is feasible and its
+        # objective is F within 1e-12 relative; R1 has one only off its
+        # X12 = 0 face and indicator edges
+        pts = sample_ctilde_points(np.random.default_rng(77), 8000)
+        pts += _points(_sample_separable_array(np.random.default_rng(78), 8000))
+        seen = set()
+        for p in pts:
+            region = classify(p)
+            triple = closed_witness(p, region)
+            if triple is None:
+                assert region in (Region.R1, Region.NOT_COVERED), p
+                continue
+            f, bound = oracle_objective(p, triple), _piece_f(p, region)
+            assert abs(f - bound) <= 1e-12 * max(1.0, abs(bound)), (p, region)
+            seen.add(region.value + ("<=" if region is Region.R5 and p.z1 <= p.z2 else ""))
+        assert seen == {"R1", "R2", "R3", "R4", "R5", "R5<=", "R6", "R7", "R8"}
 
 
 def _find_region_point(rng, region, z_floor=0.05):

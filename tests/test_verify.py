@@ -149,6 +149,22 @@ def test_s2_minimum_matches_rational_minimum(cuts):
             assert abs(low - exact) <= 64 * np.finfo(float).eps * scale
 
 
+@pytest.mark.parametrize("c", [
+    (0.0, -5e-324, 1.0, -2.0, 1.0, 0.0, 0.0),
+    (0.0, -5e-324, 0.5, -1.0, 0.5, 0.0, 0.0),
+    (-5e-324, 0.0, 1.0, -2.0, 1.0, 0.0, 0.0),
+    (-1e-300, -1e-300, 0.25, -1.0, 1.0, 0.0, 0.0),
+])
+def test_s2_minimum_is_unbounded_along_a_null_ray_with_a_tiny_slope(c):
+    # the form is singular, and the linear term falls along its null ray by
+    # a slope whose half, or whose product with a form entry, rounds to 0
+    assert exact_s2_minimum(c, 0.0) == -math.inf
+    assert s2_minimum(HullPoint(*c), 0.0) == -math.inf
+    with np.errstate(all="ignore"):
+        column = elementwise(s2_minimum)(HullColumns(np.array([c]).T), np.zeros(1))
+    assert column[0] == -math.inf
+
+
 def _adding_errors(batch_fn, errors):
     """``batch_fn`` with ``errors`` added to the errors of its result."""
 
