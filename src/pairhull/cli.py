@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_TOL,
     HullColumns,
     HullPoint,
+    ROW_ERRORS,
     Tolerances,
     _box_faults,
     _in_ambient_box,
@@ -350,11 +351,11 @@ def _plain_member_lines(batch: MembershipBatch, n: int) -> str:
 
 def _member_reports(
     points: list[HullPoint], tol: Tolerances
-) -> tuple[list[MembershipReport], PairhullError | ArithmeticError | None]:
+) -> tuple[list[MembershipReport], Exception | None]:
     """:func:`~pairhull.hull.member_hull` on the points up to the first
-    whose decision raises an error that :func:`~pairhull.hull.member_batch`
-    reports, and that error."""
-    from .hull import ROW_ERRORS, member_hull
+    whose decision raises one of :data:`~pairhull.core.ROW_ERRORS`, and
+    that error."""
+    from .hull import member_hull
 
     reps = []
     for p in points:

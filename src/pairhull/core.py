@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .columns import elementwise, np
-from .errors import NegativeDenominator, NotInAmbientBox
+from .errors import NegativeDenominator, NotInAmbientBox, PairhullError
 
 #: Canonical coordinate order used by arrays, cut coefficients and JSON records.
 COORD_NAMES = ("x1", "x2", "X11", "X12", "X22", "z1", "z2")
@@ -173,7 +173,13 @@ def row_mask(pred, cols: HullColumns, *args) -> np.ndarray:
     return elementwise(pred)(cols, *args)
 
 
-def decide_rows(out, cols: HullColumns, columns, decide, catch, tol: Tolerances):
+#: The errors of one row's decision that a batch reports for that row
+#: instead of raising: the package's own, and a float or value error of the
+#: row's arithmetic.
+ROW_ERRORS = (PairhullError, ArithmeticError, ValueError)
+
+
+def decide_rows(out, cols: HullColumns, columns, decide, tol: Tolerances):
     """Fill the batch ``out`` with the decision of every row of ``cols``.
 
     The rows are validated as by :func:`validate_columns`.  Below
@@ -181,7 +187,8 @@ def decide_rows(out, cols: HullColumns, columns, decide, catch, tol: Tolerances)
     ``decide(p, tol)``; otherwise ``columns(cols, tol, out)`` fills ``out``
     on columns and returns the mask of the rows it leaves to ``decide``.
     ``out._store(i, result)`` keeps row i's result, and a row whose
-    decision raises one of ``catch`` has its error in ``out.errors``.
+    decision raises one of :data:`ROW_ERRORS` has its error in
+    ``out.errors``, so the rows before it keep their answers.
     """
     validate_columns(cols, tol)
     if by_rows(len(cols)):
@@ -191,7 +198,7 @@ def decide_rows(out, cols: HullColumns, columns, decide, catch, tol: Tolerances)
     for i, p in rows:
         try:
             out._store(i, decide(p, tol))
-        except catch as exc:
+        except ROW_ERRORS as exc:
             out.errors[i] = exc
     return out
 

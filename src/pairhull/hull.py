@@ -21,7 +21,7 @@ from .core import (
     decide_rows,
     persp_sq,
 )
-from .errors import NumericallyDegenerate, PairhullError
+from .errors import NumericallyDegenerate
 from .families import shift_z, w_shift, w_sqrt_arg, x11_terms
 from .regions import (
     CELLS,
@@ -35,11 +35,6 @@ from .regions import (
     region_closure_contains,
     regions_of,
 )
-
-#: The errors of one row's membership decision that a batch reports in
-#: ``errors`` instead of raising.
-ROW_ERRORS = (PairhullError, ArithmeticError)
-
 
 @dataclass
 class MembershipReport:
@@ -308,9 +303,8 @@ class MembershipBatch:
     Row i reports the slacks named ``names[i]``, whose values are the first
     entries of ``slacks[i]`` (NaN past them); ``violated[i]`` flags the
     violated ones, ``W`` is NaN where the report has no W, and ``errors``
-    maps the rows whose decision raised to the error, a
-    :class:`~pairhull.errors.PairhullError` or an :class:`ArithmeticError`.
-    :meth:`report` rebuilds one row's report.
+    maps the rows whose decision raised to the error, one of
+    :data:`~pairhull.core.ROW_ERRORS`.  :meth:`report` rebuilds one row's report.
     """
 
     member: np.ndarray
@@ -320,7 +314,7 @@ class MembershipBatch:
     violated: np.ndarray
     W: np.ndarray
     degenerate: np.ndarray
-    errors: dict[int, PairhullError | ArithmeticError] = field(default_factory=dict)
+    errors: dict[int, Exception] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, n: int) -> "MembershipBatch":
@@ -401,9 +395,7 @@ def member_batch(rows, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
 
 def member_columns(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> MembershipBatch:
     """:func:`member_batch` on a column view."""
-    return decide_rows(
-        MembershipBatch.empty(len(cols)), cols, _decide_columns, member_hull, ROW_ERRORS, tol,
-    )
+    return decide_rows(MembershipBatch.empty(len(cols)), cols, _decide_columns, member_hull, tol)
 
 
 def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) -> np.ndarray:

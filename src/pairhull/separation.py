@@ -21,6 +21,7 @@ from .core import (
     DEFAULT_TOL,
     HullColumns,
     HullPoint,
+    ROW_ERRORS,
     Tolerances,
     copositive,
     ctilde_holds,
@@ -32,7 +33,6 @@ from .errors import (
     DegenerateGradient,
     InputOutsideCtilde,
     NumericallyDegenerate,
-    PairhullError,
     SeparationInvariantError,
 )
 from .families import (
@@ -70,24 +70,16 @@ _EDGE_STEPS = 5
 
 
 def _edge_walk(a: float, b: float, c: float) -> float:
-    """The end of the walk of :func:`copositive_x12` from b toward zero."""
-    x = _edge_start(a, b, c)
-    for _ in range(_EDGE_STEPS):
-        x = _edge_step(a, x, c)
-    return x
-
-
-def _edge_start(a: float, b: float, c: float) -> float:
-    """b, or 2 ulps outside the rounded edge -2 sqrt(a c), which is under
-    1.5 ulps off the exact one, whichever is nearer zero.  The product is
+    """The end of the walk of :func:`copositive_x12` from b toward zero.  It
+    starts at b, or 2 ulps outside the rounded edge -2 sqrt(a c), which is
+    under 1.5 ulps off the exact one, whichever is nearer zero, and steps
+    one ulp nearer zero while the form is not copositive.  The product is
     clamped at zero for the rows a column walk takes with a or c < 0."""
     x = -2.0 * math.sqrt(max(a * c, 0.0))
-    return max(b, math.nextafter(math.nextafter(x, -math.inf), -math.inf))
-
-
-def _edge_step(a: float, x: float, c: float) -> float:
-    """x, or one ulp nearer zero where the form is not copositive."""
-    return x if copositive(a, x, c) else math.nextafter(x, 0.0)
+    x = max(b, math.nextafter(math.nextafter(x, -math.inf), -math.inf))
+    for _ in range(_EDGE_STEPS):
+        x = x if copositive(a, x, c) else math.nextafter(x, 0.0)
+    return x
 
 
 def _max_norm(grad) -> float:
@@ -321,10 +313,6 @@ def _separated(p: HullPoint, report: MembershipReport, tol: Tolerances) -> Separ
     return SeparationResult(False, cut, region)
 
 
-#: The errors of one row's separation that a batch reports in ``errors``.
-_SEPARATION_ERRORS = (PairhullError, ArithmeticError, ValueError)
-
-
 def oracle_proposal(p: HullPoint, report: MembershipReport, tol: Tolerances = DEFAULT_TOL):
     """The certificates the closed form proposes to the oracle at p, whose
     membership report is ``report``: a :data:`~pairhull.oracle.Proposal`.
@@ -338,7 +326,7 @@ def oracle_proposal(p: HullPoint, report: MembershipReport, tol: Tolerances = DE
     if not report.member and ctilde_holds(p, tol):
         try:
             res = _separated(p, report, tol)
-        except _SEPARATION_ERRORS:
+        except ROW_ERRORS:
             pass
         else:
             region, cut = res.region, (res.cut.coeffs, res.cut.constant)
@@ -426,10 +414,7 @@ def separate_batch(rows, tol: Tolerances = DEFAULT_TOL) -> SeparationBatch:
     first row outside the ambient domain.
     """
     cols = HullColumns.of_rows(rows)
-    return decide_rows(
-        SeparationBatch.empty(len(cols)), cols, _separate_columns, separate,
-        _SEPARATION_ERRORS, tol,
-    )
+    return decide_rows(SeparationBatch.empty(len(cols)), cols, _separate_columns, separate, tol)
 
 
 def _separate_columns(cols: HullColumns, tol: Tolerances, out: SeparationBatch) -> np.ndarray:

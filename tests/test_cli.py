@@ -207,6 +207,23 @@ CORNER_LINE = json.dumps(
 )
 
 
+def _fail_on_corner(monkeypatch, exc: Exception) -> None:
+    """Make ``member_hull`` raise ``exc`` on the point of CORNER_LINE only."""
+    from pairhull import hull
+
+    rec = json.loads(CORNER_LINE)
+    (X11, X12), (_, X22) = rec["X"]
+    corner = HullPoint(*rec["x"], X11, X12, X22, *rec["z"])
+    member_hull = hull.member_hull
+
+    def fail_on_corner(p, tol):
+        if p == corner:
+            raise exc
+        return member_hull(p, tol)
+
+    monkeypatch.setattr(hull, "member_hull", fail_on_corner)
+
+
 def _integer_line(line: str) -> str:
     """The record of a line with x and X rounded to JSON integers."""
     rec = json.loads(line)
@@ -286,6 +303,20 @@ class TestStreamChunks:
             main(["member"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
         assert out.getvalue() == run_cli(["member"], "\n".join(lines[:70]) + "\n")[1]
 
+    @pytest.mark.parametrize("n, at", [(101, 50), (21, 10)], ids=["column chunk", "row chunk"])
+    def test_value_error_of_a_decision_answers_the_lines_before_it(self, n, at, monkeypatch):
+        # a decision that raises ValueError is a row error like a package
+        # error: the chunk's lines before it are answered, then it is raised
+        lines = _margin_lines(n - 1, seed=37)
+        lines.insert(at, CORNER_LINE)
+        expected = run_cli(["member"], "\n".join(lines[:at]) + "\n")[1]
+        _fail_on_corner(monkeypatch, ValueError("forced"))
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="forced"):
+            main(["member"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+        assert out.getvalue() == expected
+        assert len(out.getvalue().splitlines()) == at
+
     @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
     def test_binary_stdin_and_tiny_reads(self, argv, monkeypatch):
         # a binary buffer read with read1, CRLF line ends and a multibyte
@@ -346,21 +377,10 @@ class TestShortChunks:
     ], ids=" ".join)
     def test_first_lines_answer_as_in_a_column_chunk(self, argv, extra, raises, k, capsys,
                                                      monkeypatch):
-        from pairhull import hull
         from pairhull.errors import NumericallyDegenerate
 
-        rec = json.loads(CORNER_LINE)
-        (X11, X12), (_, X22) = rec["X"]
-        corner = HullPoint(*rec["x"], X11, X12, X22, *rec["z"])
-        member_hull = hull.member_hull
-
-        def fail_on_corner(p, tol):
-            if p == corner:
-                raise NumericallyDegenerate("forced")
-            return member_hull(p, tol)
-
         if raises:
-            monkeypatch.setattr(hull, "member_hull", fail_on_corner)
+            _fail_on_corner(monkeypatch, NumericallyDegenerate("forced"))
         lines = _margin_lines(COLUMN_MIN_ROWS + 16, seed=41)
         lines.insert(k // 2, extra)
         code, out, err = self._outcome(argv, lines, capsys)

@@ -35,6 +35,7 @@ from pairhull.oracle import (
     _a2_bracket,
     _oracle_chunk,
     _sweep,
+    _weight_interval,
     _witness_g2,
     _witness_objective,
     witness_slacks,
@@ -68,10 +69,10 @@ def _points(rows):
 def _full_search(points, tol=DEFAULT_TOL, zoom_rounds=10):
     """oracle_members with the stop threshold at NaN, which never fires:
     every point runs the whole zoom."""
-    points = list(points)
+    rows = [(p, *_weight_interval(p, tol)) for p in points]
     out = []
-    for i in range(0, len(points), ORACLE_CHUNK):
-        out += _oracle_chunk(points[i : i + ORACLE_CHUNK], tol, zoom_rounds, stop=False)
+    for i in range(0, len(rows), ORACLE_CHUNK):
+        out += _oracle_chunk(rows[i : i + ORACLE_CHUNK], tol, zoom_rounds, stop=False)
     return out
 
 
@@ -669,9 +670,7 @@ class TestPinnedOracle:
         pts = _coarse_cases()
         cols, lam_lo, lam_hi = _weight_columns(pts)
         lam_ax = np.linspace(lam_lo, lam_hi, GRID, axis=1)
-        _, got, _ = _sweep(
-            cols, lam_ax, e, np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi
-        )
+        _, got, _ = _sweep(cols, lam_ax, e, np.ones(len(pts), dtype=int), lam_lo, lam_hi)
         lin = np.linspace(0.0, 1.0, ZOOM_WIDTH)
         for i, p in enumerate(pts):
             lam = lam_ax[i][:, None]
@@ -709,9 +708,10 @@ class TestPinnedOracle:
         cols, lam_lo, lam_hi = _weight_columns(pts)
         _, best, lower = _sweep(
             cols, _coarse_weights(lam_lo, lam_hi), DEFAULT_TOL.eq_tol,
-            np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi,
+            np.ones(len(pts), dtype=int), lam_lo, lam_hi,
         )
-        got = _oracle_chunk(pts, DEFAULT_TOL, zoom_rounds=0, stop=False)
+        rows = [(p, *_weight_interval(p, DEFAULT_TOL)) for p in pts]
+        got = _oracle_chunk(rows, DEFAULT_TOL, zoom_rounds=0, stop=False)
         for i, (p, (member, wit)) in enumerate(zip(pts, got)):
             f, lam, a1, a2 = best[:, i]
             assert member == (f <= p.X11 + DEFAULT_TOL.oracle_tol)
@@ -793,7 +793,7 @@ class TestEarlyStop:
         cols, lam_lo, lam_hi = _weight_columns(pts)
         _, first, _ = _sweep(
             cols, _coarse_weights(lam_lo, lam_hi)[:, COARSE_FIRST], DEFAULT_TOL.eq_tol,
-            np.ones(len(pts), dtype=int), ZOOM_WIDTH, lam_lo, lam_hi,
+            np.ones(len(pts), dtype=int), lam_lo, lam_hi,
         )
         checked = 0
         for i, (p, (member, wit)) in enumerate(zip(pts, oracle_members(pts))):
