@@ -45,8 +45,10 @@ L, by 1e-9 or more on 4 of them; the gap grows like eq_tol x1/z1.  A point
 whose F lies that close above X11 + oracle_tol is a member to the full
 search, and may be a certified non-member to a search that L stops first.
 
-The search runs on numpy, read through the package's ``np`` stand-in, so
-a process whose points are all certified never imports it.
+The search scores its samples with the column versions of the objective
+and g2 that score a proposed witness, compiled by ``elementwise`` when it
+first runs.  It runs on numpy, read through the package's ``np`` stand-in,
+so a process whose points are all certified never imports it.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .core import (
     copositive,
     cut_value,
     diff_of_products,
+    elementwise,
     np,
     validate_point,
 )
@@ -120,6 +123,13 @@ def _witness_g2(p: HullPoint, lam, a2, e: float):
     return p.X22 - _closed_sq(a2, lam, e) - _closed_sq(p.x2 - a2, p.z2 - lam, e)
 
 
+def _objective_with_g2(p: HullPoint, lam, a1, a2, g2, e: float):
+    """:func:`_witness_objective` given g2, the slack of the quadratic
+    constraint at (lam, a2), which does not depend on a1."""
+    h = p.X12 - _closed_prod(a1, a2, lam, e)
+    return _split_cost(p.x1, p.z1, lam, a1, e) + _coupling(h, g2, e)
+
+
 def _witness_objective(p: HullPoint, lam, a1, a2, e: float):
     """Objective of the witness problem at weight lam and splits (a1, a2).
 
@@ -127,8 +137,7 @@ def _witness_objective(p: HullPoint, lam, a1, a2, e: float):
     the band, or an infinite closed fraction with nonzero numerator) score
     +inf.  ``elementwise`` evaluates it on broadcastable arrays.
     """
-    h = p.X12 - _closed_prod(a1, a2, lam, e)
-    return _split_cost(p.x1, p.z1, lam, a1, e) + _coupling(h, _witness_g2(p, lam, a2, e), e)
+    return _objective_with_g2(p, lam, a1, a2, _witness_g2(p, lam, a2, e), e)
 
 
 def witness_slacks(
@@ -269,22 +278,6 @@ def _certified(
 # ---------------------------------------------------------------------------
 
 
-def _sq_over_rows(u, den_s, rows, e: float):
-    """Closure of u^2/den where den_s is den with 1.0 at the non-positive
-    entries, listed in `rows` (indices on the second-to-last axis of u)."""
-    out = u * u
-    out /= den_s
-    if rows.size:
-        out[..., rows, :] = np.where(np.abs(u[..., rows, :]) <= e, 0.0, np.inf)
-    return out
-
-
-def _den_rows(den):
-    """The arguments ``den_s, rows`` of :func:`_sq_over_rows` for one
-    denominator per row."""
-    return np.where(den > 0.0, den, 1.0), np.flatnonzero(den <= 0.0)
-
-
 def _a2_bracket(x2, X22, z2, lam, e: float):
     """Ends ``(lo, hi)`` of the second splits a2 in [0, x2] with
     g2 >= -eq_tol/2 at weight lam.
@@ -323,12 +316,12 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray):
     bracket ends among them, and minimizes exactly over the first split.
     For positive denominators the objective is a convex quadratic in the
     first split, so the clipped stationary point is the box minimizer; the
-    closure cases are covered by the box ends and the h = 0 root.  These
-    four candidates lie on axis 0 of (4, n, ZOOM_WIDTH) buffers.  Terms that
-    depend on lambda alone are computed once per call, and the closure cases
-    only where a denominator is not positive.  It ignores the float errors
-    of huge points.
+    closure cases are covered by the box ends and the h = 0 root.  g2 and
+    the objective of these four candidates are the column versions of
+    :func:`_witness_g2` and :func:`_objective_with_g2`.  It ignores the
+    float errors of huge points.
     """
+    g2_of, objective = elementwise(_witness_g2), elementwise(_objective_with_g2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x1, x2, X12, X22, z1, z2 = pt
         n = lam.size
@@ -338,76 +331,29 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray):
         f_best = np.full(n, np.inf)
         a1_best = np.zeros(n)
         a2_best = np.zeros(n)
-        all_live = int(rounds.min())
-
-        lam_s, lam_rows = _den_rows(lam)
-        rest1_s, rest1_rows = _den_rows(z1 - lam)
-        rest2_s, rest2_rows = _den_rows(z2 - lam)
-        no_quad_rows = np.union1d(lam_rows, rest1_rows)
         # the per-row terms at the full (n, ZOOM_WIDTH) shape, which costs less
-        # in the rounds than (n, 1) columns broadcast along rows of ZOOM_WIDTH
-        x1, x2, X12, X22, lam_s, rest1_s, rest2_s, inv_sum, x1_rest, lam_X12 = np.repeat(
-            np.stack([
-                x1, x2, X12, X22, lam_s, rest1_s, rest2_s,
-                1.0 / lam_s + 1.0 / rest1_s, x1 / rest1_s, lam * X12,
-            ]),
-            ZOOM_WIDTH,
-            axis=1,
-        ).reshape(10, n, ZOOM_WIDTH)
-
-        a1 = np.empty((4, n, ZOOM_WIDTH))
-        a1[0] = 0.0
-        a1[1] = x1
-        # t1 + t2 of the candidates a1 = 0 and a1 = x1: one term is 0 exactly
-        t12 = np.empty((4, n, ZOOM_WIDTH))
-        t12[0] = _sq_over_rows(x1, rest1_s, rest1_rows, e)
-        t12[1] = _sq_over_rows(x1, lam_s, lam_rows, e)
-        h = np.empty((4, n, ZOOM_WIDTH))
-        f = np.empty((4, n, ZOOM_WIDTH))
-        h_flat = h.reshape(4, -1)
-        f_flat = f.reshape(4, -1)
+        # in the rounds than (n, 1) columns broadcast along rows of ZOOM_WIDTH;
+        # X11 enters neither g2 nor the objective
+        x1, x2, X12, X22, z1, z2, lam = np.repeat(
+            np.stack([x1, x2, X12, X22, z1, z2, lam]), ZOOM_WIDTH, axis=1
+        ).reshape(7, n, ZOOM_WIDTH)
+        p = HullPoint(x1, x2, math.nan, X12, X22, z1, z2)
+        rest1 = z1 - lam
+        positive = (lam > 0.0) & (rest1 > 0.0)
+        zero, lam_X12, x1_rest = np.zeros_like(x1), lam * X12, x1 / rest1
+        inv_sum = 1.0 / lam + 1.0 / rest1
 
         for r in range(int(rounds.max())):
             ts = lo[:, None] + (hi - lo)[:, None] * lin[None, :]
-            g2 = (
-                X22
-                - _sq_over_rows(ts, lam_s, lam_rows, e)
-                - _sq_over_rows(x2 - ts, rest2_s, rest2_rows, e)
-            )
-            gpos = g2 > 0.0
-            g2_s = np.where(gpos, g2, 1.0)
-            g2_bad = np.flatnonzero(~gpos)
-
-            a1[2] = 0.0  # the h = 0 root lam X12 / a2, 0 where a2 is in the band
-            np.divide(lam_X12, ts, out=a1[2], where=ts > e)
-            np.clip(a1[2], 0.0, x1, out=a1[2])
-            quad_a = inv_sum + (ts / lam_s) ** 2 / g2_s
-            quad_b = x1_rest + ts * X12 / (lam_s * g2_s)
-            quad = quad_b / quad_a
-            quad[no_quad_rows] = 0.0
-            quad.reshape(-1)[g2_bad] = 0.0
-            np.clip(quad, 0.0, x1, out=a1[3])
-            np.add(
-                _sq_over_rows(a1[2:], lam_s, lam_rows, e),
-                _sq_over_rows(x1 - a1[2:], rest1_s, rest1_rows, e),
-                out=t12[2:],
-            )
-
-            np.multiply(a1, ts, out=h)
-            h /= lam_s
-            np.subtract(X12, h, out=h)
-            if lam_rows.size:
-                zero_num = (a1[:, lam_rows] <= e) | (ts[lam_rows] <= e)
-                h[:, lam_rows] = X12[lam_rows] - np.where(zero_num, 0.0, np.inf)
-            np.multiply(h, h, out=f)
-            f /= g2_s
-            if g2_bad.size:
-                f_flat[:, g2_bad] = np.where(
-                    (np.abs(h_flat[:, g2_bad]) <= e) & (g2.reshape(-1)[g2_bad] >= -e),
-                    0.0,
-                    np.inf,
-                )
-            f += t12
+            g2 = g2_of(p, lam, ts, e)
+            # the h = 0 root lam X12 / a2, 0 where a2 is in the band, and the
+            # stationary point where lam, z1 - lam and g2 are positive, else 0
+            root = np.where(ts > e, lam_X12 / ts, 0.0)
+            stationary = (x1_rest + ts * X12 / (lam * g2)) / (inv_sum + (ts / lam) ** 2 / g2)
+            quad = np.where(positive & (g2 > 0.0), stationary, 0.0)
+            a1 = np.stack([zero, x1, root, quad])
+            np.clip(a1[2:], 0.0, x1, out=a1[2:])
+            f = objective(p, lam, a1, ts, g2, e)
 
             # first minimum over (column, candidate) in lexicographic order:
             # the first column holding the least value, then its first
@@ -416,18 +362,13 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray):
             f_col = f[:, idx, k]
             c = f_col.argmin(axis=0)
             f_k = f_col[c, idx]
-            improved = f_k < f_best
-            new_lo = ts[idx, np.maximum(k - 1, 0)]
-            new_hi = ts[idx, np.minimum(k + 1, ZOOM_WIDTH - 1)]
-            if r >= all_live:  # rows past their last round keep their state
-                live = r < rounds
-                improved &= live
-                new_lo = np.where(live, new_lo, lo)
-                new_hi = np.where(live, new_hi, hi)
+            live = r < rounds  # rows past their last round keep their state
+            improved = (f_k < f_best) & live
+            lo = np.where(live, ts[idx, np.maximum(k - 1, 0)], lo)
+            hi = np.where(live, ts[idx, np.minimum(k + 1, ZOOM_WIDTH - 1)], hi)
             f_best = np.where(improved, f_k, f_best)
             a1_best = np.where(improved, a1[c, idx, k], a1_best)
             a2_best = np.where(improved, ts[idx, k], a2_best)
-            lo, hi = new_lo, new_hi
     return f_best, a1_best, a2_best
 
 
@@ -549,8 +490,8 @@ COARSE_FIRST = (*range(0, GRID, 4), GRID - 1)
 #: Points per pass of the search of :func:`oracle_members`.  Most points
 #: leave it after the first coarse stage, so its cost is mostly that stage's
 #: many small numpy calls, which one pass pays once for all its points; per
-#: point it levels off from about 16 points, at 0.05-0.06 ms up to 128 on
-#: the points no certificate decides (see :func:`oracle_member`).
+#: point it falls from about 0.095 ms at 16 points to 0.08 ms at 128 on the
+#: points no certificate decides (see :func:`oracle_member`).
 ORACLE_CHUNK = 64
 
 OracleResult = Union[tuple[bool, OracleWitness], PairhullError]
@@ -666,8 +607,8 @@ def oracle_member(
     This is the batch of one of :func:`oracle_members`, which shares the
     numpy calls among many points.  On points no certificate decides,
     separable non-members outside the relaxation (rng 11) and relaxation
-    points on the X12 = 0 face (rng 2), the search costs 0.05-0.06 ms per
-    point in batches of 16 to 128, against 0.33-0.37 ms for one point alone
+    points on the X12 = 0 face (rng 2), the search costs 0.08-0.10 ms per
+    point in batches of 16 to 128, against 0.33-0.35 ms for one point alone
     (fastest of 15 calls; 2-core x86-64, Python 3.11, numpy 2.4).
     """
     (res,) = oracle_members([p], tol, zoom_rounds)

@@ -23,7 +23,7 @@ from pairhull.errors import (
     InfeasibleWitness,
     NotInAmbientBox,
 )
-from pairhull.core import DEFAULT_TOL, Tolerances, separable_holds
+from pairhull.core import DEFAULT_TOL, Tolerances, ctilde_holds, separable_holds
 from pairhull.columns import elementwise
 from pairhull.families import x11_root
 from pairhull.hull import closed_witness
@@ -604,6 +604,17 @@ def _oracle_check_points():
     ]
 
 
+def _search_points():
+    """The 252 rows of the search cross-check of the CI: 126 separable
+    non-members outside the relaxation (rng 11), which separate cannot cut,
+    and 126 relaxation points on the X12 = 0 face (rng 2), which no closed
+    witness covers."""
+    rows = _points(_sample_separable_array(np.random.default_rng(11), 600))
+    outside = [p for p in rows if not ctilde_holds(p) and not member_hull(p).member][:126]
+    face = [p for p in sample_ctilde_points(np.random.default_rng(2), 1000) if p.X12 == 0.0]
+    return outside + face[:126]
+
+
 def _hex(v):
     return ("inf" if v > 0.0 else "-inf") if math.isinf(v) else float(v).hex()
 
@@ -803,10 +814,24 @@ class TestEarlyStop:
             assert (wit.objective, wit.lambda4, wit.xt41, wit.xt42) == tuple(first[:, i])
             w = (wit.xt41, wit.xt42, wit.lambda4)
             assert min(witness_slacks(p, w).values()) >= -DEFAULT_TOL.eq_tol, p
-            f = oracle_objective(p, w)
-            assert abs(f - wit.objective) <= 1e-12 * max(1.0, abs(wit.objective)), p
+            assert oracle_objective(p, w) == wit.objective, p
             checked += 1
         assert checked >= 400
+
+    def test_search_objectives_recompute_bit_for_bit(self):
+        # the search scores its witnesses with the column version of the
+        # objective's own body, so every finite objective it reports is the
+        # scalar objective at its witness, bit for bit
+        pts = _search_points()
+        assert len(pts) == 252
+        checked = 0
+        for p, (_, wit) in zip(pts, oracle_members(pts)):
+            assert wit.decided_by == "search"
+            if math.isfinite(wit.objective):
+                w = (wit.xt41, wit.xt42, wit.lambda4)
+                assert _hex(oracle_objective(p, w)) == _hex(wit.objective), p
+                checked += 1
+        assert checked >= 200
 
 
 def _hull_points():

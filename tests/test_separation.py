@@ -285,9 +285,9 @@ class TestIndicatorEdgeSeparation:
 # and touch point) as float.hex, on non-members of each separating family,
 # both indicator edges, an X22 on the perspective bound in R4, in R8 and on
 # the z1 edge (the touch point bumps X22), an R8 point with small W, scaled
-# copies, two uncovered corners outside the hull, and an R8 row a neighbouring
-# piece (part IV) rescues: a change to the family formulas that moves a bit
-# shows here.  The X12 coefficient is the one copositive_x12 leaves; at
+# copies, two uncovered corners outside the hull, and an R7 member of its own
+# part IV piece: a change to the family formulas that moves a bit shows here.
+# R8_scaled_1e-3 is the member a neighbouring piece (part IV) rescues.  The X12 coefficient is the one copositive_x12 leaves; at
 # R5_nonmember, R5_scaled_1e-2 and uncovered_nonmember it moved toward zero,
 # by 5, 6 and 1 ulps, to make the quadratic part of the cut copositive.
 CLOSED_FORM_PINS = [
@@ -453,7 +453,7 @@ CLOSED_FORM_PINS = [
      "-0x1.3055a2289ec4fp-69 0x1.358552805a629p-9 0x1.e211e0807b036p-10 "
      "0x1.085f1d33670ccp-14 0x1.1196818b3ccd8p-15 0x1.2b90c452f5930p-16 "
      "0x1.269db9403c528p-2 0x1.e87f35072e7f8p-2"),
-    ("R8_rescued",
+    ("R7_member",
      (0.01265912918967138, 0.028927739041855843, 0.0004894393558082376, 3.635929138912215e-05,
       0.0012608296600780254, 0.7456665702742226, 0.771481629446558),
      (True, "R7", (), None, False),
