@@ -459,23 +459,54 @@ def _separate_lines(batch: SeparationBatch, lo: int, hi: int, formats: np.ndarra
     return text % tuple(json.dumps(numbers[cut][:, _CUT_NUMBERS].ravel().tolist())[1:-1].split(", "))
 
 
+def _separate_records(
+    points: list[HullPoint], tol: Tolerances, pretty: bool
+) -> tuple[str, Exception | None]:
+    """The ``separate`` records of the points of a row chunk, each from
+    :func:`~pairhull.separation.separate`, up to the first whose separation
+    raises one of :data:`~pairhull.core.ROW_ERRORS` other than a
+    :class:`PairhullError`, and that error."""
+    from .separation import separate
+
+    out = []
+    for p in points:
+        try:
+            res = separate(p, tol)
+        except PairhullError as exc:
+            rec = {"error": type(exc).__name__}
+        except ROW_ERRORS as exc:
+            return "".join(out), exc
+        else:
+            cut = res.cut
+            rec = {"inside": True} if res.inside else _cut_record(
+                cut.coeffs, cut.constant, cut.touch, res.region.value
+            )
+        out.append(_dumps(rec, pretty))
+    return "".join(out), None
+
+
 def _cmd_separate(args, tol: Tolerances, stdin: TextIO, stdout: TextIO) -> int:
     from .separation import separate_batch
 
-    formats = _record_formats(args.pretty)
     for rows in _read_rows(stdin, tol):
         if type(rows) is list:
-            rows = np.array([p.coords() for p in rows])
-        batch = separate_batch(rows, tol)
-        n = min(
-            (i for i, exc in batch.errors.items() if not isinstance(exc, PairhullError)),
-            default=len(batch),
-        )
-        for lo in range(0, n, WRITE_ROWS):
-            stdout.write(_separate_lines(batch, lo, min(lo + WRITE_ROWS, n), formats, args.pretty))
+            text, error = _separate_records(rows, tol, args.pretty)
+            stdout.write(text)
+        else:
+            batch = separate_batch(rows, tol)
+            n = min(
+                (i for i, exc in batch.errors.items() if not isinstance(exc, PairhullError)),
+                default=len(batch),
+            )
+            formats = _record_formats(args.pretty)
+            for lo in range(0, n, WRITE_ROWS):
+                stdout.write(
+                    _separate_lines(batch, lo, min(lo + WRITE_ROWS, n), formats, args.pretty)
+                )
+            error = batch.errors.get(n)
         stdout.flush()
-        if n < len(batch):
-            raise batch.errors[n]
+        if error is not None:
+            raise error
     return 0
 
 

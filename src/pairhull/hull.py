@@ -29,8 +29,8 @@ from .regions import (
     NOT_COVERED_CODE,
     Region,
     cell_codes,
+    cell_masks,
     classify,
-    closure_columns,
     on_indicator_edge,
     region_closure_contains,
     regions_of,
@@ -364,13 +364,13 @@ class MembershipBatch:
         self.degenerate[i] = rep.degenerate
 
 
-def _piece_columns(cols: HullColumns, region: Region, tol: Tolerances):
-    """:func:`piece_slacks` of the cell's piece on every row: (usable,
+def _piece_columns(cols: HullColumns, piece: tuple, tol: Tolerances):
+    """:func:`piece_slacks` of a piece of :data:`_PIECES` on every row: (usable,
     names, slacks).  The piece's slacks, named ``names``, fill the first
     columns of ``slacks`` (NaN past them).  ``usable`` is false on the rows
     where the piece's face holds (R1 on the indicator edge with X12 > 0, R8
     with W degenerate): :func:`member_hull` decides those rows."""
-    fn, args, face, _ = _PIECES[region]
+    fn, args, face, _ = piece
     usable = np.ones(len(cols), bool) if face is None else ~elementwise(face)(cols, tol)
     named = elementwise(fn)(cols, *args, tol)
     slacks = np.full((len(cols), _SLOTS), np.nan)
@@ -405,40 +405,45 @@ def _decide_columns(cols: HullColumns, tol: Tolerances, out: MembershipBatch) ->
     with np.errstate(all="ignore"):
         cell = out.cell = cell_codes(cols, tol)
         scalar = cell == NOT_COVERED_CODE
-        for code, region in enumerate(CELLS[:NOT_COVERED_CODE]):
-            idx = np.flatnonzero(cell == code)
+        # each distinct piece once: part I serves R2 and R6, family II R3 and R4
+        pieces = list(dict.fromkeys(_PIECES.values()))
+        piece_of = np.array([pieces.index(piece) for piece in _PIECES.values()] + [-1])[cell]
+        for j, piece in enumerate(pieces):
+            idx = np.flatnonzero(piece_of == j)
             if not idx.size:
                 continue
             sub = cols.take(idx)
-            usable, names, slacks = _piece_columns(sub, region, tol)
+            usable, names, slacks = _piece_columns(sub, piece, tol)
             if not usable.all():
                 scalar[idx[~usable]] = True
                 idx, sub, slacks = idx[usable], sub.take(usable), slacks[usable]
             out.names[idx] = _held(names)
             out.slacks[idx] = slacks
-            if region is Region.R8:
+            if piece is _PIECES[Region.R8]:
                 out.W[idx] = elementwise(w_shift)(sub)
         out.violated = out.slacks < -m
 
         todo = np.flatnonzero(
             out.violated.any(axis=1) & ~scalar & elementwise(_rescuable)(cols, tol)
         )
-        sub = cols.take(todo)
-        for code, other in enumerate(CELLS[:NOT_COVERED_CODE]):
-            near = np.flatnonzero((cell[todo] != code) & closure_columns(sub, other, tol))
-            if not near.size:
-                continue
-            usable, names, slacks = _piece_columns(sub.take(near), other, tol)
-            fits = usable & (slacks[:, : len(names)] >= -m).all(axis=1)
-            if not fits.any():
-                continue
-            saved = todo[near[fits]]
-            out.names[saved] = _held(names)
-            out.slacks[saved] = slacks[fits]
-            out.violated[saved] = False
-            keep = np.ones(len(todo), bool)
-            keep[near[fits]] = False
-            todo, sub = todo[keep], sub.take(keep)
+        if todo.size:
+            sub = cols.take(todo)
+            closures = cell_masks(sub, tol, closed=True)
+            for code, other in enumerate(CELLS[:NOT_COVERED_CODE]):
+                near = np.flatnonzero((cell[todo] != code) & closures[code])
+                if not near.size:
+                    continue
+                usable, names, slacks = _piece_columns(sub.take(near), _PIECES[other], tol)
+                fits = usable & (slacks[:, : len(names)] >= -m).all(axis=1)
+                if not fits.any():
+                    continue
+                saved = todo[near[fits]]
+                out.names[saved] = _held(names)
+                out.slacks[saved] = slacks[fits]
+                out.violated[saved] = False
+                keep = np.ones(len(todo), bool)
+                keep[near[fits]] = False
+                todo, sub, closures = todo[keep], sub.take(keep), closures[:, keep]
         out.member = ~out.violated.any(axis=1)
     return scalar
 

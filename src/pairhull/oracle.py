@@ -168,6 +168,11 @@ def oracle_objective(
     the g2 = 0, h != 0 ray evaluates to +inf.
     """
     validate_point(p, tol)
+    return _scored(p, w, tol)
+
+
+def _scored(p: HullPoint, w: tuple[float, float, float], tol: Tolerances) -> float:
+    """:func:`oracle_objective` at a point of the ambient domain."""
     slacks = witness_slacks(p, w, tol)
     bad = {k: v for k, v in slacks.items() if v < -tol.eq_tol}
     if bad:
@@ -241,7 +246,7 @@ def _certified(
     is ``lam_lo``, from its proposal, or None where neither of its
     certificates decides p.
 
-    The witness is scored by :func:`oracle_objective`.  A feasible witness
+    The witness is scored by :func:`_scored`.  A feasible witness
     whose objective f is at most X11 + oracle_tol makes p a member, with no
     lower bound.  Otherwise a cut with c_X11 > 0 whose value at p +
     oracle_tol e_X11 lies below its :func:`s2_minimum` m makes p a
@@ -255,7 +260,7 @@ def _certified(
     f = math.inf
     if triple is not None:
         try:
-            f = oracle_objective(p, triple, tol)
+            f = _scored(p, triple, tol)
         except InfeasibleWitness:
             pass
         if f <= threshold:

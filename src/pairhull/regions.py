@@ -22,6 +22,7 @@ from .core import (
     HullColumns,
     HullPoint,
     Tolerances,
+    by_rows,
     ge,
     gt,
     row_mask,
@@ -153,19 +154,15 @@ def _r7_sides(p: HullPoint):
     return p.x1 * (p.x2 * s - q * w) * q, p.X12 * s * (q + p.x2 * (1.0 - p.z2) * w)
 
 
-def _in_r6(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    return _in_u2(p, tol, closed) and ge(*_r6_sides(p), tol.eq_tol)
-
-
-def _in_r7(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    return _in_u2(p, tol, closed) and (ge if closed else gt)(*_r7_sides(p), tol.eq_tol)
-
-
-def _in_r8(p: HullPoint, tol: Tolerances, closed: bool = False) -> bool:
-    # the subtracted cells R6 and R7 are excluded through their open
-    # versions in the closure too
+def _u2_cells(p: HullPoint, tol: Tolerances, closed: bool = False):
+    """Cells R6, R7 and R8 at p, open or closed: U2 split by the R6 side and the
+    R7 side pair, each computed once (on a point, only where U2 holds).  R8
+    excludes R6 and R7 through their open sides in the closure too."""
     e = tol.eq_tol
-    return _in_u2(p, tol, closed) and not ge(*_r6_sides(p), e) and not gt(*_r7_sides(p), e)
+    u2 = _in_u2(p, tol, closed)
+    r6 = u2 and ge(*_r6_sides(p), e)
+    r7 = u2 and gt(*(r7_sides := _r7_sides(p)), e)
+    return r6, (u2 and ge(*r7_sides, e)) if closed else r7, u2 and not r6 and not r7
 
 
 _PREDICATES = (
@@ -174,11 +171,19 @@ _PREDICATES = (
     (Region.R3, _in_r3),
     (Region.R4, _in_r4),
     (Region.R5, _in_r5),
-    (Region.R6, _in_r6),
-    (Region.R7, _in_r7),
-    (Region.R8, _in_r8),
+    (Region.R6, lambda p, tol, closed=False: _u2_cells(p, tol, closed)[0]),
+    (Region.R7, lambda p, tol, closed=False: _u2_cells(p, tol, closed)[1]),
+    (Region.R8, lambda p, tol, closed=False: _u2_cells(p, tol, closed)[2]),
 )
 _PREDICATE_OF = dict(_PREDICATES)
+#: The systems of R1..R5, and the cells :func:`_u2_cells` splits U2 into.
+_SYSTEMS, _U2_CELLS = _PREDICATES[:5], (Region.R6, Region.R7, Region.R8)
+
+
+def _cell_systems(p: HullPoint, tol: Tolerances, closed: bool) -> tuple:
+    """The systems of R1..R8 at p, open or closed, with U2 split once."""
+    return (_in_r1(p, tol, closed), _in_r2(p, tol, closed), _in_r3(p, tol, closed),
+            _in_r4(p, tol, closed), _in_r5(p, tol, closed), *_u2_cells(p, tol, closed))
 
 
 def region_closure_contains(p: HullPoint, region: Region, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -194,10 +199,11 @@ def region_closure_contains(p: HullPoint, region: Region, tol: Tolerances = DEFA
 def classify(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> Region:
     """Return the unique cell containing p, lowest index first on boundaries."""
     validate_point(p, tol)
-    for tag, pred in _PREDICATES:
+    for tag, pred in _SYSTEMS:
         if pred(p, tol):
             return tag
-    return Region.NOT_COVERED
+    split = zip(_U2_CELLS, _u2_cells(p, tol))
+    return next((tag for tag, held in split if held), Region.NOT_COVERED)
 
 
 #: Region of each cell code of the batch functions: the index of R1..R8
@@ -213,10 +219,17 @@ def regions_of(codes: np.ndarray) -> np.ndarray:
     return np.array(CELLS, object)[codes]
 
 
-def cell_masks(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def cell_masks(
+    cols: HullColumns, tol: Tolerances = DEFAULT_TOL, closed: bool = False
+) -> np.ndarray:
     """The (8, n) mask of validated columns whose row k flags where the
-    system of cell k holds, every system evaluated on every row."""
-    return np.array([row_mask(pred, cols, tol) for _, pred in _PREDICATES])
+    system of cell k holds, or its closure where ``closed``, every system
+    evaluated on every row: row by row where
+    :func:`~pairhull.core.by_rows` says so, else on the columns."""
+    if by_rows(len(cols)):
+        rows = [_cell_systems(p, tol, closed) for p in cols.points()]
+        return np.array(rows, bool).reshape(-1, len(_PREDICATES)).T
+    return np.array(elementwise(_cell_systems)(cols, tol, closed))
 
 
 def first_cells(masks: np.ndarray) -> np.ndarray:
@@ -229,11 +242,6 @@ def cell_codes(cols: HullColumns, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """The cell code of every row of validated columns: the index of the
     first cell whose system holds, as in :func:`classify`."""
     return first_cells(cell_masks(cols, tol))
-
-
-def closure_columns(cols: HullColumns, region: Region, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """:func:`region_closure_contains` on every row of validated columns."""
-    return elementwise(_PREDICATE_OF[region])(cols, tol, True)
 
 
 def classify_batch(rows, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -29,12 +29,14 @@ from pairhull import (
     Tolerances,
     classify,
     in_relaxation_ctilde,
+    oracle_objective,
     validate_point,
 )
+from pairhull.core import ge, gt
 from pairhull.errors import PairhullError
 from pairhull.families import FAMILY_BY_CELL, q_value, x11_root
-from pairhull.hull import member_batch
-from pairhull.regions import _PREDICATES
+from pairhull.hull import closed_witness, member_batch
+from pairhull.regions import _PREDICATES, _in_u2, _r6_sides, _r7_sides
 from pairhull.separation import separate_batch
 from pairhull.verify import (
     GAP_FLOOR,
@@ -119,6 +121,28 @@ def rankone_member(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> bool:
 def region_matches(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> list[Region]:
     """Evaluate all eight cell systems independently (no short-circuit)."""
     return [tag for tag, pred in _PREDICATES if pred(p, tol)]
+
+
+def closed_form_optimum(p: HullPoint) -> float | None:
+    """The oracle's objective at the closed form's witness of p's cell, the
+    least X11 of the cell's piece, or None where the cell has no witness."""
+    triple = closed_witness(p, classify(p))
+    return None if triple is None else oracle_objective(p, triple)
+
+
+def u2_cells_by_system(
+    p: HullPoint, tol: Tolerances = DEFAULT_TOL, closed: bool = False
+) -> tuple[bool, bool, bool]:
+    """Cells R6, R7 and R8 at p, open or closed, each from its own system:
+    U2 with the R6 side, U2 with the R7 side, and U2 outside both open
+    sides."""
+    e = tol.eq_tol
+    u2 = _in_u2(p, tol, closed)
+    return (
+        u2 and ge(*_r6_sides(p), e),
+        u2 and (ge if closed else gt)(*_r7_sides(p), e),
+        u2 and not ge(*_r6_sides(p), e) and not gt(*_r7_sides(p), e),
+    )
 
 
 def r6_polynomial_sides(p: HullPoint):

@@ -178,6 +178,48 @@ class TestBitIdentity:
         assert len(classify_batch(np.empty((0, 7)))) == 0
 
 
+#: The member of cell R8 that its part V piece rejects and the part IV piece
+#: of the neighbouring R7 rescues (``R8_scaled_1e-3`` of the closed-form pins).
+RESCUED = (0.001287721136902277, 0.0011955653091008096, 2.3445421587638382e-06,
+           6.24459984648067e-07, 2.6680136439576806e-06, 0.7597095977173154,
+           0.5546443248526949)
+
+
+class TestRescue:
+    """The column path reads every closure a rescue needs from one closed
+    cell_masks, and only where some row needs a rescue."""
+
+    @staticmethod
+    def _closure_calls(monkeypatch) -> list:
+        calls = []
+        masks = hull.cell_masks
+
+        def spy(cols, tol, closed=False):
+            calls.append((len(cols), closed))
+            return masks(cols, tol, closed)
+
+        monkeypatch.setattr(hull, "cell_masks", spy)
+        return calls
+
+    def test_members_evaluate_no_closure(self, monkeypatch):
+        rows = np.concatenate([
+            _sample_hull_array(np.random.default_rng(100 + k), 500, k) for k in range(1, 9)
+        ])
+        calls = self._closure_calls(monkeypatch)
+        assert member_batch(rows).member.all()
+        assert calls == []
+
+    def test_a_rejected_member_is_rescued_as_by_member_hull(self, monkeypatch):
+        rows = _sample_hull_array(np.random.default_rng(101), 64, 1)
+        rows[40] = RESCUED
+        calls = self._closure_calls(monkeypatch)
+        batch = member_batch(rows)
+        rep = member_hull(HullPoint(*RESCUED))
+        assert rep.member and rep.region is Region.R8 and list(rep.slacks)[0] == "IV.diag1"
+        assert _key(batch.report(40)) == _key(rep)
+        assert batch.member.all() and calls == [(1, True)]
+
+
 class TestOneSwitch:
     def test_only_core_names_the_column_threshold(self):
         # the row-by-row or columns choice is made once, by the helpers of

@@ -208,8 +208,9 @@ CORNER_LINE = json.dumps(
 
 
 def _fail_on_corner(monkeypatch, exc: Exception) -> None:
-    """Make ``member_hull`` raise ``exc`` on the point of CORNER_LINE only."""
-    from pairhull import hull
+    """Make ``member_hull`` raise ``exc`` on the point of CORNER_LINE only,
+    in the membership and the separation paths."""
+    from pairhull import hull, separation
 
     rec = json.loads(CORNER_LINE)
     (X11, X12), (_, X22) = rec["X"]
@@ -222,6 +223,7 @@ def _fail_on_corner(monkeypatch, exc: Exception) -> None:
         return member_hull(p, tol)
 
     monkeypatch.setattr(hull, "member_hull", fail_on_corner)
+    monkeypatch.setattr(separation, "member_hull", fail_on_corner)
 
 
 def _integer_line(line: str) -> str:
@@ -317,6 +319,20 @@ class TestStreamChunks:
         assert out.getvalue() == expected
         assert len(out.getvalue().splitlines()) == at
 
+    @pytest.mark.parametrize("n, at", [(101, 50), (21, 10)], ids=["column chunk", "row chunk"])
+    def test_value_error_of_a_separation_answers_the_lines_before_it(self, n, at, monkeypatch):
+        # as in the batch, a row chunk writes the records before the first
+        # separation that raises an error other than a package error
+        lines = _margin_lines(n - 1, seed=37)
+        lines.insert(at, CORNER_LINE)
+        expected = run_cli(["separate"], "\n".join(lines[:at]) + "\n")[1]
+        _fail_on_corner(monkeypatch, ValueError("forced"))
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="forced"):
+            main(["separate"], stdin=io.StringIO("\n".join(lines) + "\n"), stdout=out)
+        assert out.getvalue() == expected
+        assert len(out.getvalue().splitlines()) == at
+
     @pytest.mark.parametrize("argv", STREAM_COMMANDS, ids=" ".join)
     def test_binary_stdin_and_tiny_reads(self, argv, monkeypatch):
         # a binary buffer read with read1, CRLF line ends and a multibyte
@@ -373,7 +389,7 @@ class TestShortChunks:
     @pytest.mark.parametrize("extra, raises", SHORT_CASES)
     @pytest.mark.parametrize("argv", [
         ["classify"], ["member"], ["member", "--report"], ["--pretty", "member"],
-        ["member", "--oracle"],
+        ["member", "--oracle"], ["separate"], ["--pretty", "separate"],
     ], ids=" ".join)
     def test_first_lines_answer_as_in_a_column_chunk(self, argv, extra, raises, k, capsys,
                                                      monkeypatch):
@@ -848,9 +864,9 @@ def _loaded_modules(code: str) -> set[str]:
 
 class TestStartup:
     """Each command imports only the modules it calls, and a short stream of
-    ``classify`` or ``member``, or of ``member --oracle`` on points the
-    oracle certifies, is answered without numpy, so a process that answers
-    one query pays for no others at start."""
+    ``classify``, ``member`` or ``separate``, or of ``member --oracle`` on
+    points the oracle certifies, is answered without numpy, so a process
+    that answers one query pays for no others at start."""
 
     BASE = {"pairhull", "pairhull.cli", "pairhull.columns", "pairhull.core",
             "pairhull.errors", "pairhull.families", "pairhull.regions"}
@@ -865,7 +881,7 @@ class TestStartup:
             (["member", "--report"], MEMBER),
             # the oracle checks the cut of separate and searches nothing
             (["member", "--oracle"], MEMBER | {"pairhull.oracle", "pairhull.separation"}),
-            (["separate"], MEMBER | {"pairhull.separation", "numpy"}),
+            (["separate"], MEMBER | {"pairhull.separation"}),
         )
     ])
     def test_command_loads_only_its_modules(self, argv, modules):

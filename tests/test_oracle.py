@@ -54,6 +54,7 @@ from pairhull.verify import (
     sample_ctilde_points,
     shrunken_nonmembers,
 )
+from reference import closed_form_optimum
 
 WORKED = HullPoint(0.1, 1.0, 1.0, 1.2, 2.5, 0.5, 0.5)
 SRC = Path(__file__).resolve().parent.parent / "src" / "pairhull"
@@ -884,6 +885,21 @@ class TestCertificates:
             else:
                 assert not member and wit.lower > threshold
 
+    def test_the_intake_validates_each_proposed_point_once(self, monkeypatch):
+        # the intake validates each point; scoring its witness does not again
+        from pairhull import oracle
+
+        pts = ctilde_margin_points(np.random.default_rng(5), 100)
+        proposals = _proposals(pts)
+        calls = []
+        check = oracle.validate_point
+        monkeypatch.setattr(
+            oracle, "validate_point", lambda p, tol: calls.append(p) or check(p, tol)
+        )
+        res = oracle_members(pts, proposals=proposals)
+        assert len(calls) == 100
+        assert {r[1].decided_by for r in res} == {"witness", "cut"}
+
     def test_a_wrong_proposal_leaves_the_point_to_the_search(self):
         # a witness of another cell scores above X11, an infeasible one
         # scores nothing, and a cut that p violates but that also cuts off
@@ -1066,11 +1082,10 @@ def analytic_cases():
     with a closed witness, and its objective, the least one."""
     pts, ref = [], []
     for p in sample_ctilde_points(np.random.default_rng(11), 6000):
-        triple = closed_witness(p, classify(p))
-        if triple is None:
-            continue
-        pts.append(p)
-        ref.append(oracle_objective(p, triple))
+        f = closed_form_optimum(p)
+        if f is not None:
+            pts.append(p)
+            ref.append(f)
     assert len(pts) > 3000
     return pts, ref
 

@@ -20,8 +20,21 @@ from pairhull import regions
 from pairhull.columns import elementwise
 from pairhull.core import HullColumns, separable_holds
 from pairhull.regions import region_closure_contains
-from pairhull.verify import _sample_hull_array, _sample_separable_array, run_partition_suite
-from reference import r6_polynomial_sides, r7_polynomial_sides, region_matches
+from pairhull.verify import (
+    _sample_hull_array,
+    _sample_separable_array,
+    _shrunken_rows,
+    run_partition_suite,
+    sample_ctilde_points,
+)
+from reference import (
+    FACE_KINDS,
+    face_pairs,
+    r6_polynomial_sides,
+    r7_polynomial_sides,
+    region_matches,
+    u2_cells_by_system,
+)
 
 
 class TestClassifyExamples:
@@ -231,3 +244,55 @@ class TestU2Sides:
         clear7 = clear6 & (new6 < 0) & (abs(old7) > e) & (abs(new7) > e)
         assert clear7.sum() > 8000
         assert ((old7 > 0) == (new7 > 0))[clear7].all()
+
+
+@pytest.fixture(scope="module")
+def mask_cases():
+    """Rows of every sampler and of the exact faces down to delta = 1e-6,
+    with the scalar open and closed systems of each row and its cell."""
+    rows = [_sample_hull_array(np.random.default_rng(100 + k), 1250, k) for k in range(1, 9)]
+    rows.append(_sample_separable_array(np.random.default_rng(3), 10000))
+    rows.append(_shrunken_rows(np.random.default_rng(6), 4000, DEFAULT_TOL))
+    rows.append(np.array([p.coords() for p in sample_ctilde_points(np.random.default_rng(2), 4000)]))
+    deltas = ("1e-2", "1e-3", "1e-4", "1e-5", "1e-6")
+    for kind in FACE_KINDS:
+        rows += face_pairs(np.random.default_rng(0), 100, kind, deltas)[:2]
+    rows = np.concatenate(rows)
+    systems = {
+        closed: np.array([
+            [pred(p, DEFAULT_TOL, closed) for _, pred in regions._PREDICATES[:5]]
+            + list(u2_cells_by_system(p, DEFAULT_TOL, closed))
+            for p in map(HullPoint.from_coords, rows)
+        ]).T
+        for closed in (False, True)
+    }
+    cells = np.array([
+        regions.CODE_OF[classify(HullPoint.from_coords(row))] for row in rows
+    ])
+    return rows, systems, cells
+
+
+class TestCellMasks:
+    """cell_masks splits U2 once per row; its masks are the scalar systems."""
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 4000])
+    def test_masks_are_the_scalar_systems(self, mask_cases, size):
+        rows, systems, cells = mask_cases
+        assert set(range(8)) <= set(cells.tolist())  # every cell
+        for lo in range(0, len(rows), size):
+            cols = HullColumns.of_rows(rows[lo : lo + size])
+            with np.errstate(all="ignore"):
+                masks = regions.cell_masks(cols, DEFAULT_TOL)
+                closures = regions.cell_masks(cols, DEFAULT_TOL, closed=True)
+            hi = lo + len(cols)
+            assert (masks == systems[False][:, lo:hi]).all(), lo
+            assert (closures == systems[True][:, lo:hi]).all(), lo
+            assert (regions.first_cells(masks) == cells[lo:hi]).all(), lo
+
+    def test_views_and_closures_read_the_split(self, mask_cases):
+        rows, systems, _ = mask_cases
+        for i in range(0, len(rows), 7):
+            p = HullPoint.from_coords(rows[i])
+            for k, (tag, pred) in enumerate(regions._PREDICATES):
+                assert pred(p, DEFAULT_TOL) == systems[False][k, i], (i, tag)
+                assert region_closure_contains(p, tag) == systems[True][k, i], (i, tag)
