@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .columns import elementwise, np
+from .columns import Dual, elementwise, np  # the oracle reads Dual from here
 from .errors import NegativeDenominator, NotInAmbientBox, PairhullError
 
 #: Canonical coordinate order used by arrays, cut coefficients and JSON records.

@@ -4,15 +4,18 @@ Family II is the product shifted by z2 (cells R3, R4), family III the product
 shifted by z1 (cell R5) and family V the form weighted by the W shift (cell
 R8).  Each boundary function q is affine in X11: :func:`x11_terms` writes it
 once, and the X11 at which it vanishes, F, is the least X11 of the family's
-hull piece.  The hull pieces, the cuts' touch points, the verify samplers
-and cells R6 and R7, which bound X12 by the W shift, take these formulas
-from here; the functions shared by the families are keyed by the family string.
+hull piece.  Its gradient, the cut's, is the derivative of that body
+(:func:`q_gradient`).  The hull pieces, the cuts' touch points, the verify
+samplers and cells R6 and R7, which bound X12 by the W shift, take these
+formulas from here; the functions shared by the families are keyed by the
+family string.
 """
 
 from __future__ import annotations
 
 import math
 
+from .columns import Dual, derivative
 from .core import HullPoint
 
 #: Separating family of each cell that carries one, keyed by the cell tag.
@@ -28,16 +31,6 @@ def _div0(num: float, den: float) -> float:
 def shift_z(family: str, p: HullPoint) -> float:
     """The indicator shifting the product of family II (z2) or III (z1)."""
     return p.z2 if family == "II" else p.z1
-
-
-def shifted_terms(family: str, p: HullPoint) -> tuple[float, float, float]:
-    """(X11 - x1^2/z, X22 - x2^2/z, X12 - x1 x2/z) with z = shift_z(family, p)."""
-    z = shift_z(family, p)
-    return (
-        p.X11 - _div0(p.x1 * p.x1, z),
-        p.X22 - _div0(p.x2 * p.x2, z),
-        p.X12 - _div0(p.x1 * p.x2, z),
-    )
 
 
 def w_factors(p: HullPoint) -> tuple[float, float]:
@@ -76,63 +69,13 @@ def q_value(family: str, p: HullPoint) -> float:
 
 
 def q_gradient(family: str, p: HullPoint) -> tuple:
-    """Analytic gradient of the family boundary function at p, as the tuple
-    of its seven terms in the canonical coordinate order (x1, x2, X11, X12,
-    X22, z1, z2).  Family V needs a W shift whose square-root term does not
-    vanish (see :func:`w_root_vanishes`).  On columns a term that does not
-    depend on the point, such as family II's 0.0 for z1, stays a float,
-    which broadcasts where the terms are written."""
-    if family in ("II", "III"):
-        z = shift_z(family, p)
-        a, b, c = shifted_terms(family, p)
-        gx1 = -_div0(2.0 * p.x1, z) * b + _div0(2.0 * p.x2, z) * c
-        gx2 = -_div0(2.0 * p.x2, z) * a + _div0(2.0 * p.x1, z) * c
-        gz = (
-            _div0(p.x1 * p.x1, z * z) * b
-            + _div0(p.x2 * p.x2, z * z) * a
-            - 2.0 * c * _div0(p.x1 * p.x2, z * z)
-        )
-        gz1, gz2 = (0.0, gz) if family == "II" else (gz, 0.0)
-        return gx1, gx2, b, -2.0 * c, a, gz1, gz2
-
-    if family != "V":
-        raise ValueError(f"unknown family {family!r}")
-
-    s, d, arg = w_sqrt_arg(p)
-    r = math.sqrt(max(arg, 0.0))
-    w = w_shift(p)
-    k = p.X12 * p.z1 * p.z2
-    g = k / w - p.x1 * p.x2
-    a1 = p.X11 - p.x1 * p.x1 / p.z1
-
-    dw_dX22 = -p.z2 * (1.0 - p.z1) * s / (2.0 * r * p.x2)
-    dw_dz1 = 1.0 - d * ((1.0 - p.z1) - s) / (2.0 * r * p.x2)
-    dw_dz2 = 1.0 - (p.X22 * (1.0 - p.z1) * s + d * (1.0 - p.z1)) / (2.0 * r * p.x2)
-    dw_dx2 = (1.0 - p.z1) * s / r + r / (p.x2 * p.x2)
-
-    kw2 = k / (w * w)
-    dg_dX12 = p.z1 * p.z2 / w
-    dg_dX22 = -kw2 * dw_dX22
-    dg_dz1 = p.X12 * p.z2 / w - kw2 * dw_dz1
-    dg_dz2 = p.X12 * p.z1 / w - kw2 * dw_dz2
-    dg_dx1 = -p.x2
-    dg_dx2 = -p.x1 - kw2 * dw_dx2
-
-    x2sq = p.x2 * p.x2
-    lead = p.z1 * (1.0 - p.z2) * x2sq
-    gx1 = -2.0 * p.x1 * (1.0 - p.z2) * x2sq - 2.0 * s * g * dg_dx1
-    gx2 = 2.0 * p.z1 * (1.0 - p.z2) * a1 * p.x2 - 2.0 * s * g * dg_dx2
-    gX11 = lead
-    gX12 = -2.0 * s * g * dg_dX12
-    gX22 = -2.0 * s * g * dg_dX22
-    gz1 = (
-        (1.0 - p.z2) * a1 * x2sq
-        + lead * (p.x1 * p.x1 / (p.z1 * p.z1))
-        - g * g
-        - 2.0 * s * g * dg_dz1
-    )
-    gz2 = -p.z1 * a1 * x2sq - g * g - 2.0 * s * g * dg_dz2
-    return gx1, gx2, gX11, gX12, gX22, gz1, gz2
+    """Gradient of the family boundary function at p, as the tuple of its
+    seven terms in the canonical coordinate order (x1, x2, X11, X12, X22,
+    z1, z2): the derivative of :func:`q_value`'s own body at p
+    (:func:`~pairhull.columns.derivative`).  Family V needs a W shift whose
+    square-root term does not vanish (see :func:`w_root_vanishes`)."""
+    point = HullPoint(*Dual.seeds(p.x1, p.x2, p.X11, p.X12, p.X22, p.z1, p.z2))
+    return tuple(derivative(q_value)(family, point).tangents)
 
 
 def x11_terms(family: str, p: HullPoint) -> tuple[float, float, float]:
@@ -143,8 +86,9 @@ def x11_terms(family: str, p: HullPoint) -> tuple[float, float, float]:
         s = p.z1 + p.z2 - 1.0
         g = p.X12 * p.z1 * p.z2 / w_shift(p) - p.x1 * p.x2
         return p.x1 * p.x1 / p.z1, p.z1 * (1.0 - p.z2) * p.x2 * p.x2, s * g * g
-    _, b, c = shifted_terms(family, p)
-    return _div0(p.x1 * p.x1, shift_z(family, p)), b, c * c
+    z = shift_z(family, p)
+    c = p.X12 - _div0(p.x1 * p.x2, z)
+    return _div0(p.x1 * p.x1, z), p.X22 - _div0(p.x2 * p.x2, z), c * c
 
 
 def x11_slope(family: str, p: HullPoint) -> float:

@@ -28,11 +28,11 @@ from .regions import (
     CODE_OF,
     NOT_COVERED_CODE,
     Region,
+    _cell_systems,
     cell_codes,
     cell_masks,
     classify,
     on_indicator_edge,
-    region_closure_contains,
     regions_of,
 )
 
@@ -185,9 +185,10 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
 
     The piece of p's own cell decides first.  If it rejects p with X12 > 0
     off the indicator edges, or p is an uncovered corner, the first other
-    closure piece that holds makes p a member.  Otherwise an uncovered
-    corner reports its first usable closure piece (part I if none is
-    usable), and raises :class:`NumericallyDegenerate` if that piece names
+    closure piece that holds makes p a member; the eight closures come from
+    one evaluation of the cell systems, with U2 split once.  Otherwise an
+    uncovered corner reports its first usable closure piece (part I if none
+    is usable), and raises :class:`NumericallyDegenerate` if that piece names
     no violated inequality.  Where W degenerates in R8 the numeric witness
     oracle decides and the report is flagged degenerate.  Its ``V.W-ineq``
     slack is X11 less the oracle's objective, where the closed form's is X11
@@ -213,8 +214,8 @@ def member_hull(p: HullPoint, tol: Tolerances = DEFAULT_TOL) -> MembershipReport
         violated = tuple(k for k, v in slacks.items() if v < -tol.mem_tol)
         if not violated or not _rescuable(p, tol):
             return MembershipReport(not violated, region, violated, slacks, w_val)
-    for other in _PIECES:
-        if other is region or not region_closure_contains(p, other, tol):
+    for other, near in zip(_PIECES, _cell_systems(p, tol, True)):
+        if other is region or not near:
             continue
         try:
             other_slacks = piece_slacks(p, other, tol)

@@ -47,8 +47,11 @@ search, and may be a certified non-member to a search that L stops first.
 
 The search scores its samples with the column versions of the objective
 and g2 that score a proposed witness, compiled by ``elementwise`` when it
-first runs.  It runs on numpy, read through the package's ``np`` stand-in,
-so a process whose points are all certified never imports it.
+first runs, and takes the tangent planes of L from the same versions run
+on duals (:class:`~pairhull.columns.Dual`): the objective has one body,
+and no partial of it is written by hand.  It runs on numpy, read through
+the package's ``np`` stand-in, so a process whose points are all
+certified never imports it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
     DEFAULT_TOL,
+    Dual,
     HullPoint,
     Tolerances,
     copositive,
@@ -377,7 +381,7 @@ def _zoom_a2(pt, lam: np.ndarray, e: float, rounds: np.ndarray):
     return f_best, a1_best, a2_best
 
 
-def _lower_bound(pt, lam_lo, lam_hi, lam, a1, a2):
+def _lower_bound(pt, lam_lo, lam_hi, lam, a1, a2, e: float):
     """Lagrangian lower bound on the least objective of the points of `pt`,
     at the witnesses w = (lam, a1, a2), all broadcast together.
 
@@ -391,20 +395,18 @@ def _lower_bound(pt, lam_lo, lam_hi, lam, a1, a2):
     sign; g2 does not depend on a1, so the maximum is at mu = 0 or at one of
     the kinks df/dlam / dg2/dlam and df/da2 / dg2/da2 that are >= 0.  A
     witness with a denominator or g2 not positive, or f not finite, gives
-    -inf.
+    -inf.  f, g2 and their gradients are the derivative of the body of
+    :func:`_witness_objective`: the column versions of :func:`_witness_g2`
+    and :func:`_objective_with_g2` run on the duals of (lam, a1, a2).
     """
     x1, x2, X12, X22, z1, z2 = pt
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u1, v1 = a1 / lam, (x1 - a1) / (z1 - lam)
-        u2, v2 = a2 / lam, (x2 - a2) / (z2 - lam)
-        g2 = X22 - a2 * u2 - (x2 - a2) * v2
-        h = X12 - a1 * u2
-        q = h / g2
-        f = a1 * u1 + (x1 - a1) * v1 + h * q
-        dg_lam, dg_a2 = u2 * u2 - v2 * v2, 2.0 * (v2 - u2)
-        df_lam = v1 * v1 - u1 * u1 + 2.0 * q * u1 * u2 - q * q * dg_lam
-        df_a1 = 2.0 * (u1 - v1 - q * u2)
-        df_a2 = -2.0 * q * u1 - q * q * dg_a2
+        p = HullPoint(x1, x2, math.nan, X12, X22, z1, z2)
+        dlam, da1, da2 = Dual.seeds(lam, a1, a2)
+        g2 = elementwise(_witness_g2)(p, dlam, da2, e)
+        f = elementwise(_objective_with_g2)(p, dlam, da1, da2, g2, e)
+        (df_lam, df_a1, df_a2), (dg_lam, _, dg_a2) = f.tangents, g2.tangents
+        f, g2 = f.value, g2.value
 
         def box_min(c, lo, hi):
             return np.minimum(c * lo, c * hi)
@@ -439,7 +441,7 @@ def _sweep(pt, lam_ax, e: float, rounds, lam_lo, lam_hi):
     k = f.argmin(axis=1)
     i = np.arange(n)
     column = tuple(c[:, None] for c in pt)
-    lower = _lower_bound(column, lam_lo[:, None], lam_hi[:, None], lam_ax, a1, a2)
+    lower = _lower_bound(column, lam_lo[:, None], lam_hi[:, None], lam_ax, a1, a2, e)
     return k, np.stack([f[i, k], lam_ax[i, k], a1[i, k], a2[i, k]]), lower.max(axis=1)
 
 

@@ -39,6 +39,7 @@ from .families import (
     FAMILY_BY_CELL,
     q_gradient,
     q_value,
+    w_factors,
     w_root_vanishes,
     w_shift,
     x11_root,
@@ -164,9 +165,9 @@ def _out_of_reach(p: HullPoint, family: str, tol: Tolerances) -> bool:
 
 def _on_bound(p: HullPoint, family: str, tol: Tolerances) -> bool:
     """Whether X22 sits on its perspective bound within the band: the gap
-    X22 z2 - x2^2 for family V, the X11 coefficient of q for II and III."""
+    d of :func:`w_factors` for family V, the X11 coefficient of q for II and III."""
     if family == "V":
-        gap = p.X22 * p.z2 - p.x2 * p.x2
+        gap = w_factors(p)[1]
     else:
         gap = x11_slope(family, p)
     return gap <= tol.eq_tol * (1.0 + abs(p.X22))

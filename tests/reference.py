@@ -5,8 +5,9 @@ by minors, singular PSD moment blocks drawn as Gram matrices, the two
 relaxations the hull strengthens, the eight cell
 systems of one point evaluated independently, the paper's polynomial
 sides of cells R6 and R7, the boundary points of one
-separating family, the one-candidate-at-a-time loop that drew the cuts
-suite's shrunken non-members (with its candidate builder and relaxation
+separating family and the gradient of its boundary derived by hand, the
+one-candidate-at-a-time loop that drew the cuts suite's shrunken
+non-members (with its candidate builder and relaxation
 bound on X11, which the boundary points share), the masked vertex
 sampler and the convex combinations built on it, the separable sampler
 drawn one coordinate per call, the rational copositivity test and
@@ -34,7 +35,15 @@ from pairhull import (
 )
 from pairhull.core import ge, gt
 from pairhull.errors import PairhullError
-from pairhull.families import FAMILY_BY_CELL, q_value, x11_root
+from pairhull.families import (
+    FAMILY_BY_CELL,
+    _div0,
+    q_value,
+    shift_z,
+    w_shift,
+    w_sqrt_arg,
+    x11_root,
+)
 from pairhull.hull import closed_witness, member_batch
 from pairhull.regions import _PREDICATES, _in_u2, _r6_sides, _r7_sides
 from pairhull.separation import separate_batch
@@ -265,6 +274,68 @@ def family_touch_points(
     if len(out) < n:
         raise RuntimeError(f"only built {len(out)}/{n} touch points for {family}")
     return out
+
+
+def hand_q_gradient(family: str, p: HullPoint) -> tuple:
+    """The gradient of the family boundary function q at p derived by hand,
+    with the chain rule through W for family V, in the canonical coordinate
+    order (x1, x2, X11, X12, X22, z1, z2): the reference of
+    :func:`~pairhull.families.q_gradient`, the derivative of q's own body."""
+    if family in ("II", "III"):
+        z = shift_z(family, p)
+        a, b, c = (
+            p.X11 - _div0(p.x1 * p.x1, z),
+            p.X22 - _div0(p.x2 * p.x2, z),
+            p.X12 - _div0(p.x1 * p.x2, z),
+        )
+        gx1 = -_div0(2.0 * p.x1, z) * b + _div0(2.0 * p.x2, z) * c
+        gx2 = -_div0(2.0 * p.x2, z) * a + _div0(2.0 * p.x1, z) * c
+        gz = (
+            _div0(p.x1 * p.x1, z * z) * b
+            + _div0(p.x2 * p.x2, z * z) * a
+            - 2.0 * c * _div0(p.x1 * p.x2, z * z)
+        )
+        gz1, gz2 = (0.0, gz) if family == "II" else (gz, 0.0)
+        return gx1, gx2, b, -2.0 * c, a, gz1, gz2
+
+    if family != "V":
+        raise ValueError(f"unknown family {family!r}")
+
+    s, d, arg = w_sqrt_arg(p)
+    r = math.sqrt(max(arg, 0.0))
+    w = w_shift(p)
+    k = p.X12 * p.z1 * p.z2
+    g = k / w - p.x1 * p.x2
+    a1 = p.X11 - p.x1 * p.x1 / p.z1
+
+    dw_dX22 = -p.z2 * (1.0 - p.z1) * s / (2.0 * r * p.x2)
+    dw_dz1 = 1.0 - d * ((1.0 - p.z1) - s) / (2.0 * r * p.x2)
+    dw_dz2 = 1.0 - (p.X22 * (1.0 - p.z1) * s + d * (1.0 - p.z1)) / (2.0 * r * p.x2)
+    dw_dx2 = (1.0 - p.z1) * s / r + r / (p.x2 * p.x2)
+
+    kw2 = k / (w * w)
+    dg_dX12 = p.z1 * p.z2 / w
+    dg_dX22 = -kw2 * dw_dX22
+    dg_dz1 = p.X12 * p.z2 / w - kw2 * dw_dz1
+    dg_dz2 = p.X12 * p.z1 / w - kw2 * dw_dz2
+    dg_dx1 = -p.x2
+    dg_dx2 = -p.x1 - kw2 * dw_dx2
+
+    x2sq = p.x2 * p.x2
+    lead = p.z1 * (1.0 - p.z2) * x2sq
+    gx1 = -2.0 * p.x1 * (1.0 - p.z2) * x2sq - 2.0 * s * g * dg_dx1
+    gx2 = 2.0 * p.z1 * (1.0 - p.z2) * a1 * p.x2 - 2.0 * s * g * dg_dx2
+    gX11 = lead
+    gX12 = -2.0 * s * g * dg_dX12
+    gX22 = -2.0 * s * g * dg_dX22
+    gz1 = (
+        (1.0 - p.z2) * a1 * x2sq
+        + lead * (p.x1 * p.x1 / (p.z1 * p.z1))
+        - g * g
+        - 2.0 * s * g * dg_dz1
+    )
+    gz2 = -p.z1 * a1 * x2sq - g * g - 2.0 * s * g * dg_dz2
+    return gx1, gx2, gX11, gX12, gX22, gz1, gz2
 
 
 def sample_s2_masked(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -197,7 +197,7 @@ class TestMemberHull:
 
         p = HullPoint(0.3, 0.4, 0.1, 0.2, 0.6, 0.5, 0.5)
         monkeypatch.setattr(hull_mod, "classify", lambda q, tol: Region.NOT_COVERED)
-        monkeypatch.setattr(hull_mod, "region_closure_contains", lambda q, r, tol: False)
+        monkeypatch.setattr(hull_mod, "_cell_systems", lambda q, tol, closed: (False,) * 8)
         rep = member_hull(p)
         assert (rep.member, rep.region, rep.violated) == (False, Region.NOT_COVERED, ("I.persp1",))
         assert list(rep.slacks) == ["I.persp1", "I.persp2"]
